@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
 
+from ..core.errors import RequestError
 from ..core.request import Request
 from ..core.types import ClusterId, NodeId, RequestType, Time
 from .base import BaseApplication
@@ -91,11 +92,19 @@ class MoldableApplication(BaseApplication):
                 return
             self.done(self.request)
         self.chosen_nodes = nodes
-        self.request = self.submit(
-            node_count=nodes,
-            duration=walltime,
-            rtype=RequestType.NON_PREEMPTIBLE,
-        )
+        try:
+            self.request = self.submit(
+                node_count=nodes,
+                duration=walltime,
+                rtype=RequestType.NON_PREEMPTIBLE,
+            )
+        except RequestError:
+            if self.cluster_id not in self.rms.platform.clusters:
+                raise
+            # Nothing fits and the cluster has, for now, fewer nodes than the
+            # smallest candidate (a fault plan shrank it): hold no request
+            # and select again when the RMS pushes the next view.
+            self.request = None
 
     def on_start(self, request: Request, node_ids: FrozenSet[NodeId]) -> None:
         if request is not self.request:

@@ -7,7 +7,7 @@ inherit the nodes of their predecessor.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from ..core.errors import AllocationError
 from ..core.types import ClusterId, NodeId, Time
@@ -17,7 +17,12 @@ __all__ = ["Cluster"]
 
 
 class Cluster:
-    """A named collection of identical nodes."""
+    """A named collection of identical nodes.
+
+    The IDs of the free nodes are kept in a pool updated by every method
+    that changes a node's state, so change node states through the cluster,
+    never on ``cluster.nodes[...]`` directly.
+    """
 
     def __init__(self, cluster_id: ClusterId, node_count: int):
         if node_count <= 0:
@@ -26,6 +31,7 @@ class Cluster:
         self.nodes: Dict[NodeId, Node] = {
             i: Node(node_id=i, cluster_id=cluster_id) for i in range(node_count)
         }
+        self._free: Set[NodeId] = set(self.nodes)
         #: Busy node-seconds accumulated by nodes removed since (crash or
         #: elastic shrink); keeps utilization accounting exact across faults.
         self.retired_busy_seconds: float = 0.0
@@ -38,13 +44,13 @@ class Cluster:
 
     def free_nodes(self) -> List[NodeId]:
         """IDs of nodes currently free (lowest IDs first, deterministic)."""
-        return sorted(nid for nid, node in self.nodes.items() if node.is_free())
+        return sorted(self._free)
 
     def free_count(self) -> int:
-        return len(self.free_nodes())
+        return len(self._free)
 
     def allocated_count(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.state is NodeState.ALLOCATED)
+        return len(self.nodes) - len(self._free)
 
     def allocated_to(self, app_id: str) -> List[NodeId]:
         """IDs of nodes currently held by *app_id*."""
@@ -72,24 +78,22 @@ class Cluster:
         """
         if count < 0:
             raise AllocationError("cannot allocate a negative node count")
-        chosen: List[NodeId] = []
-        if preferred:
-            for nid in preferred:
-                node = self.nodes.get(nid)
-                if node is not None and node.is_free() and len(chosen) < count:
-                    chosen.append(nid)
-        for nid in self.free_nodes():
-            if len(chosen) >= count:
-                break
-            if nid not in chosen:
-                chosen.append(nid)
-        if len(chosen) < count:
+        if count > len(self._free):
             raise AllocationError(
                 f"cluster {self.cluster_id!r}: requested {count} nodes, "
                 f"only {self.free_count()} free"
             )
+        chosen: Set[NodeId] = set()
+        for nid in preferred or ():
+            if len(chosen) >= count:
+                break
+            if nid in self._free:
+                chosen.add(nid)
+        if len(chosen) < count:
+            chosen.update(sorted(self._free - chosen)[: count - len(chosen)])
         for nid in chosen:
             self.nodes[nid].allocate(app_id, request_id, now)
+        self._free -= chosen
         return frozenset(chosen)
 
     def release(self, node_ids: Iterable[NodeId], now: Time) -> None:
@@ -99,6 +103,7 @@ class Cluster:
             if node is None:
                 raise AllocationError(f"unknown node id {nid} on {self.cluster_id!r}")
             node.release(now)
+            self._free.add(nid)
 
     def release_all_of(self, app_id: str, now: Time) -> FrozenSet[NodeId]:
         """Release every node held by *app_id* (used when killing a session)."""
@@ -155,6 +160,7 @@ class Cluster:
             node._accumulate(now)
             self.retired_busy_seconds += node.busy_seconds
             del self.nodes[nid]
+            self._free.discard(nid)
 
     def add_nodes(self, count: int, now: Time) -> List[NodeId]:
         """Add *count* fresh nodes (node restart or elastic grow).
@@ -172,6 +178,7 @@ class Cluster:
                 node = Node(node_id=nid, cluster_id=self.cluster_id)
                 node.last_transition = now
                 self.nodes[nid] = node
+                self._free.add(nid)
                 added.append(nid)
             nid += 1
         return added

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, List
+from typing import List
 
 from .errors import SchedulingError
 from .request import Request
+from .request_set import children_index
 from .types import RelatedHow, RequestType, Time
 from .view import View, ViewBuilder
 
@@ -62,15 +63,8 @@ def fit(requests, available: View, not_before: Time) -> View:
     ids = {r.request_id for r in request_list}
 
     # Constraint edges, indexed once: the fit loop asks for the children of a
-    # request every time its start time moves, and a linear scan per lookup
-    # made the whole pass quadratic in the number of requests.
-    children_map: Dict[int, List[Request]] = {}
-    for r in request_list:
-        if r.related_to is not None and r.related_how is not RelatedHow.FREE:
-            children_map.setdefault(id(r.related_to), []).append(r)
-
-    def children_of(parent: Request):
-        return children_map.get(id(parent), ())
+    # request every time its start time moves.
+    children = children_index(request_list)
 
     # A request is a scheduling root if it is unconstrained or if its parent
     # is outside the set of live requests (e.g. a finished predecessor of an
@@ -104,8 +98,7 @@ def fit(requests, available: View, not_before: Time) -> View:
 
         if r.fixed:
             # Fixed requests keep their schedule; only their children matter.
-            for child in children_of(r):
-                queue.append(child)
+            queue.extend(children.get(r.request_id, ()))
             continue
 
         parent = r.related_to
@@ -159,8 +152,7 @@ def fit(requests, available: View, not_before: Time) -> View:
                     queue.append(parent)
 
         if before != r.scheduled_at:
-            for child in children_of(r):
-                queue.append(child)
+            queue.extend(children.get(r.request_id, ()))
 
     # Schedule converged: build the generated view (Algorithm 2, lines 36-38).
     occupied = ViewBuilder()

@@ -19,19 +19,33 @@ from .errors import ConstraintError, RequestError
 from .request import Request
 from .types import RelatedHow, RequestType
 
-__all__ = ["RequestSet", "ApplicationRequests"]
+__all__ = ["RequestSet", "ApplicationRequests", "children_index"]
+
+
+def children_index(requests: Iterable[Request]) -> Dict[int, List[Request]]:
+    """Constraint edges of *requests*: parent ``request_id`` -> its children.
+
+    A child is a request with a ``COALLOC`` / ``NEXT`` constraint; children
+    keep the iteration order of *requests*.  Built once per traversal so that
+    walking a forest is linear in its size.
+    """
+    index: Dict[int, List[Request]] = {}
+    for r in requests:
+        if r.related_to is not None and r.related_how is not RelatedHow.FREE:
+            index.setdefault(r.related_to.request_id, []).append(r)
+    return index
 
 
 class RequestSet:
     """An ordered collection of requests of a single type.
 
     Insertion order is preserved (it matters for deterministic scheduling);
-    membership tests and removal are O(1) via an id index.
+    membership tests and removal are O(1): the requests live in one
+    insertion-ordered dict keyed by request id.
     """
 
     def __init__(self, rtype: Optional[RequestType] = None, requests: Iterable[Request] = ()):
         self.rtype = rtype
-        self._requests: List[Request] = []
         self._by_id: Dict[int, Request] = {}
         for r in requests:
             self.add(r)
@@ -48,7 +62,6 @@ class RequestSet:
             )
         if request.request_id in self._by_id:
             raise RequestError(f"request #{request.request_id} already in set")
-        self._requests.append(request)
         self._by_id[request.request_id] = request
 
     def remove(self, request: Request) -> None:
@@ -56,7 +69,6 @@ class RequestSet:
         if request.request_id not in self._by_id:
             raise RequestError(f"request #{request.request_id} not in set")
         del self._by_id[request.request_id]
-        self._requests.remove(request)
 
     def discard(self, request: Request) -> None:
         """Remove *request* if present; no error otherwise."""
@@ -67,13 +79,22 @@ class RequestSet:
         return isinstance(request, Request) and request.request_id in self._by_id
 
     def __iter__(self) -> Iterator[Request]:
-        return iter(list(self._requests))
+        # A copy: callers submit and finish requests while they iterate.
+        return iter(list(self._by_id.values()))
+
+    def scan(self) -> Iterable[Request]:
+        """The requests in set order, without the copy ``__iter__`` makes.
+
+        For read-only loops on hot paths: adding or removing a request
+        while scanning raises ``RuntimeError``.
+        """
+        return self._by_id.values()
 
     def __len__(self) -> int:
-        return len(self._requests)
+        return len(self._by_id)
 
     def __bool__(self) -> bool:
-        return bool(self._requests)
+        return bool(self._by_id)
 
     def get(self, request_id: int) -> Optional[Request]:
         """Request with the given id, or None."""
@@ -89,7 +110,7 @@ class RequestSet:
         request does not belong to this set.
         """
         out = []
-        for r in self._requests:
+        for r in self._by_id.values():
             if r.related_how is RelatedHow.FREE or r.related_to is None:
                 out.append(r)
             elif r.related_to.request_id not in self._by_id:
@@ -98,27 +119,22 @@ class RequestSet:
 
     def children(self, request: Request) -> List[Request]:
         """Requests of this set directly constrained to *request*."""
-        return [
-            r
-            for r in self._requests
-            if r.related_to is not None
-            and r.related_to.request_id == request.request_id
-            and r.related_how is not RelatedHow.FREE
-        ]
+        return children_index(self._by_id.values()).get(request.request_id, [])
 
     def descendants(self, request: Request) -> List[Request]:
         """All requests transitively constrained to *request* (pre-order)."""
+        index = children_index(self._by_id.values())
         out: List[Request] = []
-        stack = self.children(request)
+        stack = index.get(request.request_id, [])[::-1]
         while stack:
-            r = stack.pop(0)
+            r = stack.pop()
             out.append(r)
-            stack = self.children(r) + stack
+            stack.extend(reversed(index.get(r.request_id, ())))
         return out
 
     def validate_constraints(self) -> None:
         """Raise :class:`ConstraintError` if the constraint graph has a cycle."""
-        for start in self._requests:
+        for start in self._by_id.values():
             seen = set()
             r: Optional[Request] = start
             while r is not None and r.related_how is not RelatedHow.FREE:
@@ -134,40 +150,57 @@ class RequestSet:
     # ------------------------------------------------------------------ #
     def started(self) -> List[Request]:
         """Requests that have started and not yet finished."""
-        return [r for r in self._requests if r.started() and not r.finished()]
+        return [r for r in self._by_id.values() if r.started() and not r.finished()]
 
     def pending(self) -> List[Request]:
         """Requests that have not started yet."""
-        return [r for r in self._requests if r.pending()]
+        return [r for r in self._by_id.values() if r.pending()]
 
     def active_or_pending(self) -> List[Request]:
         """Requests that still matter for scheduling (not finished)."""
-        return [r for r in self._requests if not r.finished()]
+        return [r for r in self._by_id.values() if not r.finished()]
 
     def prune_finished(self) -> List[Request]:
-        """Drop finished requests whose descendants are also all finished.
+        """Drop the finished requests that no unfinished request needs.
 
-        Returns the removed requests.  Finished requests that still have
-        unfinished children are kept because ``NEXT`` children need the
-        parent's schedule to compute their own start time.
+        A finished request is kept while any request constrained to it --
+        directly or through a chain of ``COALLOC`` / ``NEXT`` edges inside
+        this set -- is unfinished (``NEXT`` children compute their start
+        from the ancestors' schedules), or while an unfinished request of
+        the set still names it as ``related_to``.  Returns the removed
+        requests in set order.  One pass, linear in the size of the set:
+        every unfinished request marks its ancestors, the rest goes.
         """
-        removed = []
-        for r in list(self._requests):
-            if r.finished() and all(c.finished() for c in self.descendants(r)):
-                # Only safe to drop if nothing unfinished points at it.
-                dependants = [c for c in self._requests if c.related_to is r and not c.finished()]
-                if not dependants:
-                    self.remove(r)
-                    removed.append(r)
+        members = self._by_id
+        live = [r for r in members.values() if not r.finished()]
+        if len(live) == len(members):
+            return []
+        keep = {r.request_id for r in live}
+        for child in live:
+            parent = child.related_to
+            while (
+                child.related_how is not RelatedHow.FREE
+                and parent is not None
+                and parent.request_id in members
+                and parent.request_id not in keep
+            ):
+                keep.add(parent.request_id)
+                child, parent = parent, parent.related_to
+        # Pinned last, so that a walk above never mistakes a request that
+        # is only named by a FREE request for one whose ancestors are marked.
+        keep.update(r.related_to.request_id for r in live if r.related_to is not None)
+        removed = [r for r in members.values() if r.request_id not in keep]
+        for r in removed:
+            del members[r.request_id]
         return removed
 
     def total_requested_nodes(self) -> int:
         """Sum of node counts of unfinished requests (diagnostic metric)."""
-        return sum(r.node_count for r in self._requests if not r.finished())
+        return sum(r.node_count for r in self._by_id.values() if not r.finished())
 
     def __repr__(self) -> str:
         kind = self.rtype.value if self.rtype else "mixed"
-        return f"RequestSet({kind}, {len(self._requests)} requests)"
+        return f"RequestSet({kind}, {len(self._by_id)} requests)"
 
 
 class ApplicationRequests:

@@ -402,7 +402,7 @@ class CooRMv2:
             session.requests.preemptible,
             session.requests.preallocations,
         ):
-            for r in candidate_set:
+            for r in candidate_set.scan():
                 if (
                     r.related_how is RelatedHow.NEXT
                     and r.related_to is request
@@ -476,17 +476,14 @@ class CooRMv2:
         # application; re-label them for this request.  The chain may be more
         # than one hop long when updates were issued faster than they could
         # be served.
+        chain = list(self._next_chain_ancestors(request))
         carried: Set[NodeId] = set()
-        carried_from: Dict[int, Set[NodeId]] = {}
-        session_holds = set(session.holds(request.cluster_id))
-        for ancestor in self._next_chain_ancestors(request):
+        session_holds = session.holds(request.cluster_id)
+        for ancestor in chain:
             if len(carried) >= needed:
                 break
-            take = (set(ancestor.node_ids) & session_holds) - carried
-            take = set(sorted(take)[: needed - len(carried)])
-            if take:
-                carried |= take
-                carried_from[ancestor.request_id] = take
+            take = (ancestor.node_ids & session_holds) - carried
+            carried.update(sorted(take)[: needed - len(carried)])
 
         free = cluster.free_count()
         extra_needed = max(0, needed - len(carried))
@@ -506,20 +503,14 @@ class CooRMv2:
             session.add_nodes(request.cluster_id, new_nodes)
         if carried:
             cluster.transfer(carried, session.app_id, request.request_id, now)
-            for ancestor in self._next_chain_ancestors(request):
-                taken = carried_from.get(ancestor.request_id)
-                if taken:
-                    ancestor.node_ids = frozenset(set(ancestor.node_ids) - taken)
         # Retained nodes of the chain that this request did not take are no
         # longer needed by anyone: give them back.
-        for ancestor in self._next_chain_ancestors(request):
-            if ancestor.node_ids:
-                leftover = set(ancestor.node_ids) & session_holds
-                leftover -= carried
-                if leftover:
-                    cluster.release(leftover, now)
-                    session.remove_nodes(request.cluster_id, frozenset(leftover))
-                ancestor.node_ids = frozenset()
+        for ancestor in chain:
+            leftover = (ancestor.node_ids & session_holds) - carried
+            if leftover:
+                cluster.release(leftover, now)
+                session.remove_nodes(request.cluster_id, leftover)
+            ancestor.node_ids = frozenset()
 
         all_nodes = frozenset(carried) | new_nodes
         request.mark_started(now, all_nodes)
@@ -585,11 +576,13 @@ class CooRMv2:
         self._schedule_handle = None
         self._last_schedule_time = self.now
 
-        # Drop finished requests that no unfinished request depends on, so
-        # long-running applications (which update thousands of times) keep
-        # the scheduling cost proportional to their *live* requests.  The
-        # session list is computed once here; the view-push loop below takes
-        # a fresh one because start callbacks may disconnect sessions.
+        # Drop finished requests that no unfinished request depends on --
+        # every finished *ancestor* of an unfinished request stays, not just
+        # its parent -- so long-running applications (which update thousands
+        # of times) keep the scheduling cost proportional to their *live*
+        # requests.  The session list is computed once here; the view-push
+        # loop below takes a fresh one because start callbacks may
+        # disconnect sessions.
         sessions = self.connected_sessions()
         for session in sessions:
             session.requests.prune_finished()

@@ -17,6 +17,7 @@ from collections import deque
 from typing import Iterable, Optional
 
 from .request import Request
+from .request_set import children_index
 from .types import RelatedHow
 from .view import View, ViewBuilder
 
@@ -51,13 +52,7 @@ def to_view(requests, available: Optional[View] = None) -> View:
 
     # Constraint edges indexed once, so the propagation loop is linear in the
     # number of requests instead of quadratic.
-    children_map = {}
-    for r in request_list:
-        if r.related_to is not None and r.related_how is not RelatedHow.FREE:
-            children_map.setdefault(id(r.related_to), []).append(r)
-
-    def children_of(parent: Request):
-        return children_map.get(id(parent), ())
+    children = children_index(request_list)
 
     queue = deque(r for r in request_list if r.started() and not r.finished())
     seen = set()
@@ -101,7 +96,7 @@ def to_view(requests, available: Optional[View] = None) -> View:
                 r.cluster_id, r.scheduled_at, r.duration, r.n_alloc
             )
 
-        for child in children_of(r):
+        for child in children.get(r.request_id, ()):
             if child.request_id not in seen and not child.finished():
                 queue.append(child)
 

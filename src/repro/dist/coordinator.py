@@ -227,7 +227,9 @@ class Coordinator:
         self._trace("queue", units=len(self.queue), skipped=len(self.skipped),
                     transport=config.transport, workers=workers)
         try:
-            for i in range(workers):
+            # A fully resumed campaign has nothing to lease: launching workers
+            # only to terminate them mid start-up wastes their spawn time.
+            for i in range(0 if self.queue.all_done() else workers):
                 options = {
                     "poll_interval": config.poll_interval,
                     "heartbeat_interval": config.heartbeat_interval,

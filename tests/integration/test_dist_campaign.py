@@ -9,6 +9,7 @@ counters in ``meta.json``.
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -126,6 +127,25 @@ class TestDistResume:
         assert result.skipped == 4
         assert result.records == []
         assert result.dist_stats["dist_leases"] == 0.0
+
+    @pytest.mark.parametrize("transport", ["ipc", "tcp"])
+    def test_full_resume_spawns_no_worker_process(self, tmp_path, monkeypatch, transport):
+        store = ResultStore(tmp_path)
+        spec = make_spec("resume")
+        CampaignRunner(spec, store=store).run(workers=1)
+        rows = store.runs_path("resume").read_bytes()
+
+        def spawned(*args, **kwargs):
+            raise AssertionError("a fully resumed run must not launch workers")
+
+        monkeypatch.setattr(multiprocessing, "Process", spawned)
+        result = CampaignRunner(spec, store=store).run(
+            workers=2, backend="dist", dist=DistConfig(transport=transport), resume=True
+        )
+        assert result.skipped == len(CampaignRunner(spec).tasks()) == 4
+        assert result.records == []
+        assert store.load_meta("resume")["skipped"] == 4
+        assert store.runs_path("resume").read_bytes() == rows
 
     def test_resume_completes_a_partial_store(self, tmp_path):
         store = ResultStore(tmp_path)

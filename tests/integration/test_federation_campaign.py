@@ -8,6 +8,7 @@ must carry the federation columns the result store groups by.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.campaign import (
     ResultStore,
     ScenarioSpec,
     WorkloadSpec,
+    builtin_scenarios,
+    get_runner,
 )
 from repro.campaign.cli import main as cli_main
 from repro.federation import ClusterSpec, FederationSpec
@@ -129,6 +132,29 @@ class TestRoutingMatrixDeterminism:
                 scenarios=(ScenarioSpec(name="plain"),),
                 routings=ROUTINGS,
             )
+
+
+class TestChaosSeedRegression:
+    def test_member_shrunk_below_a_moldable_job_does_not_abort_the_run(self):
+        """fed-hetero3 x flaky-nodes, 200 jobs, seed 5 (lead from PR 11).
+
+        A waiting moldable job saw its member crash to 0 nodes, found that
+        nothing fits and submitted its smallest candidate anyway; the RMS's
+        ``RequestError`` then aborted the whole simulation.
+        """
+        base = builtin_scenarios()["fed-hetero3"]
+        trace = replace(base.workload.trace, job_count=200)
+        spec = replace(
+            base, workload=replace(base.workload, trace=trace), faults="flaky-nodes"
+        )
+        metrics = get_runner(spec.runner)(spec, 5)
+        accounted = (
+            metrics["trace_finished"]
+            + metrics["fault_jobs_lost"]
+            + metrics["fault_jobs_rejected"]
+        )
+        assert accounted == 200
+        assert metrics["fault_crashes"] > 0
 
 
 class TestFederationCli:

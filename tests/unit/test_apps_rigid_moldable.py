@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps import MoldableApplication, RigidApplication
 from repro.cluster import Platform
-from repro.core import CooRMv2
+from repro.core import CooRMv2, RequestError
 from repro.sim import Simulator
 
 
@@ -117,3 +117,35 @@ class TestMoldableApplication:
         sim.run()
         assert app.finished()
         assert app.chosen_nodes == 16 or first_choice == 16
+
+    def test_waits_while_the_cluster_is_smaller_than_every_candidate(self):
+        """A fault plan may shrink a member below the smallest candidate."""
+        sim, _, rms = make_env(nodes=16)
+        blocker = RigidApplication("blocker", node_count=16, duration=50.0)
+        blocker.connect(rms)
+        sim.run(until=5.0)
+        app = MoldableApplication(
+            "moldable", candidate_node_counts=[8, 16], walltime_model=self.walltime
+        )
+        app.connect(rms)
+        sim.run(until=10.0)
+        assert app.request is not None and not app.request.started()
+        # The crash kills the blocker and leaves nothing to select from: the
+        # "nothing fits" fallback would be refused, so the application waits.
+        rms.set_capacity(0, reason="crash")
+        sim.run(until=20.0)
+        assert app.request is None and not app.killed
+        rms.set_capacity(16, reason="restart")
+        sim.run()
+        assert app.finished()
+        assert app.chosen_nodes == 16
+
+    def test_an_unknown_cluster_is_still_a_loud_error(self):
+        sim, _, rms = make_env(nodes=16)
+        app = MoldableApplication(
+            "moldable", candidate_node_counts=[4], walltime_model=self.walltime,
+            cluster_id="elsewhere",
+        )
+        app.connect(rms)
+        with pytest.raises(RequestError, match="unknown cluster"):
+            sim.run()
