@@ -104,7 +104,7 @@ def _interval_breakpoints(profiles: Sequence[StepFunction], horizon: Time) -> Li
     """Sorted union of the profiles' breakpoints, clipped to [0, horizon]."""
     points = {0.0}
     for p in profiles:
-        for t in p.times:
+        for t in p._times:
             if 0.0 <= t < horizon:
                 points.add(float(t))
     return sorted(points)
@@ -216,17 +216,27 @@ def partition_schedule(
     :func:`eq_schedule` plugs in equi-partitioning (with or without filling);
     the policy subsystem (:mod:`repro.policies.sharing`) supplies alternative
     rules such as weighted max-min sharing.
+
+    The returned views may share profile objects between applications (one
+    :class:`StepFunction` per distinct column of partition values); never
+    mutate them.  Applications with an empty request set are neither
+    ``to_view``-ed nor fitted, but *partition* always receives the demand of
+    every application, idle ones included.
     """
     if partition is None:
         def partition(demands, capacity):
             return _partition_interval(demands, capacity, False)
 
-    app_ids = list(preemptible_sets.keys())
+    app_ids = list(preemptible_sets)
 
-    # Step 1: preliminary occupation views (Algorithm 3, lines 1-3).
+    # Step 1: preliminary occupation views (Algorithm 3, lines 1-3).  An
+    # application with no preemptible request occupies nothing.
+    nothing = View.empty()
     occupation: Dict[str, View] = {}
-    for app_id in app_ids:
-        requests = preemptible_sets[app_id]
+    for app_id, requests in preemptible_sets.items():
+        if not requests:
+            occupation[app_id] = nothing
+            continue
         fixed_occ = to_view(requests, available)
         pending_occ = fit(requests, available - fixed_occ, not_before)
         occupation[app_id] = fixed_occ + pending_occ
@@ -240,8 +250,7 @@ def partition_schedule(
         for profile in [available[c] for c in clusters] + [
             occ[c] for occ in occupation.values() for c in clusters
         ]:
-            if profile.times:
-                last = max(last, profile.times[-1])
+            last = max(last, profile._times[-1])
         horizon = last + 86_400.0
 
     # Step 2: per-cluster, per-interval partitioning (lines 4-27).  The value
@@ -256,31 +265,32 @@ def partition_schedule(
         occ_profiles = [occupation[a][cid] for a in app_ids]
         profiles = [avail_profile] + occ_profiles
         breakpoints = _interval_breakpoints(profiles, horizon)
-        per_app_values: Dict[str, List[float]] = {a: [] for a in app_ids}
+        rows = []
         floor = math.floor
         ceil = math.ceil
         for t in breakpoints:
             capacity = int(floor(avail_profile.value_at(t) + 1e-9))
             capacity = max(capacity, 0)
             demands = [int(ceil(p.value_at(t) - 1e-9)) for p in occ_profiles]
-            values = partition(demands, capacity)
-            for a, v in zip(app_ids, values):
-                per_app_values[a].append(float(v))
-        for a in app_ids:
-            if per_app_values[a]:
-                per_app_caps[a][cid] = StepFunction(breakpoints, per_app_values[a])
+            rows.append(partition(demands, capacity))
+        # One profile per distinct value column: applications shown the same
+        # numbers (typically all the idle ones) share the object.
+        by_column: Dict[tuple, StepFunction] = {}
+        for a, column in zip(app_ids, zip(*rows)):
+            profile = by_column.get(column)
+            if profile is None:
+                profile = by_column[column] = StepFunction(breakpoints, column)
+            per_app_caps[a][cid] = profile
 
-    result: Dict[str, View] = {}
-    for app_id in app_ids:
-        result[app_id] = View(per_app_caps[app_id])
+    result: Dict[str, View] = {a: View(caps) for a, caps in per_app_caps.items()}
 
     # Step 3: reschedule the requests against their own views so that
     # scheduled_at and n_alloc reflect what each application will really get
     # (Algorithm 3, lines 28-30).
-    for app_id in app_ids:
-        requests = preemptible_sets[app_id]
-        own_view = result[app_id]
-        fixed_occ = to_view(requests, own_view)
-        fit(requests, own_view - fixed_occ, not_before)
+    for app_id, requests in preemptible_sets.items():
+        if requests:
+            own_view = result[app_id]
+            fixed_occ = to_view(requests, own_view)
+            fit(requests, own_view - fixed_occ, not_before)
 
     return result

@@ -74,9 +74,12 @@ class StepFunction:
     """A right-continuous piecewise-constant function of time.
 
     Values are numeric (node counts in almost all uses).  Instances should be
-    treated as immutable: all arithmetic returns new objects.  The private
-    ``*_in_place`` helpers are the one sanctioned exception, reserved for
-    owners that never share the instance (e.g. the CBF queue's availability).
+    treated as immutable.  Arithmetic never changes an operand, but it may
+    *return* one: ``a + 0``, ``0 + a``, ``a - 0`` and a ``clip_low`` that
+    clips nothing hand back ``a`` itself.  The ``*_in_place`` helpers are the
+    one sanctioned exception; call them only on a profile you constructed or
+    ``copy()``-ed yourself (e.g. the CBF queue's availability), never on one
+    obtained from an operator, a view or somebody else's property.
 
     Parameters
     ----------
@@ -332,10 +335,20 @@ class StepFunction:
             last_v = v
         return StepFunction._from_compacted(times, values)
 
+    def _is_identity(self) -> bool:
+        """True for the constant 0.0 profile, the identity of ``+`` / ``-``."""
+        return len(self._values) == 1 and self._values[0] == 0.0
+
     def __add__(self, other: "StepFunction") -> "StepFunction":
+        if other._is_identity():
+            return self
+        if self._is_identity():
+            return other
         return self._combine(other, lambda a, b: a + b)
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
+        if other._is_identity():
+            return self
         return self._combine(other, lambda a, b: a - b)
 
     def maximum(self, other: "StepFunction") -> "StepFunction":
@@ -356,6 +369,8 @@ class StepFunction:
 
     def clip_low(self, floor: float = 0.0) -> "StepFunction":
         """Clamp every value to be at least *floor*."""
+        if min(self._values) >= floor:
+            return self
         return StepFunction(list(self._times), [max(v, floor) for v in self._values])
 
     def clip_high(self, ceiling: float) -> "StepFunction":
@@ -504,6 +519,8 @@ class StepFunction:
     # Dunder glue
     # ------------------------------------------------------------------ #
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, StepFunction):
             return NotImplemented
         if len(self._times) != len(other._times):

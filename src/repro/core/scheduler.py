@@ -33,6 +33,16 @@ remainder -- are policy *stages* supplied by :mod:`repro.policies`.  The
 default policy (``coorm``) composes exactly those stages and reproduces
 Algorithm 4; alternative registered policies swap the queue ordering, the
 backfilling discipline or the sharing rule independently.
+
+What a pass costs: one ``toView`` per non-empty request set and two profile
+merges per application holding started requests, then full-profile work (the
+fits and about a dozen merges) only for applications with a pending
+pre-allocation or non-preemptible request; the others just receive their
+non-preemptive view.  Sharing ``toView``s and fits only non-empty preemptible
+sets and builds one profile per distinct column of partition values.  All of
+this rests on the view algebra returning its operand for ``v + ∅``, ``∅ + v``,
+``v - ∅`` and a no-op ``clip_low``, so the views handed out may share profiles
+between applications and passes: never mutate them.
 """
 from __future__ import annotations
 
@@ -52,6 +62,9 @@ from .view import View
 __all__ = ["ScheduleResult", "Scheduler"]
 
 _OBS_EPS = 1e-9
+
+#: The occupation of a request set with nothing started / nothing placed.
+_NOTHING = View.empty()
 
 
 def _classify_placements(pending: List[Request], now: Time) -> Dict[str, int]:
@@ -229,8 +242,8 @@ class Scheduler:
 
         # Lines 3-5: subtract resources held by started requests.
         for app_id, requests in applications.items():
-            pa_occ = to_view(requests.preallocations)
-            np_occ = to_view(requests.non_preemptible)
+            pa_occ = to_view(requests.preallocations) if requests.preallocations else _NOTHING
+            np_occ = to_view(requests.non_preemptible) if requests.non_preemptible else _NOTHING
             started_pa_occ[app_id] = pa_occ
             started_np_occ[app_id] = np_occ
             available_non_preemptible = available_non_preemptible - pa_occ
@@ -246,32 +259,40 @@ class Scheduler:
         # connection order, the paper's conservative back-filling).
         backfill = self.policy.backfill
         head_seen = False
+        clipped_from = clipped = None  # last clip_low operand and its result
         for app_id in order:
             requests = applications[app_id]
             pa_occ = started_pa_occ[app_id]
             np_occ = started_np_occ[app_id]
+            pending_pa = requests.preallocations.pending()
+            pending_np = requests.non_preemptible.pending()
 
             # The first application in queue order with pending work is the
             # queue head; EASY-style backfilling reserves only for it.
-            has_pending = bool(requests.preallocations.pending()) or bool(
-                requests.non_preemptible.pending()
-            )
+            has_pending = bool(pending_pa or pending_np)
             is_head = has_pending and not head_seen
             head_seen = head_seen or has_pending
 
-            if observing:
-                pending_before = list(requests.preallocations.pending()) + list(
-                    requests.non_preemptible.pending()
+            # Line 7: the application's non-preemptive view.  Without started
+            # pre-allocations the sum *is* the availability object, so every
+            # such application shares one clipped view until it changes.
+            space = pa_occ + available_non_preemptible
+            if space is not clipped_from:
+                clipped_from, clipped = space, space.clip_low(0.0)
+            result.non_preemptive_views[app_id] = view_np = clipped
+            if not has_pending:
+                # Every unfinished request of the two sets is started, hence
+                # fixed since lines 3-5: both fits would touch no request and
+                # return the empty view, leaving the scratch views as they are.
+                continue
+
+            # Line 8: fit pending pre-allocations into that view (a set with
+            # nothing pending is not fitted, for the same reason).
+            occ_pending_pa = _NOTHING
+            if pending_pa:
+                occ_pending_pa = backfill.fit_pending(
+                    requests.preallocations, view_np, now, head_app=is_head
                 )
-
-            # Line 7: the application's non-preemptive view.
-            view_np = (pa_occ + available_non_preemptible).clip_low(0.0)
-            result.non_preemptive_views[app_id] = view_np
-
-            # Line 8: fit pending pre-allocations into that view.
-            occ_pending_pa = backfill.fit_pending(
-                requests.preallocations, view_np, now, head_app=is_head
-            )
 
             # Line 9: fit pending non-preemptible requests inside the
             # application's pre-allocated space (started + newly placed).
@@ -287,9 +308,11 @@ class Scheduler:
             else:
                 free_space = (available_non_preemptible - occ_pending_pa).clip_low(0.0)
                 fit_space = inside_pa + free_space
-            occ_pending_np = backfill.fit_pending(
-                requests.non_preemptible, fit_space, now, head_app=is_head
-            )
+            occ_pending_np = _NOTHING
+            if pending_np:
+                occ_pending_np = backfill.fit_pending(
+                    requests.non_preemptible, fit_space, now, head_app=is_head
+                )
 
             # Overflow of newly placed non-preemptible requests beyond the
             # pre-allocated space consumes non-preemptible availability too.
@@ -301,7 +324,8 @@ class Scheduler:
             )
             available_preemptible = available_preemptible - occ_pending_np
 
-            if observing and pending_before:
+            if observing:
+                pending_before = pending_pa + pending_np
                 outcome = _classify_placements(pending_before, now)
                 if metrics is not None:
                     metrics.inc("scheduler.fit_attempts", len(pending_before))

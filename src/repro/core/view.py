@@ -33,7 +33,10 @@ class View:
 
     Missing clusters evaluate as the zero profile, so views over different
     cluster sets combine naturally.  Like :class:`StepFunction`, views are
-    treated as immutable; all operators return new instances.
+    treated as immutable.  Operators never change an operand but may return
+    one (``v + ∅``, ``∅ + v``, ``v - ∅``, a ``clip_low`` that clips nothing),
+    and distinct views may share profile objects: never mutate a profile
+    reached through a view.
     """
 
     __slots__ = ("_caps",)
@@ -111,14 +114,23 @@ class View:
         return self.union(other)
 
     def __add__(self, other: "View") -> "View":
+        if not other._caps:
+            return self
+        if not self._caps:
+            return other
         return self._combine(other, lambda a, b: a + b)
 
     def __sub__(self, other: "View") -> "View":
+        if not other._caps:
+            return self
         return self._combine(other, lambda a, b: a - b)
 
     def clip_low(self, floor: float = 0.0) -> "View":
         """Clamp every profile to be at least *floor* (usually 0)."""
-        return View({cid: cap.clip_low(floor) for cid, cap in self._caps.items()})
+        caps = {cid: cap.clip_low(floor) for cid, cap in self._caps.items()}
+        if all(caps[cid] is cap for cid, cap in self._caps.items()):
+            return self
+        return View(caps)
 
     def clip_high(self, ceilings: Mapping[ClusterId, float]) -> "View":
         """Clamp each cluster's profile at its ceiling (e.g. the cluster size)."""
@@ -177,6 +189,8 @@ class View:
     # Dunder glue
     # ------------------------------------------------------------------ #
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, View):
             return NotImplemented
         for cid in set(self._caps) | set(other._caps):

@@ -25,7 +25,7 @@ from ..core.fit import fit
 from ..core.profile import StepFunction
 from ..core.request_set import RequestSet
 from ..core.types import Time
-from ..core.view import View
+from ..core.view import View, ViewBuilder
 from .base import BackfillStrategy
 
 __all__ = ["ConservativeBackfill", "EasyBackfill", "EasyBackfillQueue"]
@@ -67,18 +67,17 @@ class EasyBackfill(BackfillStrategy):
         occupied = fit(requests, space, now)
         if head_app:
             return occupied
-        removed = View.empty()
-        for r in requests:
+        dropped = ViewBuilder()
+        for r in requests.scan():
             if r.finished() or r.fixed or r.started():
                 continue
             if math.isinf(r.scheduled_at) or r.scheduled_at <= now + _EPS:
                 continue
             if r.n_alloc > 0 and r.duration > 0:
-                removed = removed.add_rectangle(
-                    r.cluster_id, r.scheduled_at, r.duration, r.n_alloc
-                )
+                dropped.add_rectangle(r.cluster_id, r.scheduled_at, r.duration, r.n_alloc)
             r.scheduled_at = math.inf
             r.n_alloc = 0
+        removed = dropped.build()
         if removed.is_zero():
             return occupied
         return (occupied - removed).clip_low(0.0)

@@ -94,6 +94,11 @@ class BackfillStrategy:
         placed requests generate.  *head_app* is True for the first
         application in queue order that still has pending work -- EASY-style
         strategies reserve resources only for it.
+
+        The scheduler calls this only for a request set that holds at least
+        one pending request (so only for applications with pending work):
+        with nothing pending there is nothing to place and the answer is the
+        empty view.  Do not rely on being called once per application.
         """
         raise NotImplementedError
 
@@ -115,5 +120,9 @@ class SharingStrategy:
         now: Time,
     ) -> Dict[str, View]:
         """Compute the per-application preemptive views and (re-)schedule the
-        preemptible requests against them (Algorithm 3's contract)."""
+        preemptible requests against them (Algorithm 3's contract).
+
+        The returned views may share profile objects between applications
+        (and with *available*); callers must never mutate them.
+        """
         raise NotImplementedError

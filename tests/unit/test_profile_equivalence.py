@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Request, RequestType
+from repro.core.cbf import CbfJob, ConservativeBackfillQueue
 from repro.core.profile import StepBuilder, StepFunction
+from repro.core.request_set import ApplicationRequests
+from repro.core.scheduler import Scheduler
+from repro.core.view import View
+from repro.policies.backfill import EasyBackfillQueue
 
 _EPS = 1e-9
 _APPROX = 1e-6
@@ -275,3 +281,118 @@ def test_copy_is_independent(rects, probe):
     snapshot = original.copy()
     original.subtract_rectangle_in_place(0.0, math.inf, 1)
     assert snapshot.value_at(probe) == pytest.approx(original.value_at(probe) + 1, abs=_APPROX)
+
+
+# --------------------------------------------------------------------- #
+# Identity laws: the operators may hand back an operand
+# --------------------------------------------------------------------- #
+@settings(max_examples=200, deadline=None)
+@given(rects=_rects, base=st.integers(-3, 6), below=st.integers(0, 4))
+def test_identity_laws_match_reference(rects, base, below):
+    import operator
+
+    fast, ref = _build_pair(rects, base=base)
+    zero, ref_zero = StepFunction.zero(), ReferenceStepFunction([0.0], [0.0])
+    snapshot = (fast.times, fast.values)
+    for result, expected in (
+        (fast + zero, ref.combine(ref_zero, operator.add)),
+        (zero + fast, ref_zero.combine(ref, operator.add)),
+        (fast - zero, ref.combine(ref_zero, operator.sub)),
+    ):
+        # An operand comes back; which one only matters when both are zero.
+        assert result is fast or (result is zero and fast.is_zero())
+        _assert_profiles_match(result, expected)
+    # ``0 - a`` is a negation, not an identity.
+    _assert_profiles_match(zero - fast, ref_zero.combine(ref, operator.sub))
+
+    floor = fast.min_value() - below
+    assert fast.clip_low(floor) is fast
+    _assert_profiles_match(
+        fast.clip_low(floor), ReferenceStepFunction(ref.times, [max(v, floor) for v in ref.values])
+    )
+    if fast.min_value() < fast.max_value():
+        clipped = fast.clip_low(floor + below + 1)
+        assert clipped is not fast
+        _assert_profiles_match(
+            clipped,
+            ReferenceStepFunction(ref.times, [max(v, floor + below + 1) for v in ref.values]),
+        )
+    assert (fast.times, fast.values) == snapshot
+
+
+@settings(max_examples=100, deadline=None)
+@given(rects_a=_rects, rects_b=_rects)
+def test_view_identity_laws(rects_a, rects_b):
+    pa, _ = _build_pair(rects_a, base=3)
+    pb, _ = _build_pair(rects_b, base=2)
+    view, other, empty = View({"a": pa, "b": pb}), View({"b": pa}), View.empty()
+    assert view + empty is view
+    assert empty + view is view
+    assert view - empty is view
+    assert view.clip_low(min(pa.min_value(), pb.min_value())) is view
+    assert (empty - view)["a"] == StepFunction.zero() - pa
+    # A cluster only one operand knows keeps that operand's profile object.
+    assert (view + other)["a"] is pa
+    assert (view - other)["a"] is pa
+    assert (view + other)["b"] == pb + pa
+    clipped = view.clip_low(pa.min_value() + 1)
+    assert clipped["a"] == pa.clip_low(pa.min_value() + 1)
+    assert view["a"] is pa and view["b"] is pb
+
+
+def test_equality_short_circuits_on_identity():
+    class Unequal(float):
+        """A value that compares unequal even to itself (like NaN)."""
+
+        def __sub__(self, other):
+            return math.nan
+
+    profile = StepFunction.constant(4)
+    profile._values[0] = Unequal(4.0)
+    assert not abs(profile._values[0] - profile._values[0]) < _EPS
+    assert profile == profile
+    assert View({"a": profile}) == View({"a": profile})
+
+
+# --------------------------------------------------------------------- #
+# Aliasing guards: returning an operand is safe only while nobody mutates
+# a profile they did not construct
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("queue_class", [ConservativeBackfillQueue, EasyBackfillQueue])
+def test_queue_updates_never_reach_profiles_handed_out(queue_class):
+    queue = queue_class(8)
+    queue.submit(CbfJob("first", 3, 10.0))
+    handed_out = queue.availability
+    zero = StepFunction.zero()
+    # With the identity laws every one of these *is* ``handed_out``.
+    derived = [handed_out + zero, zero + handed_out, handed_out - zero, handed_out.clip_low(0.0)]
+    assert all(profile is handed_out for profile in derived)
+    snapshot = (handed_out.times, handed_out.values)
+
+    job = CbfJob("second", 5, 20.0)
+    queue.submit(job)
+    if queue_class is ConservativeBackfillQueue:
+        queue.complete_early(job, job.start_time + 5.0)
+    assert (handed_out.times, handed_out.values) == snapshot
+    assert queue.availability != handed_out
+    assert queue.availability is not queue.availability
+
+
+def test_scheduler_full_view_survives_passes():
+    """The full-platform view is the first operand of every pass."""
+    capacity = {"a": 8, "b": 4}
+    for policy in ("coorm", "easy", "coorm-strict", "maxmin-weighted"):
+        scheduler = Scheduler(capacity, policy=policy)
+        applications = {name: ApplicationRequests(name) for name in ("idle", "rigid", "psa")}
+        applications["rigid"].add(Request("a", 6, 30.0, RequestType.NON_PREEMPTIBLE))
+        applications["psa"].add(Request("b", 4, math.inf, RequestType.PREEMPTIBLE))
+        for now in (0.0, 10.0, 40.0):
+            result = scheduler.schedule(applications, now)
+            for request in result.to_start:
+                request.mark_started(now)
+            if now == 0.0:
+                # Nothing has started: the first application is handed the
+                # full-platform view itself, not a copy.
+                assert result.non_preemptive_views["idle"] is scheduler.full_view()
+            assert scheduler.full_view() == View.constant(capacity)
+            assert scheduler.full_view()["a"].times == (0.0,)
