@@ -17,20 +17,14 @@ under the bare pytest of the CI benchmarks job (no pytest-benchmark
 plugin) and standalone via
 ``PYTHONPATH=src python benchmarks/bench_dist_overhead.py``.
 
-When ``BENCH_10.json`` already exists in the working directory the
-measured rates are merged into its ``dist_overhead`` section.
-
 Floors are set well below a 2024-era dev container's throughput so they
 only trip on genuine protocol regressions (per-unit sleeps, quadratic
 queue scans, chatty reply loops), not machine jitter.
 """
 from __future__ import annotations
 
-import json
 import statistics
 import time
-from pathlib import Path
-from typing import Dict
 
 from repro.campaign import CampaignRunner, CampaignSpec, ScenarioSpec
 from repro.dist import ensure_noop_runner
@@ -40,22 +34,9 @@ from repro.dist.coordinator import Coordinator, DistConfig
 THREAD_DISPATCH_FLOOR = 200.0
 TCP_DISPATCH_FLOOR = 100.0
 
-#: Merged-report file; sections are only written when it already exists.
-BENCH_REPORT = "BENCH_10.json"
-
-
-def _merge_into_bench_report(name: str, payload: Dict[str, object]) -> None:
-    path = Path(BENCH_REPORT)
-    if not path.is_file():
-        return
-    report = json.loads(path.read_text(encoding="utf-8"))
-    report.setdefault("dist_overhead", {})[name] = payload
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
 
 def _report(name: str, rate: float, floor: float) -> None:
     print(f"\n{name}: {rate:,.0f} units/s (floor {floor:,.0f})")
-    _merge_into_bench_report(name, {"rate": rate, "floor": floor, "unit": "units/s"})
 
 
 def noop_tasks(units: int):

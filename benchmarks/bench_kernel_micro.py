@@ -18,17 +18,12 @@ standalone via ``PYTHONPATH=src python benchmarks/bench_kernel_micro.py``.
 
 Floors are set 3-8x below the throughput of a 2024-era dev container, so
 they only trip on genuine algorithmic regressions, not machine jitter.
-When ``BENCH_10.json`` already exists in the working directory (CI writes it
-via ``python -m repro obs bench`` first), the measured rates are merged
-into its ``kernel_micro`` section.
 """
 from __future__ import annotations
 
-import json
 import statistics
 import time
-from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable
 
 from repro.core.cbf import CbfJob, ConservativeBackfillQueue
 from repro.core.fit import fit
@@ -46,9 +41,6 @@ CBF_SUBMIT_FLOOR = 25_000  # jobs/s through the incremental CBF queue
 FIT_FLOOR = 50_000  # requests/s through one fit() pass
 DISPATCH_FLOOR = 1_000_000  # events/s through Simulator.run (issue 7 target)
 
-#: Merged-report file; sections are only written when it already exists.
-BENCH_REPORT = "BENCH_10.json"
-
 
 def _median_rate(units: int, body: Callable[[], None], repeats: int = 3) -> float:
     samples = []
@@ -61,16 +53,6 @@ def _median_rate(units: int, body: Callable[[], None], repeats: int = 3) -> floa
 
 def _report(name: str, rate: float, floor: float, unit: str) -> None:
     print(f"\n{name}: {rate:,.0f} {unit} (floor {floor:,})")
-    _merge_into_bench_report(name, {"rate": rate, "floor": floor, "unit": unit})
-
-
-def _merge_into_bench_report(name: str, payload: Dict[str, object]) -> None:
-    path = Path(BENCH_REPORT)
-    if not path.is_file():
-        return
-    report = json.loads(path.read_text(encoding="utf-8"))
-    report.setdefault("kernel_micro", {})[name] = payload
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # --------------------------------------------------------------------- #

@@ -12,17 +12,12 @@ By default the benchmark runs a 100,000-job smoke (the CI benchmarks job
 uses this mode); set ``BENCH_MILLION_JOBS=1`` for the full million:
 
     BENCH_MILLION_JOBS=1 PYTHONPATH=src python benchmarks/bench_million_jobs.py
-
-When ``BENCH_10.json`` already exists in the working directory the phase
-timings are merged into its ``million_jobs`` section.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from pathlib import Path
 from typing import Dict
 
 from repro.core.cbf import CbfJob, ConservativeBackfillQueue
@@ -34,17 +29,6 @@ JOB_COUNT = 1_000_000 if FULL_RUN else 100_000
 #: Issue 7 acceptance: the full million must replay within five CI minutes.
 BUDGET_SECONDS = 300.0 if FULL_RUN else 90.0
 SEED = 7
-
-BENCH_REPORT = "BENCH_10.json"
-
-
-def _merge_into_bench_report(payload: Dict[str, object]) -> None:
-    path = Path(BENCH_REPORT)
-    if not path.is_file():
-        return
-    report = json.loads(path.read_text(encoding="utf-8"))
-    report["million_jobs"] = payload
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def size_cluster(jobs) -> int:
@@ -112,7 +96,6 @@ def test_trace_replay_within_budget():
         print(f"  {phase:>10}: {phases[f'{phase}_seconds']:8.2f} s")
     print(f"  overall: {phases['jobs_per_second']:,.0f} jobs/s "
           f"(budget {BUDGET_SECONDS:.0f} s, full run: {FULL_RUN})")
-    _merge_into_bench_report({**phases, "budget_seconds": BUDGET_SECONDS, "full_run": FULL_RUN})
     assert phases["total_seconds"] <= BUDGET_SECONDS, (
         f"{JOB_COUNT:,}-job pipeline took {phases['total_seconds']:.1f}s, "
         f"budget is {BUDGET_SECONDS:.0f}s"

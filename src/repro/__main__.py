@@ -10,7 +10,10 @@ to an ad-hoc dispatch chain.
 The top-level parser also carries the global ``-v``/``--verbose`` and
 ``-q``/``--quiet`` flags; :func:`main` feeds them into the shared
 :func:`repro.obs.logging_setup` before dispatching, so every group's
-narration obeys the same verbosity control.
+narration obeys the same verbosity control.  It is also the one place a
+library error (:class:`~repro.core.errors.ReproError`) is turned into an
+``error:`` line on stderr and exit status 2, so no group prints a traceback
+for a bad input it did not anticipate.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import sys
 from typing import List, Optional
 
 from .campaign.cli import add_campaign_commands, run_campaign_command
+from .core.errors import ReproError
 from .dist.cli import add_dist_commands, run_dist_command
 from .federation.cli import add_federation_commands, run_federation_command
 from .obs.cli import add_obs_commands, run_obs_command
@@ -72,7 +76,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     for name, _add_commands, run_command in COMMAND_GROUPS:
         if args.command == name:
-            return run_command(args)
+            try:
+                return run_command(args)
+            except ReproError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

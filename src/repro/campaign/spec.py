@@ -50,6 +50,10 @@ def _jsonify(value):
 
 def _filter_kwargs(cls, data: Mapping) -> Dict:
     """Keep only keys that are fields of *cls*, rejecting unknown ones."""
+    if not isinstance(data, Mapping):
+        raise ValueError(
+            f"{cls.__name__} must be a JSON object, got {type(data).__name__}"
+        )
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
@@ -447,9 +451,13 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: Mapping) -> "CampaignSpec":
         kwargs = _filter_kwargs(cls, data)
-        kwargs["scenarios"] = tuple(
-            ScenarioSpec.from_dict(s) for s in kwargs.get("scenarios", ())
-        )
+        scenarios = kwargs.get("scenarios", ())
+        if not isinstance(scenarios, (list, tuple)):
+            raise ValueError(
+                "CampaignSpec.scenarios must be a list of scenario objects, "
+                f"got {type(scenarios).__name__}"
+            )
+        kwargs["scenarios"] = tuple(ScenarioSpec.from_dict(s) for s in scenarios)
         return cls(**kwargs)
 
     def to_json(self) -> str:

@@ -1,7 +1,7 @@
 """Distributed campaign execution: coordinator/worker runs over RPC.
 
 The execution tier that scales campaigns past one multiprocessing pool:
-a :class:`~repro.dist.coordinator.Coordinator` owns a durable
+a :class:`~repro.dist.coordinator.Coordinator` owns an in-memory
 :class:`~repro.dist.workqueue.WorkQueue` of run units and serves pull-based
 workers over one of three interchangeable transports (in-thread loopback,
 subprocess pipes, TCP with length-prefixed JSON frames).  Determinism is
@@ -16,7 +16,7 @@ launched workers) and the ``python -m repro dist`` command group
 from .coordinator import Coordinator, DistConfig, DistOutcome
 from .transport import TRANSPORT_NAMES, ChannelClosed, make_transport
 from .worker import run_standalone_worker, worker_loop
-from .workqueue import WorkQueue, completed_keys_from_journal
+from .workqueue import WorkQueue
 
 __all__ = [
     "Coordinator",
@@ -28,7 +28,6 @@ __all__ = [
     "worker_loop",
     "run_standalone_worker",
     "WorkQueue",
-    "completed_keys_from_journal",
     "ensure_noop_runner",
 ]
 

@@ -76,10 +76,6 @@ def add_dist_commands(commands: argparse._SubParsersAction) -> None:
         "--max-attempts", type=int, default=4,
         help="attempts per run unit before it fails terminally",
     )
-    coord.add_argument(
-        "--journal", default=None,
-        help="append every queue state transition to this JSONL file",
-    )
     coord.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     worker = actions.add_parser(
@@ -146,7 +142,6 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
         bind=args.bind,
         lease_ttl=args.lease_ttl,
         max_attempts=args.max_attempts,
-        journal=args.journal,
     )
     print(f"coordinator serving campaign {spec.name!r} on {args.bind}", flush=True)
     runner = CampaignRunner(spec, store=store, progress=progress)

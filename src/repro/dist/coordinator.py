@@ -1,7 +1,7 @@
 """The distributed campaign coordinator.
 
 The coordinator is the stateful side of the Component/CRM split: it owns
-the durable :class:`~repro.dist.workqueue.WorkQueue` of campaign run units
+the :class:`~repro.dist.workqueue.WorkQueue` of campaign run units
 and answers worker RPCs over whichever transport backend was configured.
 Workers hold no campaign state at all -- they can crash, reconnect or be
 added mid-campaign without coordination, because every unit is leased,
@@ -56,8 +56,6 @@ class DistConfig:
     poll_interval: float = 0.05
     #: Heartbeat interval handed to launched workers (0 disables).
     heartbeat_interval: float = 2.0
-    #: Optional work-queue journal path (durable queue).
-    journal: Optional[str] = None
     #: Chaos seam: worker index -> kill that worker after its Nth lease.
     kill_after_leases: Dict[int, int] = field(default_factory=dict)
     #: Seconds to wait for in-flight units after an interrupt.
@@ -76,7 +74,7 @@ class DistOutcome:
     stats: Dict[str, object]
     #: Unit keys that failed terminally (max attempts exhausted).
     failed: List[str]
-    #: Unit keys skipped up front (already present in the store / journal).
+    #: Unit keys skipped up front (already present in the store).
     skipped: List[str]
     #: True when the run was interrupted and drained early.
     interrupted: bool
@@ -102,7 +100,6 @@ class Coordinator:
             max_attempts=self.config.max_attempts,
             backoff_base=self.config.backoff_base,
             backoff_cap=self.config.backoff_cap,
-            journal=self.config.journal,
         )
         self._records: Dict[int, Dict] = {}
         self._index_of: Dict[str, int] = {}

@@ -1,4 +1,4 @@
-"""The coordinator's durable work queue of campaign run units.
+"""The coordinator's work queue of campaign run units.
 
 Queue-based load leveling with the classic reliability trio:
 
@@ -18,11 +18,10 @@ Queue-based load leveling with the classic reliability trio:
   reclaimed unit whose original worker later reports anyway -- yields
   exactly-once results.
 
-The queue is optionally **durable**: every state transition appends one
-JSON line to a journal file, and :func:`completed_keys_from_journal` lets a
-restarted coordinator skip everything that already finished.  (Campaign
-resume additionally dedupes against the result store itself, which is the
-authoritative record of completed work.)
+The queue is in-memory and keeps no journal: the result store is the one
+durable record of completed work (it holds the rows, not just their keys),
+so a killed coordinator is restarted with ``--resume`` and nothing else --
+the runner then enqueues only the units the store does not already hold.
 
 All timestamps are supplied by the caller (wall-clock ``time.monotonic``
 in production, hand-rolled values in tests); the queue itself never reads
@@ -30,12 +29,10 @@ a clock, which keeps its unit tests instantaneous and exact.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional
 
-__all__ = ["WorkUnit", "WorkQueue", "completed_keys_from_journal"]
+__all__ = ["WorkUnit", "WorkQueue"]
 
 PENDING = "pending"
 LEASED = "leased"
@@ -80,7 +77,7 @@ class QueueStats:
 
 
 class WorkQueue:
-    """In-memory work queue with leases, backoff retries and a journal."""
+    """In-memory work queue with leases and backoff retries."""
 
     def __init__(
         self,
@@ -88,7 +85,6 @@ class WorkQueue:
         max_attempts: int = 4,
         backoff_base: float = 0.05,
         backoff_cap: float = 5.0,
-        journal: Union[str, Path, None] = None,
     ):
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
@@ -103,19 +99,6 @@ class WorkQueue:
         self.stats = QueueStats()
         self._units: Dict[str, WorkUnit] = {}
         self._order: List[str] = []
-        self._journal_path = Path(journal) if journal else None
-        if self._journal_path is not None:
-            self._journal_path.parent.mkdir(parents=True, exist_ok=True)
-
-    # ------------------------------------------------------------------ #
-    # Journal
-    # ------------------------------------------------------------------ #
-    def _journal(self, op: str, **fields) -> None:
-        if self._journal_path is None:
-            return
-        entry = {"op": op, **fields}
-        with open(self._journal_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
     # ------------------------------------------------------------------ #
     # Population
@@ -125,7 +108,6 @@ class WorkQueue:
             raise ValueError(f"duplicate unit key {key!r}")
         self._units[key] = WorkUnit(key=key, index=index, task=dict(task))
         self._order.append(key)
-        self._journal("add", key=key, index=index)
 
     def __len__(self) -> int:
         return len(self._units)
@@ -155,7 +137,6 @@ class WorkQueue:
             unit.attempts += 1
             unit.lease_deadline = now + self.lease_ttl
             self.stats.bump("leases")
-            self._journal("lease", key=key, worker=worker, attempt=unit.attempts)
             return unit
         return None
 
@@ -173,12 +154,10 @@ class WorkQueue:
         unit = self.unit(key)
         if unit.state == DONE:
             self.stats.bump("dedup_hits")
-            self._journal("dup", key=key, worker=worker)
             return False
         unit.state = DONE
         unit.error = ""
         self.stats.bump("completed")
-        self._journal("done", key=key, worker=worker)
         return True
 
     def fail(self, key: str, worker: str, now: float, error: str = "") -> str:
@@ -211,13 +190,11 @@ class WorkQueue:
         if unit.attempts >= self.max_attempts:
             unit.state = FAILED
             self.stats.bump("failed")
-            self._journal("failed", key=unit.key, error=error)
             return
         backoff = min(self.backoff_cap, self.backoff_base * (2 ** max(0, unit.attempts - 1)))
         unit.state = PENDING
         unit.not_before = now + backoff
         self.stats.bump(counter)
-        self._journal("retry", key=unit.key, backoff=round(backoff, 6), reason=counter)
 
     def reclaim(self, now: float) -> List[str]:
         """Return expired leases to the pending set; returns their keys."""
@@ -263,26 +240,3 @@ class WorkQueue:
         out["units_total"] = len(self._units)
         return out
 
-
-def completed_keys_from_journal(path: Union[str, Path]) -> Set[str]:
-    """Keys recorded as done in a queue journal (crash-restart recovery).
-
-    Unparseable lines (a truncated trailing write from a killed
-    coordinator) are skipped, mirroring the result store's tolerance.
-    """
-    done: Set[str] = set()
-    journal = Path(path)
-    if not journal.is_file():
-        return done
-    with open(journal, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if entry.get("op") == "done" and entry.get("key"):
-                done.add(str(entry["key"]))
-    return done

@@ -20,7 +20,6 @@ import json
 import sys
 from dataclasses import replace
 
-from ..core.errors import ReproError
 from ..metrics.report import format_table
 from ..obs.logsetup import get_logger
 from ..sim.randomness import derive_seed
@@ -152,7 +151,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     seed = derive_seed(args.seed, spec.name, 0)
     try:
         metrics = dict(get_runner(spec.runner)(spec, seed))
-    except (ValueError, ReproError) as exc:
+    except ValueError as exc:
         # e.g. a figure runner rejecting federation, or a topology none of
         # whose clusters can hold the scenario's applications.
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,7 @@ its plain path unless an instrument is activated with
 * :class:`MetricsRegistry` -- deterministic counters/gauges/histograms per
   run, flowing into campaign result rows and ``campaign report``.
 * :class:`PhaseProfiler` -- wall-clock phase timers (trace ingest,
-  scheduling, event dispatch, store writes) feeding campaign ``meta.json``
-  and the ``BENCH_*.json`` perf snapshots.
+  scheduling, event dispatch, store writes) feeding campaign ``meta.json``.
 
 On top of the instruments sits the **analytics layer**, pure functions of a
 recorded trace (hence byte-identical at any worker count):
@@ -23,13 +22,12 @@ recorded trace (hence byte-identical at any worker count):
   grow/shrink counts, wait breakdown by scheduler stage).
 * :class:`SLOSpec` / :func:`evaluate_slo` -- declarative service-level
   objectives evaluated per run and aggregated by ``campaign report``.
-* :mod:`repro.obs.trajectory` -- the ``BENCH_*.json`` perf-trajectory
-  regression gate CI runs.
 
 ``python -m repro obs`` (see :mod:`repro.obs.cli`) fronts all of it:
-``summarize`` / ``export`` / ``timeline`` / ``audit`` / ``slo`` /
-``report`` / ``trajectory`` / ``diff`` / ``bench``.  :func:`logging_setup`
-is the shared CLI logging configuration every command group uses.
+``export`` / ``summarize`` / ``timeline`` / ``audit`` / ``slo`` /
+``report`` / ``diff``.  :func:`logging_setup` is the shared CLI logging
+configuration every command group uses.  Wall-clock performance is measured
+by ``benchmarks/ledger/run.py``, not here.
 """
 from .hooks import METRICS, PROFILER, TRACER, observation_enabled, observe
 from .lifecycle import JobAudit, build_audits, summarize_audits

@@ -9,9 +9,7 @@ Commands::
     python -m repro obs audit --scenario fig9 --seed 1
     python -m repro obs slo --scenario fig9 --seed 1 --spec default
     python -m repro obs report --scenario fig9 --seed 1
-    python -m repro obs trajectory --dir .
     python -m repro obs diff a.trace.jsonl b.trace.jsonl
-    python -m repro obs bench --output BENCH_10.json
 
 ``export`` runs one scenario under the event tracer and writes the trace as
 Chrome ``trace_event`` JSON (open it in ``chrome://tracing`` or Perfetto) or
@@ -20,12 +18,9 @@ run.  The analytics commands replay the deterministic trace: ``timeline``
 samples sim-time series (utilization, queue depth, job counts) on a fixed
 grid, ``audit`` derives per-job lifecycle statistics, ``slo`` evaluates a
 declarative SLO spec (exit 1 on violation) and ``report`` renders all of it
-as one text dashboard.  ``trajectory`` diffs the committed ``BENCH_*.json``
-perf snapshots and fails on a rate regression.  ``diff`` compares two JSONL
-traces and pinpoints the first divergence -- the exports are deterministic,
-so any difference is a real behavioural difference.  ``bench`` runs the
-observability benchmark suite and writes the ``BENCH_10.json`` perf snapshot
-CI archives.
+as one text dashboard.  ``diff`` compares two JSONL traces and pinpoints
+the first divergence -- the exports are deterministic, so any difference is
+a real behavioural difference.
 """
 from __future__ import annotations
 
@@ -47,7 +42,7 @@ _LOG = get_logger("obs")
 def add_obs_commands(commands: argparse._SubParsersAction) -> None:
     """Attach the ``obs`` command group to the top-level CLI parser."""
     obs = commands.add_parser(
-        "obs", help="trace, summarize and benchmark the observability layer"
+        "obs", help="trace, summarize and analyse simulation runs"
     )
     actions = obs.add_subparsers(dest="action", required=True)
 
@@ -114,40 +109,11 @@ def add_obs_commands(commands: argparse._SubParsersAction) -> None:
         "report", "render timeline + audits + SLO of one run as a text dashboard"
     )
 
-    trajectory = actions.add_parser(
-        "trajectory", help="diff BENCH_*.json perf snapshots; fail on regression"
-    )
-    trajectory.add_argument(
-        "--dir", default=".", help="directory holding the BENCH_*.json snapshots"
-    )
-    trajectory.add_argument(
-        "--tolerance", type=float, default=None,
-        help="allowed fractional rate drop before failing (default 0.5)",
-    )
-    trajectory.add_argument(
-        "--self-test", action="store_true",
-        help="verify the gate trips on a synthetic regression, then exit",
-    )
-
     diff = actions.add_parser(
         "diff", help="compare two JSONL trace exports, pinpointing divergence"
     )
     diff.add_argument("trace_a", help="first JSONL trace file")
     diff.add_argument("trace_b", help="second JSONL trace file")
-
-    bench = actions.add_parser(
-        "bench", help="run the observability benchmark suite (BENCH_10.json)"
-    )
-    bench.add_argument(
-        "--output", default=None, help="write the JSON report to this file"
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=5, help="timing repeats per benchmark"
-    )
-    bench.add_argument(
-        "--no-check", action="store_true",
-        help="report floors without failing on a violation",
-    )
 
 
 def _traced_run(
@@ -407,34 +373,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trajectory(args: argparse.Namespace) -> int:
-    from .trajectory import (
-        DEFAULT_TOLERANCE,
-        format_report,
-        load_trajectory,
-        self_test,
-        trajectory_report,
-    )
-
-    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    if args.self_test:
-        report = self_test(tolerance=tolerance)
-        ok = report["self_test_ok"]
-        print(
-            "trajectory gate self-test: "
-            + ("OK (synthetic regression detected)" if ok else "FAILED")
-        )
-        return 0 if ok else 1
-    try:
-        snapshots = load_trajectory(args.dir)
-        report = trajectory_report(snapshots, tolerance=tolerance)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    return 0 if report["passed"] else 1
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
     try:
         events_a = load_jsonl(Path(args.trace_a).read_text(encoding="utf-8"))
@@ -451,26 +389,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench import run_bench
-
-    try:
-        report = run_bench(
-            output=args.output,
-            repeats=args.repeats,
-            check_floors=not args.no_check,
-        )
-    except AssertionError as exc:
-        print(f"benchmark floor violation: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if args.output:
-        _LOG.info("report written to %s", args.output)
-    return 0
-
-
 def run_obs_command(args: argparse.Namespace) -> int:
     handlers = {
         "export": _cmd_export,
@@ -479,8 +397,6 @@ def run_obs_command(args: argparse.Namespace) -> int:
         "audit": _cmd_audit,
         "slo": _cmd_slo,
         "report": _cmd_report,
-        "trajectory": _cmd_trajectory,
         "diff": _cmd_diff,
-        "bench": _cmd_bench,
     }
     return handlers[args.action](args)

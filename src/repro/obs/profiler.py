@@ -4,8 +4,7 @@ Unlike the tracer and the metrics registry -- whose output is deterministic
 and may be persisted next to simulation results -- the profiler measures
 **wall-clock** time and is therefore machine- and load-dependent.  Its
 snapshots must only ever flow into the non-deterministic side of the store
-(``meta.json``), into benchmark reports and into ``BENCH_*.json`` perf
-snapshots, never into ``runs.jsonl``.
+(``meta.json``) and into benchmark reports, never into ``runs.jsonl``.
 
 Phases may nest (the ``scheduler.pass`` phase runs inside an
 ``engine.dispatch`` phase): each phase accumulates its own inclusive time,

@@ -282,28 +282,6 @@ class Simulator:
         handle.callback(*handle.args, **handle.kwargs)
         return True
 
-    def _step_observed(self) -> bool:
-        """:meth:`step` with observability instrumentation.
-
-        A deliberate near-duplicate of :meth:`step`: keeping the plain
-        variant free of any observation code is what makes tracing
-        zero-cost when disabled -- :meth:`run` selects the variant **once**
-        per call, so a disabled run never pays a per-event check.  Any
-        semantic change to :meth:`step` must be mirrored here (the obs
-        regression tests assert both variants produce identical metrics).
-        """
-        head = self._next_bucket()
-        if head is None:
-            return False
-        t, bucket = head
-        self._advance_to(t)
-        handle = bucket.popleft()
-        handle.fired = True
-        self._pending -= 1
-        self._processed += 1
-        self._observe_dispatch(handle)
-        return True
-
     def _observe_dispatch(self, handle: EventHandle) -> None:
         """Emit the per-event observation record and run the callback.
 
@@ -336,92 +314,61 @@ class Simulator:
     def run(self, until: Time = math.inf, max_events: int = 10_000_000) -> Time:
         """Run until the queue drains or the clock passes *until*.
 
-        Returns the simulation time when the run stopped.  *max_events*
-        guards against accidental infinite event loops.  Whether events are
-        dispatched through the plain or the observed variant is decided
-        once per call, from the observation state at entry.
+        Returns the simulation time when the run stopped; the clock never
+        moves backwards, so an *until* already in the past fires nothing and
+        returns the unchanged ``now``.  *max_events* guards against
+        accidental infinite event loops.
+
+        Whether each event goes through :meth:`_observe_dispatch` or
+        straight to its callback is decided once per call, from the
+        observation state at entry; everything else -- the ``(time, seq)``
+        order, the mid-batch cancellation check, the guards -- is this one
+        loop, so an observed and an unobserved run fire the same events.
         """
         if self._running:
             raise SimulationError("the simulator is already running (re-entrant run())")
         self._running = True
         try:
-            if _obs.observation_enabled():
-                return self._run_observed(until, max_events)
-            return self._run_plain(until, max_events)
+            observed = _obs.observation_enabled()
+            fired = 0
+            bounded = math.isfinite(until)
+            buckets = self._buckets
+            times = self._times
+            while True:
+                head = self._next_bucket()
+                if head is None:
+                    break
+                t, bucket = head
+                if bounded and t > until:
+                    if until > self._now:
+                        self._now = until
+                    break
+                # The whole bucket is detached and fired as one batch; events
+                # scheduled meanwhile (even at this same timestamp) land in a
+                # fresh bucket with higher seqs and are drained afterwards.
+                del buckets[t]
+                heapq.heappop(times)
+                self._advance_to(t)
+                for handle in bucket:
+                    if handle.cancelled:
+                        # Cancelled by an earlier event of this same batch.
+                        continue
+                    handle.fired = True
+                    self._pending -= 1
+                    self._processed += 1
+                    if observed:
+                        self._observe_dispatch(handle)
+                    else:
+                        handle.callback(*handle.args, **handle.kwargs)
+                    fired += 1
+                    if fired > max_events:
+                        raise SimulationError(
+                            f"more than {max_events} events fired; "
+                            "likely an infinite scheduling loop"
+                        )
+            return self._now
         finally:
             self._running = False
-
-    def _run_plain(self, until: Time, max_events: int) -> Time:
-        fired = 0
-        bounded = math.isfinite(until)
-        buckets = self._buckets
-        times = self._times
-        while True:
-            head = self._next_bucket()
-            if head is None:
-                break
-            t, bucket = head
-            if bounded and t > until:
-                self._now = until
-                break
-            # The whole bucket is detached and fired as one batch; events
-            # scheduled meanwhile (even at this same timestamp) land in a
-            # fresh bucket with higher seqs and are drained afterwards.
-            del buckets[t]
-            heapq.heappop(times)
-            self._advance_to(t)
-            for handle in bucket:
-                if handle.cancelled:
-                    # Cancelled by an earlier event of this same batch.
-                    continue
-                handle.fired = True
-                self._pending -= 1
-                self._processed += 1
-                handle.callback(*handle.args, **handle.kwargs)
-                fired += 1
-                if fired > max_events:
-                    raise SimulationError(
-                        f"more than {max_events} events fired; "
-                        "likely an infinite scheduling loop"
-                    )
-        return self._now
-
-    def _run_observed(self, until: Time, max_events: int) -> Time:
-        """:meth:`_run_plain` with per-event observation.
-
-        The same near-duplicate discipline as :meth:`_step_observed`: the
-        plain loop stays free of observation code so a disabled run pays
-        nothing, and any semantic change here must be mirrored there.
-        """
-        fired = 0
-        bounded = math.isfinite(until)
-        buckets = self._buckets
-        times = self._times
-        while True:
-            head = self._next_bucket()
-            if head is None:
-                break
-            t, bucket = head
-            if bounded and t > until:
-                self._now = until
-                break
-            del buckets[t]
-            heapq.heappop(times)
-            self._advance_to(t)
-            for handle in bucket:
-                if handle.cancelled:
-                    continue
-                handle.fired = True
-                self._pending -= 1
-                self._processed += 1
-                self._observe_dispatch(handle)
-                fired += 1
-                if fired > max_events:
-                    raise SimulationError(
-                        f"more than {max_events} events fired; "
-                        "likely an infinite scheduling loop"
-                    )
-        return self._now
 
     def run_until_empty(self) -> Time:
         """Run until no pending events remain."""

@@ -248,6 +248,6 @@ def run_trace_command(args: argparse.Namespace) -> int:
     handlers = {"info": _cmd_info, "convert": _cmd_convert, "synth": _cmd_synth}
     try:
         return handlers[args.action](args)
-    except (WorkloadError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -201,6 +201,28 @@ class TestCli:
         assert len(records) == 1
         capsys.readouterr()
 
+    def test_missing_trace_file_is_one_error_line_not_a_traceback(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.swf"
+        spec_path = tmp_path / "campaign.json"
+        spec_path.write_text(
+            json.dumps({
+                "name": "bad-trace",
+                "scenarios": [{
+                    "name": "replay",
+                    "workload": {"include_amr": False, "trace": {"path": str(missing)}},
+                }],
+            }),
+            encoding="utf-8",
+        )
+        code = cli_main([
+            "campaign", "run", "--spec", str(spec_path),
+            "--results-dir", str(tmp_path / "results"), "--quiet",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and str(missing) in err
+        assert len(err.splitlines()) == 1
+
     def test_spec_file_flags_override(self, tmp_path, capsys):
         # --seeds / --root-seed given next to --spec must win, not be
         # silently swallowed.

@@ -185,17 +185,6 @@ class TestCoordinatorDirectly:
         assert outcome.stats["dist_failed"] == 1.0
         assert outcome.stats["dist_retries"] == 1.0
 
-    def test_queue_journal_is_written(self, tmp_path):
-        journal = tmp_path / "queue.journal"
-        tasks = CampaignRunner(make_spec("j", seeds=1)).tasks()
-        coordinator = Coordinator(
-            tasks, DistConfig(transport="thread", journal=str(journal))
-        )
-        outcome = coordinator.run(workers=1)
-        assert len(outcome.records) == 2
-        ops = [json.loads(line)["op"] for line in journal.read_text().splitlines()]
-        assert ops.count("done") == 2
-
 
 class TestDistCli:
     def test_campaign_run_backend_dist_round_trip(self, tmp_path, capsys):

@@ -134,6 +134,18 @@ class TestCampaignSpec:
         with pytest.raises(ValueError):
             self.make(seeds=0)
 
+    def test_scenarios_must_be_a_list(self):
+        with pytest.raises(ValueError, match="CampaignSpec.scenarios must be a list"):
+            CampaignSpec.from_dict({"name": "c", "scenarios": "abc"})
+
+    def test_non_mapping_containers_rejected_by_name(self):
+        with pytest.raises(ValueError, match="CampaignSpec must be a JSON object, got list"):
+            CampaignSpec.from_dict([1, 2])
+        with pytest.raises(ValueError, match="ScenarioSpec must be a JSON object, got str"):
+            CampaignSpec.from_dict({"name": "c", "scenarios": ["abc"]})
+        with pytest.raises(ValueError, match="PlatformSpec must be a JSON object, got list"):
+            ScenarioSpec.from_dict({"name": "s", "platform": [1, 2]})
+
 
 class TestResolveScale:
     def test_named_scale_with_overrides(self):

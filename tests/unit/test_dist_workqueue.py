@@ -1,22 +1,13 @@
-"""Work queue: leases, backoff retries, reclaim, dedup, journal.
+"""Work queue: leases, backoff retries, reclaim, dedup.
 
 All timestamps are hand-rolled -- the queue never reads a clock -- so every
 expiry and backoff boundary is tested exactly, without sleeping.
 """
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.dist.workqueue import (
-    DONE,
-    FAILED,
-    LEASED,
-    PENDING,
-    WorkQueue,
-    completed_keys_from_journal,
-)
+from repro.dist.workqueue import DONE, FAILED, LEASED, PENDING, WorkQueue
 
 
 def filled(n=3, **kwargs) -> WorkQueue:
@@ -146,23 +137,6 @@ class TestSnapshotAndJournal:
         assert snapshot["units_pending"] == 1
         assert snapshot["units_leased"] == 1
         assert snapshot["units_total"] == 2
-
-    def test_journal_records_transitions_and_replays_done_keys(self, tmp_path):
-        journal = tmp_path / "queue.journal"
-        queue = filled(2, journal=journal)
-        queue.lease("w0", now=0.0)
-        queue.complete("k0", "w0", now=1.0)
-        ops = [json.loads(line)["op"] for line in journal.read_text().splitlines()]
-        assert ops == ["add", "add", "lease", "done"]
-        assert completed_keys_from_journal(journal) == {"k0"}
-
-    def test_journal_tolerates_truncated_lines(self, tmp_path):
-        journal = tmp_path / "queue.journal"
-        journal.write_text('{"op": "done", "key": "a"}\n{"op": "done", "k')
-        assert completed_keys_from_journal(journal) == {"a"}
-
-    def test_missing_journal_is_empty(self, tmp_path):
-        assert completed_keys_from_journal(tmp_path / "nope") == set()
 
     def test_invalid_configuration_is_rejected(self):
         with pytest.raises(ValueError):

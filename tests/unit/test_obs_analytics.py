@@ -17,13 +17,6 @@ from repro.obs import (
 )
 from repro.obs.lifecycle import audits_to_json, percentile
 from repro.obs.timeline import sparkline
-from repro.obs.trajectory import (
-    BenchSnapshot,
-    diff_latest,
-    load_trajectory,
-    self_test,
-    trajectory_report,
-)
 
 
 def lifecycle_tracer() -> EventTracer:
@@ -238,69 +231,6 @@ class TestSLO:
         assert measured.passed
 
 
-class TestTrajectory:
-    def make_dir(self, tmp_path, rates_by_issue):
-        for issue, rates in rates_by_issue.items():
-            (tmp_path / f"BENCH_{issue}.json").write_text(
-                json.dumps({"issue": issue, "results": rates}), encoding="utf-8"
-            )
-        return str(tmp_path)
-
-    def test_load_sorts_by_issue(self, tmp_path):
-        directory = self.make_dir(
-            tmp_path,
-            {10: {"a_per_second": 1.0}, 2: {"a_per_second": 2.0}},
-        )
-        snapshots = load_trajectory(directory)
-        assert [s.issue for s in snapshots] == [2, 10]
-
-    def test_non_rate_and_non_finite_results_ignored(self, tmp_path):
-        directory = self.make_dir(
-            tmp_path,
-            {1: {"a_per_second": 5.0, "overhead_pct": 3.0, "b_per_second": "nan"}},
-        )
-        (snapshot,) = load_trajectory(directory)
-        assert snapshot.rates == {"a_per_second": 5.0}
-
-    def test_corrupt_snapshot_raises(self, tmp_path):
-        (tmp_path / "BENCH_1.json").write_text("{broken", encoding="utf-8")
-        with pytest.raises(ValueError, match="BENCH_1.json"):
-            load_trajectory(str(tmp_path))
-
-    def test_regression_detected(self, tmp_path):
-        directory = self.make_dir(
-            tmp_path,
-            {
-                1: {"a_per_second": 1000.0, "b_per_second": 100.0},
-                2: {"a_per_second": 900.0, "b_per_second": 10.0},
-            },
-        )
-        report = trajectory_report(load_trajectory(directory), tolerance=0.5)
-        assert report["passed"] is False
-        (regression,) = report["regressions"]
-        assert regression["metric"] == "b_per_second"
-        assert regression["ratio"] == pytest.approx(0.1)
-
-    def test_single_snapshot_passes_with_note(self, tmp_path):
-        directory = self.make_dir(tmp_path, {1: {"a_per_second": 1.0}})
-        report = trajectory_report(load_trajectory(directory))
-        assert report["passed"] is True and "note" in report
-
-    def test_added_and_removed_metrics_have_no_verdict(self):
-        a = BenchSnapshot(1, "BENCH_1.json", {"old_per_second": 1.0})
-        b = BenchSnapshot(2, "BENCH_2.json", {"new_per_second": 1.0})
-        statuses = {e["metric"]: e["status"] for e in diff_latest([a, b])}
-        assert statuses == {"old_per_second": "removed", "new_per_second": "added"}
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            diff_latest([], tolerance=1.5)
-
-    def test_self_test_trips_on_synthetic_regression(self):
-        report = self_test()
-        assert report["self_test_ok"] is True
-
-
 class TestDegeneratePaths:
     def test_summarize_zero_audits_is_flat_and_finite(self):
         summary = summarize_audits([])
@@ -317,17 +247,6 @@ class TestDegeneratePaths:
         assert "jobs.running" not in timeline.series
         assert timeline.series["engine.dispatched"][-1] == 2.0
         assert build_audits(tracer.events) == []
-
-    def test_new_baseline_rate_has_no_verdict_and_no_inf(self):
-        a = BenchSnapshot(1, "BENCH_1.json", {"a_per_second": 0.0})
-        b = BenchSnapshot(2, "BENCH_2.json", {"a_per_second": 5.0})
-        (entry,) = diff_latest([a, b])
-        assert entry["status"] == "new-baseline"
-        assert "ratio" not in entry
-        json.dumps(entry, allow_nan=False)  # would raise on inf/nan
-        report = trajectory_report([a, b])
-        assert report["passed"] is True  # a new baseline is not a regression
-        json.dumps(report, allow_nan=False)
 
 
 def faulted_tracer() -> EventTracer:

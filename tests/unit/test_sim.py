@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.core import SimulationError
+from repro.obs import MetricsRegistry, observe
 from repro.sim import RandomSource, Simulator, derive_seed, spawn_streams
 from repro.sim.engine import EventHandle, callback_label
 from repro.sim.randomness import MAX_DERIVED_SEED
@@ -71,6 +72,18 @@ class TestScheduling:
         assert sim.now == 10.0
         sim.run()
         assert seen == ["early", "late"]
+
+    def test_run_until_in_the_past_never_rewinds_the_clock(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(20, seen.append, "pending")
+        assert sim.run(until=15) == 15.0
+        assert sim.run(until=5) == 15.0
+        assert sim.now == 15.0 and seen == []
+        with pytest.raises(SimulationError):
+            sim.schedule_at(7, seen.append, "in the past")
+        sim.run()
+        assert seen == ["pending"] and sim.now == 20.0
 
     def test_events_can_schedule_events(self):
         sim = Simulator()
@@ -217,6 +230,50 @@ class TestBatchedDispatch:
         stepped = drive(lambda sim: [sim.step() for _ in range(4)])
         ran = drive(lambda sim: sim.run())
         assert stepped == ran == ["first", "a", "b", "c"]
+
+    def test_observed_and_unobserved_runs_fire_the_same_sequence(self):
+        def drive(observed: bool):
+            sim = Simulator()
+            fired = []
+            handles = {}
+
+            def add(label, delay, action=None):
+                def fire():
+                    fired.append((sim.now, handles[label].seq, label))
+                    if action is not None:
+                        action()
+
+                handles[label] = sim.schedule(delay, fire)
+
+            def spawn_same_timestamp():
+                add("d", 0.0)
+                add("e", 0.0, lambda: add("f", 2.0))
+
+            add("a", 5.0)
+            add("b", 5.0, spawn_same_timestamp)
+            add("killer", 5.0, lambda: handles["victim"].cancel())
+            add("victim", 5.0)
+            add("c", 5.0)
+            add("late", 9.0)
+            registry = MetricsRegistry()
+            if observed:
+                with observe(metrics=registry):
+                    sim.run(until=8)
+                    sim.run()
+            else:
+                sim.run(until=8)
+                sim.run()
+            return fired, registry.snapshot().get("engine.events_dispatched", 0)
+
+        plain, plain_count = drive(observed=False)
+        observed, observed_count = drive(observed=True)
+        assert plain == observed
+        assert [label for _t, _seq, label in plain] == [
+            "a", "b", "killer", "c", "d", "e", "f", "late",
+        ]
+        assert plain == sorted(plain)  # (time, seq) order
+        # The observed run really went through the instrumented dispatch.
+        assert (plain_count, observed_count) == (0, len(observed))
 
     def test_event_handle_orders_by_time_then_seq(self):
         sim = Simulator()
