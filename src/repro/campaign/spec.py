@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -319,6 +320,17 @@ class ScenarioSpec:
                 else self.faults
             ),
         }
+
+    @cached_property
+    def canonical_json(self) -> str:
+        """``to_dict()`` as canonical (key-sorted) JSON text, encoded once.
+
+        The spec is frozen, and every replicate of a variant shares one
+        spec object, so unit keys and the wire form of a whole campaign pay
+        for one ``to_dict`` per variant.  Not a field: equality, ``replace``
+        and ``to_dict`` never see it.
+        """
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScenarioSpec":

@@ -22,10 +22,16 @@ Because the key is a :func:`~repro.sim.randomness.stable_fingerprint`
 (SHA-256) of a canonical JSON payload, it is identical across processes,
 machines and Python versions: a replayed or duplicate-delivered unit maps to
 the same key everywhere, which is what makes retries and resume no-ops.
+
+All replicates of a variant share one frozen scenario object, so both the
+key and the wire form take the scenario as its cached canonical JSON *text*
+(:attr:`ScenarioSpec.canonical_json`): a campaign encodes each distinct
+scenario once, and a worker parses each distinct text once.
 """
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Dict, Mapping
 
 from ..sim.randomness import stable_fingerprint
@@ -40,24 +46,30 @@ def unit_key(task) -> str:
     coordinator logs greppable; the fingerprint suffix is what guarantees
     uniqueness across specs that share a name.
     """
-    payload = json.dumps(
+    scenario = task.scenario
+    # The fingerprinted payload is the key-sorted JSON object of the six
+    # components; "scenario" sorts between "replicate" and "seed", so the
+    # cached scenario text is spliced in between the two encoded halves.
+    head = json.dumps(
         {
-            "scenario": task.scenario.to_dict(),
-            "base_scenario": task.base_scenario or task.scenario.name,
-            "replicate": task.replicate,
-            "seed": task.seed,
+            "base_scenario": task.base_scenario or scenario.name,
             "collect_obs": bool(task.collect_obs),
-            "slo_spec": task.slo_spec or "",
-        },
-        sort_keys=True,
+            "replicate": task.replicate,
+        }
     )
-    return f"{task.scenario.name}:r{task.replicate}:{stable_fingerprint(payload)}"
+    tail = json.dumps({"seed": task.seed, "slo_spec": task.slo_spec or ""})
+    payload = f'{head[:-1]}, "scenario": {scenario.canonical_json}, {tail[1:]}'
+    return f"{scenario.name}:r{task.replicate}:{stable_fingerprint(payload)}"
 
 
 def task_to_dict(task) -> Dict:
-    """JSON-safe wire form of a :class:`~repro.campaign.runner.RunTask`."""
+    """JSON-safe wire form of a :class:`~repro.campaign.runner.RunTask`.
+
+    ``scenario`` travels as canonical JSON text: immutable, so the units of
+    a campaign can share it, and cheap to compare on the receiving side.
+    """
     return {
-        "scenario": task.scenario.to_dict(),
+        "scenario": task.scenario.canonical_json,
         "replicate": task.replicate,
         "seed": task.seed,
         "base_scenario": task.base_scenario,
@@ -67,6 +79,14 @@ def task_to_dict(task) -> Dict:
     }
 
 
+@lru_cache(maxsize=64)
+def _scenario_from_json(text: str):
+    """The (frozen, hence shareable) scenario of one wire text."""
+    from .spec import ScenarioSpec
+
+    return ScenarioSpec.from_dict(json.loads(text))
+
+
 def task_from_dict(data: Mapping):
     """Rebuild a :class:`~repro.campaign.runner.RunTask` from its wire form.
 
@@ -74,10 +94,9 @@ def task_from_dict(data: Mapping):
     runner (which imports :func:`unit_key` for its result records).
     """
     from .runner import RunTask
-    from .spec import ScenarioSpec
 
     return RunTask(
-        scenario=ScenarioSpec.from_dict(data["scenario"]),
+        scenario=_scenario_from_json(data["scenario"]),
         replicate=int(data["replicate"]),
         seed=int(data["seed"]),
         base_scenario=str(data.get("base_scenario", "")),

@@ -7,6 +7,14 @@ Workers hold no campaign state at all -- they can crash, reconnect or be
 added mid-campaign without coordination, because every unit is leased,
 retried with backoff and deduplicated by idempotency key.
 
+The protocol (spelled out in :mod:`repro.dist.worker`) costs one request
+and one reply per *batch*: a ``lease`` request reports what the worker
+finished and asks for more, and the reply grants about one
+``poll_interval`` of work (:meth:`Coordinator._grant_limit`), so fast units
+travel hundreds per message and slow ones singly.  Nothing a peer sends is
+trusted: a malformed message costs that peer its connection (and its
+leases, which are re-granted), never the campaign.
+
 Determinism contract: the coordinator collects result records keyed by
 their canonical unit *index*, so however leases interleave across workers,
 :meth:`Coordinator.run` returns records in exactly the order the serial
@@ -35,6 +43,10 @@ from .workqueue import WorkQueue
 __all__ = ["DistConfig", "DistOutcome", "Coordinator"]
 
 _LOG = get_logger("dist")
+
+
+class _ProtocolError(Exception):
+    """A peer sent something the protocol does not allow."""
 
 
 @dataclass
@@ -102,7 +114,6 @@ class Coordinator:
             backoff_cap=self.config.backoff_cap,
         )
         self._records: Dict[int, Dict] = {}
-        self._index_of: Dict[str, int] = {}
         self.skipped: List[str] = []
         done = set(completed_keys or ())
         for index, task in enumerate(tasks):
@@ -110,9 +121,10 @@ class Coordinator:
             if key in done:
                 self.skipped.append(key)
                 continue
-            self._index_of[key] = index
             self.queue.add(key, index, task_to_dict(task))
         self._stopping = False
+        #: Seconds per unit in the latest report of finished work (0: none yet).
+        self._unit_seconds = 0.0
         self._ends_by_worker: Dict[str, object] = {}
         self._transport = None
 
@@ -138,45 +150,98 @@ class Coordinator:
     # ------------------------------------------------------------------ #
     # Protocol handlers
     # ------------------------------------------------------------------ #
-    def _handle(self, end, message: Dict, now: float) -> bool:
-        """Process one worker message; returns True on queue progress."""
+    def _handle(self, end, message: object, now: float) -> bool:
+        """Process one peer message; returns True on queue progress.
+
+        Raises :class:`_ProtocolError` -- before touching the queue -- when
+        the message is not one the protocol allows.
+        """
+        if not isinstance(message, dict):
+            raise _ProtocolError(f"payload is not a JSON object: {message!r}")
         op = message.get("op")
-        worker = str(message.get("worker", "?"))
-        self._ends_by_worker[worker] = end
-        if op == "lease":
-            return self._handle_lease(end, worker, now)
-        if op == "result":
-            return self._handle_result(end, worker, message, now)
-        if op == "error":
-            return self._handle_error(end, worker, message, now)
-        if op == "heartbeat":
-            self.queue.heartbeat(worker, now)
-            return False  # one-way; no reply, no progress
+        worker = message.get("worker")
+        if not isinstance(worker, str):
+            raise _ProtocolError(f"'worker' must be a string, got {worker!r}")
         if op == "status":
             self._safe_reply(end, {"op": "status", **self.queue.snapshot()})
             return False
-        _LOG.warning("ignoring unknown op %r from %s", op, worker)
-        return False
+        if op == "heartbeat":
+            self.queue.heartbeat(worker, now)
+            return False  # one-way; no reply, no progress
+        if op == "lease":
+            reports, seconds = self._parse_reports(message)
+            self._ends_by_worker[worker] = end
+            return self._handle_lease(end, worker, reports, seconds, now)
+        raise _ProtocolError(f"unknown op {op!r}")
 
-    def _handle_lease(self, end, worker: str, now: float) -> bool:
+    def _parse_reports(self, message: Dict):
+        """The validated ``results`` and ``busy_s`` of a lease request."""
+        results = message.get("results", [])
+        seconds = message.get("busy_s", 0.0)
+        if not isinstance(results, list):
+            raise _ProtocolError("'results' must be a list")
+        timed = isinstance(seconds, (int, float)) and not isinstance(seconds, bool)
+        if not timed or not 0.0 <= seconds < float("inf"):  # NaN fails both comparisons
+            raise _ProtocolError(f"'busy_s' must be a finite number >= 0, got {seconds!r}")
+        reports = []
+        for entry in results:
+            if not isinstance(entry, dict) or ("record" in entry) == ("error" in entry):
+                raise _ProtocolError("a result needs a 'key' and one of 'record' / 'error'")
+            key, record, error = entry.get("key"), entry.get("record"), entry.get("error")
+            if not isinstance(key, str) or key not in self.queue:
+                raise _ProtocolError(f"unknown unit key {key!r}")
+            if "record" in entry:
+                if not isinstance(record, dict) or record.get("unit") != key:
+                    raise _ProtocolError(f"'record' of {key} is not that unit's record")
+            elif not isinstance(error, str):
+                raise _ProtocolError(f"'error' of {key} must be a string")
+            reports.append((key, record, error))
+        return reports, float(seconds)
+
+    def _handle_lease(self, end, worker: str, reports, seconds: float, now: float) -> bool:
+        progressed = False
+        for key, record, error in reports:
+            if record is not None:
+                progressed = self._complete(key, worker, record, now) or progressed
+            else:
+                state = self.queue.fail(key, worker, now, error=error)
+                self._trace("retry", key=key, worker=worker, state=state)
+                self.metrics.inc("dist_errors")
+                _LOG.warning("unit %s failed on %s (-> %s): %s", key, worker, state, error)
+                progressed = True
+        if reports:
+            self._unit_seconds = seconds / len(reports)
         if self._stopping or self.queue.all_done():
             self._safe_reply(end, {"op": "stop"})
-            return False
-        unit = self.queue.lease(worker, now)
-        if unit is None:
+            return progressed
+        units = self.queue.lease(worker, now, self._grant_limit())
+        if not units:
             self._safe_reply(end, {"op": "wait"})
-            return False
-        self._trace("grant", key=unit.key, worker=worker, attempt=unit.attempts)
+            return progressed
+        for unit in units:
+            self._trace("grant", key=unit.key, worker=worker, attempt=unit.attempts)
         self.metrics.inc("dist_grants")
-        self._safe_reply(end, {"op": "grant", "key": unit.key, "task": unit.task})
+        self._safe_reply(
+            end, {"op": "grant", "units": [{"key": u.key, "task": u.task} for u in units]}
+        )
         return True
 
-    def _handle_result(self, end, worker: str, message: Dict, now: float) -> bool:
-        key = str(message.get("key", ""))
+    def _grant_limit(self) -> int:
+        """How many units the next grant may carry (guided self-scheduling).
+
+        One until some worker has reported how long units take; then about
+        one ``poll_interval`` of work, and at most an even share of half
+        the units not yet leased, so the tail of a campaign stays balanced.
+        """
+        if self._unit_seconds <= 0.0:
+            return 1
+        share = -(-self.queue.unleased() // (2 * len(self._ends_by_worker)))
+        return max(1, min(share, int(self.config.poll_interval / self._unit_seconds)))
+
+    def _complete(self, key: str, worker: str, record: Dict, now: float) -> bool:
         accepted = self.queue.complete(key, worker, now)
         if accepted:
-            record = dict(message["record"])
-            self._records[self._index_of[key]] = record
+            self._records[self.queue.unit(key).index] = record
             self._trace("ack", key=key, worker=worker)
             self.metrics.inc("dist_acks")
             if self.progress is not None:
@@ -185,18 +250,7 @@ class Coordinator:
         else:
             self._trace("dedup", key=key, worker=worker)
             self.metrics.inc("dist_dedup_hits")
-        self._safe_reply(end, {"op": "ack"})
         return accepted
-
-    def _handle_error(self, end, worker: str, message: Dict, now: float) -> bool:
-        key = str(message.get("key", ""))
-        error = str(message.get("error", ""))
-        state = self.queue.fail(key, worker, now, error=error)
-        self._trace("retry", key=key, worker=worker, state=state)
-        self.metrics.inc("dist_errors")
-        _LOG.warning("unit %s failed on %s (-> %s): %s", key, worker, state, error)
-        self._safe_reply(end, {"op": "ack"})
-        return True
 
     def _safe_reply(self, end, message: Dict) -> None:
         try:
@@ -279,24 +333,39 @@ class Coordinator:
         """One poll round; returns True when any unit changed state."""
         progressed = False
         now = time.monotonic()
+        dropped = set()
         for end, message in transport.poll(self.config.poll_interval):
-            if message is None:  # worker disconnected
-                gone = [w for w, e in self._ends_by_worker.items() if e is end]
-                for worker in gone:
-                    del self._ends_by_worker[worker]
-                    released = self.queue.release_worker(worker, time.monotonic())
-                    for key in released:
-                        self._trace("reclaim", key=key, worker=worker,
-                                    reason="disconnect")
-                        self.metrics.inc("dist_reclaims")
-                    progressed = progressed or bool(released)
+            if end in dropped:
                 continue
-            progressed = self._handle(end, message, now) or progressed
+            if message is None:  # worker disconnected
+                progressed = self._release(end, "disconnect") or progressed
+                continue
+            try:
+                progressed = self._handle(end, message, now) or progressed
+            except _ProtocolError as exc:
+                fields = message if isinstance(message, dict) else {}
+                _LOG.warning("dropping peer %r: bad %r message: %s",
+                             fields.get("worker"), fields.get("op"), exc)
+                self.metrics.inc("dist_protocol_errors")
+                transport.drop(end)
+                dropped.add(end)
+                progressed = self._release(end, "protocol error") or progressed
         for key in self.queue.reclaim(time.monotonic()):
             self._trace("reclaim", key=key, reason="lease expired")
             self.metrics.inc("dist_reclaims")
             progressed = True
         return progressed
+
+    def _release(self, end, reason: str) -> bool:
+        """Reclaim the leases of every worker behind a connection that ended."""
+        released = False
+        for worker in [w for w, e in self._ends_by_worker.items() if e is end]:
+            del self._ends_by_worker[worker]
+            for key in self.queue.release_worker(worker, time.monotonic()):
+                self._trace("reclaim", key=key, worker=worker, reason=reason)
+                self.metrics.inc("dist_reclaims")
+                released = True
+        return released
 
     def _drain(self, transport) -> None:
         """After an interrupt: accept in-flight results, grant nothing new."""

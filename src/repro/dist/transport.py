@@ -17,12 +17,15 @@ agnostic channel):
   the UTF-8 JSON payload.  The only backend that accepts *external*
   workers (``python -m repro dist worker --connect host:port``).
 
-The coordinator side of every backend exposes the same three operations --
-``launch_worker`` / ``poll`` / ``close`` -- and the worker side a duplex
-:class:`Channel` (``send`` / ``recv``).  ``poll`` returns ``(channel,
-message)`` pairs and reports a disconnected worker as ``(channel, None)``,
-which is how the coordinator reclaims the leases of a crashed worker
-immediately instead of waiting for the lease TTL.
+The coordinator side of every backend exposes the same four operations --
+``launch_worker`` / ``poll`` / ``drop`` / ``close`` -- and the worker side
+a duplex :class:`Channel` (``send`` / ``recv``).  ``poll`` returns
+``(channel, message)`` pairs and reports a disconnected worker as
+``(channel, None)``, which is how the coordinator reclaims the leases of a
+crashed worker immediately instead of waiting for the lease TTL.  What a
+peer sends is not trusted: a payload that is not JSON is handed over as the
+``ValueError`` saying why (never raised out of ``poll``), and ``drop`` is
+how the coordinator hangs up on a peer that broke the protocol.
 """
 from __future__ import annotations
 
@@ -71,6 +74,14 @@ def _encode(message: Dict) -> bytes:
     # allow_nan=False keeps the wire format strict JSON on every backend;
     # result metrics are NaN-free by construction (PR 6 invariant).
     return json.dumps(message, sort_keys=True, allow_nan=False).encode("utf-8")
+
+
+def _decode(payload: bytes) -> object:
+    """What one received payload says; the ``ValueError`` if it is not JSON."""
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        return exc
 
 
 def encode_frame(message: Dict) -> bytes:
@@ -326,8 +337,8 @@ class ThreadTransport:
         thread.start()
         return WorkerHandle(worker_id, thread=thread)
 
-    def poll(self, timeout: float) -> List[Tuple[object, Optional[Dict]]]:
-        messages: List[Tuple[object, Optional[Dict]]] = []
+    def poll(self, timeout: float) -> List[Tuple[object, object]]:
+        messages: List[Tuple[object, object]] = []
         try:
             messages.append(self._inbox.get(timeout=timeout))
         except queue_module.Empty:
@@ -337,6 +348,11 @@ class ThreadTransport:
                 messages.append(self._inbox.get_nowait())
             except queue_module.Empty:
                 return messages
+
+    def drop(self, end: ThreadServerEnd) -> None:
+        if end in self._server_ends:
+            self._server_ends.remove(end)
+            end.close()
 
     def close(self) -> None:
         for end in self._server_ends:
@@ -371,23 +387,27 @@ class IpcTransport:
         self._conns.append(parent_conn)
         return WorkerHandle(worker_id, process=process)
 
-    def poll(self, timeout: float) -> List[Tuple[object, Optional[Dict]]]:
+    def poll(self, timeout: float) -> List[Tuple[object, object]]:
         if not self._conns:
             return []
         ready = multiprocessing.connection.wait(self._conns, timeout)
-        messages: List[Tuple[object, Optional[Dict]]] = []
+        messages: List[Tuple[object, object]] = []
         for conn in ready:
             try:
                 payload = conn.recv_bytes()
             except (EOFError, OSError):
                 # The worker died or closed its end: surface the EOF once
                 # and stop polling the dead connection.
-                self._conns.remove(conn)
-                conn.close()
+                self.drop(conn)
                 messages.append((conn, None))
                 continue
-            messages.append((conn, json.loads(payload.decode("utf-8"))))
+            messages.append((conn, _decode(payload)))
         return messages
+
+    def drop(self, conn: multiprocessing.connection.Connection) -> None:
+        if conn in self._conns:
+            self._conns.remove(conn)
+            conn.close()
 
     def close(self) -> None:
         for conn in self._conns:
@@ -415,9 +435,9 @@ class _TcpServerEnd:
     def send(self, message: Dict) -> None:
         send_frame(self.sock, message)
 
-    def extract_frames(self) -> List[Dict]:
+    def extract_frames(self) -> List[object]:
         """Complete frames currently sitting in the receive buffer."""
-        frames: List[Dict] = []
+        frames: List[object] = []
         while len(self.buffer) >= _LENGTH.size:
             (length,) = _LENGTH.unpack(self.buffer[: _LENGTH.size])
             if length > MAX_FRAME_BYTES:
@@ -427,7 +447,7 @@ class _TcpServerEnd:
                 break
             payload = self.buffer[_LENGTH.size:end]
             self.buffer = self.buffer[end:]
-            frames.append(json.loads(payload.decode("utf-8")))
+            frames.append(_decode(payload))
         return frames
 
     def close(self) -> None:
@@ -469,13 +489,13 @@ class TcpTransport:
         process.start()
         return WorkerHandle(worker_id, process=process)
 
-    def poll(self, timeout: float) -> List[Tuple[object, Optional[Dict]]]:
+    def poll(self, timeout: float) -> List[Tuple[object, object]]:
         sockets = [self._listener] + [c.sock for c in self._clients]
         try:
             readable, _, _ = select.select(sockets, [], [], timeout)
         except OSError:
             return []
-        messages: List[Tuple[object, Optional[Dict]]] = []
+        messages: List[Tuple[object, object]] = []
         by_sock = {c.sock: c for c in self._clients}
         for sock in readable:
             if sock is self._listener:
@@ -493,8 +513,7 @@ class TcpTransport:
             except OSError:
                 data = b""
             if not data:
-                self._clients.remove(end)
-                end.close()
+                self.drop(end)
                 messages.append((end, None))
                 continue
             end.buffer += data
@@ -502,10 +521,14 @@ class TcpTransport:
                 for frame in end.extract_frames():
                     messages.append((end, frame))
             except ChannelClosed:
-                self._clients.remove(end)
-                end.close()
+                self.drop(end)
                 messages.append((end, None))
         return messages
+
+    def drop(self, end: _TcpServerEnd) -> None:
+        if end in self._clients:
+            self._clients.remove(end)
+            end.close()
 
     def close(self) -> None:
         for end in self._clients:

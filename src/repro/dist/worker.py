@@ -1,20 +1,26 @@
 """The distributed campaign worker loop.
 
-A worker is a pull-based client of the coordinator: it leases one run unit
-at a time, executes it through the exact same
+A worker is a pull-based client of the coordinator: it leases a batch of
+run units, executes each through the exact same
 :func:`repro.campaign.runner._execute_task` path the multiprocessing pool
-uses (so records are byte-identical by construction), streams the result
-record -- simulation metrics, obs/metrics snapshots, SLO verdicts, phase
-timings -- back over the channel, and asks for the next unit.
+uses (so records are byte-identical by construction), and hands the result
+records -- simulation metrics, obs/metrics snapshots, SLO verdicts, phase
+timings -- back with its request for the next batch.
 
-Worker-side protocol (all messages are flat JSON dictionaries)::
+Worker-side protocol (all messages are JSON objects; five kinds)::
 
-    -> {"op": "lease",  "worker": id}
-    <- {"op": "grant",  "key": k, "task": {...}} | {"op": "wait"} | {"op": "stop"}
-    -> {"op": "result", "worker": id, "key": k, "record": {...}}
-    -> {"op": "error",  "worker": id, "key": k, "error": "..."}
-    <- {"op": "ack"}
+    -> {"op": "lease", "worker": id, "busy_s": t,
+        "results": [{"key": k, "record": {...}} | {"key": k, "error": "..."}, ...]}
+    <- {"op": "grant", "units": [{"key": k, "task": {...}}, ...]}
+     | {"op": "wait"} | {"op": "stop"}
     -> {"op": "heartbeat", "worker": id}          # one-way, never replied
+
+``lease`` is the only request: it reports every unit of the previous grant
+(``results`` is empty on the first request) with the seconds they took
+(``busy_s``, from which the coordinator sizes the next grant), and asks
+for more.  Any reply acknowledges those results.  A request whose reply
+timed out is re-sent as it is; the coordinator then sees the results
+twice, and its first-result-wins deduplication drops the second copy.
 
 Heartbeats come from a daemon thread so a long-running simulation cannot
 lose its lease; a dead worker stops heartbeating (and its connection
@@ -22,9 +28,10 @@ drops), which is exactly how the coordinator learns to reclaim its units.
 
 ``kill_after_leases`` is the chaos seam (the execution-tier analogue of the
 ``repro.faults`` crash events): a worker configured with it dies abruptly
--- ``os._exit``, no result, no goodbye -- after granting that many leases,
-which the chaos tests and the CI smoke use to prove lease reclaim +
-idempotency keys deliver exactly-once store rows.
+-- ``os._exit``, no result, no goodbye -- on reaching that many granted
+units, taking the unreported results of its current batch with it, which
+the chaos tests and the CI smoke use to prove lease reclaim + idempotency
+keys deliver exactly-once store rows.
 """
 from __future__ import annotations
 
@@ -33,7 +40,7 @@ import signal
 import socket
 import threading
 import time
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ..campaign.runner import _execute_task
 from ..campaign.units import task_from_dict
@@ -115,16 +122,20 @@ def worker_loop(channel: Channel, worker_id: str, options: Mapping) -> int:
     heartbeat = _Heartbeat(send, worker_id, heartbeat_interval)
     heartbeat.start()
     leases = 0
+    results: List[Dict] = []  # of the previous grant, until a reply acknowledges them
+    busy_s = 0.0
     try:
         while True:
             try:
-                send({"op": "lease", "worker": worker_id})
+                send({"op": "lease", "worker": worker_id, "results": results,
+                      "busy_s": busy_s})
                 reply = channel.recv(reply_timeout)
             except ChannelClosed:
                 _LOG.debug("%s: coordinator went away; exiting", worker_id)
                 return 0
             if reply is None:
-                continue  # coordinator busy; ask again
+                continue  # coordinator busy; ask again, results included
+            results, busy_s = [], 0.0
             op = reply.get("op")
             if op == "stop":
                 _LOG.debug("%s: received stop", worker_id)
@@ -135,45 +146,33 @@ def worker_loop(channel: Channel, worker_id: str, options: Mapping) -> int:
             if op != "grant":
                 _LOG.warning("%s: unexpected reply %r", worker_id, op)
                 return 2
-            leases += 1
-            if kill_after_leases and leases >= kill_after_leases:
-                # Chaos: die mid-unit, silently.  In-process workers cannot
-                # os._exit (that would kill the coordinator too); closing
-                # the channel without completing the unit is the same
-                # failure as seen from the coordinator.
-                _LOG.debug("%s: chaos kill after %d lease(s)", worker_id, leases)
-                if in_process:
-                    channel.close()
-                    return CHAOS_EXIT_CODE
-                os._exit(CHAOS_EXIT_CODE)
-            key = str(reply["key"])
-            task = task_from_dict(reply["task"])
-            try:
-                if in_process:
-                    with _EXECUTE_LOCK:
+            started = time.perf_counter()
+            for unit in reply["units"]:
+                leases += 1
+                if kill_after_leases and leases >= kill_after_leases:
+                    # Chaos: die mid-unit, silently.  In-process workers cannot
+                    # os._exit (that would kill the coordinator too); closing
+                    # the channel without completing the unit is the same
+                    # failure as seen from the coordinator.
+                    _LOG.debug("%s: chaos kill after %d lease(s)", worker_id, leases)
+                    if in_process:
+                        channel.close()
+                        return CHAOS_EXIT_CODE
+                    os._exit(CHAOS_EXIT_CODE)
+                key = str(unit["key"])
+                try:
+                    task = task_from_dict(unit["task"])
+                    if in_process:
+                        with _EXECUTE_LOCK:
+                            record = _execute_task(task)
+                    else:
                         record = _execute_task(task)
+                except Exception as exc:  # noqa: BLE001 - reported, retried upstream
+                    _LOG.warning("%s: unit %s failed: %s", worker_id, key, exc)
+                    results.append({"key": key, "error": f"{type(exc).__name__}: {exc}"})
                 else:
-                    record = _execute_task(task)
-            except Exception as exc:  # noqa: BLE001 - reported, retried upstream
-                _LOG.warning("%s: unit %s failed: %s", worker_id, key, exc)
-                outcome = {
-                    "op": "error",
-                    "worker": worker_id,
-                    "key": key,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            else:
-                outcome = {
-                    "op": "result",
-                    "worker": worker_id,
-                    "key": key,
-                    "record": record,
-                }
-            try:
-                send(outcome)
-                channel.recv(reply_timeout)  # ack (or timeout; next lease resyncs)
-            except ChannelClosed:
-                return 0
+                    results.append({"key": key, "record": record})
+            busy_s = time.perf_counter() - started
     finally:
         heartbeat.stop()
         channel.close()

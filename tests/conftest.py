@@ -7,6 +7,8 @@ helpers import from ``repro.testing`` directly.
 """
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,20 @@ from repro.cluster import Platform
 from repro.core import CooRMv2
 from repro.models import SpeedupModel, WorkingSetEvolution
 from repro.sim import Simulator
+
+
+@pytest.fixture
+def propagating_logs():
+    """Let ``repro.*`` records reach caplog's root handler.
+
+    Any earlier CLI test that called ``logging_setup`` left the package
+    logger with ``propagate = False``, which would blind caplog.
+    """
+    logger = logging.getLogger("repro")
+    before = logger.propagate
+    logger.propagate = True
+    yield
+    logger.propagate = before
 
 
 @pytest.fixture

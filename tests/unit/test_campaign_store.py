@@ -1,6 +1,5 @@
 """ResultStore: append/load, deterministic files, summaries, comparison."""
 import json
-import logging
 
 import pytest
 
@@ -121,20 +120,6 @@ class TestSummaries:
             ("s1", "value", 0.5, 2.5, 2.0),
             ("s2", "value", 0.5, 2.5, 2.0),
         ]
-
-
-@pytest.fixture()
-def propagating_logs():
-    """Let ``repro.*`` records reach caplog's root handler.
-
-    Any earlier CLI test that called ``logging_setup`` left the package
-    logger with ``propagate = False``, which would blind caplog.
-    """
-    logger = logging.getLogger("repro")
-    before = logger.propagate
-    logger.propagate = True
-    yield
-    logger.propagate = before
 
 
 class TestTruncatedWrites:

@@ -19,7 +19,7 @@ from repro.campaign.registry import resolve_scenarios
 from repro.campaign.runner import RunTask
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.units import task_from_dict, task_to_dict, unit_key
-from repro.sim.randomness import derive_seed
+from repro.sim.randomness import derive_seed, stable_fingerprint
 
 
 def make_task(
@@ -151,3 +151,75 @@ class TestKeySensitivity:
             scenario=tweaked, replicate=0, seed=base.seed, base_scenario=spec.name
         )
         assert unit_key(other) != unit_key(base)
+
+
+class TestOneEncodingPerScenario:
+    """Keys and wire forms reuse the scenario's cached canonical JSON text."""
+
+    @given(
+        base_scenario=st.text(max_size=12),
+        slo_spec=st.text(max_size=12),
+        replicate=st.integers(min_value=0, max_value=10**6),
+        seed=st.integers(min_value=0, max_value=2**64),
+        collect_obs=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_key_is_the_fingerprint_of_the_plain_canonical_json(
+        self, base_scenario, slo_spec, replicate, seed, collect_obs
+    ):
+        # The formula the key was defined by: one json.dumps of all six
+        # components.  Splicing the cached scenario text into it must not
+        # change a byte, whatever quotes or escapes the strings carry.
+        (spec,) = resolve_scenarios(["baseline-dynamic"])
+        task = RunTask(scenario=spec, replicate=replicate, seed=seed,
+                       base_scenario=base_scenario, collect_obs=collect_obs,
+                       slo_spec=slo_spec)
+        payload = json.dumps(
+            {
+                "scenario": spec.to_dict(),
+                "base_scenario": base_scenario or spec.name,
+                "replicate": replicate,
+                "seed": seed,
+                "collect_obs": collect_obs,
+                "slo_spec": slo_spec,
+            },
+            sort_keys=True,
+        )
+        assert unit_key(task) == f"{spec.name}:r{replicate}:{stable_fingerprint(payload)}"
+
+    def test_replicates_of_a_variant_encode_their_scenario_once(self, monkeypatch):
+        (spec,) = resolve_scenarios(["baseline-dynamic"])
+        spec = spec.with_scale("tiny")  # a fresh object: nothing cached yet
+        calls = []
+        original = ScenarioSpec.to_dict
+        monkeypatch.setattr(
+            ScenarioSpec, "to_dict", lambda self: calls.append(self) or original(self)
+        )
+        tasks = [
+            RunTask(scenario=spec, replicate=r, seed=r, base_scenario=spec.name)
+            for r in range(50)
+        ]
+        keys = {unit_key(task) for task in tasks}
+        wire = [task_to_dict(task) for task in tasks]
+        assert len(keys) == 50
+        assert len(calls) == 1
+        assert all(w["scenario"] is spec.canonical_json for w in wire)
+
+    def test_a_worker_rebuilds_each_distinct_scenario_once(self):
+        first, second = (make_task(replicate=r) for r in (0, 1))
+        other = make_task(scenario="strict-equipartition")
+        rebuilt = [
+            task_from_dict(json.loads(json.dumps(task_to_dict(t))))
+            for t in (first, second, other)
+        ]
+        assert rebuilt == [first, second, other]
+        assert rebuilt[0].scenario is rebuilt[1].scenario
+        assert rebuilt[2].scenario is not rebuilt[0].scenario
+
+    def test_the_cached_text_is_invisible_to_equality_and_replace(self):
+        (spec,) = resolve_scenarios(["baseline-dynamic"])
+        twin = ScenarioSpec.from_dict(spec.to_dict())
+        assert spec.canonical_json == json.dumps(spec.to_dict(), sort_keys=True)
+        assert twin == spec and "canonical_json" not in twin.to_dict()
+        renamed = spec.with_policy("easy")
+        assert renamed.canonical_json != spec.canonical_json

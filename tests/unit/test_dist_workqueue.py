@@ -17,17 +17,38 @@ def filled(n=3, **kwargs) -> WorkQueue:
     return queue
 
 
+def keys(units) -> list:
+    return [unit.key for unit in units]
+
+
 class TestLeasing:
     def test_leases_in_canonical_order(self):
         queue = filled(3)
-        assert queue.lease("w0", now=0.0).key == "k0"
-        assert queue.lease("w1", now=0.0).key == "k1"
-        assert queue.lease("w0", now=0.0).key == "k2"
-        assert queue.lease("w1", now=0.0) is None
+        assert keys(queue.lease("w0", now=0.0)) == ["k0"]
+        assert keys(queue.lease("w1", now=0.0)) == ["k1"]
+        assert keys(queue.lease("w0", now=0.0)) == ["k2"]
+        assert queue.lease("w1", now=0.0) == []
+
+    def test_lease_grants_up_to_limit_units_in_canonical_order(self):
+        queue = filled(5)
+        assert keys(queue.lease("w0", now=0.0, limit=2)) == ["k0", "k1"]
+        assert keys(queue.lease("w1", now=0.0, limit=9)) == ["k2", "k3", "k4"]
+        assert queue.lease("w0", now=0.0, limit=9) == []
+        assert queue.stats.counters["leases"] == 5
+        assert queue.stats.counters["grants"] == 2
+        assert [queue.unit(f"k{i}").worker for i in range(5)] == ["w0", "w0", "w1", "w1", "w1"]
+
+    def test_a_batch_skips_units_that_are_backing_off(self):
+        queue = filled(4, backoff_base=5.0)
+        queue.lease("w0", now=0.0, limit=2)
+        queue.fail("k0", "w0", now=1.0)  # runnable again at 6.0
+        assert keys(queue.lease("w1", now=2.0, limit=2)) == ["k2", "k3"]
+        assert queue.lease("w1", now=5.9, limit=2) == []
+        assert keys(queue.lease("w1", now=6.0, limit=2)) == ["k0"]
 
     def test_lease_carries_the_task_payload(self):
         queue = filled(1)
-        unit = queue.lease("w0", now=0.0)
+        (unit,) = queue.lease("w0", now=0.0)
         assert unit.task == {"index": 0}
         assert unit.attempts == 1
         assert unit.state == LEASED
@@ -69,8 +90,8 @@ class TestRetryAndBackoff:
     def test_failed_unit_backs_off_exponentially(self):
         queue = filled(1, backoff_base=1.0, backoff_cap=100.0, max_attempts=5)
         for attempt, expected_backoff in ((1, 1.0), (2, 2.0), (3, 4.0)):
-            unit = queue.lease("w0", now=100.0 * attempt)
-            assert unit is not None and unit.attempts == attempt
+            (unit,) = queue.lease("w0", now=100.0 * attempt)
+            assert unit.attempts == attempt
             queue.fail("k0", "w0", now=100.0 * attempt, error="boom")
             assert unit.state == PENDING
             assert unit.not_before == 100.0 * attempt + expected_backoff
@@ -86,8 +107,8 @@ class TestRetryAndBackoff:
         queue = filled(1, backoff_base=5.0)
         queue.lease("w0", now=0.0)
         queue.fail("k0", "w0", now=10.0)
-        assert queue.lease("w0", now=12.0) is None  # still backing off
-        assert queue.lease("w0", now=15.0).key == "k0"
+        assert queue.lease("w0", now=12.0) == []  # still backing off
+        assert keys(queue.lease("w0", now=15.0)) == ["k0"]
 
     def test_max_attempts_fails_terminally(self):
         queue = filled(1, max_attempts=2, backoff_base=0.0)
@@ -99,7 +120,61 @@ class TestRetryAndBackoff:
         assert unit.error == "boom"
         assert queue.all_done()
         assert queue.failed_units() == [unit]
-        assert queue.lease("w0", now=99.0) is None
+        assert queue.lease("w0", now=99.0) == []
+
+
+class TestStaleErrors:
+    """An error counts only when it comes from the holder of the current lease."""
+
+    def test_late_error_leaves_the_new_holders_lease_alone(self):
+        queue = filled(1, lease_ttl=1.0, backoff_base=0.0, max_attempts=4)
+        queue.lease("w0", now=0.0)
+        assert queue.reclaim(now=2.0) == ["k0"]
+        (unit,) = queue.lease("w1", now=3.0)
+        assert queue.fail("k0", "w0", now=3.5, error="late") == LEASED
+        assert (unit.state, unit.worker, unit.attempts) == (LEASED, "w1", 2)
+        assert unit.lease_deadline == 4.0 and unit.error == "lease expired"
+        assert queue.stats.counters["stale_errors"] == 1
+        assert queue.stats.counters["retries"] == 0
+        assert queue.complete("k0", "w1", now=3.9) is True
+
+    def test_late_errors_cannot_fail_a_running_unit_terminally(self):
+        # The reproduction of the bug: at max_attempts, w0's late error
+        # used to mark the unit FAILED under w1 (all_done() turned true),
+        # and a second one bumped ``failed`` again.
+        queue = filled(1, lease_ttl=1.0, backoff_base=0.0, max_attempts=2)
+        queue.lease("w0", now=0.0)
+        queue.reclaim(now=2.0)
+        queue.lease("w1", now=3.0)
+        for now in (3.1, 3.2):
+            assert queue.fail("k0", "w0", now=now, error="late") == LEASED
+        assert not queue.all_done()
+        assert queue.complete("k0", "w1", now=3.5) is True
+        counters = queue.stats.counters
+        assert (counters["failed"], counters["completed"], counters["stale_errors"]) == (0, 1, 2)
+        assert queue.failed_units() == []
+
+    def test_error_for_a_reclaimed_unit_nobody_holds_burns_no_attempt(self):
+        queue = filled(1, lease_ttl=1.0, backoff_base=4.0)
+        queue.lease("w0", now=0.0)
+        queue.reclaim(now=2.0)  # pending again, runnable at 6.0
+        assert queue.fail("k0", "w0", now=3.0, error="late") == PENDING
+        unit = queue.unit("k0")
+        assert (unit.attempts, unit.not_before, unit.error) == (1, 6.0, "lease expired")
+        assert queue.lease("w1", now=5.9) == []
+        assert keys(queue.lease("w1", now=6.0)) == ["k0"]
+
+    def test_errors_for_finished_units_are_counted_noops(self):
+        queue = filled(2, max_attempts=1)
+        queue.lease("w0", now=0.0, limit=2)
+        queue.complete("k0", "w0", now=1.0)
+        assert queue.fail("k1", "w0", now=1.0, error="boom") == FAILED
+        assert queue.fail("k0", "w0", now=2.0) == DONE
+        assert queue.fail("k1", "w0", now=2.0, error="again") == FAILED
+        counters = queue.stats.counters
+        assert (counters["failed"], counters["stale_errors"]) == (1, 2)
+        assert queue.unit("k1").error == "boom"
+        assert queue.all_done()
 
 
 class TestReclaim:
@@ -113,8 +188,7 @@ class TestReclaim:
 
     def test_heartbeat_extends_every_lease_of_the_worker(self):
         queue = filled(2, lease_ttl=10.0)
-        queue.lease("w0", now=0.0)
-        queue.lease("w0", now=0.0)
+        queue.lease("w0", now=0.0, limit=2)
         assert queue.heartbeat("w0", now=8.0) == 2
         assert queue.reclaim(now=15.0) == []  # extended to 18.0
         assert queue.reclaim(now=19.0) == ["k0", "k1"]
