@@ -121,16 +121,18 @@ def _partition_interval(
     n_apps = len(demands)
     if n_apps == 0:
         return []
-    active = [i for i in range(n_apps) if demands[i] > 0]
-    n_active = len(active)
 
     if strict:
         # Strict equi-partitioning: everyone is shown an equal slice of the
         # capacity, regardless of what the others actually use.
-        share = capacity // n_apps if n_apps else 0
-        return [share] * n_apps
+        return [capacity // n_apps] * n_apps
 
+    if not any(demands):
+        # Nobody asks for anything: everyone is shown the whole capacity,
+        # which is what both branches below compute for all-zero demands.
+        return [capacity] * n_apps
     total_demand = sum(demands)
+    n_active = sum(1 for demand in demands if demand > 0)
     views = [0] * n_apps
 
     if total_demand > capacity:
@@ -219,9 +221,13 @@ def partition_schedule(
 
     The returned views may share profile objects between applications (one
     :class:`StepFunction` per distinct column of partition values); never
-    mutate them.  Applications with an empty request set are neither
-    ``to_view``-ed nor fitted, but *partition* always receives the demand of
-    every application, idle ones included.
+    mutate them.  Sharing pays for the applications that hold a preemptible
+    request: an idle one (empty set) is neither ``to_view``-ed nor fitted,
+    adds no breakpoint, and its demand is a literal 0 rather than a profile
+    lookup.  *partition* still receives the demand of every application,
+    idle ones included, but only once per distinct ``(capacity, demands)``
+    row of the pass -- it must be a pure function of the two and must not
+    keep or alter the list it is given.
     """
     if partition is None:
         def partition(demands, capacity):
@@ -229,17 +235,14 @@ def partition_schedule(
 
     app_ids = list(preemptible_sets)
 
-    # Step 1: preliminary occupation views (Algorithm 3, lines 1-3).  An
-    # application with no preemptible request occupies nothing.
-    nothing = View.empty()
-    occupation: Dict[str, View] = {}
-    for app_id, requests in preemptible_sets.items():
-        if not requests:
-            occupation[app_id] = nothing
-            continue
-        fixed_occ = to_view(requests, available)
-        pending_occ = fit(requests, available - fixed_occ, not_before)
-        occupation[app_id] = fixed_occ + pending_occ
+    # Step 1: preliminary occupation views (Algorithm 3, lines 1-3), for the
+    # applications that hold a preemptible request; the others occupy nothing.
+    occupation: Dict[int, View] = {}
+    for index, requests in enumerate(preemptible_sets.values()):
+        if requests:
+            fixed_occ = to_view(requests, available)
+            pending_occ = fit(requests, available - fixed_occ, not_before)
+            occupation[index] = fixed_occ + pending_occ
 
     clusters = set(available.clusters())
     for occ in occupation.values():
@@ -247,42 +250,47 @@ def partition_schedule(
 
     if horizon is None:
         last = 0.0
-        for profile in [available[c] for c in clusters] + [
-            occ[c] for occ in occupation.values() for c in clusters
-        ]:
-            last = max(last, profile._times[-1])
+        for view in (available, *occupation.values()):
+            for cid in view.clusters():
+                last = max(last, view[cid]._times[-1])
         horizon = last + 86_400.0
 
     # Step 2: per-cluster, per-interval partitioning (lines 4-27).  The value
     # computed for the last interval extends to infinity (profiles are
-    # constant beyond their last breakpoint, so so is the partition).
-    per_app_caps: Dict[str, Dict[ClusterId, StepFunction]] = {a: {} for a in app_ids}
+    # constant beyond their last breakpoint, so so is the partition).  A row
+    # is a function of the interval's capacity and the demands of the busy
+    # applications alone, so it is computed once per distinct pair.
+    n_apps = len(app_ids)
+    busy = list(occupation)
+    floor = math.floor
+    ceil = math.ceil
+    memo: Dict[tuple, List[int]] = {}
+    per_app_caps: List[Dict[ClusterId, StepFunction]] = [{} for _ in app_ids]
     for cid in sorted(clusters):
-        # Profile lookups are hoisted out of the breakpoint loop: the loop
-        # body runs once per (cluster, breakpoint) pair and used to redo the
-        # view/dict indirection for every single evaluation.
         avail_profile = available[cid]
-        occ_profiles = [occupation[a][cid] for a in app_ids]
-        profiles = [avail_profile] + occ_profiles
-        breakpoints = _interval_breakpoints(profiles, horizon)
+        busy_profiles = [occ[cid] for occ in occupation.values()]
+        breakpoints = _interval_breakpoints([avail_profile] + busy_profiles, horizon)
         rows = []
-        floor = math.floor
-        ceil = math.ceil
         for t in breakpoints:
-            capacity = int(floor(avail_profile.value_at(t) + 1e-9))
-            capacity = max(capacity, 0)
-            demands = [int(ceil(p.value_at(t) - 1e-9)) for p in occ_profiles]
-            rows.append(partition(demands, capacity))
+            capacity = max(int(floor(avail_profile.value_at(t) + 1e-9)), 0)
+            key = (capacity, *[int(ceil(p.value_at(t) - 1e-9)) for p in busy_profiles])
+            row = memo.get(key)
+            if row is None:
+                demands = [0] * n_apps
+                for index, demand in zip(busy, key[1:]):
+                    demands[index] = demand
+                row = memo[key] = partition(demands, capacity)
+            rows.append(row)
         # One profile per distinct value column: applications shown the same
         # numbers (typically all the idle ones) share the object.
         by_column: Dict[tuple, StepFunction] = {}
-        for a, column in zip(app_ids, zip(*rows)):
+        for caps, column in zip(per_app_caps, zip(*rows)):
             profile = by_column.get(column)
             if profile is None:
                 profile = by_column[column] = StepFunction(breakpoints, column)
-            per_app_caps[a][cid] = profile
+            caps[cid] = profile
 
-    result: Dict[str, View] = {a: View(caps) for a, caps in per_app_caps.items()}
+    result: Dict[str, View] = {a: View(caps) for a, caps in zip(app_ids, per_app_caps)}
 
     # Step 3: reschedule the requests against their own views so that
     # scheduled_at and n_alloc reflect what each application will really get

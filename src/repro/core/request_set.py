@@ -13,6 +13,7 @@ application.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from .errors import ConstraintError, RequestError
@@ -47,6 +48,9 @@ class RequestSet:
     def __init__(self, rtype: Optional[RequestType] = None, requests: Iterable[Request] = ()):
         self.rtype = rtype
         self._by_id: Dict[int, Request] = {}
+        #: ``(key, view)`` memo of :func:`repro.core.toview.started_occupation`,
+        #: which alone reads, writes and invalidates it.
+        self._occupation = None
         for r in requests:
             self.add(r)
 
@@ -231,6 +235,12 @@ class ApplicationRequests:
     def all_requests(self) -> List[Request]:
         """Every request of the application, over all three sets."""
         return list(self.preallocations) + list(self.non_preemptible) + list(self.preemptible)
+
+    def scan(self) -> Iterable[Request]:
+        """:meth:`all_requests` without the copies (see :meth:`RequestSet.scan`)."""
+        return chain(
+            self.preallocations.scan(), self.non_preemptible.scan(), self.preemptible.scan()
+        )
 
     def find(self, request_id: int) -> Optional[Request]:
         """Look up a request by id across the three sets."""

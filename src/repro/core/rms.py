@@ -103,7 +103,12 @@ class CooRMv2:
         self.accountant = accountant if accountant is not None else Accountant()
         self.event_log = EventLog()
 
+        #: Every session that ever connected, by app id (the latest one when
+        #: an id re-connected): the lookup table.  Passes walk ``_live``.
         self.sessions: Dict[str, Session] = {}
+        #: The alive sessions in connection order; ``disconnect`` and ``kill``
+        #: drop theirs, so a pass never pays for applications that are gone.
+        self._live: Dict[str, Session] = {}
         self._app_counter = 0
         self._schedule_handle: Optional[EventHandle] = None
         self._last_schedule_time: Time = -math.inf
@@ -177,7 +182,7 @@ class CooRMv2:
         if app_id in self.sessions and self.sessions[app_id].alive:
             raise SessionError(f"application {app_id!r} is already connected")
         session = Session(app_id, application, self.now)
-        self.sessions[app_id] = session
+        self.sessions[app_id] = self._live[app_id] = session
         self.event_log.record(Connected(self.now, app_id))
         tracer = _obs.TRACER[0]
         if tracer is not None:
@@ -192,6 +197,7 @@ class CooRMv2:
             if not request.finished():
                 self._finish_request(session, request, released_node_ids=None, expired=False)
         session.alive = False
+        del self._live[app_id]
         self.event_log.record(Disconnected(self.now, app_id))
         tracer = _obs.TRACER[0]
         if tracer is not None:
@@ -209,6 +215,7 @@ class CooRMv2:
         for cid, nodes in released.items():
             session.remove_nodes(cid, nodes)
         session.kill(reason)
+        del self._live[app_id]
         self.event_log.record(SessionKilled(self.now, app_id, reason=reason))
         tracer = _obs.TRACER[0]
         if tracer is not None:
@@ -227,7 +234,7 @@ class CooRMv2:
 
     def connected_sessions(self) -> List[Session]:
         """Alive sessions in connection order."""
-        return [s for s in self.sessions.values() if s.alive]
+        return list(self._live.values())
 
     # ------------------------------------------------------------------ #
     # Protocol operations: request() and done()
@@ -580,9 +587,9 @@ class CooRMv2:
         # every finished *ancestor* of an unfinished request stays, not just
         # its parent -- so long-running applications (which update thousands
         # of times) keep the scheduling cost proportional to their *live*
-        # requests.  The session list is computed once here; the view-push
-        # loop below takes a fresh one because start callbacks may
-        # disconnect sessions.
+        # requests.  Only the live sessions are walked, here and in the
+        # view-push loop below, which takes a fresh list because start
+        # callbacks may disconnect sessions.
         sessions = self.connected_sessions()
         for session in sessions:
             session.requests.prune_finished()

@@ -34,28 +34,40 @@ default policy (``coorm``) composes exactly those stages and reproduces
 Algorithm 4; alternative registered policies swap the queue ordering, the
 backfilling discipline or the sharing rule independently.
 
-What a pass costs: one ``toView`` per non-empty request set and two profile
-merges per application holding started requests, then full-profile work (the
-fits and about a dozen merges) only for applications with a pending
-pre-allocation or non-preemptible request; the others just receive their
-non-preemptive view.  Sharing ``toView``s and fits only non-empty preemptible
-sets and builds one profile per distinct column of partition values.  All of
-this rests on the view algebra returning its operand for ``v + ∅``, ``∅ + v``,
-``v - ∅`` and a no-op ``clip_low``, so the views handed out may share profiles
-between applications and passes: never mutate them.
+What a pass costs: what changed since the previous one.  Steps 1 and 2 of
+the list above are a fold over the applications whose result the scheduler
+keeps between passes -- per application id the
+``(pa_occ, np_occ, overflow_started)`` triple last subtracted, plus the two
+running availabilities.  :func:`~repro.core.toview.started_occupation` hands
+out the *same* occupation object while the fields ``toView`` reads are
+unchanged, so a pass re-folds (adds the old triple back, subtracts the new
+one) only the applications whose occupation object is another one, adds back
+those that left the mapping, and starts over when :meth:`Scheduler.set_capacity`
+replaces the platform.  Heights are integer node counts, so these sums are
+exact and the availabilities are, breakpoint for breakpoint, the ones a
+from-scratch fold yields.  What remains per pass is linear in the *live*
+requests and cheap -- one occupation key per request set, one scan for the
+requests to start -- with full-profile work (the fits and about a dozen
+merges) only for applications with a pending pre-allocation or
+non-preemptible request.  Sharing ``toView``s and fits only non-empty
+preemptible sets and builds one profile per distinct column of partition
+values.  All of this rests on the view algebra returning its operand for
+``v + ∅``, ``∅ + v``, ``v - ∅`` and a no-op ``clip_low``: the views handed
+out share profiles between applications *and passes*, and the kept
+availabilities are such views.  Never mutate them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..obs import hooks as _obs
 from ..policies.base import SchedulingContext
 from ..policies.registry import DEFAULT_POLICY, STRICT_POLICY, resolve_policy
 from .request import Request
 from .request_set import ApplicationRequests
-from .toview import to_view
+from .toview import started_occupation
 from .types import ClusterId, Time
 from .view import View
 
@@ -107,7 +119,17 @@ class ScheduleResult:
 
 
 class Scheduler:
-    """Stateless scheduling engine implementing Algorithm 4.
+    """Scheduling engine implementing Algorithm 4, incremental across passes.
+
+    Between passes the engine keeps the availabilities left by the started
+    requests of the applications it last saw and, per application id, the
+    occupation views it subtracted to get there (see "What a pass costs" in
+    the module docstring).  That state is a cache of what the request sets
+    say, never a second source of truth: :meth:`schedule` reconciles it with
+    the mapping it is given -- any mapping, in any order, including one that
+    shares no application with the previous pass -- before using it, and
+    :meth:`set_capacity` drops it.  It holds one triple of views per
+    application of the last pass and nothing of applications that left.
 
     Parameters
     ----------
@@ -151,9 +173,7 @@ class Scheduler:
                 f"{STRICT_POLICY!r}"
             )
         self.strict_equipartition = self.policy.sharing.name == "strict-eq"
-        # Views are immutable, so the full-platform view is built once and
-        # handed out on every pass (it used to be rebuilt twice per pass).
-        self._full_view = View.constant(self.capacity)
+        self._start_over()
 
     # ------------------------------------------------------------------ #
     def set_capacity(self, capacity: Mapping[ClusterId, int]) -> None:
@@ -169,11 +189,58 @@ class Scheduler:
             if n < 0:
                 raise ValueError(f"cluster {cid!r} cannot have negative capacity")
         self.capacity = updated
-        self._full_view = View.constant(self.capacity)
+        self._start_over()
 
     def full_view(self) -> View:
         """A view offering every node of every cluster forever."""
         return self._full_view
+
+    def _start_over(self) -> None:
+        """Rebuild the full-platform view and forget every folded application."""
+        self._full_view = View.constant(self.capacity)
+        #: Application id -> the ``(pa_occ, np_occ, overflow_started)`` triple
+        #: currently subtracted from the two running availabilities.
+        self._folded: Dict[str, Tuple[View, View, View]] = {}
+        self._available_non_preemptible = self._available_preemptible = self._full_view
+
+    def _unfold(self, app_id: str) -> None:
+        """Hand the resources folded in for *app_id* back to the availabilities."""
+        pa_occ, np_occ, overflow_started = self._folded.pop(app_id)
+        self._available_non_preemptible = (
+            self._available_non_preemptible + pa_occ + overflow_started
+        )
+        self._available_preemptible = self._available_preemptible + np_occ
+
+    def _fold_started(self, applications: Mapping[str, ApplicationRequests]) -> None:
+        """Algorithm 4, lines 1-5, as a delta against the previous pass.
+
+        Afterwards the two running availabilities are the full platform minus
+        what the started requests of exactly *applications* hold.  Only an
+        application whose occupation *object* changed (see
+        :func:`~repro.core.toview.started_occupation`) is re-folded.
+        """
+        folded = self._folded
+        for app_id in [a for a in folded if a not in applications]:
+            self._unfold(app_id)
+        for app_id, requests in applications.items():
+            pa_occ = started_occupation(requests.preallocations)
+            np_occ = started_occupation(requests.non_preemptible)
+            previous = folded.get(app_id)
+            if previous is not None:
+                if previous[0] is pa_occ and previous[1] is np_occ:
+                    continue
+                self._unfold(app_id)
+            # Started non-preemptible requests living outside any
+            # pre-allocation (implicit wrapping) also consume
+            # non-preemptible space.
+            overflow_started = (np_occ - pa_occ).clip_low(0.0)
+            if overflow_started.is_zero():
+                overflow_started = _NOTHING
+            self._available_non_preemptible = (
+                self._available_non_preemptible - pa_occ - overflow_started
+            )
+            self._available_preemptible = self._available_preemptible - np_occ
+            folded[app_id] = (pa_occ, np_occ, overflow_started)
 
     def schedule(
         self,
@@ -192,7 +259,9 @@ class Scheduler:
         result = ScheduleResult(now=now)
         ctx = SchedulingContext(now=now, capacity=self.capacity, usage=usage or {})
         order = self.policy.ordering.order(applications, ctx)
-        if sorted(order) != sorted(applications):
+        # A permutation has as many entries as there are applications and,
+        # as a set, is the applications (so no entry can be there twice).
+        if len(order) != len(applications) or set(order) != applications.keys():
             raise ValueError(
                 f"ordering stage {self.policy.ordering.name!r} did not return "
                 "a permutation of the applications"
@@ -233,27 +302,13 @@ class Scheduler:
                     },
                 )
 
-        # Line 1-2: scratch views start with the whole platform.
-        available_non_preemptible = self.full_view()
-        available_preemptible = self.full_view()
-
-        started_pa_occ: Dict[str, View] = {}
-        started_np_occ: Dict[str, View] = {}
-
-        # Lines 3-5: subtract resources held by started requests.
-        for app_id, requests in applications.items():
-            pa_occ = to_view(requests.preallocations) if requests.preallocations else _NOTHING
-            np_occ = to_view(requests.non_preemptible) if requests.non_preemptible else _NOTHING
-            started_pa_occ[app_id] = pa_occ
-            started_np_occ[app_id] = np_occ
-            available_non_preemptible = available_non_preemptible - pa_occ
-            available_preemptible = available_preemptible - np_occ
-            # Started non-preemptible requests living outside any
-            # pre-allocation (implicit wrapping) also consume
-            # non-preemptible space.
-            overflow_started = (np_occ - pa_occ).clip_low(0.0)
-            if not overflow_started.is_zero():
-                available_non_preemptible = available_non_preemptible - overflow_started
+        # Lines 1-5: the whole platform minus the resources held by started
+        # requests.  The scratch views below are rebound, never mutated, so
+        # the running availabilities survive the pass untouched.
+        self._fold_started(applications)
+        folded = self._folded
+        available_non_preemptible = self._available_non_preemptible
+        available_preemptible = self._available_preemptible
 
         # Lines 6-11: per-application pass, in policy queue order (FCFS =
         # connection order, the paper's conservative back-filling).
@@ -262,8 +317,7 @@ class Scheduler:
         clipped_from = clipped = None  # last clip_low operand and its result
         for app_id in order:
             requests = applications[app_id]
-            pa_occ = started_pa_occ[app_id]
-            np_occ = started_np_occ[app_id]
+            pa_occ, np_occ, _ = folded[app_id]
             pending_pa = requests.preallocations.pending()
             pending_np = requests.non_preemptible.pending()
 
@@ -361,11 +415,10 @@ class Scheduler:
         )
 
         # Lines 13-14: collect requests that must start now.
+        start_by = now + 1e-9
         for requests in applications.values():
-            for r in requests.all_requests():
-                if r.finished() or r.started():
-                    continue
-                if not math.isinf(r.scheduled_at) and r.scheduled_at <= now + 1e-9:
+            for r in requests.scan():
+                if r.scheduled_at <= start_by and r.pending():
                     result.to_start.append(r)
 
         if observing:

@@ -9,6 +9,11 @@ a view.
 
 As in the paper, an optional *available* view limits how many nodes a
 preemptible request may actually hold (its ``n_alloc``).
+
+Without *available* the result is a pure function of the set's members and
+their lifecycle fields, so :func:`started_occupation` computes it once per
+state of a :class:`~repro.core.request_set.RequestSet` and hands out the same
+:class:`View` object until one of those fields changes.
 """
 from __future__ import annotations
 
@@ -17,11 +22,58 @@ from collections import deque
 from typing import Iterable, Optional
 
 from .request import Request
-from .request_set import children_index
+from .request_set import RequestSet, children_index
 from .types import RelatedHow
 from .view import View, ViewBuilder
 
-__all__ = ["to_view"]
+__all__ = ["started_occupation", "to_view"]
+
+#: The occupation of a request set without members.
+_NOTHING = View.empty()
+
+
+def started_occupation(requests: RequestSet) -> View:
+    """``to_view(requests)``, recomputed only when its inputs changed.
+
+    The invalidation rule, stated here and nowhere else: the memo kept on the
+    set is valid while the key below -- every member, in set order, with each
+    field :func:`to_view` reads when no *available* view limits it -- compares
+    equal.  The key is rebuilt from the requests on every call (O(members),
+    no traversal, no profile), so it is sound for callers that mutate requests
+    behind the set's back (``mark_started`` / ``mark_finished`` /
+    ``mark_cancelled``, a changed duration) or the set itself (``add`` /
+    ``remove`` / ``prune_finished``); nobody has to remember a dirty flag.
+    While the key holds, the *same* ``View`` object is returned, which lets
+    the scheduler test "did this application's occupation change" with ``is``.
+
+    A skipped ``to_view`` also skips its side effects (``fixed``,
+    ``scheduled_at`` and ``n_alloc`` on the visited requests, ``fixed``
+    cleared on the others).  They are still in place from the call that
+    filled the memo: ``to_view`` is the only writer of ``fixed`` (and drops
+    the memo when called on the set directly), and
+    :func:`~repro.core.fit.fit` and the backfill stages neither re-place a
+    fixed request nor change the flag.
+    """
+    if not requests:
+        return _NOTHING
+    members = requests.scan()
+    key = [
+        (
+            r.request_id,
+            r.started_at,
+            r.state,
+            r.duration,
+            r.node_count,
+            r.related_how,
+            r.related_to,
+            r.cluster_id,
+        )
+        for r in members
+    ]
+    memo = requests._occupation
+    if memo is None or memo[0] != key:
+        memo = requests._occupation = (key, to_view(members))
+    return memo[1]
 
 
 def to_view(requests, available: Optional[View] = None) -> View:
@@ -41,8 +93,12 @@ def to_view(requests, available: Optional[View] = None) -> View:
     ------------
     Sets ``scheduled_at``, ``n_alloc`` and ``fixed`` on the visited requests
     and clears ``fixed`` on every other request of the set, exactly as
-    Algorithm 1 prescribes.
+    Algorithm 1 prescribes.  Because they may differ from the ones a memoised
+    :func:`started_occupation` left behind, a direct call on a request set
+    drops that set's memo.
     """
+    if isinstance(requests, RequestSet):
+        requests._occupation = None
     request_list = list(requests)
     occupied = ViewBuilder()
 

@@ -8,6 +8,8 @@ from repro.core import (
     eq_schedule,
     max_min_fair,
 )
+from repro.core.eqschedule import _partition_interval, partition_schedule
+from repro.core.profile import StepFunction
 from repro.testing import p_, p_set
 
 
@@ -110,3 +112,42 @@ class TestEqSchedule:
         # Congested: both should be shown a fair share.
         assert views["a"]["c"].value_at(0) == 8
         assert views["b"]["c"].value_at(0) == 8
+
+
+class TestPartitionRows:
+    """``partition`` runs once per distinct (capacity, demands) row."""
+
+    @staticmethod
+    def _share(sets, available):
+        calls = []
+
+        def partition(demands, capacity):
+            calls.append((list(demands), capacity))
+            return _partition_interval(demands, capacity, False)
+
+        return partition_schedule(sets, available, 0.0, partition=partition), calls
+
+    def test_idle_applications_cost_one_call_per_distinct_capacity(self):
+        times = [10.0 * i for i in range(12)]
+        available = View({"c": StepFunction(times, [7, 8] * 6)})
+        views, calls = self._share({"a": p_set(), "b": p_set(), "c": p_set()}, available)
+        # The full demand vector every time, idle applications included.
+        assert sorted(calls) == [([0, 0, 0], 7), ([0, 0, 0], 8)]
+        assert views["b"]["c"] == available["c"]
+        assert views["a"]["c"] is views["c"]["c"]
+
+    def test_rows_are_told_apart_by_the_demands_of_busy_applications(self):
+        available = View({"c": StepFunction([0.0, 10.0, 20.0, 30.0], [8, 6, 8, 6])})
+        busy = p_set(p_request(8, duration=15.0))
+        views, calls = self._share({"idle": p_set(), "busy": busy}, available)
+        # Five intervals (the request, shrunk to 6 nodes, ends at 15), four
+        # distinct rows: capacity 6 without demand occurs at 15 and at 30.
+        assert views["idle"]["c"].times == (0.0, 10.0, 15.0, 20.0, 30.0)
+        assert sorted(calls) == [([0, 0], 6), ([0, 0], 8), ([0, 6], 6), ([0, 6], 8)]
+        assert views["idle"]["c"].value_at(0.0) == 4
+        assert views["idle"]["c"].value_at(25.0) == 8
+
+    def test_all_zero_demands_show_everyone_the_whole_capacity(self):
+        assert _partition_interval([0, 0, 0], 5, False) == [5, 5, 5]
+        assert _partition_interval([0, 0, 0], 0, False) == [0, 0, 0]
+        assert _partition_interval([0, 0, 0], 5, True) == [1, 1, 1]

@@ -145,6 +145,19 @@ class TestSchedulerPolicyIntegration:
         with pytest.raises(ValueError, match="permutation"):
             scheduler.schedule({"a": app_with(app_id="a")}, now=0.0)
 
+    @pytest.mark.parametrize(
+        "order",
+        [["a"], ["a", "a"], ["a", "b", "b"], ["a", "c"], []],
+        ids=["dropped", "duplicated", "extra", "unknown", "empty"],
+    )
+    def test_ordering_that_drops_or_duplicates_an_id_is_rejected(self, order):
+        bad = get_policy("coorm")
+        bad.ordering.order = lambda apps, ctx: order
+        scheduler = Scheduler({"c0": 8}, policy=bad)
+        applications = {"a": app_with(app_id="a"), "b": app_with(app_id="b")}
+        with pytest.raises(ValueError, match="'fcfs' did not return a permutation"):
+            scheduler.schedule(applications, now=0.0)
+
     def test_scheduler_accepts_policy_name_and_mapping(self):
         assert Scheduler({"c0": 8}, policy="easy").policy.backfill.name == "easy"
         assert (

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 
@@ -65,6 +66,53 @@ class TestSessions:
         assert request.finished()
         with pytest.raises(SessionError):
             rms.submit("a", Request("cluster0", 1, 10, RequestType.NON_PREEMPTIBLE))
+
+
+    def test_a_pass_walks_only_the_live_sessions(self):
+        """500 applications came and went: the next pass must not see them."""
+        sim, _, rms = make_env()
+        stayer = RecordingApp("stayer")
+        rms.connect(stayer, "stayer")
+        for i in range(500):
+            name = f"job{i}"
+            rms.connect(RecordingApp(name), name)
+            rms.submit(name, Request("cluster0", 2, 5.0, RequestType.NON_PREEMPTIBLE))
+            sim.run()
+            if i % 2:
+                rms.disconnect(name)
+            else:
+                rms.kill(name, "test")
+        sim.run()
+        assert len(rms.sessions) == 501 and not rms.sessions["job7"].alive
+        assert [s.app_id for s in rms.connected_sessions()] == ["stayer"]
+
+        walked = []
+
+        class Spy(dict):
+            def values(self):
+                walked.append("sessions")
+                return super().values()
+
+        rms.sessions = Spy(rms.sessions)
+        with mock.patch.object(
+            type(rms.scheduler), "schedule", autospec=True, side_effect=type(rms.scheduler).schedule
+        ) as schedule:
+            rms.connect(RecordingApp("late"), "late")
+            sim.run()
+        assert walked == []
+        passes = [list(call.args[1]) for call in schedule.call_args_list]
+        assert passes and all(apps == ["stayer", "late"] for apps in passes)
+
+    def test_a_dead_app_id_may_reconnect(self):
+        sim, _, rms = make_env()
+        rms.connect(RecordingApp("a"), "a")
+        rms.connect(RecordingApp("b"), "b")
+        rms.disconnect("a")
+        again = rms.connect(RecordingApp("a"), "a")
+        sim.run()
+        assert rms.sessions["a"] is again
+        # Connection order: the new session of "a" came after "b".
+        assert [s.app_id for s in rms.connected_sessions()] == ["b", "a"]
 
 
 class TestRequestLifecycle:

@@ -1,11 +1,16 @@
 """Unit tests of the main scheduling algorithm (paper Algorithm 4)."""
 from __future__ import annotations
 
+import contextlib
 import math
+from unittest import mock
 
 import pytest
 
+import repro.core.eqschedule as eqschedule
+import repro.core.toview as toview
 from repro.core import RelatedHow, Scheduler
+from repro.core.profile import StepFunction
 from repro.testing import app_with, np_, p_, pa
 
 
@@ -139,3 +144,68 @@ class TestOrderingAndBackfilling:
     def test_repr_mentions_mode(self):
         assert "strict" in repr(Scheduler({"c0": 4}, strict_equipartition=True))
         assert "filling" in repr(Scheduler({"c0": 4}))
+
+
+@contextlib.contextmanager
+def _counting():
+    """Count the calls a pass makes into its four expensive primitives."""
+    counts = {"to_view": 0, "merges": 0, "value_at": 0, "partition": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for owner, attribute, name in (
+            (toview, "to_view", "to_view"),
+            (eqschedule, "to_view", "to_view"),
+            (StepFunction, "_combine", "merges"),
+            (StepFunction, "value_at", "value_at"),
+            (eqschedule, "_partition_interval", "partition"),
+        ):
+            wrapper = counted(name, getattr(owner, attribute))
+            stack.enter_context(mock.patch.object(owner, attribute, wrapper))
+        yield counts
+
+
+class TestAPassCostsWhatChanged:
+    """Work counts, not timings: what a pass redoes must not depend on how
+    many applications are merely running."""
+
+    @staticmethod
+    def _second_and_third_pass(n_running):
+        scheduler = Scheduler({"c0": 2 * n_running})
+        applications = {}
+        for i in range(n_running):
+            running = np_(1, duration=100.0)
+            running.mark_started(0.0)
+            applications[f"run{i}"] = app_with(running, app_id=f"run{i}")
+        scheduler.schedule(applications, now=0.0)
+        applications["new"] = app_with(np_(1, duration=50.0), app_id="new")
+        with _counting() as second:
+            result = scheduler.schedule(applications, now=1.0)
+        assert [r.app_id for r in result.to_start] == ["new"]
+        assert result.non_preemptive_views["new"]["c0"].value_at(1.0) == n_running
+        with _counting() as third:  # nothing at all changed
+            scheduler.schedule(applications, now=1.0)
+        return second, third
+
+    def test_one_submit_costs_the_same_among_10_and_80_running_applications(self):
+        few, few_unchanged = self._second_and_third_pass(10)
+        many, many_unchanged = self._second_and_third_pass(80)
+        assert few == many
+        assert few_unchanged == many_unchanged
+        # One toView (the submitted set) and the merges of one fit.
+        assert few["to_view"] == 1
+        assert 0 < few["merges"] <= 8
+        # Sharing: one row per breakpoint of the availability, and nothing
+        # evaluated for applications without a preemptible request.
+        assert 0 < few["partition"] <= 3
+        assert few["value_at"] <= 3 + few["partition"]
+
+    def test_a_pass_without_any_change_runs_no_to_view(self):
+        _, unchanged = self._second_and_third_pass(10)
+        assert unchanged["to_view"] == 0
