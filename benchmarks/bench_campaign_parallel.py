@@ -1,7 +1,9 @@
 """Benchmark of parallel campaign execution (worker-count scaling).
 
 Runs one fixed campaign (a single-simulation scenario, many replicates) at
-several worker counts and reports the wall-clock speed-up.  Every run is an
+several worker counts and reports the wall-clock speed-up: one worker is the
+in-process serial loop, more are ``repro.dist`` worker processes on pipes
+(the ``ipc`` transport).  Every run is an
 independent simulation, so the campaign is embarrassingly parallel and the
 speed-up should be near-linear until the machine runs out of cores; the
 scaling assertion therefore only applies when enough physical cores exist.
@@ -70,8 +72,8 @@ def test_scaling_report(benchmark):
     cores = os.cpu_count() or 1
     for workers in WORKER_COUNTS:
         if workers == 1 or cores < 2 * workers:
-            # Without enough physical headroom the pool can only add
-            # process-startup overhead; report, don't assert.
+            # Without enough physical headroom more workers only add
+            # process start-up and lease round trips; report, don't assert.
             continue
         speedup = serial / timings[workers]
         assert speedup > 0.6 * workers, (

@@ -1,4 +1,4 @@
-"""Dispatch-overhead benchmarks for the distributed campaign backend.
+"""Dispatch-overhead benchmarks for the campaign execution tier (``repro.dist``).
 
 The dist tier (issue 10) must not tax the campaigns it coordinates: a
 no-op run unit should clear the coordinator -- batched lease round trip,
@@ -10,8 +10,8 @@ start-up, is what the clock sees:
 * **Thread-transport dispatch** -- the in-process loopback is the pure
   protocol cost (no serialisation across a kernel boundary beyond the
   JSON frames themselves).
-* **IPC-transport dispatch** -- one subprocess per worker over pipes: the
-  transport ROADMAP item 2 wants to replace the multiprocessing pool with.
+* **IPC-transport dispatch** -- one subprocess per worker over pipes: what
+  every local ``campaign run --workers N`` goes through.
 * **TCP-transport dispatch** -- the full socket path with length-prefixed
   frames, ``select``-driven polling and per-client receive buffers.
 

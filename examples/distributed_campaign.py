@@ -4,19 +4,20 @@
 The distributed walk-through, one layer above plain campaign runs (for
 which see ``quickstart.py``):
 
-1. **run** a small two-scenario campaign with the in-process pool backend
-   (``workers=1``), producing the reference ``runs.jsonl``;
-2. **serve** the same campaign from a dist coordinator bound to an
-   ephemeral TCP port, with two standalone worker processes connecting
-   over length-prefixed JSON frames -- the exact setup ``python -m repro
-   dist coordinator`` / ``dist worker`` gives you across machines;
+1. **run** a small two-scenario campaign in-process (``workers=1``, the
+   serial loop), producing the reference ``runs.jsonl``;
+2. **serve** the same campaign from a coordinator bound to an ephemeral
+   TCP port, with two standalone worker processes connecting over
+   length-prefixed JSON frames -- the exact setup ``python -m repro
+   campaign run --transport tcp --bind HOST:PORT --workers 0`` and ``dist
+   worker`` give you across machines;
 3. **verify** the two stores row for row: per-run seeds come from
    ``derive_seed`` and records are canonically ordered before persist,
    so distribution must change *nothing* -- the files are byte-identical.
 
-The same campaign runs through ``python -m repro campaign run --backend
-dist --transport tcp --dist-workers 2``; this script uses the library
-API so the coordinator/worker split is visible.
+The same campaign runs through ``python -m repro campaign run --transport
+tcp --workers 2`` (or, over pipes, just ``--workers 2``); this script uses
+the library API so the coordinator/worker split is visible.
 
 Run with::
 

@@ -14,7 +14,9 @@ Commands::
 one JSON-lines record per run under the results directory (``results/`` by
 default, or ``--results-dir`` / the ``REPRO_RESULTS_DIR`` variable).  Runs
 are deterministic: the same spec writes byte-identical records regardless of
-the worker count.  The top-level parser that dispatches this group next to
+the worker count and of how the workers are reached (``--workers N``: local
+pipes; ``--transport tcp --bind HOST:PORT``: ``dist worker`` processes on any
+host as well).  The top-level parser that dispatches this group next to
 ``trace``, ``policy`` and ``federation`` lives in :mod:`repro.__main__`;
 ``build_parser``/``main`` are kept here as aliases for callers that predate
 the centralised dispatch.
@@ -26,6 +28,8 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+from ..dist.coordinator import DistConfig
+from ..dist.transport import TRANSPORT_NAMES, parse_endpoint
 from ..federation.routing import make_routing
 from ..metrics.report import format_comparison, format_table
 from ..obs.logsetup import get_logger
@@ -62,7 +66,8 @@ def add_campaign_commands(commands: argparse._SubParsersAction) -> None:
     )
     run.add_argument(
         "--workers", type=int, default=None,
-        help="parallel worker processes (default: the spec's worker count)",
+        help="worker processes to launch (default: the spec's worker count; 1 "
+        "runs in this process; 0 on tcp serves only workers that connect)",
     )
     run.add_argument(
         "--scale", choices=SCALE_NAMES, default=None,
@@ -104,31 +109,35 @@ def add_campaign_commands(commands: argparse._SubParsersAction) -> None:
         "field, aggregated by 'campaign report')",
     )
     run.add_argument(
-        "--backend", choices=("pool", "dist"), default="pool",
-        help="execution backend: the in-host multiprocessing pool, or the "
-        "coordinator/worker service (identical store rows either way)",
+        "--transport", choices=TRANSPORT_NAMES, default=None,
+        help="how workers are reached: subprocess pipes (ipc, the default "
+        "whenever more than one worker is asked for), TCP sockets (tcp, which "
+        "also accepts 'dist worker' processes) or in-thread loopback (thread)",
     )
     run.add_argument(
-        "--transport", choices=("thread", "ipc", "tcp"), default="thread",
-        help="dist backend transport: in-thread loopback, subprocess pipes "
-        "or TCP sockets (default thread)",
+        "--bind", default=DistConfig.bind, metavar="HOST:PORT",
+        help="tcp transport: the endpoint to serve workers on (default: "
+        "%(default)s, a free port that is logged when the run starts)",
     )
+    # Accepted for one more release: --backend selects nothing any more and
+    # --dist-workers is read as --workers.
     run.add_argument(
-        "--dist-workers", type=int, default=None, metavar="N",
-        help="dist backend worker count (defaults to --workers)",
+        "--backend", choices=("pool", "dist"), default=None, help=argparse.SUPPRESS
     )
+    run.add_argument("--dist-workers", type=int, default=None, help=argparse.SUPPRESS)
     run.add_argument(
         "--resume", action="store_true",
         help="skip runs whose idempotency key already has a store row "
-        "(works on both backends; implies --append)",
+        "(implies --append)",
     )
     run.add_argument(
         "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
-        help="dist backend: lease expiry without completion or heartbeat",
+        help="seconds before a worker's lease expires without completion "
+        "or heartbeat",
     )
     run.add_argument(
         "--dist-kill-after", default=None, metavar="IDX:N[,IDX:N...]",
-        help="chaos (testing): kill dist worker IDX after its Nth lease",
+        help="chaos (testing): kill launched worker IDX after its Nth lease",
     )
 
     listing = actions.add_parser("list", help="list stored campaigns")
@@ -254,32 +263,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    dist_config = None
-    workers = args.workers
-    if args.backend == "dist":
-        from ..dist.coordinator import DistConfig
-
-        try:
-            kills = _parse_kill_spec(args.dist_kill_after)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        dist_config = DistConfig(
-            transport=args.transport,
-            lease_ttl=args.lease_ttl,
-            kill_after_leases=kills,
-        )
-        if args.dist_workers is not None:
-            workers = args.dist_workers
-
+    workers = args.workers if args.dist_workers is None else args.dist_workers
+    if workers is None:
+        workers = spec.workers
     try:
+        parse_endpoint(args.bind)
+        config = DistConfig(
+            bind=args.bind,
+            lease_ttl=args.lease_ttl,
+            kill_after_leases=_parse_kill_spec(args.dist_kill_after),
+        )
+        if args.transport is not None:
+            config.transport = args.transport
+        # One worker and no transport named is the runner's in-process loop,
+        # which leases nothing: it gets no coordinator options.
+        coordinated = args.transport is not None or workers != 1
         result = runner.run(
             workers=workers,
             append=args.append,
             backend=args.backend,
             resume=args.resume,
-            dist=dist_config,
+            dist=config if coordinated else None,
         )
+    except ValueError as exc:  # bad kill spec, endpoint or worker count: nothing ran
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CampaignInterrupted as exc:
         partial = exc.result
         print(
@@ -294,7 +302,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(
         f"campaign {spec.name!r}: {len(result.records)} runs{skipped} in "
         f"{result.elapsed_seconds:.2f}s with {result.workers} "
-        f"{result.backend} worker(s) -> {result.store_path}"
+        f"{result.transport} worker(s) -> {result.store_path}"
     )
     return 0
 

@@ -1,9 +1,10 @@
 """Parallel, deterministic execution of campaigns.
 
-The runner fans the (scenario x replicate) grid of a
-:class:`~repro.campaign.spec.CampaignSpec` out over a
-:mod:`multiprocessing` pool.  Reproducibility is guaranteed by
-construction:
+The runner executes the (scenario x replicate) grid of a
+:class:`~repro.campaign.spec.CampaignSpec` in a loop on the calling thread
+when one worker is asked for, and otherwise on :mod:`repro.dist` workers:
+subprocesses over pipes (``ipc``) locally, ``tcp`` across hosts.
+Reproducibility is guaranteed by construction:
 
 * the seed of every run is ``derive_seed(root_seed, scenario.name,
   replicate)`` -- a pure function of the spec, independent of worker count
@@ -13,20 +14,21 @@ construction:
   order before they are persisted.
 
 Consequently ``workers=1`` and ``workers=N`` produce byte-identical run
-records, which the integration tests assert.
+records on every transport, which the integration tests assert.
 """
 from __future__ import annotations
 
-import multiprocessing
 import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
+from ..core.errors import ReproError
 from ..obs import EventTracer, MetricsRegistry, PhaseProfiler, observe
+from ..obs.logsetup import get_logger
 from ..sim.randomness import derive_seed
 from . import builtin  # noqa: F401  (registers the built-in runners)
 from .registry import consume_provenance, get_runner
@@ -39,12 +41,14 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "CampaignInterrupted",
-    "BACKEND_NAMES",
+    "CampaignFailed",
     "trace_filename",
 ]
 
-#: The registered execution backends of :meth:`CampaignRunner.run`.
-BACKEND_NAMES: Tuple[str, ...] = ("pool", "dist")
+_LOG = get_logger("campaign")
+
+#: What the retired ``backend=`` keyword of :meth:`CampaignRunner.run` accepts.
+_LEGACY_BACKENDS = ("pool", "dist")
 
 #: Progress callback: called with (completed, total, record) per finished run.
 ProgressFn = Callable[[int, int, Mapping], None]
@@ -81,17 +85,20 @@ class CampaignResult:
     spec: CampaignSpec
     records: List[Dict]
     elapsed_seconds: float
+    #: Workers launched: 1 on the serial loop, else ``min(asked, open units)``.
     workers: int
     store_path: Optional[str] = None
-    #: Execution backend that produced the records (``pool`` or ``dist``).
-    backend: str = "pool"
+    #: What ran the units: ``serial`` | ``thread`` | ``ipc`` | ``tcp``.
+    transport: str = "serial"
     #: True when the execution was interrupted and drained early; the
     #: records then cover only the completed prefix of the grid.
     interrupted: bool = False
     #: Runs skipped by ``--resume`` (idempotency key already in the store).
     skipped: int = 0
-    #: Flat ``dist_*`` counters of the distributed backend (``None`` on pool).
+    #: Flat ``dist_*`` counters of the coordinator (``None`` on ``serial``).
     dist_stats: Optional[Dict] = None
+    #: Units that failed terminally: idempotency key -> last error message.
+    failed: Dict[str, str] = field(default_factory=dict)
 
     def metrics_of(self, scenario: str, replicate: int = 0) -> Dict:
         for record in self.records:
@@ -113,6 +120,25 @@ class CampaignInterrupted(RuntimeError):
         super().__init__(
             f"campaign {result.spec.name!r} interrupted after "
             f"{len(result.records)} of its runs"
+        )
+        self.result = result
+
+
+class CampaignFailed(ReproError):
+    """Some units failed terminally; the rest completed and were flushed.
+
+    The partial :class:`CampaignResult` rides along, exactly as on an
+    interrupt; re-running with ``--resume`` executes only the failed units.
+    """
+
+    def __init__(self, result: "CampaignResult"):
+        shown = [f"{key} ({error})" for key, error in list(result.failed.items())[:3]]
+        if len(result.failed) > len(shown):
+            shown.append(f"and {len(result.failed) - len(shown)} more")
+        super().__init__(
+            f"campaign {result.spec.name!r}: {len(result.failed)} unit(s) failed: "
+            f"{'; '.join(shown)}; {len(result.records)} completed run(s) kept, "
+            "re-run with --resume to retry the rest"
         )
         self.result = result
 
@@ -140,18 +166,6 @@ def _sigterm_as_interrupt():
         signal.signal(signal.SIGTERM, previous)
 
 
-def _pool_worker_init() -> None:
-    """Pool workers must not inherit the parent's interrupt handling.
-
-    Ignoring SIGINT lets a terminal ^C (delivered to the whole process
-    group) interrupt only the parent, which then drains and terminates the
-    pool deliberately; restoring SIGTERM's default keeps that termination
-    quiet.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
 def trace_filename(scenario: str, replicate: int) -> str:
     """Canonical trace file name of one run (pure function of the task)."""
     return f"{scenario}_r{replicate}.trace.jsonl"
@@ -167,7 +181,7 @@ def _resolve_slo(name: str):
 
 
 def _execute_task(task: RunTask) -> Dict:
-    """Run one task in the current process (also the pool worker body)."""
+    """Run one task in the current process (the serial loop and every worker)."""
     runner = get_runner(task.scenario.runner)
     consume_provenance()  # drop leftovers from any previous run
     observing = task.collect_obs or bool(task.trace_dir) or bool(task.slo_spec)
@@ -192,9 +206,9 @@ def _execute_task(task: RunTask) -> Dict:
         "runner": task.scenario.runner,
         "scale": task.scenario.scale,
         "metrics": metrics,
-        # The unit's idempotency key: what --resume and the distributed
-        # backend deduplicate against.  A pure function of the task, so it
-        # never perturbs byte-identity across backends or worker counts.
+        # The unit's idempotency key: what --resume and the coordinator
+        # deduplicate against.  A pure function of the task, so it never
+        # perturbs byte-identity across transports or worker counts.
         "unit": unit_key(task),
     }
     # Workload provenance (trace fingerprint, model parameters, transform
@@ -276,67 +290,54 @@ class CampaignRunner:
         self,
         workers: Optional[int] = None,
         append: bool = False,
-        backend: str = "pool",
+        backend: Optional[str] = None,
         resume: bool = False,
         dist=None,
     ) -> CampaignResult:
         """Execute every task and return (and optionally persist) the records.
 
-        *workers* overrides the spec's worker count.  Results stream through
-        the progress callback as they complete (arbitrary order), but the
-        returned and persisted records are always canonically ordered --
-        byte-identical across worker counts **and backends**.
+        *workers* overrides the spec's worker count.  One worker and no
+        *dist* runs the units on the calling thread; anything else runs them
+        through :mod:`repro.dist` as *dist* says (a
+        :class:`~repro.dist.coordinator.DistConfig`; default: ``ipc``), where
+        ``workers=0`` on ``tcp`` serves external workers only.  Results
+        stream through the progress callback as they complete, but the
+        returned and persisted records are canonically ordered --
+        byte-identical across worker counts **and transports**.  *resume*
+        skips every run whose idempotency key already has a store row and
+        implies ``append``; *backend*, once the pool/dist selector, is
+        checked and ignored.
 
-        *backend* selects the execution tier: ``pool`` (the in-host
-        multiprocessing pool) or ``dist`` (the coordinator/worker service of
-        :mod:`repro.dist`; *dist* optionally carries its
-        :class:`~repro.dist.coordinator.DistConfig`, and ``workers=0`` serves
-        external workers only).  *resume* skips every run whose idempotency
-        key already has a store row and implies ``append``.
-
-        ``SIGINT``/``SIGTERM`` interrupt gracefully on both backends:
-        in-flight runs drain, completed records flush to the store, and
-        :class:`CampaignInterrupted` (carrying the partial result) is raised.
+        ``SIGINT``/``SIGTERM`` interrupt gracefully: in-flight runs drain,
+        completed records flush to the store, and :class:`CampaignInterrupted`
+        (carrying the partial result) is raised.  A unit that fails
+        terminally does not stop the others; :class:`CampaignFailed` is
+        raised the same way once they are flushed.
         """
-        if backend not in BACKEND_NAMES:
+        if backend is not None and backend not in _LEGACY_BACKENDS:
             raise ValueError(
-                f"unknown backend {backend!r}; known backends: {list(BACKEND_NAMES)}"
+                f"unknown backend {backend!r}; the retired keyword accepts only "
+                f"{list(_LEGACY_BACKENDS)} and ignores both"
             )
         workers = self.spec.workers if workers is None else workers
-        if workers <= 0 and not (backend == "dist" and workers == 0):
-            raise ValueError("workers must be positive")
-        tasks = self.tasks()
-
-        completed_keys: Set[str] = set()
+        tasks = pending = self.tasks()
         if resume:
             append = True  # resumption always extends the existing rows
             if self.store is not None:
-                completed_keys = self.store.completed_unit_keys(self.spec.name)
+                done = self.store.completed_unit_keys(self.spec.name)
+                pending = [task for task in tasks if unit_key(task) not in done]
 
         started = time.perf_counter()
-        interrupted = False
-        skipped = 0
-        dist_stats: Optional[Dict] = None
         with _sigterm_as_interrupt():
-            if backend == "dist":
-                records, skipped, dist_stats, interrupted = self._run_dist(
-                    tasks, workers, completed_keys, dist
-                )
+            if workers == 1 and dist is None:
+                result = self._run_serial(pending)
             else:
-                if completed_keys:
-                    pending = [t for t in tasks if unit_key(t) not in completed_keys]
-                    skipped = len(tasks) - len(pending)
-                else:
-                    pending = tasks
-                workers = min(workers, len(pending)) or 1
-                records, interrupted = self._run_pool(pending, workers)
-        elapsed = time.perf_counter() - started
+                result = self._run_coordinated(pending, workers, dist)
+        elapsed = result.elapsed_seconds = time.perf_counter() - started
+        result.skipped = len(tasks) - len(pending)
 
-        order = {
-            variant.name: i
-            for i, (variant, _base) in enumerate(self.spec.expanded_scenarios())
-        }
-        records.sort(key=lambda r: (order[r["scenario"]], r["replicate"]))
+        # Both paths hand the records back in task order, which is canonical.
+        records = result.records
 
         # Per-run wall-clock phase breakdowns are non-deterministic: pop
         # them off the records (they must never reach runs.jsonl) and
@@ -348,7 +349,6 @@ class CampaignRunner:
             if phases:
                 profiler.merge(phases)
 
-        store_path: Optional[str] = None
         if self.store is not None:
             # Time the run-file write through the store's own hook so the
             # breakdown in meta.json includes it (meta.json itself is then
@@ -356,113 +356,72 @@ class CampaignRunner:
             with observe(profiler=profiler):
                 self.store.save_campaign(self.spec, records, append=append)
             meta = {
-                "workers": workers,
-                "backend": backend,
+                "workers": result.workers,
+                "transport": result.transport,
                 "elapsed_seconds": elapsed,
                 "run_count": len(records),
-                "interrupted": interrupted,
-                "skipped": skipped,
+                "interrupted": result.interrupted,
+                "skipped": result.skipped,
                 "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                 "phase_seconds": profiler.snapshot(),
             }
-            if dist_stats is not None:
+            if result.dist_stats is not None:
                 # Runtime distribution counters are non-deterministic under
                 # retries and kills; they belong in meta.json, never in the
                 # byte-stable runs.jsonl.
-                meta["dist"] = dist_stats
-            store_path = str(
+                meta["dist"] = result.dist_stats
+            result.store_path = str(
                 self.store.save_campaign(self.spec, [], meta=meta, append=True)
             )
 
-        result = CampaignResult(
-            spec=self.spec,
-            records=records,
-            elapsed_seconds=elapsed,
-            workers=workers,
-            store_path=store_path,
-            backend=backend,
-            interrupted=interrupted,
-            skipped=skipped,
-            dist_stats=dist_stats,
-        )
-        if interrupted:
+        if result.interrupted:
             raise CampaignInterrupted(result)
+        if result.failed:
+            raise CampaignFailed(result)
         return result
 
     # ------------------------------------------------------------------ #
-    # Backends
+    # The two execution paths
     # ------------------------------------------------------------------ #
-    def _run_pool(
-        self, tasks: List[RunTask], workers: int
-    ) -> Tuple[List[Dict], bool]:
-        """The classic in-host backend: serial loop or multiprocessing pool.
+    def _run_serial(self, tasks: List[RunTask]) -> CampaignResult:
+        """Run the units one after another on the calling thread.
 
-        Returns ``(records, interrupted)``; on interrupt the records cover
-        every run that completed before the interrupt arrived.
+        Same-thread on purpose: span and obs recorders installed by the
+        caller (the ledger's traced passes, the tests) see every run.
         """
-        completed = 0
-        interrupted = False
-        records: List[Dict] = []
-        if workers == 1:
-            try:
-                for task in tasks:
-                    record = _execute_task(task)
-                    records.append(record)
-                    completed += 1
-                    if self.progress is not None:
-                        self.progress(completed, len(tasks), record)
-            except KeyboardInterrupt:
-                interrupted = True
-        else:
-            # Worker processes import this module afresh (under spawn) or
-            # inherit it (under fork); either way the built-in runners are
-            # registered by the module import above before tasks execute.
-            with multiprocessing.Pool(
-                processes=workers, initializer=_pool_worker_init
-            ) as pool:
+        result = CampaignResult(self.spec, [], 0.0, workers=1)
+        try:
+            for task in tasks:
                 try:
-                    for record in pool.imap_unordered(
-                        _execute_task, tasks, chunksize=1
-                    ):
-                        records.append(record)
-                        completed += 1
-                        if self.progress is not None:
-                            self.progress(completed, len(tasks), record)
-                except KeyboardInterrupt:
-                    # The with-block exit terminates the pool; everything
-                    # already collected is kept and flushed.
-                    interrupted = True
-        return records, interrupted
+                    record = _execute_task(task)
+                except Exception as exc:  # noqa: BLE001 - reported once the rest ran
+                    _LOG.debug("unit %s failed", unit_key(task), exc_info=True)
+                    result.failed[unit_key(task)] = f"{type(exc).__name__}: {exc}"
+                    continue
+                result.records.append(record)
+                if self.progress is not None:
+                    self.progress(len(result.records), len(tasks), record)
+        except KeyboardInterrupt:
+            result.interrupted = True
+        return result
 
-    def _run_dist(
-        self,
-        tasks: List[RunTask],
-        workers: int,
-        completed_keys: Set[str],
-        dist,
-    ) -> Tuple[List[Dict], int, Dict, bool]:
-        """The distributed backend: a coordinator/worker run via repro.dist.
+    def _run_coordinated(self, tasks: List[RunTask], workers: int, dist) -> CampaignResult:
+        """Run the units on workers that lease them from a coordinator.
 
-        Imported lazily so the campaign layer stays loadable without the
-        distribution tier (and free of an import cycle: repro.dist imports
-        this module for ``_execute_task``).
+        Imported lazily: :mod:`repro.dist` imports this module for
+        ``_execute_task``.
         """
-        from ..dist.coordinator import Coordinator, DistConfig
+        from ..dist.coordinator import Coordinator
 
-        config = dist if dist is not None else DistConfig()
-        coordinator = Coordinator(
-            tasks, config, progress=self.progress, completed_keys=completed_keys
-        )
+        coordinator = Coordinator(tasks, dist, progress=self.progress)
         outcome = coordinator.run(workers)
-        if outcome.failed and not outcome.interrupted:
-            preview = ", ".join(outcome.failed[:3])
-            raise RuntimeError(
-                f"{len(outcome.failed)} campaign unit(s) failed terminally "
-                f"after {config.max_attempts} attempt(s) each: {preview}"
-            )
-        return (
+        return CampaignResult(
+            self.spec,
             outcome.records,
-            len(outcome.skipped),
-            dict(outcome.stats),
-            outcome.interrupted,
+            0.0,
+            workers=outcome.workers,
+            transport=coordinator.config.transport,
+            interrupted=outcome.interrupted,
+            dist_stats=dict(outcome.stats),
+            failed=outcome.failed,
         )

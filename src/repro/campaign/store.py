@@ -184,7 +184,7 @@ class ResultStore:
     def completed_unit_keys(self, name: str) -> Set[str]:
         """Idempotency keys of every run already stored for a campaign.
 
-        The backbone of ``campaign run --resume`` on both backends: a task
+        The backbone of ``campaign run --resume`` on every transport: a task
         whose :func:`~repro.campaign.units.unit_key` is in this set already
         has a byte-final store row and is skipped.  Campaigns without any
         rows (or written before the ``unit`` field existed) yield an empty

@@ -1,17 +1,18 @@
-"""Distributed campaign execution: coordinator/worker runs over RPC.
+"""The campaign execution tier: coordinator/worker runs over RPC.
 
-The execution tier that scales campaigns past one multiprocessing pool:
-a :class:`~repro.dist.coordinator.Coordinator` owns an in-memory
+Every campaign that asks for more than one worker runs here, on one host or
+many: a :class:`~repro.dist.coordinator.Coordinator` owns an in-memory
 :class:`~repro.dist.workqueue.WorkQueue` of run units and serves pull-based
-workers over one of three interchangeable transports (in-thread loopback,
-subprocess pipes, TCP with length-prefixed JSON frames).  Determinism is
-preserved end to end: leases interleave freely, but results are keyed by
-idempotency key and reassembled in canonical order, so store rows are
-byte-identical to a serial run at any worker count.
+workers over one of three interchangeable transports -- subprocess pipes
+(``ipc``, the local default), TCP with length-prefixed JSON frames (``tcp``,
+which workers on other hosts can join) and an in-thread loopback
+(``thread``, the rung the protocol tests drive).  Determinism is preserved
+end to end: leases interleave freely, but results are keyed by idempotency
+key and reassembled in canonical order, so store rows are byte-identical to
+a serial run at any worker count.
 
-Entry points: ``campaign run --backend dist`` (embedded coordinator +
-launched workers) and the ``python -m repro dist`` command group
-(standalone coordinator, external TCP workers, live status).
+Entry points: ``campaign run --workers N [--transport tcp --bind HOST:PORT]``
+and, to join or query a tcp coordinator, ``python -m repro dist worker|status``.
 """
 from .coordinator import Coordinator, DistConfig, DistOutcome
 from .transport import TRANSPORT_NAMES, ChannelClosed, make_transport

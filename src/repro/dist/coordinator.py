@@ -11,15 +11,17 @@ The protocol (spelled out in :mod:`repro.dist.worker`) costs one request
 and one reply per *batch*: a ``lease`` request reports what the worker
 finished and asks for more, and the reply grants about one
 ``poll_interval`` of work (:meth:`Coordinator._grant_limit`), so fast units
-travel hundreds per message and slow ones singly.  Nothing a peer sends is
-trusted: a malformed message costs that peer its connection (and its
-leases, which are re-granted), never the campaign.
+travel hundreds per message and slow ones singly.  A request that finds
+nothing leasable is *parked* -- answered once a unit is (a reclaim, a backoff
+run out) or the campaign stops -- so an idle worker sends only heartbeats.
+Nothing a peer sends is trusted: a malformed message costs that peer its
+connection (and its leases, which are re-granted), never the campaign.
 
 Determinism contract: the coordinator collects result records keyed by
 their canonical unit *index*, so however leases interleave across workers,
 :meth:`Coordinator.run` returns records in exactly the order the serial
 runner would produce them.  The store-row bytes are therefore identical to
-a pool run by construction; the integration suite checks this across all
+a serial run by construction; the integration suite checks this across all
 three transports at one and four workers.
 
 Queue, dispatch and ack events are traced on an :class:`EventTracer`
@@ -29,6 +31,7 @@ campaigns are inspectable with the same obs tooling as everything else.
 """
 from __future__ import annotations
 
+import signal
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -54,7 +57,7 @@ class DistConfig:
     """Tuning knobs of one distributed campaign execution."""
 
     #: Transport backend: ``thread`` | ``ipc`` | ``tcp``.
-    transport: str = "thread"
+    transport: str = "ipc"
     #: TCP bind endpoint (``host:port``; port 0 picks a free port).
     bind: str = "127.0.0.1:0"
     #: Seconds a lease stays valid without completion or heartbeat.
@@ -84,12 +87,12 @@ class DistOutcome:
     records: List[Dict]
     #: Flat ``dist_*`` counters + unit state counts (queue snapshot).
     stats: Dict[str, object]
-    #: Unit keys that failed terminally (max attempts exhausted).
-    failed: List[str]
-    #: Unit keys skipped up front (already present in the store).
-    skipped: List[str]
+    #: Units that failed terminally (max attempts exhausted): key -> last error.
+    failed: Dict[str, str]
     #: True when the run was interrupted and drained early.
     interrupted: bool
+    #: Workers this run launched itself: ``min(asked, units to grant)``.
+    workers: int
 
 
 class Coordinator:
@@ -100,7 +103,6 @@ class Coordinator:
         tasks: Sequence,
         config: Optional[DistConfig] = None,
         progress: Optional[Callable[[int, int, Dict], None]] = None,
-        completed_keys: Optional[set] = None,
     ):
         self.config = config or DistConfig()
         self.progress = progress
@@ -114,18 +116,14 @@ class Coordinator:
             backoff_cap=self.config.backoff_cap,
         )
         self._records: Dict[int, Dict] = {}
-        self.skipped: List[str] = []
-        done = set(completed_keys or ())
         for index, task in enumerate(tasks):
-            key = unit_key(task)
-            if key in done:
-                self.skipped.append(key)
-                continue
-            self.queue.add(key, index, task_to_dict(task))
+            self.queue.add(unit_key(task), index, task_to_dict(task))
         self._stopping = False
         #: Seconds per unit in the latest report of finished work (0: none yet).
         self._unit_seconds = 0.0
         self._ends_by_worker: Dict[str, object] = {}
+        #: Workers whose ``lease`` awaits its reply, oldest first (:meth:`_unpark`).
+        self._parked: Dict[str, None] = {}
         self._transport = None
 
     def bind(self) -> str:
@@ -171,7 +169,7 @@ class Coordinator:
         if op == "lease":
             reports, seconds = self._parse_reports(message)
             self._ends_by_worker[worker] = end
-            return self._handle_lease(end, worker, reports, seconds, now)
+            return self._handle_lease(worker, reports, seconds, now)
         raise _ProtocolError(f"unknown op {op!r}")
 
     def _parse_reports(self, message: Dict):
@@ -198,7 +196,7 @@ class Coordinator:
             reports.append((key, record, error))
         return reports, float(seconds)
 
-    def _handle_lease(self, end, worker: str, reports, seconds: float, now: float) -> bool:
+    def _handle_lease(self, worker: str, reports, seconds: float, now: float) -> bool:
         progressed = False
         for key, record, error in reports:
             if record is not None:
@@ -211,20 +209,32 @@ class Coordinator:
                 progressed = True
         if reports:
             self._unit_seconds = seconds / len(reports)
-        if self._stopping or self.queue.all_done():
-            self._safe_reply(end, {"op": "stop"})
-            return progressed
-        units = self.queue.lease(worker, now, self._grant_limit())
-        if not units:
-            self._safe_reply(end, {"op": "wait"})
-            return progressed
-        for unit in units:
-            self._trace("grant", key=unit.key, worker=worker, attempt=unit.attempts)
-        self.metrics.inc("dist_grants")
-        self._safe_reply(
-            end, {"op": "grant", "units": [{"key": u.key, "task": u.task} for u in units]}
-        )
-        return True
+        # The request joins the line (a re-sent one, in the place of the one
+        # it repeats), which is served now and at the end of every poll round.
+        self._parked[worker] = None
+        return self._unpark(now) or progressed
+
+    def _unpark(self, now: float) -> bool:
+        """Answer the waiting ``lease`` requests, oldest first, for as long as
+        there is something to answer with: ``stop``, or units to grant."""
+        answered = False
+        for worker in list(self._parked):
+            end = self._ends_by_worker[worker]
+            if self._stopping or self.queue.all_done():
+                self._safe_reply(end, {"op": "stop"})
+            else:
+                units = self.queue.lease(worker, now, self._grant_limit())
+                if not units:
+                    break
+                for unit in units:
+                    self._trace("grant", key=unit.key, worker=worker, attempt=unit.attempts)
+                self.metrics.inc("dist_grants")
+                self._safe_reply(
+                    end, {"op": "grant", "units": [{"key": u.key, "task": u.task} for u in units]}
+                )
+            del self._parked[worker]
+            answered = True
+        return answered
 
     def _grant_limit(self) -> int:
         """How many units the next grant may carry (guided self-scheduling).
@@ -245,7 +255,7 @@ class Coordinator:
             self._trace("ack", key=key, worker=worker)
             self.metrics.inc("dist_acks")
             if self.progress is not None:
-                # Same signature as the pool backend's progress callback.
+                # Same signature as the serial loop's progress callback.
                 self.progress(len(self._records), len(self.queue), record)
         else:
             self._trace("dedup", key=key, worker=worker)
@@ -262,33 +272,39 @@ class Coordinator:
     # Main loop
     # ------------------------------------------------------------------ #
     def run(self, workers: int) -> DistOutcome:
-        """Execute the queue on *workers* launched workers.
+        """Execute the queue on ``min(workers, units to grant)`` launched workers.
 
-        ``workers=0`` launches none and serves external workers only (the
-        ``python -m repro dist coordinator`` mode).  Returns when every
-        unit is done or terminally failed, or -- after an interrupt --
-        when in-flight units drained or the drain deadline passed.
+        ``workers=0`` launches none and serves external workers only, which
+        takes ``tcp`` (``campaign run --transport tcp --workers 0``).  Returns
+        when every unit is done or terminally failed, or -- after an
+        interrupt -- when in-flight units drained or the drain deadline passed.
         """
         config = self.config
+        if workers < 0 or (workers == 0 and config.transport != "tcp"):
+            raise ValueError(
+                f"workers must be >= 1 on the {config.transport!r} transport, got "
+                f"{workers}: only 'tcp' lets external workers join a coordinator "
+                "that launches none"
+            )
         transport = self._transport or make_transport(config.transport, config.bind)
         self._transport = None  # consumed; run() owns its lifetime now
         handles: List[WorkerHandle] = []
         self._ends_by_worker.clear()
         interrupted = False
-        self._trace("queue", units=len(self.queue), skipped=len(self.skipped),
-                    transport=config.transport, workers=workers)
+        launched = min(workers, self.queue.unleased())
+        self._trace("queue", units=len(self.queue), transport=config.transport,
+                    workers=launched)
+        if config.transport == "tcp":
+            _LOG.info("serving %d unit(s) on %s", self.queue.unleased(), transport.endpoint())
         try:
-            # A fully resumed campaign has nothing to lease: launching workers
-            # only to terminate them mid start-up wastes their spawn time.
-            for i in range(0 if self.queue.all_done() else workers):
+            for i in range(launched):
                 options = {
-                    "poll_interval": config.poll_interval,
                     "heartbeat_interval": config.heartbeat_interval,
                     "kill_after_leases": config.kill_after_leases.get(i, 0),
                 }
                 handles.append(transport.launch_worker(f"w{i}", options))
             try:
-                interrupted = self._serve(transport)
+                self._serve(transport)
             except KeyboardInterrupt:
                 interrupted = True
                 self._stopping = True
@@ -301,19 +317,19 @@ class Coordinator:
                     handle.process.terminate()
                 handle.join(timeout=2.0)
         stats = self.queue.snapshot()
-        self.metrics.gauge("dist_workers", float(workers))
+        self.metrics.gauge("dist_workers", float(launched))
         records = [self._records[i] for i in sorted(self._records)]
-        failed = [u.key for u in self.queue.failed_units()]
+        failed = {u.key: u.error for u in self.queue.failed_units()}
         return DistOutcome(
             records=records,
             stats=stats,
             failed=failed,
-            skipped=list(self.skipped),
             interrupted=interrupted,
+            workers=launched,
         )
 
-    def _serve(self, transport) -> bool:
-        """Poll/dispatch until the queue drains; returns interrupted flag."""
+    def _serve(self, transport) -> None:
+        """Poll/dispatch until the queue drains."""
         config = self.config
         last_progress = time.monotonic()
         while not self.queue.all_done():
@@ -325,12 +341,26 @@ class Coordinator:
                 counts = self.queue.counts()
                 raise RuntimeError(
                     f"distributed campaign stalled: no unit changed state for "
-                    f"{config.idle_timeout:.0f}s (queue: {counts})"
+                    f"{config.idle_timeout:g}s (queue: {counts})"
                 )
-        return False
 
     def _step(self, transport) -> bool:
-        """One poll round; returns True when any unit changed state."""
+        """One poll round; returns True when any unit changed state.
+
+        ``SIGINT``/``SIGTERM`` are held back until it is over: an interrupt
+        landing between reading a worker's message and acting on it would
+        lose the results it reports and leave the worker waiting for a reply,
+        so the drain that follows would sit out its whole timeout.
+        """
+        if not hasattr(signal, "pthread_sigmask"):  # no POSIX signal masks here
+            return self._poll_round(transport)
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+        try:
+            return self._poll_round(transport)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+    def _poll_round(self, transport) -> bool:
         progressed = False
         now = time.monotonic()
         dropped = set()
@@ -350,17 +380,19 @@ class Coordinator:
                 transport.drop(end)
                 dropped.add(end)
                 progressed = self._release(end, "protocol error") or progressed
-        for key in self.queue.reclaim(time.monotonic()):
+        now = time.monotonic()
+        for key in self.queue.reclaim(now):
             self._trace("reclaim", key=key, reason="lease expired")
             self.metrics.inc("dist_reclaims")
             progressed = True
-        return progressed
+        return self._unpark(now) or progressed
 
     def _release(self, end, reason: str) -> bool:
         """Reclaim the leases of every worker behind a connection that ended."""
         released = False
         for worker in [w for w, e in self._ends_by_worker.items() if e is end]:
             del self._ends_by_worker[worker]
+            self._parked.pop(worker, None)
             for key in self.queue.release_worker(worker, time.monotonic()):
                 self._trace("reclaim", key=key, worker=worker, reason=reason)
                 self.metrics.inc("dist_reclaims")

@@ -283,20 +283,11 @@ class WorkerHandle:
             return self.thread.is_alive()
         return False
 
-    def kill(self) -> None:
-        """Hard-kill the worker (chaos testing; subprocess backends only)."""
-        if self.process is None:
-            raise RuntimeError("in-thread workers cannot be killed")
-        self.process.kill()
-
     def join(self, timeout: Optional[float] = None) -> None:
         if self.process is not None:
             self.process.join(timeout)
         elif self.thread is not None:
             self.thread.join(timeout)
-
-    def exitcode(self) -> Optional[int]:
-        return None if self.process is None else self.process.exitcode
 
 
 # --------------------------------------------------------------------- #
@@ -312,7 +303,6 @@ class ThreadTransport:
     """
 
     name = "thread"
-    in_process = True
 
     def __init__(self) -> None:
         self._inbox: "queue_module.Queue" = queue_module.Queue()
@@ -364,7 +354,6 @@ class IpcTransport:
     """One subprocess per worker over ``multiprocessing.Pipe`` connections."""
 
     name = "ipc"
-    in_process = False
 
     def __init__(self) -> None:
         self._conns: List[multiprocessing.connection.Connection] = []
@@ -461,7 +450,6 @@ class TcpTransport:
     """TCP sockets with length-prefixed JSON frames; accepts external workers."""
 
     name = "tcp"
-    in_process = False
 
     def __init__(self, bind: str = "127.0.0.1:0"):
         host, port = parse_endpoint(bind)

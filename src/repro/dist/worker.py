@@ -2,25 +2,27 @@
 
 A worker is a pull-based client of the coordinator: it leases a batch of
 run units, executes each through the exact same
-:func:`repro.campaign.runner._execute_task` path the multiprocessing pool
-uses (so records are byte-identical by construction), and hands the result
-records -- simulation metrics, obs/metrics snapshots, SLO verdicts, phase
-timings -- back with its request for the next batch.
+:func:`repro.campaign.runner._execute_task` path the serial loop uses (so
+records are byte-identical by construction), and hands the result records
+-- simulation metrics, obs/metrics snapshots, SLO verdicts, phase timings
+-- back with its request for the next batch.
 
-Worker-side protocol (all messages are JSON objects; five kinds)::
+Worker-side protocol (all messages are JSON objects; four kinds)::
 
     -> {"op": "lease", "worker": id, "busy_s": t,
         "results": [{"key": k, "record": {...}} | {"key": k, "error": "..."}, ...]}
     <- {"op": "grant", "units": [{"key": k, "task": {...}}, ...]}
-     | {"op": "wait"} | {"op": "stop"}
+     | {"op": "stop"}
     -> {"op": "heartbeat", "worker": id}          # one-way, never replied
 
 ``lease`` is the only request: it reports every unit of the previous grant
 (``results`` is empty on the first request) with the seconds they took
 (``busy_s``, from which the coordinator sizes the next grant), and asks
-for more.  Any reply acknowledges those results.  A request whose reply
-timed out is re-sent as it is; the coordinator then sees the results
-twice, and its first-result-wins deduplication drops the second copy.
+for more.  Any reply acknowledges those results, and comes when there is
+something to say: with nothing leasable the worker just stays blocked in
+``recv``.  A request unanswered after ``reply_timeout`` is re-sent as it is
+(which is what notices a coordinator host that vanished); the coordinator
+may then see the results twice, and drops the second copy of each.
 
 Heartbeats come from a daemon thread so a long-running simulation cannot
 lose its lease; a dead worker stops heartbeating (and its connection
@@ -107,7 +109,6 @@ def worker_loop(channel: Channel, worker_id: str, options: Mapping) -> int:
     coordinator went away", which after a finished campaign is the normal
     end of an external worker), nonzero on a local protocol error.
     """
-    poll_interval = float(options.get("poll_interval", 0.05))
     reply_timeout = float(options.get("reply_timeout", 30.0))
     heartbeat_interval = float(options.get("heartbeat_interval", 0.0))
     kill_after_leases = int(options.get("kill_after_leases", 0))
@@ -134,15 +135,12 @@ def worker_loop(channel: Channel, worker_id: str, options: Mapping) -> int:
                 _LOG.debug("%s: coordinator went away; exiting", worker_id)
                 return 0
             if reply is None:
-                continue  # coordinator busy; ask again, results included
+                continue  # parked or lost; ask again, results included
             results, busy_s = [], 0.0
             op = reply.get("op")
             if op == "stop":
                 _LOG.debug("%s: received stop", worker_id)
                 return 0
-            if op == "wait":
-                time.sleep(poll_interval)
-                continue
             if op != "grant":
                 _LOG.warning("%s: unexpected reply %r", worker_id, op)
                 return 2

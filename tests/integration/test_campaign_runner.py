@@ -1,9 +1,10 @@
 """Campaign runner: deterministic parallelism, registry, CLI round-trips.
 
 The central guarantee under test: the same campaign spec produces
-byte-identical run records whether it executes serially or across a
-multiprocessing pool, because per-run seeds are derived from the spec and
-records are canonically re-ordered before persisting.
+byte-identical run records whether it executes serially or across worker
+processes, because per-run seeds are derived from the spec and records are
+canonically re-ordered before persisting.  (``test_dist_campaign.py`` holds
+the full serial / transport x workers identity axis.)
 """
 from __future__ import annotations
 
@@ -349,17 +350,7 @@ class TestGracefulShutdown:
         assert sorted(resumed) == sorted(clean)
 
 
-class TestPoolResume:
-    def test_resume_is_a_noop_on_a_complete_campaign(self, tmp_path):
-        spec = make_spec(seeds=2)
-        store = ResultStore(tmp_path)
-        CampaignRunner(spec, store=store).run(workers=1)
-        before = store.runs_path(spec.name).read_bytes()
-        result = CampaignRunner(spec, store=store).run(workers=1, resume=True)
-        assert result.skipped == 4
-        assert result.records == []
-        assert store.runs_path(spec.name).read_bytes() == before
-
+class TestResume:
     def test_resume_without_prior_rows_runs_everything(self, tmp_path):
         spec = make_spec(seeds=1)
         store = ResultStore(tmp_path)
@@ -378,7 +369,16 @@ class TestPoolResume:
         out = capsys.readouterr().out
         assert "0 runs (1 resumed)" in out
 
-    def test_unknown_backend_is_an_error(self, tmp_path):
+
+class TestLegacyBackendKeyword:
+    def test_legacy_backend_names_are_accepted_and_change_nothing(self, tmp_path):
         spec = make_spec(seeds=1)
-        with pytest.raises(ValueError, match="known backends"):
+        rows = set()
+        for backend in (None, "pool", "dist"):
+            store = ResultStore(tmp_path / str(backend))
+            result = CampaignRunner(spec, store=store).run(workers=1, backend=backend)
+            assert result.transport == store.load_meta(spec.name)["transport"] == "serial"
+            rows.add(store.runs_path(spec.name).read_bytes())
+        assert len(rows) == 1
+        with pytest.raises(ValueError, match="retired keyword"):
             CampaignRunner(spec).run(workers=1, backend="slurm")

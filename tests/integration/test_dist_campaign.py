@@ -1,36 +1,46 @@
-"""Distributed campaign execution: byte-identity, chaos, resume, CLI.
+"""Campaign execution through ``repro.dist``: byte-identity, chaos, resume, CLI.
 
-The acceptance bar of the distributed tier: for the same campaign spec,
-``runs.jsonl`` is byte-identical across the serial pool, a multi-process
-pool and the dist backend at one and four workers on every transport --
-and a worker killed mid-campaign changes nothing except the retry
-counters in ``meta.json``.
+The acceptance bar of the execution tier: for the same campaign spec,
+``runs.jsonl`` is byte-identical on every point of one axis -- the
+in-process serial loop, then each transport at one and four workers -- and
+a worker killed mid-campaign, a resumed store or a terminated process
+changes nothing except the counters in ``meta.json``.
 """
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
     ResultStore,
     ScenarioSpec,
+    register_runner,
     resolve_scenarios,
 )
 from repro.campaign.cli import main as cli_main
-from repro.campaign.runner import _execute_task
+from repro.campaign.runner import CampaignFailed, _execute_task
 from repro.campaign.units import task_from_dict
+from repro.core.errors import WorkloadError
 from repro.dist import ensure_noop_runner, run_standalone_worker
 from repro.dist.coordinator import Coordinator, DistConfig
 from repro.dist.transport import (
     TRANSPORT_NAMES,
+    ThreadTransport,
     connect_tcp,
     encode_frame,
     parse_endpoint,
@@ -40,6 +50,17 @@ from repro.dist.transport import (
 #: Cheap scenarios (single simulation per run at tiny scale).
 FAST = ("baseline-dynamic", "strict-equipartition")
 
+#: The one identity axis, as ``(transport, workers)``: the serial loop (no
+#: transport named), then every transport at one and four workers.
+COORDINATED = [
+    pytest.param(transport, workers, id=f"{workers}-{transport}")
+    for workers in (1, 4)
+    for transport in TRANSPORT_NAMES
+]
+AXIS = [pytest.param(None, 1, id="serial")] + COORDINATED
+#: Its points that survive losing a worker.
+KILLABLE = [point for point in COORDINATED if point.values[1] > 1]
+
 
 def make_spec(name, scenarios=FAST, seeds=2) -> CampaignSpec:
     return CampaignSpec(
@@ -47,58 +68,53 @@ def make_spec(name, scenarios=FAST, seeds=2) -> CampaignSpec:
     )
 
 
-def run_bytes(store, name, **kwargs) -> bytes:
-    CampaignRunner(make_spec(name), store=store).run(**kwargs)
-    return store.runs_path(name).read_bytes()
+def run_at(spec, store, transport, workers, resume=False, **dist_options):
+    """Run *spec* at one point of the axis; returns the :class:`CampaignResult`."""
+    dist = None if transport is None else DistConfig(transport=transport, **dist_options)
+    return CampaignRunner(spec, store=store).run(workers=workers, dist=dist, resume=resume)
 
 
 @pytest.fixture(scope="module")
 def serial_rows(tmp_path_factory) -> bytes:
     store = ResultStore(tmp_path_factory.mktemp("serial"))
-    return run_bytes(store, "serial", workers=1)
+    run_at(make_spec("serial"), store, None, 1)
+    return store.runs_path("serial").read_bytes()
 
 
 class TestByteIdentityAcrossBackends:
-    def test_pool_four_workers_matches_serial(self, tmp_path, serial_rows):
-        assert run_bytes(ResultStore(tmp_path), "serial", workers=4) == serial_rows
-
-    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("transport, workers", AXIS)
     def test_dist_matches_serial(self, tmp_path, serial_rows, transport, workers):
-        rows = run_bytes(
-            ResultStore(tmp_path),
-            "serial",
-            workers=workers,
-            backend="dist",
-            dist=DistConfig(transport=transport),
-        )
-        assert rows == serial_rows
-
-    def test_dist_meta_records_backend_and_counters(self, tmp_path):
         store = ResultStore(tmp_path)
-        run_bytes(store, "serial", workers=2, backend="dist")
+        result = run_at(make_spec("serial"), store, transport, workers)
+        assert store.runs_path("serial").read_bytes() == serial_rows
+        assert result.transport == (transport or "serial")
+        assert store.load_meta("serial")["transport"] == result.transport
+
+    def test_workers_alone_means_ipc_and_meta_records_it(self, tmp_path):
+        store = ResultStore(tmp_path)
+        result = CampaignRunner(make_spec("serial"), store=store).run(workers=2)
         meta = store.load_meta("serial")
-        assert meta["backend"] == "dist"
+        assert meta["transport"] == result.transport == "ipc"
+        assert meta["workers"] == result.workers == 2
+        assert "backend" not in meta
         assert meta["dist"]["dist_completed"] == 4.0
         assert meta["dist"]["dist_failed"] == 0.0
 
 
 class TestChaosAtTheExecutionTier:
-    @pytest.mark.parametrize("transport", ["ipc", "tcp"])
+    @pytest.mark.parametrize("transport, workers", KILLABLE)
     def test_killed_worker_reruns_units_with_identical_rows(
-        self, tmp_path, serial_rows, transport
+        self, tmp_path, serial_rows, transport, workers
     ):
         """Worker 0 dies abruptly after its first lease (``os._exit``, no
-        goodbye).  Lease release + retry must rerun its unit elsewhere and
-        the final rows must be byte-identical to the serial run --
-        exactly-once, not at-least-once."""
+        goodbye; an in-thread worker cannot, and closes its channel instead,
+        which must surface as the same disconnect).  Lease release + retry
+        must rerun its unit elsewhere and the final rows must be
+        byte-identical to the serial run -- exactly-once, not at-least-once."""
         store = ResultStore(tmp_path)
-        spec = make_spec("chaos")
-        result = CampaignRunner(spec, store=store).run(
-            workers=2,
-            backend="dist",
-            dist=DistConfig(transport=transport, lease_ttl=5.0,
-                            kill_after_leases={0: 1}),
+        result = run_at(
+            make_spec("chaos"), store, transport, workers,
+            lease_ttl=5.0, kill_after_leases={0: 1},
         )
         assert store.runs_path("chaos").read_bytes() == serial_rows
         assert result.dist_stats["dist_reclaims"] >= 1.0
@@ -107,30 +123,14 @@ class TestChaosAtTheExecutionTier:
         records = store.load_records("chaos")
         assert len({r["unit"] for r in records}) == 4
 
-    def test_in_thread_chaos_reclaims_via_channel_close(self, tmp_path, serial_rows):
-        # The thread transport cannot os._exit; the chaos seam closes the
-        # channel instead, which must surface as the same disconnect path.
-        store = ResultStore(tmp_path)
-        CampaignRunner(make_spec("chaos"), store=store).run(
-            workers=2,
-            backend="dist",
-            dist=DistConfig(transport="thread", lease_ttl=5.0,
-                            kill_after_leases={0: 1}),
-        )
-        assert store.runs_path("chaos").read_bytes() == serial_rows
-
     def test_all_workers_killable_campaign_still_completes(self, tmp_path,
                                                            serial_rows):
-        # Both initial workers die; retries must still finish the campaign
-        # before max_attempts runs out (fresh leases go to... nobody, so
-        # this relies on lease reclaim making units available again when a
-        # replacement connects -- here the second worker's own next lease).
+        # Two of the three workers die holding a unit each; the survivor
+        # must be granted both once their leases are released and backed off.
         store = ResultStore(tmp_path)
-        CampaignRunner(make_spec("chaos"), store=store).run(
-            workers=3,
-            backend="dist",
-            dist=DistConfig(transport="ipc", lease_ttl=5.0,
-                            kill_after_leases={0: 1, 1: 1}),
+        run_at(
+            make_spec("chaos"), store, "ipc", 3,
+            lease_ttl=5.0, kill_after_leases={0: 1, 1: 1},
         )
         assert store.runs_path("chaos").read_bytes() == serial_rows
 
@@ -149,38 +149,34 @@ def noop_spec(name, units=NOOP_UNITS) -> CampaignSpec:
 @pytest.fixture(scope="module")
 def noop_rows(tmp_path_factory) -> bytes:
     store = ResultStore(tmp_path_factory.mktemp("noop-serial"))
-    CampaignRunner(noop_spec("noop"), store=store).run(workers=1)
+    run_at(noop_spec("noop"), store, None, 1)
     return store.runs_path("noop").read_bytes()
 
 
 class TestBatchedGrants:
-    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("transport, workers", COORDINATED)
     def test_fast_units_travel_in_batches_and_match_serial(
         self, tmp_path, noop_rows, transport, workers
     ):
         store = ResultStore(tmp_path)
-        result = CampaignRunner(noop_spec("noop"), store=store).run(
-            workers=workers, backend="dist", dist=DistConfig(transport=transport)
-        )
+        result = run_at(noop_spec("noop"), store, transport, workers)
         assert store.runs_path("noop").read_bytes() == noop_rows
         stats = result.dist_stats
         assert stats["dist_leases"] == stats["dist_completed"] == NOOP_UNITS
         # One request and one reply per batch, not per unit.
         assert stats["dist_grants"] < 100.0
 
-    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
+    @pytest.mark.parametrize("transport, workers", KILLABLE)
     def test_worker_killed_holding_a_batch_has_all_of_it_reclaimed(
-        self, tmp_path, noop_rows, transport
+        self, tmp_path, noop_rows, transport, workers
     ):
         """Worker 0 runs its first (one-unit) grant, then dies on the second
         unit of its next, multi-unit grant: the finished-but-unreported
         unit and every unit it never started are all re-granted."""
         store = ResultStore(tmp_path)
-        result = CampaignRunner(noop_spec("noop"), store=store).run(
-            workers=2,
-            backend="dist",
-            dist=DistConfig(transport=transport, lease_ttl=5.0, kill_after_leases={0: 3}),
+        result = run_at(
+            noop_spec("noop"), store, transport, workers,
+            lease_ttl=5.0, kill_after_leases={0: 3},
         )
         assert store.runs_path("noop").read_bytes() == noop_rows
         stats = result.dist_stats
@@ -193,9 +189,7 @@ class TestBatchedGrants:
         self, tmp_path, serial_rows
     ):
         store = ResultStore(tmp_path)
-        result = CampaignRunner(make_spec("serial"), store=store).run(
-            workers=2, backend="dist", dist=DistConfig(transport="ipc", poll_interval=0.002)
-        )
+        result = run_at(make_spec("serial"), store, "ipc", 2, poll_interval=0.002)
         assert store.runs_path("serial").read_bytes() == serial_rows
         assert result.dist_stats["dist_grants"] == result.dist_stats["dist_leases"] == 4.0
 
@@ -321,54 +315,55 @@ class TestProtocolRobustness:
         assert any("'evil'" in w and "'lease'" in w and "no-such-unit" in w for w in warnings)
 
 
-class TestDistResume:
-    def test_resume_skips_completed_units(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = make_spec("resume")
-        CampaignRunner(spec, store=store).run(workers=1)
-        result = CampaignRunner(spec, store=store).run(
-            workers=2, backend="dist", resume=True
-        )
-        assert result.skipped == 4
-        assert result.records == []
-        assert result.dist_stats["dist_leases"] == 0.0
-
-    @pytest.mark.parametrize("transport", ["ipc", "tcp"])
-    def test_full_resume_spawns_no_worker_process(self, tmp_path, monkeypatch, transport):
-        store = ResultStore(tmp_path)
-        spec = make_spec("resume")
-        CampaignRunner(spec, store=store).run(workers=1)
-        rows = store.runs_path("resume").read_bytes()
-
-        def spawned(*args, **kwargs):
-            raise AssertionError("a fully resumed run must not launch workers")
-
-        monkeypatch.setattr(multiprocessing, "Process", spawned)
-        result = CampaignRunner(spec, store=store).run(
-            workers=2, backend="dist", dist=DistConfig(transport=transport), resume=True
-        )
-        assert result.skipped == len(CampaignRunner(spec).tasks()) == 4
-        assert result.records == []
-        assert store.load_meta("resume")["skipped"] == 4
-        assert store.runs_path("resume").read_bytes() == rows
-
-    def test_resume_completes_a_partial_store(self, tmp_path):
+class TestResume:
+    @pytest.mark.parametrize("transport, workers", AXIS)
+    def test_resume_completes_a_partial_store_then_skips_everything(
+        self, tmp_path, transport, workers
+    ):
         store = ResultStore(tmp_path)
         spec = make_spec("resume")
         # Persist only the first half of the grid, as an interrupt would.
-        runner = CampaignRunner(spec, store=store)
-        tasks = runner.tasks()
         full = CampaignRunner(spec).run(workers=1).records
         store.save_campaign(spec, full[:2])
-        result = CampaignRunner(spec, store=store).run(
-            workers=2, backend="dist", resume=True
-        )
+        result = run_at(spec, store, transport, workers, resume=True)
         assert result.skipped == 2
-        assert len(result.records) == len(tasks) - 2
-        rows = store.load_records("resume")
-        assert sorted(json.dumps(r, sort_keys=True) for r in rows) == sorted(
+        assert len(result.records) == 2
+        rows = store.runs_path("resume").read_bytes()
+        assert sorted(rows.decode().splitlines()) == sorted(
             json.dumps(r, sort_keys=True) for r in full
         )
+        # A second resume finds nothing to do and leaves the rows alone.
+        again = run_at(spec, store, transport, workers, resume=True)
+        assert again.skipped == 4
+        assert again.records == []
+        assert store.load_meta("resume")["skipped"] == 4
+        assert store.runs_path("resume").read_bytes() == rows
+        if transport is not None:
+            assert again.dist_stats["dist_leases"] == 0.0
+
+    @pytest.mark.parametrize("transport", ["ipc", "tcp"])
+    @pytest.mark.parametrize("done, launched", [(4, 0), (3, 1), (1, 2)])
+    def test_launches_as_many_workers_as_asked_or_as_units_are_open(
+        self, tmp_path, monkeypatch, transport, done, launched
+    ):
+        """Two workers asked for, four units: a worker that would find nothing
+        to lease is never spawned -- none at all for a fully resumed store."""
+        store = ResultStore(tmp_path)
+        spec = make_spec("resume")
+        store.save_campaign(spec, CampaignRunner(spec).run(workers=1).records[:done])
+        spawned = []
+        process = multiprocessing.Process
+
+        def counting(*args, **kwargs):
+            spawned.append(kwargs["name"])
+            return process(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Process", counting)
+        result = run_at(spec, store, transport, 2, resume=True)
+        assert spawned == [f"dist-w{i}" for i in range(launched)]
+        assert result.workers == store.load_meta("resume")["workers"] == launched
+        assert result.skipped == done
+        assert len(store.load_records("resume")) == 4
 
 
 class TestCoordinatorDirectly:
@@ -386,40 +381,293 @@ class TestCoordinatorDirectly:
         )
         outcome = coordinator.run(workers=2)
         assert outcome.records == []
-        assert len(outcome.failed) == 1
+        assert outcome.workers == 1  # one open unit: the second worker is never launched
+        ((key, error),) = outcome.failed.items()
+        assert key.startswith("baseline-dynamic:r0:") and "no-such-runner" in error
         assert outcome.stats["dist_failed"] == 1.0
         assert outcome.stats["dist_retries"] == 1.0
+
+    @pytest.mark.parametrize("transport", ["thread", "ipc"])
+    def test_zero_workers_is_rejected_where_no_worker_can_join(self, transport):
+        coordinator = Coordinator(
+            CampaignRunner(make_spec("nobody")).tasks(), DistConfig(transport=transport)
+        )
+        with pytest.raises(ValueError, match=f"'{transport}' transport, got 0"):
+            coordinator.run(workers=0)
+
+    def test_stall_message_keeps_a_sub_second_timeout_readable(self):
+        coordinator = Coordinator(
+            CampaignRunner(make_spec("nobody")).tasks(),
+            DistConfig(transport="tcp", idle_timeout=0.2),
+        )
+        with pytest.raises(RuntimeError, match=r"no unit changed state for 0\.2s"):
+            coordinator.run(workers=0)
+
+
+class _Peer:
+    """A scripted worker on the thread transport: what it is sent, it keeps."""
+
+    def __init__(self, transport: ThreadTransport, worker: str):
+        self.inbox, self.worker, self.replies = transport._inbox, worker, []
+
+    def send(self, message):  # the coordinator's reply path
+        self.replies.append(message)
+
+    def lease(self, results=()):
+        self.inbox.put((self, {"op": "lease", "worker": self.worker,
+                               "results": list(results), "busy_s": 0.0}))
+
+    def hang_up(self):
+        self.inbox.put((self, None))
+
+
+class TestParkedLease:
+    def test_an_idle_worker_is_parked_then_granted_stopped_or_forgotten(self):
+        """One unit, three workers: the holder, and two with nothing to lease."""
+        coordinator = Coordinator(
+            CampaignRunner(noop_spec("parked", units=1)).tasks(),
+            DistConfig(transport="thread", backoff_base=0.0, poll_interval=0.001),
+        )
+        transport = ThreadTransport()
+        holder, idle, leaver = (_Peer(transport, name) for name in ("holder", "idle", "leaver"))
+
+        holder.lease()
+        coordinator._step(transport)
+        (grant,) = holder.replies
+        assert grant["op"] == "grant"
+
+        # Nothing leasable: no reply at all (the retired ``wait``), however
+        # often the request is repeated; a disconnect forgets the request.
+        idle.lease()
+        leaver.lease()
+        idle.lease()
+        coordinator._step(transport)
+        assert idle.replies == leaver.replies == []
+        assert list(coordinator._parked) == ["idle", "leaver"]
+        leaver.hang_up()
+        coordinator._step(transport)
+        assert list(coordinator._parked) == ["idle"]
+
+        # The holder's lease expires: the poll round that reclaims the unit
+        # grants it to the parked worker.
+        (unit,) = coordinator.queue.leased_units()
+        unit.lease_deadline = 0.0
+        coordinator._step(transport)
+        assert [r["op"] for r in idle.replies] == ["grant"]
+        assert idle.replies[0]["units"] == grant["units"]
+        assert not coordinator._parked
+
+        # Parked again behind the new holder, then stopped when it finishes.
+        holder.lease()
+        coordinator._step(transport)
+        assert holder.replies == [grant] and list(coordinator._parked) == ["holder"]
+        (granted,) = grant["units"]
+        record = _execute_task(task_from_dict(granted["task"]))
+        idle.lease([{"key": granted["key"], "record": record}])
+        coordinator._step(transport)
+        assert coordinator.queue.all_done()
+        assert idle.replies[-1] == holder.replies[-1] == {"op": "stop"}
+        assert leaver.replies == []
+
+
+    def test_a_parked_worker_sends_nothing_but_heartbeats(self):
+        """A real worker loop behind a scripted holder of the only unit."""
+        coordinator = Coordinator(
+            CampaignRunner(noop_spec("quiet", units=1)).tasks(),
+            DistConfig(transport="thread", poll_interval=0.001),
+        )
+        transport = ThreadTransport()
+        holder = _Peer(transport, "holder")
+        holder.lease()
+        coordinator._step(transport)
+        ((granted,),) = [reply["units"] for reply in holder.replies]
+
+        heard = []
+        handle = coordinator._handle
+
+        def listening(end, message, now):
+            if message["worker"] == "idle":
+                heard.append(message["op"])
+            return handle(end, message, now)
+
+        coordinator._handle = listening
+        idle = transport.launch_worker("idle", {"heartbeat_interval": 0.01})
+        deadline = time.monotonic() + 0.2
+        while time.monotonic() < deadline:
+            coordinator._step(transport)
+        assert heard[0] == "lease" and len(heard) > 3
+        assert set(heard[1:]) == {"heartbeat"}
+
+        # The holder finishes: the parked worker is told to stop, and does.
+        record = _execute_task(task_from_dict(granted["task"]))
+        holder.lease([{"key": granted["key"], "record": record}])
+        coordinator._step(transport)
+        idle.join(timeout=5.0)
+        assert not idle.alive()
+
+
+ODD_RUNNER = "test-fails-while-told-to"
+
+
+@register_runner(ODD_RUNNER)
+def _fails_while_told_to(spec, seed):
+    if os.environ.get("REPRO_TEST_FAIL"):
+        raise WorkloadError(f"no such trace for seed {seed}")
+    return {"seed": float(seed)}
+
+
+class TestTerminalFailure:
+    @pytest.mark.parametrize("workers", ["1", "2"], ids=["serial", "2-ipc"])
+    def test_failed_units_are_one_error_line_and_the_rest_is_kept(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        spec = CampaignSpec(
+            name="half",
+            scenarios=(
+                ScenarioSpec(name="fine", runner=ensure_noop_runner()),
+                ScenarioSpec(name="odd", runner=ODD_RUNNER),
+            ),
+            seeds=3,
+        )
+        spec.save(tmp_path / "half.json")
+        argv = ["campaign", "run", "--spec", str(tmp_path / "half.json"), "--workers", workers,
+                "--results-dir", str(tmp_path), "--quiet"]
+        store = ResultStore(tmp_path)
+
+        monkeypatch.setenv("REPRO_TEST_FAIL", "1")
+        assert cli_main(argv) == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        (error,) = errors
+        assert "3 unit(s) failed" in error and "odd:r0:" in error
+        assert "WorkloadError: no such trace for seed" in error
+        assert "3 completed run(s) kept" in error
+        assert [r["scenario"] for r in store.load_records("half")] == ["fine"] * 3
+
+        # --resume re-runs only what failed.
+        monkeypatch.delenv("REPRO_TEST_FAIL")
+        assert cli_main(argv + ["--resume"]) == 0
+        assert "3 runs (3 resumed)" in capsys.readouterr().out
+        reference = ResultStore(tmp_path / "reference")
+        CampaignRunner(spec, store=reference).run(workers=1)
+        assert sorted(store.runs_path("half").read_text().splitlines()) == sorted(
+            reference.runs_path("half").read_text().splitlines()
+        )
+
+    def test_the_library_raises_a_typed_error_carrying_the_partial_result(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_FAIL", "1")
+        spec = CampaignSpec(
+            name="all-fail", scenarios=(ScenarioSpec(name="odd", runner=ODD_RUNNER),), seeds=2
+        )
+        with pytest.raises(CampaignFailed) as excinfo:
+            CampaignRunner(spec).run(workers=1)
+        partial = excinfo.value.result
+        assert partial.records == []
+        assert [key.split(":")[:2] for key in partial.failed] == [["odd", "r0"], ["odd", "r1"]]
+        assert all(error.startswith("WorkloadError: ") for error in partial.failed.values())
 
 
 class TestDistCli:
     def test_campaign_run_backend_dist_round_trip(self, tmp_path, capsys):
+        """Every spelling of a local run writes the same bytes, the legacy
+        ``--backend dist ... --dist-workers`` one included."""
         results = str(tmp_path)
         base = [
             "campaign", "run", "--scenarios", "baseline-dynamic", "--seeds", "2",
             "--results-dir", results, "--quiet",
         ]
-        assert cli_main(base + ["--name", "pool"]) == 0
-        assert cli_main(
-            base + ["--name", "dist", "--backend", "dist",
-                    "--transport", "tcp", "--dist-workers", "2"]
-        ) == 0
+        spellings = {
+            "one": ["--workers", "1"],
+            "four": ["--workers", "4"],
+            "tcp": ["--transport", "tcp", "--workers", "2"],
+            "legacy": ["--backend", "dist", "--transport", "tcp", "--dist-workers", "2"],
+        }
+        for name, flags in spellings.items():
+            assert cli_main(base + ["--name", name] + flags) == 0
+        out = capsys.readouterr().out
+        assert "with 1 serial worker(s)" in out and "with 2 ipc worker(s)" in out
+        assert out.count("with 2 tcp worker(s)") == 2
         store = ResultStore(results)
-        assert (
-            store.runs_path("pool").read_bytes()
-            == store.runs_path("dist").read_bytes()
-        )
-        capsys.readouterr()
-        assert cli_main(["campaign", "report", "dist",
+        assert len({store.runs_path(name).read_bytes() for name in spellings}) == 1
+        assert cli_main(["campaign", "report", "legacy",
                          "--results-dir", results]) == 0
         out = capsys.readouterr().out
         assert "distributed execution" in out
         assert "dist_completed" in out
 
+    def test_retired_and_moved_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["campaign", "run", "--help"])
+        text = capsys.readouterr().out
+        assert "--bind" in text and "--transport" in text
+        assert "--backend" not in text and "--dist-workers" not in text
+        with pytest.raises(SystemExit):
+            cli_main(["dist", "coordinator", "--scenarios", "fig9"])
+        assert "invalid choice: 'coordinator'" in capsys.readouterr().err
+
     def test_bad_kill_spec_is_an_error(self, tmp_path, capsys):
         code = cli_main(
             ["campaign", "run", "--scenarios", "baseline-dynamic",
-             "--results-dir", str(tmp_path), "--backend", "dist",
-             "--dist-kill-after", "bogus", "--quiet"]
+             "--results-dir", str(tmp_path), "--dist-kill-after", "bogus", "--quiet"]
         )
         assert code == 2
         assert "IDX:N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, complaint",
+        [
+            (["--transport", "tcp", "--bind", "nowhere"], "host:port"),
+            (["--workers", "0"], "'ipc' transport, got 0"),
+        ],
+        ids=["bind", "zero-workers"],
+    )
+    def test_bad_bind_and_zero_local_workers_are_errors(self, tmp_path, capsys, flags, complaint):
+        code = cli_main(
+            ["campaign", "run", "--scenarios", "baseline-dynamic",
+             "--results-dir", str(tmp_path), "--quiet"] + flags
+        )
+        assert code == 2
+        assert complaint in capsys.readouterr().err
+        assert not ResultStore(tmp_path).list_campaigns()
+
+
+class TestRealSignal:
+    def test_sigterm_drains_a_two_worker_run_and_resume_finishes_it(self, tmp_path):
+        """No in-process shortcut: a real ``python -m repro`` process with two
+        ``ipc`` workers gets a real SIGTERM after its first progress line."""
+        argv = [
+            sys.executable, "-m", "repro", "campaign", "run",
+            "--scenarios", ",".join(FAST), "--seeds", "20", "--name", "sig",
+            "--results-dir", str(tmp_path),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        process = subprocess.Popen(
+            argv + ["--workers", "2"], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert process.stderr.readline().startswith("[1/40]")
+            process.send_signal(signal.SIGTERM)
+            signalled = time.monotonic()
+            _out, err = process.communicate(timeout=60.0)
+        finally:
+            process.kill()
+        assert process.returncode == 130
+        # In-flight units drain in one unit's time; only a worker left without
+        # a reply (an interrupt that cut a poll round short) sits out 10 s.
+        assert time.monotonic() - signalled < 5.0
+        assert "interrupted:" in err and "Traceback" not in err
+        store = ResultStore(tmp_path)
+        partial = len(store.load_records("sig"))
+        assert 1 <= partial < 40
+        assert store.load_meta("sig")["interrupted"] is True
+
+        done = subprocess.run(
+            argv + ["--workers", "2", "--resume", "--quiet"], env=env,
+            capture_output=True, text=True, timeout=60.0,
+        )
+        assert done.returncode == 0 and f"({partial} resumed)" in done.stdout
+        reference = ResultStore(tmp_path / "reference")
+        CampaignRunner(make_spec("sig", seeds=20), store=reference).run(workers=1)
+        assert sorted(store.runs_path("sig").read_text().splitlines()) == sorted(
+            reference.runs_path("sig").read_text().splitlines()
+        )
