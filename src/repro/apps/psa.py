@@ -18,6 +18,7 @@ evolving application completes.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set
@@ -120,6 +121,8 @@ class ParameterSweepApplication(BaseApplication):
 
         allowed_now = self.preemptive_available_now()
         allowed_window = self.preemptive_available_min(self.task_duration)
+        # Built once; below, nodes only leave it (a task start moves a node
+        # from idle to running, which keeps it held).
         held = self.held_nodes()
 
         # 1. Mandatory release: the view at the current time is below what we
@@ -131,15 +134,16 @@ class ParameterSweepApplication(BaseApplication):
                 if nid in self._running_tasks:
                     self._abort_task(nid, count_waste=True)
                 self._idle_nodes.discard(nid)
-            self._resize_request(len(self.held_nodes()), released=victims)
-            held = self.held_nodes()
+            held.difference_update(victims)
+            self._resize_request(len(held), released=victims)
 
         if self._stopped:
             # Shutting down: release idle nodes, let running tasks finish.
             idle = sorted(self._idle_nodes)
             if idle:
                 self._idle_nodes.clear()
-                self._resize_request(len(self.held_nodes()), released=idle)
+                held.difference_update(idle)
+                self._resize_request(len(held), released=idle)
             if not self._running_tasks:
                 self._terminate()
             return
@@ -154,15 +158,14 @@ class ParameterSweepApplication(BaseApplication):
             self._start_task(nid)
         to_release = idle_sorted[can_start:]
         if to_release:
-            for nid in to_release:
-                self._idle_nodes.discard(nid)
-            self._resize_request(len(self.held_nodes()), released=to_release)
+            self._idle_nodes.difference_update(to_release)
+            held.difference_update(to_release)
+            self._resize_request(len(held), released=to_release)
 
         # 3. Growth: ask for more nodes when the view offers more than we
         #    hold *and* they would be usable for at least one task.
-        held_count = len(self.held_nodes())
-        desired = min(allowed_now, max(allowed_window, held_count))
-        if desired > held_count:
+        desired = min(allowed_now, max(allowed_window, len(held)))
+        if desired > len(held):
             self._resize_request(desired)
 
     # ------------------------------------------------------------------ #
@@ -199,10 +202,13 @@ class ParameterSweepApplication(BaseApplication):
         victims: List[NodeId] = sorted(self._idle_nodes)[:count]
         remaining = count - len(victims)
         if remaining > 0:
-            by_elapsed = sorted(
-                self._running_tasks.items(), key=lambda item: self.now - item[1]
+            # ``nsmallest(k, ...)`` is documented equal to ``sorted(...)[:k]``:
+            # ties keep the order in which the tasks were started.
+            now = self.now
+            least_elapsed = heapq.nsmallest(
+                remaining, self._running_tasks.items(), key=lambda item: now - item[1]
             )
-            victims.extend(nid for nid, _ in by_elapsed[:remaining])
+            victims.extend(nid for nid, _ in least_elapsed)
         return victims
 
     # ------------------------------------------------------------------ #

@@ -165,33 +165,24 @@ class RequestSet:
         return [r for r in self._by_id.values() if not r.finished()]
 
     def prune_finished(self) -> List[Request]:
-        """Drop the finished requests that no unfinished request needs.
+        """Drop the finished requests that no unfinished request names.
 
-        A finished request is kept while any request constrained to it --
-        directly or through a chain of ``COALLOC`` / ``NEXT`` edges inside
-        this set -- is unfinished (``NEXT`` children compute their start
-        from the ancestors' schedules), or while an unfinished request of
-        the set still names it as ``related_to``.  Returns the removed
-        requests in set order.  One pass, linear in the size of the set:
-        every unfinished request marks its ancestors, the rest goes.
+        Kept: every unfinished request, and the one request each of them
+        names as ``related_to`` (whatever the constraint, ``FREE`` included).
+        Nothing above that parent stays, because one hop is all any reader
+        takes from a finished request: ``to_view`` and ``fit`` read it only
+        as the *direct* parent of a live one (``parent.end_time()``), the
+        RMS finds a pending successor by ``related_to is request``, and the
+        node carry-over follows ``related_to`` pointers, not set membership.
+        An update chain therefore holds its live tail and one finished link,
+        however many updates came before.  Returns the removed requests in
+        set order; one pass, linear in the size of the set.
         """
         members = self._by_id
         live = [r for r in members.values() if not r.finished()]
         if len(live) == len(members):
             return []
         keep = {r.request_id for r in live}
-        for child in live:
-            parent = child.related_to
-            while (
-                child.related_how is not RelatedHow.FREE
-                and parent is not None
-                and parent.request_id in members
-                and parent.request_id not in keep
-            ):
-                keep.add(parent.request_id)
-                child, parent = parent, parent.related_to
-        # Pinned last, so that a walk above never mistakes a request that
-        # is only named by a FREE request for one whose ancestors are marked.
         keep.update(r.related_to.request_id for r in live if r.related_to is not None)
         removed = [r for r in members.values() if r.request_id not in keep]
         for r in removed:

@@ -299,12 +299,14 @@ class CooRMv2:
         ones are carried over to the successor when it starts.
         """
         session = self._session(app_id)
+        if request.finished() and request.app_id == app_id:
+            # Already over: a no-op whether or not a pass has pruned the
+            # request from the session's sets since.
+            return
         if session.requests.find(request.request_id) is None:
             raise RequestError(
                 f"request #{request.request_id} does not belong to {app_id!r}"
             )
-        if request.finished():
-            return
         self._finish_request(session, request, released_node_ids, expired=False)
         self.event_log.record(
             RequestDone(
@@ -403,47 +405,46 @@ class CooRMv2:
             self._obs_allocation(tracer)
 
     def _pending_next_child(self, session: Session, request: Request) -> Optional[Request]:
-        """The not-yet-started NEXT successor of *request*, if any."""
-        for candidate_set in (
-            session.requests.non_preemptible,
-            session.requests.preemptible,
-            session.requests.preallocations,
-        ):
-            for r in candidate_set.scan():
-                if (
-                    r.related_how is RelatedHow.NEXT
-                    and r.related_to is request
-                    and not r.started()
-                    and not r.finished()
-                ):
-                    return r
+        """A not-yet-started NEXT successor of *request*, if any."""
+        for r in session.requests.scan():
+            if r.related_how is RelatedHow.NEXT and r.related_to is request and r.pending():
+                return r
         return None
 
     @staticmethod
-    def _next_chain_ancestors(request: Request, include_self: bool = False, max_hops: int = 64):
+    def _next_chain_ancestors(request: Request, include_self: bool = False):
         """Finished ``NEXT`` ancestors of *request* that still retain node IDs.
 
         Update operations chain requests with ``NEXT``; nodes stay bound to a
         finished predecessor until its successor starts.  Several helpers need
         to walk that chain (to carry nodes over, to release them early, or to
         clean up orphans), so the traversal lives here.
+
+        The walk ends at the first ancestor that is unfinished or that
+        :meth:`_start_request` bound node IDs to.  It relies on one
+        invariant: *a start empties everything above it* -- that start swept
+        this same chain and left ``node_ids`` empty on every ancestor it
+        yielded.  So the walk is as long as the run of updates issued since
+        the last one that was served, not as the application's history.
+        Pre-allocations start without binding nodes or sweeping, so the walk
+        passes through them.  Only in a forked chain can an ancestor above a
+        served request hold nodes again (it was still running when a branch
+        below it started, through a link cancelled before its turn, and has
+        since finished); it holds them for its *own* pending successor, which
+        is one more reason not to climb past the served request.
         """
         if include_self and request.finished() and request.node_ids:
             yield request
         current = request
-        hops = 0
-        while (
-            current.related_how is RelatedHow.NEXT
-            and current.related_to is not None
-            and hops < max_hops
-        ):
+        while current.related_how is RelatedHow.NEXT and current.related_to is not None:
             parent = current.related_to
-            if parent.finished() and parent.node_ids:
-                yield parent
             if not parent.finished():
                 break
+            if parent.node_ids:
+                yield parent
+            if parent.started() and not parent.is_preallocation():
+                break
             current = parent
-            hops += 1
 
     def _start_request(self, session: Session, request: Request) -> bool:
         """Try to start *request* now; returns False if it must wait for nodes."""
@@ -583,13 +584,14 @@ class CooRMv2:
         self._schedule_handle = None
         self._last_schedule_time = self.now
 
-        # Drop finished requests that no unfinished request depends on --
-        # every finished *ancestor* of an unfinished request stays, not just
-        # its parent -- so long-running applications (which update thousands
-        # of times) keep the scheduling cost proportional to their *live*
-        # requests.  Only the live sessions are walked, here and in the
-        # view-push loop below, which takes a fresh list because start
-        # callbacks may disconnect sessions.
+        # Drop the finished requests that no unfinished request names as
+        # ``related_to``.  One hop is enough -- ``to_view`` / ``fit`` read a
+        # finished request only as the direct parent of a live one, and
+        # ``_pending_next_child`` / ``_next_chain_ancestors`` follow
+        # ``related_to`` pointers, not set membership -- so an application's
+        # thousandth update costs a pass what its first did.  Only the live
+        # sessions are walked, here and in the view-push loop below, which
+        # takes a fresh list because start callbacks may disconnect sessions.
         sessions = self.connected_sessions()
         for session in sessions:
             session.requests.prune_finished()

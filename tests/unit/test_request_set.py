@@ -95,14 +95,19 @@ class TestRequestSet:
 
     def test_prune_finished_keeps_needed_parents(self):
         rs = RequestSet(RequestType.NON_PREEMPTIBLE)
-        parent = np_request()
+        grandparent = np_request()
+        parent = np_request(related_how=RelatedHow.NEXT, related_to=grandparent)
         child = np_request(related_how=RelatedHow.NEXT, related_to=parent)
-        rs.add(parent)
-        rs.add(child)
-        parent.mark_started(0.0)
-        parent.mark_finished(10.0)
-        # The child is still pending, so the parent must be kept.
+        for r in (grandparent, parent, child):
+            rs.add(r)
+        grandparent.mark_started(0.0)
+        grandparent.mark_finished(5.0)
+        # The parent is still pending, so the grandparent must be kept.
         assert rs.prune_finished() == []
+        parent.mark_started(5.0)
+        parent.mark_finished(10.0)
+        # The child is pending and names the parent -- and only the parent.
+        assert rs.prune_finished() == [grandparent]
         assert parent in rs
         child.mark_started(10.0)
         child.mark_finished(20.0)

@@ -1,19 +1,24 @@
 """Property tests: linear-time RequestSet pruning vs the naive reference.
 
-``RequestSet.prune_finished`` used to ask, for every request and on every
-pass, for the ``descendants()`` of that request, each of which scanned the
-whole set once per node -- cubic in the length of an update chain.  It is now
-one pass that marks the ancestors of every unfinished request.
-``ReferenceRequestSet`` keeps the original list-scanning code as the oracle:
-random forests must give the same removed list (order included), the same
-survivors and the same ``roots()`` / ``children()`` / ``descendants()``.
+``RequestSet.prune_finished`` keeps the unfinished requests and the one
+request each of them names as ``related_to``; it is one pass over the set.
+``ReferenceRequestSet`` states the same rule the naive way, with one linear
+scan per question, and is the oracle: random forests must give the same
+removed list (order included), the same survivors and the same ``roots()`` /
+``children()`` / ``descendants()``.  That the rule keeps request sets -- and
+the work of a pass -- from growing with an application's history is checked
+at the end, through a real ``CooRMv2``; that one hop loses nothing the old
+keep-every-ancestor rule protected is ``test_rms_chain_equivalence.py``'s job.
 """
 from __future__ import annotations
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import RelatedHow, Request, RequestSet, RequestType
+from repro.testing import RecordingApp, make_env
 
 
 class ReferenceRequestSet:
@@ -62,13 +67,11 @@ class ReferenceRequestSet:
     def prune_finished(self):
         removed = []
         for r in list(self.requests):
-            if r.finished() and all(c.finished() for c in self.descendants(r)):
-                dependants = [
-                    c for c in self.requests if c.related_to is r and not c.finished()
-                ]
-                if not dependants:
-                    self.remove(r)
-                    removed.append(r)
+            if r.finished() and not any(
+                c.related_to is r and not c.finished() for c in self.requests
+            ):
+                self.remove(r)
+                removed.append(r)
         return removed
 
 
@@ -139,8 +142,8 @@ def test_prune_matches_the_naive_reference(nodes, steps):
         _assert_same_forest(new, ref, requests)
 
 
-def test_finished_ancestors_of_a_live_request_all_stay():
-    """Not just the parent: the whole finished chain above a live request."""
+def test_only_the_parent_of_a_live_request_stays():
+    """One hop: the finished chain above a live request's parent goes."""
     rs = RequestSet()
     chain = [_request()]
     for _ in range(4):
@@ -149,9 +152,10 @@ def test_finished_ancestors_of_a_live_request_all_stay():
         rs.add(r)
     for r in chain[:-1]:
         _apply_state(r, "finished")
-    assert rs.prune_finished() == []
+    assert rs.prune_finished() == chain[:-2]
+    assert list(rs) == chain[-2:]
     _apply_state(chain[-1], "finished")
-    assert rs.prune_finished() == chain
+    assert rs.prune_finished() == chain[-2:]
 
 
 def test_free_request_pins_only_the_request_it_names():
@@ -180,24 +184,26 @@ def _count_finished_calls(monkeypatch):
     return calls
 
 
-def test_prune_of_a_long_chain_is_linear(monkeypatch):
-    """Counts ``Request.finished`` calls, not time: 2 000-request chain."""
-    length = 2000
-    rs = RequestSet()
-    chain = [_request()]
-    for _ in range(length - 1):
-        chain.append(_request(RelatedHow.NEXT, chain[-1]))
-    for r in chain:
-        rs.add(r)
-    for r in chain[:-1]:
-        _apply_state(r, "finished")
-
+def test_the_two_thousandth_update_costs_what_the_hundredth_did(monkeypatch):
+    """Counts set members and ``Request.finished`` calls, not time."""
+    sim, _, rms = make_env(nodes=16)
+    rms.connect(RecordingApp("a"), "a")
+    current = rms.submit("a", Request("cluster0", 4, math.inf, RequestType.PREEMPTIBLE))
+    sim.run()
     calls = _count_finished_calls(monkeypatch)
-    assert rs.prune_finished() == []  # the live tail keeps every ancestor
-    assert calls[0] <= 3 * length
-
-    _apply_state(chain[-1], "finished")
-    calls[0] = 0
-    assert rs.prune_finished() == chain
-    assert calls[0] <= 3 * length
-    assert len(rs) == 0
+    per_pass = []
+    for update in range(2000):
+        successor = Request(
+            "cluster0", 4 + update % 2, math.inf, RequestType.PREEMPTIBLE,
+            RelatedHow.NEXT, current,
+        )
+        rms.submit("a", successor)
+        rms.done("a", current)
+        calls[0] = 0
+        sim.run()  # exactly one pass: it starts the successor
+        per_pass.append(calls[0])
+        assert successor.started() and len(successor.node_ids) == successor.node_count
+        assert len(rms.sessions["a"].requests.preemptible) <= 3
+        current = successor
+    early, late = sum(per_pass[100:200]), sum(per_pass[1900:2000])
+    assert early > 0 and abs(late - early) <= 0.10 * early

@@ -169,6 +169,20 @@ class TestRequestLifecycle:
         summary = rms.accountant.summary("a")
         assert summary.non_preemptible_node_seconds == pytest.approx(4 * (10.0 - 1.0), rel=0.2)
 
+    def test_done_on_a_finished_request_does_not_depend_on_pass_timing(self):
+        sim, _, rms = make_env()
+        rms.connect(RecordingApp("a"), "a")
+        rms.connect(RecordingApp("b"), "b")
+        request = rms.submit("a", Request("cluster0", 4, 1000.0, RequestType.NON_PREEMPTIBLE))
+        sim.run(until=10.0)
+        rms.done("a", request)
+        rms.done("a", request)  # finished, still a member of the set
+        sim.run(until=20.0)
+        assert rms.sessions["a"].requests.find(request.request_id) is None
+        rms.done("a", request)  # finished and pruned by the pass: same no-op
+        with pytest.raises(RequestError):
+            rms.done("b", request)  # another application's, finished or not
+
     def test_done_rejects_foreign_requests(self):
         sim, _, rms = make_env()
         rms.connect(RecordingApp("a"), "a")
@@ -257,6 +271,34 @@ class TestNextChains:
         rms.done("a", successor)
         sim.run(until=10.0)
         assert platform.cluster("cluster0").free_count() == 16
+
+    @pytest.mark.parametrize("updates", [70, 200])
+    @pytest.mark.parametrize("name_released", [False, True])
+    def test_unserved_updates_never_strand_retained_nodes(self, updates, name_released):
+        """However many updates pile up before a pass, the tail gets the nodes."""
+        sim, platform, rms = make_env(nodes=64)
+        rms.connect(RecordingApp("a"), "a")
+        current = rms.submit("a", Request("cluster0", 10, math.inf, RequestType.PREEMPTIBLE))
+        sim.run(until=5.0)
+        first_nodes = current.node_ids
+        assert len(first_nodes) == 10
+        for _ in range(updates):
+            successor = rms.submit(
+                "a",
+                Request(
+                    "cluster0", 10, math.inf, RequestType.PREEMPTIBLE,
+                    related_how=RelatedHow.NEXT, related_to=current,
+                ),
+            )
+            rms.done("a", current, released_node_ids=[] if name_released else None)
+            current = successor
+        sim.run(until=10.0)
+        cluster = platform.cluster("cluster0")
+        assert current.node_ids == first_nodes
+        assert cluster.allocated_count() == 10
+        rms.done("a", current)
+        sim.run(until=20.0)
+        assert cluster.allocated_count() == 0
 
     def test_deferred_start_waits_for_release(self):
         sim, platform, rms = make_env(nodes=8)
