@@ -17,12 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.rigid import RigidApplication
-from repro.federation import (
-    Federation,
-    get_topology,
-    locality_group,
-    routing_names,
-)
+from repro.federation import ROUTINGS, TOPOLOGIES, Federation, locality_group
 from repro.metrics import format_table
 from repro.sim import Simulator
 
@@ -35,11 +30,11 @@ SIMULATION_FLOOR_JOBS_PER_SECOND = 10
 
 def build_federation(routing: str):
     simulator = Simulator()
-    topology = get_topology("hetero3").with_routing(routing)
+    topology = TOPOLOGIES.get("hetero3").with_routing(routing)
     return Federation(topology, simulator, seed=1), simulator
 
 
-@pytest.mark.parametrize("routing", routing_names())
+@pytest.mark.parametrize("routing", ROUTINGS.names())
 def test_routing_submit_throughput(benchmark, routing):
     """Route-and-connect a burst of applications; report placements/s."""
     count = 300
@@ -75,7 +70,7 @@ def test_federated_simulation_throughput(benchmark):
 
     def run_federated():
         simulator = Simulator()
-        federation = Federation(get_topology("hetero3"), simulator, seed=1)
+        federation = Federation(TOPOLOGIES.get("hetero3"), simulator, seed=1)
         apps = []
 
         def submit(index: int) -> None:

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import ApplicationRequests, Request, RequestType, Scheduler
 from repro.metrics import format_table
-from repro.policies import policy_names
+from repro.policies import POLICIES
 
 
 def build_workload(num_apps: int, requests_per_app: int):
@@ -71,7 +71,7 @@ def test_scheduling_pass_throughput(benchmark, num_apps, requests_per_app):
     assert throughput > 5_000
 
 
-@pytest.mark.parametrize("policy", policy_names())
+@pytest.mark.parametrize("policy", POLICIES.names())
 def test_policy_pass_throughput(benchmark, policy):
     """One scheduling pass per registered policy, with a throughput floor.
 

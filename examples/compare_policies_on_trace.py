@@ -35,7 +35,7 @@ from repro.campaign import (
     WorkloadSpec,
 )
 from repro.metrics import format_table
-from repro.policies import describe_policy
+from repro.policies import registry
 
 TRACE_PATH = Path(__file__).parent.parent / "tests" / "data" / "tiny.swf"
 
@@ -57,9 +57,9 @@ METRICS = (
 def main() -> None:
     print("policies under comparison:")
     for name in POLICIES:
-        entry = describe_policy(name)
-        stages = f"{entry['ordering']}/{entry['backfill']}/{entry['sharing']}"
-        print(f"  {name:13s} {stages:40s} {entry['description']}")
+        entry = registry.POLICIES.get(name)
+        stages = f"{entry.ordering}/{entry.backfill}/{entry.sharing}"
+        print(f"  {name:13s} {stages:40s} {entry.description}")
 
     scenario = ScenarioSpec(
         name="swf-policy-compare",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
+from repro import federation
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
@@ -35,7 +36,6 @@ from repro.campaign import (
     ScenarioSpec,
     WorkloadSpec,
 )
-from repro.federation import describe_routing, get_topology
 from repro.metrics import format_table
 
 TRACE_PATH = Path(__file__).parent.parent / "tests" / "data" / "tiny.swf"
@@ -50,14 +50,14 @@ METRICS = (
     "trace_finished",
 )
 
-TOPOLOGY = get_topology("hetero3")
+TOPOLOGY = federation.TOPOLOGIES.get("hetero3")
 
 
 def main() -> None:
     print("topology:", TOPOLOGY.label())
     print("routings under comparison:")
     for name in ROUTINGS:
-        print(f"  {name:13s} {describe_routing(name)}")
+        print(f"  {name:13s} {federation.ROUTINGS.describe(name)}")
 
     scenario = ScenarioSpec(
         name="swf-federated",

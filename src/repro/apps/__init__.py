@@ -1,6 +1,6 @@
 """Application behaviours: rigid, moldable, malleable, evolving, AMR and PSA."""
 from .base import BaseApplication
-from .rigid import RigidApplication
+from .rigid import RigidApplication, RigidJobSpec
 from .moldable import MoldableApplication
 from .malleable import (
     MalleableApplication,
@@ -14,6 +14,7 @@ from .psa import ParameterSweepApplication, PsaStatistics
 __all__ = [
     "BaseApplication",
     "RigidApplication",
+    "RigidJobSpec",
     "MoldableApplication",
     "MalleableApplication",
     "identity_selector",

@@ -8,13 +8,29 @@ a compatibility check: CooRMv2 must still schedule plain rigid workloads.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
 from ..core.request import Request
 from ..core.types import ClusterId, NodeId, RequestType, Time
 from .base import BaseApplication
 
-__all__ = ["RigidApplication"]
+__all__ = ["RigidApplication", "RigidJobSpec"]
+
+
+@dataclass(frozen=True)
+class RigidJobSpec:
+    """One rigid job as data: what traces, generators and baselines exchange."""
+
+    job_id: str
+    submit_time: float
+    node_count: int
+    duration: float
+
+    @property
+    def area(self) -> float:
+        """Node-seconds the job will consume."""
+        return self.node_count * self.duration
 
 
 class RigidApplication(BaseApplication):

@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence
 
 from ..core.cbf import CbfJob
 from ..policies.registry import resolve_policy
-from ..workloads.generator import RigidJobSpec
+from ..apps.rigid import RigidJobSpec
 
 __all__ = ["BatchJobOutcome", "BatchSchedulerBaseline", "peak_static_job"]
 

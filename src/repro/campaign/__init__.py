@@ -31,12 +31,11 @@ Quick start::
 """
 from . import builtin  # noqa: F401  (registers built-in runners and scenarios)
 from .registry import (
+    RUNNERS,
+    SCENARIOS,
     builtin_scenarios,
     get_runner,
-    register_runner,
-    register_scenario,
     resolve_scenarios,
-    runner_names,
 )
 from .runner import CampaignResult, CampaignRunner, RunTask
 from ..traces.source import TraceSource
@@ -59,15 +58,14 @@ __all__ = [
     "PlatformSpec",
     "ResultStore",
     "RmsSpec",
+    "RUNNERS",
     "RunTask",
+    "SCENARIOS",
     "ScenarioSpec",
     "TraceSource",
     "WorkloadSpec",
     "builtin_scenarios",
     "get_runner",
-    "register_runner",
-    "register_scenario",
     "resolve_scale",
     "resolve_scenarios",
-    "runner_names",
 ]

@@ -29,15 +29,15 @@ from ..experiments import (
     fig10_announced,
     fig11_two_psas,
 )
+from ..core.errors import SpecError
 from ..experiments.runner import run_scenario
 from ..federation.metrics import federation_breakdown
-from ..federation.spec import get_topology
+from ..federation.spec import TOPOLOGIES
 from ..models.amr_evolution import AmrEvolutionParameters, normalized_profile
 from ..sim.randomness import derive_seed
 from ..traces.source import resolve_converted_jobs
 from ..workloads.generator import WorkloadParameters, generate_rigid_workload
-from ..workloads.trace import load_trace_cached
-from .registry import record_provenance, register_runner, register_scenario
+from .registry import RUNNERS, SCENARIOS, record_provenance
 from .spec import PlatformSpec, RmsSpec, ScenarioSpec, WorkloadSpec, resolve_scale
 
 __all__ = ["clean_metrics", "POLICY_AWARE_RUNNERS"]
@@ -82,21 +82,21 @@ def _require_default_policy(spec: ScenarioSpec) -> None:
     ``ScenarioSpec.federation``.
     """
     if spec.policy is not None and spec.policy_name != "coorm":
-        raise ValueError(
+        raise SpecError(
             f"scenario {spec.name!r} (runner {spec.runner!r}) reproduces a fixed "
             f"paper experiment and ignores scheduling policies; it cannot run "
             f"under policy {spec.policy_name!r}. Sweep policies over 'amr_psa'-"
             f"based scenarios (e.g. trace-replay, baseline-dynamic) instead."
         )
     if spec.federation is not None:
-        raise ValueError(
+        raise SpecError(
             f"scenario {spec.name!r} (runner {spec.runner!r}) reproduces a fixed "
             f"paper experiment on a single cluster and ignores federation "
             f"specs; federate 'amr_psa'-based scenarios (e.g. fed-dual-trace) "
             f"instead."
         )
     if spec.faults is not None:
-        raise ValueError(
+        raise SpecError(
             f"scenario {spec.name!r} (runner {spec.runner!r}) reproduces a fixed "
             f"paper experiment and ignores fault plans; inject faults into "
             f"'amr_psa'-based federated scenarios (e.g. fed-chaos-dual) instead."
@@ -111,9 +111,8 @@ def _background_workload(spec: ScenarioSpec, seed: int):
     """The background job streams of a scenario: ``(rigid, adaptive)``.
 
     A declarative trace source produces converted (possibly adaptive) jobs;
-    a bare ``trace_path`` replays the file as plain rigid jobs; otherwise
-    the synthetic rigid generator runs.  Whichever branch fires records its
-    workload provenance for the campaign runner to persist.
+    otherwise the synthetic rigid generator runs.  Whichever branch fires
+    records its workload provenance for the campaign runner to persist.
     """
     workload = spec.workload
     if workload.trace is not None:
@@ -123,14 +122,6 @@ def _background_workload(spec: ScenarioSpec, seed: int):
         )
         record_provenance(provenance)
         return None, jobs
-    if workload.trace_path:
-        jobs, fingerprint = load_trace_cached(workload.trace_path)
-        # Fingerprint the content, not just the name: a renamed or
-        # silently-edited replay file stays distinguishable in the store.
-        record_provenance(
-            {"source": {"path": workload.trace_path, "sha256_16": fingerprint}}
-        )
-        return jobs, None
     if workload.rigid_job_count <= 0:
         return None, None
     median = workload.rigid_runtime_median
@@ -157,7 +148,7 @@ def _background_workload(spec: ScenarioSpec, seed: int):
 # --------------------------------------------------------------------- #
 # Generic runners
 # --------------------------------------------------------------------- #
-@register_runner("amr_psa")
+@RUNNERS.register("amr_psa")
 def run_amr_psa(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """The paper scenario with every spec knob honoured."""
     scale = resolve_scale(spec)
@@ -210,7 +201,7 @@ def run_amr_psa(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
 # --------------------------------------------------------------------- #
 # Figure runners (ports of repro.experiments.fig*)
 # --------------------------------------------------------------------- #
-@register_runner("fig1")
+@RUNNERS.register("fig1")
 def run_fig1(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """Shape statistics of one normalised AMR working-set profile."""
     _require_default_policy(spec)
@@ -234,7 +225,7 @@ def run_fig1(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     )
 
 
-@register_runner("fig2")
+@RUNNERS.register("fig2")
 def run_fig2(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """Model step durations per (mesh size, node count); seed-independent."""
     _require_default_policy(spec)
@@ -246,7 +237,7 @@ def run_fig2(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     return _finish(spec, metrics)
 
 
-@register_runner("fig3")
+@RUNNERS.register("fig3")
 def run_fig3(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """End-time increase of the equivalent static allocation (one seed)."""
     _require_default_policy(spec)
@@ -262,7 +253,7 @@ def run_fig3(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     return _finish(spec, metrics)
 
 
-@register_runner("fig4")
+@RUNNERS.register("fig4")
 def run_fig4(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """Static-choice node-count ranges per relative peak size (one seed)."""
     _require_default_policy(spec)
@@ -283,7 +274,7 @@ def _overcommit_factors(spec: ScenarioSpec) -> Tuple[float, ...]:
     return tuple(float(f) for f in factors)
 
 
-@register_runner("fig9")
+@RUNNERS.register("fig9")
 def run_fig9(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """Static-vs-dynamic overcommit sweep with spontaneous updates."""
     _require_default_policy(spec)
@@ -309,7 +300,7 @@ def _announce_intervals(spec: ScenarioSpec, psa1_task_duration: float) -> Tuple[
     return tuple(r * psa1_task_duration for r in RELATIVE_ANNOUNCE_INTERVALS)
 
 
-@register_runner("fig10")
+@RUNNERS.register("fig10")
 def run_fig10(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """Announce-interval sweep: end-time increase, waste, used resources."""
     _require_default_policy(spec)
@@ -325,7 +316,7 @@ def run_fig10(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     return _finish(spec, metrics)
 
 
-@register_runner("fig11")
+@RUNNERS.register("fig11")
 def run_fig11(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """Two-PSA filling-vs-strict equi-partitioning sweep."""
     _require_default_policy(spec)
@@ -344,66 +335,6 @@ def run_fig11(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
 # --------------------------------------------------------------------- #
 # Built-in scenario definitions
 # --------------------------------------------------------------------- #
-for _name, _runner, _description in [
-    ("fig1", "fig1", "Normalised AMR working-set evolution shape statistics"),
-    ("fig2", "fig2", "AMR step-duration model curves (speed-up fit)"),
-    ("fig3", "fig3", "End-time increase of the equivalent static allocation"),
-    ("fig4", "fig4", "Feasible static node-count choices per relative peak size"),
-    ("fig9", "fig9", "Spontaneous updates: static vs dynamic overcommit sweep"),
-    ("fig10", "fig10", "Announced updates: end-time increase, waste, used resources"),
-    ("fig11", "fig11", "Two PSAs: equi-partitioning with filling vs strict"),
-]:
-    register_scenario(
-        ScenarioSpec(name=_name, runner=_runner, description=_description)
-    )
-
-# Descriptive alias: the fig9 experiment is the paper's *spontaneous
-# update* evaluation, and tooling examples refer to it by that name.
-register_scenario(
-    ScenarioSpec(
-        name="fig9-spontaneous",
-        runner="fig9",
-        description="Alias of fig9 (spontaneous updates overcommit sweep)",
-    )
-)
-
-register_scenario(
-    ScenarioSpec(
-        name="baseline-dynamic",
-        runner="amr_psa",
-        description="One AMR + one PSA, dynamic allocation (paper default)",
-    )
-)
-register_scenario(
-    ScenarioSpec(
-        name="baseline-static",
-        runner="amr_psa",
-        description="One AMR + one PSA, AMR pinned to its whole pre-allocation",
-        workload=WorkloadSpec(static_allocation=True),
-    )
-)
-register_scenario(
-    ScenarioSpec(
-        name="strict-equipartition",
-        runner="amr_psa",
-        description="Paper scenario under the strict equi-partitioning baseline",
-        rms=RmsSpec(strict_equipartition=True),
-    )
-)
-register_scenario(
-    ScenarioSpec(
-        name="mixed-rigid",
-        runner="amr_psa",
-        description="AMR + PSA + a background stream of rigid batch jobs",
-        workload=WorkloadSpec(
-            rigid_job_count=8,
-            rigid_max_nodes=16,
-            rigid_mean_interarrival=30.0,
-            rigid_runtime_median=120.0,
-        ),
-    )
-)
-
 #: Statistical model behind the built-in trace scenarios: Poisson arrivals
 #: every 30 s, ~2-minute median runtimes, power-of-two jobs up to 32 nodes.
 TRACE_SCENARIO_MODEL: Dict[str, Dict] = {
@@ -423,7 +354,61 @@ TRACE_SCENARIO_MODEL: Dict[str, Dict] = {
     },
 }
 
-register_scenario(
+#: Workload of the chaos scenarios (see the comment above them).
+_CHAOS_TRACE: Dict[str, object] = {
+    "model": TRACE_SCENARIO_MODEL,
+    "job_count": 120,
+    "transforms": [{"kind": "clamp_nodes", "max_nodes": 32}],
+}
+
+_BUILTIN_SCENARIOS = (
+    *(
+        ScenarioSpec(name=_name, runner=_name, description=_description)
+        for _name, _description in [
+            ("fig1", "Normalised AMR working-set evolution shape statistics"),
+            ("fig2", "AMR step-duration model curves (speed-up fit)"),
+            ("fig3", "End-time increase of the equivalent static allocation"),
+            ("fig4", "Feasible static node-count choices per relative peak size"),
+            ("fig9", "Spontaneous updates: static vs dynamic overcommit sweep"),
+            ("fig10", "Announced updates: end-time increase, waste, used resources"),
+            ("fig11", "Two PSAs: equi-partitioning with filling vs strict"),
+        ]
+    ),
+    # Descriptive alias: the fig9 experiment is the paper's *spontaneous
+    # update* evaluation, and tooling examples refer to it by that name.
+    ScenarioSpec(
+        name="fig9-spontaneous",
+        runner="fig9",
+        description="Alias of fig9 (spontaneous updates overcommit sweep)",
+    ),
+    ScenarioSpec(
+        name="baseline-dynamic",
+        runner="amr_psa",
+        description="One AMR + one PSA, dynamic allocation (paper default)",
+    ),
+    ScenarioSpec(
+        name="baseline-static",
+        runner="amr_psa",
+        description="One AMR + one PSA, AMR pinned to its whole pre-allocation",
+        workload=WorkloadSpec(static_allocation=True),
+    ),
+    ScenarioSpec(
+        name="strict-equipartition",
+        runner="amr_psa",
+        description="Paper scenario under the strict equi-partitioning baseline",
+        rms=RmsSpec(strict_equipartition=True),
+    ),
+    ScenarioSpec(
+        name="mixed-rigid",
+        runner="amr_psa",
+        description="AMR + PSA + a background stream of rigid batch jobs",
+        workload=WorkloadSpec(
+            rigid_job_count=8,
+            rigid_max_nodes=16,
+            rigid_mean_interarrival=30.0,
+            rigid_runtime_median=120.0,
+        ),
+    ),
     ScenarioSpec(
         name="trace-replay",
         runner="amr_psa",
@@ -437,9 +422,7 @@ register_scenario(
                 "transforms": [{"kind": "clamp_nodes", "max_nodes": 64}],
             },
         ),
-    )
-)
-register_scenario(
+    ),
     ScenarioSpec(
         name="trace-adaptive",
         runner="amr_psa",
@@ -459,24 +442,18 @@ register_scenario(
                 },
             },
         ),
-    )
-)
+    ),
 
-# --------------------------------------------------------------------- #
-# Federated scenarios: the registered built-in topologies (see
-# repro.federation.spec) applied to the generic runner, so `federation
-# describe <topology>` always matches what these scenarios execute.
-# --------------------------------------------------------------------- #
-register_scenario(
+    # Federated scenarios: the registered built-in topologies (see
+    # repro.federation.spec) applied to the generic runner, so `federation
+    # describe <topology>` always matches what these scenarios execute.
     ScenarioSpec(
         name="fed-single",
         runner="amr_psa",
         description="Paper scenario inside a 1-cluster federation; must be "
         "byte-identical to baseline-dynamic (equivalence guard)",
-        federation=get_topology("single"),
-    )
-)
-register_scenario(
+        federation=TOPOLOGIES.get("single"),
+    ),
     ScenarioSpec(
         name="fed-dual-trace",
         runner="amr_psa",
@@ -490,23 +467,13 @@ register_scenario(
                 "transforms": [{"kind": "clamp_nodes", "max_nodes": 32}],
             },
         ),
-        federation=get_topology("dual"),
-    )
-)
-# --------------------------------------------------------------------- #
-# Chaos scenarios: the dual topology under the built-in fault plans.
-# AMR-free on purpose -- the trace workload's rigid jobs are killable and
-# respawnable, so jobs-lost / rescheduled / SLA-attainment numbers are
-# well defined.  120 jobs at one arrival per ~30 s spans the plans'
-# 600..2400 s fault windows comfortably.
-# --------------------------------------------------------------------- #
-_CHAOS_TRACE: Dict[str, object] = {
-    "model": TRACE_SCENARIO_MODEL,
-    "job_count": 120,
-    "transforms": [{"kind": "clamp_nodes", "max_nodes": 32}],
-}
-
-register_scenario(
+        federation=TOPOLOGIES.get("dual"),
+    ),
+    # Chaos scenarios: the dual topology under the built-in fault plans.
+    # AMR-free on purpose -- the trace workload's rigid jobs are killable and
+    # respawnable, so jobs-lost / rescheduled / SLA-attainment numbers are
+    # well defined.  The 120 jobs of _CHAOS_TRACE at one arrival per ~30 s
+    # span the plans' 600..2400 s fault windows comfortably.
     ScenarioSpec(
         name="fed-chaos-dual",
         runner="amr_psa",
@@ -514,23 +481,18 @@ register_scenario(
         "plan: staggered partial crashes with restarts, admission control "
         "rerouting around the unhealthy member",
         workload=WorkloadSpec(include_amr=False, trace=_CHAOS_TRACE),
-        federation=get_topology("dual"),
+        federation=TOPOLOGIES.get("dual"),
         faults="flaky-nodes",
-    )
-)
-register_scenario(
+    ),
     ScenarioSpec(
         name="fed-chaos-blackout",
         runner="amr_psa",
         description="Synthesized trace on two clusters with one member "
         "blacked out for 25 sim-minutes; killed jobs respawn on the survivor",
         workload=WorkloadSpec(include_amr=False, trace=_CHAOS_TRACE),
-        federation=get_topology("dual"),
+        federation=TOPOLOGIES.get("dual"),
         faults="blackout",
-    )
-)
-
-register_scenario(
+    ),
     ScenarioSpec(
         name="fed-hetero3",
         runner="amr_psa",
@@ -550,6 +512,8 @@ register_scenario(
                 },
             },
         ),
-        federation=get_topology("hetero3"),
-    )
+        federation=TOPOLOGIES.get("hetero3"),
+    ),
 )
+for _spec in _BUILTIN_SCENARIOS:
+    SCENARIOS.register(_spec.name, _spec, _spec.description)

@@ -28,14 +28,13 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+from ..core.errors import SpecError
 from ..dist.coordinator import DistConfig
 from ..dist.transport import TRANSPORT_NAMES, parse_endpoint
-from ..federation.routing import make_routing
 from ..metrics.report import format_comparison, format_table
 from ..obs.logsetup import get_logger
-from ..policies.registry import resolve_policy
 from . import builtin  # noqa: F401  (registers the built-in scenarios)
-from .registry import builtin_scenarios, resolve_scenarios
+from .registry import SCENARIOS, resolve_scenarios
 from .runner import CampaignInterrupted, CampaignRunner
 from .spec import SCALE_NAMES, CampaignSpec
 from .store import ResultStore
@@ -162,79 +161,57 @@ def _cmd_run(args: argparse.Namespace) -> int:
     routings = tuple(
         r.strip() for r in (args.routings or "").split(",") if r.strip()
     )
-    try:
-        for p in policies:
-            resolve_policy(p)
-        for r in routings:
-            make_routing(r)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    try:
-        if args.spec:
-            spec = CampaignSpec.load(args.spec)
-            overrides = {}
-            if args.scale is not None:
-                overrides["scenarios"] = [
-                    s.with_scale(args.scale).to_dict() for s in spec.scenarios
-                ]
-            # Explicit flags beat the spec file; omitted flags keep its values.
-            if args.seeds is not None:
-                overrides["seeds"] = args.seeds
-            if args.root_seed is not None:
-                overrides["root_seed"] = args.root_seed
-            if policies:
-                overrides["policies"] = list(policies)
-            if routings:
-                overrides["routings"] = list(routings)
-            if overrides:
-                spec = CampaignSpec.from_dict({**spec.to_dict(), **overrides})
-        else:
-            if not args.scenarios:
-                print("error: provide --scenarios or --spec", file=sys.stderr)
-                return 2
-            names = [n.strip() for n in args.scenarios.split(",") if n.strip()]
-            try:
-                scenarios = resolve_scenarios(names, scale=args.scale)
-            except KeyError as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 2
-            seeds = 1 if args.seeds is None else args.seeds
-            spec = CampaignSpec(
-                name=args.name or _default_name(names, seeds),
-                scenarios=tuple(scenarios),
-                seeds=seeds,
-                root_seed=0 if args.root_seed is None else args.root_seed,
-                workers=args.workers or 1,
-                policies=policies,
-                routings=routings,
-            )
-        if args.name and spec.name != args.name:
-            spec = CampaignSpec.from_dict({**spec.to_dict(), "name": args.name})
-    except ValueError as exc:
-        # e.g. a routing matrix over scenarios that have no federation spec.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # Every rejection below -- an unknown name, a malformed spec file, a
+    # routing matrix over unfederated scenarios -- is a ReproError, which
+    # ``repro.__main__`` turns into one ``error:`` line and exit status 2.
+    if args.spec:
+        spec = CampaignSpec.load(args.spec)
+        overrides = {}
+        if args.scale is not None:
+            overrides["scenarios"] = [
+                s.with_scale(args.scale).to_dict() for s in spec.scenarios
+            ]
+        # Explicit flags beat the spec file; omitted flags keep its values.
+        if args.seeds is not None:
+            overrides["seeds"] = args.seeds
+        if args.root_seed is not None:
+            overrides["root_seed"] = args.root_seed
+        if policies:
+            overrides["policies"] = list(policies)
+        if routings:
+            overrides["routings"] = list(routings)
+        if overrides:
+            spec = CampaignSpec.from_dict({**spec.to_dict(), **overrides})
+    else:
+        if not args.scenarios:
+            raise SpecError("provide --scenarios or --spec")
+        names = [n.strip() for n in args.scenarios.split(",") if n.strip()]
+        seeds = 1 if args.seeds is None else args.seeds
+        spec = CampaignSpec(
+            name=args.name or _default_name(names, seeds),
+            scenarios=tuple(resolve_scenarios(names, scale=args.scale)),
+            seeds=seeds,
+            root_seed=0 if args.root_seed is None else args.root_seed,
+            workers=args.workers or 1,
+            policies=policies,
+            routings=routings,
+        )
+    if args.name and spec.name != args.name:
+        spec = CampaignSpec.from_dict({**spec.to_dict(), "name": args.name})
 
     if spec.policies:
         unaware = sorted(
             {s.runner for s in spec.scenarios} - set(builtin.POLICY_AWARE_RUNNERS)
         )
         if unaware:
-            print(
-                f"error: runner(s) {unaware} reproduce fixed paper experiments "
+            raise SpecError(
+                f"runner(s) {unaware} reproduce fixed paper experiments "
                 "and cannot sweep scheduling policies; use 'amr_psa'-based "
-                "scenarios (e.g. trace-replay, baseline-dynamic)",
-                file=sys.stderr,
+                "scenarios (e.g. trace-replay, baseline-dynamic)"
             )
-            return 2
 
     store = ResultStore(args.results_dir)
-    try:
-        store.campaign_dir(spec.name)  # validate the name before running
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    store.campaign_dir(spec.name)  # validate the name before running
 
     def progress(done: int, total: int, record) -> None:
         # Narration goes through the shared logger (stderr): --quiet keeps
@@ -249,19 +226,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 record["seed"],
             )
 
-    try:
-        runner = CampaignRunner(
-            spec,
-            store=store,
-            progress=progress,
-            collect_obs=args.obs,
-            trace_dir=args.trace_dir,
-            slo_spec=args.slo,
-        )
-    except (OSError, ValueError) as exc:
-        # A missing or malformed --slo spec file fails before any run starts.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # A missing or malformed --slo spec file fails here, before any run starts.
+    runner = CampaignRunner(
+        spec,
+        store=store,
+        progress=progress,
+        collect_obs=args.obs,
+        trace_dir=args.trace_dir,
+        slo_spec=args.slo,
+    )
 
     workers = args.workers if args.dist_workers is None else args.dist_workers
     if workers is None:
@@ -475,10 +448,8 @@ def _print_matrix_comparisons(matrix: dict, title: str) -> None:
 
 
 def _cmd_scenarios(_args: argparse.Namespace) -> int:
-    rows = [
-        (spec.name, spec.runner, spec.scale, spec.description)
-        for spec in sorted(builtin_scenarios().values(), key=lambda s: s.name)
-    ]
+    specs = [SCENARIOS.get(name) for name in SCENARIOS.names()]
+    rows = [(spec.name, spec.runner, spec.scale, spec.description) for spec in specs]
     print(format_table(["scenario", "runner", "scale", "description"], rows))
     return 0
 

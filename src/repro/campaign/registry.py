@@ -3,25 +3,27 @@
 The campaign layer separates *what* a scenario is (a
 :class:`~repro.campaign.spec.ScenarioSpec`) from *how* it executes (a
 **runner**: a callable ``(spec, seed) -> {metric: value}``).  Runners are
-registered by name so that specs stay serialisable -- a campaign JSON file
-only ever references runners by their names.
+registered by name in :data:`RUNNERS` (``@RUNNERS.register("name")``) so
+that specs stay serialisable -- a campaign JSON file only ever references
+runners by their names.
 
 Built-in scenarios (the paper's figures plus a few mixed-workload
-configurations) register themselves here when :mod:`repro.campaign.builtin`
-is imported, which :mod:`repro.campaign` guarantees.
+configurations) register themselves in :data:`SCENARIOS` when
+:mod:`repro.campaign.builtin` is imported, which :mod:`repro.campaign`
+guarantees.
 """
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
+from ..core.registry import Registry
 from .spec import ScenarioSpec
 
 __all__ = [
     "ScenarioRunner",
-    "register_runner",
+    "RUNNERS",
+    "SCENARIOS",
     "get_runner",
-    "runner_names",
-    "register_scenario",
     "builtin_scenarios",
     "resolve_scenarios",
     "record_provenance",
@@ -32,8 +34,10 @@ __all__ = [
 #: JSON-serialisable mapping of metric name to value.
 ScenarioRunner = Callable[[ScenarioSpec, int], Mapping[str, object]]
 
-_RUNNERS: Dict[str, ScenarioRunner] = {}
-_BUILTIN: Dict[str, ScenarioSpec] = {}
+#: Scenario runners by name.
+RUNNERS = Registry("scenario runner")
+#: Built-in scenario definitions by name.
+SCENARIOS = Registry("scenario")
 
 #: Workload provenance of the run currently executing in this process.
 #: Runners publish it with :func:`record_provenance`; the campaign runner
@@ -61,43 +65,14 @@ def consume_provenance() -> Optional[Dict]:
     return None if provenance is None else dict(provenance)
 
 
-def register_runner(name: str) -> Callable[[ScenarioRunner], ScenarioRunner]:
-    """Decorator registering a scenario runner under *name*."""
-
-    def decorator(fn: ScenarioRunner) -> ScenarioRunner:
-        if name in _RUNNERS:
-            raise ValueError(f"scenario runner {name!r} is already registered")
-        _RUNNERS[name] = fn
-        return fn
-
-    return decorator
-
-
 def get_runner(name: str) -> ScenarioRunner:
     """Look up a runner, with a helpful error listing the known names."""
-    try:
-        return _RUNNERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario runner {name!r}; known runners: {runner_names()}"
-        ) from None
-
-
-def runner_names() -> List[str]:
-    return sorted(_RUNNERS)
-
-
-def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
-    """Register a built-in scenario definition (keyed by its name)."""
-    if spec.name in _BUILTIN:
-        raise ValueError(f"built-in scenario {spec.name!r} is already registered")
-    _BUILTIN[spec.name] = spec
-    return spec
+    return RUNNERS.get(name)
 
 
 def builtin_scenarios() -> Dict[str, ScenarioSpec]:
     """Name -> spec of every built-in scenario (a copy; safe to mutate)."""
-    return dict(_BUILTIN)
+    return {name: SCENARIOS.get(name) for name in SCENARIOS.names()}
 
 
 def resolve_scenarios(
@@ -108,14 +83,5 @@ def resolve_scenarios(
     ``scale`` (when given) overrides the scale of every resolved scenario,
     which is how ``python -m repro campaign run --scale`` works.
     """
-    specs: List[ScenarioSpec] = []
-    for name in names:
-        try:
-            spec = _BUILTIN[name]
-        except KeyError:
-            known = ", ".join(sorted(_BUILTIN)) or "(none)"
-            raise KeyError(
-                f"unknown scenario {name!r}; built-in scenarios: {known}"
-            ) from None
-        specs.append(spec if scale is None else spec.with_scale(scale))
-    return specs
+    specs = [SCENARIOS.get(name) for name in names]
+    return specs if scale is None else [spec.with_scale(scale) for spec in specs]

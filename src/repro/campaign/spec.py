@@ -14,14 +14,16 @@ definitions in :mod:`repro.campaign.builtin`.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from ..core.errors import SpecError
+from ..core.serde import from_strict_dict, located, read_json
 from ..experiments.runner import EvaluationScale
-from ..faults.plan import FaultPlan, get_fault_plan
-from ..federation.routing import make_routing
+from ..faults.plan import FAULT_PLANS, FaultPlan
+from ..federation.routing import ROUTINGS
 from ..federation.spec import FederationSpec
 from ..policies.registry import policy_label, resolve_policy
 from ..traces.source import TraceSource
@@ -49,21 +51,6 @@ def _jsonify(value):
     return value
 
 
-def _filter_kwargs(cls, data: Mapping) -> Dict:
-    """Keep only keys that are fields of *cls*, rejecting unknown ones."""
-    if not isinstance(data, Mapping):
-        raise ValueError(
-            f"{cls.__name__} must be a JSON object, got {type(data).__name__}"
-        )
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(
-            f"{cls.__name__} does not understand field(s): {sorted(unknown)}"
-        )
-    return dict(data)
-
-
 @dataclass(frozen=True)
 class PlatformSpec:
     """Where the scenario runs.
@@ -78,16 +65,16 @@ class PlatformSpec:
 
     def __post_init__(self) -> None:
         if self.cluster_nodes < 0:
-            raise ValueError("cluster_nodes must be >= 0 (0 = derive)")
+            raise SpecError("cluster_nodes must be >= 0 (0 = derive)")
         if self.cluster_headroom < 1.0:
-            raise ValueError("cluster_headroom must be >= 1")
+            raise SpecError("cluster_headroom must be >= 1")
 
     def to_dict(self) -> Dict:
         return _jsonify(asdict(self))
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PlatformSpec":
-        return cls(**_filter_kwargs(cls, data))
+        return from_strict_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -96,7 +83,7 @@ class WorkloadSpec:
 
     The default is the paper's evaluation workload: one non-predictably
     evolving AMR application plus the PSA(s) of the active scale.  Rigid
-    batch jobs (generated or replayed from a trace file) can be layered on
+    batch jobs (generated, or replayed from an SWF trace) can be layered on
     top to exercise mixed classical + evolving load.
     """
 
@@ -119,32 +106,44 @@ class WorkloadSpec:
     rigid_mean_interarrival: float = 400.0
     #: Median runtime of rigid jobs, seconds (their tail is capped at 10x).
     rigid_runtime_median: float = 1800.0
-    #: Optional SWF-like trace file to replay instead of generated rigid jobs.
+    #: Reserved: the retired 4-field replay format.  Always ``None``; the
+    #: key stays in ``to_dict()`` because the wire and unit-key bytes are
+    #: frozen.  Replay an SWF file with ``trace={"path": ...}`` instead.
     trace_path: Optional[str] = None
     #: Full declarative trace source (SWF path or statistical model, plus a
-    #: transformation chain and an adaptive-kind mix); supersedes the plain
-    #: ``trace_path`` replay.  Dictionaries are promoted to
-    #: :class:`~repro.traces.source.TraceSource` on construction.
+    #: transformation chain and an adaptive-kind mix).  Dictionaries are
+    #: promoted to :class:`~repro.traces.source.TraceSource` on construction.
     trace: Optional[TraceSource] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "psa_task_durations", tuple(float(d) for d in self.psa_task_durations)
-        )
+        with located("psa_task_durations"):
+            object.__setattr__(
+                self,
+                "psa_task_durations",
+                tuple(float(d) for d in self.psa_task_durations),
+            )
         if self.trace is not None and not isinstance(self.trace, TraceSource):
             object.__setattr__(self, "trace", TraceSource.from_dict(self.trace))
-        if self.trace is not None and self.trace_path is not None:
-            raise ValueError("give either trace or trace_path, not both")
+        if self.trace_path is not None:
+            raise SpecError(
+                'the 4-field replay format is retired; use trace = {"path": ...} '
+                "with an SWF file",
+                "trace_path",
+            )
         if any(d <= 0 for d in self.psa_task_durations):
-            raise ValueError("psa_task_durations must be positive")
+            raise SpecError("psa_task_durations must be positive")
         if self.overcommit <= 0:
-            raise ValueError("overcommit must be positive")
+            raise SpecError("overcommit must be positive")
         if self.announce_interval < 0:
-            raise ValueError("announce_interval must be >= 0")
+            raise SpecError("announce_interval must be >= 0")
         if self.rigid_job_count < 0:
-            raise ValueError("rigid_job_count must be >= 0")
+            raise SpecError("rigid_job_count must be >= 0")
+        if self.rigid_max_nodes < 1:
+            raise SpecError("rigid_max_nodes must be >= 1")
+        if self.rigid_mean_interarrival <= 0:
+            raise SpecError("rigid_mean_interarrival must be positive")
         if self.rigid_runtime_median <= 0:
-            raise ValueError("rigid_runtime_median must be positive")
+            raise SpecError("rigid_runtime_median must be positive")
 
     def to_dict(self) -> Dict:
         data = _jsonify(asdict(self))
@@ -153,12 +152,7 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "WorkloadSpec":
-        kwargs = _filter_kwargs(cls, data)
-        if "psa_task_durations" in kwargs:
-            kwargs["psa_task_durations"] = tuple(kwargs["psa_task_durations"])
-        if kwargs.get("trace") is not None:
-            kwargs["trace"] = TraceSource.from_dict(kwargs["trace"])
-        return cls(**kwargs)
+        return from_strict_dict(cls, data, nested={"trace": TraceSource})
 
 
 @dataclass(frozen=True)
@@ -172,16 +166,16 @@ class RmsSpec:
 
     def __post_init__(self) -> None:
         if self.rescheduling_interval < 0:
-            raise ValueError("rescheduling_interval must be >= 0")
+            raise SpecError("rescheduling_interval must be >= 0")
         if self.violation_grace < 0:
-            raise ValueError("violation_grace must be >= 0")
+            raise SpecError("violation_grace must be >= 0")
 
     def to_dict(self) -> Dict:
         return _jsonify(asdict(self))
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RmsSpec":
-        return cls(**_filter_kwargs(cls, data))
+        return from_strict_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -222,19 +216,19 @@ class ScenarioSpec:
     faults: Optional[Union[str, FaultPlan]] = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("scenario name must not be empty")
+        if not (self.name and isinstance(self.name, str)):
+            raise SpecError("scenario name must be a non-empty string")
         if not self.runner:
-            raise ValueError("scenario runner must not be empty")
+            raise SpecError("scenario runner must not be empty")
         if self.scale not in SCALE_NAMES:
-            raise ValueError(f"scale must be one of {SCALE_NAMES}, got {self.scale!r}")
+            raise SpecError(f"scale must be one of {SCALE_NAMES}, got {self.scale!r}")
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "metrics", tuple(str(m) for m in self.metrics))
         if self.policy is not None:
             if isinstance(self.policy, Mapping):
                 object.__setattr__(self, "policy", _jsonify(dict(self.policy)))
             elif not isinstance(self.policy, str):
-                raise ValueError(
+                raise SpecError(
                     "policy must be a registered name or a stage mapping, "
                     f"got {self.policy!r}"
                 )
@@ -245,16 +239,17 @@ class ScenarioSpec:
             )
         if self.faults is not None:
             if isinstance(self.faults, str):
-                get_fault_plan(self.faults)  # fail fast on unknown plan names
+                FAULT_PLANS.get(self.faults)  # fail fast on unknown plan names
             elif isinstance(self.faults, Mapping):
-                object.__setattr__(self, "faults", FaultPlan.from_dict(self.faults))
+                with located("faults"):
+                    object.__setattr__(self, "faults", FaultPlan.from_dict(self.faults))
             elif not isinstance(self.faults, FaultPlan):
-                raise ValueError(
+                raise SpecError(
                     "faults must be a registered plan name, a plan mapping or "
                     f"a FaultPlan, got {self.faults!r}"
                 )
             if self.federation is None:
-                raise ValueError(
+                raise SpecError(
                     f"scenario {self.name!r} declares a fault plan but no "
                     f"federation; fault injection targets federation members"
                 )
@@ -271,7 +266,7 @@ class ScenarioSpec:
         """This (federated) scenario under another routing policy,
         suffix-renamed so a routing matrix never duplicates names."""
         if self.federation is None:
-            raise ValueError(
+            raise SpecError(
                 f"scenario {self.name!r} has no federation; routing matrices "
                 f"only apply to federated scenarios"
             )
@@ -334,18 +329,16 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScenarioSpec":
-        kwargs = _filter_kwargs(cls, data)
-        if "platform" in kwargs:
-            kwargs["platform"] = PlatformSpec.from_dict(kwargs["platform"])
-        if "workload" in kwargs:
-            kwargs["workload"] = WorkloadSpec.from_dict(kwargs["workload"])
-        if "rms" in kwargs:
-            kwargs["rms"] = RmsSpec.from_dict(kwargs["rms"])
-        if "metrics" in kwargs:
-            kwargs["metrics"] = tuple(kwargs["metrics"])
-        if kwargs.get("federation") is not None:
-            kwargs["federation"] = FederationSpec.from_dict(kwargs["federation"])
-        return cls(**kwargs)
+        return from_strict_dict(
+            cls,
+            data,
+            nested={
+                "platform": PlatformSpec,
+                "workload": WorkloadSpec,
+                "rms": RmsSpec,
+                "federation": FederationSpec,
+            },
+        )
 
 
 @dataclass(frozen=True)
@@ -384,32 +377,32 @@ class CampaignSpec:
     routings: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("campaign name must not be empty")
+        if not (self.name and isinstance(self.name, str)):
+            raise SpecError("campaign name must be a non-empty string")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         if not self.scenarios:
-            raise ValueError("campaign needs at least one scenario")
+            raise SpecError("campaign needs at least one scenario")
         names = [s.name for s in self.scenarios]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate scenario names in campaign: {names}")
+            raise SpecError(f"duplicate scenario names in campaign: {names}")
         if self.seeds <= 0:
-            raise ValueError("seeds must be positive")
+            raise SpecError("seeds must be positive")
         if self.workers <= 0:
-            raise ValueError("workers must be positive")
+            raise SpecError("workers must be positive")
         object.__setattr__(self, "policies", tuple(str(p) for p in self.policies))
         if len(set(self.policies)) != len(self.policies):
-            raise ValueError(f"duplicate policies in campaign: {list(self.policies)}")
+            raise SpecError(f"duplicate policies in campaign: {list(self.policies)}")
         for p in self.policies:
             resolve_policy(p)  # fail fast on unknown policy names
         object.__setattr__(self, "routings", tuple(str(r) for r in self.routings))
         if len(set(self.routings)) != len(self.routings):
-            raise ValueError(f"duplicate routings in campaign: {list(self.routings)}")
+            raise SpecError(f"duplicate routings in campaign: {list(self.routings)}")
         for r in self.routings:
-            make_routing(r)  # fail fast on unknown routing names
+            ROUTINGS.get(r)  # fail fast on unknown routing names
         if self.routings:
             unfederated = [s.name for s in self.scenarios if s.federation is None]
             if unfederated:
-                raise ValueError(
+                raise SpecError(
                     f"routing matrix requires federated scenarios, but "
                     f"{unfederated} have no federation spec"
                 )
@@ -462,15 +455,7 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CampaignSpec":
-        kwargs = _filter_kwargs(cls, data)
-        scenarios = kwargs.get("scenarios", ())
-        if not isinstance(scenarios, (list, tuple)):
-            raise ValueError(
-                "CampaignSpec.scenarios must be a list of scenario objects, "
-                f"got {type(scenarios).__name__}"
-            )
-        kwargs["scenarios"] = tuple(ScenarioSpec.from_dict(s) for s in scenarios)
-        return cls(**kwargs)
+        return from_strict_dict(cls, data, nested={"scenarios": [ScenarioSpec]})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -484,7 +469,7 @@ class CampaignSpec:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CampaignSpec":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return read_json(path, cls.from_dict)
 
 
 def resolve_scale(spec: ScenarioSpec) -> EvaluationScale:

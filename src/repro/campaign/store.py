@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
+from ..core.errors import SpecError
 from ..metrics.collector import median_summary
 from ..obs import hooks as _obs
 from ..obs.logsetup import get_logger
@@ -69,7 +70,7 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     def campaign_dir(self, name: str) -> Path:
         if not name or "/" in name or name.startswith("."):
-            raise ValueError(f"invalid campaign name: {name!r}")
+            raise SpecError(f"invalid campaign name: {name!r}")
         return self.root / name
 
     def runs_path(self, name: str) -> Path:

@@ -10,6 +10,30 @@ class ReproError(Exception):
     """Base class of all errors raised by the repro library."""
 
 
+class UnknownNameError(ReproError, KeyError):
+    """A name is not in the :class:`~repro.core.registry.Registry` asked."""
+
+    __str__ = Exception.__str__  # KeyError's would wrap the message in quotes
+
+
+class DuplicateNameError(ReproError, ValueError):
+    """A name is registered twice in one :class:`~repro.core.registry.Registry`."""
+
+
+class SpecError(ReproError, ValueError):
+    """A declarative spec (a dict or a JSON file) was rejected.
+
+    ``path`` locates the offending section (``scenarios[0].faults.events[0]``)
+    and prefixes the message; :func:`repro.core.serde.from_strict_dict`
+    extends it one level at a time on the way out of a nested spec.
+    """
+
+    def __init__(self, reason: object, path: str = ""):
+        super().__init__(f"{path}: {reason}" if path else str(reason))
+        self.reason = str(reason)
+        self.path = path
+
+
 class ProfileError(ReproError):
     """An invalid operation on a step-function availability profile."""
 

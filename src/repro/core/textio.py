@@ -1,10 +1,8 @@
 """Reading and writing text files with transparent gzip support.
 
-Trace files of any format (the minimal rigid exchange format of
-:mod:`repro.workloads.trace` and the full SWF of :mod:`repro.traces.swf`)
-share these helpers, so the gzip handling -- including the fixed
-mtime/filename that keeps compressed output byte-reproducible -- lives in
-exactly one place.
+Trace files (the SWF of :mod:`repro.traces.swf`) go through these helpers,
+so the gzip handling -- including the fixed mtime/filename that keeps
+compressed output byte-reproducible -- lives in exactly one place.
 """
 from __future__ import annotations
 

@@ -43,10 +43,10 @@ def ensure_noop_runner() -> str:
     dict -- so campaigns built on it measure pure dispatch overhead:
     queue bookkeeping, RPC round-trips and record reassembly.
     """
-    from ..campaign.registry import register_runner, runner_names
+    from ..campaign.registry import RUNNERS
 
-    if NOOP_RUNNER not in runner_names():
-        @register_runner(NOOP_RUNNER)
+    if NOOP_RUNNER not in RUNNERS:
+        @RUNNERS.register(NOOP_RUNNER)
         def _noop(spec, seed):  # pragma: no cover - trivial
             return {"noop": 1.0, "seed": float(seed)}
 

@@ -39,6 +39,8 @@ import struct
 import threading
 from typing import Dict, List, Optional, Tuple
 
+from ..core.registry import unknown_name
+
 __all__ = [
     "TRANSPORT_NAMES",
     "ChannelClosed",
@@ -536,9 +538,7 @@ def make_transport(name: str, bind: str = "127.0.0.1:0"):
         return IpcTransport()
     if name == "tcp":
         return TcpTransport(bind=bind)
-    raise KeyError(
-        f"unknown transport {name!r}; known transports: {list(TRANSPORT_NAMES)}"
-    )
+    raise unknown_name("transport", name, TRANSPORT_NAMES)
 
 
 def reply_on(channel_end, message: Dict) -> None:

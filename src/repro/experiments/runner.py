@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 from ..apps.nea import AmrApplication
 from ..apps.psa import ParameterSweepApplication
-from ..apps.rigid import RigidApplication
+from ..apps.rigid import RigidApplication, RigidJobSpec
 from ..cluster.platform import Platform
 from ..core.errors import AdmissionError, RequestError
 from ..core.rms import CooRMv2
@@ -33,7 +33,6 @@ from ..models.speedup import PAPER_SPEEDUP_MODEL, SpeedupModel, TIB_IN_MIB
 from ..models.static_equivalent import equivalent_static_allocation
 from ..sim.engine import Simulator
 from ..traces.convert import ConvertedJob, build_application, replay_horizon
-from ..workloads.generator import RigidJobSpec
 
 __all__ = ["EvaluationScale", "ScenarioResult", "build_evolution", "run_scenario"]
 

@@ -19,13 +19,12 @@ just like fault-free ones.
 from .admission import AdmissionController, CircuitBreaker, TokenBucket
 from .injector import FaultInjector
 from .plan import (
+    FAULT_PLANS,
     AdmissionSpec,
     ElasticRule,
     FaultEvent,
     FaultPlan,
-    fault_plan_names,
     get_fault_plan,
-    register_fault_plan,
     resolve_fault_plan,
 )
 
@@ -34,12 +33,11 @@ __all__ = [
     "AdmissionSpec",
     "CircuitBreaker",
     "ElasticRule",
+    "FAULT_PLANS",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
     "TokenBucket",
-    "fault_plan_names",
     "get_fault_plan",
-    "register_fault_plan",
     "resolve_fault_plan",
 ]

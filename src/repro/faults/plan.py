@@ -20,16 +20,19 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
+
+from ..core.errors import SpecError
+from ..core.registry import Registry
+from ..core.serde import from_strict_dict
 
 __all__ = [
     "FaultEvent",
     "ElasticRule",
     "AdmissionSpec",
     "FaultPlan",
-    "register_fault_plan",
+    "FAULT_PLANS",
     "get_fault_plan",
-    "fault_plan_names",
     "resolve_fault_plan",
 ]
 
@@ -37,15 +40,6 @@ __all__ = [
 NODE_KINDS = ("crash", "restart")
 #: Event kinds that take a whole member down / bring it back.
 MEMBER_KINDS = ("outage", "recover")
-
-
-def _filter_kwargs(cls, data: Mapping) -> Dict:
-    """Reject unknown keys instead of silently dropping them."""
-    fields = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-    unknown = sorted(set(data) - fields)
-    if unknown:
-        raise ValueError(f"{cls.__name__}: unknown fields {unknown}")
-    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -59,18 +53,18 @@ class FaultEvent:
 
     def __post_init__(self):
         if self.time < 0:
-            raise ValueError(f"fault event time must be >= 0, got {self.time}")
+            raise SpecError(f"fault event time must be >= 0, got {self.time}")
         if self.kind not in NODE_KINDS + MEMBER_KINDS:
-            raise ValueError(
+            raise SpecError(
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{NODE_KINDS + MEMBER_KINDS}"
             )
         if not self.member:
-            raise ValueError("fault event needs a member name or '#index'")
+            raise SpecError("fault event needs a member name or '#index'")
         if self.kind in NODE_KINDS and self.nodes <= 0:
-            raise ValueError(f"{self.kind!r} needs a positive node count")
+            raise SpecError(f"{self.kind!r} needs a positive node count")
         if self.kind in MEMBER_KINDS and self.nodes != 0:
-            raise ValueError(f"{self.kind!r} applies to the whole member; nodes must be 0")
+            raise SpecError(f"{self.kind!r} applies to the whole member; nodes must be 0")
 
     def to_dict(self) -> Dict:
         return {
@@ -80,7 +74,7 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultEvent":
-        return cls(**_filter_kwargs(cls, data))
+        return from_strict_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -110,19 +104,19 @@ class ElasticRule:
 
     def __post_init__(self):
         if not self.member:
-            raise ValueError("elastic rule needs a member name or '#index'")
+            raise SpecError("elastic rule needs a member name or '#index'")
         if self.interval <= 0:
-            raise ValueError("elastic rule interval must be positive")
+            raise SpecError("elastic rule interval must be positive")
         if self.until < self.start or self.start < 0:
-            raise ValueError("elastic rule needs 0 <= start <= until")
+            raise SpecError("elastic rule needs 0 <= start <= until")
         if not 0.0 <= self.low_util < self.high_util <= 1.0:
-            raise ValueError("elastic rule needs 0 <= low_util < high_util <= 1")
+            raise SpecError("elastic rule needs 0 <= low_util < high_util <= 1")
         if self.grow_step < 0 or self.shrink_step < 0:
-            raise ValueError("elastic grow/shrink steps must be >= 0")
+            raise SpecError("elastic grow/shrink steps must be >= 0")
         if self.min_nodes < 0 or self.max_nodes < 0:
-            raise ValueError("elastic node bounds must be >= 0")
+            raise SpecError("elastic node bounds must be >= 0")
         if self.max_nodes and self.max_nodes < self.min_nodes:
-            raise ValueError("elastic max_nodes must be >= min_nodes")
+            raise SpecError("elastic max_nodes must be >= min_nodes")
 
     def check_times(self) -> List[float]:
         """The finite grid of simulation times at which the rule fires."""
@@ -146,7 +140,7 @@ class ElasticRule:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ElasticRule":
-        return cls(**_filter_kwargs(cls, data))
+        return from_strict_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -167,13 +161,13 @@ class AdmissionSpec:
 
     def __post_init__(self):
         if self.rate < 0:
-            raise ValueError("admission rate must be >= 0 (0 = unthrottled)")
+            raise SpecError("admission rate must be >= 0 (0 = unthrottled)")
         if self.burst <= 0:
-            raise ValueError("admission burst must be positive")
+            raise SpecError("admission burst must be positive")
         if self.failure_threshold <= 0:
-            raise ValueError("admission failure_threshold must be positive")
+            raise SpecError("admission failure_threshold must be positive")
         if self.cooldown <= 0:
-            raise ValueError("admission cooldown must be positive")
+            raise SpecError("admission cooldown must be positive")
 
     def to_dict(self) -> Dict:
         return {
@@ -184,7 +178,7 @@ class AdmissionSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AdmissionSpec":
-        return cls(**_filter_kwargs(cls, data))
+        return from_strict_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -203,26 +197,26 @@ class FaultPlan:
     max_respawns: int = 1
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("a fault plan needs a name")
+        if not (self.name and isinstance(self.name, str)):
+            raise SpecError("a fault plan needs a name")
         events = tuple(
-            FaultEvent.from_dict(e) if isinstance(e, Mapping) else e
+            e if isinstance(e, FaultEvent) else FaultEvent.from_dict(e)
             for e in self.events
         )
         object.__setattr__(self, "events", events)
         elastic = tuple(
-            ElasticRule.from_dict(r) if isinstance(r, Mapping) else r
+            r if isinstance(r, ElasticRule) else ElasticRule.from_dict(r)
             for r in self.elastic
         )
         object.__setattr__(self, "elastic", elastic)
-        if isinstance(self.admission, Mapping):
+        if self.admission is not None and not isinstance(self.admission, AdmissionSpec):
             object.__setattr__(
                 self, "admission", AdmissionSpec.from_dict(self.admission)
             )
         if self.jitter < 0:
-            raise ValueError("fault plan jitter must be >= 0")
+            raise SpecError("fault plan jitter must be >= 0")
         if self.max_respawns < 0:
-            raise ValueError("fault plan max_respawns must be >= 0")
+            raise SpecError("fault plan max_respawns must be >= 0")
 
     def to_dict(self) -> Dict:
         return {
@@ -236,7 +230,15 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultPlan":
-        return cls(**_filter_kwargs(cls, data))
+        return from_strict_dict(
+            cls,
+            data,
+            nested={
+                "events": [FaultEvent],
+                "elastic": [ElasticRule],
+                "admission": AdmissionSpec,
+            },
+        )
 
     def label(self) -> str:
         bits = [f"{len(self.events)} events"]
@@ -250,30 +252,13 @@ class FaultPlan:
 # --------------------------------------------------------------------- #
 # Registry of built-in plans
 # --------------------------------------------------------------------- #
-_PLANS: Dict[str, Callable[[], FaultPlan]] = {}
-
-
-def register_fault_plan(name: str, factory: Callable[[], FaultPlan]) -> None:
-    """Register a named fault plan factory (keyed by its name)."""
-    if name in _PLANS:
-        raise ValueError(f"fault plan {name!r} is already registered")
-    _PLANS[name] = factory
+#: Plan factories by name (``factory() -> FaultPlan``).
+FAULT_PLANS = Registry("fault plan")
 
 
 def get_fault_plan(name: str) -> FaultPlan:
     """Build the registered plan *name*, with a helpful error otherwise."""
-    try:
-        factory = _PLANS[name]
-    except KeyError:
-        known = ", ".join(sorted(_PLANS)) or "(none)"
-        raise KeyError(
-            f"unknown fault plan {name!r}; registered plans: {known}"
-        ) from None
-    return factory()
-
-
-def fault_plan_names() -> List[str]:
-    return sorted(_PLANS)
+    return FAULT_PLANS.get(name)()
 
 
 def resolve_fault_plan(faults: Union[str, Mapping, FaultPlan]) -> FaultPlan:
@@ -335,6 +320,6 @@ def _elastic_tide() -> FaultPlan:
     )
 
 
-register_fault_plan("flaky-nodes", _flaky_nodes)
-register_fault_plan("blackout", _blackout)
-register_fault_plan("elastic-tide", _elastic_tide)
+FAULT_PLANS.register("flaky-nodes", _flaky_nodes)
+FAULT_PLANS.register("blackout", _blackout)
+FAULT_PLANS.register("elastic-tide", _elastic_tide)

@@ -9,8 +9,7 @@ semantics:
   named built-in topologies;
 * :mod:`repro.federation.routing` -- the pluggable request-routing registry
   (``any``, ``round-robin``, ``least-loaded``, ``best-fit``, ``random``,
-  ``affinity``), mirroring the stage-registry design of
-  :mod:`repro.policies`;
+  ``affinity``);
 * :mod:`repro.federation.federation` -- the :class:`Federation` (one
   :class:`~repro.core.rms.CooRMv2` per member cluster, one shared event
   engine) and the :class:`MetaScheduler` that places applications;
@@ -50,24 +49,18 @@ from .federation import (
 from .metrics import collect_federated, federation_breakdown
 from .routing import (
     DEFAULT_ROUTING,
+    ROUTINGS,
     ClusterState,
     RoutingPolicy,
     RoutingRequest,
-    describe_routing,
     make_routing,
-    register_routing,
-    routing_names,
 )
-from .spec import (
-    ClusterSpec,
-    FederationSpec,
-    get_topology,
-    register_topology,
-    topology_names,
-)
+from .spec import TOPOLOGIES, ClusterSpec, FederationSpec
 
 __all__ = [
     "DEFAULT_ROUTING",
+    "ROUTINGS",
+    "TOPOLOGIES",
     "ClusterSpec",
     "ClusterState",
     "Federation",
@@ -78,13 +71,7 @@ __all__ = [
     "RoutingPolicy",
     "RoutingRequest",
     "collect_federated",
-    "describe_routing",
     "federation_breakdown",
-    "get_topology",
     "locality_group",
     "make_routing",
-    "register_routing",
-    "register_topology",
-    "routing_names",
-    "topology_names",
 ]

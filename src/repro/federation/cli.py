@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from dataclasses import replace
 
+from ..core.registry import unknown_name
 from ..metrics.report import format_table
 from ..obs.logsetup import get_logger
 from ..sim.randomness import derive_seed
-from .routing import describe_routing, make_routing, routing_names
-from .spec import get_topology, topology_names
+from .routing import ROUTINGS
+from .spec import TOPOLOGIES
 
 __all__ = ["add_federation_commands", "run_federation_command"]
 
@@ -72,43 +72,38 @@ def add_federation_commands(commands: argparse._SubParsersAction) -> None:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    from ..faults.plan import fault_plan_names, get_fault_plan
+    from ..faults.plan import FAULT_PLANS, get_fault_plan
 
-    rows = [
-        ("routing", name, describe_routing(name)) for name in routing_names()
+    rows = [("routing", name, ROUTINGS.describe(name)) for name in ROUTINGS.names()]
+    rows += [
+        ("topology", name, TOPOLOGIES.get(name).label()) for name in TOPOLOGIES.names()
     ]
-    for name in topology_names():
-        topology = get_topology(name)
-        rows.append(("topology", name, topology.label()))
-    for name in fault_plan_names():
-        rows.append(("fault-plan", name, get_fault_plan(name).label()))
+    rows += [
+        ("fault-plan", name, get_fault_plan(name).label())
+        for name in FAULT_PLANS.names()
+    ]
     print(format_table(["kind", "name", "description"], rows))
     return 0
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    if args.name in routing_names():
+    if args.name in ROUTINGS:
         if args.json:
             print(
                 json.dumps(
-                    {"routing": args.name, "description": describe_routing(args.name)},
+                    {"routing": args.name, "description": ROUTINGS.describe(args.name)},
                     indent=2,
                     sort_keys=True,
                 )
             )
             return 0
-        policy = make_routing(args.name)
-        print((policy.__doc__ or "").strip())
+        print((ROUTINGS.get(args.name).__doc__ or "").strip())
         return 0
-    try:
-        topology = get_topology(args.name)
-    except KeyError:
-        print(
-            f"error: unknown routing policy or topology {args.name!r}; "
-            f"routings: {routing_names()}, topologies: {topology_names()}",
-            file=sys.stderr,
+    if args.name not in TOPOLOGIES:
+        raise unknown_name(
+            "routing policy or topology", args.name, ROUTINGS.names() + TOPOLOGIES.names()
         )
-        return 2
+    topology = TOPOLOGIES.get(args.name)
     if args.json:
         print(json.dumps(topology.to_dict(), indent=2, sort_keys=True))
         return 0
@@ -124,38 +119,19 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     # Imported here: the campaign layer depends on this package, so the
     # module level must stay import-light to avoid a cycle.
-    from ..campaign.registry import builtin_scenarios, get_runner
+    from ..campaign.registry import SCENARIOS, get_runner
 
-    scenarios = builtin_scenarios()
-    if args.scenario not in scenarios:
-        print(
-            f"error: unknown scenario {args.scenario!r}; known: "
-            f"{sorted(scenarios)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        topology = get_topology(args.topology)
-        if args.routing is not None:
-            topology = topology.with_routing(args.routing)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    spec = replace(scenarios[args.scenario], federation=topology)
+    topology = TOPOLOGIES.get(args.topology)
+    if args.routing is not None:
+        topology = topology.with_routing(args.routing)
+    # A figure runner rejecting federation, an unknown fault plan, a topology
+    # none of whose clusters can hold the scenario's applications: every
+    # rejection is a ReproError, which ``repro.__main__`` reports.
+    spec = replace(SCENARIOS.get(args.scenario), federation=topology)
     if args.faults is not None:
-        try:
-            spec = replace(spec, faults=args.faults)
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        spec = replace(spec, faults=args.faults)
     seed = derive_seed(args.seed, spec.name, 0)
-    try:
-        metrics = dict(get_runner(spec.runner)(spec, seed))
-    except ValueError as exc:
-        # e.g. a figure runner rejecting federation, or a topology none of
-        # whose clusters can hold the scenario's applications.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    metrics = dict(get_runner(spec.runner)(spec, seed))
     _LOG.info(
         "scenario %r on topology %r (routing %r, seed %d)",
         spec.name,

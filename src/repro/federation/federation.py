@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from ..apps.base import BaseApplication
 from ..cluster.platform import Platform
 from ..core.errors import AdmissionError, RequestError
+from ..core.registry import unknown_name
 from ..core.rms import CooRMv2
 from ..obs import hooks as _obs
 from ..sim.engine import Simulator
@@ -348,10 +349,7 @@ class Federation:
         for member in self.members:
             if member.name == name:
                 return member
-        raise KeyError(
-            f"unknown federation member {name!r}; members: "
-            f"{[m.name for m in self.members]}"
-        )
+        raise unknown_name("federation member", name, [m.name for m in self.members])
 
     def total_nodes(self) -> int:
         return sum(m.capacity for m in self.members)

@@ -1,11 +1,12 @@
 """Pluggable request-routing policies of the federation meta-scheduler.
 
-Mirrors the stage-registry design of :mod:`repro.policies.registry`:
-routing policies are registered by name so federation specs and campaign
-files stay serialisable (a JSON spec only ever references a routing policy
-by its name), and every lookup constructs a *fresh* instance, so two
-meta-schedulers never share routing state (round-robin counters, affinity
-homes) even when they run the same named policy.
+Routing policies are registered by name in :data:`ROUTINGS` (a
+:class:`~repro.core.registry.Registry` of ``factory(seed) -> policy``) so
+federation specs and campaign files stay serialisable -- a JSON spec only
+ever references a routing policy by its name -- and :func:`make_routing`
+constructs a *fresh* instance per call, so two meta-schedulers never share
+routing state (round-robin counters, affinity homes) even when they run the
+same named policy.
 
 A routing policy answers exactly one question: *which member cluster of the
 federation should this incoming application land on?*  It sees a
@@ -24,8 +25,9 @@ consuming a shared stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
+from ..core.registry import Registry
 from ..sim.randomness import MAX_DERIVED_SEED, derive_seed
 
 __all__ = [
@@ -33,10 +35,8 @@ __all__ = [
     "RoutingRequest",
     "ClusterState",
     "RoutingPolicy",
-    "register_routing",
+    "ROUTINGS",
     "make_routing",
-    "routing_names",
-    "describe_routing",
 ]
 
 #: The routing every federation uses unless told otherwise: first cluster
@@ -231,35 +231,13 @@ class AffinityRouting(RoutingPolicy):
 # --------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------- #
-_ROUTINGS: Dict[str, Callable[[int], RoutingPolicy]] = {}
-
-
-def register_routing(name: str, factory: Callable[[int], RoutingPolicy]) -> None:
-    """Register a routing-policy factory (``factory(seed) -> policy``)."""
-    if name in _ROUTINGS:
-        raise ValueError(f"routing policy {name!r} is already registered")
-    _ROUTINGS[name] = factory
+#: Routing-policy factories by name (``factory(seed) -> policy``).
+ROUTINGS = Registry("routing policy")
 
 
 def make_routing(name: str, seed: Optional[int] = None) -> RoutingPolicy:
     """Build a fresh routing policy for a registered name."""
-    try:
-        factory = _ROUTINGS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown routing policy {name!r}; known: {routing_names()}"
-        ) from None
-    return factory(0 if seed is None else int(seed))
-
-
-def routing_names() -> List[str]:
-    return sorted(_ROUTINGS)
-
-
-def describe_routing(name: str) -> str:
-    """First documentation line of a registered routing policy."""
-    doc = (make_routing(name).__doc__ or "").strip()
-    return doc.splitlines()[0] if doc else ""
+    return ROUTINGS.get(name)(0 if seed is None else int(seed))
 
 
 for _cls in (
@@ -270,4 +248,4 @@ for _cls in (
     RandomRouting,
     AffinityRouting,
 ):
-    register_routing(_cls.name, _cls)
+    ROUTINGS.register(_cls.name, _cls)

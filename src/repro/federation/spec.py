@@ -12,30 +12,16 @@ The spec describes *what* to federate, never *how*: execution lives in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, Mapping, Optional, Tuple, Union
 
+from ..core.errors import SpecError
+from ..core.registry import Registry
+from ..core.serde import from_strict_dict
 from ..policies.registry import policy_label
-from .routing import DEFAULT_ROUTING, make_routing
+from .routing import DEFAULT_ROUTING, ROUTINGS
 
-__all__ = [
-    "ClusterSpec",
-    "FederationSpec",
-    "register_topology",
-    "topology_names",
-    "get_topology",
-]
-
-
-def _filter_kwargs(cls, data: Mapping) -> Dict:
-    """Keep only keys that are fields of *cls*, rejecting unknown ones."""
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(
-            f"{cls.__name__} does not understand field(s): {sorted(unknown)}"
-        )
-    return dict(data)
+__all__ = ["ClusterSpec", "FederationSpec", "TOPOLOGIES"]
 
 
 @dataclass(frozen=True)
@@ -60,14 +46,14 @@ class ClusterSpec:
     max_nodes: int = 0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("cluster name must not be empty")
+        if not (self.name and isinstance(self.name, str)):
+            raise SpecError("cluster name must be a non-empty string")
         if self.nodes < 0:
-            raise ValueError("cluster nodes must be >= 0 (0 = derive)")
+            raise SpecError("cluster nodes must be >= 0 (0 = derive)")
         if self.min_nodes < 0 or self.max_nodes < 0:
-            raise ValueError("elastic node bounds must be >= 0 (0 = unbounded)")
+            raise SpecError("elastic node bounds must be >= 0 (0 = unbounded)")
         if self.max_nodes and self.max_nodes < max(self.min_nodes, self.nodes):
-            raise ValueError(
+            raise SpecError(
                 f"cluster {self.name!r}: max_nodes ({self.max_nodes}) must "
                 f"cover min_nodes and the base size"
             )
@@ -88,7 +74,7 @@ class ClusterSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ClusterSpec":
-        return cls(**_filter_kwargs(cls, data))
+        return from_strict_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -105,11 +91,11 @@ class FederationSpec:
         )
         object.__setattr__(self, "clusters", promoted)
         if not self.clusters:
-            raise ValueError("a federation needs at least one cluster")
+            raise SpecError("a federation needs at least one cluster")
         names = [c.name for c in self.clusters]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate cluster names in federation: {names}")
-        make_routing(self.routing)  # fail fast on unknown routing policies
+            raise SpecError(f"duplicate cluster names in federation: {names}")
+        ROUTINGS.get(self.routing)  # fail fast on unknown routing policies
 
     # ------------------------------------------------------------------ #
     @property
@@ -135,8 +121,7 @@ class FederationSpec:
         )
 
     def with_routing(self, routing: str) -> "FederationSpec":
-        make_routing(routing)  # validate before baking into a spec
-        return replace(self, routing=routing)
+        return replace(self, routing=routing)  # __post_init__ validates the name
 
     def label(self) -> str:
         """Compact topology label for result records and reports."""
@@ -154,44 +139,20 @@ class FederationSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FederationSpec":
-        kwargs = _filter_kwargs(cls, data)
-        if "clusters" in kwargs:
-            kwargs["clusters"] = tuple(kwargs["clusters"])
-        return cls(**kwargs)
+        return from_strict_dict(cls, data, nested={"clusters": [ClusterSpec]})
 
 
 # --------------------------------------------------------------------- #
 # Built-in topologies
 # --------------------------------------------------------------------- #
-_TOPOLOGIES: Dict[str, FederationSpec] = {}
+#: Named federation topologies (for the CLI, the built-in scenarios and examples).
+TOPOLOGIES = Registry("federation topology")
 
-
-def register_topology(name: str, spec: FederationSpec) -> FederationSpec:
-    """Register a named federation topology (for the CLI and examples)."""
-    if name in _TOPOLOGIES:
-        raise ValueError(f"federation topology {name!r} is already registered")
-    _TOPOLOGIES[name] = spec
-    return spec
-
-
-def topology_names() -> List[str]:
-    return sorted(_TOPOLOGIES)
-
-
-def get_topology(name: str) -> FederationSpec:
-    try:
-        return _TOPOLOGIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown federation topology {name!r}; known: {topology_names()}"
-        ) from None
-
-
-register_topology(
+TOPOLOGIES.register(
     "single",
     FederationSpec(clusters=(ClusterSpec(name="cluster0"),)),
 )
-register_topology(
+TOPOLOGIES.register(
     "dual",
     FederationSpec(
         clusters=(
@@ -201,7 +162,7 @@ register_topology(
         routing="round-robin",
     ),
 )
-register_topology(
+TOPOLOGIES.register(
     "hetero3",
     FederationSpec(
         clusters=(

@@ -135,11 +135,7 @@ def _traced_run(
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    try:
-        tracer, _registry, _metrics = _traced_run(args.scenario, args.seed, args.scale)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    tracer, _registry, _metrics = _traced_run(args.scenario, args.seed, args.scale)
     text = tracer.to_chrome(label=f"repro {args.scenario} seed={args.seed}")
     if args.format == "jsonl":
         text = tracer.to_jsonl()
@@ -157,11 +153,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_summarize(args: argparse.Namespace) -> int:
     from ..metrics.report import format_table
 
-    try:
-        tracer, registry, metrics = _traced_run(args.scenario, args.seed, args.scale)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    tracer, registry, metrics = _traced_run(args.scenario, args.seed, args.scale)
     dropped = tracer.summary()["dropped"]
     truncation = f" ({dropped} dropped past max_events)" if dropped else ""
     print(
@@ -234,11 +226,7 @@ def _timeline_text(timeline) -> str:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    try:
-        _tracer, timeline, _audits = _analytics_run(args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    _tracer, timeline, _audits = _analytics_run(args)
     _emit(args, timeline.to_json() if args.json else _timeline_text(timeline))
     return 0
 
@@ -275,11 +263,7 @@ def _audit_text(audits) -> str:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .lifecycle import audits_to_json
 
-    try:
-        _tracer, _timeline, audits = _analytics_run(args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    _tracer, _timeline, audits = _analytics_run(args)
     _emit(args, audits_to_json(audits) if args.json else _audit_text(audits))
     return 0
 
@@ -308,16 +292,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
     from .slo import DEFAULT_SLO, SLOSpec, evaluate_slo
 
-    try:
-        spec = DEFAULT_SLO if args.spec == "default" else SLOSpec.load(args.spec)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _tracer, timeline, audits = _analytics_run(args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    spec = DEFAULT_SLO if args.spec == "default" else SLOSpec.load(args.spec)
+    _tracer, timeline, audits = _analytics_run(args)
     report = evaluate_slo(spec, audits, timeline)
     _emit(
         args,
@@ -333,11 +309,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     from .slo import DEFAULT_SLO, evaluate_slo
 
-    try:
-        tracer, timeline, audits = _analytics_run(args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    tracer, timeline, audits = _analytics_run(args)
     slo_report = evaluate_slo(DEFAULT_SLO, audits, timeline)
     if args.json:
         _emit(

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
+from ..core.registry import unknown_name
+
 __all__ = ["Histogram", "MetricsRegistry"]
 
 #: Power-of-two histogram bucket upper bounds (last bucket is +inf).
@@ -94,9 +96,7 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         hist = self._histograms.get(name)
         if hist is None:
-            raise KeyError(
-                f"unknown histogram {name!r}; known: {sorted(self._histograms)}"
-            )
+            raise unknown_name("histogram", name, self._histograms)
         return hist
 
     def __len__(self) -> int:

@@ -32,6 +32,9 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..core.errors import SpecError
+from ..core.registry import unknown_name
+from ..core.serde import from_strict_dict, located, read_json
 from .lifecycle import JobAudit, percentile
 from .timeline import Timeline
 
@@ -51,25 +54,27 @@ OBJECTIVE_KINDS = {
 class SLOSpec:
     """A named, declarative set of objectives (immutable, JSON-round-trip)."""
 
-    name: str
-    objectives: Tuple[Mapping[str, object], ...]
+    name: str = "unnamed"
+    objectives: Tuple[Mapping[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.objectives:
-            raise ValueError(f"SLO spec {self.name!r} declares no objectives")
-        for obj in self.objectives:
-            kind = obj.get("kind")
-            if kind not in OBJECTIVE_KINDS:
-                raise ValueError(
-                    f"SLO spec {self.name!r}: unknown objective kind {kind!r}; "
-                    f"known: {sorted(OBJECTIVE_KINDS)}"
-                )
-            missing = [p for p in OBJECTIVE_KINDS[kind] if p not in obj]
-            if missing:
-                raise ValueError(
-                    f"SLO spec {self.name!r}: objective {kind!r} missing "
-                    f"parameters {missing}"
-                )
+        if not (isinstance(self.objectives, (list, tuple)) and self.objectives):
+            raise SpecError(
+                f"SLO spec {self.name!r} declares no objectives (a non-empty "
+                "'objectives' list is required)"
+            )
+        objectives = []
+        for index, obj in enumerate(self.objectives):
+            with located(f"objectives[{index}]"):
+                obj = dict(obj)  # a copy: the spec is frozen, the caller's dict is not
+                kind = obj.get("kind")
+                if kind not in OBJECTIVE_KINDS:
+                    raise unknown_name("objective kind", kind, OBJECTIVE_KINDS)
+                missing = [p for p in OBJECTIVE_KINDS[kind] if p not in obj]
+                if missing:
+                    raise SpecError(f"objective {kind!r} missing parameters {missing}")
+            objectives.append(obj)
+        object.__setattr__(self, "objectives", tuple(objectives))
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
@@ -80,13 +85,7 @@ class SLOSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SLOSpec":
-        objectives = data.get("objectives")
-        if not isinstance(objectives, list):
-            raise ValueError("SLO spec requires an 'objectives' list")
-        return cls(
-            name=str(data.get("name", "unnamed")),
-            objectives=tuple(dict(obj) for obj in objectives),
-        )
+        return from_strict_dict(cls, data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
@@ -96,16 +95,13 @@ class SLOSpec:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid SLO spec JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError("SLO spec must be a JSON object")
+            raise SpecError(f"invalid SLO spec JSON: {exc}") from None
         return cls.from_dict(data)
 
     @classmethod
     def load(cls, path: str) -> "SLOSpec":
         """Read a spec from a JSON file (``--slo`` takes a path or a name)."""
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return read_json(path, cls.from_dict)
 
 
 #: A deliberately loose baseline spec: the reference fig9 workload passes it

@@ -27,23 +27,16 @@ from .ordering import (
 )
 from .policy import SchedulingPolicy
 from .registry import (
+    BACKFILLS,
     DEFAULT_POLICY,
+    ORDERINGS,
+    POLICIES,
+    SHARINGS,
     STRICT_POLICY,
-    backfill_names,
-    describe_policy,
+    PolicyStages,
     get_policy,
-    make_backfill,
-    make_ordering,
-    make_sharing,
-    ordering_names,
     policy_label,
-    policy_names,
-    register_backfill,
-    register_ordering,
-    register_policy,
-    register_sharing,
     resolve_policy,
-    sharing_names,
 )
 from .sharing import (
     EquipartitionSharing,
@@ -73,19 +66,12 @@ __all__ = [
     # registry
     "DEFAULT_POLICY",
     "STRICT_POLICY",
-    "register_ordering",
-    "register_backfill",
-    "register_sharing",
-    "register_policy",
-    "make_ordering",
-    "make_backfill",
-    "make_sharing",
+    "ORDERINGS",
+    "BACKFILLS",
+    "SHARINGS",
+    "POLICIES",
+    "PolicyStages",
     "get_policy",
     "resolve_policy",
     "policy_label",
-    "policy_names",
-    "ordering_names",
-    "backfill_names",
-    "sharing_names",
-    "describe_policy",
 ]

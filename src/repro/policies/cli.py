@@ -15,21 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 from ..metrics.report import format_table
 from ..obs.logsetup import get_logger
-from .registry import (
-    backfill_names,
-    describe_policy,
-    get_policy,
-    make_backfill,
-    make_ordering,
-    make_sharing,
-    ordering_names,
-    policy_names,
-    sharing_names,
-)
+from .registry import BACKFILLS, ORDERINGS, POLICIES, SHARINGS, get_policy
+
+#: The stage tables in the order a policy composes them.
+_STAGE_TABLES = (("ordering", ORDERINGS), ("backfill", BACKFILLS), ("sharing", SHARINGS))
 
 __all__ = ["add_policy_commands", "run_policy_command"]
 
@@ -57,56 +49,35 @@ def add_policy_commands(commands: argparse._SubParsersAction) -> None:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    rows = []
-    _LOG.debug("listing %d registered policies", len(policy_names()))
-    for name in policy_names():
-        entry = describe_policy(name)
-        rows.append(
-            (
-                name,
-                entry["ordering"],
-                entry["backfill"],
-                entry["sharing"],
-                entry["description"],
-            )
-        )
+    _LOG.debug("listing %d registered policies", len(POLICIES.names()))
+    policies = [POLICIES.get(name) for name in POLICIES.names()]
+    rows = [(p.name, p.ordering, p.backfill, p.sharing, p.description) for p in policies]
     print(format_table(["policy", "ordering", "backfill", "sharing", "description"], rows))
     return 0
 
 
-def _first_doc_line(obj) -> str:
-    doc = (obj.__doc__ or "").strip()
-    return doc.splitlines()[0] if doc else ""
-
-
 def _cmd_describe(args: argparse.Namespace) -> int:
-    try:
-        policy = get_policy(args.name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    policy = get_policy(args.name)
     if args.json:
         print(json.dumps(policy.to_dict(), indent=2, sort_keys=True))
         return 0
     print(policy.describe())
     print()
+    names = policy.stage_names()
     rows = [
-        ("ordering", policy.ordering.name, _first_doc_line(policy.ordering)),
-        ("backfill", policy.backfill.name, _first_doc_line(policy.backfill)),
-        ("sharing", policy.sharing.name, _first_doc_line(policy.sharing)),
+        (stage, names[stage], table.describe(names[stage]))
+        for stage, table in _STAGE_TABLES
     ]
     print(format_table(["stage", "implementation", "behaviour"], rows))
     return 0
 
 
 def _cmd_stages(_args: argparse.Namespace) -> int:
-    rows = []
-    for name in ordering_names():
-        rows.append(("ordering", name, _first_doc_line(make_ordering(name))))
-    for name in backfill_names():
-        rows.append(("backfill", name, _first_doc_line(make_backfill(name))))
-    for name in sharing_names():
-        rows.append(("sharing", name, _first_doc_line(make_sharing(name))))
+    rows = [
+        (stage, name, table.describe(name))
+        for stage, table in _STAGE_TABLES
+        for name in table.names()
+    ]
     print(format_table(["stage", "name", "behaviour"], rows))
     return 0
 

@@ -1,19 +1,23 @@
 """Named registries of policy stages and their compositions.
 
-Mirrors :mod:`repro.campaign.registry`: stages and policies are registered
-by name so that scenario specs and campaign files stay serialisable -- a
-JSON spec only ever references policies by name (or by a ``{"ordering":
-..., "backfill": ..., "sharing": ...}`` stage mapping).
+Stages and policies live in four :class:`~repro.core.registry.Registry`
+tables so that scenario specs and campaign files stay serialisable -- a JSON
+spec only ever references policies by name (or by a ``{"ordering": ...,
+"backfill": ..., "sharing": ...}`` stage mapping).  Adding one is
+``ORDERINGS.register(name, factory)`` or ``POLICIES.register(name,
+PolicyStages(name=name, ...), description)``.
 
 Every lookup constructs *fresh* strategy instances, so two schedulers never
 share stage state even when they run the same named policy.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Union
+from dataclasses import dataclass
+from typing import Mapping, Union
 
-from .backfill import BackfillStrategy, ConservativeBackfill, EasyBackfill
-from .base import OrderingStrategy, SharingStrategy
+from ..core.registry import Registry
+from ..core.serde import from_strict_dict
+from .backfill import ConservativeBackfill, EasyBackfill
 from .ordering import (
     FairShareOrdering,
     FcfsOrdering,
@@ -30,20 +34,14 @@ from .sharing import (
 __all__ = [
     "DEFAULT_POLICY",
     "STRICT_POLICY",
-    "register_ordering",
-    "register_backfill",
-    "register_sharing",
-    "register_policy",
-    "make_ordering",
-    "make_backfill",
-    "make_sharing",
+    "ORDERINGS",
+    "BACKFILLS",
+    "SHARINGS",
+    "POLICIES",
+    "PolicyStages",
     "get_policy",
     "resolve_policy",
-    "policy_names",
-    "ordering_names",
-    "backfill_names",
-    "sharing_names",
-    "describe_policy",
+    "policy_label",
 ]
 
 #: The composition that reproduces the paper's Algorithm 4 exactly.
@@ -51,119 +49,40 @@ DEFAULT_POLICY = "coorm"
 #: The Figure 11 baseline (Algorithm 4 with strict equi-partitioning).
 STRICT_POLICY = "coorm-strict"
 
-_ORDERINGS: Dict[str, Callable[[], OrderingStrategy]] = {}
-_BACKFILLS: Dict[str, Callable[[], BackfillStrategy]] = {}
-_SHARINGS: Dict[str, Callable[[], SharingStrategy]] = {}
-#: Policy name -> {"ordering", "backfill", "sharing", "description"}.
-_POLICIES: Dict[str, Dict[str, str]] = {}
+#: Stage factories by name (``factory() -> strategy``).
+ORDERINGS = Registry("ordering strategy")
+BACKFILLS = Registry("backfill strategy")
+SHARINGS = Registry("sharing strategy")
+#: Policy name -> :class:`PolicyStages` (registered with its description).
+POLICIES = Registry("scheduling policy")
 
 PolicyLike = Union[None, str, Mapping, SchedulingPolicy]
 
 
-def _register(table: Dict, kind: str, name: str, factory) -> None:
-    if name in table:
-        raise ValueError(f"{kind} {name!r} is already registered")
-    table[name] = factory
+@dataclass(frozen=True)
+class PolicyStages:
+    """A policy spelled as stage names: what :data:`POLICIES` holds and what
+    a spec's stage mapping says (every stage defaults to the paper's)."""
 
+    ordering: str = "fcfs"
+    backfill: str = "conservative"
+    sharing: str = "eq-filling"
+    name: str = "custom"
+    description: str = ""
 
-def register_ordering(name: str, factory: Callable[[], OrderingStrategy]) -> None:
-    _register(_ORDERINGS, "ordering strategy", name, factory)
-
-
-def register_backfill(name: str, factory: Callable[[], BackfillStrategy]) -> None:
-    _register(_BACKFILLS, "backfill strategy", name, factory)
-
-
-def register_sharing(name: str, factory: Callable[[], SharingStrategy]) -> None:
-    _register(_SHARINGS, "sharing strategy", name, factory)
-
-
-def _make(table: Dict, kind: str, name: str):
-    try:
-        factory = table[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown {kind} {name!r}; known: {sorted(table)}"
-        ) from None
-    return factory()
-
-
-def make_ordering(name: str) -> OrderingStrategy:
-    return _make(_ORDERINGS, "ordering strategy", name)
-
-
-def make_backfill(name: str) -> BackfillStrategy:
-    return _make(_BACKFILLS, "backfill strategy", name)
-
-
-def make_sharing(name: str) -> SharingStrategy:
-    return _make(_SHARINGS, "sharing strategy", name)
-
-
-def ordering_names() -> List[str]:
-    return sorted(_ORDERINGS)
-
-
-def backfill_names() -> List[str]:
-    return sorted(_BACKFILLS)
-
-
-def sharing_names() -> List[str]:
-    return sorted(_SHARINGS)
-
-
-def register_policy(
-    name: str,
-    ordering: str,
-    backfill: str,
-    sharing: str,
-    description: str = "",
-) -> None:
-    """Register a named composition of already-registered stages."""
-    for kind, table, stage in (
-        ("ordering strategy", _ORDERINGS, ordering),
-        ("backfill strategy", _BACKFILLS, backfill),
-        ("sharing strategy", _SHARINGS, sharing),
-    ):
-        if stage not in table:
-            raise KeyError(f"unknown {kind} {stage!r}; known: {sorted(table)}")
-    _register(
-        _POLICIES,
-        "scheduling policy",
-        name,
-        {
-            "ordering": ordering,
-            "backfill": backfill,
-            "sharing": sharing,
-            "description": description,
-        },
-    )
-
-
-def policy_names() -> List[str]:
-    return sorted(_POLICIES)
-
-
-def describe_policy(name: str) -> Dict[str, str]:
-    """The registered stage composition of *name* (a copy, safe to mutate)."""
-    try:
-        return dict(_POLICIES[name])
-    except KeyError:
-        raise KeyError(
-            f"unknown scheduling policy {name!r}; known policies: {policy_names()}"
-        ) from None
+    def build(self) -> SchedulingPolicy:
+        return SchedulingPolicy(
+            name=str(self.name),
+            ordering=ORDERINGS.get(self.ordering)(),
+            backfill=BACKFILLS.get(self.backfill)(),
+            sharing=SHARINGS.get(self.sharing)(),
+            description=str(self.description),
+        )
 
 
 def get_policy(name: str) -> SchedulingPolicy:
     """Build a fresh :class:`SchedulingPolicy` for a registered name."""
-    entry = describe_policy(name)
-    return SchedulingPolicy(
-        name=name,
-        ordering=make_ordering(entry["ordering"]),
-        backfill=make_backfill(entry["backfill"]),
-        sharing=make_sharing(entry["sharing"]),
-        description=entry["description"],
-    )
+    return POLICIES.get(name).build()
 
 
 def resolve_policy(spec: PolicyLike) -> SchedulingPolicy:
@@ -181,17 +100,7 @@ def resolve_policy(spec: PolicyLike) -> SchedulingPolicy:
     if isinstance(spec, str):
         return get_policy(spec)
     if isinstance(spec, Mapping):
-        default = describe_policy(DEFAULT_POLICY)
-        unknown = set(spec) - {"name", "ordering", "backfill", "sharing", "description"}
-        if unknown:
-            raise ValueError(f"policy mapping has unknown key(s): {sorted(unknown)}")
-        return SchedulingPolicy(
-            name=str(spec.get("name", "custom")),
-            ordering=make_ordering(str(spec.get("ordering", default["ordering"]))),
-            backfill=make_backfill(str(spec.get("backfill", default["backfill"]))),
-            sharing=make_sharing(str(spec.get("sharing", default["sharing"]))),
-            description=str(spec.get("description", "")),
-        )
+        return from_strict_dict(PolicyStages, spec).build()
     raise TypeError(f"cannot resolve a scheduling policy from {spec!r}")
 
 
@@ -201,7 +110,7 @@ def policy_label(spec: PolicyLike) -> str:
     if spec is None:
         return DEFAULT_POLICY
     if isinstance(spec, str):
-        describe_policy(spec)  # validate
+        POLICIES.get(spec)  # validate
         return spec
     return resolve_policy(spec).name
 
@@ -209,71 +118,59 @@ def policy_label(spec: PolicyLike) -> str:
 # --------------------------------------------------------------------- #
 # Built-in stages and policies
 # --------------------------------------------------------------------- #
-register_ordering("fcfs", FcfsOrdering)
-register_ordering("sjf", ShortestJobFirstOrdering)
-register_ordering("largest-area", LargestAreaFirstOrdering)
-register_ordering("fair-share", FairShareOrdering)
+ORDERINGS.register("fcfs", FcfsOrdering)
+ORDERINGS.register("sjf", ShortestJobFirstOrdering)
+ORDERINGS.register("largest-area", LargestAreaFirstOrdering)
+ORDERINGS.register("fair-share", FairShareOrdering)
 
-register_backfill("conservative", ConservativeBackfill)
-register_backfill("easy", EasyBackfill)
+BACKFILLS.register("conservative", ConservativeBackfill)
+BACKFILLS.register("easy", EasyBackfill)
 
-register_sharing("eq-filling", EquipartitionSharing)
-register_sharing("strict-eq", StrictEquipartitionSharing)
-register_sharing("maxmin-weighted", WeightedMaxMinSharing)
+SHARINGS.register("eq-filling", EquipartitionSharing)
+SHARINGS.register("strict-eq", StrictEquipartitionSharing)
+SHARINGS.register("maxmin-weighted", WeightedMaxMinSharing)
 
-register_policy(
-    DEFAULT_POLICY,
-    ordering="fcfs",
-    backfill="conservative",
-    sharing="eq-filling",
-    description="The paper's Algorithm 4: conservative back-filling of the "
-    "pre-allocations in connection order + equi-partitioning with filling",
-)
-register_policy(
-    STRICT_POLICY,
-    ordering="fcfs",
-    backfill="conservative",
-    sharing="strict-eq",
-    description="Algorithm 4 with the strict equi-partitioning baseline of "
-    "Figure 11 (no filling of idle preemptible resources)",
-)
-register_policy(
-    "easy",
-    ordering="fcfs",
-    backfill="easy",
-    sharing="eq-filling",
-    description="EASY aggressive backfilling: only the queue head holds a "
-    "reservation, everything else backfills or waits",
-)
-register_policy(
-    "sjf",
-    ordering="sjf",
-    backfill="conservative",
-    sharing="eq-filling",
-    description="Shortest-job-first queue ordering with conservative "
-    "back-filling",
-)
-register_policy(
-    "largest-area",
-    ordering="largest-area",
-    backfill="conservative",
-    sharing="eq-filling",
-    description="Largest-area-first queue ordering: big jobs reserve early, "
-    "small jobs backfill around them",
-)
-register_policy(
-    "fair-share",
-    ordering="fair-share",
-    backfill="conservative",
-    sharing="eq-filling",
-    description="Fair-share queue ordering by accumulated node-seconds from "
-    "the accountant: light consumers are served first",
-)
-register_policy(
-    "maxmin-weighted",
-    ordering="fcfs",
-    backfill="conservative",
-    sharing="maxmin-weighted",
-    description="Algorithm 4 ordering/backfilling with weighted max-min "
-    "fair sharing of the preemptible capacity",
-)
+for _stages in (
+    PolicyStages(
+        name=DEFAULT_POLICY,
+        description="The paper's Algorithm 4: conservative back-filling of the "
+        "pre-allocations in connection order + equi-partitioning with filling",
+    ),
+    PolicyStages(
+        name=STRICT_POLICY,
+        sharing="strict-eq",
+        description="Algorithm 4 with the strict equi-partitioning baseline of "
+        "Figure 11 (no filling of idle preemptible resources)",
+    ),
+    PolicyStages(
+        name="easy",
+        backfill="easy",
+        description="EASY aggressive backfilling: only the queue head holds a "
+        "reservation, everything else backfills or waits",
+    ),
+    PolicyStages(
+        name="sjf",
+        ordering="sjf",
+        description="Shortest-job-first queue ordering with conservative "
+        "back-filling",
+    ),
+    PolicyStages(
+        name="largest-area",
+        ordering="largest-area",
+        description="Largest-area-first queue ordering: big jobs reserve early, "
+        "small jobs backfill around them",
+    ),
+    PolicyStages(
+        name="fair-share",
+        ordering="fair-share",
+        description="Fair-share queue ordering by accumulated node-seconds from "
+        "the accountant: light consumers are served first",
+    ),
+    PolicyStages(
+        name="maxmin-weighted",
+        sharing="maxmin-weighted",
+        description="Algorithm 4 ordering/backfilling with weighted max-min "
+        "fair sharing of the preemptible capacity",
+    ),
+):
+    POLICIES.register(_stages.name, _stages, _stages.description)

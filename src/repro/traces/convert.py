@@ -28,11 +28,10 @@ from ..apps.evolving_predictable import (
 )
 from ..apps.malleable import MalleableApplication, power_of_two_selector
 from ..apps.moldable import MoldableApplication
-from ..apps.rigid import RigidApplication
-from ..core.errors import WorkloadError
+from ..apps.rigid import RigidApplication, RigidJobSpec
+from ..core.errors import SpecError, WorkloadError
+from ..core.serde import from_strict_dict
 from ..sim.randomness import MAX_DERIVED_SEED, derive_seed
-from ..workloads.generator import RigidJobSpec
-from .serde import from_strict_dict
 from .swf import Trace
 
 __all__ = [
@@ -62,9 +61,9 @@ class AdaptiveMix:
         # `not 0 <= f` (instead of `f < 0`) also rejects NaN fractions,
         # which would otherwise send every job to the last kind.
         if any(not 0 <= getattr(self, kind) < math.inf for kind in APP_KINDS):
-            raise ValueError("mix fractions must be >= 0 and finite")
+            raise SpecError("mix fractions must be >= 0 and finite")
         if not self.total > 0:
-            raise ValueError("at least one mix fraction must be positive")
+            raise SpecError("at least one mix fraction must be positive")
 
     @property
     def total(self) -> float:
@@ -84,7 +83,7 @@ class AdaptiveMix:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AdaptiveMix":
-        return from_strict_dict(cls, data, ignore=())
+        return from_strict_dict(cls, data)
 
     @classmethod
     def parse(cls, text: str) -> "AdaptiveMix":
@@ -146,7 +145,7 @@ def convert_trace(
     """Assign every job of *trace* to an application kind.
 
     *trace* is a :class:`~repro.traces.swf.Trace` or any iterable of
-    :class:`~repro.workloads.generator.RigidJobSpec`.  The kind of each job
+    :class:`~repro.apps.rigid.RigidJobSpec`.  The kind of each job
     is drawn from ``derive_seed(seed, "convert", job_id)``, so the assignment
     of one job never depends on the other jobs, on ordering, or on which
     worker process performs the conversion.  *max_nodes* (when given) clamps

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Optional, Type
+from typing import Dict, List, Mapping, Optional
 
-from ..core.errors import WorkloadError
+from ..core.errors import SpecError, WorkloadError
+from ..core.registry import Registry
+from ..core.serde import from_strict_dict
 from ..sim.randomness import RandomSource
-from .serde import from_strict_dict
 from .swf import SwfHeader, SwfJob, Trace
 
 __all__ = [
@@ -249,28 +250,21 @@ _SLOT_TYPES: Dict[str, tuple] = {
 }
 
 #: kind tag -> component model class, for deserialisation.
-_MODEL_KINDS: Dict[str, Type] = {
-    cls.kind: cls
-    for cls in (
-        PoissonArrivals,
-        DailyCycleArrivals,
-        LogUniformDuration,
-        LogNormalDuration,
-        LogUniformNodes,
-    )
-}
+MODEL_KINDS = Registry("trace model kind")
+for _cls in (
+    PoissonArrivals,
+    DailyCycleArrivals,
+    LogUniformDuration,
+    LogNormalDuration,
+    LogUniformNodes,
+):
+    MODEL_KINDS.register(_cls.kind, _cls)
 
 
 def model_from_dict(data: Mapping):
     """Rebuild any component model from its ``{"kind": ...}`` dictionary."""
-    kind = data.get("kind")
-    try:
-        cls = _MODEL_KINDS[kind]
-    except KeyError:
-        raise WorkloadError(
-            f"unknown trace model kind {kind!r}; known kinds: {sorted(_MODEL_KINDS)}"
-        ) from None
-    return from_strict_dict(cls, data)
+    fields = dict(data)
+    return from_strict_dict(MODEL_KINDS.get(fields.pop("kind", None)), fields)
 
 
 # --------------------------------------------------------------------- #
@@ -283,6 +277,13 @@ class TraceModel:
     arrivals: PoissonArrivals = PoissonArrivals()
     durations: LogNormalDuration = LogNormalDuration()
     nodes: LogUniformNodes = LogUniformNodes()
+
+    def __post_init__(self) -> None:
+        for slot, allowed in _SLOT_TYPES.items():
+            if not isinstance(getattr(self, slot), allowed):
+                raise SpecError(
+                    f"expected a model of kind {sorted(c.kind for c in allowed)}", slot
+                )
 
     def synthesize(self, job_count: int, seed: Optional[int] = None) -> Trace:
         """Draw *job_count* jobs; fully determined by the model and *seed*."""
@@ -348,19 +349,4 @@ class TraceModel:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TraceModel":
-        unknown = set(data) - set(_SLOT_TYPES)
-        if unknown:
-            raise WorkloadError(
-                f"TraceModel does not understand field(s): {sorted(unknown)}"
-            )
-        kwargs = {}
-        for name, allowed in _SLOT_TYPES.items():
-            if name in data:
-                component = model_from_dict(data[name])
-                if not isinstance(component, allowed):
-                    raise WorkloadError(
-                        f"{name!r} model cannot be of kind {component.kind!r}; "
-                        f"expected one of {sorted(c.kind for c in allowed)}"
-                    )
-                kwargs[name] = component
-        return cls(**kwargs)
+        return from_strict_dict(cls, data, nested=dict.fromkeys(_SLOT_TYPES, model_from_dict))

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..core.errors import SpecError
+from ..core.serde import from_strict_dict, located
 from ..core.textio import read_trace_text
-from .serde import from_strict_dict
 from ..sim.randomness import derive_seed, stable_fingerprint
 from .convert import AdaptiveMix, ConvertedJob, convert_trace, mix_counts
 from .models import TraceModel
@@ -52,23 +53,28 @@ class TraceSource:
 
     def __post_init__(self) -> None:
         if (self.path is None) == (self.model is None):
-            raise ValueError("exactly one of path/model must be given")
+            raise SpecError("exactly one of path/model must be given")
         if self.path is not None and self.job_count is not None:
             # A file replays in full; accepting the knob would silently
             # persist a job count the replay ignores.
-            raise ValueError("job_count only applies to model-backed sources")
+            raise SpecError("job_count only applies to model-backed sources")
         if self.job_count is not None and self.job_count <= 0:
-            raise ValueError("job_count must be positive")
+            raise SpecError("job_count must be positive")
+        # The sections stay plain dictionaries (they are the provenance
+        # record); loading each one here validates it eagerly.
         if self.model is not None:
-            object.__setattr__(self, "model", dict(self.model))
-            TraceModel.from_dict(self.model)  # validate eagerly
-        object.__setattr__(
-            self, "transforms", tuple(dict(t) for t in self.transforms)
-        )
-        Pipeline.from_dicts(self.transforms)  # validate eagerly
+            with located("model"):
+                object.__setattr__(self, "model", dict(self.model))
+                TraceModel.from_dict(self.model)
+        with located("transforms"):
+            object.__setattr__(
+                self, "transforms", tuple(dict(t) for t in self.transforms or ())
+            )
+            Pipeline.from_dicts(self.transforms)
         if self.mix is not None:
-            object.__setattr__(self, "mix", dict(self.mix))
-            AdaptiveMix.from_dict(self.mix)  # validate eagerly
+            with located("mix"):
+                object.__setattr__(self, "mix", dict(self.mix))
+                AdaptiveMix.from_dict(self.mix)
 
     def to_dict(self) -> Dict:
         data: Dict = {
@@ -83,12 +89,7 @@ class TraceSource:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TraceSource":
-        kwargs = dict(data)
-        if kwargs.get("transforms") is not None:
-            kwargs["transforms"] = tuple(kwargs["transforms"])
-        else:
-            kwargs.pop("transforms", None)
-        return from_strict_dict(cls, kwargs, ignore=())
+        return from_strict_dict(cls, data)
 
 
 @lru_cache(maxsize=8)

@@ -22,7 +22,7 @@ from ..core.errors import WorkloadError
 from ..core.textio import read_trace_text, write_text_file
 from ..obs import hooks as _obs
 from ..obs.logsetup import get_logger
-from ..workloads.generator import RigidJobSpec
+from ..apps.rigid import RigidJobSpec
 
 __all__ = [
     "SWF_FIELDS",

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.errors import WorkloadError
-from .serde import from_strict_dict
+from ..core.registry import Registry
+from ..core.serde import from_strict_dict, located
 from .swf import SwfJob, Trace
 
 __all__ = [
@@ -221,10 +221,9 @@ class ShiftToZero(_Transform):
 
 
 #: kind tag -> transformation class, for deserialisation.
-_TRANSFORM_KINDS: Dict[str, Type[_Transform]] = {
-    cls.kind: cls
-    for cls in (FilterJobs, TimeWindow, LoadRescale, ClampNodes, ShiftToZero)
-}
+TRANSFORM_KINDS = Registry("trace transform kind")
+for _cls in (FilterJobs, TimeWindow, LoadRescale, ClampNodes, ShiftToZero):
+    TRANSFORM_KINDS.register(_cls.kind, _cls)
 
 
 def transform_from_dict(data: Mapping) -> _Transform:
@@ -234,20 +233,10 @@ def transform_from_dict(data: Mapping) -> _Transform:
     counts, shift offsets) are ignored, so a recorded provenance step is
     itself a valid transformation description.
     """
-    kind = data.get("kind")
-    try:
-        cls = _TRANSFORM_KINDS[kind]
-    except KeyError:
-        raise WorkloadError(
-            f"unknown trace transform kind {kind!r}; "
-            f"known kinds: {sorted(_TRANSFORM_KINDS)}"
-        ) from None
     cleaned = {
-        k: v for k, v in data.items() if k not in ("dropped", "shifted_by")
+        k: v for k, v in dict(data).items() if k not in ("dropped", "shifted_by")
     }
-    if cls is FilterJobs and cleaned.get("statuses") is not None:
-        cleaned["statuses"] = tuple(cleaned["statuses"])
-    return cls.from_dict(cleaned)
+    return TRANSFORM_KINDS.get(cleaned.pop("kind", None)).from_dict(cleaned)
 
 
 @dataclass(frozen=True)
@@ -269,4 +258,8 @@ class Pipeline:
 
     @classmethod
     def from_dicts(cls, data: Sequence[Mapping]) -> "Pipeline":
-        return cls(steps=tuple(transform_from_dict(d) for d in data))
+        steps = []
+        for index, step in enumerate(data):
+            with located(f"[{index}]"):
+                steps.append(transform_from_dict(step))
+        return cls(steps=tuple(steps))

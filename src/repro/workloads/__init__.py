@@ -1,13 +1,4 @@
-"""Synthetic workload generation and trace I/O."""
+"""Synthetic workload generation."""
 from .generator import RigidJobSpec, WorkloadParameters, generate_rigid_workload
-from .trace import dump_trace, dumps_trace, load_trace, loads_trace
 
-__all__ = [
-    "RigidJobSpec",
-    "WorkloadParameters",
-    "generate_rigid_workload",
-    "dump_trace",
-    "dumps_trace",
-    "load_trace",
-    "loads_trace",
-]
+__all__ = ["RigidJobSpec", "WorkloadParameters", "generate_rigid_workload"]

@@ -10,27 +10,15 @@ tests and examples can exercise the RMS under mixed load.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional
 
+from ..apps.rigid import RigidJobSpec
+from ..core.errors import SpecError
+from ..core.serde import from_strict_dict
 from ..sim.randomness import RandomSource
 
 __all__ = ["RigidJobSpec", "WorkloadParameters", "generate_rigid_workload"]
-
-
-@dataclass(frozen=True)
-class RigidJobSpec:
-    """One rigid job of a synthetic workload."""
-
-    job_id: str
-    submit_time: float
-    node_count: int
-    duration: float
-
-    @property
-    def area(self) -> float:
-        """Node-seconds the job will consume."""
-        return self.node_count * self.duration
 
 
 @dataclass(frozen=True)
@@ -55,13 +43,13 @@ class WorkloadParameters:
 
     def __post_init__(self) -> None:
         if self.job_count <= 0:
-            raise ValueError("job_count must be positive")
+            raise SpecError("job_count must be positive")
         if self.mean_interarrival <= 0:
-            raise ValueError("mean_interarrival must be positive")
+            raise SpecError("mean_interarrival must be positive")
         if not 1 <= self.min_nodes <= self.max_nodes:
-            raise ValueError("node bounds must satisfy 1 <= min <= max")
+            raise SpecError("node bounds must satisfy 1 <= min <= max")
         if not 0 < self.min_runtime <= self.max_runtime:
-            raise ValueError("runtime bounds must satisfy 0 < min <= max")
+            raise SpecError("runtime bounds must satisfy 0 < min <= max")
 
     def to_dict(self) -> Dict:
         """JSON-friendly representation (for campaign scenario specs)."""
@@ -69,13 +57,7 @@ class WorkloadParameters:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "WorkloadParameters":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"WorkloadParameters does not understand field(s): {sorted(unknown)}"
-            )
-        return cls(**dict(data))
+        return from_strict_dict(cls, data)
 
 
 def generate_rigid_workload(

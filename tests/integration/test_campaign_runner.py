@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.campaign import (
+    RUNNERS,
     CampaignRunner,
     CampaignSpec,
     PlatformSpec,
@@ -22,7 +23,6 @@ from repro.campaign import (
     builtin_scenarios,
     get_runner,
     resolve_scenarios,
-    runner_names,
 )
 from repro.campaign.cli import main as cli_main
 from repro.sim.randomness import derive_seed
@@ -46,13 +46,13 @@ class TestRegistry:
         assert {"fig1", "fig2", "fig3", "fig4", "fig9", "fig10", "fig11"} <= names
 
     def test_every_builtin_scenario_has_a_registered_runner(self):
-        registered = set(runner_names())
+        registered = set(RUNNERS.names())
         for spec in builtin_scenarios().values():
             assert spec.runner in registered
             assert callable(get_runner(spec.runner))
 
     def test_unknown_scenario_has_helpful_error(self):
-        with pytest.raises(KeyError, match="built-in scenarios"):
+        with pytest.raises(KeyError, match="unknown scenario .*known: "):
             resolve_scenarios(["figZZ"])
 
     def test_scale_override(self):

@@ -27,9 +27,9 @@ import repro
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
+    RUNNERS,
     ResultStore,
     ScenarioSpec,
-    register_runner,
     resolve_scenarios,
 )
 from repro.campaign.cli import main as cli_main
@@ -509,7 +509,7 @@ class TestParkedLease:
 ODD_RUNNER = "test-fails-while-told-to"
 
 
-@register_runner(ODD_RUNNER)
+@RUNNERS.register(ODD_RUNNER)
 def _fails_while_told_to(spec, seed):
     if os.environ.get("REPRO_TEST_FAIL"):
         raise WorkloadError(f"no such trace for seed {seed}")

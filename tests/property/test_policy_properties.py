@@ -23,12 +23,12 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Request, RequestType, Scheduler, to_view
-from repro.policies import policy_names
+from repro.policies import POLICIES
 from repro.testing import app_with, make_env, np_, p_, pa
 
 CLUSTER_NODES = 32
 
-ALL_POLICIES = tuple(policy_names())
+ALL_POLICIES = tuple(POLICIES.names())
 
 
 @st.composite

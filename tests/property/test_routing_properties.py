@@ -19,16 +19,16 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.rigid import RigidApplication
 from repro.core.events import RequestStarted
 from repro.federation import (
+    ROUTINGS,
     ClusterSpec,
     Federation,
     FederationSpec,
     locality_group,
-    routing_names,
 )
 from repro.sim import Simulator
 from repro.sim.randomness import derive_seed
 
-ALL_ROUTINGS = tuple(routing_names())
+ALL_ROUTINGS = tuple(ROUTINGS.names())
 
 #: (capacities, jobs) -- job node counts stay within the largest cluster so
 #: every job is placeable somewhere.

@@ -135,7 +135,7 @@ class TestCampaignSpec:
             self.make(seeds=0)
 
     def test_scenarios_must_be_a_list(self):
-        with pytest.raises(ValueError, match="CampaignSpec.scenarios must be a list"):
+        with pytest.raises(ValueError, match="scenarios: must be a list"):
             CampaignSpec.from_dict({"name": "c", "scenarios": "abc"})
 
     def test_non_mapping_containers_rejected_by_name(self):

@@ -8,6 +8,7 @@ import pytest
 from repro.apps.rigid import RigidApplication
 from repro.core import AdmissionError, Request, RequestType
 from repro.faults import (
+    FAULT_PLANS,
     AdmissionController,
     AdmissionSpec,
     CircuitBreaker,
@@ -16,7 +17,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     TokenBucket,
-    fault_plan_names,
     get_fault_plan,
     resolve_fault_plan,
 )
@@ -42,7 +42,7 @@ class TestFaultEvent:
             FaultEvent(time=0.0, kind="outage", member="c0", nodes=4)
 
     def test_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown fields"):
+        with pytest.raises(ValueError, match="does not understand"):
             FaultEvent.from_dict(
                 {"time": 0.0, "kind": "crash", "member": "c0", "nodes": 1, "oops": 1}
             )
@@ -111,7 +111,7 @@ class TestFaultPlan:
         assert "events" in plan.label() and "admission" in plan.label()
 
     def test_registry(self):
-        assert {"flaky-nodes", "blackout", "elastic-tide"} <= set(fault_plan_names())
+        assert {"flaky-nodes", "blackout", "elastic-tide"} <= set(FAULT_PLANS.names())
         with pytest.raises(KeyError, match="unknown fault plan"):
             get_fault_plan("nope")
 
@@ -124,7 +124,7 @@ class TestFaultPlan:
             resolve_fault_plan(42)
 
     def test_builtin_plans_round_trip(self):
-        for name in fault_plan_names():
+        for name in FAULT_PLANS.names():
             plan = get_fault_plan(name)
             assert FaultPlan.from_dict(plan.to_dict()) == plan
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.rigid import RigidApplication
 from repro.federation import (
+    ROUTINGS,
     ClusterSpec,
     ClusterState,
     Federation,
@@ -12,7 +13,6 @@ from repro.federation import (
     RoutingRequest,
     locality_group,
     make_routing,
-    routing_names,
 )
 from repro.sim import Simulator
 
@@ -178,7 +178,7 @@ class TestFederation:
         fed.submit(third, node_count=4)
         assert third.cluster_id == "c0"
 
-    @pytest.mark.parametrize("routing", sorted(routing_names()))
+    @pytest.mark.parametrize("routing", ROUTINGS.names())
     def test_every_routing_runs_a_small_workload(self, routing):
         fed, sim = two_cluster_federation(routing=routing, nodes=(8, 16))
         apps = [RigidApplication(f"job{i}", node_count=1 + i % 4, duration=10.0)

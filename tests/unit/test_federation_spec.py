@@ -5,13 +5,7 @@ import json
 
 import pytest
 
-from repro.federation import (
-    ClusterSpec,
-    FederationSpec,
-    get_topology,
-    routing_names,
-    topology_names,
-)
+from repro.federation import ROUTINGS, TOPOLOGIES, ClusterSpec, FederationSpec
 
 
 class TestClusterSpec:
@@ -96,16 +90,16 @@ class TestFederationSpec:
 
 class TestTopologyRegistry:
     def test_builtin_topologies_exist(self):
-        assert {"single", "dual", "hetero3"} <= set(topology_names())
+        assert {"single", "dual", "hetero3"} <= set(TOPOLOGIES.names())
 
     def test_get_topology(self):
-        assert get_topology("single").cluster_names == ("cluster0",)
-        assert get_topology("hetero3").routing == "least-loaded"
+        assert TOPOLOGIES.get("single").cluster_names == ("cluster0",)
+        assert TOPOLOGIES.get("hetero3").routing == "least-loaded"
 
     def test_unknown_topology(self):
         with pytest.raises(KeyError, match="unknown federation topology"):
-            get_topology("ring")
+            TOPOLOGIES.get("ring")
 
     def test_every_builtin_routing_is_registered(self):
-        for name in topology_names():
-            assert get_topology(name).routing in routing_names()
+        for name in TOPOLOGIES.names():
+            assert TOPOLOGIES.get(name).routing in ROUTINGS

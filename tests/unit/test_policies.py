@@ -9,15 +9,16 @@ from repro.core import Scheduler
 from repro.core.cbf import CbfJob, ConservativeBackfillQueue
 from repro.core.eqschedule import weighted_max_min_fair
 from repro.policies import (
+    BACKFILLS,
     DEFAULT_POLICY,
+    ORDERINGS,
+    POLICIES,
+    SHARINGS,
     EasyBackfillQueue,
     SchedulingContext,
     SchedulingPolicy,
     WeightedMaxMinSharing,
-    describe_policy,
     get_policy,
-    make_ordering,
-    policy_names,
     resolve_policy,
 )
 from repro.policies.registry import policy_label
@@ -27,8 +28,8 @@ from repro.workloads.generator import RigidJobSpec
 
 class TestRegistry:
     def test_default_policy_is_registered(self):
-        assert DEFAULT_POLICY in policy_names()
-        assert "coorm-strict" in policy_names()
+        assert DEFAULT_POLICY in POLICIES
+        assert "coorm-strict" in POLICIES
 
     def test_get_policy_builds_fresh_instances(self):
         a, b = get_policy("coorm"), get_policy("coorm")
@@ -37,10 +38,10 @@ class TestRegistry:
         assert a.sharing is not b.sharing
 
     def test_default_composition_is_algorithm_4(self):
-        entry = describe_policy(DEFAULT_POLICY)
-        assert entry["ordering"] == "fcfs"
-        assert entry["backfill"] == "conservative"
-        assert entry["sharing"] == "eq-filling"
+        stages = POLICIES.get(DEFAULT_POLICY)
+        assert stages.ordering == "fcfs"
+        assert stages.backfill == "conservative"
+        assert stages.sharing == "eq-filling"
 
     def test_unknown_policy_raises_with_known_names(self):
         with pytest.raises(KeyError, match="coorm"):
@@ -61,7 +62,7 @@ class TestRegistry:
         assert policy.name == "custom"
 
     def test_resolve_rejects_unknown_mapping_keys(self):
-        with pytest.raises(ValueError, match="unknown key"):
+        with pytest.raises(ValueError, match="does not understand"):
             resolve_policy({"ordering": "fcfs", "color": "blue"})
 
     def test_resolve_rejects_other_types(self):
@@ -94,23 +95,23 @@ class TestOrderings:
         }
 
     def test_fcfs_keeps_connection_order(self):
-        ordering = make_ordering("fcfs")
+        ordering = ORDERINGS.get("fcfs")()
         apps = self._apps()
         assert ordering.order(apps, SchedulingContext(now=0.0)) == ["slow", "fast", "big"]
 
     def test_sjf_puts_shortest_pending_first(self):
-        ordering = make_ordering("sjf")
+        ordering = ORDERINGS.get("sjf")()
         apps = self._apps()
         assert ordering.order(apps, SchedulingContext(now=0.0)) == ["fast", "big", "slow"]
 
     def test_largest_area_puts_biggest_first(self):
-        ordering = make_ordering("largest-area")
+        ordering = ORDERINGS.get("largest-area")()
         apps = self._apps()
         # areas: slow 2000, fast 100, big 3200.
         assert ordering.order(apps, SchedulingContext(now=0.0)) == ["big", "slow", "fast"]
 
     def test_fair_share_prefers_light_consumers(self):
-        ordering = make_ordering("fair-share")
+        ordering = ORDERINGS.get("fair-share")()
         assert ordering.needs_usage
         apps = self._apps()
         ctx = SchedulingContext(now=0.0, usage={"slow": 10.0, "fast": 9000.0})
@@ -118,7 +119,7 @@ class TestOrderings:
         assert ordering.order(apps, ctx) == ["big", "slow", "fast"]
 
     def test_infinite_durations_order_last_under_sjf(self):
-        ordering = make_ordering("sjf")
+        ordering = ORDERINGS.get("sjf")()
         apps = {
             "open": app_with(pa(4), app_id="open"),
             "short": app_with(np_(1, duration=5.0), app_id="short"),
@@ -132,9 +133,9 @@ class TestOrderings:
             RigidJobSpec("c", 1.0, 8, 50.0),
         ]
         ids = lambda ordered: [j.job_id for j in ordered]  # noqa: E731
-        assert ids(make_ordering("fcfs").order_jobs(jobs)) == ["b", "c", "a"]
-        assert ids(make_ordering("sjf").order_jobs(jobs)) == ["b", "c", "a"]
-        assert ids(make_ordering("largest-area").order_jobs(jobs)) == ["a", "c", "b"]
+        assert ids(ORDERINGS.get("fcfs")().order_jobs(jobs)) == ["b", "c", "a"]
+        assert ids(ORDERINGS.get("sjf")().order_jobs(jobs)) == ["b", "c", "a"]
+        assert ids(ORDERINGS.get("largest-area")().order_jobs(jobs)) == ["a", "c", "b"]
 
 
 class TestSchedulerPolicyIntegration:
@@ -366,7 +367,7 @@ class TestPolicyCli:
 
         assert main(["policy", "list"]) == 0
         out = capsys.readouterr().out
-        for name in policy_names():
+        for name in POLICIES.names():
             assert name in out
 
     def test_policy_describe(self, capsys):
@@ -398,11 +399,10 @@ class TestPolicyCli:
 
     def test_policy_stages_lists_every_stage(self, capsys):
         from repro.campaign.cli import main
-        from repro.policies import backfill_names, ordering_names, sharing_names
 
         assert main(["policy", "stages"]) == 0
         out = capsys.readouterr().out
-        for name in ordering_names() + backfill_names() + sharing_names():
+        for name in ORDERINGS.names() + BACKFILLS.names() + SHARINGS.names():
             assert name in out
 
     def test_campaign_run_rejects_unknown_policy(self, capsys):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.core.errors import WorkloadError
+from repro.core.errors import UnknownNameError, WorkloadError
 from repro.sim.randomness import RandomSource
 from repro.traces import (
     DailyCycleArrivals,
@@ -135,7 +135,7 @@ class TestTraceModel:
             TraceModel.fit(Trace())
 
     def test_model_from_dict_rejects_unknown_kind(self):
-        with pytest.raises(WorkloadError, match="unknown trace model kind"):
+        with pytest.raises(UnknownNameError, match="unknown trace model kind"):
             model_from_dict({"kind": "zipf"})
 
     def test_job_count_must_be_positive(self):

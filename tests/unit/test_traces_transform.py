@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.core.errors import WorkloadError
+from repro.core.errors import SpecError, UnknownNameError
 from repro.traces import (
     ClampNodes,
     FilterJobs,
@@ -130,9 +130,9 @@ class TestPipeline:
             transform_from_dict(step)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(WorkloadError, match="unknown trace transform"):
+        with pytest.raises(UnknownNameError, match="unknown trace transform"):
             transform_from_dict({"kind": "reverse"})
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(WorkloadError, match="does not understand"):
+        with pytest.raises(SpecError, match="does not understand"):
             transform_from_dict({"kind": "load_rescale", "factor": 2, "bogus": 1})

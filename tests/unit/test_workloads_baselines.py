@@ -1,4 +1,4 @@
-"""Unit tests of workload generation, trace I/O and the baselines."""
+"""Unit tests of workload generation and the baselines."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,15 +13,12 @@ from repro.baselines import (
     predict_static_run,
 )
 from repro.cluster import Platform
-from repro.core import WorkloadError
 from repro.models import WorkingSetEvolution
 from repro.sim import Simulator
 from repro.workloads import (
     RigidJobSpec,
     WorkloadParameters,
-    dumps_trace,
     generate_rigid_workload,
-    loads_trace,
 )
 
 
@@ -55,37 +52,6 @@ class TestWorkloadGenerator:
     def test_job_area(self):
         job = RigidJobSpec("j", 0.0, 4, 100.0)
         assert job.area == pytest.approx(400.0)
-
-
-class TestTraceIO:
-    def test_roundtrip(self):
-        jobs = generate_rigid_workload(WorkloadParameters(job_count=10), seed=4)
-        text = dumps_trace(jobs)
-        parsed = loads_trace(text)
-        assert len(parsed) == 10
-        assert parsed[0].node_count == jobs[0].node_count
-        assert parsed[0].submit_time == pytest.approx(jobs[0].submit_time, abs=1e-3)
-
-    def test_comments_and_blank_lines_ignored(self):
-        text = "# comment\n\njob1 0.0 4 100.0\n"
-        jobs = loads_trace(text)
-        assert len(jobs) == 1 and jobs[0].job_id == "job1"
-
-    def test_malformed_lines_rejected(self):
-        with pytest.raises(WorkloadError):
-            loads_trace("job1 0.0 4\n")
-        with pytest.raises(WorkloadError):
-            loads_trace("job1 0.0 four 100.0\n")
-        with pytest.raises(WorkloadError):
-            loads_trace("job1 -5.0 4 100.0\n")
-
-    def test_dump_and_load_file(self, tmp_path):
-        from repro.workloads import dump_trace, load_trace
-
-        jobs = generate_rigid_workload(WorkloadParameters(job_count=5), seed=0)
-        path = tmp_path / "trace.txt"
-        dump_trace(jobs, path)
-        assert len(load_trace(path)) == 5
 
 
 class TestBatchBaseline:
