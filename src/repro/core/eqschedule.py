@@ -18,14 +18,16 @@ partition; it implements the "strict equi-partitioning" baseline of Figure 11.
 """
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
+from itertools import repeat
+from math import ceil, floor
 from typing import Dict, List, Mapping, Sequence
 
 from .fit import fit
 from .profile import StepFunction
 from .request_set import RequestSet
 from .toview import to_view
-from .types import ClusterId, Time
+from .types import Time
 from .view import View
 
 __all__ = ["eq_schedule", "max_min_fair", "partition_schedule", "weighted_max_min_fair"]
@@ -101,7 +103,7 @@ def weighted_max_min_fair(
 
 
 def _interval_breakpoints(profiles: Sequence[StepFunction], horizon: Time) -> List[Time]:
-    """Sorted union of the profiles' breakpoints, clipped to [0, horizon]."""
+    """Sorted union of the profiles' breakpoints in the half-open ``[0, horizon)``, plus 0."""
     points = {0.0}
     for p in profiles:
         for t in p._times:
@@ -219,15 +221,17 @@ def partition_schedule(
     the policy subsystem (:mod:`repro.policies.sharing`) supplies alternative
     rules such as weighted max-min sharing.
 
-    The returned views may share profile objects between applications (one
-    :class:`StepFunction` per distinct column of partition values); never
-    mutate them.  Sharing pays for the applications that hold a preemptible
-    request: an idle one (empty set) is neither ``to_view``-ed nor fitted,
-    adds no breakpoint, and its demand is a literal 0 rather than a profile
-    lookup.  *partition* still receives the demand of every application,
-    idle ones included, but only once per distinct ``(capacity, demands)``
-    row of the pass -- it must be a pure function of the two and must not
-    keep or alter the list it is given.
+    The views of one pass may be the *same object* for several applications
+    (one :class:`View` per distinct column of partition values, typically one
+    for all the idle applications) and may hold *available*'s own profile
+    where a column reproduces it; never mutate them.  Sharing pays for the
+    applications that hold a preemptible request: an idle one (empty set) is
+    neither ``to_view``-ed nor fitted, adds no breakpoint, and its demand is
+    a literal 0; when all are idle the intervals are the availability
+    profile's own segments, read off as they are.  *partition* still receives
+    the demand of every application, idle ones included, but only once per
+    distinct ``(capacity, demands)`` row of the pass -- it must be a pure
+    function of the two and must not keep or alter the list it is given.
     """
     if partition is None:
         def partition(demands, capacity):
@@ -260,45 +264,61 @@ def partition_schedule(
     # constant beyond their last breakpoint, so so is the partition).  A row
     # is a function of the interval's capacity and the demands of the busy
     # applications alone, so it is computed once per distinct pair.
-    n_apps = len(app_ids)
-    busy = list(occupation)
-    floor = math.floor
-    ceil = math.ceil
     memo: Dict[tuple, List[int]] = {}
-    per_app_caps: List[Dict[ClusterId, StepFunction]] = [{} for _ in app_ids]
+    rows: List[List[int]] = []  # every cluster's rows, one cluster after the other
+    spans = []  # per cluster: (cid, breakpoints, first row, one past its last row)
     for cid in sorted(clusters):
         avail_profile = available[cid]
         busy_profiles = [occ[cid] for occ in occupation.values()]
-        breakpoints = _interval_breakpoints([avail_profile] + busy_profiles, horizon)
-        rows = []
-        for t in breakpoints:
-            capacity = max(int(floor(avail_profile.value_at(t) + 1e-9)), 0)
-            key = (capacity, *[int(ceil(p.value_at(t) - 1e-9)) for p in busy_profiles])
+        if busy_profiles:
+            breakpoints = _interval_breakpoints([avail_profile] + busy_profiles, horizon)
+            offered = [avail_profile.value_at(t) for t in breakpoints]
+            asked = [tuple(int(ceil(p.value_at(t) - 1e-9)) for p in busy_profiles) for t in breakpoints]
+        else:
+            # All idle: the intervals are the availability's own segments before the horizon.
+            times = avail_profile._times
+            breakpoints = times[: bisect_left(times, horizon, 1)]
+            offered = avail_profile._values
+            asked = repeat(())
+        spans.append((cid, breakpoints, len(rows), len(rows) + len(breakpoints)))
+        for value, busy_demands in zip(offered, asked):
+            capacity = max(int(floor(value + 1e-9)), 0)
+            key = (capacity, busy_demands)
             row = memo.get(key)
             if row is None:
-                demands = [0] * n_apps
-                for index, demand in zip(busy, key[1:]):
-                    demands[index] = demand
+                demands = [0] * len(app_ids)
+                if busy_demands:
+                    for index, demand in zip(occupation, busy_demands):
+                        demands[index] = demand
                 row = memo[key] = partition(demands, capacity)
             rows.append(row)
-        # One profile per distinct value column: applications shown the same
-        # numbers (typically all the idle ones) share the object.
-        by_column: Dict[tuple, StepFunction] = {}
-        for caps, column in zip(per_app_caps, zip(*rows)):
-            profile = by_column.get(column)
-            if profile is None:
-                profile = by_column[column] = StepFunction(breakpoints, column)
-            caps[cid] = profile
 
-    result: Dict[str, View] = {a: View(caps) for a, caps in zip(app_ids, per_app_caps)}
+    # One view per distinct column over all clusters, one profile per distinct
+    # column of one: applications shown the same numbers share the objects.
+    views: Dict[tuple, View] = {}
+    profiles: Dict[tuple, StepFunction] = {}
+    result: Dict[str, View] = {}
+    for app_id, column in zip(app_ids, zip(*rows) if rows else repeat(())):
+        view = views.get(column)
+        if view is None:
+            caps = {}
+            for cid, breakpoints, first, stop in spans:
+                key = (cid, column[first:stop])
+                if key not in profiles:
+                    own = available[cid]  # handed on when the column reproduces it exactly
+                    same = breakpoints == own._times and list(key[1]) == own._values
+                    profiles[key] = own if same else StepFunction(breakpoints, key[1])
+                caps[cid] = profiles[key]
+            view = views[column] = View(caps)
+        result[app_id] = view
 
     # Step 3: reschedule the requests against their own views so that
     # scheduled_at and n_alloc reflect what each application will really get
     # (Algorithm 3, lines 28-30).
-    for app_id, requests in preemptible_sets.items():
-        if requests:
-            own_view = result[app_id]
-            fixed_occ = to_view(requests, own_view)
-            fit(requests, own_view - fixed_occ, not_before)
+    for index in occupation:
+        requests = preemptible_sets[app_ids[index]]
+        own_view = result[app_ids[index]]
+        fixed_occ = to_view(requests, own_view)
+        fit(requests, own_view - fixed_occ, not_before)
 
     return result

@@ -525,13 +525,16 @@ class StepFunction:
             return NotImplemented
         if len(self._times) != len(other._times):
             return False
+        # Exactly equal lists (integer node counts at the same times) need no walk.
+        if self._times == other._times and self._values == other._values:
+            return True
         return all(
             abs(t1 - t2) < _EPS and abs(v1 - v2) < _EPS
             for t1, t2, v1, v2 in zip(self._times, other._times, self._values, other._values)
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - profiles are not meant to be dict keys
-        return hash((tuple(self._times), tuple(self._values)))
+    #: Equality is tolerant (``_EPS``), so no hash can agree with it; memoise on ``id``.
+    __hash__ = None
 
     def __repr__(self) -> str:
         parts = ", ".join(f"[{t:g}:{v:g}]" for t, v in zip(self._times, self._values))

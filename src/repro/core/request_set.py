@@ -242,10 +242,11 @@ class ApplicationRequests:
         return None
 
     def prune_finished(self) -> List[Request]:
-        """Prune finished requests from all three sets."""
+        """Prune finished requests from all three sets (the non-empty ones)."""
         removed = []
         for rs in (self.preallocations, self.non_preemptible, self.preemptible):
-            removed.extend(rs.prune_finished())
+            if rs:
+                removed.extend(rs.prune_finished())
         return removed
 
     def __repr__(self) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..cluster.node import NodeState
 from ..cluster.platform import Platform
@@ -109,6 +109,8 @@ class CooRMv2:
         #: The alive sessions in connection order; ``disconnect`` and ``kill``
         #: drop theirs, so a pass never pays for applications that are gone.
         self._live: Dict[str, Session] = {}
+        #: App id -> session in which a request finished since the last pass.
+        self._finished_in: Dict[str, Session] = {}
         self._app_counter = 0
         self._schedule_handle: Optional[EventHandle] = None
         self._last_schedule_time: Time = -math.inf
@@ -331,6 +333,7 @@ class CooRMv2:
         was_started = request.started()
         nodes_used = request.node_count if request.is_preallocation() else len(request.node_ids)
         request.mark_finished(self.now)
+        self._finished_in[session.app_id] = session
         self._cancel_expiry(request)
 
         if was_started and not request.is_preallocation():
@@ -590,13 +593,17 @@ class CooRMv2:
         # ``_pending_next_child`` / ``_next_chain_ancestors`` follow
         # ``related_to`` pointers, not set membership -- so an application's
         # thousandth update costs a pass what its first did.  Only the live
-        # sessions are walked, here and in the view-push loop below, which
-        # takes a fresh list because start callbacks may disconnect sessions.
-        sessions = self.connected_sessions()
-        for session in sessions:
-            session.requests.prune_finished()
+        # sessions in which a request finished since the last pass are walked:
+        # the RMS is the sole writer of request lifecycle, so it knows them,
+        # and elsewhere every finished member is still named by the live
+        # request that kept it last time.  A test that calls ``mark_finished``
+        # behind the RMS's back must ``prune_finished`` that session itself.
+        finished_in, self._finished_in = self._finished_in, {}
+        for session in finished_in.values():
+            if session.alive:
+                session.requests.prune_finished()
 
-        applications = {session.app_id: session.requests for session in sessions}
+        applications = {session.app_id: session.requests for session in self._live.values()}
         if not applications:
             return
         # Usage-aware queue orderings (fair-share) consult the accountant;
@@ -634,24 +641,43 @@ class CooRMv2:
             # (the releasing application may already have gone quiet).
             self.simulator.schedule(self.rescheduling_interval, self._trigger_schedule)
 
-        # Push views that changed.
+        # Push views that changed: ``Session.views_changed``, but decided once
+        # per distinct (last pushed object, new object) pair of the pass, not
+        # once per session -- the scheduler and sharing hand many applications
+        # the same view object.  Views are immutable, so a verdict for a pair
+        # of objects holds for the pass; the memo holds both objects, so no
+        # ``id`` is reused while it lives (``result`` holds the new views).
+        # Sessions are listed afresh: start callbacks may disconnect some.
         default_cid = self.platform.default_cluster_id()
         empty_view = View.empty()
+        now = self.now
+        verdicts: Dict[Tuple[int, int], Tuple[Optional[View], View, bool]] = {}
+        totals: Dict[int, float] = {}  # id(new view) -> its nodes on offer now
+
+        def changed(last: Optional[View], new: View) -> bool:
+            if last is new:
+                return False
+            known = verdicts.get((id(last), id(new)))
+            if known is None:
+                known = verdicts[id(last), id(new)] = (last, new, last != new)
+            return known[2]
+
+        def total_now(view: View) -> float:
+            if id(view) not in totals:
+                totals[id(view)] = view[default_cid].value_at(now)
+            return totals[id(view)]
+
         for session in self.connected_sessions():
             non_preemptive = result.non_preemptive_views.get(session.app_id, empty_view)
             preemptive = result.preemptive_views.get(session.app_id, empty_view)
-            if session.views_changed(non_preemptive, preemptive):
+            if changed(session.last_non_preemptive_view, non_preemptive) or changed(
+                session.last_preemptive_view, preemptive
+            ):
                 session.remember_views(non_preemptive, preemptive)
                 if metrics is not None:
                     metrics.inc("rms.views_pushed")
-                self.event_log.record(
-                    ViewsPushed(
-                        self.now,
-                        session.app_id,
-                        non_preemptive_total=non_preemptive[default_cid].value_at(self.now),
-                        preemptive_total=preemptive[default_cid].value_at(self.now),
-                    )
-                )
+                pushed = (total_now(non_preemptive), total_now(preemptive))
+                self.event_log.record(ViewsPushed(now, session.app_id, *pushed))
                 session.application.on_views(non_preemptive, preemptive)
 
         if self.kill_protocol_violators:

@@ -34,27 +34,28 @@ default policy (``coorm``) composes exactly those stages and reproduces
 Algorithm 4; alternative registered policies swap the queue ordering, the
 backfilling discipline or the sharing rule independently.
 
-What a pass costs: what changed since the previous one.  Steps 1 and 2 of
-the list above are a fold over the applications whose result the scheduler
-keeps between passes -- per application id the
-``(pa_occ, np_occ, overflow_started)`` triple last subtracted, plus the two
-running availabilities.  :func:`~repro.core.toview.started_occupation` hands
-out the *same* occupation object while the fields ``toView`` reads are
-unchanged, so a pass re-folds (adds the old triple back, subtracts the new
-one) only the applications whose occupation object is another one, adds back
-those that left the mapping, and starts over when :meth:`Scheduler.set_capacity`
-replaces the platform.  Heights are integer node counts, so these sums are
-exact and the availabilities are, breakpoint for breakpoint, the ones a
-from-scratch fold yields.  What remains per pass is linear in the *live*
-requests and cheap -- one occupation key per request set, one scan for the
-requests to start -- with full-profile work (the fits and about a dozen
-merges) only for applications with a pending pre-allocation or
-non-preemptible request.  Sharing ``toView``s and fits only non-empty
-preemptible sets and builds one profile per distinct column of partition
-values.  All of this rests on the view algebra returning its operand for
-``v + ∅``, ``∅ + v``, ``v - ∅`` and a no-op ``clip_low``: the views handed
-out share profiles between applications *and passes*, and the kept
-availabilities are such views.  Never mutate them.
+What a pass costs: what changed since the previous one, plus one view push
+per application whose views did.  Steps 1 and 2 above are a fold over the
+applications whose result the scheduler keeps between passes -- per
+application id the ``(pa_occ, np_occ, overflow_started)`` triple last
+subtracted, plus the two running availabilities.
+:func:`~repro.core.toview.started_occupation` hands out the *same* occupation
+object while the fields ``toView`` reads are unchanged, so a pass re-folds
+only the applications whose occupation object is another one, adds back those
+that left the mapping, and starts over on :meth:`Scheduler.set_capacity`.
+Heights are integer node counts, so these sums are exact and the
+availabilities are, breakpoint for breakpoint, those of a from-scratch fold.
+A *settled* application (nothing pending, nothing preemptible) costs one
+occupation key: empty request sets are not pruned, keyed, filtered or
+scanned, the requests to start are read off the pending lists step 2 built,
+and fits and merges run only where a request is pending.  Sharing fits only
+non-empty preemptible sets, reads the intervals off the availability's own
+segments when all are empty, and builds one view per distinct column of
+partition values: applications shown the same numbers hold the *same*
+``View``, so the RMS decides "did it change" once per pair of objects.  All
+of it rests on immutability -- operators return an operand for ``v + ∅``,
+``∅ + v``, ``v - ∅`` and a no-op ``clip_low``, views share objects between
+applications *and passes* -- so never mutate a view or a profile.
 """
 from __future__ import annotations
 
@@ -315,11 +316,12 @@ class Scheduler:
         backfill = self.policy.backfill
         head_seen = False
         clipped_from = clipped = None  # last clip_low operand and its result
+        pending_of: Dict[str, List[Request]] = {}  # PA then ¬P, of those with any
         for app_id in order:
             requests = applications[app_id]
             pa_occ, np_occ, _ = folded[app_id]
-            pending_pa = requests.preallocations.pending()
-            pending_np = requests.non_preemptible.pending()
+            pending_pa = requests.preallocations.pending() if requests.preallocations else ()
+            pending_np = requests.non_preemptible.pending() if requests.non_preemptible else ()
 
             # The first application in queue order with pending work is the
             # queue head; EASY-style backfilling reserves only for it.
@@ -339,6 +341,7 @@ class Scheduler:
                 # fixed since lines 3-5: both fits would touch no request and
                 # return the empty view, leaving the scratch views as they are.
                 continue
+            pending_of[app_id] = [*pending_pa, *pending_np]
 
             # Line 8: fit pending pre-allocations into that view (a set with
             # nothing pending is not fitted, for the same reason).
@@ -379,7 +382,7 @@ class Scheduler:
             available_preemptible = available_preemptible - occ_pending_np
 
             if observing:
-                pending_before = pending_pa + pending_np
+                pending_before = pending_of[app_id]
                 outcome = _classify_placements(pending_before, now)
                 if metrics is not None:
                     metrics.inc("scheduler.fit_attempts", len(pending_before))
@@ -404,10 +407,16 @@ class Scheduler:
 
         # Line 12: share the preemptible space (equi-partitioning by default).
         # Sharing always sees the applications in connection order -- queue
-        # ordering governs the non-preemptive pass only.
-        preemptible_sets = {
-            app_id: requests.preemptible for app_id, requests in applications.items()
-        }
+        # ordering governs the non-preemptive pass only.  The same walk lines
+        # up what may start (no stage starts, ends, adds or removes a request):
+        # in mapping order, the pending lists built above, then the P set.
+        preemptible_sets = {}
+        may_start: List[Request] = []
+        for app_id, requests in applications.items():
+            preemptible_sets[app_id] = preemptible = requests.preemptible
+            may_start += pending_of.get(app_id, ())
+            if preemptible:
+                may_start += preemptible.scan()
         result.preemptive_views = self.policy.sharing.share(
             preemptible_sets,
             available_preemptible.clip_low(0.0),
@@ -416,10 +425,7 @@ class Scheduler:
 
         # Lines 13-14: collect requests that must start now.
         start_by = now + 1e-9
-        for requests in applications.values():
-            for r in requests.scan():
-                if r.scheduled_at <= start_by and r.pending():
-                    result.to_start.append(r)
+        result.to_start = [r for r in may_start if r.scheduled_at <= start_by and r.pending()]
 
         if observing:
             if metrics is not None:

@@ -127,10 +127,14 @@ class View:
 
     def clip_low(self, floor: float = 0.0) -> "View":
         """Clamp every profile to be at least *floor* (usually 0)."""
-        caps = {cid: cap.clip_low(floor) for cid, cap in self._caps.items()}
-        if all(caps[cid] is cap for cid, cap in self._caps.items()):
-            return self
-        return View(caps)
+        caps = None  # a copy of ``_caps``, made when the first profile is clipped
+        for cid, cap in self._caps.items():
+            clipped = cap.clip_low(floor)
+            if clipped is not cap:
+                if caps is None:
+                    caps = dict(self._caps)
+                caps[cid] = clipped
+        return self if caps is None else View(caps)
 
     def clip_high(self, ceilings: Mapping[ClusterId, float]) -> "View":
         """Clamp each cluster's profile at its ceiling (e.g. the cluster size)."""
@@ -193,10 +197,10 @@ class View:
             return True
         if not isinstance(other, View):
             return NotImplemented
-        for cid in set(self._caps) | set(other._caps):
-            if self[cid] != other[cid]:
-                return False
-        return True
+        mine, theirs = self._caps, other._caps
+        if mine.keys() == theirs.keys():  # else a missing cluster is the zero profile
+            return all(cap is theirs[cid] or cap == theirs[cid] for cid, cap in mine.items())
+        return all(self[cid] == other[cid] for cid in mine.keys() | theirs.keys())
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{cid!r}: {cap!r}" for cid, cap in self.items())

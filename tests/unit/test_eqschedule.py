@@ -134,7 +134,28 @@ class TestPartitionRows:
         # The full demand vector every time, idle applications included.
         assert sorted(calls) == [([0, 0, 0], 7), ([0, 0, 0], 8)]
         assert views["b"]["c"] == available["c"]
-        assert views["a"]["c"] is views["c"]["c"]
+        assert views["a"] is views["b"] is views["c"]
+        # The column reproduces the availability, so its profile is handed on.
+        assert views["a"]["c"] is available["c"]
+
+    def test_idle_intervals_are_the_availability_segments_before_the_horizon(self):
+        available = View({"c": StepFunction([0.0, 10.0, 20.0, 30.0], [8, 6.5, -2, 5])})
+        sets = {"a": p_set(), "b": p_set()}
+        views = partition_schedule(sets, available, 0.0)
+        assert views["a"]["c"] is not available["c"]  # 6.5 floors to 6, -2 clips to 0
+        assert views["a"]["c"].times == (0.0, 10.0, 20.0, 30.0)
+        assert views["a"]["c"].values == (8.0, 6.0, 0.0, 5.0)
+        # Half-open: a breakpoint at the horizon itself is dropped, 0 never is.
+        cut = partition_schedule(sets, available, 0.0, horizon=20.0)
+        assert cut["b"]["c"].times == (0.0, 10.0)
+        assert partition_schedule(sets, available, 0.0, horizon=0.0)["a"]["c"].values == (8.0,)
+        strict = eq_schedule(sets, available, 0.0, strict=True)
+        assert strict["a"] is strict["b"]
+        assert strict["a"]["c"].values == (4.0, 3.0, 0.0, 2.0)
+
+    def test_no_cluster_at_all_still_answers_every_application(self):
+        views = partition_schedule({"a": p_set(), "b": p_set()}, View.empty(), 0.0)
+        assert list(views) == ["a", "b"] and len(views["a"]) == 0
 
     def test_rows_are_told_apart_by_the_demands_of_busy_applications(self):
         available = View({"c": StepFunction([0.0, 10.0, 20.0, 30.0], [8, 6, 8, 6])})

@@ -10,8 +10,11 @@ import pytest
 import repro.core.eqschedule as eqschedule
 import repro.core.toview as toview
 from repro.core import RelatedHow, Scheduler
+from repro.core.events import ViewsPushed
 from repro.core.profile import StepFunction
-from repro.testing import app_with, np_, p_, pa
+from repro.core.request_set import ApplicationRequests
+from repro.core.view import View
+from repro.testing import RecordingApp, app_with, make_env, np_, p_, pa
 
 
 class TestSchedulerBasics:
@@ -148,12 +151,19 @@ class TestOrderingAndBackfilling:
 
 @contextlib.contextmanager
 def _counting():
-    """Count the calls a pass makes into its four expensive primitives."""
-    counts = {"to_view": 0, "merges": 0, "value_at": 0, "partition": 0}
+    """Count the calls a pass makes into its expensive primitives.
+
+    ``deep_eq`` counts the profile comparisons that identity does not settle,
+    ``views`` the ``View`` objects built, ``prunes`` the request-set walks.
+    """
+    counts = dict.fromkeys(
+        ("to_view", "merges", "value_at", "partition", "deep_eq", "views", "prunes"), 0
+    )
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            if name != "deep_eq" or args[0] is not args[1]:
+                counts[name] += 1
             return function(*args, **kwargs)
 
         return wrapper
@@ -165,6 +175,9 @@ def _counting():
             (StepFunction, "_combine", "merges"),
             (StepFunction, "value_at", "value_at"),
             (eqschedule, "_partition_interval", "partition"),
+            (StepFunction, "__eq__", "deep_eq"),
+            (View, "__init__", "views"),
+            (ApplicationRequests, "prune_finished", "prunes"),
         ):
             wrapper = counted(name, getattr(owner, attribute))
             stack.enter_context(mock.patch.object(owner, attribute, wrapper))
@@ -209,3 +222,69 @@ class TestAPassCostsWhatChanged:
     def test_a_pass_without_any_change_runs_no_to_view(self):
         _, unchanged = self._second_and_third_pass(10)
         assert unchanged["to_view"] == 0
+
+
+class TestASettledApplicationCostsItsPush:
+    """Work counts through a real ``CooRMv2`` pass: a running rigid
+    application costs the pass its view push and no comparison, view or walk
+    of its own."""
+
+    @staticmethod
+    def _submit_pass_and_quiet_pass(n_running):
+        simulator, _, rms = make_env(nodes=2 * n_running + 3)
+        for i in range(n_running):
+            rms.connect(RecordingApp(f"run{i}"), f"run{i}")
+            rms.submit(f"run{i}", np_(1 + i % 2, duration=100.0, cluster="cluster0"))
+        simulator.run(until=3.0)
+        assert all(len(s.requests.non_preemptible.started()) == 1 for s in rms.connected_sessions())
+        rms.force_schedule()  # what the first pass placed is folded in: everybody is settled
+        rms.connect(RecordingApp("new"), "new")
+        rms.submit("new", np_(1, duration=50.0, cluster="cluster0"))
+        pushed_before = len(rms.event_log.of_kind(ViewsPushed))
+        with _counting() as submit_pass:
+            simulator.run(until=4.0)  # the pass that places and starts the request
+        # Everybody's views changed, everybody is told: that is what a pass owes.
+        assert len(rms.event_log.of_kind(ViewsPushed)) - pushed_before == n_running + 1
+        # The started request moves from placed to folded: those served before
+        # its application now see it too.
+        rms.force_schedule()
+        pushed_before = len(rms.event_log.of_kind(ViewsPushed))
+        with _counting() as quiet_pass:
+            rms.force_schedule()  # nothing at all changed
+        assert len(rms.event_log.of_kind(ViewsPushed)) == pushed_before
+        return submit_pass, quiet_pass
+
+    def test_one_submit_costs_the_same_among_10_and_80_running_applications(self):
+        few, few_quiet = self._submit_pass_and_quiet_pass(10)
+        many, many_quiet = self._submit_pass_and_quiet_pass(80)
+        assert few == many
+        assert few_quiet == many_quiet
+        # One verdict per distinct (last pushed, new) pair of view objects --
+        # the running applications share theirs -- not two per session.
+        assert 0 < few["deep_eq"] <= 4
+        # Sharing builds one view for all the idle applications.
+        assert 0 < few["views"] <= 12
+        # One row per distinct capacity of the availability, whoever looks on.
+        assert 0 < few["partition"] <= 4
+        # Each pushed view's total is read once, not once per session.
+        assert few["value_at"] <= 6 + few["partition"]
+        # Nobody finished anything: no request set is walked.
+        assert few["prunes"] == 0
+
+    def test_a_pass_in_which_nothing_changed_compares_nothing(self):
+        _, quiet = self._submit_pass_and_quiet_pass(10)
+        assert quiet["deep_eq"] == 0
+        assert quiet["to_view"] == quiet["merges"] == quiet["prunes"] == 0
+
+    def test_a_finished_request_is_pruned_where_it_finished_and_only_there(self):
+        simulator, _, rms = make_env(nodes=8)
+        for name in ("stays", "updates"):
+            rms.connect(RecordingApp(name), name)
+        rms.submit("stays", np_(2, cluster="cluster0"))
+        first = rms.submit("updates", p_(4, cluster="cluster0"))
+        simulator.run(until=2.0)
+        rms.submit("updates", p_(2, cluster="cluster0", related_how=RelatedHow.NEXT, related_to=first))
+        rms.done("updates", first)
+        with _counting() as counts:
+            simulator.run(until=4.0)
+        assert counts["prunes"] == 1

@@ -38,6 +38,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.eqschedule as eqschedule
 from repro.core import RelatedHow, Request, RequestType
 from repro.core.eqschedule import _interval_breakpoints, _partition_interval
 from repro.core.fit import fit
@@ -593,9 +594,9 @@ def test_applications_without_preallocations_share_one_view_object():
     views = list(result.non_preemptive_views.values())
     assert all(view is views[0] for view in views)
     assert views[0]["a"].value_at(0.0) == 3.0
-    # Nobody holds a preemptible request: one profile per cluster backs all.
+    # Nobody holds a preemptible request: one view backs all.
     shared = list(result.preemptive_views.values())
-    assert all(view["a"] is shared[0]["a"] for view in shared)
+    assert all(view is shared[0] for view in shared)
 
 
 def test_weighted_idle_applications_keep_their_own_numbers():
@@ -607,3 +608,65 @@ def test_weighted_idle_applications_keep_their_own_numbers():
     assert views["app1"]["a"] is views["app3"]["a"]
     assert views["app2"]["a"] is not views["app1"]["a"]
     assert views["app2"]["a"].value_at(0.0) > views["app1"]["a"].value_at(0.0)
+
+
+# --------------------------------------------------------------------- #
+# The idle sharing branch: entered and left under the stateless reference
+# --------------------------------------------------------------------- #
+_SWEEP = [("P", "a", 6, math.inf, RelatedHow.FREE, -1, "started")]
+#: The request spec of an event that does not read it.
+_REQUEST_PLACEHOLDER = _rigid("pending")[0]
+
+
+def _unions_per_pass(monkeypatch):
+    """How many breakpoint unions each ``Scheduler.schedule`` call ran.
+
+    Only the pass under test is counted: the reference keeps the
+    ``_interval_breakpoints`` this module imported.
+    """
+    per_pass = []
+    real_union, real_schedule = eqschedule._interval_breakpoints, Scheduler.schedule
+
+    def union(profiles, horizon):
+        per_pass[-1] += 1
+        return real_union(profiles, horizon)
+
+    def schedule(self, applications, now, usage=None):
+        per_pass.append(0)
+        return real_schedule(self, applications, now, usage=usage)
+
+    monkeypatch.setattr(eqschedule, "_interval_breakpoints", union)
+    monkeypatch.setattr(Scheduler, "schedule", schedule)
+    return per_pass
+
+
+def test_every_application_idle(monkeypatch):
+    """No preemptible request anywhere: rows come off the availability itself."""
+    per_pass = _unions_per_pass(monkeypatch)
+    apps = [_rigid("started"), [], _rigid("pending", nodes=7), _rigid("started", nodes=1), []]
+    steps = [
+        (1.0, [("submit", 1, _rigid("pending", nodes=3)[0])]),
+        (7.0, [("finish", 0, _REQUEST_PLACEHOLDER), ("capacity", 0, _REQUEST_PLACEHOLDER)]),
+        (30.0, [("join", 0, _rigid("pending")[0]), ("leave", 0, _REQUEST_PLACEHOLDER)]),
+    ]
+    for policy in ("coorm", "coorm-strict", "easy", _weighted({"app0": 2.0, "app2": 0.5})):
+        del per_pass[:]
+        _compare([(apps, steps)], policy, traced=False)
+        assert per_pass == [0, 0, 0, 0]
+
+
+def test_the_last_preemptible_request_finishes_mid_run(monkeypatch):
+    """The idle branch is left when a sweep arrives and entered when it ends."""
+    per_pass = _unions_per_pass(monkeypatch)
+    apps = [_rigid("pending"), _SWEEP, []]
+    steps = [
+        (1.0, []),
+        (7.0, [("finish", 1, _REQUEST_PLACEHOLDER)]),  # the sweep: the one started request
+        (1.0, []),
+        (30.0, [("submit", 2, _SWEEP[0])]),
+    ]
+    for policy in ("coorm", "coorm-strict", _weighted({"app1": 3.0})):
+        del per_pass[:]
+        _compare([(apps, steps)], policy, traced=False)
+        # One union per cluster ("a", "b") while a preemptible request lives.
+        assert per_pass == [2, 2, 0, 0, 2]
