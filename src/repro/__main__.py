@@ -1,11 +1,12 @@
 """``python -m repro`` -- centralised subcommand dispatch.
 
 Every command group registers itself here through one uniform interface: a
-``(name, add_commands, run_command)`` triple, where ``add_commands`` attaches
-the group's sub-parser to the top-level parser and ``run_command`` executes a
-parsed invocation.  ``python -m repro --help`` therefore always lists every
-group -- adding one is a single entry in :data:`COMMAND_GROUPS`, not an edit
-to an ad-hoc dispatch chain.
+``(name, help, module)`` triple, where the module's ``add_commands`` attaches
+the group's sub-commands to the group's parser and its ``run_command``
+executes a parsed invocation.  ``python -m repro --help`` therefore always
+lists every group -- adding one is a single entry in :data:`COMMAND_GROUPS`,
+not an edit to an ad-hoc dispatch chain -- and a group's module is imported
+when the group is dispatched: ``policy list`` does not pay for ``obs``.
 
 The top-level parser also carries the global ``-v``/``--verbose`` and
 ``-q``/``--quiet`` flags; :func:`main` feeds them into the shared
@@ -19,31 +20,28 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import List, Optional
 
-from .campaign.cli import add_campaign_commands, run_campaign_command
 from .core.errors import ReproError
-from .dist.cli import add_dist_commands, run_dist_command
-from .federation.cli import add_federation_commands, run_federation_command
-from .obs.cli import add_obs_commands, run_obs_command
 from .obs.logsetup import logging_setup
-from .policies.cli import add_policy_commands, run_policy_command
-from .traces.cli import add_trace_commands, run_trace_command
 
 __all__ = ["COMMAND_GROUPS", "build_parser", "main"]
 
 #: The registered command groups, in help-listing order.
 COMMAND_GROUPS = (
-    ("campaign", add_campaign_commands, run_campaign_command),
-    ("dist", add_dist_commands, run_dist_command),
-    ("trace", add_trace_commands, run_trace_command),
-    ("policy", add_policy_commands, run_policy_command),
-    ("federation", add_federation_commands, run_federation_command),
-    ("obs", add_obs_commands, run_obs_command),
+    ("campaign", "run and inspect campaigns", "repro.campaign.cli"),
+    ("dist", "join or query a 'campaign run --transport tcp' coordinator", "repro.dist.cli"),
+    ("trace", "inspect, transform and synthesize workload traces", "repro.traces.cli"),
+    ("policy", "inspect the scheduling-policy registry", "repro.policies.cli"),
+    ("federation", "inspect routing policies and run federated scenarios",
+     "repro.federation.cli"),
+    ("obs", "trace, summarize and analyse simulation runs", "repro.obs.cli"),
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The top-level parser; with *only*, every other group is name and help."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
@@ -63,25 +61,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="warnings and errors only on stderr",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for _name, add_commands, _run_command in COMMAND_GROUPS:
-        add_commands(commands)
+    for name, help_text, module in COMMAND_GROUPS:
+        group = commands.add_parser(name, help=help_text)
+        if only in (None, name):
+            import_module(module).add_commands(group)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level options take no value, so the first bare word names the
+    # group; with none (``--help``) or an unknown one nothing is imported.
+    only = next((word for word in argv if not word.startswith("-")), "")
+    args = build_parser(only).parse_args(argv)
     logging_setup(
         verbose=getattr(args, "log_verbose", False),
         quiet=getattr(args, "log_quiet", False),
     )
-    for name, _add_commands, run_command in COMMAND_GROUPS:
-        if args.command == name:
-            try:
-                return run_command(args)
-            except ReproError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    module = {name: module for name, _help, module in COMMAND_GROUPS}[args.command]
+    try:
+        return import_module(module).run_command(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

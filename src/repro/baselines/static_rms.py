@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..apps.nea import AmrApplication
 from ..models.amr_evolution import WorkingSetEvolution
 from ..models.speedup import PAPER_SPEEDUP_MODEL, SpeedupModel
@@ -69,7 +67,7 @@ def predict_static_run(
         + speedup_model.c * sizes
         + speedup_model.d
     )
-    end_time = float(np.sum(durations))
+    end_time = float(durations.sum())
     return StaticRunPrediction(
         node_count=node_count,
         end_time=end_time,

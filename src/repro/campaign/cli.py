@@ -39,14 +39,13 @@ from .runner import CampaignInterrupted, CampaignRunner
 from .spec import SCALE_NAMES, CampaignSpec
 from .store import ResultStore
 
-__all__ = ["add_campaign_commands", "run_campaign_command", "build_parser", "main"]
+__all__ = ["add_commands", "run_command", "build_parser", "main"]
 
 _LOG = get_logger("campaign")
 
 
-def add_campaign_commands(commands: argparse._SubParsersAction) -> None:
-    """Attach the ``campaign`` command group to the top-level CLI parser."""
-    campaign = commands.add_parser("campaign", help="run and inspect campaigns")
+def add_commands(campaign: argparse.ArgumentParser) -> None:
+    """Attach the sub-commands to the ``campaign`` group's parser."""
     actions = campaign.add_subparsers(dest="action", required=True)
 
     run = actions.add_parser("run", help="execute a campaign")
@@ -258,9 +257,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             resume=args.resume,
             dist=config if coordinated else None,
         )
-    except ValueError as exc:  # bad kill spec, endpoint or worker count: nothing ran
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CampaignInterrupted as exc:
         partial = exc.result
         print(
@@ -283,17 +279,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _parse_kill_spec(text: Optional[str]) -> dict:
     """``"0:1,2:3"`` -> ``{0: 1, 2: 3}`` (worker index -> kill after Nth lease)."""
     kills = {}
-    for part in (text or "").split(","):
+    for position, part in enumerate((text or "").split(",")):
         part = part.strip()
         if not part:
             continue
         index, _, count = part.partition(":")
-        try:
-            kills[int(index)] = int(count)
-        except ValueError:
-            raise ValueError(
-                f"--dist-kill-after expects IDX:N pairs, got {part!r}"
-            ) from None
+        if not (index.isdigit() and count.isdigit()):
+            raise SpecError(
+                f"expects IDX:N pairs, got {part!r}", f"--dist-kill-after[{position}]"
+            )
+        kills[int(index)] = int(count)
     return kills
 
 
@@ -454,7 +449,7 @@ def _cmd_scenarios(_args: argparse.Namespace) -> int:
     return 0
 
 
-def run_campaign_command(args: argparse.Namespace) -> int:
+def run_command(args: argparse.Namespace) -> int:
     handlers = {
         "run": _cmd_run,
         "list": _cmd_list,

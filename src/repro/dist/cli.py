@@ -18,18 +18,15 @@ import sys
 
 from .transport import ChannelClosed, connect_tcp, parse_endpoint
 
-__all__ = ["add_dist_commands", "run_dist_command"]
+__all__ = ["add_commands", "run_command"]
 
 #: Default coordinator endpoint: fixed (not ephemeral) so workers started
 #: without flags find it.
 DEFAULT_ENDPOINT = "127.0.0.1:7717"
 
 
-def add_dist_commands(commands: argparse._SubParsersAction) -> None:
-    """Attach the ``dist`` command group to the top-level CLI parser."""
-    dist = commands.add_parser(
-        "dist", help="join or query a 'campaign run --transport tcp' coordinator"
-    )
+def add_commands(dist: argparse.ArgumentParser) -> None:
+    """Attach the sub-commands to the ``dist`` group's parser."""
     actions = dist.add_subparsers(dest="action", required=True)
 
     worker = actions.add_parser(
@@ -72,18 +69,15 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         options["worker_id"] = args.worker_id
     try:
         return run_standalone_worker(args.connect, options)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         return 130
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
+    host, port = parse_endpoint(args.connect)
     try:
-        host, port = parse_endpoint(args.connect)
         channel = connect_tcp(host, port, timeout=args.timeout)
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         print(f"error: cannot reach coordinator at {args.connect}: {exc}",
               file=sys.stderr)
         return 2
@@ -103,7 +97,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_dist_command(args: argparse.Namespace) -> int:
+def run_command(args: argparse.Namespace) -> int:
     handlers = {
         "worker": _cmd_worker,
         "status": _cmd_status,

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..campaign.units import task_to_dict, unit_key
+from ..core.errors import SpecError
 from ..obs.logsetup import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import EventTracer
@@ -281,7 +282,7 @@ class Coordinator:
         """
         config = self.config
         if workers < 0 or (workers == 0 and config.transport != "tcp"):
-            raise ValueError(
+            raise SpecError(
                 f"workers must be >= 1 on the {config.transport!r} transport, got "
                 f"{workers}: only 'tcp' lets external workers join a coordinator "
                 "that launches none"

@@ -39,6 +39,7 @@ import struct
 import threading
 from typing import Dict, List, Optional, Tuple
 
+from ..core.errors import SpecError
 from ..core.registry import unknown_name
 
 __all__ = [
@@ -142,7 +143,7 @@ def parse_endpoint(endpoint: str) -> Tuple[str, int]:
     """``"host:port"`` -> ``(host, port)`` with a helpful error."""
     host, _, port = endpoint.rpartition(":")
     if not host or not port.isdigit():
-        raise ValueError(f"endpoint must look like host:port, got {endpoint!r}")
+        raise SpecError(f"endpoint must look like host:port, got {endpoint!r}")
     return host, int(port)
 
 

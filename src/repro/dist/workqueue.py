@@ -39,6 +39,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from ..core.errors import SpecError
+
 __all__ = ["WorkUnit", "WorkQueue"]
 
 PENDING = "pending"
@@ -98,11 +100,11 @@ class WorkQueue:
         backoff_cap: float = 5.0,
     ):
         if lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive")
+            raise SpecError("lease_ttl must be positive")
         if max_attempts <= 0:
-            raise ValueError("max_attempts must be positive")
+            raise SpecError("max_attempts must be positive")
         if backoff_base < 0 or backoff_cap < 0:
-            raise ValueError("backoff must be >= 0")
+            raise SpecError("backoff must be >= 0")
         self.lease_ttl = float(lease_ttl)
         self.max_attempts = int(max_attempts)
         self.backoff_base = float(backoff_base)

@@ -9,12 +9,13 @@ comparable to the published ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from ..metrics.report import format_table
 from ..models.amr_evolution import AmrEvolutionParameters, normalized_profile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ProfileSummary", "run", "main"]
 
@@ -33,6 +34,8 @@ class ProfileSummary:
 
 def summarize_profile(seed: int, profile: np.ndarray) -> ProfileSummary:
     """Compute the shape statistics reported for Figure 1."""
+    import numpy as np
+
     diffs = np.diff(profile)
     noise_scale = 3.0  # ~ the model's noise sigma; below this a step is "flat"
     return ProfileSummary(

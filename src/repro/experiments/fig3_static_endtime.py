@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from ..metrics.report import format_table
 from ..models.amr_evolution import AmrEvolutionParameters, WorkingSetEvolution
 from ..models.speedup import PAPER_SPEEDUP_MODEL, SpeedupModel, TIB_IN_MIB
@@ -37,10 +35,14 @@ class EndTimePoint:
 
     @property
     def median_increase(self) -> float:
+        import numpy as np
+
         return float(np.median(self.samples)) if self.samples else float("nan")
 
     @property
     def max_increase(self) -> float:
+        import numpy as np
+
         return float(np.max(self.samples)) if self.samples else float("nan")
 
 

@@ -26,16 +26,13 @@ from ..sim.randomness import derive_seed
 from .routing import ROUTINGS
 from .spec import TOPOLOGIES
 
-__all__ = ["add_federation_commands", "run_federation_command"]
+__all__ = ["add_commands", "run_command"]
 
 _LOG = get_logger("federation")
 
 
-def add_federation_commands(commands: argparse._SubParsersAction) -> None:
-    """Attach the ``federation`` command group to the top-level CLI parser."""
-    federation = commands.add_parser(
-        "federation", help="inspect routing policies and run federated scenarios"
-    )
+def add_commands(federation: argparse.ArgumentParser) -> None:
+    """Attach the sub-commands to the ``federation`` group's parser."""
     actions = federation.add_subparsers(dest="action", required=True)
 
     actions.add_parser(
@@ -143,7 +140,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_federation_command(args: argparse.Namespace) -> int:
+def run_command(args: argparse.Namespace) -> int:
     handlers = {
         "list": _cmd_list,
         "describe": _cmd_describe,

@@ -20,11 +20,12 @@ paper extracts from published AMR studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..sim.randomness import RandomSource
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AmrEvolutionParameters",
@@ -95,6 +96,8 @@ def normalized_profile(
     Returns an array of ``params.num_steps`` values in ``[0, 1000]`` whose
     maximum is exactly 1000 (the paper's normalisation).
     """
+    import numpy as np
+
     rng = random_source if random_source is not None else RandomSource(seed)
 
     sizes = np.empty(params.num_steps, dtype=float)
@@ -159,6 +162,8 @@ class WorkingSetEvolution:
     """
 
     def __init__(self, sizes_mib: Sequence[float]):
+        import numpy as np
+
         sizes = np.asarray(sizes_mib, dtype=float)
         if sizes.ndim != 1 or len(sizes) == 0:
             raise ValueError("sizes_mib must be a non-empty 1-D sequence")

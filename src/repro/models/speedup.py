@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SpeedupModel", "PAPER_SPEEDUP_MODEL", "GIB_IN_MIB", "TIB_IN_MIB"]
 
@@ -73,6 +74,8 @@ class SpeedupModel:
 
     def step_duration_array(self, nodes: np.ndarray, size_mib: float) -> np.ndarray:
         """Vectorised :meth:`step_duration` over an array of node counts."""
+        import numpy as np
+
         nodes = np.asarray(nodes, dtype=float)
         if (nodes <= 0).any():
             raise ValueError("nodes must be positive")

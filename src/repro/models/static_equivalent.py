@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .amr_evolution import WorkingSetEvolution
 from .speedup import SpeedupModel, PAPER_SPEEDUP_MODEL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DynamicAllocationResult",
@@ -53,12 +54,12 @@ class DynamicAllocationResult:
     @property
     def consumed_area(self) -> float:
         """Total node-seconds (the paper's :math:`A(e_t)`)."""
-        return float(np.sum(self.node_counts * self.step_durations))
+        return float((self.node_counts * self.step_durations).sum())
 
     @property
     def end_time(self) -> float:
         """Total execution time of the dynamic allocation."""
-        return float(np.sum(self.step_durations))
+        return float(self.step_durations.sum())
 
     @property
     def peak_nodes(self) -> int:
@@ -94,6 +95,8 @@ def dynamic_allocation(
     Only the current step's data size is needed for each decision, which is
     why a non-predictably evolving application can follow this policy online.
     """
+    import numpy as np
+
     nodes = np.empty(evolution.num_steps, dtype=float)
     durations = np.empty(evolution.num_steps, dtype=float)
     for i, size in enumerate(evolution.sizes_mib):
@@ -110,7 +113,7 @@ def dynamic_allocation(
 def _static_area(n: float, sizes: np.ndarray, model: SpeedupModel) -> float:
     """Consumed area if *n* nodes are allocated during every step."""
     durations = model.a * sizes / n + model.b * n + model.c * sizes + model.d
-    return float(n * np.sum(durations))
+    return float(n * durations.sum())
 
 
 def equivalent_static_allocation(
@@ -153,7 +156,7 @@ def equivalent_static_allocation(
     return StaticEquivalentResult(
         target_efficiency=target_efficiency,
         n_eq=n_eq,
-        static_end_time=float(np.sum(static_durations)),
+        static_end_time=float(static_durations.sum()),
         dynamic_end_time=dyn.end_time,
         consumed_area=target_area,
     )

@@ -30,13 +30,31 @@ configuration every command group uses.  Wall-clock performance is measured
 by ``benchmarks/ledger/run.py``, not here.
 """
 from .hooks import METRICS, PROFILER, TRACER, observation_enabled, observe
-from .lifecycle import JobAudit, build_audits, summarize_audits
-from .logsetup import get_logger, logging_setup
-from .metrics import Histogram, MetricsRegistry
-from .profiler import PhaseProfiler
-from .slo import DEFAULT_SLO, SLOReport, SLOSpec, evaluate_slo
-from .timeline import Timeline, TimelineBuilder
-from .tracer import EventTracer, TraceEvent, diff_events, load_chrome, load_jsonl
+
+#: Submodule -> the names re-exported from it, imported on first use.
+_LAZY = {
+    "lifecycle": ("JobAudit", "build_audits", "summarize_audits"),
+    "logsetup": ("get_logger", "logging_setup"),
+    "metrics": ("Histogram", "MetricsRegistry"),
+    "profiler": ("PhaseProfiler",),
+    "slo": ("DEFAULT_SLO", "SLOReport", "SLOSpec", "evaluate_slo"),
+    "timeline": ("Timeline", "TimelineBuilder"),
+    "tracer": ("EventTracer", "TraceEvent", "diff_events", "load_chrome", "load_jsonl"),
+}
+
+
+def __getattr__(name: str):
+    # The engine, the RMS and the scheduler reach ``hooks`` through this
+    # package on every ``import repro``; the instruments and analytics are
+    # imported when something asks for them (PEP 562, as in ``repro``).
+    for module, names in _LAZY.items():
+        if name in names:
+            import importlib
+
+            value = getattr(importlib.import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "TRACER",

@@ -34,16 +34,13 @@ from .logsetup import get_logger
 from .metrics import MetricsRegistry
 from .tracer import EventTracer, diff_events, load_jsonl
 
-__all__ = ["add_obs_commands", "run_obs_command"]
+__all__ = ["add_commands", "run_command"]
 
 _LOG = get_logger("obs")
 
 
-def add_obs_commands(commands: argparse._SubParsersAction) -> None:
-    """Attach the ``obs`` command group to the top-level CLI parser."""
-    obs = commands.add_parser(
-        "obs", help="trace, summarize and analyse simulation runs"
-    )
+def add_commands(obs: argparse.ArgumentParser) -> None:
+    """Attach the sub-commands to the ``obs`` group's parser."""
     actions = obs.add_subparsers(dest="action", required=True)
 
     export = actions.add_parser(
@@ -361,7 +358,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 1
 
 
-def run_obs_command(args: argparse.Namespace) -> int:
+def run_command(args: argparse.Namespace) -> int:
     handlers = {
         "export": _cmd_export,
         "summarize": _cmd_summarize,

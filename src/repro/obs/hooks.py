@@ -17,7 +17,9 @@ and restores the outer ones afterwards.
 
 This module must stay import-light: the simulation engine imports it, so it
 must never import :mod:`repro.sim`, :mod:`repro.core` or anything above
-them.
+them.  Importing it runs ``repro/obs/__init__.py`` first, which is why that
+file re-exports the instruments and analytics lazily: ``import repro`` loads
+``repro.obs`` and this module, none of the other ``repro.obs.*``.
 """
 from __future__ import annotations
 

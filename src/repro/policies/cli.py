@@ -23,16 +23,13 @@ from .registry import BACKFILLS, ORDERINGS, POLICIES, SHARINGS, get_policy
 #: The stage tables in the order a policy composes them.
 _STAGE_TABLES = (("ordering", ORDERINGS), ("backfill", BACKFILLS), ("sharing", SHARINGS))
 
-__all__ = ["add_policy_commands", "run_policy_command"]
+__all__ = ["add_commands", "run_command"]
 
 _LOG = get_logger("policy")
 
 
-def add_policy_commands(commands: argparse._SubParsersAction) -> None:
-    """Attach the ``policy`` command group to the top-level CLI parser."""
-    policy = commands.add_parser(
-        "policy", help="inspect the scheduling-policy registry"
-    )
+def add_commands(policy: argparse.ArgumentParser) -> None:
+    """Attach the sub-commands to the ``policy`` group's parser."""
     actions = policy.add_subparsers(dest="action", required=True)
 
     actions.add_parser("list", help="list registered policies")
@@ -82,7 +79,7 @@ def _cmd_stages(_args: argparse.Namespace) -> int:
     return 0
 
 
-def run_policy_command(args: argparse.Namespace) -> int:
+def run_command(args: argparse.Namespace) -> int:
     handlers = {
         "list": _cmd_list,
         "describe": _cmd_describe,

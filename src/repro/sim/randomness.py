@@ -9,13 +9,19 @@ For parallel experiment campaigns the seed of every run is *derived*, not
 drawn: :func:`derive_seed` hashes the root seed together with a stable task
 identity (scenario name, replicate index, ...) so that the seed of a run does
 not depend on how the runs are ordered or distributed over worker processes.
+
+Importing this module does not import numpy: :func:`derive_seed` and
+:func:`stable_fingerprint` are pure ``hashlib``, and a campaign coordinator, a
+``dist`` worker on units that do not simulate and the listing commands use
+nothing else.  numpy is imported by the first :class:`RandomSource` built.
 """
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RandomSource", "derive_seed", "spawn_streams", "stable_fingerprint"]
 
@@ -66,6 +72,8 @@ class RandomSource:
     """Thin, documented wrapper around :class:`numpy.random.Generator`."""
 
     def __init__(self, seed: Optional[int] = None):
+        import numpy as np
+
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 

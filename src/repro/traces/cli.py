@@ -41,14 +41,13 @@ from .transform import (
     TimeWindow,
 )
 
-__all__ = ["add_trace_commands", "run_trace_command"]
+__all__ = ["add_commands", "run_command"]
 
 _LOG = get_logger("trace")
 
 
-def add_trace_commands(commands: argparse._SubParsersAction) -> None:
-    """Attach the ``trace`` command group to the top-level CLI parser."""
-    trace = commands.add_parser("trace", help="inspect, transform and synthesize workload traces")
+def add_commands(trace: argparse.ArgumentParser) -> None:
+    """Attach the sub-commands to the ``trace`` group's parser."""
     actions = trace.add_subparsers(dest="action", required=True)
 
     info = actions.add_parser("info", help="print header directives and job statistics")
@@ -243,7 +242,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_trace_command(args: argparse.Namespace) -> int:
+def run_command(args: argparse.Namespace) -> int:
     """Dispatch a parsed ``trace`` command (entry point used by the CLI)."""
     handlers = {"info": _cmd_info, "convert": _cmd_convert, "synth": _cmd_synth}
     try:

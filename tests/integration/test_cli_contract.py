@@ -1,7 +1,9 @@
 """The CLI's contract for input it did not write itself.
 
 * Listing commands print exactly what they printed before the registries
-  were unified (snapshots under ``tests/data/cli_snapshots/``).
+  were unified, and ``--help`` of the top level and of every group exactly
+  what it printed before groups were imported on dispatch (snapshots under
+  ``tests/data/cli_snapshots/``).
 * Bad input -- an unknown name, a malformed or hostile spec file -- ends in
   ONE ``error:`` line on stderr that names the file and the path inside it,
   exit status 2, and never a traceback.
@@ -17,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.__main__ import main
+from repro.__main__ import COMMAND_GROUPS, build_parser, main
 from repro.campaign import CampaignSpec, ScenarioSpec, WorkloadSpec
 from repro.campaign.registry import builtin_scenarios
 from repro.core.errors import ReproError
@@ -40,6 +42,38 @@ def test_listing_output_is_pinned_byte_for_byte(command, capsys):
     assert main(command.split()) == 0
     snapshot = DATA / "cli_snapshots" / f"{command.replace(' ', '_')}.txt"
     assert capsys.readouterr().out == snapshot.read_text(encoding="utf-8")
+
+
+#: Generated at 7ea979e, when ``repro.__main__`` still imported all six groups
+#: up front: importing a group on dispatch must not move a byte of help text.
+HELP_SNAPSHOTS = {"top": ["--help"]} | {
+    group: [group, "--help"] for group, _help, _module in COMMAND_GROUPS
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELP_SNAPSHOTS))
+def test_help_output_is_pinned_byte_for_byte(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    with pytest.raises(SystemExit) as stop:
+        main(HELP_SNAPSHOTS[name])
+    assert stop.value.code == 0
+    snapshot = DATA / "cli_snapshots" / f"help_{name}.txt"
+    assert capsys.readouterr().out == snapshot.read_text(encoding="utf-8")
+
+
+def test_unknown_group_lists_all_six(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(["nope"])
+    assert stop.value.code == 2
+    snapshot = DATA / "cli_snapshots" / "unknown_group.txt"
+    assert capsys.readouterr().err == snapshot.read_text(encoding="utf-8")
+
+
+def test_build_parser_without_a_group_builds_all_six():
+    parser = build_parser()
+    for argv in (["dist", "status"], ["obs", "diff", "a", "b"], ["policy", "list"]):
+        assert parser.parse_args(argv).command == argv[0]
 
 
 # --------------------------------------------------------------------- #
@@ -106,6 +140,33 @@ UNKNOWN_NAMES = {
 def test_unknown_names_list_the_known_ones(command, capsys):
     code = main(command.split())
     assert_one_error_line(code, capsys.readouterr(), UNKNOWN_NAMES[command])
+
+
+#: Options of the dist tier that no parser ``type=`` can check: each used to
+#: be caught as a bare ``ValueError`` by a handler of its own in ``*/cli.py``.
+BAD_DIST_OPTIONS = {
+    "campaign run --scenarios fig1 --dist-kill-after 0:1,x:2": (
+        "--dist-kill-after[1]: expects IDX:N pairs, got 'x:2'"
+    ),
+    "campaign run --scenarios fig1 --transport tcp --bind nowhere": (
+        "endpoint must look like host:port, got 'nowhere'"
+    ),
+    "campaign run --scenarios fig1 --workers 0": (
+        "workers must be >= 1 on the 'ipc' transport, got 0"
+    ),
+    "campaign run --scenarios fig1 --workers 2 --lease-ttl 0": "lease_ttl must be positive",
+    "dist worker --connect nowhere": "endpoint must look like host:port, got 'nowhere'",
+    "dist status --connect nowhere": "endpoint must look like host:port, got 'nowhere'",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_DIST_OPTIONS))
+def test_bad_dist_options_are_one_error_line(command, tmp_path, capsys):
+    argv = command.split()
+    if argv[0] == "campaign":
+        argv += ["--results-dir", str(tmp_path), "--quiet"]
+    assert_one_error_line(main(argv), capsys.readouterr(), BAD_DIST_OPTIONS[command])
+    assert not list(tmp_path.iterdir())  # nothing ran, nothing was stored
 
 
 #: hostile SLO spec file content (None = no file) -> its error fragment.
