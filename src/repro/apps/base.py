@@ -10,6 +10,7 @@ only encode behaviour.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from typing import FrozenSet, Optional, Callable, Tuple
 
@@ -111,7 +112,8 @@ class BaseApplication:
         A new request is submitted ``NEXT`` to the current one (so surviving
         node IDs are carried over) and the current request is terminated.
         When shrinking, *released_node_ids* tells the RMS which nodes are
-        given back; when omitted, the highest node IDs are released.
+        given back; when omitted, the highest node IDs are released (picked
+        without sorting the allocation).
         """
         new_request = self.submit(
             node_count=new_node_count,
@@ -122,7 +124,7 @@ class BaseApplication:
         )
         if released_node_ids is None and new_node_count < len(current.node_ids):
             surplus = len(current.node_ids) - new_node_count
-            released_node_ids = sorted(current.node_ids)[-surplus:]
+            released_node_ids = heapq.nlargest(surplus, current.node_ids)
         self.done(current, released_node_ids)
         return new_request
 

@@ -18,9 +18,9 @@ evolving application completes.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..core.request import Request
@@ -61,6 +61,9 @@ class ParameterSweepApplication(BaseApplication):
 
         #: Node id -> start time of the task currently running on it.
         self._running_tasks: Dict[NodeId, Time] = {}
+        #: The same tasks by start time: start -> its nodes, both levels in
+        #: start order (start times never decrease).
+        self._started_at: Dict[Time, Dict[NodeId, None]] = {}
         #: Node id -> completion event handle (to cancel on kill).
         self._task_events: Dict[NodeId, object] = {}
         #: Nodes held but currently idle (no task running).
@@ -72,10 +75,6 @@ class ParameterSweepApplication(BaseApplication):
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def held_nodes(self) -> Set[NodeId]:
-        """Every node currently held (busy or idle)."""
-        return set(self._running_tasks) | set(self._idle_nodes)
-
     def busy_count(self) -> int:
         return len(self._running_tasks)
 
@@ -94,9 +93,7 @@ class ParameterSweepApplication(BaseApplication):
         if request.rtype is not RequestType.PREEMPTIBLE:
             return
         self.current_request = request
-        for nid in node_ids:
-            if nid not in self._running_tasks:
-                self._idle_nodes.add(nid)
+        self._idle_nodes |= node_ids.difference(self._running_tasks)
         self._schedule_flush()
 
     def on_killed(self, reason: str) -> None:
@@ -121,29 +118,28 @@ class ParameterSweepApplication(BaseApplication):
 
         allowed_now = self.preemptive_available_now()
         allowed_window = self.preemptive_available_min(self.task_duration)
-        # Built once; below, nodes only leave it (a task start moves a node
-        # from idle to running, which keeps it held).
-        held = self.held_nodes()
+        # Running and idle nodes are disjoint and together what we hold; below,
+        # nodes only leave (a task start moves a node from idle to running).
+        held = len(self._running_tasks) + len(self._idle_nodes)
 
         # 1. Mandatory release: the view at the current time is below what we
         #    hold, so nodes must be given back immediately (killing tasks).
-        if len(held) > allowed_now:
-            overshoot = len(held) - allowed_now
-            victims = self._pick_release_victims(overshoot)
+        if held > allowed_now:
+            victims = self._pick_release_victims(held - allowed_now)
             for nid in victims:
                 if nid in self._running_tasks:
                     self._abort_task(nid, count_waste=True)
                 self._idle_nodes.discard(nid)
-            held.difference_update(victims)
-            self._resize_request(len(held), released=victims)
+            held -= len(victims)
+            self._resize_request(held, released=victims)
 
         if self._stopped:
             # Shutting down: release idle nodes, let running tasks finish.
             idle = sorted(self._idle_nodes)
             if idle:
                 self._idle_nodes.clear()
-                held.difference_update(idle)
-                self._resize_request(len(held), released=idle)
+                held -= len(idle)
+                self._resize_request(held, released=idle)
             if not self._running_tasks:
                 self._terminate()
             return
@@ -159,13 +155,13 @@ class ParameterSweepApplication(BaseApplication):
         to_release = idle_sorted[can_start:]
         if to_release:
             self._idle_nodes.difference_update(to_release)
-            held.difference_update(to_release)
-            self._resize_request(len(held), released=to_release)
+            held -= len(to_release)
+            self._resize_request(held, released=to_release)
 
         # 3. Growth: ask for more nodes when the view offers more than we
         #    hold *and* they would be usable for at least one task.
-        desired = min(allowed_now, max(allowed_window, len(held)))
-        if desired > len(held):
+        desired = min(allowed_now, max(allowed_window, held))
+        if desired > held:
             self._resize_request(desired)
 
     # ------------------------------------------------------------------ #
@@ -173,15 +169,16 @@ class ParameterSweepApplication(BaseApplication):
     # ------------------------------------------------------------------ #
     def _start_task(self, node_id: NodeId) -> None:
         self._idle_nodes.discard(node_id)
-        self._running_tasks[node_id] = self.now
+        now = self.now
+        self._running_tasks[node_id] = now
+        self._started_at.setdefault(now, {})[node_id] = None
         handle = self.rms.simulator.schedule(self.task_duration, self._task_finished, node_id)
         self._task_events[node_id] = handle
 
     def _task_finished(self, node_id: NodeId) -> None:
         if node_id not in self._running_tasks or self.killed or self.finished():
             return
-        del self._running_tasks[node_id]
-        self._task_events.pop(node_id, None)
+        self._abort_task(node_id, count_waste=False)  # its event has fired: no cancel
         self.stats.completed_tasks += 1
         self.stats.completed_node_seconds += self.task_duration
         self._idle_nodes.add(node_id)
@@ -192,23 +189,40 @@ class ParameterSweepApplication(BaseApplication):
         handle = self._task_events.pop(node_id, None)
         if handle is not None:
             handle.cancel()
-        if start is not None and count_waste:
+        if start is None:
+            return
+        batch = self._started_at[start]
+        del batch[node_id]
+        if not batch:
+            del self._started_at[start]
+        if count_waste:
             self.stats.killed_tasks += 1
             self.stats.waste_node_seconds += max(0.0, self.now - start)
 
     def _pick_release_victims(self, count: int) -> List[NodeId]:
         """Choose which nodes to give back: idle ones first, then the tasks
-        with the least elapsed work (minimising the waste)."""
+        with the least elapsed work (minimising the waste).
+
+        The tasks are exactly ``heapq.nsmallest(k, running.items(), key=now -
+        start)`` (a tie in start order), found walking back from the latest
+        start batch to the run of equal elapsed times that fills *count*.
+        """
         victims: List[NodeId] = sorted(self._idle_nodes)[:count]
-        remaining = count - len(victims)
-        if remaining > 0:
-            # ``nsmallest(k, ...)`` is documented equal to ``sorted(...)[:k]``:
-            # ties keep the order in which the tasks were started.
-            now = self.now
-            least_elapsed = heapq.nsmallest(
-                remaining, self._running_tasks.items(), key=lambda item: now - item[1]
-            )
-            victims.extend(nid for nid, _ in least_elapsed)
+        now = self.now
+        run: List[Dict[NodeId, None]] = []  # batches of one elapsed time, latest first
+        run_elapsed, run_size = None, 0
+        for start in reversed(self._started_at):
+            elapsed = now - start
+            if elapsed != run_elapsed:
+                if len(victims) + run_size >= count:
+                    break
+                for batch in reversed(run):
+                    victims.extend(batch)
+                run, run_elapsed, run_size = [], elapsed, 0
+            run.append(self._started_at[start])
+            run_size += len(run[-1])
+        for batch in reversed(run):  # a tie goes to the earliest started
+            victims.extend(islice(batch, count - len(victims)))
         return victims
 
     # ------------------------------------------------------------------ #

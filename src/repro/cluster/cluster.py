@@ -7,7 +7,8 @@ inherit the nodes of their predecessor.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+import heapq
+from typing import AbstractSet, Collection, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from ..core.errors import AllocationError
 from ..core.types import ClusterId, NodeId, Time
@@ -19,9 +20,13 @@ __all__ = ["Cluster"]
 class Cluster:
     """A named collection of identical nodes.
 
-    The IDs of the free nodes are kept in a pool updated by every method
-    that changes a node's state, so change node states through the cluster,
-    never on ``cluster.nodes[...]`` directly.
+    Two indexes sit next to ``nodes``: the pool of free IDs, and the ownership
+    map -- one set of node IDs per application, the one record of who holds
+    what (sessions read it through :meth:`held_by`).  Every method that changes
+    a node's state updates both, so change states through the cluster, never
+    on ``cluster.nodes[...]`` directly.  A hand-over pays for the nodes that
+    change hands: a ``NEXT`` successor inheriting its predecessor's nodes
+    changes no owner, so :meth:`transfer` is one subset test.
     """
 
     def __init__(self, cluster_id: ClusterId, node_count: int):
@@ -32,6 +37,8 @@ class Cluster:
             i: Node(node_id=i, cluster_id=cluster_id) for i in range(node_count)
         }
         self._free: Set[NodeId] = set(self.nodes)
+        #: Application id -> IDs of the nodes it holds (no empty sets).
+        self._held: Dict[str, Set[NodeId]] = {}
         #: Busy node-seconds accumulated by nodes removed since (crash or
         #: elastic shrink); keeps utilization accounting exact across faults.
         self.retired_busy_seconds: float = 0.0
@@ -52,20 +59,23 @@ class Cluster:
     def allocated_count(self) -> int:
         return len(self.nodes) - len(self._free)
 
+    def highest_free(self, count: int) -> List[NodeId]:
+        """The *count* highest free node IDs, highest first."""
+        return heapq.nlargest(count, self._free)
+
+    def held_by(self, app_id: str) -> AbstractSet[NodeId]:
+        """IDs of the nodes *app_id* holds: the live set itself, read-only."""
+        return self._held.get(app_id, frozenset())
+
     def allocated_to(self, app_id: str) -> List[NodeId]:
-        """IDs of nodes currently held by *app_id*."""
-        return sorted(
-            nid
-            for nid, node in self.nodes.items()
-            if node.state is NodeState.ALLOCATED and node.owner_app == app_id
-        )
+        """IDs of nodes currently held by *app_id*, lowest first."""
+        return sorted(self.held_by(app_id))
 
     # ------------------------------------------------------------------ #
     def allocate(
         self,
         count: int,
         app_id: str,
-        request_id: int,
         now: Time,
         preferred: Optional[Iterable[NodeId]] = None,
     ) -> FrozenSet[NodeId]:
@@ -92,8 +102,10 @@ class Cluster:
         if len(chosen) < count:
             chosen.update(sorted(self._free - chosen)[: count - len(chosen)])
         for nid in chosen:
-            self.nodes[nid].allocate(app_id, request_id, now)
-        self._free -= chosen
+            self.nodes[nid].allocate(app_id, now)
+        if chosen:
+            self._free -= chosen
+            self._held.setdefault(app_id, set()).update(chosen)
         return frozenset(chosen)
 
     def release(self, node_ids: Iterable[NodeId], now: Time) -> None:
@@ -102,30 +114,38 @@ class Cluster:
             node = self.nodes.get(nid)
             if node is None:
                 raise AllocationError(f"unknown node id {nid} on {self.cluster_id!r}")
+            owner = node.owner_app
             node.release(now)
             self._free.add(nid)
+            held = self._held[owner]
+            held.discard(nid)
+            if not held:
+                del self._held[owner]
 
     def release_all_of(self, app_id: str, now: Time) -> FrozenSet[NodeId]:
         """Release every node held by *app_id* (used when killing a session)."""
-        held = self.allocated_to(app_id)
-        self.release(held, now)
+        held = self._held.pop(app_id, frozenset())
+        for nid in held:
+            self.nodes[nid].release(now)
+        self._free |= held
         return frozenset(held)
 
-    def transfer(self, node_ids: Iterable[NodeId], app_id: str, request_id: int, now: Time) -> None:
-        """Re-label allocated nodes to a new request of the same application.
+    def transfer(self, node_ids: Collection[NodeId], app_id: str) -> None:
+        """Check that *app_id* holds every node in *node_ids*.
 
         Used by ``NEXT`` constraints, where node IDs are carried over from the
-        finished request to its successor without ever becoming free.
+        finished request to its successor without ever becoming free.  Both
+        requests belong to one application, so no owner changes: on success
+        this is one subset test and touches no node.
         """
+        held = self.held_by(app_id)
+        if held.issuperset(node_ids):
+            return
         for nid in node_ids:
-            node = self.nodes.get(nid)
-            if node is None:
+            if nid not in self.nodes:
                 raise AllocationError(f"unknown node id {nid} on {self.cluster_id!r}")
-            if node.state is not NodeState.ALLOCATED or node.owner_app != app_id:
-                raise AllocationError(
-                    f"node {nid} is not held by application {app_id!r}"
-                )
-            node.owner_request = request_id
+            if nid not in held:
+                raise AllocationError(f"node {nid} is not held by application {app_id!r}")
 
     # ------------------------------------------------------------------ #
     # Capacity mutation (fault injection / elastic members)

@@ -32,16 +32,15 @@ class Node:
     node_id: NodeId
     cluster_id: str
     state: NodeState = NodeState.FREE
-    #: Application currently holding the node, if any.
+    #: Application currently holding the node, if any.  Which of its
+    #: requests holds the node is the RMS's business, not the node's.
     owner_app: Optional[str] = None
-    #: Request currently holding the node, if any.
-    owner_request: Optional[int] = None
     #: Accumulated busy node-seconds (for accounting/energy reports).
     busy_seconds: float = 0.0
     #: Time of the last state change (used to integrate busy time).
     last_transition: Time = 0.0
 
-    def allocate(self, app_id: str, request_id: int, now: Time) -> None:
+    def allocate(self, app_id: str, now: Time) -> None:
         """Hand the node to an application; it must currently be free."""
         if self.state is NodeState.ALLOCATED:
             raise AllocationError(
@@ -51,7 +50,6 @@ class Node:
         self._accumulate(now)
         self.state = NodeState.ALLOCATED
         self.owner_app = app_id
-        self.owner_request = request_id
         self.last_transition = now
 
     def release(self, now: Time) -> None:
@@ -63,7 +61,6 @@ class Node:
         self._accumulate(now)
         self.state = NodeState.FREE
         self.owner_app = None
-        self.owner_request = None
         self.last_transition = now
 
     def power_down(self, now: Time) -> None:

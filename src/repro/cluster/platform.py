@@ -7,7 +7,7 @@ any number of clusters.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping
 
 from ..core.errors import AllocationError
 from ..core.types import ClusterId, NodeId, Time
@@ -50,18 +50,6 @@ class Platform:
         return next(iter(self.clusters))
 
     # ------------------------------------------------------------------ #
-    def allocate(
-        self,
-        cluster_id: ClusterId,
-        count: int,
-        app_id: str,
-        request_id: int,
-        now: Time,
-        preferred: Optional[Iterable[NodeId]] = None,
-    ):
-        """Allocate nodes on one cluster (delegates to :class:`Cluster`)."""
-        return self.cluster(cluster_id).allocate(count, app_id, request_id, now, preferred)
-
     def release(self, cluster_id: ClusterId, node_ids: Iterable[NodeId], now: Time) -> None:
         self.cluster(cluster_id).release(node_ids, now)
 

@@ -183,7 +183,7 @@ class CooRMv2:
             app_id = f"app{self._app_counter}"
         if app_id in self.sessions and self.sessions[app_id].alive:
             raise SessionError(f"application {app_id!r} is already connected")
-        session = Session(app_id, application, self.now)
+        session = Session(app_id, application, self.now, self.platform)
         self.sessions[app_id] = self._live[app_id] = session
         self.event_log.record(Connected(self.now, app_id))
         tracer = _obs.TRACER[0]
@@ -213,9 +213,7 @@ class CooRMv2:
             if not request.finished():
                 request.mark_finished(self.now)
                 self._cancel_expiry(request)
-        released = self.platform.release_all_of(app_id, self.now)
-        for cid, nodes in released.items():
-            session.remove_nodes(cid, nodes)
+        self.platform.release_all_of(app_id, self.now)
         session.kill(reason)
         del self._live[app_id]
         self.event_log.record(SessionKilled(self.now, app_id, reason=reason))
@@ -335,42 +333,37 @@ class CooRMv2:
         request.mark_finished(self.now)
         self._finished_in[session.app_id] = session
         self._cancel_expiry(request)
+        successor = self._pending_next_child(session, request)
 
         if was_started and not request.is_preallocation():
-            held = set(request.node_ids)
-            successor = self._pending_next_child(session, request)
+            held = request.node_ids
             if released_node_ids is not None:
-                to_release = set(released_node_ids) & held
-            elif successor is not None:
-                # Keep everything for the successor unless told otherwise.
-                to_release = set()
+                to_release = held.intersection(released_node_ids)
             else:
-                to_release = held
+                # Keep everything for the successor unless told otherwise.
+                to_release = held if successor is None else frozenset()
             if to_release:
                 self.platform.release(request.cluster_id, to_release, self.now)
-                session.remove_nodes(request.cluster_id, frozenset(to_release))
-            request.node_ids = frozenset(held - to_release)
+                request.node_ids = held - to_release
         elif not was_started and released_node_ids is not None:
             # The application releases nodes carried by the (finished)
             # predecessors of a not-yet-started successor in an update chain.
             to_release = set(released_node_ids)
             for ancestor in self._next_chain_ancestors(request):
-                retained = set(ancestor.node_ids) & to_release
+                retained = ancestor.node_ids & to_release
                 if retained:
                     self.platform.release(request.cluster_id, retained, self.now)
-                    session.remove_nodes(request.cluster_id, frozenset(retained))
-                    ancestor.node_ids = frozenset(set(ancestor.node_ids) - retained)
+                    ancestor.node_ids = ancestor.node_ids - retained
                     to_release -= retained
                 if not to_release:
                     break
 
         # If nothing will ever take over the nodes still retained by this
         # request's finished NEXT ancestors, give them back now.
-        if self._pending_next_child(session, request) is None:
+        if successor is None:
             for ancestor in self._next_chain_ancestors(request, include_self=True):
                 if ancestor.node_ids and self._pending_next_child(session, ancestor) is None:
                     self.platform.release(request.cluster_id, ancestor.node_ids, self.now)
-                    session.remove_nodes(request.cluster_id, ancestor.node_ids)
                     ancestor.node_ids = frozenset()
 
         if was_started:
@@ -454,86 +447,22 @@ class CooRMv2:
         if request.started() or request.finished():
             return True
         now = self.now
-
-        if request.is_preallocation():
-            request.mark_started(now, frozenset())
-            session.application.on_start(request, frozenset())
+        preallocation = request.is_preallocation()
+        if preallocation:
+            all_nodes = frozenset()
+            request.mark_started(now, all_nodes)
+            session.application.on_start(request, all_nodes)
             self._schedule_expiry(session, request)
-            self.event_log.record(
-                RequestStarted(now, session.app_id, request_id=request.request_id)
-            )
-            tracer = _obs.TRACER[0]
-            if tracer is not None:
-                tracer.emit(
-                    now,
-                    "rms",
-                    "start",
-                    {
-                        "app": session.app_id,
-                        "req": self._obs_req(request),
-                        "rtype": request.rtype.value,
-                        "nodes": 0,
-                        "cluster": request.cluster_id,
-                    },
-                )
-            return True
-
-        cluster = self.platform.cluster(request.cluster_id)
-        needed = request.node_count
-        if request.is_preemptible():
-            needed = min(request.node_count, max(request.n_alloc, 0))
-
-        # Nodes retained by finished NEXT predecessors stay allocated to the
-        # application; re-label them for this request.  The chain may be more
-        # than one hop long when updates were issued faster than they could
-        # be served.
-        chain = list(self._next_chain_ancestors(request))
-        carried: Set[NodeId] = set()
-        session_holds = session.holds(request.cluster_id)
-        for ancestor in chain:
-            if len(carried) >= needed:
-                break
-            take = (ancestor.node_ids & session_holds) - carried
-            carried.update(sorted(take)[: needed - len(carried)])
-
-        free = cluster.free_count()
-        extra_needed = max(0, needed - len(carried))
-        if request.is_non_preemptible():
-            if free < extra_needed:
-                # Not enough nodes free yet: wait for an application to
-                # release resources (paper Appendix A.5, situation 2).
-                return False
         else:
-            extra_needed = min(extra_needed, free)
-
-        new_nodes: FrozenSet[NodeId] = frozenset()
-        if extra_needed > 0:
-            new_nodes = cluster.allocate(
-                extra_needed, session.app_id, request.request_id, now
-            )
-            session.add_nodes(request.cluster_id, new_nodes)
-        if carried:
-            cluster.transfer(carried, session.app_id, request.request_id, now)
-        # Retained nodes of the chain that this request did not take are no
-        # longer needed by anyone: give them back.
-        for ancestor in chain:
-            leftover = (ancestor.node_ids & session_holds) - carried
-            if leftover:
-                cluster.release(leftover, now)
-                session.remove_nodes(request.cluster_id, leftover)
-            ancestor.node_ids = frozenset()
-
-        all_nodes = frozenset(carried) | new_nodes
-        request.mark_started(now, all_nodes)
-        self._schedule_expiry(session, request)
-        session.application.on_start(request, all_nodes)
+            all_nodes = self._bind_nodes(session, request)
+            if all_nodes is None:
+                return False
+            request.mark_started(now, all_nodes)
+            self._schedule_expiry(session, request)
+            session.application.on_start(request, all_nodes)
+        node_ids = tuple(sorted(all_nodes))
         self.event_log.record(
-            RequestStarted(
-                now,
-                session.app_id,
-                request_id=request.request_id,
-                node_ids=tuple(sorted(all_nodes)),
-            )
+            RequestStarted(now, session.app_id, request_id=request.request_id, node_ids=node_ids)
         )
         tracer = _obs.TRACER[0]
         if tracer is not None:
@@ -549,8 +478,57 @@ class CooRMv2:
                     "cluster": request.cluster_id,
                 },
             )
-            self._obs_allocation(tracer)
+            if not preallocation:
+                self._obs_allocation(tracer)
         return True
+
+    def _bind_nodes(self, session: Session, request: Request) -> Optional[FrozenSet[NodeId]]:
+        """The node IDs *request* starts on, or None while too few are free.
+
+        Nodes retained by finished ``NEXT`` predecessors stay allocated to the
+        application; the request carries them over, lowest IDs first when it
+        needs fewer, and gives back the rest.  The chain may be more than one
+        hop long when updates were issued faster than they could be served.
+        """
+        now = self.now
+        cluster = self.platform.cluster(request.cluster_id)
+        needed = request.node_count
+        if request.is_preemptible():
+            needed = min(request.node_count, max(request.n_alloc, 0))
+
+        chain = list(self._next_chain_ancestors(request))
+        holds = cluster.held_by(session.app_id)
+        carried: Set[NodeId] = set()
+        leftovers: List[Set[NodeId]] = []  # retained, not taken: nobody will
+        for ancestor in chain:
+            take = (ancestor.node_ids & holds) - carried
+            room = needed - len(carried)
+            if len(take) > room:
+                kept = sorted(take)[:room] if room else []
+                leftovers.append(take.difference(kept))
+                take = kept
+            carried.update(take)
+
+        free = cluster.free_count()
+        extra_needed = max(0, needed - len(carried))
+        if request.is_non_preemptible():
+            if free < extra_needed:
+                # Not enough nodes free yet: wait for an application to
+                # release resources (paper Appendix A.5, situation 2).
+                return None
+        else:
+            extra_needed = min(extra_needed, free)
+
+        new_nodes: FrozenSet[NodeId] = frozenset()
+        if extra_needed > 0:
+            new_nodes = cluster.allocate(extra_needed, session.app_id, now)
+        if carried:
+            cluster.transfer(carried, session.app_id)
+        for leftover in leftovers:
+            cluster.release(leftover, now)
+        for ancestor in chain:
+            ancestor.node_ids = frozenset()
+        return frozenset(carried) | new_nodes
 
     def _schedule_expiry(self, session: Session, request: Request) -> None:
         if math.isinf(request.duration):
@@ -765,10 +743,7 @@ class CooRMv2:
         if count <= 0:
             return 0
         cluster = self.platform.cluster(self.platform.default_cluster_id())
-        free = [
-            nid for nid in sorted(cluster.nodes, reverse=True)
-            if cluster.nodes[nid].state is not NodeState.ALLOCATED
-        ][:count]
+        free = cluster.highest_free(count)
         if not free:
             return 0
         cluster.remove_nodes(free, self.now)

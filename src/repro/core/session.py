@@ -6,15 +6,22 @@ Sessions are ordered by connection time; the scheduler processes them in that
 order, which is what gives earlier applications priority (Section 3.2:
 "Applications are sorted in a list based on the time the applications
 connected to the RMS").
+
+Node ownership is not kept here: each cluster keeps one set of node IDs per
+application and :meth:`Session.holds` reads it.  With one map nothing needs
+keeping in step, so a hand-over pays for the nodes that change hands.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, AbstractSet, FrozenSet, Optional, Protocol, runtime_checkable
 
 from .request import Request
 from .request_set import ApplicationRequests
 from .types import NodeId, Time
 from .view import View
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.platform import Platform
 
 __all__ = ["ApplicationProtocol", "Session"]
 
@@ -40,32 +47,26 @@ class ApplicationProtocol(Protocol):
 class Session:
     """State the RMS keeps for one connected application."""
 
-    def __init__(self, app_id: str, application: ApplicationProtocol, connected_at: Time):
+    def __init__(
+        self, app_id: str, application: ApplicationProtocol, connected_at: Time, platform: "Platform"
+    ):
         self.app_id = app_id
         self.application = application
         self.connected_at = connected_at
+        self.platform = platform
         self.requests = ApplicationRequests(app_id)
         self.alive = True
         self.kill_reason: Optional[str] = None
         #: Last views pushed to the application (used to push only on change).
         self.last_non_preemptive_view: Optional[View] = None
         self.last_preemptive_view: Optional[View] = None
-        #: Nodes currently held by the application, per cluster.
-        self.held_nodes: Dict[str, FrozenSet[NodeId]] = {}
 
     # ------------------------------------------------------------------ #
-    def holds(self, cluster_id: str) -> FrozenSet[NodeId]:
-        """Node IDs currently held on *cluster_id*."""
-        return self.held_nodes.get(cluster_id, frozenset())
-
-    def add_nodes(self, cluster_id: str, node_ids: FrozenSet[NodeId]) -> None:
-        self.held_nodes[cluster_id] = self.holds(cluster_id) | node_ids
-
-    def remove_nodes(self, cluster_id: str, node_ids: FrozenSet[NodeId]) -> None:
-        self.held_nodes[cluster_id] = self.holds(cluster_id) - frozenset(node_ids)
-
-    def held_count(self, cluster_id: str) -> int:
-        return len(self.holds(cluster_id))
+    def holds(self, cluster_id: str) -> AbstractSet[NodeId]:
+        """Node IDs held on *cluster_id*: the cluster's live set (none once closed)."""
+        if not self.alive:
+            return frozenset()
+        return self.platform.cluster(cluster_id).held_by(self.app_id)
 
     # ------------------------------------------------------------------ #
     def preemptible_held_count(self, cluster_id: str) -> int:

@@ -1,11 +1,12 @@
-"""Property tests: the Cluster's incremental free-node pool.
+"""Property tests: the Cluster's incremental free-node pool and ownership map.
 
-``Cluster`` keeps the IDs of its free nodes in a pool updated by
-``allocate`` / ``release`` / ``add_nodes`` / ``remove_nodes`` instead of
-scanning every node per query.  Under random operation sequences the pool
-must stay equal to a brute-force scan of ``cluster.nodes``, and allocation
-must still pick the preferred free nodes first, then the lowest free IDs --
-node identities feed ``RequestStarted`` events and the goldens.
+``Cluster`` keeps the IDs of its free nodes in a pool, and one set of held
+node IDs per application, both updated by ``allocate`` / ``release`` /
+``release_all_of`` / ``add_nodes`` / ``remove_nodes`` instead of scanning
+every node per query.  Under random operation sequences both must stay equal
+to a brute-force scan of ``cluster.nodes``, and allocation must still pick
+the preferred free nodes first, then the lowest free IDs -- node identities
+feed ``RequestStarted`` events and the goldens.
 """
 from __future__ import annotations
 
@@ -19,9 +20,10 @@ from repro.core import AllocationError
 _APPS = ("a", "b", "c")
 _OP = st.tuples(
     st.sampled_from(
-        ["allocate", "allocate-preferred", "release", "release-all", "transfer", "add", "remove"]
+        ["allocate", "allocate-preferred", "release", "release-all", "transfer",
+         "transfer-bad", "add", "remove"]
     ),
-    st.integers(0, 12),  # a count, or an index into whatever the op acts on
+    st.integers(0, 16),  # a count, an index, or a node for "transfer-bad"
     st.integers(0, 2),  # the application
     st.lists(st.integers(0, 15), max_size=6),  # preferred IDs / a node subset
 )
@@ -31,6 +33,13 @@ def _scan_free(cluster):
     return sorted(nid for nid, node in cluster.nodes.items() if node.is_free())
 
 
+def _scan_held(cluster, app):
+    return sorted(
+        nid for nid, node in cluster.nodes.items()
+        if node.state is NodeState.ALLOCATED and node.owner_app == app
+    )
+
+
 def _assert_pool_matches_scan(cluster):
     free = _scan_free(cluster)
     allocated = sum(1 for n in cluster.nodes.values() if n.state is NodeState.ALLOCATED)
@@ -38,6 +47,17 @@ def _assert_pool_matches_scan(cluster):
     assert cluster.free_count() == len(free)
     assert cluster.allocated_count() == allocated
     assert cluster.node_count == len(free) + allocated
+    for app in _APPS:
+        assert sorted(cluster.held_by(app)) == _scan_held(cluster, app)
+        assert cluster.allocated_to(app) == _scan_held(cluster, app)
+
+
+def _snapshot(cluster):
+    return (
+        {nid: (n.state, n.owner_app, n.busy_seconds) for nid, n in cluster.nodes.items()},
+        cluster.free_nodes(),
+        {app: sorted(cluster.held_by(app)) for app in _APPS},
+    )
 
 
 def _expected_allocation(free, count, preferred):
@@ -62,9 +82,9 @@ def test_free_pool_equals_a_scan_of_the_nodes(size, ops):
             preferred = ids if op == "allocate-preferred" else None
             if number > len(free):
                 with pytest.raises(AllocationError):
-                    cluster.allocate(number, app, step, now, preferred=preferred)
+                    cluster.allocate(number, app, now, preferred=preferred)
             else:
-                got = cluster.allocate(number, app, step, now, preferred=preferred)
+                got = cluster.allocate(number, app, now, preferred=preferred)
                 assert got == _expected_allocation(free, number, preferred or [])
                 assert all(cluster.nodes[nid].owner_app == app for nid in got)
         elif op == "release":
@@ -72,7 +92,15 @@ def test_free_pool_equals_a_scan_of_the_nodes(size, ops):
         elif op == "release-all":
             assert cluster.release_all_of(app, now) == frozenset(held)
         elif op == "transfer":
-            cluster.transfer(held, app, 1000 + step, now)
+            cluster.transfer(held, app)
+        elif op == "transfer-bad":
+            # A node this application does not hold, or no node at all.
+            if number in held:
+                number = size + 20
+            before = _snapshot(cluster)
+            with pytest.raises(AllocationError):
+                cluster.transfer(held + [number], app)
+            assert _snapshot(cluster) == before
         elif op == "add":
             added = cluster.add_nodes(number % 4, now)
             assert all(cluster.nodes[nid].is_free() for nid in added)
@@ -83,12 +111,13 @@ def test_free_pool_equals_a_scan_of_the_nodes(size, ops):
 
 def test_failed_calls_leave_the_pool_untouched():
     cluster = Cluster("c", 4)
-    cluster.allocate(3, "a", 1, now=0.0)
+    cluster.allocate(3, "a", now=0.0)
     with pytest.raises(AllocationError):
-        cluster.allocate(2, "b", 2, now=0.0)
+        cluster.allocate(2, "b", now=0.0)
     with pytest.raises(AllocationError):
         cluster.release([3], now=0.0)  # free already
     with pytest.raises(AllocationError):
         cluster.remove_nodes([0], now=0.0)  # still allocated
     _assert_pool_matches_scan(cluster)
     assert cluster.free_nodes() == [3]
+

@@ -17,7 +17,7 @@ from repro.core import AllocationError
 class TestNode:
     def test_allocate_and_release(self):
         node = Node(0, "c")
-        node.allocate("app", 1, now=10.0)
+        node.allocate("app", now=10.0)
         assert node.state is NodeState.ALLOCATED
         assert node.owner_app == "app"
         node.release(now=25.0)
@@ -26,9 +26,9 @@ class TestNode:
 
     def test_double_allocation_rejected(self):
         node = Node(0, "c")
-        node.allocate("app", 1, now=0.0)
+        node.allocate("app", now=0.0)
         with pytest.raises(AllocationError):
-            node.allocate("other", 2, now=1.0)
+            node.allocate("other", now=1.0)
 
     def test_release_free_node_rejected(self):
         with pytest.raises(AllocationError):
@@ -43,7 +43,7 @@ class TestNode:
 
     def test_cannot_power_down_allocated_node(self):
         node = Node(0, "c")
-        node.allocate("app", 1, now=0.0)
+        node.allocate("app", now=0.0)
         with pytest.raises(AllocationError):
             node.power_down(now=1.0)
 
@@ -51,26 +51,26 @@ class TestNode:
 class TestCluster:
     def test_allocation_prefers_lowest_ids(self):
         cluster = Cluster("c", 8)
-        ids = cluster.allocate(3, "app", 1, now=0.0)
+        ids = cluster.allocate(3, "app", now=0.0)
         assert ids == frozenset({0, 1, 2})
         assert cluster.free_count() == 5
         assert cluster.allocated_to("app") == [0, 1, 2]
 
     def test_preferred_nodes_are_used_first(self):
         cluster = Cluster("c", 8)
-        ids = cluster.allocate(2, "app", 1, now=0.0, preferred=[5, 6])
+        ids = cluster.allocate(2, "app", now=0.0, preferred=[5, 6])
         assert ids == frozenset({5, 6})
 
     def test_insufficient_nodes_raise(self):
         cluster = Cluster("c", 4)
-        cluster.allocate(3, "a", 1, now=0.0)
+        cluster.allocate(3, "a", now=0.0)
         with pytest.raises(AllocationError):
-            cluster.allocate(2, "b", 2, now=0.0)
+            cluster.allocate(2, "b", now=0.0)
 
     def test_release_and_release_all(self):
         cluster = Cluster("c", 4)
-        cluster.allocate(2, "a", 1, now=0.0)
-        cluster.allocate(2, "b", 2, now=0.0)
+        cluster.allocate(2, "a", now=0.0)
+        cluster.allocate(2, "b", now=0.0)
         cluster.release([0], now=1.0)
         assert cluster.free_count() == 1
         released = cluster.release_all_of("b", now=2.0)
@@ -81,18 +81,34 @@ class TestCluster:
         with pytest.raises(AllocationError):
             Cluster("c", 2).release([7], now=0.0)
 
-    def test_transfer_relabels_owner_request(self):
+    def test_transfer_checks_ownership_and_changes_nothing(self):
+        """A hand-over within one application leaves the cluster as it was; one
+        of nodes the application does not hold raises, naming the first
+        offending node, and changes nothing either."""
         cluster = Cluster("c", 4)
-        ids = cluster.allocate(2, "a", 1, now=0.0)
-        cluster.transfer(ids, "a", 99, now=5.0)
-        for nid in ids:
-            assert cluster.nodes[nid].owner_request == 99
-        with pytest.raises(AllocationError):
-            cluster.transfer(ids, "someone-else", 100, now=6.0)
+        ids = cluster.allocate(2, "a", now=0.0)
+        cluster.allocate(1, "b", now=0.0)
+
+        def state():
+            nodes = {nid: (n.state, n.owner_app) for nid, n in cluster.nodes.items()}
+            return nodes, cluster.free_nodes(), cluster.allocated_to("a")
+
+        before = state()
+        cluster.transfer(ids, "a")
+        assert state() == before
+        with pytest.raises(AllocationError, match="not held by application 'someone-else'"):
+            cluster.transfer(ids, "someone-else")
+        with pytest.raises(AllocationError, match="node 2 is not held by application 'a'"):
+            cluster.transfer([0, 2], "a")  # node 2 is b's
+        with pytest.raises(AllocationError, match="node 3 is not held"):
+            cluster.transfer([3], "a")  # free
+        with pytest.raises(AllocationError, match="unknown node id 9 on 'c'"):
+            cluster.transfer([0, 9, 3], "a")
+        assert state() == before
 
     def test_busy_node_seconds(self):
         cluster = Cluster("c", 4)
-        cluster.allocate(2, "a", 1, now=0.0)
+        cluster.allocate(2, "a", now=0.0)
         assert cluster.busy_node_seconds(now=10.0) == pytest.approx(20.0)
 
     def test_zero_node_cluster_rejected(self):
@@ -120,8 +136,8 @@ class TestPlatform:
 
     def test_release_all_of_spans_clusters(self):
         platform = Platform({"a": 4, "b": 4})
-        platform.allocate("a", 2, "app", 1, now=0.0)
-        platform.allocate("b", 3, "app", 2, now=0.0)
+        platform.cluster("a").allocate(2, "app", now=0.0)
+        platform.cluster("b").allocate(3, "app", now=0.0)
         released = platform.release_all_of("app", now=1.0)
         assert len(released["a"]) == 2 and len(released["b"]) == 3
         assert platform.busy_node_seconds(now=1.0) == pytest.approx(5.0)

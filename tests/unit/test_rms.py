@@ -192,20 +192,54 @@ class TestRequestLifecycle:
             rms.done("b", request)
 
     def test_rescheduling_interval_coalesces_messages(self):
-        sim, _, rms = make_env()
-        app = RecordingApp("a")
-        rms.connect(app, "a")
-        sim.run()
-        passes_before = sim.processed_events
-        # A burst of submissions at the same instant triggers one pass.
-        for _ in range(5):
-            rms.submit("a", Request("cluster0", 1, 10.0, RequestType.NON_PREEMPTIBLE))
-        assert isinstance(rms.event_log.last(RequestSubmitted), RequestSubmitted)
-        sim.run()
-        started = [e for e in rms.event_log.of_kind(RequestStarted)]
-        assert len(started) == 5
-        # All five requests started at the same scheduling pass time.
-        assert len({e.time for e in started}) == 1
+        """At most one pass (``Scheduler.schedule`` call) per rescheduling
+        interval, whatever asks for it: a burst at one instant, a burst spread
+        over an interval, and the retry trigger of a deferred start."""
+        sim, _, rms = make_env(nodes=8)
+
+        def np_request(nodes, duration=math.inf):
+            return Request("cluster0", nodes, duration, RequestType.NON_PREEMPTIBLE)
+
+        with mock.patch.object(
+            type(rms.scheduler), "schedule", autospec=True, side_effect=type(rms.scheduler).schedule
+        ) as schedule:
+            app = RecordingApp("a")
+            rms.connect(app, "a")
+            sim.run()
+            # A burst of submissions at the same instant triggers one pass.
+            for _ in range(5):
+                rms.submit("a", np_request(1, 10.0))
+            assert isinstance(rms.event_log.last(RequestSubmitted), RequestSubmitted)
+            sim.run(until=5.0)
+            started = [e for e in rms.event_log.of_kind(RequestStarted)]
+            assert len(started) == 5
+            # All five requests started at the same scheduling pass time.
+            assert len({e.time for e in started}) == 1
+
+            # At 15 "p" takes the whole cluster preemptibly and keeps it until
+            # 22.  At 19.7 "g" asks for 4 nodes: the pass starts the request,
+            # finds no free node and defers it, with a retry trigger at 20.7 --
+            # inside the interval of a burst spread over 20.0, 20.3 and 20.6.
+            hog = Request("cluster0", 8, math.inf, RequestType.PREEMPTIBLE)
+            wanted = np_request(4)
+            sim.schedule_at(15.0, rms.connect, RecordingApp("p"), "p")
+            sim.schedule_at(15.0, rms.submit, "p", hog)
+            sim.schedule_at(19.7, rms.connect, RecordingApp("g"), "g")
+            sim.schedule_at(19.7, rms.submit, "g", wanted)
+            for at in (20.0, 20.3, 20.6):
+                sim.schedule_at(at, rms.submit, "a", np_request(1))
+            sim.schedule_at(22.0, rms.done, "p", hog)
+            sim.run(until=21.9)
+            assert len(hog.node_ids) == 8 and not wanted.started()
+            sim.run(until=30.0)
+            assert wanted.started()
+
+        passes = [call.args[2] for call in schedule.call_args_list]
+        # 0: connect; 1: the burst; 11: the five expiries; 15: "p" arrives;
+        # 19.7: "g" (deferred); 20.7: the spread burst and the retry; 21.7: the
+        # retry; 22.7: the release at 22.0 and the retry; "g" starts.
+        assert passes == pytest.approx([0.0, 1.0, 11.0, 15.0, 19.7, 20.7, 21.7, 22.7])
+        assert all(later - earlier >= 1.0 for earlier, later in zip(passes, passes[1:]))
 
 
 class TestNextChains:

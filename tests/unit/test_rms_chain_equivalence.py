@@ -18,7 +18,8 @@ pass has served yet, time advancing past expiries, ``set_capacity`` shrinking
 and growing, applications disconnecting and returning under their old id.
 After every step the worlds must agree on the event log, on every pushed
 view, on the lifecycle and node IDs of every request, on what each session
-holds and on the free nodes of the cluster.
+holds and on the free nodes of the cluster -- and in each world what a live
+session holds must be what a scan of the cluster's nodes says it owns.
 
 Two things are excluded by construction, not by tolerance, because there the
 old walk was wrong.  More than 64 updates in a row without a start in
@@ -39,7 +40,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Platform
+from repro.cluster import NodeState, Platform
 from repro.core import CooRMv2, RelatedHow, ReproError, Request, RequestSet, RequestType
 from repro.sim import Simulator
 from repro.testing import RecordingApp
@@ -277,12 +278,23 @@ _PRELUDE = [
 ]
 
 
+def _assert_holds_match_a_scan(world):
+    """The cluster's ownership map, as sessions read it, against the nodes."""
+    for session in world.rms.connected_sessions():
+        owned = sorted(
+            nid for nid, node in world.cluster.nodes.items()
+            if node.state is NodeState.ALLOCATED and node.owner_app == session.app_id
+        )
+        assert sorted(session.holds("cluster0")) == owned, session.app_id
+
+
 def _run(steps):
     new, ref = _World(CooRMv2), _World(ReferenceCooRMv2)
     script = [*_PRELUDE, *steps, ("advance", 150.0)]
     for position, (action, *args) in enumerate(script):
         for world in (new, ref):
             getattr(world, action)(*args)
+            _assert_holds_match_a_scan(world)
         got, expected = new.snapshot(), ref.snapshot()
         for key in expected:
             assert got[key] == expected[key], (key, position, action, args)
