@@ -4,7 +4,8 @@ applications of Klein & Pérez (INRIA RR-7644 / CLUSTER 2011).
 The package is organised bottom-up:
 
 * :mod:`repro.sim` -- discrete-event simulation engine;
-* :mod:`repro.cluster` -- nodes, clusters and the platform substrate;
+* :mod:`repro.cluster` -- clusters of node IDs (free pool and per-application
+  ownership) and the multi-cluster platform;
 * :mod:`repro.core` -- requests, views, the scheduling algorithms
   (``toView`` / ``fit`` / ``eqSchedule`` / Conservative Back-Filling) and the
   CooRMv2 RMS server;
@@ -12,8 +13,9 @@ The package is organised bottom-up:
   dynamic-vs-static analysis of Section 2;
 * :mod:`repro.apps` -- application behaviours (rigid, moldable, malleable,
   evolving, the AMR application and the Parameter-Sweep Application);
-* :mod:`repro.baselines` -- static allocation, strict equi-partitioning and a
-  rigid-only FCFS+CBF batch scheduler;
+* :mod:`repro.baselines` -- the closed-form static run and a rigid-only
+  FCFS+CBF batch scheduler (strict equi-partitioning is the ``coorm-strict``
+  policy);
 * :mod:`repro.metrics`, :mod:`repro.workloads` -- measurement and workload
   generation utilities;
 * :mod:`repro.experiments` -- one driver per figure of the evaluation;

@@ -1,21 +1,14 @@
-"""Baselines the paper compares against: static allocation, strict
-equi-partitioning and a rigid-only FCFS+CBF batch scheduler."""
+"""Baselines the paper compares against: the closed-form static run and a
+rigid-only FCFS+CBF batch scheduler.  The static AMR itself is
+``AmrApplication(static_allocation=True)``; strict equi-partitioning is the
+``"coorm-strict"`` policy."""
 from .batch_fcfs import BatchJobOutcome, BatchSchedulerBaseline, peak_static_job
-from .static_rms import StaticRunPrediction, make_static_amr, predict_static_run
-from .strict_equipartition import (
-    make_filling_rms,
-    make_rms,
-    make_strict_equipartition_rms,
-)
+from .static_rms import StaticRunPrediction, predict_static_run
 
 __all__ = [
     "BatchJobOutcome",
     "BatchSchedulerBaseline",
     "peak_static_job",
     "StaticRunPrediction",
-    "make_static_amr",
     "predict_static_run",
-    "make_rms",
-    "make_filling_rms",
-    "make_strict_equipartition_rms",
 ]

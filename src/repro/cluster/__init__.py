@@ -1,15 +1,5 @@
-"""Cluster substrate: nodes, clusters and the multi-cluster platform."""
-from .node import Node, NodeState
+"""Cluster substrate: clusters of node IDs and the multi-cluster platform."""
 from .cluster import Cluster
 from .platform import Platform
-from .energy import EnergyModel, EnergyReport, energy_report
 
-__all__ = [
-    "Node",
-    "NodeState",
-    "Cluster",
-    "Platform",
-    "EnergyModel",
-    "EnergyReport",
-    "energy_report",
-]
+__all__ = ["Cluster", "Platform"]

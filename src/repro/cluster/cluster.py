@@ -11,43 +11,38 @@ import heapq
 from typing import AbstractSet, Collection, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from ..core.errors import AllocationError
-from ..core.types import ClusterId, NodeId, Time
-from .node import Node, NodeState
+from ..core.types import ClusterId, NodeId
 
 __all__ = ["Cluster"]
 
 
 class Cluster:
-    """A named collection of identical nodes.
+    """A named collection of identical nodes, each nothing but its ID.
 
-    Two indexes sit next to ``nodes``: the pool of free IDs, and the ownership
-    map -- one set of node IDs per application, the one record of who holds
-    what (sessions read it through :meth:`held_by`).  Every method that changes
-    a node's state updates both, so change states through the cluster, never
-    on ``cluster.nodes[...]`` directly.  A hand-over pays for the nodes that
-    change hands: a ``NEXT`` successor inheriting its predecessor's nodes
-    changes no owner, so :meth:`transfer` is one subset test.
+    Three ID sets and nothing else: ``node_ids`` (every node of the cluster),
+    the pool of free IDs, and the ownership map -- one set of node IDs per
+    application, the one record of who holds what (sessions read it through
+    :meth:`held_by`).  A node is free or held by exactly one application.  A
+    call that fails changes none of the three.  A hand-over pays for the
+    nodes that change hands: a ``NEXT`` successor inheriting its
+    predecessor's nodes changes no owner, so :meth:`transfer` is one subset
+    test.
     """
 
     def __init__(self, cluster_id: ClusterId, node_count: int):
         if node_count <= 0:
             raise AllocationError("a cluster needs a positive node count")
         self.cluster_id = cluster_id
-        self.nodes: Dict[NodeId, Node] = {
-            i: Node(node_id=i, cluster_id=cluster_id) for i in range(node_count)
-        }
-        self._free: Set[NodeId] = set(self.nodes)
+        self.node_ids: Set[NodeId] = set(range(node_count))
+        self._free: Set[NodeId] = set(self.node_ids)
         #: Application id -> IDs of the nodes it holds (no empty sets).
         self._held: Dict[str, Set[NodeId]] = {}
-        #: Busy node-seconds accumulated by nodes removed since (crash or
-        #: elastic shrink); keeps utilization accounting exact across faults.
-        self.retired_busy_seconds: float = 0.0
 
     # ------------------------------------------------------------------ #
     @property
     def node_count(self) -> int:
-        """Total number of nodes, regardless of state."""
-        return len(self.nodes)
+        """Total number of nodes, free or held."""
+        return len(self.node_ids)
 
     def free_nodes(self) -> List[NodeId]:
         """IDs of nodes currently free (lowest IDs first, deterministic)."""
@@ -57,7 +52,7 @@ class Cluster:
         return len(self._free)
 
     def allocated_count(self) -> int:
-        return len(self.nodes) - len(self._free)
+        return len(self.node_ids) - len(self._free)
 
     def highest_free(self, count: int) -> List[NodeId]:
         """The *count* highest free node IDs, highest first."""
@@ -71,13 +66,19 @@ class Cluster:
         """IDs of nodes currently held by *app_id*, lowest first."""
         return sorted(self.held_by(app_id))
 
+    def owners_of(self, node_ids: Iterable[NodeId]) -> List[str]:
+        """Applications holding any of *node_ids*, by the lowest ID each holds."""
+        wanted = set(node_ids)
+        lowest = {
+            app_id: min(held & wanted)
+            for app_id, held in self._held.items()
+            if not held.isdisjoint(wanted)
+        }
+        return sorted(lowest, key=lowest.__getitem__)
+
     # ------------------------------------------------------------------ #
     def allocate(
-        self,
-        count: int,
-        app_id: str,
-        now: Time,
-        preferred: Optional[Iterable[NodeId]] = None,
+        self, count: int, app_id: str, preferred: Optional[Iterable[NodeId]] = None
     ) -> FrozenSet[NodeId]:
         """Allocate *count* nodes and return their IDs.
 
@@ -101,32 +102,27 @@ class Cluster:
                 chosen.add(nid)
         if len(chosen) < count:
             chosen.update(sorted(self._free - chosen)[: count - len(chosen)])
-        for nid in chosen:
-            self.nodes[nid].allocate(app_id, now)
         if chosen:
             self._free -= chosen
             self._held.setdefault(app_id, set()).update(chosen)
         return frozenset(chosen)
 
-    def release(self, node_ids: Iterable[NodeId], now: Time) -> None:
-        """Release the listed nodes back to the free pool."""
-        for nid in node_ids:
-            node = self.nodes.get(nid)
-            if node is None:
-                raise AllocationError(f"unknown node id {nid} on {self.cluster_id!r}")
-            owner = node.owner_app
-            node.release(now)
-            self._free.add(nid)
-            held = self._held[owner]
-            held.discard(nid)
-            if not held:
-                del self._held[owner]
+    def release(self, node_ids: Collection[NodeId], app_id: str) -> None:
+        """Give the listed nodes of *app_id* back to the free pool.
 
-    def release_all_of(self, app_id: str, now: Time) -> FrozenSet[NodeId]:
+        Raises, changing nothing, unless *app_id* holds every one of them.
+        """
+        self.transfer(node_ids, app_id)
+        if node_ids:
+            held = self._held[app_id]
+            held.difference_update(node_ids)
+            if not held:
+                del self._held[app_id]
+            self._free.update(node_ids)
+
+    def release_all_of(self, app_id: str) -> FrozenSet[NodeId]:
         """Release every node held by *app_id* (used when killing a session)."""
         held = self._held.pop(app_id, frozenset())
-        for nid in held:
-            self.nodes[nid].release(now)
         self._free |= held
         return frozenset(held)
 
@@ -142,7 +138,7 @@ class Cluster:
         if held.issuperset(node_ids):
             return
         for nid in node_ids:
-            if nid not in self.nodes:
+            if nid not in self.node_ids:
                 raise AllocationError(f"unknown node id {nid} on {self.cluster_id!r}")
             if nid not in held:
                 raise AllocationError(f"node {nid} is not held by application {app_id!r}")
@@ -158,31 +154,28 @@ class Cluster:
         """
         if count <= 0:
             return []
-        return sorted(self.nodes)[-count:]
+        return sorted(self.node_ids)[-count:]
 
-    def remove_nodes(self, node_ids: Iterable[NodeId], now: Time) -> None:
+    def remove_nodes(self, node_ids: Collection[NodeId]) -> None:
         """Remove nodes from the cluster (crash or elastic shrink).
 
-        Every victim must be free: callers (the RMS) kill the owning
-        applications first, which releases their nodes.  The removed nodes'
-        accumulated busy time is retired, not lost, so utilization
-        accounting stays exact.
+        Every victim must be free, or nothing is removed: callers (the RMS)
+        kill the owning applications first, which releases their nodes.
         """
+        if self._free.issuperset(node_ids):
+            self.node_ids.difference_update(node_ids)
+            self._free.difference_update(node_ids)
+            return
         for nid in node_ids:
-            node = self.nodes.get(nid)
-            if node is None:
+            if nid not in self.node_ids:
                 raise AllocationError(f"unknown node id {nid} on {self.cluster_id!r}")
-            if node.state is NodeState.ALLOCATED:
+            if nid not in self._free:
                 raise AllocationError(
                     f"node {nid} on {self.cluster_id!r} is still allocated "
-                    f"to {node.owner_app!r}; kill the owner before removing it"
+                    f"to {self.owners_of([nid])[0]!r}; kill the owner before removing it"
                 )
-            node._accumulate(now)
-            self.retired_busy_seconds += node.busy_seconds
-            del self.nodes[nid]
-            self._free.discard(nid)
 
-    def add_nodes(self, count: int, now: Time) -> List[NodeId]:
+    def add_nodes(self, count: int) -> List[NodeId]:
         """Add *count* fresh nodes (node restart or elastic grow).
 
         IDs re-use the lowest missing non-negative integers, so a restart
@@ -194,24 +187,12 @@ class Cluster:
         added: List[NodeId] = []
         nid = 0
         while len(added) < count:
-            if nid not in self.nodes:
-                node = Node(node_id=nid, cluster_id=self.cluster_id)
-                node.last_transition = now
-                self.nodes[nid] = node
-                self._free.add(nid)
+            if nid not in self.node_ids:
                 added.append(nid)
             nid += 1
+        self.node_ids.update(added)
+        self._free.update(added)
         return added
-
-    # ------------------------------------------------------------------ #
-    def busy_node_seconds(self, now: Time) -> float:
-        """Total node-seconds of allocation accumulated so far."""
-        total = self.retired_busy_seconds
-        for node in self.nodes.values():
-            total += node.busy_seconds
-            if node.state is NodeState.ALLOCATED and now > node.last_transition:
-                total += now - node.last_transition
-        return total
 
     def __repr__(self) -> str:
         return (

@@ -7,10 +7,10 @@ any number of clusters.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Collection, Dict, Mapping
 
 from ..core.errors import AllocationError
-from ..core.types import ClusterId, NodeId, Time
+from ..core.types import ClusterId, NodeId
 from .cluster import Cluster
 
 __all__ = ["Platform"]
@@ -50,15 +50,12 @@ class Platform:
         return next(iter(self.clusters))
 
     # ------------------------------------------------------------------ #
-    def release(self, cluster_id: ClusterId, node_ids: Iterable[NodeId], now: Time) -> None:
-        self.cluster(cluster_id).release(node_ids, now)
+    def release(self, cluster_id: ClusterId, node_ids: Collection[NodeId], app_id: str) -> None:
+        self.cluster(cluster_id).release(node_ids, app_id)
 
-    def release_all_of(self, app_id: str, now: Time) -> Dict[ClusterId, frozenset]:
+    def release_all_of(self, app_id: str) -> Dict[ClusterId, frozenset]:
         """Release every node held by an application, on every cluster."""
-        return {cid: c.release_all_of(app_id, now) for cid, c in self.clusters.items()}
-
-    def busy_node_seconds(self, now: Time) -> float:
-        return sum(c.busy_node_seconds(now) for c in self.clusters.values())
+        return {cid: c.release_all_of(app_id) for cid, c in self.clusters.items()}
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{cid}={c.node_count}" for cid, c in self.clusters.items())

@@ -20,7 +20,6 @@ import math
 import time
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..cluster.node import NodeState
 from ..cluster.platform import Platform
 from ..obs import hooks as _obs
 from .accounting import Accountant
@@ -60,9 +59,6 @@ class CooRMv2:
     rescheduling_interval:
         Minimum delay between two scheduling passes; messages arriving in
         between are coalesced (Section 3.2).  The evaluation uses 1 second.
-    strict_equipartition:
-        Use the strict equi-partitioning baseline for preemptible resources
-        instead of equi-partitioning with filling (Figure 11 comparison).
     kill_protocol_violators:
         Kill applications that keep preemptible resources beyond what their
         preemptive view allows for longer than *violation_grace* seconds.
@@ -75,8 +71,8 @@ class CooRMv2:
         Scheduling policy driving the passes: a registered policy name, a
         stage mapping, or a :class:`~repro.policies.SchedulingPolicy`
         object.  Defaults to the paper's Algorithm 4 composition
-        (``"coorm"``; ``strict_equipartition=True`` without an explicit
-        policy selects ``"coorm-strict"``).
+        (``"coorm"``); ``"coorm-strict"`` is the strict equi-partitioning
+        baseline of Figure 11.
     """
 
     def __init__(
@@ -84,7 +80,6 @@ class CooRMv2:
         platform: Platform,
         simulator: Simulator,
         rescheduling_interval: float = 1.0,
-        strict_equipartition: bool = False,
         kill_protocol_violators: bool = False,
         violation_grace: float = 30.0,
         accountant: Optional[Accountant] = None,
@@ -97,9 +92,7 @@ class CooRMv2:
         self.rescheduling_interval = float(rescheduling_interval)
         self.kill_protocol_violators = kill_protocol_violators
         self.violation_grace = float(violation_grace)
-        self.scheduler = Scheduler(
-            platform.capacity(), strict_equipartition, policy=policy
-        )
+        self.scheduler = Scheduler(platform.capacity(), policy=policy)
         self.accountant = accountant if accountant is not None else Accountant()
         self.event_log = EventLog()
 
@@ -213,7 +206,11 @@ class CooRMv2:
             if not request.finished():
                 request.mark_finished(self.now)
                 self._cancel_expiry(request)
-        self.platform.release_all_of(app_id, self.now)
+            # Every node is released below: unbind them all, or a NEXT child
+            # submitted under a re-connected id would inherit stale IDs.
+            for bound in self._next_chain_ancestors(request, include_self=True):
+                bound.node_ids = frozenset()
+        self.platform.release_all_of(app_id)
         session.kill(reason)
         del self._live[app_id]
         self.event_log.record(SessionKilled(self.now, app_id, reason=reason))
@@ -343,7 +340,7 @@ class CooRMv2:
                 # Keep everything for the successor unless told otherwise.
                 to_release = held if successor is None else frozenset()
             if to_release:
-                self.platform.release(request.cluster_id, to_release, self.now)
+                self.platform.release(request.cluster_id, to_release, session.app_id)
                 request.node_ids = held - to_release
         elif not was_started and released_node_ids is not None:
             # The application releases nodes carried by the (finished)
@@ -352,7 +349,7 @@ class CooRMv2:
             for ancestor in self._next_chain_ancestors(request):
                 retained = ancestor.node_ids & to_release
                 if retained:
-                    self.platform.release(request.cluster_id, retained, self.now)
+                    self.platform.release(request.cluster_id, retained, session.app_id)
                     ancestor.node_ids = ancestor.node_ids - retained
                     to_release -= retained
                 if not to_release:
@@ -363,7 +360,7 @@ class CooRMv2:
         if successor is None:
             for ancestor in self._next_chain_ancestors(request, include_self=True):
                 if ancestor.node_ids and self._pending_next_child(session, ancestor) is None:
-                    self.platform.release(request.cluster_id, ancestor.node_ids, self.now)
+                    self.platform.release(request.cluster_id, ancestor.node_ids, session.app_id)
                     ancestor.node_ids = frozenset()
 
         if was_started:
@@ -490,7 +487,6 @@ class CooRMv2:
         needs fewer, and gives back the rest.  The chain may be more than one
         hop long when updates were issued faster than they could be served.
         """
-        now = self.now
         cluster = self.platform.cluster(request.cluster_id)
         needed = request.node_count
         if request.is_preemptible():
@@ -521,11 +517,11 @@ class CooRMv2:
 
         new_nodes: FrozenSet[NodeId] = frozenset()
         if extra_needed > 0:
-            new_nodes = cluster.allocate(extra_needed, session.app_id, now)
+            new_nodes = cluster.allocate(extra_needed, session.app_id)
         if carried:
             cluster.transfer(carried, session.app_id)
         for leftover in leftovers:
-            cluster.release(leftover, now)
+            cluster.release(leftover, session.app_id)
         for ancestor in chain:
             ancestor.node_ids = frozenset()
         return frozenset(carried) | new_nodes
@@ -691,7 +687,8 @@ class CooRMv2:
         simulated crash), which releases every node they held.  Growing
         adds fresh nodes that re-use the lowest missing IDs.  Either way
         the scheduler's capacity view is rebuilt and a pass is triggered.
-        Returns the app ids killed, in connection order.
+        Returns the app ids killed, in ascending order of the lowest victim
+        each held.
         """
         if node_count < 0:
             raise ValueError("node_count cannot be negative")
@@ -702,19 +699,14 @@ class CooRMv2:
             return killed
         if node_count < current:
             victims = cluster.shrink_victims(current - node_count)
-            owners: List[str] = []
-            for nid in victims:
-                node = cluster.nodes[nid]
-                if node.state is NodeState.ALLOCATED and node.owner_app not in owners:
-                    owners.append(node.owner_app)
-            for app_id in owners:
+            for app_id in cluster.owners_of(victims):
                 session = self.sessions.get(app_id)
                 if session is not None and session.alive:
                     self.kill(app_id, reason=reason)
                     killed.append(app_id)
-            cluster.remove_nodes(victims, self.now)
+            cluster.remove_nodes(victims)
         else:
-            cluster.add_nodes(node_count - current, self.now)
+            cluster.add_nodes(node_count - current)
         self.scheduler.set_capacity(self.platform.capacity())
         tracer = _obs.TRACER[0]
         if tracer is not None:
@@ -746,7 +738,7 @@ class CooRMv2:
         free = cluster.highest_free(count)
         if not free:
             return 0
-        cluster.remove_nodes(free, self.now)
+        cluster.remove_nodes(free)
         self.scheduler.set_capacity(self.platform.capacity())
         tracer = _obs.TRACER[0]
         if tracer is not None:

@@ -65,7 +65,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..obs import hooks as _obs
 from ..policies.base import SchedulingContext
-from ..policies.registry import DEFAULT_POLICY, STRICT_POLICY, resolve_policy
+from ..policies.registry import resolve_policy
 from .request import Request
 from .request_set import ApplicationRequests
 from .toview import started_occupation
@@ -136,11 +136,6 @@ class Scheduler:
     ----------
     capacity:
         Mapping of cluster id to total node count of that cluster.
-    strict_equipartition:
-        When True (and no explicit *policy* is given), preemptible resources
-        are shared with the *strict* equi-partitioning baseline instead of
-        CooRMv2's equi-partitioning-with-filling (the Figure 11 comparison).
-        Shorthand for ``policy="coorm-strict"``.
     policy:
         The :class:`~repro.policies.SchedulingPolicy` driving the pass --
         a policy object, a registered name, or a stage mapping (see
@@ -148,32 +143,14 @@ class Scheduler:
         the composition that reproduces Algorithm 4 exactly.
     """
 
-    def __init__(
-        self,
-        capacity: Mapping[ClusterId, int],
-        strict_equipartition: bool = False,
-        policy=None,
-    ):
+    def __init__(self, capacity: Mapping[ClusterId, int], policy=None):
         if not capacity:
             raise ValueError("the platform needs at least one cluster")
         for cid, n in capacity.items():
             if n <= 0:
                 raise ValueError(f"cluster {cid!r} must have a positive node count")
         self.capacity: Dict[ClusterId, int] = dict(capacity)
-        if policy is None:
-            policy = STRICT_POLICY if strict_equipartition else DEFAULT_POLICY
         self.policy = resolve_policy(policy)
-        if strict_equipartition and self.policy.sharing.name != "strict-eq":
-            # Both knobs were given and they disagree; running the policy's
-            # sharing while the caller asked for the strict baseline would
-            # silently corrupt a Figure 11-style comparison.
-            raise ValueError(
-                f"strict_equipartition=True conflicts with policy "
-                f"{self.policy.name!r} (sharing {self.policy.sharing.name!r}); "
-                f"drop the flag or use a strict-sharing policy such as "
-                f"{STRICT_POLICY!r}"
-            )
-        self.strict_equipartition = self.policy.sharing.name == "strict-eq"
         self._start_over()
 
     # ------------------------------------------------------------------ #

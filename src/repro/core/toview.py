@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Optional
+from typing import Optional
 
-from .request import Request
 from .request_set import RequestSet, children_index
 from .types import RelatedHow
 from .view import View, ViewBuilder
@@ -157,8 +156,3 @@ def to_view(requests, available: Optional[View] = None) -> View:
                 queue.append(child)
 
     return occupied.build()
-
-
-def fixed_requests(requests: Iterable[Request]) -> list:
-    """Convenience helper: the requests currently flagged as fixed."""
-    return [r for r in requests if r.fixed]

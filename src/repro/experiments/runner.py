@@ -31,6 +31,7 @@ from ..metrics.collector import SimulationMetrics
 from ..models.amr_evolution import AmrEvolutionParameters, WorkingSetEvolution
 from ..models.speedup import PAPER_SPEEDUP_MODEL, SpeedupModel, TIB_IN_MIB
 from ..models.static_equivalent import equivalent_static_allocation
+from ..policies.registry import STRICT_POLICY, resolve_policy
 from ..sim.engine import Simulator
 from ..traces.convert import ConvertedJob, build_application, replay_horizon
 
@@ -153,6 +154,24 @@ def ideal_preallocation_nodes(
     return max(1, peak)
 
 
+def _strict_policy(policy):
+    """*policy* under ``strict_equipartition=True``: ``"coorm-strict"`` when
+    unset, else *policy* itself once its sharing is checked to be strict."""
+    if policy is None:
+        return STRICT_POLICY
+    resolved = resolve_policy(policy)
+    if resolved.sharing.name != "strict-eq":
+        # Running the policy's sharing while the caller asked for the strict
+        # baseline would silently corrupt a Figure 11-style comparison.
+        raise ValueError(
+            f"strict_equipartition=True conflicts with policy "
+            f"{resolved.name!r} (sharing {resolved.sharing.name!r}); "
+            f"drop the flag or use a strict-sharing policy such as "
+            f"{STRICT_POLICY!r}"
+        )
+    return policy
+
+
 def run_scenario(
     scale: EvaluationScale,
     seed: int = 0,
@@ -192,8 +211,10 @@ def run_scenario(
     *kill_protocol_violators* / *violation_grace* forward to the RMS.
 
     *policy* selects the scheduling policy (a registered name, stage mapping
-    or :class:`~repro.policies.SchedulingPolicy`); when given it supersedes
-    the *strict_equipartition* shorthand.
+    or :class:`~repro.policies.SchedulingPolicy`).  *strict_equipartition*
+    is shorthand for ``policy="coorm-strict"``: an explicit policy, or a
+    federation member's own, must then share strictly or a ``ValueError``
+    names the conflict.
 
     *federation* runs the scenario on a multi-cluster federation instead of
     a single scheduler: one :class:`~repro.core.rms.CooRMv2` per member
@@ -215,6 +236,14 @@ def run_scenario(
         raise ValueError("overcommit must be positive")
     if psa_task_durations is None:
         psa_task_durations = (scale.psa1_task_duration,)
+    if strict_equipartition:
+        # Checked in member order, each against the policy it would run.
+        pins = [None] if federation is None else [c.policy for c in federation.clusters]
+        for pin in pins:
+            if pin is None:
+                policy = _strict_policy(policy)
+            else:
+                _strict_policy(pin)
 
     if evolution is None:
         evolution = build_evolution(scale, seed=seed, model=speedup_model)
@@ -238,7 +267,6 @@ def run_scenario(
             simulator,
             rescheduling_interval=scale.rescheduling_interval,
             default_policy=policy,
-            strict_equipartition=strict_equipartition,
             kill_protocol_violators=kill_protocol_violators,
             violation_grace=violation_grace,
             seed=seed,
@@ -253,7 +281,6 @@ def run_scenario(
             platform,
             simulator,
             rescheduling_interval=scale.rescheduling_interval,
-            strict_equipartition=strict_equipartition,
             kill_protocol_violators=kill_protocol_violators,
             violation_grace=violation_grace,
             policy=policy,

@@ -292,10 +292,6 @@ class Federation:
     default_policy:
         Scheduling policy of members whose :class:`ClusterSpec` does not
         pin one (a registered name, stage mapping or policy object).
-    strict_equipartition:
-        Forwarded to every member RMS exactly like the single-scheduler
-        path forwards it (the scheduler validates it against the resolved
-        policy), so a federated run composes the same way a direct run does.
     seed:
         Root seed of the routing policy's randomness; the routing stream is
         derived (``derive_seed(seed, "routing")``) so it never correlates
@@ -308,7 +304,6 @@ class Federation:
         simulator: Simulator,
         rescheduling_interval: float = 1.0,
         default_policy=None,
-        strict_equipartition: bool = False,
         kill_protocol_violators: bool = False,
         violation_grace: float = 30.0,
         seed: Optional[int] = None,
@@ -328,7 +323,6 @@ class Federation:
                 platform,
                 simulator,
                 rescheduling_interval=rescheduling_interval,
-                strict_equipartition=strict_equipartition,
                 kill_protocol_violators=kill_protocol_violators,
                 violation_grace=violation_grace,
                 policy=cluster.policy if cluster.policy is not None else default_policy,

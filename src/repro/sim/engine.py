@@ -370,9 +370,5 @@ class Simulator:
         finally:
             self._running = False
 
-    def run_until_empty(self) -> Time:
-        """Run until no pending events remain."""
-        return self.run(math.inf)
-
     def __repr__(self) -> str:
         return f"Simulator(now={self._now:g}, pending={self._pending})"

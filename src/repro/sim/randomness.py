@@ -89,9 +89,6 @@ class RandomSource:
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return float(self._rng.uniform(low, high))
 
-    def gaussian(self, mean: float = 0.0, std: float = 1.0) -> float:
-        return float(self._rng.normal(mean, std))
-
     def gaussian_array(self, mean: float, std: float, size: int) -> np.ndarray:
         return self._rng.normal(mean, std, size)
 

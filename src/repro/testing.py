@@ -83,8 +83,8 @@ def make_env(
 ) -> Tuple[Simulator, Platform, CooRMv2]:
     """A wired (simulator, platform, RMS) triple on one homogeneous cluster.
 
-    Extra keyword arguments (``strict_equipartition``, ``policy``,
-    ``kill_protocol_violators``, ...) forward to :class:`CooRMv2`.
+    Extra keyword arguments (``policy``, ``kill_protocol_violators``, ...)
+    forward to :class:`CooRMv2`.
     """
     simulator = Simulator()
     platform = Platform.single_cluster(nodes)

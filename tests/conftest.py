@@ -59,13 +59,6 @@ def small_evolution() -> WorkingSetEvolution:
     return WorkingSetEvolution(np.linspace(5_000.0, 100_000.0, 20))
 
 
-def make_rms(node_count: int = 64, strict: bool = False, interval: float = 1.0):
-    """Build a (simulator, platform, rms) triple for ad-hoc scenarios."""
-    return testing.make_env(
-        nodes=node_count, interval=interval, strict_equipartition=strict
-    )
-
-
 # --------------------------------------------------------------------- #
 # Shared builder fixtures (delegating to repro.testing)
 # --------------------------------------------------------------------- #

@@ -15,7 +15,8 @@ from repro.sim import Simulator
 def make_env(nodes=16, strict=False):
     sim = Simulator()
     platform = Platform.single_cluster(nodes)
-    rms = CooRMv2(platform, sim, rescheduling_interval=1.0, strict_equipartition=strict)
+    policy = "coorm-strict" if strict else None
+    rms = CooRMv2(platform, sim, rescheduling_interval=1.0, policy=policy)
     return sim, platform, rms
 
 

@@ -246,11 +246,11 @@ class TestCapacityMutation:
     def test_grow_after_shrink_restores_the_same_node_ids(self):
         _sim, platform, rms = make_env(nodes=8)
         cluster = platform.cluster("cluster0")
-        before = sorted(cluster.nodes)
+        before = sorted(cluster.node_ids)
         rms.set_capacity(3)
-        assert sorted(cluster.nodes) == before[:3]  # highest IDs shed first
+        assert sorted(cluster.node_ids) == before[:3]  # highest IDs shed first
         rms.set_capacity(8)
-        assert sorted(cluster.nodes) == before  # lowest missing IDs re-added
+        assert sorted(cluster.node_ids) == before  # lowest missing IDs re-added
 
     def test_noop_and_negative_capacity(self):
         _sim, _platform, rms = make_env(nodes=4)
@@ -271,17 +271,20 @@ class TestCapacityMutation:
         assert rms.release_capacity(1) == 0  # nothing free any more
         assert rms.release_capacity(0) == 0
 
-    def test_retired_nodes_keep_their_busy_seconds(self):
-        sim, platform, rms = make_env(nodes=4)
-        app = RecordingApp("a")
-        rms.connect(app, "a")
-        rms.submit("a", Request("cluster0", 4, 10.0, RequestType.NON_PREEMPTIBLE))
-        sim.run(20.0)
+    def test_shrink_kills_owners_in_ascending_victim_id_order(self):
+        """Not connection order: "a" connected first, but "b" holds the lowest
+        victim, so "b" dies first."""
+        sim, platform, rms = make_env(nodes=5)
+        rms.connect(RecordingApp("a"), "a")
+        rms.connect(RecordingApp("b"), "b")
+        rms.submit("b", Request("cluster0", 2, 100.0, RequestType.NON_PREEMPTIBLE))
+        sim.run(5.0)
+        rms.submit("a", Request("cluster0", 2, 100.0, RequestType.NON_PREEMPTIBLE))
+        sim.run(10.0)
         cluster = platform.cluster("cluster0")
-        busy_before = cluster.busy_node_seconds(20.0)
-        rms.release_capacity(4)
-        assert cluster.retired_busy_seconds == pytest.approx(busy_before)
-        assert cluster.busy_node_seconds(20.0) == pytest.approx(busy_before)
+        assert (cluster.allocated_to("b"), cluster.allocated_to("a")) == ([0, 1], [2, 3])
+        assert rms.set_capacity(1) == ["b", "a"]
+        assert cluster.node_ids == {0} and cluster.free_nodes() == [0]
 
 
 # --------------------------------------------------------------------- #

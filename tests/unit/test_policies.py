@@ -8,6 +8,8 @@ import pytest
 from repro.core import Scheduler
 from repro.core.cbf import CbfJob, ConservativeBackfillQueue
 from repro.core.eqschedule import weighted_max_min_fair
+from repro.experiments.runner import EvaluationScale, run_scenario
+from repro.federation.spec import ClusterSpec, FederationSpec
 from repro.policies import (
     BACKFILLS,
     DEFAULT_POLICY,
@@ -161,19 +163,29 @@ class TestSchedulerPolicyIntegration:
 
     def test_scheduler_accepts_policy_name_and_mapping(self):
         assert Scheduler({"c0": 8}, policy="easy").policy.backfill.name == "easy"
-        assert (
-            Scheduler({"c0": 8}, policy={"sharing": "strict-eq"}).strict_equipartition
-        )
+        mapped = Scheduler({"c0": 8}, policy={"sharing": "strict-eq"})
+        assert mapped.policy.sharing.name == "strict-eq"
 
     def test_strict_flag_conflicting_with_policy_is_rejected(self):
         # A non-strict policy would silently drop the requested baseline.
-        with pytest.raises(ValueError, match="conflicts"):
-            Scheduler({"c0": 8}, strict_equipartition=True, policy="easy")
+        with pytest.raises(ValueError, match="conflicts with policy 'easy'"):
+            run_scenario(EvaluationScale.tiny(), strict_equipartition=True, policy="easy")
         # Agreeing combinations stay valid.
-        assert Scheduler(
-            {"c0": 8}, strict_equipartition=True, policy="coorm-strict"
-        ).strict_equipartition
-        assert Scheduler({"c0": 8}, strict_equipartition=True).strict_equipartition
+        for policy in ("coorm-strict", None):
+            result = run_scenario(
+                EvaluationScale.tiny(), strict_equipartition=True, policy=policy
+            )
+            assert result.rms.policy.name == "coorm-strict"
+
+    def test_strict_flag_conflicting_with_a_member_policy_is_rejected(self):
+        """The member that pins its own policy is checked too."""
+        federation = FederationSpec(
+            clusters=(ClusterSpec(name="a"), ClusterSpec(name="b", policy="easy"))
+        )
+        with pytest.raises(ValueError, match="conflicts with policy 'easy'"):
+            run_scenario(
+                EvaluationScale.tiny(), strict_equipartition=True, federation=federation
+            )
 
     def test_figure_runners_reject_policy_sweeps(self):
         from repro.campaign.registry import builtin_scenarios, get_runner

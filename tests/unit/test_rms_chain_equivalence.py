@@ -19,7 +19,8 @@ and growing, applications disconnecting and returning under their old id.
 After every step the worlds must agree on the event log, on every pushed
 view, on the lifecycle and node IDs of every request, on what each session
 holds and on the free nodes of the cluster -- and in each world what a live
-session holds must be what a scan of the cluster's nodes says it owns.
+session holds must be the union of the node IDs bound to the requests it
+submitted, with no node bound to two of them.
 
 Two things are excluded by construction, not by tolerance, because there the
 old walk was wrong.  More than 64 updates in a row without a start in
@@ -40,7 +41,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import NodeState, Platform
+from repro.cluster import Platform
 from repro.core import CooRMv2, RelatedHow, ReproError, Request, RequestSet, RequestType
 from repro.sim import Simulator
 from repro.testing import RecordingApp
@@ -144,6 +145,7 @@ class _World:
         self.rms = rms_class(self.platform, self.sim, rescheduling_interval=1.0)
         self.apps = []  # every application object that ever connected
         self.requests = []  # every request ever submitted, in order
+        self.since = {}  # app id -> len(self.requests) at its latest connect
         self.outcomes = []  # what each step raised, if anything
 
     # -- steps ---------------------------------------------------------- #
@@ -158,6 +160,7 @@ class _World:
         recorder = RecordingApp(_APP_IDS[app])
         if self._attempt(self.rms.connect, recorder, recorder.name) is not None:
             self.apps.append(recorder)
+            self.since[recorder.name] = len(self.requests)
 
     def disconnect(self, app):
         self._attempt(self.rms.disconnect, _APP_IDS[app])
@@ -279,13 +282,16 @@ _PRELUDE = [
 
 
 def _assert_holds_match_a_scan(world):
-    """The cluster's ownership map, as sessions read it, against the nodes."""
+    """The cluster's ownership map, as sessions read it, against the node IDs
+    bound to each live session's requests: equal, and no node bound twice."""
     for session in world.rms.connected_sessions():
-        owned = sorted(
-            nid for nid, node in world.cluster.nodes.items()
-            if node.state is NodeState.ALLOCATED and node.owner_app == session.app_id
-        )
-        assert sorted(session.holds("cluster0")) == owned, session.app_id
+        bound = [
+            r.node_ids for r in world.requests[world.since[session.app_id]:]
+            if r.app_id == session.app_id
+        ]
+        union = frozenset().union(*bound)
+        assert session.holds("cluster0") == union, session.app_id
+        assert sum(map(len, bound)) == len(union), ("bound twice", session.app_id)
 
 
 def _run(steps):
@@ -354,3 +360,21 @@ def test_a_forked_chain_is_where_the_worlds_part():
         taken[rms_class] = (len(held & other_branch.node_ids), own_successor.node_ids >= held)
     assert taken[CooRMv2] == (0, True)
     assert taken[ReferenceCooRMv2] == (2, False)
+
+
+def test_a_killed_request_binds_nothing_to_a_reconnected_session():
+    """A NEXT child of a request killed in an earlier session under the same id
+    inherits none of its former nodes: they may be bound to a live request now."""
+    world = _run(
+        [
+            ("capacity", 4),  # "a" holds victims 4 and 5: killed
+            ("connect", 0),
+            ("submit", 0, 1, 3, 0, 1, 0, False),  # x: 3 NP nodes, 0-2
+            ("advance", 1.0),
+            ("submit", 0, 1, 1, 0, 0, 0, True),  # y: NEXT child of the killed request
+            ("advance", 1.0),
+        ]
+    )
+    killed, x, y = (r for r in world.requests if r.app_id == "a")
+    assert killed.node_ids == frozenset() and sorted(x.node_ids) == [0, 1, 2]
+    assert sorted(y.node_ids) == [3]  # the free node, not one of x's

@@ -137,7 +137,7 @@ class TestOrderingAndBackfilling:
         assert va == 4 and vb == 4
 
     def test_strict_equipartition_flag(self):
-        sched = Scheduler({"c0": 16}, strict_equipartition=True)
+        sched = Scheduler({"c0": 16}, policy="coorm-strict")
         a = app_with(p_(2), app_id="a")
         b = app_with(p_(16), app_id="b")
         result = sched.schedule({"a": a, "b": b}, now=0.0)
@@ -145,7 +145,7 @@ class TestOrderingAndBackfilling:
         assert result.preemptive_views["b"]["c0"].value_at(0) == 8
 
     def test_repr_mentions_mode(self):
-        assert "strict" in repr(Scheduler({"c0": 4}, strict_equipartition=True))
+        assert "strict" in repr(Scheduler({"c0": 4}, policy="coorm-strict"))
         assert "filling" in repr(Scheduler({"c0": 4}))
 
 

@@ -4,14 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    BatchSchedulerBaseline,
-    make_filling_rms,
-    make_static_amr,
-    make_strict_equipartition_rms,
-    peak_static_job,
-    predict_static_run,
-)
+from repro.apps import AmrApplication
+from repro.baselines import BatchSchedulerBaseline, peak_static_job, predict_static_run
 from repro.cluster import Platform
 from repro.models import WorkingSetEvolution
 from repro.sim import Simulator
@@ -87,7 +81,9 @@ class TestStaticPrediction:
         from repro.core import CooRMv2
 
         rms = CooRMv2(Platform.single_cluster(64), sim, rescheduling_interval=1.0)
-        app = make_static_amr("amr", evolution, preallocation_nodes=30)
+        app = AmrApplication(
+            "amr", evolution, preallocation_nodes=30, static_allocation=True
+        )
         app.connect(rms)
         sim.run()
         assert app.finished()
@@ -98,13 +94,3 @@ class TestStaticPrediction:
         evolution = WorkingSetEvolution([1.0])
         with pytest.raises(ValueError):
             predict_static_run(evolution, node_count=0)
-
-
-class TestRmsFactories:
-    def test_strict_and_filling_factories(self):
-        sim = Simulator()
-        platform = Platform.single_cluster(8)
-        strict = make_strict_equipartition_rms(platform, sim)
-        assert strict.scheduler.strict_equipartition is True
-        filling = make_filling_rms(Platform.single_cluster(8), Simulator())
-        assert filling.scheduler.strict_equipartition is False
