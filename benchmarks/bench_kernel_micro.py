@@ -6,7 +6,8 @@ CI even when the others hide it in an end-to-end number:
 
 * **Indexed ``StepFunction`` lookups** -- ``value_at``/``min_over`` are
   bisect-indexed instead of linear scans.
-* **Single-pass merges** -- ``_combine`` walks both breakpoint lists once.
+* **Single-pass merges** -- ``_combine``, the one kernel behind ``+``/``-``
+  and ``maximum``/``minimum``, walks both breakpoint lists once.
 * **Incremental CBF availability** -- ``ConservativeBackfillQueue.submit``
   updates its profile in place instead of rebuilding it per job.
 * **Batched engine dispatch** -- same-timestamp events fire as one calendar

@@ -15,6 +15,11 @@ are shared among the preemptible requests of all applications.  The policy is
 
 A *strict* mode disables the filling and always shows exactly the equal
 partition; it implements the "strict equi-partitioning" baseline of Figure 11.
+
+When no application holds a preemptible request, every application is shown
+the availability itself (strict: its equal slice), floored to whole nodes:
+:func:`eq_schedule` maps it segment by segment into one :class:`View` for all
+(holding the availability's own profile where the numbers reproduce it).
 """
 from __future__ import annotations
 
@@ -112,6 +117,15 @@ def _interval_breakpoints(profiles: Sequence[StepFunction], horizon: Time) -> Li
     return sorted(points)
 
 
+def _capacity_share(capacity: int, n_apps: int, strict: bool) -> int:
+    """The capacity as every one of *n_apps* applications is shown it, demands aside.
+
+    Strict: an equal slice, whatever the others use.  Filling, with nobody
+    asking: all of it (what both filling branches of :func:`_partition_interval` give).
+    """
+    return capacity // n_apps if strict else capacity
+
+
 def _partition_interval(
     demands: List[int], capacity: int, strict: bool
 ) -> List[int]:
@@ -124,15 +138,8 @@ def _partition_interval(
     if n_apps == 0:
         return []
 
-    if strict:
-        # Strict equi-partitioning: everyone is shown an equal slice of the
-        # capacity, regardless of what the others actually use.
-        return [capacity // n_apps] * n_apps
-
-    if not any(demands):
-        # Nobody asks for anything: everyone is shown the whole capacity,
-        # which is what both branches below compute for all-zero demands.
-        return [capacity] * n_apps
+    if strict or not any(demands):
+        return [_capacity_share(capacity, n_apps, strict)] * n_apps
     total_demand = sum(demands)
     n_active = sum(1 for demand in demands if demand > 0)
     views = [0] * n_apps
@@ -194,13 +201,43 @@ def eq_schedule(
     dict
         Application id -> preemptive view ``V_P^{(i)}``.
     """
-    return partition_schedule(
-        preemptible_sets,
-        available,
-        not_before,
-        horizon=horizon,
-        partition=lambda demands, capacity: _partition_interval(demands, capacity, strict),
-    )
+    if any(preemptible_sets.values()):
+        return partition_schedule(
+            preemptible_sets,
+            available,
+            not_before,
+            horizon=horizon,
+            partition=lambda demands, capacity: _partition_interval(demands, capacity, strict),
+        )
+    # Nobody holds a preemptible request: every row is the capacity rule alone,
+    # so each availability profile maps value by value, one view for everybody.
+    if not preemptible_sets:
+        return {}
+    if horizon is None:
+        horizon = _default_horizon([available])
+    n_apps = len(preemptible_sets)
+    caps = {}
+    for cid in available.clusters():
+        own = available[cid]
+        stop = bisect_left(own._times, horizon, 1)
+        # The interval capacity of partition_schedule, max(int(floor(v + 1e-9)), 0),
+        # then the capacity rule.
+        values = [
+            _capacity_share(c if (c := floor(v + 1e-9)) > 0 else 0, n_apps, strict)
+            for v in own._values[:stop]
+        ]
+        same = stop == len(own._times) and values == own._values
+        caps[cid] = own if same else StepFunction(own._times[:stop], values)
+    return dict.fromkeys(preemptible_sets, View._adopt(caps))
+
+
+def _default_horizon(views: Sequence[View]) -> Time:
+    """The last breakpoint of all the profiles of *views*, plus one day."""
+    last = 0.0
+    for view in views:
+        for profile in view._caps.values():
+            last = max(last, profile._times[-1])
+    return last + 86_400.0
 
 
 def partition_schedule(
@@ -253,11 +290,7 @@ def partition_schedule(
         clusters.update(occ.clusters())
 
     if horizon is None:
-        last = 0.0
-        for view in (available, *occupation.values()):
-            for cid in view.clusters():
-                last = max(last, view[cid]._times[-1])
-        horizon = last + 86_400.0
+        horizon = _default_horizon([available, *occupation.values()])
 
     # Step 2: per-cluster, per-interval partitioning (lines 4-27).  The value
     # computed for the last interval extends to infinity (profiles are

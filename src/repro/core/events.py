@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtocolEvent:
     """Base class of every protocol trace record."""
 
@@ -40,17 +40,17 @@ class ProtocolEvent:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connected(ProtocolEvent):
     """An application opened a session with the RMS."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disconnected(ProtocolEvent):
     """An application closed its session normally."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestSubmitted(ProtocolEvent):
     """The application called ``request()``."""
 
@@ -60,7 +60,7 @@ class RequestSubmitted(ProtocolEvent):
     duration: Time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestDone(ProtocolEvent):
     """The application called ``done()`` on a request."""
 
@@ -68,7 +68,7 @@ class RequestDone(ProtocolEvent):
     released_node_ids: Tuple[NodeId, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestStarted(ProtocolEvent):
     """The RMS started a request (``startNotify``)."""
 
@@ -76,14 +76,14 @@ class RequestStarted(ProtocolEvent):
     node_ids: Tuple[NodeId, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestExpired(ProtocolEvent):
     """A started request reached the end of its duration."""
 
     request_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewsPushed(ProtocolEvent):
     """The RMS pushed fresh views to the application."""
 
@@ -91,7 +91,7 @@ class ViewsPushed(ProtocolEvent):
     preemptive_total: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionKilled(ProtocolEvent):
     """The RMS terminated the session after a protocol violation."""
 

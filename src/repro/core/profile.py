@@ -42,6 +42,7 @@ never changes results -- the golden regression suite pins this.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -51,23 +52,6 @@ from .types import Time
 __all__ = ["StepFunction", "StepBuilder"]
 
 _EPS = 1e-9
-
-
-def _merge_breakpoints(a: "StepFunction", b: "StepFunction") -> List[Time]:
-    """Return the sorted union of the breakpoints of two profiles."""
-    times: List[Time] = []
-    ia = ib = 0
-    ta, tb = a._times, b._times
-    while ia < len(ta) or ib < len(tb):
-        if ib >= len(tb) or (ia < len(ta) and ta[ia] <= tb[ib]):
-            t = ta[ia]
-            ia += 1
-        else:
-            t = tb[ib]
-            ib += 1
-        if not times or t > times[-1]:
-            times.append(t)
-    return times
 
 
 class StepFunction:
@@ -302,36 +286,37 @@ class StepFunction:
     # Algebra
     # ------------------------------------------------------------------ #
     def _combine(self, other: "StepFunction", op) -> "StepFunction":
-        """Single-pass merge: O(n + m), no intermediate point evaluations."""
+        """Single-pass merge: O(n + m), no intermediate point evaluations.
+
+        Both profiles start at ``0.0``; every later breakpoint advances the
+        operand it belongs to, or both when they coincide.
+        """
         ta, va = self._times, self._values
         tb, vb = other._times, other._values
         na, nb = len(ta), len(tb)
-        times: List[Time] = []
-        values: List[float] = []
-        append_t = times.append
-        append_v = values.append
-        ia = ib = 0
-        cur_a = va[0]
-        cur_b = vb[0]
-        last_v = None
+        cur_a, cur_b = va[0], vb[0]
+        last_v = op(cur_a, cur_b)
+        times: List[Time] = [ta[0]]
+        values: List[float] = [last_v]
+        ia = ib = 1
         while ia < na or ib < nb:
-            if ib >= nb or (ia < na and ta[ia] <= tb[ib]):
-                t = ta[ia]
-            else:
-                t = tb[ib]
-            if ia < na and ta[ia] == t:
-                cur_a = va[ia]
+            if ib == nb or (ia < na and ta[ia] < tb[ib]):
+                t, cur_a = ta[ia], va[ia]
                 ia += 1
-            if ib < nb and tb[ib] == t:
-                cur_b = vb[ib]
+            elif ia == na or tb[ib] < ta[ia]:
+                t, cur_b = tb[ib], vb[ib]
+                ib += 1
+            else:
+                t, cur_a, cur_b = ta[ia], va[ia], vb[ib]
+                ia += 1
                 ib += 1
             v = op(cur_a, cur_b)
             # Inline compaction, identical to _compact: keep the first value
             # of every eps-equal run.
-            if last_v is not None and abs(v - last_v) < _EPS:
+            if abs(v - last_v) < _EPS:
                 continue
-            append_t(t)
-            append_v(v)
+            times.append(t)
+            values.append(v)
             last_v = v
         return StepFunction._from_compacted(times, values)
 
@@ -344,12 +329,12 @@ class StepFunction:
             return self
         if self._is_identity():
             return other
-        return self._combine(other, lambda a, b: a + b)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         if other._is_identity():
             return self
-        return self._combine(other, lambda a, b: a - b)
+        return self._combine(other, operator.sub)
 
     def maximum(self, other: "StepFunction") -> "StepFunction":
         """Pointwise maximum (the paper's view union)."""
@@ -499,9 +484,6 @@ class StepFunction:
             if seg_end >= t + duration:
                 return t
             i += 1
-
-    def _segment_index(self, t: Time) -> int:
-        return max(bisect_right(self._times, t) - 1, 0)
 
     def alloc_limit(self, start: Time, duration: Time, requested: float) -> float:
         """How many nodes can be granted on ``[start, start+duration)``.

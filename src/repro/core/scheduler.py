@@ -49,10 +49,13 @@ A *settled* application (nothing pending, nothing preemptible) costs one
 occupation key: empty request sets are not pruned, keyed, filtered or
 scanned, the requests to start are read off the pending lists step 2 built,
 and fits and merges run only where a request is pending.  Sharing fits only
-non-empty preemptible sets, reads the intervals off the availability's own
-segments when all are empty, and builds one view per distinct column of
+non-empty preemptible sets and builds one view per distinct column of
 partition values: applications shown the same numbers hold the *same*
-``View``, so the RMS decides "did it change" once per pair of objects.  All
+``View``, so the RMS decides "did it change" once per pair of objects.  When
+all preemptible sets are empty, equi-partitioning makes no partition call:
+every segment of the availability is shown floored to whole nodes (strict:
+divided by the number of applications), in one ``View`` for everybody, which
+holds the availability's own profile where the numbers reproduce it.  All
 of it rests on immutability -- operators return an operand for ``v + ∅``,
 ``∅ + v``, ``v - ∅`` and a no-op ``clip_low``, views share objects between
 applications *and passes* -- so never mutate a view or a profile.

@@ -14,6 +14,7 @@ max), sum, difference, ``alloc`` and ``findHole``.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import ViewError
@@ -48,6 +49,13 @@ class View:
                 if not isinstance(cap, StepFunction):
                     raise ViewError(f"cluster {cid!r}: expected a StepFunction")
                 self._caps[cid] = cap
+
+    @classmethod
+    def _adopt(cls, caps: Dict[ClusterId, StepFunction]) -> "View":
+        """Internal fast constructor: a fresh dict of profiles, adopted unchecked."""
+        self = object.__new__(cls)
+        self._caps = caps
+        return self
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -101,14 +109,17 @@ class View:
     # Algebra (Appendix A.3)
     # ------------------------------------------------------------------ #
     def _combine(self, other: "View", op) -> "View":
-        caps: Dict[ClusterId, StepFunction] = {}
-        for cid in set(self._caps) | set(other._caps):
-            caps[cid] = op(self[cid], other[cid])
-        return View(caps)
+        """``op`` per cluster, in operand key order: ours, then the others'."""
+        mine, theirs = self._caps, other._caps
+        caps = {cid: op(cap, theirs.get(cid, _ZERO)) for cid, cap in mine.items()}
+        for cid, their in theirs.items():
+            if cid not in mine:
+                caps[cid] = op(_ZERO, their)
+        return View._adopt(caps)
 
     def union(self, other: "View") -> "View":
         """Pointwise maximum per cluster (the paper's ``∪``)."""
-        return self._combine(other, lambda a, b: a.maximum(b))
+        return self._combine(other, StepFunction.maximum)
 
     def __or__(self, other: "View") -> "View":
         return self.union(other)
@@ -118,12 +129,12 @@ class View:
             return self
         if not self._caps:
             return other
-        return self._combine(other, lambda a, b: a + b)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "View") -> "View":
         if not other._caps:
             return self
-        return self._combine(other, lambda a, b: a - b)
+        return self._combine(other, operator.sub)
 
     def clip_low(self, floor: float = 0.0) -> "View":
         """Clamp every profile to be at least *floor* (usually 0)."""

@@ -1,6 +1,8 @@
 """Unit tests of the accounting extension and the protocol event log."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -12,6 +14,7 @@ from repro.core import (
     RequestSubmitted,
     RequestType,
 )
+from repro.core.events import Disconnected, ViewsPushed
 
 
 class TestAccountant:
@@ -81,3 +84,17 @@ class TestEventLog:
     def test_last_on_empty_log(self):
         assert EventLog().last() is None
         assert EventLog().last(Connected) is None
+
+    def test_records_are_immutable_values(self):
+        pushed = ViewsPushed(2.0, "a", non_preemptive_total=4.0, preemptive_total=1.0)
+        assert pushed == ViewsPushed(2.0, "a", 4.0, 1.0)
+        assert pushed != ViewsPushed(2.0, "a", 4.0, 2.0)
+        assert Connected(0.0, "a") != Disconnected(0.0, "a")
+        assert hash(pushed) == hash(ViewsPushed(2.0, "a", 4.0, 1.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pushed.preemptive_total = 3.0
+        # Slotted: no per-instance dict to grow an attribute in.
+        assert not hasattr(pushed, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            pushed.note = "x"
+        assert pushed.kind == "ViewsPushed" and pushed.preemptive_total == 1.0

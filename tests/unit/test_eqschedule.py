@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     View,
@@ -172,3 +174,72 @@ class TestPartitionRows:
         assert _partition_interval([0, 0, 0], 5, False) == [5, 5, 5]
         assert _partition_interval([0, 0, 0], 0, False) == [0, 0, 0]
         assert _partition_interval([0, 0, 0], 5, True) == [1, 1, 1]
+
+
+# --------------------------------------------------------------------- #
+# Nobody holds a preemptible request: the closed form vs the partition rows
+# --------------------------------------------------------------------- #
+#: Node counts off by a hair, by half a node, or below zero.
+_VALUES = st.tuples(
+    st.integers(-3, 12), st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 2e-9, -2e-9, 0.5, -0.5])
+).map(lambda pair: pair[0] + pair[1])
+_PROFILES = st.lists(st.tuples(st.integers(1, 50), _VALUES), max_size=8).flatmap(
+    lambda steps: _VALUES.map(
+        lambda first: StepFunction(
+            [0.0] + sorted({float(t) for t, _ in steps}),
+            [first] + [v for _, v in sorted(dict(steps).items())],
+        )
+    )
+)
+_AVAILABLE = st.dictionaries(st.sampled_from(["a", "b", "c"]), _PROFILES, max_size=3).map(View)
+_HORIZONS = st.one_of(
+    st.none(), st.sampled_from([0.0, 1.0, 10.0, 50.0]), st.floats(0.0, 60.0, allow_nan=False)
+)
+
+
+def _lists(view):
+    return {cid: (repr(cap._times), repr(cap._values)) for cid, cap in view.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(available=_AVAILABLE, n_apps=st.integers(0, 12), horizon=_HORIZONS, strict=st.booleans())
+def test_idle_closed_form_matches_the_partition_rows(available, n_apps, horizon, strict):
+    sets = {f"app{i}": p_set() for i in range(n_apps)}
+    closed = eq_schedule(sets, available, 0.0, horizon=horizon, strict=strict)
+    rows = partition_schedule(
+        sets,
+        available,
+        0.0,
+        horizon=horizon,
+        partition=lambda demands, capacity: _partition_interval(demands, capacity, strict),
+    )
+    assert list(closed) == list(rows)
+    if not n_apps:
+        assert closed == {}
+        return
+    shared = closed["app0"]
+    assert all(view is shared for view in closed.values())
+    assert _lists(shared) == _lists(rows["app0"])
+    for cid in available:
+        # The availability's own profile is handed on exactly where the rows do.
+        assert (shared[cid] is available[cid]) == (rows["app0"][cid] is available[cid])
+
+
+def test_strict_sharing_among_no_application_is_empty():
+    available = View({"c": StepFunction([0.0, 10.0], [8, 3])})
+    assert eq_schedule({}, available, 0.0, strict=True) == {}
+    assert eq_schedule({}, available, 0.0, horizon=5.0) == {}
+
+
+def test_idle_closed_form_never_calls_the_partition_rule(monkeypatch):
+    def partition(demands, capacity, strict):
+        raise AssertionError("no row is needed when nobody asks")
+
+    monkeypatch.setattr("repro.core.eqschedule._partition_interval", partition)
+    available = View({"c": StepFunction([0.0, 10.0], [8, 3]), "d": StepFunction.constant(4)})
+    for strict in (False, True):
+        views = eq_schedule({"a": p_set(), "b": p_set()}, available, 0.0, strict=strict)
+        assert views["a"] is views["b"]
+        # Filling hands the availability's profile on; strict shows 4 // 2 = 2.
+        assert (views["a"]["d"] is available["d"]) == (not strict)
+        assert views["a"]["c"].values == ((4.0, 1.0) if strict else (8.0, 3.0))

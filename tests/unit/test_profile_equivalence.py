@@ -10,6 +10,7 @@ breakpoint sets, including duplicate-time rectangles and infinite durations.
 from __future__ import annotations
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +208,107 @@ def test_combine_ops_match_reference(rects_a, rects_b):
         (fa.minimum(fb), min),
     ):
         _assert_profiles_match(fast_op, ra.combine(rb, op))
+
+
+#: Values a hair apart, so that sums build eps-equal runs to compact.
+_near_values = st.tuples(
+    st.integers(-4, 8), st.sampled_from([0.0, 0.0, 4e-10, -4e-10, 9e-10, -9e-10, 1.5e-9, 0.5])
+).map(lambda pair: pair[0] + pair[1])
+_profiles = st.one_of(
+    st.just(StepFunction.zero()),
+    st.lists(st.tuples(st.integers(1, 30), _near_values), max_size=10).flatmap(
+        lambda steps: _near_values.map(
+            lambda first: StepFunction(
+                [0.0] + sorted({float(t) for t, _ in steps}),
+                [first] + [v for _, v in sorted(dict(steps).items())],
+            )
+        )
+    ),
+    _rects.map(lambda rects: _build_pair(rects)[0]),
+)
+
+
+def _lists(profile):
+    return profile._times, profile._values
+
+
+def _previous_walk(a, b, op):
+    """The merge ``_combine`` made before its three-way advance, step for step."""
+    ta, va, tb, vb = a._times, a._values, b._times, b._values
+    times, values = [], []
+    ia = ib = 0
+    cur_a, cur_b = va[0], vb[0]
+    last_v = None
+    while ia < len(ta) or ib < len(tb):
+        t = ta[ia] if ib >= len(tb) or (ia < len(ta) and ta[ia] <= tb[ib]) else tb[ib]
+        if ia < len(ta) and ta[ia] == t:
+            cur_a = va[ia]
+            ia += 1
+        if ib < len(tb) and tb[ib] == t:
+            cur_b = vb[ib]
+            ib += 1
+        v = op(cur_a, cur_b)
+        if last_v is not None and abs(v - last_v) < _EPS:
+            continue
+        times.append(t)
+        values.append(v)
+        last_v = v
+    return times, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_profiles, b=_profiles)
+def test_merge_kernel_matches_the_previous_walk(a, b):
+    snapshot = repr((_lists(a), _lists(b)))
+    for op in (operator.add, operator.sub, max, min):
+        assert repr(_lists(a._combine(b, op))) == repr(_previous_walk(a, b, op))
+    for result, op in ((a + b, operator.add), (a - b, operator.sub)):
+        expected = a._combine(b, op)
+        assert _lists(result) == _lists(expected)
+        if result is not a and result is not b:  # no identity shortcut: bit for bit
+            assert repr(_lists(result)) == repr(_lists(expected))
+    assert repr((_lists(a), _lists(b))) == snapshot
+
+
+def test_merge_kernel_keeps_the_first_value_of_an_eps_run():
+    a = StepFunction([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    b = StepFunction([0.0, 1.0, 2.0, 3.0], [0.0, -1.0 + 4e-10, -2.0 + 8e-10, -3.0 + 5e-9])
+    assert _lists(a + b) == ([0.0, 3.0], [1.0, 4.0 + (-3.0 + 5e-9)])
+    assert _lists(a + b) == _previous_walk(a, b, operator.add)
+    zero = StepFunction.zero()
+    assert a + zero is a and zero + a is a and a - zero is a
+    assert _lists(zero - a) == ([0.0, 1.0, 2.0, 3.0], [-1.0, -2.0, -3.0, -4.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    caps_a=st.dictionaries(st.sampled_from(["a", "b", "c"]), _profiles, max_size=3),
+    caps_b=st.dictionaries(st.sampled_from(["a", "b", "c"]), _profiles, max_size=3),
+    same_clusters=st.booleans(),
+)
+def test_view_merges_match_a_per_cluster_reference(caps_a, caps_b, same_clusters):
+    if same_clusters:
+        caps_b = {cid: caps_b.get(cid, StepFunction.constant(1)) for cid in caps_a}
+    view, other = View(caps_a), View(caps_b)
+
+    def snapshot():
+        return [
+            (cid, id(cap), repr(_lists(cap)))
+            for operand in (view, other)
+            for cid, cap in operand._caps.items()
+        ]
+
+    before = snapshot()
+    for result, op in (
+        (view + other, operator.add),
+        (view - other, operator.sub),
+        (view.union(other), StepFunction.maximum),
+    ):
+        for cid in set(caps_a) | set(caps_b):
+            assert _lists(result[cid]) == _lists(op(view[cid], other[cid])), cid
+        # Operand key order: the left operand's clusters, then the others.
+        assert list(result._caps) == list(caps_a) + [c for c in caps_b if c not in caps_a]
+    assert snapshot() == before  # neither operand changed
 
 
 @settings(max_examples=150, deadline=None)

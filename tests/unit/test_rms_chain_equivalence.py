@@ -36,6 +36,7 @@ behaviours.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from hypothesis import given, settings
@@ -227,7 +228,7 @@ class _World:
         ordinal = {r.request_id: i for i, r in enumerate(self.requests)}
         events = []
         for event in self.rms.event_log:
-            fields = dict(vars(event))
+            fields = dataclasses.asdict(event)
             if "request_id" in fields:
                 fields["request_id"] = ordinal[fields["request_id"]]
             events.append((type(event).__name__, sorted(fields.items())))

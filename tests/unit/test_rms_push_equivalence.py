@@ -21,6 +21,7 @@ the ``to_start`` order of every pass and on what each request set still holds.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
@@ -230,7 +231,7 @@ class _World:
         ordinal = {r.request_id: i for i, r in enumerate(self.requests)}
         events = []
         for event in self.rms.event_log:
-            fields = dict(vars(event))
+            fields = dataclasses.asdict(event)
             if "request_id" in fields:
                 fields["request_id"] = ordinal[fields["request_id"]]
             events.append((type(event).__name__, sorted(fields.items())))

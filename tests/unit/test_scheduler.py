@@ -9,6 +9,7 @@ import pytest
 
 import repro.core.eqschedule as eqschedule
 import repro.core.toview as toview
+import repro.policies.sharing as policies_sharing
 from repro.core import RelatedHow, Scheduler
 from repro.core.events import ViewsPushed
 from repro.core.profile import StepFunction
@@ -153,11 +154,17 @@ class TestOrderingAndBackfilling:
 def _counting():
     """Count the calls a pass makes into its expensive primitives.
 
-    ``deep_eq`` counts the profile comparisons that identity does not settle,
-    ``views`` the ``View`` objects built, ``prunes`` the request-set walks.
+    ``merges`` counts profile merges (sums and max/min), ``deep_eq`` the
+    profile comparisons that identity does not settle, ``views`` the ``View``
+    objects built and ``shared_views`` those built while sharing, ``prunes``
+    the request-set walks.
     """
     counts = dict.fromkeys(
-        ("to_view", "merges", "value_at", "partition", "deep_eq", "views", "prunes"), 0
+        (
+            "to_view", "merges", "value_at", "partition",
+            "deep_eq", "views", "shared_views", "prunes",
+        ),
+        0,
     )
 
     def counted(name, function):
@@ -165,6 +172,15 @@ def _counting():
             if name != "deep_eq" or args[0] is not args[1]:
                 counts[name] += 1
             return function(*args, **kwargs)
+
+        return wrapper
+
+    def sharing(function):
+        def wrapper(*args, **kwargs):
+            before = counts["views"]
+            result = function(*args, **kwargs)
+            counts["shared_views"] += counts["views"] - before
+            return result
 
         return wrapper
 
@@ -177,10 +193,13 @@ def _counting():
             (eqschedule, "_partition_interval", "partition"),
             (StepFunction, "__eq__", "deep_eq"),
             (View, "__init__", "views"),
+            (View, "_adopt", "views"),
             (ApplicationRequests, "prune_finished", "prunes"),
         ):
             wrapper = counted(name, getattr(owner, attribute))
             stack.enter_context(mock.patch.object(owner, attribute, wrapper))
+        share = sharing(policies_sharing.eq_schedule)
+        stack.enter_context(mock.patch.object(policies_sharing, "eq_schedule", share))
         yield counts
 
 
@@ -214,10 +233,12 @@ class TestAPassCostsWhatChanged:
         # One toView (the submitted set) and the merges of one fit.
         assert few["to_view"] == 1
         assert 0 < few["merges"] <= 8
-        # Sharing: one row per breakpoint of the availability, and nothing
-        # evaluated for applications without a preemptible request.
-        assert 0 < few["partition"] <= 3
-        assert few["value_at"] <= 3 + few["partition"]
+        # Sharing with nobody holding a preemptible request: the closed form,
+        # no partition row, no evaluation, one view for everybody.
+        assert few["partition"] == 0
+        assert few["shared_views"] == 1
+        assert few["value_at"] == 0
+        assert few_unchanged["partition"] == 0 and few_unchanged["shared_views"] == 1
 
     def test_a_pass_without_any_change_runs_no_to_view(self):
         _, unchanged = self._second_and_third_pass(10)
@@ -262,19 +283,22 @@ class TestASettledApplicationCostsItsPush:
         # One verdict per distinct (last pushed, new) pair of view objects --
         # the running applications share theirs -- not two per session.
         assert 0 < few["deep_eq"] <= 4
-        # Sharing builds one view for all the idle applications.
         assert 0 < few["views"] <= 12
-        # One row per distinct capacity of the availability, whoever looks on.
-        assert 0 < few["partition"] <= 4
-        # Each pushed view's total is read once, not once per session.
-        assert few["value_at"] <= 6 + few["partition"]
+        # Sharing among idle applications is closed-form: no partition row,
+        # one view for all of them.
+        assert few["partition"] == 0
+        assert few["shared_views"] == 1
+        # Each pushed view's total is read once, not once per session: the
+        # idle applications share both their views.
+        assert few["value_at"] <= 2
         # Nobody finished anything: no request set is walked.
         assert few["prunes"] == 0
 
     def test_a_pass_in_which_nothing_changed_compares_nothing(self):
         _, quiet = self._submit_pass_and_quiet_pass(10)
         assert quiet["deep_eq"] == 0
-        assert quiet["to_view"] == quiet["merges"] == quiet["prunes"] == 0
+        assert quiet["to_view"] == quiet["merges"] == quiet["prunes"] == quiet["partition"] == 0
+        assert quiet["shared_views"] == 1
 
     def test_a_finished_request_is_pruned_where_it_finished_and_only_there(self):
         simulator, _, rms = make_env(nodes=8)
