@@ -13,6 +13,11 @@ CI even when the others hide it in an end-to-end number:
 * **Batched engine dispatch** -- same-timestamp events fire as one calendar
   bucket, one heap operation per distinct time.
 
+Two more floors hold the scheduling primitives of an RMS pass: ``fit()``
+over a pass's worth of requests, and ``to_view()`` on the two-request
+``NEXT`` chain an update leaves in a preemptible set (one walk of the set, no
+copy), against a view that limits its ``n_alloc``.
+
 Every measurement uses plain ``time.perf_counter`` so the suite runs under
 the bare pytest of the CI benchmarks job (no pytest-benchmark plugin) and
 standalone via ``PYTHONPATH=src python benchmarks/bench_kernel_micro.py``.
@@ -22,6 +27,7 @@ they only trip on genuine algorithmic regressions, not machine jitter.
 """
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from typing import Callable
@@ -30,7 +36,9 @@ from repro.core.cbf import CbfJob, ConservativeBackfillQueue
 from repro.core.fit import fit
 from repro.core.profile import StepFunction
 from repro.core.request import Request
-from repro.core.types import RequestType
+from repro.core.request_set import RequestSet
+from repro.core.toview import to_view
+from repro.core.types import RelatedHow, RequestType
 from repro.core.view import View
 from repro.sim.engine import Simulator
 
@@ -40,6 +48,7 @@ STEPFN_MIN_OVER_FLOOR = 150_000  # min_over windows/s on the same profile
 STEPFN_COMBINE_FLOOR = 300  # full profile merges/s (~3k breakpoints total)
 CBF_SUBMIT_FLOOR = 25_000  # jobs/s through the incremental CBF queue
 FIT_FLOOR = 50_000  # requests/s through one fit() pass
+TO_VIEW_FLOOR = 30_000  # to_view() calls/s on a 2-request NEXT chain against a view
 DISPATCH_FLOOR = 1_000_000  # events/s through Simulator.run (issue 7 target)
 
 
@@ -157,7 +166,7 @@ def test_cbf_submit_floor():
 
 
 # --------------------------------------------------------------------- #
-# 4. fit() pass throughput
+# 4. fit() and to_view() throughput
 # --------------------------------------------------------------------- #
 def test_fit_pass_floor():
     count = 2000
@@ -172,6 +181,24 @@ def test_fit_pass_floor():
     rate = count / statistics.median(samples)
     _report("fit_requests_per_second", rate, FIT_FLOOR, "requests/s")
     assert rate >= FIT_FLOOR
+
+
+def test_to_view_floor():
+    running = Request("c0", 8, 600.0, RequestType.PREEMPTIBLE)
+    running.mark_started(0.0)
+    update = Request("c0", 6, math.inf, RequestType.PREEMPTIBLE, RelatedHow.NEXT, running)
+    chain = RequestSet(RequestType.PREEMPTIBLE, [running, update])
+    available = View({"c0": StepFunction([0.0, 300.0, 900.0], [64.0, 7.0, 64.0])})
+    calls = 20_000
+
+    def walks():
+        for _ in range(calls):
+            to_view(chain, available)
+
+    rate = _median_rate(calls, walks)
+    assert (running.n_alloc, update.n_alloc, update.scheduled_at) == (7, 6, 600.0)
+    _report("to_view_calls_per_second", rate, TO_VIEW_FLOOR, "calls/s")
+    assert rate >= TO_VIEW_FLOOR
 
 
 # --------------------------------------------------------------------- #
@@ -204,6 +231,7 @@ if __name__ == "__main__":
         test_stepfn_combine_floor,
         test_cbf_submit_floor,
         test_fit_pass_floor,
+        test_to_view_floor,
         test_engine_dispatch_floor,
     ):
         case()

@@ -8,7 +8,7 @@ inherit the nodes of their predecessor.
 from __future__ import annotations
 
 import heapq
-from typing import AbstractSet, Collection, Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import AbstractSet, Collection, Dict, FrozenSet, Iterable, List, Set
 
 from ..core.errors import AllocationError
 from ..core.types import ClusterId, NodeId
@@ -77,15 +77,10 @@ class Cluster:
         return sorted(lowest, key=lowest.__getitem__)
 
     # ------------------------------------------------------------------ #
-    def allocate(
-        self, count: int, app_id: str, preferred: Optional[Iterable[NodeId]] = None
-    ) -> FrozenSet[NodeId]:
-        """Allocate *count* nodes and return their IDs.
+    def allocate(self, count: int, app_id: str) -> FrozenSet[NodeId]:
+        """Allocate the *count* lowest free node IDs to *app_id* and return them.
 
-        Nodes listed in *preferred* (e.g. nodes carried over from a ``NEXT``
-        predecessor) are used first if they are free; the remainder is taken
-        from the lowest free IDs.  Raises :class:`AllocationError` if fewer
-        than *count* nodes are free.
+        Raises :class:`AllocationError` if fewer than *count* nodes are free.
         """
         if count < 0:
             raise AllocationError("cannot allocate a negative node count")
@@ -94,18 +89,11 @@ class Cluster:
                 f"cluster {self.cluster_id!r}: requested {count} nodes, "
                 f"only {self.free_count()} free"
             )
-        chosen: Set[NodeId] = set()
-        for nid in preferred or ():
-            if len(chosen) >= count:
-                break
-            if nid in self._free:
-                chosen.add(nid)
-        if len(chosen) < count:
-            chosen.update(sorted(self._free - chosen)[: count - len(chosen)])
+        chosen = frozenset(heapq.nsmallest(count, self._free))
         if chosen:
             self._free -= chosen
             self._held.setdefault(app_id, set()).update(chosen)
-        return frozenset(chosen)
+        return chosen
 
     def release(self, node_ids: Collection[NodeId], app_id: str) -> None:
         """Give the listed nodes of *app_id* back to the free pool.

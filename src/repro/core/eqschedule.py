@@ -20,16 +20,20 @@ When no application holds a preemptible request, every application is shown
 the availability itself (strict: its equal slice), floored to whole nodes:
 :func:`eq_schedule` maps it segment by segment into one :class:`View` for all
 (holding the availability's own profile where the numbers reproduce it).
+
+Sharing re-fits only pending requests: :func:`partition_schedule` calls
+``fit`` only where ``toView`` left a pending request to place, and does not
+reschedule an application shown the availability itself a second time.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import repeat
+from itertools import islice, repeat
 from math import ceil, floor
 from typing import Dict, List, Mapping, Sequence
 
 from .fit import fit
-from .profile import StepFunction
+from .profile import _EPS, StepFunction
 from .request_set import RequestSet
 from .toview import to_view
 from .types import Time
@@ -115,6 +119,25 @@ def _interval_breakpoints(profiles: Sequence[StepFunction], horizon: Time) -> Li
             if 0.0 <= t < horizon:
                 points.add(float(t))
     return sorted(points)
+
+
+def _column_profile(own: StepFunction, breakpoints: List[Time], column) -> StepFunction:
+    """*column* over *breakpoints*, compacted as the constructor would; *own* if equal."""
+    last = column[0]
+    times, values = [0.0], [float(last)]
+    for t, v in zip(islice(breakpoints, 1, None), islice(column, 1, None)):
+        if abs(v - last) >= _EPS:
+            times.append(t)
+            values.append(float(v))
+            last = v
+    if times == own._times and values == own._values:
+        return own
+    return StepFunction._from_compacted(times, values)
+
+
+def _is_waiting(requests: RequestSet) -> bool:
+    """True unless ``toView`` fixed every unfinished request: ``fit`` has work."""
+    return any(not (r.fixed or r.finished()) for r in requests.scan())
 
 
 def _capacity_share(capacity: int, n_apps: int, strict: bool) -> int:
@@ -261,14 +284,21 @@ def partition_schedule(
     The views of one pass may be the *same object* for several applications
     (one :class:`View` per distinct column of partition values, typically one
     for all the idle applications) and may hold *available*'s own profile
-    where a column reproduces it; never mutate them.  Sharing pays for the
-    applications that hold a preemptible request: an idle one (empty set) is
-    neither ``to_view``-ed nor fitted, adds no breakpoint, and its demand is
-    a literal 0; when all are idle the intervals are the availability
-    profile's own segments, read off as they are.  *partition* still receives
-    the demand of every application, idle ones included, but only once per
-    distinct ``(capacity, demands)`` row of the pass -- it must be a pure
-    function of the two and must not keep or alter the list it is given.
+    where a compacted column reproduces it; never mutate them.  Sharing pays
+    for the applications that hold a preemptible request: an idle one (empty
+    set) is neither ``to_view``-ed nor fitted, adds no breakpoint, and its
+    demand is a literal 0; when all are idle the intervals are the
+    availability profile's own segments, read off as they are.  *partition*
+    still receives the demand of every application, idle ones included, but
+    only once per distinct ``(capacity, demands)`` row of the pass -- it must
+    be a pure function of the two and must not keep or alter the list.
+
+    Sharing re-fits only pending requests: steps 1 and 3 call ``fit`` only
+    for a *waiting* application, one with a pending request ``toView`` left
+    unfixed (elsewhere ``fit`` would place and write nothing).  Step 3 still
+    ``toView``-s every busy application, so fixed requests get their
+    ``n_alloc`` from its own view, unless that view *is* the availability
+    (every profile its own object): step 1 ran both calls on those inputs.
     """
     if partition is None:
         def partition(demands, capacity):
@@ -279,11 +309,14 @@ def partition_schedule(
     # Step 1: preliminary occupation views (Algorithm 3, lines 1-3), for the
     # applications that hold a preemptible request; the others occupy nothing.
     occupation: Dict[int, View] = {}
+    waiting = set()  # indexes of the applications fit has a request to place for
     for index, requests in enumerate(preemptible_sets.values()):
         if requests:
-            fixed_occ = to_view(requests, available)
-            pending_occ = fit(requests, available - fixed_occ, not_before)
-            occupation[index] = fixed_occ + pending_occ
+            occ = to_view(requests, available)
+            if _is_waiting(requests):
+                waiting.add(index)
+                occ = occ + fit(requests, available - occ, not_before)
+            occupation[index] = occ
 
     clusters = set(available.clusters())
     for occ in occupation.values():
@@ -331,27 +364,35 @@ def partition_schedule(
     views: Dict[tuple, View] = {}
     profiles: Dict[tuple, StepFunction] = {}
     result: Dict[str, View] = {}
+    mirror = None  # the view (of one column at most) whose every profile is available's own
     for app_id, column in zip(app_ids, zip(*rows) if rows else repeat(())):
         view = views.get(column)
         if view is None:
             caps = {}
+            mirrors = True
             for cid, breakpoints, first, stop in spans:
                 key = (cid, column[first:stop])
-                if key not in profiles:
-                    own = available[cid]  # handed on when the column reproduces it exactly
-                    same = breakpoints == own._times and list(key[1]) == own._values
-                    profiles[key] = own if same else StepFunction(breakpoints, key[1])
-                caps[cid] = profiles[key]
-            view = views[column] = View(caps)
+                own = available[cid]
+                profile = profiles.get(key)
+                if profile is None:
+                    profile = profiles[key] = _column_profile(own, breakpoints, key[1])
+                caps[cid] = profile
+                mirrors = mirrors and profile is own
+            view = views[column] = View._adopt(caps)
+            if mirrors:
+                mirror = view
         result[app_id] = view
 
     # Step 3: reschedule the requests against their own views so that
     # scheduled_at and n_alloc reflect what each application will really get
     # (Algorithm 3, lines 28-30).
     for index in occupation:
-        requests = preemptible_sets[app_ids[index]]
         own_view = result[app_ids[index]]
+        if own_view is mirror:
+            continue
+        requests = preemptible_sets[app_ids[index]]
         fixed_occ = to_view(requests, own_view)
-        fit(requests, own_view - fixed_occ, not_before)
+        if index in waiting:
+            fit(requests, own_view - fixed_occ, not_before)
 
     return result

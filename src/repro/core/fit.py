@@ -27,7 +27,7 @@ from typing import List
 
 from .errors import SchedulingError
 from .request import Request
-from .request_set import children_index
+from .request_set import RequestSet
 from .types import RelatedHow, RequestType, Time
 from .view import View, ViewBuilder
 
@@ -59,33 +59,40 @@ def fit(requests, available: View, not_before: Time) -> View:
     View
         The occupation view generated by the non-fixed requests.
     """
-    request_list: List[Request] = [r for r in requests if not r.finished()]
-    ids = {r.request_id for r in request_list}
+    if isinstance(requests, RequestSet):
+        requests = requests.scan()
 
-    # Constraint edges, indexed once: the fit loop asks for the children of a
-    # request every time its start time moves.
-    children = children_index(request_list)
-
-    # A request is a scheduling root if it is unconstrained or if its parent
-    # is outside the set of live requests (e.g. a finished predecessor of an
-    # update chain); the constraint is still honoured against the parent's
-    # recorded times, but the parent itself is never re-scheduled.
-    roots = [
-        r
-        for r in request_list
-        if r.related_how is RelatedHow.FREE
-        or r.related_to is None
-        or r.related_to.request_id not in ids
-    ]
-
-    # Initialisation (Algorithm 2, lines 1-4).
-    for r in request_list:
+    # One walk collects the live requests and their ids, indexes the
+    # constraint edges (the loop asks for a request's children every time its
+    # start moves) and initialises the non-fixed requests (Algorithm 2, lines
+    # 1-4).  A root is unconstrained or has its parent outside the live
+    # requests (e.g. a finished predecessor of an update chain): the constraint
+    # holds against the parent's recorded times, but the parent never moves.
+    free = RelatedHow.FREE
+    request_list: List[Request] = []
+    ids = set()
+    children = {}
+    roots = []  # in set order; a parent later in the set is ruled out below
+    for r in requests:
+        if r.finished():
+            continue
+        request_list.append(r)
+        ids.add(r.request_id)
+        parent = r.related_to
+        if parent is None or r.related_how is free:
+            roots.append(r)
+        else:
+            children.setdefault(parent.request_id, []).append(r)
+            if parent.request_id not in ids:
+                roots.append(r)
         if not r.fixed:
             r.earliest_schedule_at = not_before
             r.scheduled_at = math.inf
-
-    queue = deque(roots)
-    visits = {r.request_id: 0 for r in request_list}
+    queue = deque(
+        r for r in roots
+        if r.related_to is None or r.related_how is free or r.related_to.request_id not in ids
+    )
+    visits = {}
 
     while queue:
         r = queue.popleft()
@@ -105,7 +112,7 @@ def fit(requests, available: View, not_before: Time) -> View:
         r.n_alloc = r.node_count
         before = r.scheduled_at
 
-        if r.related_how is RelatedHow.FREE or parent is None:
+        if r.related_how is free or parent is None:
             if r.rtype is RequestType.PREEMPTIBLE:
                 # Preemptible requests are never queued: they start right
                 # away and the RMS shrinks them to whatever is available

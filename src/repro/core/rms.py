@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..cluster.platform import Platform
 from ..obs import hooks as _obs
@@ -486,6 +486,8 @@ class CooRMv2:
         application; the request carries them over, lowest IDs first when it
         needs fewer, and gives back the rest.  The chain may be more than one
         hop long when updates were issued faster than they could be served.
+        No node is bound to two requests, so a successor that takes all of its
+        one predecessor's nodes starts on that very frozenset.
         """
         cluster = self.platform.cluster(request.cluster_id)
         needed = request.node_count
@@ -493,17 +495,16 @@ class CooRMv2:
             needed = min(request.node_count, max(request.n_alloc, 0))
 
         chain = list(self._next_chain_ancestors(request))
-        holds = cluster.held_by(session.app_id)
-        carried: Set[NodeId] = set()
-        leftovers: List[Set[NodeId]] = []  # retained, not taken: nobody will
+        carried: FrozenSet[NodeId] = frozenset()
+        leftovers: List[FrozenSet[NodeId]] = []  # retained, not taken: nobody will
         for ancestor in chain:
-            take = (ancestor.node_ids & holds) - carried
+            take = ancestor.node_ids
             room = needed - len(carried)
             if len(take) > room:
-                kept = sorted(take)[:room] if room else []
-                leftovers.append(take.difference(kept))
+                kept = frozenset(sorted(take)[:room])
+                leftovers.append(take - kept)
                 take = kept
-            carried.update(take)
+            carried = carried | take if carried else take
 
         free = cluster.free_count()
         extra_needed = max(0, needed - len(carried))
@@ -515,16 +516,14 @@ class CooRMv2:
         else:
             extra_needed = min(extra_needed, free)
 
-        new_nodes: FrozenSet[NodeId] = frozenset()
-        if extra_needed > 0:
-            new_nodes = cluster.allocate(extra_needed, session.app_id)
+        new_nodes = cluster.allocate(extra_needed, session.app_id) if extra_needed else frozenset()
         if carried:
             cluster.transfer(carried, session.app_id)
         for leftover in leftovers:
             cluster.release(leftover, session.app_id)
         for ancestor in chain:
             ancestor.node_ids = frozenset()
-        return frozenset(carried) | new_nodes
+        return carried | new_nodes if new_nodes else carried
 
     def _schedule_expiry(self, session: Session, request: Request) -> None:
         if math.isinf(request.duration):
@@ -616,25 +615,17 @@ class CooRMv2:
             self.simulator.schedule(self.rescheduling_interval, self._trigger_schedule)
 
         # Push views that changed: ``Session.views_changed``, but decided once
-        # per distinct (last pushed object, new object) pair of the pass, not
-        # once per session -- the scheduler and sharing hand many applications
-        # the same view object.  Views are immutable, so a verdict for a pair
-        # of objects holds for the pass; the memo holds both objects, so no
-        # ``id`` is reused while it lives (``result`` holds the new views).
-        # Sessions are listed afresh: start callbacks may disconnect some.
+        # per distinct (last ¬P, last P, new ¬P, new P) quadruple of view
+        # objects in the pass, not once per session -- the scheduler and
+        # sharing hand many applications the same view objects.  Views are
+        # immutable, so a verdict for four objects holds for the pass; the memo
+        # holds them, so no ``id`` is reused while it lives.  Sessions are
+        # listed afresh: start callbacks may disconnect some.
         default_cid = self.platform.default_cluster_id()
         empty_view = View.empty()
         now = self.now
-        verdicts: Dict[Tuple[int, int], Tuple[Optional[View], View, bool]] = {}
+        verdicts: Dict[Tuple[int, int, int, int], Tuple[Optional[View], ...]] = {}
         totals: Dict[int, float] = {}  # id(new view) -> its nodes on offer now
-
-        def changed(last: Optional[View], new: View) -> bool:
-            if last is new:
-                return False
-            known = verdicts.get((id(last), id(new)))
-            if known is None:
-                known = verdicts[id(last), id(new)] = (last, new, last != new)
-            return known[2]
 
         def total_now(view: View) -> float:
             if id(view) not in totals:
@@ -644,9 +635,15 @@ class CooRMv2:
         for session in self.connected_sessions():
             non_preemptive = result.non_preemptive_views.get(session.app_id, empty_view)
             preemptive = result.preemptive_views.get(session.app_id, empty_view)
-            if changed(session.last_non_preemptive_view, non_preemptive) or changed(
-                session.last_preemptive_view, preemptive
-            ):
+            last_np, last_p = session.last_non_preemptive_view, session.last_preemptive_view
+            key = (id(last_np), id(last_p), id(non_preemptive), id(preemptive))
+            verdict = verdicts.get(key)
+            if verdict is None:
+                changed = (last_np is not non_preemptive and last_np != non_preemptive) or (
+                    last_p is not preemptive and last_p != preemptive
+                )
+                verdict = verdicts[key] = (last_np, last_p, non_preemptive, preemptive, changed)
+            if verdict[4]:
                 session.remember_views(non_preemptive, preemptive)
                 if metrics is not None:
                     metrics.inc("rms.views_pushed")

@@ -49,16 +49,17 @@ A *settled* application (nothing pending, nothing preemptible) costs one
 occupation key: empty request sets are not pruned, keyed, filtered or
 scanned, the requests to start are read off the pending lists step 2 built,
 and fits and merges run only where a request is pending.  Sharing fits only
-non-empty preemptible sets and builds one view per distinct column of
-partition values: applications shown the same numbers hold the *same*
-``View``, so the RMS decides "did it change" once per pair of objects.  When
-all preemptible sets are empty, equi-partitioning makes no partition call:
-every segment of the availability is shown floored to whole nodes (strict:
-divided by the number of applications), in one ``View`` for everybody, which
-holds the availability's own profile where the numbers reproduce it.  All
-of it rests on immutability -- operators return an operand for ``v + ∅``,
-``∅ + v``, ``v - ∅`` and a no-op ``clip_low``, views share objects between
-applications *and passes* -- so never mutate a view or a profile.
+where ``toView`` left a pending request unplaced, refits nobody shown the
+availability itself, and gives applications shown the same numbers the
+*same* ``View``, so the RMS decides "did it change" once per set of view
+objects.  When all preemptible sets are empty, equi-partitioning makes no
+partition call: every segment of the availability is shown floored to whole
+nodes (strict: divided by the number of applications), in one ``View`` for
+everybody, which holds the availability's own profile where the numbers
+reproduce it.  All of it rests on immutability -- operators return an operand
+for ``v + ∅``, ``∅ + v``, ``v - ∅`` and a no-op ``clip_low``, views share
+objects between applications *and passes* -- so never mutate a view or a
+profile.
 """
 from __future__ import annotations
 

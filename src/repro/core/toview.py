@@ -19,31 +19,41 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from operator import attrgetter
 from typing import Optional
 
-from .request_set import RequestSet, children_index
+from .request_set import RequestSet
 from .types import RelatedHow
 from .view import View, ViewBuilder
 
 __all__ = ["started_occupation", "to_view"]
 
-#: The occupation of a request set without members.
+#: The occupation of a request set without members or without started ones.
 _NOTHING = View.empty()
+
+#: What :func:`started_occupation` keys a member on.
+_OCCUPATION_KEY = attrgetter(
+    "request_id", "started_at", "state", "duration", "node_count", "related_how", "related_to",
+    "cluster_id",
+)
 
 
 def started_occupation(requests: RequestSet) -> View:
     """``to_view(requests)``, recomputed only when its inputs changed.
 
     The invalidation rule, stated here and nowhere else: the memo kept on the
-    set is valid while the key below -- every member, in set order, with each
-    field :func:`to_view` reads when no *available* view limits it -- compares
-    equal.  The key is rebuilt from the requests on every call (O(members),
-    no traversal, no profile), so it is sound for callers that mutate requests
-    behind the set's back (``mark_started`` / ``mark_finished`` /
-    ``mark_cancelled``, a changed duration) or the set itself (``add`` /
-    ``remove`` / ``prune_finished``); nobody has to remember a dirty flag.
+    set is valid while the key -- ``_OCCUPATION_KEY`` of every member, in set
+    order: each field :func:`to_view` reads when no *available* view limits
+    it -- compares equal.  The key is rebuilt from the requests on every call
+    (O(members), no traversal, no profile), so it is sound for callers that
+    mutate requests behind the set's back (``mark_started`` /
+    ``mark_finished`` / ``mark_cancelled``, a changed duration) or the set
+    itself (``add`` / ``remove`` / ``prune_finished``); nobody has to remember
+    a dirty flag.
     While the key holds, the *same* ``View`` object is returned, which lets
-    the scheduler test "did this application's occupation change" with ``is``.
+    the scheduler test "did this application's occupation change" with ``is``
+    (a set with nothing started occupies the one shared empty view, whatever
+    its key).
 
     A skipped ``to_view`` also skips its side effects (``fixed``,
     ``scheduled_at`` and ``n_alloc`` on the visited requests, ``fixed``
@@ -56,19 +66,7 @@ def started_occupation(requests: RequestSet) -> View:
     if not requests:
         return _NOTHING
     members = requests.scan()
-    key = [
-        (
-            r.request_id,
-            r.started_at,
-            r.state,
-            r.duration,
-            r.node_count,
-            r.related_how,
-            r.related_to,
-            r.cluster_id,
-        )
-        for r in members
-    ]
+    key = list(map(_OCCUPATION_KEY, members))
     memo = requests._occupation
     if memo is None or memo[0] != key:
         memo = requests._occupation = (key, to_view(members))
@@ -98,18 +96,24 @@ def to_view(requests, available: Optional[View] = None) -> View:
     """
     if isinstance(requests, RequestSet):
         requests._occupation = None
-    request_list = list(requests)
-    occupied = ViewBuilder()
+        requests = requests.scan()
 
-    # Reset the fixed flag on every request of the set.
-    for r in request_list:
+    # One walk over the set: reset the fixed flag on every request, index the
+    # constraint edges (so the propagation loop is linear in the number of
+    # requests instead of quadratic) and queue the started requests.
+    free = RelatedHow.FREE
+    children = {}
+    queue = deque()
+    for r in requests:
         r.fixed = False
+        if r.related_to is not None and r.related_how is not free:
+            children.setdefault(r.related_to.request_id, []).append(r)
+        if r.started() and not r.finished():
+            queue.append(r)
+    if not queue:
+        return _NOTHING
 
-    # Constraint edges indexed once, so the propagation loop is linear in the
-    # number of requests instead of quadratic.
-    children = children_index(request_list)
-
-    queue = deque(r for r in request_list if r.started() and not r.finished())
+    occupied = ViewBuilder()
     seen = set()
 
     while queue:
@@ -123,7 +127,7 @@ def to_view(requests, available: Optional[View] = None) -> View:
             # Reality beats constraints: a started request occupies resources
             # from the moment it actually started.
             r.scheduled_at = r.started_at
-        elif r.related_how is RelatedHow.FREE or parent is None:
+        elif r.related_how is free or parent is None:
             # A non-started FREE request is not fixed; skip it.
             continue
         elif r.related_how is RelatedHow.NEXT:

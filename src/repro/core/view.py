@@ -185,7 +185,7 @@ class View:
         ``n_alloc`` for preemptible requests, which the RMS may legally
         shrink.
         """
-        cap = self[request.cluster_id]
+        cap = self._caps.get(request.cluster_id, _ZERO)
         granted = cap.alloc_limit(request.scheduled_at, request.duration, request.node_count)
         return int(math.floor(granted + 1e-9))
 
@@ -249,7 +249,7 @@ class ViewBuilder:
 
     def build(self) -> View:
         """The accumulated occupation as an immutable :class:`View`."""
-        return View(
+        return View._adopt(
             {
                 cid: builder.build()
                 for cid, builder in self._builders.items()

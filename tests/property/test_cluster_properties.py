@@ -5,9 +5,8 @@ held node IDs per application -- updated by ``allocate`` / ``release`` /
 ``release_all_of`` / ``add_nodes`` / ``remove_nodes``.  Under random operation
 sequences every query must agree with a test-side model, ``{node_id: owner or
 None}``, driven by the same operations, and allocation must still pick the
-preferred free nodes first, then the lowest free IDs -- node identities feed
-``RequestStarted`` events and the goldens.  A call that raises must change
-nothing.
+lowest free IDs -- node identities feed ``RequestStarted`` events and the
+goldens.  A call that raises must change nothing.
 """
 from __future__ import annotations
 
@@ -21,12 +20,12 @@ from repro.core import AllocationError
 _APPS = ("a", "b", "c")
 _OP = st.tuples(
     st.sampled_from(
-        ["allocate", "allocate-preferred", "release", "release-all", "release-bad",
+        ["allocate", "release", "release-all", "release-bad",
          "transfer", "transfer-bad", "add", "remove", "remove-bad"]
     ),
     st.integers(0, 16),  # a count, an index, or a node for the "-bad" ops
     st.integers(0, 2),  # the application
-    st.lists(st.integers(0, 15), max_size=6),  # preferred IDs / a node subset
+    st.lists(st.integers(0, 15), max_size=6),  # a node subset
 )
 
 
@@ -58,15 +57,6 @@ def _snapshot(cluster):
     )
 
 
-def _expected_allocation(free, count, preferred):
-    chosen = []
-    for nid in preferred:
-        if nid in free and nid not in chosen and len(chosen) < count:
-            chosen.append(nid)
-    chosen += [nid for nid in free if nid not in chosen][: count - len(chosen)]
-    return frozenset(chosen)
-
-
 def _not_held_by(model, app, number):
     """A node *app* does not hold: free, another's, or no node at all."""
     return number if model.get(number, "") != app else max(model, default=0) + 20
@@ -83,15 +73,14 @@ def test_cluster_agrees_with_an_owner_model(size, ops):
         free = _model_free(model)
         held = _model_held(model, app)
         before = _snapshot(cluster)
-        if op in ("allocate", "allocate-preferred"):
-            preferred = ids if op == "allocate-preferred" else None
+        if op == "allocate":
             if number > len(free):
                 with pytest.raises(AllocationError):
-                    cluster.allocate(number, app, preferred=preferred)
+                    cluster.allocate(number, app)
                 assert _snapshot(cluster) == before
             else:
-                got = cluster.allocate(number, app, preferred=preferred)
-                assert got == _expected_allocation(free, number, preferred or [])
+                got = cluster.allocate(number, app)
+                assert got == frozenset(free[:number])
                 model.update(dict.fromkeys(got, app))
         elif op == "release":
             chosen = [nid for nid in held if nid in ids]

@@ -15,10 +15,12 @@ class TestCluster:
         assert cluster.free_count() == 5
         assert cluster.allocated_to("app") == [0, 1, 2]
 
-    def test_preferred_nodes_are_used_first(self):
+    def test_allocation_takes_the_lowest_free_ids_around_held_ones(self):
         cluster = Cluster("c", 8)
-        ids = cluster.allocate(2, "app", preferred=[5, 6])
-        assert ids == frozenset({5, 6})
+        cluster.allocate(3, "a")
+        cluster.release([1], "a")
+        assert cluster.allocate(3, "b") == frozenset({1, 3, 4})
+        assert cluster.allocated_to("a") == [0, 2]
 
     def test_insufficient_nodes_raise(self):
         cluster = Cluster("c", 4)
@@ -67,7 +69,9 @@ class TestCluster:
 
     def test_owners_of_orders_by_the_lowest_id_each_holds(self):
         cluster = Cluster("c", 6)
-        cluster.allocate(2, "a", preferred=[4, 5])
+        cluster.allocate(4, "x")
+        assert cluster.allocate(2, "a") == frozenset({4, 5})
+        cluster.release_all_of("x")
         cluster.allocate(2, "b")
         assert cluster.owners_of([5, 1, 4]) == ["b", "a"]
         assert cluster.owners_of([2, 3]) == []

@@ -137,6 +137,23 @@ class TestConstraints:
         assert child.scheduled_at == pytest.approx(500.0)
         assert pa.scheduled_at == pytest.approx(500.0)
 
+    def test_a_child_listed_before_its_parent_is_not_a_root(self):
+        """Placed once, after its parent: a root is known only once the whole set is."""
+        a = np_request(4, 100)
+        b = np_request(6, 50, RelatedHow.NEXT, a)
+        placed = []
+
+        class Recording(View):
+            __slots__ = ()
+
+            def find_hole(self, request, not_before=0.0):
+                placed.append(request)
+                return super().find_hole(request, not_before)
+
+        fit(make_set(b, a), Recording.constant({"c": 10}), not_before=0.0)
+        assert placed == [a, b]
+        assert b.scheduled_at == pytest.approx(100.0)
+
     def test_generated_view_stacks_requests(self):
         a = np_request(4, 100)
         b = np_request(2, 100, RelatedHow.COALLOC, a)

@@ -4,7 +4,8 @@ A ``NEXT`` update re-binds an application's nodes to its successor request.
 Node ownership is one map in the cluster, one set per application, so the
 hand-over itself changes no owner: how many node IDs an update passes to
 ``Cluster.allocate`` / ``release`` must not depend on how many nodes the
-application already holds.
+application already holds, and a successor that takes all of them starts on
+its predecessor's node set itself, not on a copy.
 """
 from __future__ import annotations
 
@@ -32,10 +33,14 @@ class _CountingSet(set):
         return super().__iter__()
 
 
-def _update(held, change):
-    """Node IDs passed to ``Cluster.allocate`` / ``release`` by one ``NEXT``
-    update by *change* nodes of an application holding *held*: the ``done``
-    and the pass that starts the successor."""
+def _update(held, change, announced=True):
+    """One ``NEXT`` update by *change* nodes of an application holding *held*:
+    the ``done`` -- naming the nodes a shrink frees if *announced* -- and the
+    pass that starts the successor.
+
+    Returns the node IDs passed to ``Cluster.allocate`` and to ``release``,
+    the predecessor's node set and the successor.
+    """
     simulator, platform, rms = make_env(nodes=held + 8)
     rms.connect(RecordingApp("a"), "a")
     first = rms.submit("a", Request("cluster0", held, math.inf, RequestType.NON_PREEMPTIBLE))
@@ -49,13 +54,13 @@ def _update(held, change):
             related_how=RelatedHow.NEXT, related_to=first,
         ),
     )
-    released = sorted(before)[held + change:] if change < 0 else None
+    released = sorted(before)[held + change:] if change < 0 and announced else None
     cluster = platform.cluster("cluster0")
     allocated, freed = [], []
     allocate, release = cluster.allocate, cluster.release
 
-    def counted_allocate(count, app_id, preferred=None):
-        ids = allocate(count, app_id, preferred)
+    def counted_allocate(count, app_id):
+        ids = allocate(count, app_id)
         allocated.extend(ids)
         return ids
 
@@ -71,13 +76,28 @@ def _update(held, change):
     assert successor.started() and len(successor.node_ids) == held + change
     assert sorted(cluster.held_by("a")) == sorted(successor.node_ids)
     assert (successor.node_ids >= before) if change > 0 else (successor.node_ids <= before)
-    return len(allocated), len(freed)
+    return allocated, freed, before, successor
 
 
 @pytest.mark.parametrize("change, expected", [(+1, (1, 0)), (-1, (0, 1))])
 def test_an_update_by_one_node_costs_the_same_at_10_and_1000_held_nodes(change, expected):
-    few, many = _update(10, change), _update(1000, change)
-    assert few == many == expected
+    few, many = _update(10, change)[:2], _update(1000, change)[:2]
+    assert tuple(map(len, few)) == tuple(map(len, many)) == expected
+
+
+@pytest.mark.parametrize("held", [10, 1000])
+def test_a_successor_taking_every_node_starts_on_its_predecessors_set(held):
+    """No node set is copied: the frozenset the predecessor held is handed on."""
+    allocated, freed, before, successor = _update(held, 0)
+    assert allocated == freed == []
+    assert successor.node_ids is before
+
+
+def test_a_successor_needing_fewer_nodes_carries_the_lowest_ids():
+    """Unannounced shrink: the start gives back the highest retained ID."""
+    allocated, freed, before, successor = _update(10, -1, announced=False)
+    assert successor.node_ids == frozenset(sorted(before)[:9])
+    assert allocated == [] and freed == [max(before)]
 
 
 def test_the_success_path_of_transfer_touches_no_node():

@@ -15,7 +15,7 @@ from repro.core.events import ViewsPushed
 from repro.core.profile import StepFunction
 from repro.core.request_set import ApplicationRequests
 from repro.core.view import View
-from repro.testing import RecordingApp, app_with, make_env, np_, p_, pa
+from repro.testing import RecordingApp, app_with, make_env, np_, p_, p_set, pa
 
 
 class TestSchedulerBasics:
@@ -157,12 +157,12 @@ def _counting():
     ``merges`` counts profile merges (sums and max/min), ``deep_eq`` the
     profile comparisons that identity does not settle, ``views`` the ``View``
     objects built and ``shared_views`` those built while sharing, ``prunes``
-    the request-set walks.
+    the request-set walks, ``fit`` the fits sharing runs.
     """
     counts = dict.fromkeys(
         (
             "to_view", "merges", "value_at", "partition",
-            "deep_eq", "views", "shared_views", "prunes",
+            "deep_eq", "views", "shared_views", "prunes", "fit",
         ),
         0,
     )
@@ -191,6 +191,7 @@ def _counting():
             (StepFunction, "_combine", "merges"),
             (StepFunction, "value_at", "value_at"),
             (eqschedule, "_partition_interval", "partition"),
+            (eqschedule, "fit", "fit"),
             (StepFunction, "__eq__", "deep_eq"),
             (View, "__init__", "views"),
             (View, "_adopt", "views"),
@@ -312,3 +313,62 @@ class TestASettledApplicationCostsItsPush:
         with _counting() as counts:
             simulator.run(until=4.0)
         assert counts["prunes"] == 1
+
+
+class TestSharingRefitsOnlyPendingRequests:
+    """Work counts: sharing fits only where a pending preemptible request is
+    left to place, and reschedules nobody against the availability itself."""
+
+    @staticmethod
+    def _two_sweeps(second_started):
+        """Two sweeps asking 8 of 10 nodes each; the first one runs."""
+        first, second = p_(8), p_(8)
+        first.mark_started(0.0)
+        if second_started:
+            second.mark_started(0.0)
+        applications = {
+            "psa1": app_with(first, app_id="psa1"),
+            "psa2": app_with(second, app_id="psa2"),
+        }
+        with _counting() as counts:
+            result = Scheduler({"c0": 10}).schedule(applications, now=1.0)
+        return counts, result, first, second
+
+    def test_a_settled_sweep_costs_sharing_no_fit(self):
+        counts, result, first, second = self._two_sweeps(second_started=True)
+        assert counts["fit"] == 0
+        # Steps 1 and 3 still toView both: n_alloc is read off each own view.
+        assert counts["to_view"] == 4
+        assert first.n_alloc == second.n_alloc == 5  # congested: 5 each
+        assert result.to_start == []
+
+    def test_only_the_waiting_sweep_is_fitted(self):
+        counts, result, first, second = self._two_sweeps(second_started=False)
+        assert counts["fit"] == 2  # steps 1 and 3, for the second sweep only
+        assert counts["to_view"] == 4
+        # Placed beside the first sweep's 8 nodes, it asks for 2 and is shown 5.
+        assert (second.scheduled_at, second.n_alloc) == (1.0, 5)
+        assert result.to_start == [second]
+
+    @staticmethod
+    def _lone_sweep(strict):
+        """One pending sweep of 3 nodes beside an idle application, against an
+        availability of 6 nodes until t=100 and 10 after: the sweep's own
+        placement adds a breakpoint at t=1 that the availability lacks."""
+        available = View({"c0": StepFunction([0.0, 100.0], [6.0, 10.0])})
+        sweep = p_(3)
+        sets = {"psa": p_set(sweep), "rigid": p_set()}
+        with _counting() as counts:
+            views = eqschedule.eq_schedule(sets, available, 1.0, strict=strict)
+        assert (sweep.scheduled_at, sweep.n_alloc) == (1.0, 3)
+        return counts, views["psa"]["c0"], available["c0"]
+
+    def test_a_lone_busy_application_under_filling_is_shown_the_availability_itself(self):
+        counts, shown, own = self._lone_sweep(strict=False)
+        assert shown is own
+        assert counts["to_view"] == 1 and counts["fit"] == 1
+
+    def test_under_strict_sharing_it_is_rescheduled_against_its_half(self):
+        counts, shown, own = self._lone_sweep(strict=True)
+        assert (shown.times, shown.values) == ((0.0, 100.0), (3.0, 5.0))
+        assert counts["to_view"] == 2 and counts["fit"] == 2
