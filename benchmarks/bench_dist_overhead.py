@@ -24,7 +24,8 @@ Floors are about a third of what a 2-core shared VM measured when grants
 became batches (issue 15: thread ~17k, ipc ~16k, tcp ~19k units/s; the
 per-unit protocol before it managed 1.5k-1.8k on the same machine), so
 they trip on genuine protocol regressions (per-unit round trips or sleeps,
-whole-queue scans, per-unit scenario encoding), not on machine jitter.
+whole-queue scans, a scenario encoded per unit rather than once per variant
+or shipped per unit rather than once per grant), not on machine jitter.
 """
 from __future__ import annotations
 

@@ -23,20 +23,32 @@ Because the key is a :func:`~repro.sim.randomness.stable_fingerprint`
 machines and Python versions: a replayed or duplicate-delivered unit maps to
 the same key everywhere, which is what makes retries and resume no-ops.
 
-All replicates of a variant share one frozen scenario object, so both the
-key and the wire form take the scenario as its cached canonical JSON *text*
-(:attr:`ScenarioSpec.canonical_json`): a campaign encodes each distinct
-scenario once, and a worker parses each distinct text once.
+All replicates of a variant share one frozen scenario object and differ
+only in replicate and seed, so the key splices those two integers into a
+text built once per variant, and the wire form -- a ``grant`` message (see
+:mod:`repro.dist.worker`), encoded by :func:`grant_message` and read by
+:func:`grant_tasks` -- carries each distinct scenario text
+(:attr:`ScenarioSpec.canonical_json`) once; its units name theirs by index.
 """
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import Dict, Mapping
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from ..sim.randomness import stable_fingerprint
 
-__all__ = ["unit_key", "task_to_dict", "task_from_dict"]
+__all__ = ["unit_key", "grant_message", "grant_tasks"]
+
+
+@lru_cache(maxsize=256)
+def _key_frame(base_scenario: str, collect_obs: bool, scenario_json: str, slo_spec: str):
+    """The key payload of a variant -- the key-sorted JSON object of the six
+    components -- cut where replicate and seed go (around "scenario")."""
+    head = json.dumps({"base_scenario": base_scenario, "collect_obs": collect_obs,
+                       "replicate": 0})
+    tail = json.dumps({"slo_spec": slo_spec})
+    return head[:-2], f', "scenario": {scenario_json}, "seed": ', f", {tail[1:]}"
 
 
 def unit_key(task) -> str:
@@ -47,36 +59,32 @@ def unit_key(task) -> str:
     uniqueness across specs that share a name.
     """
     scenario = task.scenario
-    # The fingerprinted payload is the key-sorted JSON object of the six
-    # components; "scenario" sorts between "replicate" and "seed", so the
-    # cached scenario text is spliced in between the two encoded halves.
-    head = json.dumps(
-        {
-            "base_scenario": task.base_scenario or scenario.name,
-            "collect_obs": bool(task.collect_obs),
-            "replicate": task.replicate,
-        }
+    head, middle, tail = _key_frame(
+        task.base_scenario or scenario.name,
+        bool(task.collect_obs),
+        scenario.canonical_json,
+        task.slo_spec or "",
     )
-    tail = json.dumps({"seed": task.seed, "slo_spec": task.slo_spec or ""})
-    payload = f'{head[:-1]}, "scenario": {scenario.canonical_json}, {tail[1:]}'
+    payload = f"{head}{int(task.replicate)}{middle}{int(task.seed)}{tail}"
     return f"{scenario.name}:r{task.replicate}:{stable_fingerprint(payload)}"
 
 
-def task_to_dict(task) -> Dict:
-    """JSON-safe wire form of a :class:`~repro.campaign.runner.RunTask`.
-
-    ``scenario`` travels as canonical JSON text: immutable, so the units of
-    a campaign can share it, and cheap to compare on the receiving side.
-    """
-    return {
-        "scenario": task.scenario.canonical_json,
-        "replicate": task.replicate,
-        "seed": task.seed,
-        "base_scenario": task.base_scenario,
-        "collect_obs": bool(task.collect_obs),
-        "trace_dir": task.trace_dir,
-        "slo_spec": task.slo_spec,
-    }
+def grant_message(units: Iterable[Tuple[str, object]]) -> Dict:
+    """The JSON-safe ``grant`` of *units*, ``(key, RunTask)`` pairs."""
+    scenarios: Dict[str, int] = {}
+    wire = []
+    for key, task in units:
+        text = task.scenario.canonical_json
+        wire.append({"key": key, "task": {
+            "scenario": scenarios.setdefault(text, len(scenarios)),
+            "replicate": task.replicate,
+            "seed": task.seed,
+            "base_scenario": task.base_scenario,
+            "collect_obs": bool(task.collect_obs),
+            "trace_dir": task.trace_dir,
+            "slo_spec": task.slo_spec,
+        }})
+    return {"op": "grant", "scenarios": list(scenarios), "units": wire}
 
 
 @lru_cache(maxsize=64)
@@ -87,20 +95,31 @@ def _scenario_from_json(text: str):
     return ScenarioSpec.from_dict(json.loads(text))
 
 
-def task_from_dict(data: Mapping):
-    """Rebuild a :class:`~repro.campaign.runner.RunTask` from its wire form.
+def grant_tasks(message: Mapping) -> List[Tuple[str, object]]:
+    """The ``(key, RunTask)`` pairs a ``grant`` carries, in order.
 
-    Imported lazily to keep this module free of a circular dependency on the
-    runner (which imports :func:`unit_key` for its result records).
+    A task that cannot be rebuilt is returned as its exception, so that
+    unit fails on its own and the rest of the grant still runs.  Imported
+    lazily to keep this module free of a circular dependency on the runner
+    (which imports :func:`unit_key` for its result records).
     """
     from .runner import RunTask
 
-    return RunTask(
-        scenario=_scenario_from_json(data["scenario"]),
-        replicate=int(data["replicate"]),
-        seed=int(data["seed"]),
-        base_scenario=str(data.get("base_scenario", "")),
-        collect_obs=bool(data.get("collect_obs", False)),
-        trace_dir=str(data.get("trace_dir", "")),
-        slo_spec=str(data.get("slo_spec", "")),
-    )
+    scenarios = message["scenarios"]
+    tasks = []
+    for unit in message["units"]:
+        try:
+            data = unit["task"]
+            task = RunTask(
+                scenario=_scenario_from_json(scenarios[data["scenario"]]),
+                replicate=int(data["replicate"]),
+                seed=int(data["seed"]),
+                base_scenario=str(data.get("base_scenario", "")),
+                collect_obs=bool(data.get("collect_obs", False)),
+                trace_dir=str(data.get("trace_dir", "")),
+                slo_spec=str(data.get("slo_spec", "")),
+            )
+        except Exception as exc:  # noqa: BLE001 - the unit's own failure
+            task = exc
+        tasks.append((str(unit["key"]), task))
+    return tasks

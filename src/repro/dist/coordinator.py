@@ -9,25 +9,27 @@ retried with backoff and deduplicated by idempotency key.
 
 The protocol (spelled out in :mod:`repro.dist.worker`) costs one request
 and one reply per *batch*: a ``lease`` request reports what the worker
-finished and asks for more, and the reply grants about one
-``poll_interval`` of work (:meth:`Coordinator._grant_limit`), so fast units
-travel hundreds per message and slow ones singly.  A request that finds
-nothing leasable is *parked* -- answered once a unit is (a reclaim, a backoff
-run out) or the campaign stops -- so an idle worker sends only heartbeats.
-Nothing a peer sends is trusted: a malformed message costs that peer its
-connection (and its leases, which are re-granted), never the campaign.
+finished and asks for more, and the reply grants a batch of units, each
+distinct scenario text once (:func:`repro.campaign.units.grant_message`).
+A request that finds nothing leasable is *parked* -- answered once a unit
+is (a reclaim, a backoff run out) or the campaign stops -- so an idle worker
+sends only heartbeats.  Nothing a peer sends is trusted: a malformed message
+costs that peer its connection (and its leases, which are re-granted),
+never the campaign.
+
+Grants are sized by guided self-scheduling (:meth:`Coordinator._grant_limit`)
+to about one ``poll_interval`` of work, shared over the launched workers even
+before they are heard from, so the first to report cannot take the share of
+a sibling still connecting: fast units travel hundreds per message, slow
+ones singly.
 
 Determinism contract: the coordinator collects result records keyed by
 their canonical unit *index*, so however leases interleave across workers,
 :meth:`Coordinator.run` returns records in exactly the order the serial
 runner would produce them.  The store-row bytes are therefore identical to
 a serial run by construction; the integration suite checks this across all
-three transports at one and four workers.
-
-Queue, dispatch and ack events are traced on an :class:`EventTracer`
-(timestamped with a logical event counter -- the coordinator has no
-simulated clock) and mirrored into a :class:`MetricsRegistry`, so ``dist``
-campaigns are inspectable with the same obs tooling as everything else.
+three transports at one and four workers.  Grant, ack and reclaim counts
+are mirrored into a :class:`MetricsRegistry`.
 """
 from __future__ import annotations
 
@@ -36,11 +38,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..campaign.units import task_to_dict, unit_key
+from ..campaign.units import grant_message, unit_key
 from ..core.errors import SpecError
 from ..obs.logsetup import get_logger
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import EventTracer
 from .transport import ChannelClosed, WorkerHandle, make_transport, reply_on
 from .workqueue import WorkQueue
 
@@ -107,9 +108,7 @@ class Coordinator:
     ):
         self.config = config or DistConfig()
         self.progress = progress
-        self.tracer = EventTracer()
         self.metrics = MetricsRegistry()
-        self._clock = 0  # logical timestamp for trace events
         self.queue = WorkQueue(
             lease_ttl=self.config.lease_ttl,
             max_attempts=self.config.max_attempts,
@@ -118,11 +117,13 @@ class Coordinator:
         )
         self._records: Dict[int, Dict] = {}
         for index, task in enumerate(tasks):
-            self.queue.add(unit_key(task), index, task_to_dict(task))
+            self.queue.add(unit_key(task), index, task)
         self._stopping = False
         #: Seconds per unit in the latest report of finished work (0: none yet).
         self._unit_seconds = 0.0
         self._ends_by_worker: Dict[str, object] = {}
+        #: Workers the current :meth:`run` launched (grants are shared over them).
+        self._launched = 0
         #: Workers whose ``lease`` awaits its reply, oldest first (:meth:`_unpark`).
         self._parked: Dict[str, None] = {}
         self._transport = None
@@ -137,14 +138,6 @@ class Coordinator:
         if self._transport is None:
             self._transport = make_transport(self.config.transport, self.config.bind)
         return self._transport.endpoint()
-
-    # ------------------------------------------------------------------ #
-    # Tracing helpers
-    # ------------------------------------------------------------------ #
-    def _trace(self, name: str, **args) -> None:
-        ts = float(self._clock)
-        self._clock += 1
-        self.tracer.emit(ts, "dist", name, args=args)
 
     # ------------------------------------------------------------------ #
     # Protocol handlers
@@ -204,7 +197,6 @@ class Coordinator:
                 progressed = self._complete(key, worker, record, now) or progressed
             else:
                 state = self.queue.fail(key, worker, now, error=error)
-                self._trace("retry", key=key, worker=worker, state=state)
                 self.metrics.inc("dist_errors")
                 _LOG.warning("unit %s failed on %s (-> %s): %s", key, worker, state, error)
                 progressed = True
@@ -227,12 +219,8 @@ class Coordinator:
                 units = self.queue.lease(worker, now, self._grant_limit())
                 if not units:
                     break
-                for unit in units:
-                    self._trace("grant", key=unit.key, worker=worker, attempt=unit.attempts)
                 self.metrics.inc("dist_grants")
-                self._safe_reply(
-                    end, {"op": "grant", "units": [{"key": u.key, "task": u.task} for u in units]}
-                )
+                self._safe_reply(end, grant_message((u.key, u.task) for u in units))
             del self._parked[worker]
             answered = True
         return answered
@@ -243,23 +231,23 @@ class Coordinator:
         One until some worker has reported how long units take; then about
         one ``poll_interval`` of work, and at most an even share of half
         the units not yet leased, so the tail of a campaign stays balanced.
+        The share counts the launched workers that have not asked yet.
         """
         if self._unit_seconds <= 0.0:
             return 1
-        share = -(-self.queue.unleased() // (2 * len(self._ends_by_worker)))
+        workers = max(len(self._ends_by_worker), self._launched)
+        share = -(-self.queue.unleased() // (2 * workers))
         return max(1, min(share, int(self.config.poll_interval / self._unit_seconds)))
 
     def _complete(self, key: str, worker: str, record: Dict, now: float) -> bool:
         accepted = self.queue.complete(key, worker, now)
         if accepted:
             self._records[self.queue.unit(key).index] = record
-            self._trace("ack", key=key, worker=worker)
             self.metrics.inc("dist_acks")
             if self.progress is not None:
                 # Same signature as the serial loop's progress callback.
                 self.progress(len(self._records), len(self.queue), record)
         else:
-            self._trace("dedup", key=key, worker=worker)
             self.metrics.inc("dist_dedup_hits")
         return accepted
 
@@ -292,9 +280,7 @@ class Coordinator:
         handles: List[WorkerHandle] = []
         self._ends_by_worker.clear()
         interrupted = False
-        launched = min(workers, self.queue.unleased())
-        self._trace("queue", units=len(self.queue), transport=config.transport,
-                    workers=launched)
+        launched = self._launched = min(workers, self.queue.unleased())
         if config.transport == "tcp":
             _LOG.info("serving %d unit(s) on %s", self.queue.unleased(), transport.endpoint())
         try:
@@ -369,7 +355,7 @@ class Coordinator:
             if end in dropped:
                 continue
             if message is None:  # worker disconnected
-                progressed = self._release(end, "disconnect") or progressed
+                progressed = self._release(end) or progressed
                 continue
             try:
                 progressed = self._handle(end, message, now) or progressed
@@ -380,22 +366,20 @@ class Coordinator:
                 self.metrics.inc("dist_protocol_errors")
                 transport.drop(end)
                 dropped.add(end)
-                progressed = self._release(end, "protocol error") or progressed
+                progressed = self._release(end) or progressed
         now = time.monotonic()
-        for key in self.queue.reclaim(now):
-            self._trace("reclaim", key=key, reason="lease expired")
+        for _key in self.queue.reclaim(now):
             self.metrics.inc("dist_reclaims")
             progressed = True
         return self._unpark(now) or progressed
 
-    def _release(self, end, reason: str) -> bool:
+    def _release(self, end) -> bool:
         """Reclaim the leases of every worker behind a connection that ended."""
         released = False
         for worker in [w for w, e in self._ends_by_worker.items() if e is end]:
             del self._ends_by_worker[worker]
             self._parked.pop(worker, None)
-            for key in self.queue.release_worker(worker, time.monotonic()):
-                self._trace("reclaim", key=key, worker=worker, reason=reason)
+            for _key in self.queue.release_worker(worker, time.monotonic()):
                 self.metrics.inc("dist_reclaims")
                 released = True
         return released

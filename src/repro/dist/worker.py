@@ -11,18 +11,22 @@ Worker-side protocol (all messages are JSON objects; four kinds)::
 
     -> {"op": "lease", "worker": id, "busy_s": t,
         "results": [{"key": k, "record": {...}} | {"key": k, "error": "..."}, ...]}
-    <- {"op": "grant", "units": [{"key": k, "task": {...}}, ...]}
+    <- {"op": "grant", "scenarios": [text, ...],
+        "units": [{"key": k, "task": {..., "scenario": index}}, ...]}
      | {"op": "stop"}
     -> {"op": "heartbeat", "worker": id}          # one-way, never replied
 
 ``lease`` is the only request: it reports every unit of the previous grant
 (``results`` is empty on the first request) with the seconds they took
 (``busy_s``, from which the coordinator sizes the next grant), and asks
-for more.  Any reply acknowledges those results, and comes when there is
-something to say: with nothing leasable the worker just stays blocked in
-``recv``.  A request unanswered after ``reply_timeout`` is re-sent as it is
-(which is what notices a coordinator host that vanished); the coordinator
-may then see the results twice, and drops the second copy of each.
+for more.  A grant carries each distinct scenario text once, and its units
+name theirs by index (:mod:`repro.campaign.units` encodes and reads that
+form; a unit whose task does not rebuild fails on its own).  Any reply
+acknowledges those results, and comes when there is something to say: with
+nothing leasable the worker just stays blocked in ``recv``.  A request
+unanswered after ``reply_timeout`` is re-sent as it is (which is what
+notices a coordinator host that vanished); the coordinator may then see the
+results twice, and drops the second copy of each.
 
 Heartbeats come from a daemon thread so a long-running simulation cannot
 lose its lease; a dead worker stops heartbeating (and its connection
@@ -45,7 +49,7 @@ import time
 from typing import Dict, List, Mapping, Optional
 
 from ..campaign.runner import _execute_task
-from ..campaign.units import task_from_dict
+from ..campaign.units import grant_tasks
 from ..obs.logsetup import get_logger
 from .transport import Channel, ChannelClosed, connect_tcp, parse_endpoint
 
@@ -145,7 +149,7 @@ def worker_loop(channel: Channel, worker_id: str, options: Mapping) -> int:
                 _LOG.warning("%s: unexpected reply %r", worker_id, op)
                 return 2
             started = time.perf_counter()
-            for unit in reply["units"]:
+            for key, task in grant_tasks(reply):
                 leases += 1
                 if kill_after_leases and leases >= kill_after_leases:
                     # Chaos: die mid-unit, silently.  In-process workers cannot
@@ -157,9 +161,9 @@ def worker_loop(channel: Channel, worker_id: str, options: Mapping) -> int:
                         channel.close()
                         return CHAOS_EXIT_CODE
                     os._exit(CHAOS_EXIT_CODE)
-                key = str(unit["key"])
                 try:
-                    task = task_from_dict(unit["task"])
+                    if isinstance(task, Exception):
+                        raise task
                     if in_process:
                         with _EXECUTE_LOCK:
                             record = _execute_task(task)

@@ -55,7 +55,8 @@ class WorkUnit:
 
     key: str
     index: int
-    task: Dict
+    #: What the unit runs; the queue never looks inside it.
+    task: object
     #: Insertion position: the queue's canonical order.
     position: int = 0
     state: str = PENDING
@@ -123,11 +124,11 @@ class WorkQueue:
     # ------------------------------------------------------------------ #
     # Population
     # ------------------------------------------------------------------ #
-    def add(self, key: str, index: int, task: Dict) -> None:
+    def add(self, key: str, index: int, task: object) -> None:
         if key in self._units:
             raise ValueError(f"duplicate unit key {key!r}")
         position = len(self._units)
-        self._units[key] = WorkUnit(key=key, index=index, task=dict(task), position=position)
+        self._units[key] = WorkUnit(key=key, index=index, task=task, position=position)
         heapq.heappush(self._pending, (position, key))
         self._open += 1
 

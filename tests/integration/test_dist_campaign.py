@@ -34,13 +34,15 @@ from repro.campaign import (
 )
 from repro.campaign.cli import main as cli_main
 from repro.campaign.runner import CampaignFailed, _execute_task
-from repro.campaign.units import task_from_dict
+from repro.campaign.units import grant_tasks, unit_key
 from repro.core.errors import WorkloadError
+from repro.dist import coordinator as coordinator_module
 from repro.dist import ensure_noop_runner, run_standalone_worker
 from repro.dist.coordinator import Coordinator, DistConfig
 from repro.dist.transport import (
     TRANSPORT_NAMES,
     ThreadTransport,
+    WorkerHandle,
     connect_tcp,
     encode_frame,
     parse_endpoint,
@@ -216,6 +218,11 @@ class _LiveCoordinator:
         return [json.dumps(r, sort_keys=True) for r in self.finish().records]
 
 
+def run_grant(reply):
+    """Execute every unit of a ``grant``: the ``results`` of the next lease."""
+    return [{"key": key, "record": _execute_task(task)} for key, task in grant_tasks(reply)]
+
+
 def serial_record_rows(spec):
     return [json.dumps(r, sort_keys=True) for r in CampaignRunner(spec).run(workers=1).records]
 
@@ -240,11 +247,7 @@ class TestProtocolRobustness:
             reply = replies[-1]
             if reply["op"] != "grant":
                 break
-            results = [
-                {"key": u["key"], "record": _execute_task(task_from_dict(u["task"]))}
-                for granted in replies
-                for u in granted.get("units", [])
-            ]
+            results = [result for granted in replies for result in run_grant(granted)]
             request = {"op": "lease", "worker": "resender", "results": results, "busy_s": 1.0}
         assert reply["op"] == "stop"
         channel.close()
@@ -413,9 +416,9 @@ class _Peer:
     def send(self, message):  # the coordinator's reply path
         self.replies.append(message)
 
-    def lease(self, results=()):
+    def lease(self, results=(), busy_s=0.0):
         self.inbox.put((self, {"op": "lease", "worker": self.worker,
-                               "results": list(results), "busy_s": 0.0}))
+                               "results": list(results), "busy_s": busy_s}))
 
     def hang_up(self):
         self.inbox.put((self, None))
@@ -461,9 +464,7 @@ class TestParkedLease:
         holder.lease()
         coordinator._step(transport)
         assert holder.replies == [grant] and list(coordinator._parked) == ["holder"]
-        (granted,) = grant["units"]
-        record = _execute_task(task_from_dict(granted["task"]))
-        idle.lease([{"key": granted["key"], "record": record}])
+        idle.lease(run_grant(grant))
         coordinator._step(transport)
         assert coordinator.queue.all_done()
         assert idle.replies[-1] == holder.replies[-1] == {"op": "stop"}
@@ -480,7 +481,7 @@ class TestParkedLease:
         holder = _Peer(transport, "holder")
         holder.lease()
         coordinator._step(transport)
-        ((granted,),) = [reply["units"] for reply in holder.replies]
+        (grant,) = holder.replies
 
         heard = []
         handle = coordinator._handle
@@ -499,11 +500,136 @@ class TestParkedLease:
         assert set(heard[1:]) == {"heartbeat"}
 
         # The holder finishes: the parked worker is told to stop, and does.
-        record = _execute_task(task_from_dict(granted["task"]))
-        holder.lease([{"key": granted["key"], "record": record}])
+        holder.lease(run_grant(grant))
         coordinator._step(transport)
         idle.join(timeout=5.0)
         assert not idle.alive()
+
+
+class _ScriptedRun:
+    """``Coordinator.run`` in a thread, on a thread transport whose launched
+    workers are scripted :class:`_Peer` objects that act only when told."""
+
+    def __init__(self, monkeypatch, units, workers, transport="thread"):
+        self.transport = ThreadTransport()
+        self.peers = {}
+
+        def launch(worker_id, options):
+            self.peers[worker_id] = _Peer(self.transport, worker_id)
+            return WorkerHandle(worker_id)
+
+        monkeypatch.setattr(self.transport, "launch_worker", launch)
+        monkeypatch.setattr(coordinator_module, "make_transport", lambda *args: self.transport)
+        self.coordinator = Coordinator(
+            CampaignRunner(noop_spec("scripted", units)).tasks(),
+            DistConfig(transport=transport, backoff_base=0.0),
+        )
+        self.outcome = None
+        self._thread = threading.Thread(target=self._run, args=(workers,), daemon=True)
+        self._thread.start()
+
+    def _run(self, workers):
+        self.outcome = self.coordinator.run(workers)
+
+    def launched(self, count):
+        deadline = time.monotonic() + 10.0
+        while len(self.peers) < count:
+            assert time.monotonic() < deadline, "the workers were never launched"
+            time.sleep(0.001)
+        return [self.peers[f"w{i}"] for i in range(count)]
+
+    def ask(self, peer, results=(), busy_s=0.0):
+        """*peer* sends a lease; returns the reply it gets."""
+        seen = len(peer.replies)
+        peer.lease(results, busy_s)
+        deadline = time.monotonic() + 10.0
+        while len(peer.replies) == seen:
+            assert time.monotonic() < deadline, "the lease was never answered"
+            time.sleep(0.001)
+        return peer.replies[-1]
+
+    def finish(self, peer, reply):
+        """*peer* works off *reply* and every grant after it, alone."""
+        while reply["op"] == "grant":
+            reply = self.ask(peer, run_grant(reply), busy_s=1e-6)
+        self._thread.join(timeout=10.0)
+        assert not self._thread.is_alive(), "the coordinator never finished"
+        return self.outcome
+
+
+def granted_twice(units):
+    """The tasks of *units* no-op runs, and the first timed grant of them."""
+    tasks = CampaignRunner(noop_spec("batch", units)).tasks()
+    coordinator = Coordinator(tasks, DistConfig(transport="thread"))
+    transport = ThreadTransport()
+    peer = _Peer(transport, "peer")
+    peer.lease()
+    coordinator._step(transport)
+    peer.lease(run_grant(peer.replies[-1]), busy_s=1e-6)
+    coordinator._step(transport)
+    return tasks, peer.replies[-1]
+
+
+class TestGrants:
+    def test_a_launched_worker_not_yet_heard_from_keeps_its_share(self, monkeypatch):
+        """Two workers launched, one heard from: its first timed grant is
+        half an even share of the unleased units over both, not over one."""
+        run = _ScriptedRun(monkeypatch, units=200, workers=2)
+        first, _silent = run.launched(2)
+        grant = run.ask(first)
+        assert len(grant["units"]) == 1  # untimed
+        timed = run.ask(first, run_grant(grant), busy_s=1e-6)
+        assert 1 < len(timed["units"]) <= -(-199 // 4)
+        outcome = run.finish(first, timed)
+        assert outcome.workers == 2 and len(outcome.records) == 200
+
+    def test_with_no_launched_worker_grants_are_shared_over_those_heard_from(
+        self, monkeypatch
+    ):
+        run = _ScriptedRun(monkeypatch, units=200, workers=0, transport="tcp")
+        alone, joining = _Peer(run.transport, "alone"), _Peer(run.transport, "joining")
+        timed = run.ask(alone, run_grant(run.ask(alone)), busy_s=1e-6)
+        assert len(timed["units"]) == -(-199 // 2)
+        joined = run.ask(joining)
+        assert len(joined["units"]) == -(-(199 - 100) // 4)
+        alone.hang_up()  # its units go back to the queue
+        outcome = run.finish(joining, joined)
+        assert outcome.workers == 0 and len(outcome.records) == 200
+
+    def test_a_grant_carries_its_scenario_text_once(self):
+        tasks, grant = granted_twice(50)
+        text = json.dumps(tasks[0].scenario.canonical_json)[1:-1].encode()
+        assert len(grant["units"]) == 25
+        assert encode_frame(grant).count(text) == 1
+
+    def test_the_rebuilt_tasks_are_the_originals_on_one_scenario(self):
+        tasks, grant = granted_twice(50)
+        rebuilt = grant_tasks(json.loads(encode_frame(grant)[4:]))
+        by_key = {unit_key(task): task for task in tasks}
+        assert len(rebuilt) == 25
+        assert [task for _key, task in rebuilt] == [by_key[key] for key, _task in rebuilt]
+        assert len({id(task.scenario) for _key, task in rebuilt}) == 1
+
+    def test_a_unit_that_does_not_rebuild_fails_alone(self, monkeypatch):
+        coordinator = Coordinator(
+            CampaignRunner(noop_spec("broken", 20)).tasks(),
+            DistConfig(transport="thread", max_attempts=1),
+        )
+        reply, broken = coordinator._safe_reply, []
+
+        def breaking(end, message):
+            if message["op"] == "grant" and len(message["units"]) > 1 and not broken:
+                unit = message["units"][1]
+                unit["task"]["scenario"] = len(message["scenarios"])  # names no text
+                broken.append(unit["key"])
+            reply(end, message)
+
+        monkeypatch.setattr(coordinator, "_safe_reply", breaking)
+        outcome = coordinator.run(workers=1)
+        (key,) = broken
+        assert list(outcome.failed) == [key]
+        assert outcome.failed[key].startswith("IndexError")
+        assert len(outcome.records) == 19
 
 
 ODD_RUNNER = "test-fails-while-told-to"

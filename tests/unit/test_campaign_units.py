@@ -18,8 +18,14 @@ from hypothesis import given, settings, strategies as st
 from repro.campaign.registry import resolve_scenarios
 from repro.campaign.runner import RunTask
 from repro.campaign.spec import ScenarioSpec
-from repro.campaign.units import task_from_dict, task_to_dict, unit_key
+from repro.campaign.units import grant_message, grant_tasks, unit_key
 from repro.sim.randomness import derive_seed, stable_fingerprint
+
+
+def wire_round_trip(*tasks):
+    """*tasks* granted, sent as JSON and rebuilt by the receiving side."""
+    grant = grant_message((unit_key(task), task) for task in tasks)
+    return [task for _key, task in grant_tasks(json.loads(json.dumps(grant)))]
 
 
 def make_task(
@@ -62,13 +68,13 @@ class TestKeyStability:
         task = make_task(replicate=1, root_seed=42)
         code = (
             "import sys, json\n"
-            "from repro.campaign.units import task_from_dict, unit_key\n"
-            "task = task_from_dict(json.loads(sys.stdin.read()))\n"
+            "from repro.campaign.units import grant_tasks, unit_key\n"
+            "((_, task),) = grant_tasks(json.loads(sys.stdin.read()))\n"
             "print(unit_key(task))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code],
-            input=json.dumps(task_to_dict(task)),
+            input=json.dumps(grant_message([("k", task)])),
             capture_output=True,
             text=True,
             check=True,
@@ -77,7 +83,7 @@ class TestKeyStability:
 
     def test_wire_round_trip_preserves_the_task_and_key(self):
         task = make_task(collect_obs=True, slo_spec="default")
-        rebuilt = task_from_dict(json.loads(json.dumps(task_to_dict(task))))
+        (rebuilt,) = wire_round_trip(task)
         assert rebuilt == task
         assert unit_key(rebuilt) == unit_key(task)
 
@@ -161,31 +167,35 @@ class TestOneEncodingPerScenario:
         slo_spec=st.text(max_size=12),
         replicate=st.integers(min_value=0, max_value=10**6),
         seed=st.integers(min_value=0, max_value=2**64),
-        collect_obs=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
     def test_key_is_the_fingerprint_of_the_plain_canonical_json(
-        self, base_scenario, slo_spec, replicate, seed, collect_obs
+        self, base_scenario, slo_spec, replicate, seed
     ):
         # The formula the key was defined by: one json.dumps of all six
-        # components.  Splicing the cached scenario text into it must not
-        # change a byte, whatever quotes or escapes the strings carry.
+        # components.  Splicing replicate and seed into a text cached per
+        # variant must not change a byte, whatever quotes or escapes the
+        # strings carry -- and the keys of one run come from several
+        # variants, so a cache that confused two of them would show.
         (spec,) = resolve_scenarios(["baseline-dynamic"])
-        task = RunTask(scenario=spec, replicate=replicate, seed=seed,
-                       base_scenario=base_scenario, collect_obs=collect_obs,
-                       slo_spec=slo_spec)
-        payload = json.dumps(
-            {
-                "scenario": spec.to_dict(),
-                "base_scenario": base_scenario or spec.name,
-                "replicate": replicate,
-                "seed": seed,
-                "collect_obs": collect_obs,
-                "slo_spec": slo_spec,
-            },
-            sort_keys=True,
-        )
-        assert unit_key(task) == f"{spec.name}:r{replicate}:{stable_fingerprint(payload)}"
+        for scenario in (spec, spec.with_policy("easy")):
+            for collect_obs in (False, True):
+                task = RunTask(scenario=scenario, replicate=replicate, seed=seed,
+                               base_scenario=base_scenario, collect_obs=collect_obs,
+                               slo_spec=slo_spec)
+                payload = json.dumps(
+                    {
+                        "scenario": scenario.to_dict(),
+                        "base_scenario": base_scenario or scenario.name,
+                        "replicate": replicate,
+                        "seed": seed,
+                        "collect_obs": collect_obs,
+                        "slo_spec": slo_spec,
+                    },
+                    sort_keys=True,
+                )
+                expected = f"{scenario.name}:r{replicate}:{stable_fingerprint(payload)}"
+                assert unit_key(task) == expected
 
     def test_replicates_of_a_variant_encode_their_scenario_once(self, monkeypatch):
         (spec,) = resolve_scenarios(["baseline-dynamic"])
@@ -200,18 +210,17 @@ class TestOneEncodingPerScenario:
             for r in range(50)
         ]
         keys = {unit_key(task) for task in tasks}
-        wire = [task_to_dict(task) for task in tasks]
+        grant = grant_message((unit_key(task), task) for task in tasks)
         assert len(keys) == 50
         assert len(calls) == 1
-        assert all(w["scenario"] is spec.canonical_json for w in wire)
+        (text,) = grant["scenarios"]
+        assert text is spec.canonical_json
+        assert {unit["task"]["scenario"] for unit in grant["units"]} == {0}
 
     def test_a_worker_rebuilds_each_distinct_scenario_once(self):
         first, second = (make_task(replicate=r) for r in (0, 1))
         other = make_task(scenario="strict-equipartition")
-        rebuilt = [
-            task_from_dict(json.loads(json.dumps(task_to_dict(t))))
-            for t in (first, second, other)
-        ]
+        rebuilt = wire_round_trip(first, second, other)
         assert rebuilt == [first, second, other]
         assert rebuilt[0].scenario is rebuilt[1].scenario
         assert rebuilt[2].scenario is not rebuilt[0].scenario
