@@ -150,7 +150,12 @@ def _background_workload(spec: ScenarioSpec, seed: int):
 # --------------------------------------------------------------------- #
 @RUNNERS.register("amr_psa")
 def run_amr_psa(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
-    """The paper scenario with every spec knob honoured."""
+    """The paper scenario with every spec knob honoured.
+
+    ``rigid_jobs`` / ``trace_jobs`` count incarnations: a job a fault killed
+    and respawned counts once per submission (the chaos goldens' 125 trace
+    jobs are 120 jobs plus 5 respawns).
+    """
     scale = resolve_scale(spec)
     workload = spec.workload
     # An empty duration list means "the scale's default PSA1" for the paper

@@ -21,7 +21,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core.errors import SpecError
 from ..core.serde import from_strict_dict, located, read_json
-from ..experiments.runner import EvaluationScale
+from ..experiments.runner import EvaluationScale, _strict_policy
 from ..faults.plan import FAULT_PLANS, FaultPlan
 from ..federation.routing import ROUTINGS
 from ..federation.spec import FederationSpec
@@ -253,6 +253,10 @@ class ScenarioSpec:
                     f"scenario {self.name!r} declares a fault plan but no "
                     f"federation; fault injection targets federation members"
                 )
+        if self.rms.strict_equipartition:
+            # The run would refuse a policy (default or member pin) that
+            # does not share strictly; refuse it while the spec loads.
+            _strict_policy(self.policy, self.federation)
 
     def with_scale(self, scale: str) -> "ScenarioSpec":
         return replace(self, scale=scale)

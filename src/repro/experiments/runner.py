@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import List, Optional, Sequence
 
 from ..apps.nea import AmrApplication
 from ..apps.psa import ParameterSweepApplication
 from ..apps.rigid import RigidApplication, RigidJobSpec
 from ..cluster.platform import Platform
-from ..core.errors import AdmissionError, RequestError
+from ..core.errors import SpecError
 from ..core.rms import CooRMv2
 from ..faults.injector import FaultInjector
 from ..faults.plan import resolve_fault_plan
 from ..federation.federation import Federation, locality_group
-from ..federation.metrics import collect_federated
 from ..federation.spec import FederationSpec
 from ..sim.randomness import derive_seed
 from ..metrics.collector import SimulationMetrics
@@ -99,6 +99,8 @@ class ScenarioResult:
     metrics: SimulationMetrics
     amr: Optional[AmrApplication]
     psas: List[ParameterSweepApplication]
+    #: The RMS the applications talked to; on a federation, the first
+    #: member's (``federation.rms_list()`` has them all).
     rms: CooRMv2
     #: The user's "ideal" pre-allocation guess (the equivalent static
     #: allocation computed with a-posteriori knowledge), before overcommit.
@@ -108,8 +110,7 @@ class ScenarioResult:
     rigid_apps: List[RigidApplication] = field(default_factory=list)
     #: Applications replayed from a converted workload trace (any kind).
     trace_apps: List = field(default_factory=list)
-    #: The federation that ran the scenario (None on the single-cluster
-    #: path; when set, ``rms`` is the first member's RMS).
+    #: The federation that ran the scenario (None on one cluster).
     federation: Optional[Federation] = None
     #: The fault injector that played the scenario's fault plan (None on
     #: fault-free runs); carries the recovery/SLA ledger.
@@ -154,22 +155,30 @@ def ideal_preallocation_nodes(
     return max(1, peak)
 
 
-def _strict_policy(policy):
+def _strict_policy(policy, federation: Optional[FederationSpec] = None):
     """*policy* under ``strict_equipartition=True``: ``"coorm-strict"`` when
-    unset, else *policy* itself once its sharing is checked to be strict."""
-    if policy is None:
-        return STRICT_POLICY
-    resolved = resolve_policy(policy)
-    if resolved.sharing.name != "strict-eq":
-        # Running the policy's sharing while the caller asked for the strict
-        # baseline would silently corrupt a Figure 11-style comparison.
-        raise ValueError(
-            f"strict_equipartition=True conflicts with policy "
-            f"{resolved.name!r} (sharing {resolved.sharing.name!r}); "
-            f"drop the flag or use a strict-sharing policy such as "
-            f"{STRICT_POLICY!r}"
-        )
-    return policy
+    unset, else *policy* itself once its sharing is checked to be strict.
+
+    On a *federation* every member is checked, in member order, against the
+    policy it would run: its own pin, else *policy*.
+    """
+    pins = [None] if federation is None else [c.policy for c in federation.clusters]
+    for pin in pins:
+        checked = policy if pin is None else pin
+        if checked is None:
+            continue
+        resolved = resolve_policy(checked)
+        if resolved.sharing.name != "strict-eq":
+            # Running the policy's sharing while the caller asked for the
+            # strict baseline would silently corrupt a Figure 11-style
+            # comparison.
+            raise SpecError(
+                f"strict_equipartition=True conflicts with policy "
+                f"{resolved.name!r} (sharing {resolved.sharing.name!r}); "
+                f"drop the flag or use a strict-sharing policy such as "
+                f"{STRICT_POLICY!r}"
+            )
+    return STRICT_POLICY if policy is None else policy
 
 
 def run_scenario(
@@ -213,16 +222,18 @@ def run_scenario(
     *policy* selects the scheduling policy (a registered name, stage mapping
     or :class:`~repro.policies.SchedulingPolicy`).  *strict_equipartition*
     is shorthand for ``policy="coorm-strict"``: an explicit policy, or a
-    federation member's own, must then share strictly or a ``ValueError``
-    names the conflict.
+    federation member's own, must then share strictly or a
+    :class:`~repro.core.errors.SpecError` names the conflict.
 
     *federation* runs the scenario on a multi-cluster federation instead of
     a single scheduler: one :class:`~repro.core.rms.CooRMv2` per member
     cluster (derived -- ``nodes == 0`` -- members get the single-cluster
-    size), all driven by the same event engine, with every application
-    placed by the federation's routing policy at its submission time.  A
-    1-cluster federation under the ``any`` routing is byte-identical to the
-    single-scheduler path.
+    size), all driven by the same event engine.  Either way every
+    application -- AMR, PSAs, rigid and converted trace jobs, respawns --
+    takes one seam at its submission time: placed by name and node-count
+    hint (by the routing policy, on a federation), built for the capacity
+    it landed on, connected to its RMS.  A 1-cluster federation under the
+    ``any`` routing is therefore byte-identical to the single-scheduler path.
 
     *faults* (a registered plan name, plan dict or
     :class:`~repro.faults.plan.FaultPlan`) arms a deterministic fault
@@ -230,20 +241,15 @@ def run_scenario(
     outages with rerouting, elastic capacity rules and meta-scheduler
     admission control.  Jobs killed by a fault are resubmitted (up to the
     plan's ``max_respawns``) or counted lost; initial submissions refused
-    by admission control are counted rejected.  Requires *federation*.
+    by admission control are counted rejected.  Fault plans still require
+    *federation*: a ``ValueError`` says so on one cluster.
     """
     if overcommit <= 0:
         raise ValueError("overcommit must be positive")
     if psa_task_durations is None:
         psa_task_durations = (scale.psa1_task_duration,)
     if strict_equipartition:
-        # Checked in member order, each against the policy it would run.
-        pins = [None] if federation is None else [c.policy for c in federation.clusters]
-        for pin in pins:
-            if pin is None:
-                policy = _strict_policy(policy)
-            else:
-                _strict_policy(pin)
+        policy = _strict_policy(policy, federation)
 
     if evolution is None:
         evolution = build_evolution(scale, seed=seed, model=speedup_model)
@@ -258,7 +264,34 @@ def run_scenario(
 
     simulator = Simulator()
     fed: Optional[Federation] = None
-    if federation is not None:
+    injector: Optional[FaultInjector] = None
+
+    def submit(job_id: str, spawn) -> None:
+        spawn(job_id)
+
+    # The one place that tells a single cluster from a federation.  Past
+    # it, every application goes through ``launch``: placed by name and
+    # node-count hint, built by ``build(capacity)`` for the capacity it
+    # landed on, connected to its RMS.
+    if federation is None:
+        if faults is not None:
+            raise ValueError("fault injection requires a federation")
+        rms = CooRMv2(
+            Platform.single_cluster(cluster_nodes),
+            simulator,
+            rescheduling_interval=scale.rescheduling_interval,
+            kill_protocol_violators=kill_protocol_violators,
+            violation_grace=violation_grace,
+            policy=policy,
+        )
+        rmss = [rms]
+
+        def launch(name, node_count, build, job_id=None, reshapes=False):
+            app = build(cluster_nodes)
+            app.connect(rms)
+            return app
+
+    else:
         # Derived (nodes == 0) members get the single-cluster size, so the
         # 1-cluster federation of the equivalence guarantee sizes its only
         # member exactly like the direct path sizes its platform.
@@ -271,29 +304,26 @@ def run_scenario(
             violation_grace=violation_grace,
             seed=seed,
         )
-        rms = fed.members[0].rms
+        rmss = fed.rms_list()
+        rms = rmss[0]
         cluster_nodes = fed.total_nodes()
-    elif faults is not None:
-        raise ValueError("fault injection requires a federation")
-    else:
-        platform = Platform.single_cluster(cluster_nodes)
-        rms = CooRMv2(
-            platform,
-            simulator,
-            rescheduling_interval=scale.rescheduling_interval,
-            kill_protocol_violators=kill_protocol_violators,
-            violation_grace=violation_grace,
-            policy=policy,
-        )
+        if faults is not None:
+            # The fault stream gets its own derived seed so a plan's jitter
+            # never correlates with the workload drawn from the scenario seed.
+            injector = FaultInjector(
+                resolve_fault_plan(faults), fed, seed=derive_seed(seed, "faults")
+            )
+            injector.arm()
+            submit = injector.submit
 
-    injector: Optional[FaultInjector] = None
-    if faults is not None:
-        # The fault stream gets its own derived seed so a plan's jitter
-        # never correlates with the workload drawn from the scenario seed.
-        injector = FaultInjector(
-            resolve_fault_plan(faults), fed, seed=derive_seed(seed, "faults")
-        )
-        injector.arm()
+        def launch(name, node_count, build, job_id=None, reshapes=False):
+            # Trace jobs route by the locality group of their original id,
+            # so a respawn lands like its first incarnation would.
+            group = None if job_id is None else locality_group(job_id)
+            member = fed.place(name, node_count, group, reshapes=reshapes)
+            app = build(member.capacity)
+            fed.attach(member, app, node_count=node_count)
+            return app
 
     amr: Optional[AmrApplication] = None
     if include_amr:
@@ -312,93 +342,35 @@ def run_scenario(
     ]
     if amr is not None:
         amr.on_finished = lambda _app: [psa.shutdown() for psa in psas]
-        if fed is None:
-            amr.connect(rms)
-        else:
-            fed.submit(amr, node_count=preallocation)
+        launch(amr.name, preallocation, lambda _nodes: amr)
     for psa in psas:
-        if fed is None:
-            psa.connect(rms)
-        else:
-            fed.submit(psa)
+        launch(psa.name, 0, lambda _nodes, psa=psa: psa)
 
     rigid_apps: List[RigidApplication] = []
     trace_apps: List = []
 
-    def submit_rigid(job: RigidJobSpec) -> None:
-        """Route one rigid job now and connect it to its member.
+    def replay(jobs, apps, build, reshapes=False) -> None:
+        """Submit each trace job at its submit time, built by ``build(job,
+        name, capacity)``; *apps* gets every incarnation (respawns too)."""
+        for job in jobs or ():
 
-        Rigid jobs keep their exact recorded size -- like the direct path,
-        a job too large for every cluster fails loudly rather than being
-        silently reshaped (trace *conversions* clamp; rigid replays don't).
-        """
+            def spawn(name: str, job=job) -> None:
+                app = launch(name, job.node_count, partial(build, job, name), job.job_id, reshapes)
+                apps.append(app)
 
-        def spawn(name: str) -> None:
-            app = RigidApplication(
-                name, node_count=job.node_count, duration=job.duration
-            )
-            fed.submit(
-                app, node_count=job.node_count, group=locality_group(job.job_id)
-            )
-            rigid_apps.append(app)
+            simulator.schedule_at(job.submit_time, submit, job.job_id, spawn)
 
-        _faulted_submit(spawn, job.job_id)
+    # Rigid jobs keep their exact recorded size (one too large for every
+    # cluster fails loudly); converted jobs keep theirs as the routing hint
+    # but are built clamped to the capacity they land on.
+    def rigid(job, name, _nodes):
+        return RigidApplication(name, node_count=job.node_count, duration=job.duration)
 
-    def submit_converted(converted: ConvertedJob) -> None:
-        """Route one trace job now and build it clamped to its member."""
+    def converted(job, name, nodes):
+        return build_application(job if name == job.job_id else replace(job, job_id=name), nodes)
 
-        def spawn(name: str) -> None:
-            member = fed.meta.place(
-                name,
-                node_count=converted.node_count,
-                group=locality_group(converted.job_id),
-                now=simulator.now,
-            )
-            app = build_application(
-                replace(converted, job_id=name), member.capacity
-            )
-            fed.attach(member, app, node_count=converted.node_count)
-            trace_apps.append(app)
-
-        _faulted_submit(spawn, converted.job_id)
-
-    def _faulted_submit(spawn, job_id: str) -> None:
-        """Submit via *spawn*; under a fault plan, account and register.
-
-        On fault-free federations this is a plain passthrough (exceptions
-        propagate exactly as before).  Under an armed injector the job is
-        counted, admission refusals become "rejected" instead of a crash,
-        and a successful submission registers *spawn* as the respawn
-        factory for when a fault later kills the job.
-        """
-        if injector is None:
-            spawn(job_id)
-            return
-        injector.note_submitted()
-        try:
-            spawn(job_id)
-        except (AdmissionError, RequestError):
-            injector.note_rejected(job_id)
-            return
-        injector.register_respawn(job_id, spawn)
-
-    for job in rigid_jobs or ():
-        if fed is None:
-            app = RigidApplication(
-                job.job_id, node_count=job.node_count, duration=job.duration
-            )
-            simulator.schedule_at(job.submit_time, app.connect, rms)
-            rigid_apps.append(app)
-        else:
-            simulator.schedule_at(job.submit_time, submit_rigid, job)
-
-    for converted in adaptive_jobs or ():
-        if fed is None:
-            app = build_application(converted, cluster_nodes)
-            simulator.schedule_at(converted.submit_time, app.connect, rms)
-            trace_apps.append(app)
-        else:
-            simulator.schedule_at(converted.submit_time, submit_converted, converted)
+    replay(rigid_jobs, rigid_apps, rigid)
+    replay(adaptive_jobs, trace_apps, converted, reshapes=True)
 
     if amr is None and psas:
         # Without an AMR nothing shuts the (otherwise endless) PSAs down;
@@ -412,10 +384,7 @@ def run_scenario(
 
     simulator.run()
 
-    if fed is not None:
-        metrics = collect_federated(fed, amr=amr, psas=psas, horizon=horizon)
-    else:
-        metrics = SimulationMetrics.collect(rms, amr=amr, psas=psas, horizon=horizon)
+    metrics = SimulationMetrics.collect_multi(rmss, amr=amr, psas=psas, horizon=horizon)
     return ScenarioResult(
         metrics=metrics,
         amr=amr,

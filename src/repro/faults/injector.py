@@ -37,10 +37,10 @@ from .plan import FaultEvent, FaultPlan
 
 __all__ = ["FaultInjector"]
 
-#: A resubmission factory: given a fresh application name, rebuilds and
-#: resubmits the killed job, returning nothing.  May raise
+#: A submission factory: given an application name, builds and submits the
+#: job (resubmits it, after a kill), returning nothing.  May raise
 #: :class:`AdmissionError`/:class:`RequestError`, in which case the job
-#: counts as lost.
+#: counts as rejected (its first submission) or lost (a resubmission).
 RespawnFactory = Callable[[str], None]
 
 
@@ -257,18 +257,22 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     # Workload bookkeeping (driven by the scenario runner)
     # ------------------------------------------------------------------ #
-    def note_submitted(self) -> None:
-        """One workload job was offered to the federation."""
+    def submit(self, job_id: str, spawn: RespawnFactory) -> None:
+        """Offer one workload job: submit it now via *spawn*, account for it.
+
+        A refusal of the initial submission (admission control, or no
+        member that fits) counts the job rejected instead of raising; once
+        submitted, *spawn* is kept as the factory that resubmits the job
+        when a fault kills it.
+        """
         self.submitted += 1
-
-    def note_rejected(self, app_id: str) -> None:
-        """A job's *initial* submission was refused by admission control."""
-        self.counts["jobs_rejected"] += 1
-        self._emit(self.simulator.now, "rejected", {"app": app_id})
-
-    def register_respawn(self, app_id: str, factory: RespawnFactory) -> None:
-        """Arrange for *app_id* to be resubmitted if a fault kills it."""
-        self._respawns[app_id] = (factory, 0, app_id)
+        try:
+            spawn(job_id)
+        except (AdmissionError, RequestError):
+            self.counts["jobs_rejected"] += 1
+            self._emit(self.simulator.now, "rejected", {"app": job_id})
+            return
+        self._respawns[job_id] = (spawn, 0, job_id)
 
     def _handle_killed(self, member, killed: List[str], now: float) -> None:
         for app_id in killed:

@@ -46,7 +46,7 @@ from .federation import (
     RoutingDecision,
     locality_group,
 )
-from .metrics import collect_federated, federation_breakdown
+from .metrics import federation_breakdown
 from .routing import (
     DEFAULT_ROUTING,
     ROUTINGS,
@@ -70,7 +70,6 @@ __all__ = [
     "RoutingDecision",
     "RoutingPolicy",
     "RoutingRequest",
-    "collect_federated",
     "federation_breakdown",
     "locality_group",
     "make_routing",

@@ -11,11 +11,12 @@ that places every incoming application on one member through a pluggable
 
 Once placed, an application speaks the ordinary CooRMv2 protocol with its
 home member; the federation never intercepts per-request traffic.  That is
-what makes the load-bearing equivalence guarantee hold by construction: a
-1-cluster federation under the ``any`` routing performs exactly the same
-calls, in the same simulator-event order, as the direct single-scheduler
-path -- so its metrics are byte-identical (pinned by the golden regression
-suite).
+what makes the load-bearing equivalence guarantee hold by construction:
+``run_scenario`` places every application through one seam, on one cluster
+or a federation, so a 1-cluster federation under the ``any`` routing
+performs exactly the same calls, in the same simulator-event order, as the
+direct single-scheduler path -- and every single-cluster scenario's metrics
+are byte-identical on it (pinned by the golden regression suite).
 """
 from __future__ import annotations
 
@@ -335,10 +336,6 @@ class Federation:
         )
 
     # ------------------------------------------------------------------ #
-    @property
-    def routing_name(self) -> str:
-        return self.spec.routing
-
     def member(self, name: str) -> FederationMember:
         for member in self.members:
             if member.name == name:
@@ -359,35 +356,37 @@ class Federation:
         node_count: int = 0,
         group: Optional[str] = None,
     ) -> FederationMember:
-        """Route *application* to a member and connect it there.
+        """Route *application* to a member and connect it there."""
+        member = self.place(application.name, node_count=node_count, group=group)
+        self.attach(member, application, node_count=node_count)
+        return member
 
-        The routing decision happens at call time (so load-aware policies
-        see the state of the federation *now*, not at scenario build time);
-        the application's ``cluster_id`` is re-pointed at the member's
-        cluster before connecting, after which it speaks the ordinary
-        CooRMv2 protocol with its home member.
+    def place(
+        self,
+        app_id: str,
+        node_count: int = 0,
+        group: Optional[str] = None,
+        reshapes: bool = False,
+    ) -> FederationMember:
+        """Choose *app_id*'s home member now (load-aware routing sees the
+        federation as it is at submission time, not at build time).
 
-        An application whose declared *node_count* exceeds the chosen
-        member's capacity is rejected up front with a clear error --
-        routing policies prefer members that fit, so reaching this state
-        means **no** member of the federation can ever hold the
-        application (a topology misconfiguration, the federated analogue
-        of submitting an oversized request to a single scheduler).
+        A declared *node_count* larger than the chosen member is rejected up
+        front, unless the application *reshapes* to the member it lands on
+        (a converted trace job): routing policies prefer members that fit,
+        so **no** member can ever hold it -- a topology misconfiguration,
+        the analogue of an oversized request to a single scheduler.
         """
         member = self.meta.place(
-            application.name,
-            node_count=node_count,
-            group=group,
-            now=self.simulator.now,
+            app_id, node_count=node_count, group=group, now=self.simulator.now
         )
-        if node_count > member.capacity:
+        if node_count > member.capacity and not reshapes:
             raise RequestError(
-                f"application {application.name!r} needs {node_count} nodes "
+                f"application {app_id!r} needs {node_count} nodes "
                 f"but was routed to member {member.name!r} "
                 f"({member.capacity} nodes); no cluster of the federation "
                 f"{[f'{m.name}:{m.capacity}' for m in self.members]} fits it"
             )
-        self.attach(member, application, node_count=node_count)
         return member
 
     def attach(
@@ -396,7 +395,8 @@ class Federation:
         application: BaseApplication,
         node_count: int = 0,
     ) -> None:
-        """Connect an already-placed application to its home member."""
+        """Connect an already-placed application to its home member, its
+        ``cluster_id`` re-pointed at the member's cluster first."""
         self.meta.register(member, application, node_count=node_count)
         application.cluster_id = member.platform.default_cluster_id()
         application.connect(member.rms)

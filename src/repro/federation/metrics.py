@@ -16,10 +16,9 @@ with every other metric through the campaign layer's medians and reports.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..apps.nea import AmrApplication
-from ..apps.psa import ParameterSweepApplication
 from ..core.types import RequestType
 from ..metrics.collector import (
     SimulationMetrics,
@@ -31,16 +30,10 @@ from .federation import Federation
 __all__ = ["collect_federated", "federation_breakdown"]
 
 
-def collect_federated(
-    federation: Federation,
-    amr: Optional[AmrApplication] = None,
-    psas: Sequence[ParameterSweepApplication] = (),
-    horizon: Optional[float] = None,
-) -> SimulationMetrics:
-    """Aggregate :class:`SimulationMetrics` over every federation member."""
-    return SimulationMetrics.collect_multi(
-        federation.rms_list(), amr=amr, psas=psas, horizon=horizon
-    )
+def collect_federated(federation: Federation, amr=None, psas=(), horizon=None):
+    """:meth:`SimulationMetrics.collect_multi` over every member (the name
+    the perf ledger's ``metrics.collect_federated`` span wraps)."""
+    return SimulationMetrics.collect_multi(federation.rms_list(), amr, psas, horizon)
 
 
 def federation_breakdown(

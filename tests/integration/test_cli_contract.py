@@ -99,6 +99,7 @@ HOSTILE_FRAGMENTS = {
     "unknown_key_in_trace_model.json": "scenarios[0].workload.trace.model.arrivals:",
     "rigid_interarrival_zero.json": "scenarios[0].workload: rigid_mean_interarrival",
     "retired_trace_path.json": "scenarios[0].workload.trace_path:",
+    "strict_with_filling_policy.json": "scenarios[0]: strict_equipartition=True conflicts",
 }
 
 

@@ -12,22 +12,27 @@ Three layers pin the contract:
 * :func:`test_run_scenario_equivalence` compares the raw ``run_scenario``
   metrics of the two paths (the substrate the fig3/fig9 experiments run on);
 * :func:`test_fed_single_matches_baseline_dynamic` compares the campaign
-  records of the built-in ``fed-single`` and ``baseline-dynamic`` scenarios
-  at the same seed;
+  records of every built-in single-cluster scenario, run directly and on
+  the ``single`` topology, at the same seed;
 * the ``fed-single`` golden fixture (see ``generate_golden.py``) pins the
   absolute values, so the equivalence cannot silently co-drift.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.apps.rigid import RigidJobSpec
 from repro.campaign import builtin  # noqa: F401  (registers the scenarios)
 from repro.campaign.registry import builtin_scenarios, get_runner
+from repro.core.errors import RequestError
 from repro.experiments.runner import EvaluationScale, run_scenario
-from repro.federation import ClusterSpec, FederationSpec
+from repro.faults import FaultPlan
+from repro.federation import TOPOLOGIES, ClusterSpec, FederationSpec
 from repro.sim.randomness import derive_seed
+from repro.traces.convert import ConvertedJob
 
 SINGLE = FederationSpec(clusters=(ClusterSpec(name="cluster0"),), routing="any")
 
@@ -57,9 +62,6 @@ def test_run_scenario_equivalence_with_background_workload() -> None:
     path must not reshape them), and converted jobs clamp to the single
     member exactly like the direct path clamps to the cluster.
     """
-    from repro.traces.convert import ConvertedJob
-    from repro.workloads.generator import RigidJobSpec
-
     scale = EvaluationScale.tiny()
     kwargs = dict(
         seed=5,
@@ -84,9 +86,6 @@ def test_run_scenario_equivalence_with_background_workload() -> None:
 
 def test_oversized_rigid_job_fails_on_both_paths() -> None:
     """A job no cluster fits errors out instead of being silently reshaped."""
-    from repro.core.errors import RequestError
-    from repro.workloads.generator import RigidJobSpec
-
     scale = EvaluationScale.tiny()
     kwargs = dict(
         seed=5,
@@ -109,19 +108,56 @@ def test_run_scenario_equivalence_with_announce_and_overcommit() -> None:
     assert canonical(federated.metrics.to_dict()) == canonical(direct.metrics.to_dict())
 
 
-def test_fed_single_matches_baseline_dynamic() -> None:
-    """The built-in fed-single scenario reproduces baseline-dynamic exactly.
+SINGLE_CLUSTER = sorted(
+    name
+    for name, spec in builtin_scenarios().items()
+    if spec.runner == "amr_psa" and spec.federation is None
+)
 
-    fed-single's record additionally carries the ``fed_*`` federation
-    columns; every metric the two scenarios share must match byte for byte.
+
+@pytest.mark.parametrize("replicate", [0, 1])
+@pytest.mark.parametrize("name", SINGLE_CLUSTER)
+def test_fed_single_matches_baseline_dynamic(name: str, replicate: int) -> None:
+    """Every built-in single-cluster scenario reproduces itself on the
+    ``single`` topology.
+
+    The federated record additionally carries the ``fed_*`` federation
+    columns; every metric the two records share must match byte for byte.
     """
-    scenarios = builtin_scenarios()
-    seed = derive_seed(0, "fed-single", 0)
-    fed_metrics = dict(get_runner("amr_psa")(scenarios["fed-single"], seed))
-    direct_metrics = dict(get_runner("amr_psa")(scenarios["baseline-dynamic"], seed))
+    spec = builtin_scenarios()[name]
+    seed = derive_seed(0, name, replicate)
+    direct_metrics = dict(get_runner("amr_psa")(spec, seed))
+    federated = replace(spec, federation=TOPOLOGIES.get("single"))
+    fed_metrics = dict(get_runner("amr_psa")(federated, seed))
 
     shared = set(fed_metrics) & set(direct_metrics)
-    assert shared == set(direct_metrics)  # fed-single only *adds* columns
+    assert shared == set(direct_metrics)  # the federation only *adds* columns
     assert canonical({k: fed_metrics[k] for k in shared}) == canonical(direct_metrics)
     extra = set(fed_metrics) - shared
     assert extra and all(key.startswith("fed_") for key in extra)
+
+
+def test_amr_too_large_for_every_member_names_the_member() -> None:
+    small = FederationSpec(clusters=(ClusterSpec(name="small", nodes=2),))
+    with pytest.raises(RequestError, match="'amr' needs .* routed to member 'small'"):
+        run_scenario(EvaluationScale.tiny(), federation=small)
+
+
+def test_oversized_rigid_job_under_a_fault_plan_counts_rejected() -> None:
+    huge = RigidJobSpec("huge", submit_time=1.0, node_count=10_000, duration=30.0)
+    result = run_scenario(
+        EvaluationScale.tiny(), federation=SINGLE, faults=FaultPlan(name="p"),
+        rigid_jobs=[huge],
+    )
+    assert result.fault_injector.summary()["fault_jobs_rejected"] == 1.0
+    assert result.rigid_apps == [] and result.amr.finished()
+
+
+@pytest.mark.parametrize("federation", [None, SINGLE])
+def test_converted_job_larger_than_its_member_is_clamped(federation) -> None:
+    job = ConvertedJob("rigid", "t1", submit_time=5.0, node_count=10_000, duration=20.0)
+    result = run_scenario(
+        EvaluationScale.tiny(), federation=federation, adaptive_jobs=[job]
+    )
+    (app,) = result.trace_apps
+    assert app.node_count == result.cluster_nodes and app.finished()

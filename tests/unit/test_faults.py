@@ -20,9 +20,11 @@ from repro.faults import (
     get_fault_plan,
     resolve_fault_plan,
 )
-from repro.federation import ClusterSpec, Federation, FederationSpec
+from repro.experiments.runner import EvaluationScale, run_scenario
+from repro.federation import ClusterSpec, Federation, FederationSpec, locality_group
 from repro.sim import Simulator
 from repro.testing import make_env, RecordingApp
+from repro.traces.convert import ConvertedJob
 
 
 # --------------------------------------------------------------------- #
@@ -309,6 +311,17 @@ def arm(fed, **plan_kwargs):
     return injector
 
 
+def rigid_spawn(fed, apps, nodes):
+    """A submission factory: a rigid job of *nodes* nodes, kept in *apps*."""
+
+    def spawn(name):
+        app = RigidApplication(name, node_count=nodes, duration=100.0)
+        fed.submit(app, node_count=nodes)
+        apps.append(app)
+
+    return spawn
+
+
 class TestFaultInjector:
     def test_arm_twice_raises(self):
         fed, _sim = federation()
@@ -339,37 +352,39 @@ class TestFaultInjector:
                 FaultEvent(time=20.0, kind="restart", member="#0", nodes=8),
             ),
         )
-        app = RigidApplication("j", node_count=8, duration=100.0)
-        fed.submit(app, node_count=8)
-        assert app.cluster_id == "c0"
-
-        def respawn(name):
-            fed.submit(
-                RigidApplication(name, node_count=8, duration=100.0), node_count=8
-            )
-
-        injector.note_submitted()
-        injector.register_respawn("j", respawn)
+        apps = []
+        injector.submit("j", rigid_spawn(fed, apps, nodes=8))
+        assert apps[0].cluster_id == "c0"
         sim.run()
         assert injector.counts["crashes"] == 1
         assert injector.counts["restarts"] == 1
         assert injector.counts["jobs_rescheduled"] == 1
         assert injector.counts["jobs_lost"] == 0
         # The respawn landed on the surviving member and finished there.
+        assert [a.name for a in apps] == ["j", "j:r1"]
         assert fed.routed_counts()["c1"] == 1
         assert injector.sla_attainment_pct() == 100.0
 
-    def test_kill_without_registered_respawn_counts_lost(self):
+    def test_kill_past_the_respawn_budget_counts_lost(self):
         fed, sim = federation()
         injector = arm(
             fed,
             name="p",
+            max_respawns=0,
             events=(FaultEvent(time=10.0, kind="crash", member="#0", nodes=8),),
         )
-        fed.submit(RigidApplication("j", node_count=8, duration=100.0), node_count=8)
-        injector.note_submitted()
+        injector.submit("j", rigid_spawn(fed, [], nodes=8))
         sim.run()
         assert injector.counts["jobs_lost"] == 1
+        assert injector.sla_attainment_pct() == 0.0
+
+    def test_refused_first_submission_counts_rejected(self):
+        fed, sim = federation()
+        injector = arm(fed, name="p")
+        injector.submit("huge", rigid_spawn(fed, [], nodes=64))
+        sim.run()
+        assert injector.counts["jobs_rejected"] == 1
+        assert injector.submitted == 1
         assert injector.sla_attainment_pct() == 0.0
 
     def test_max_respawns_bounds_the_retry_chain(self):
@@ -383,15 +398,7 @@ class TestFaultInjector:
                 FaultEvent(time=30.0, kind="crash", member="#1", nodes=8),
             ),
         )
-
-        def respawn(name):
-            fed.submit(
-                RigidApplication(name, node_count=8, duration=100.0), node_count=8
-            )
-
-        fed.submit(RigidApplication("j", node_count=8, duration=100.0), node_count=8)
-        injector.note_submitted()
-        injector.register_respawn("j", respawn)
+        injector.submit("j", rigid_spawn(fed, [], nodes=8))
         sim.run()
         # The c0 crash respawns j as j:r1 on c1; the c1 crash finds the
         # retry budget exhausted and the chain ends as lost.
@@ -409,18 +416,26 @@ class TestFaultInjector:
                 FaultEvent(time=5.0, kind="outage", member="#1"),
             ),
         )
-        apps = [
-            RigidApplication(f"j{i}", node_count=4, duration=100.0) for i in range(2)
-        ]
-        for app in apps:
-            fed.submit(app, node_count=4)
-            injector.note_submitted()
+        for i in range(2):
+            injector.submit(f"j{i}", rigid_spawn(fed, [], nodes=4))
         sim.run()  # must drain: no capacity ever comes back
         assert all(m.down for m in fed.members)
         assert fed.total_nodes() == 0
         assert injector.counts["jobs_lost"] == 2
         assert injector.sla_attainment_pct() == 0.0
         assert injector.time_to_recover() == 0.0  # nothing ever recovered
+
+    def test_respawned_trace_job_routes_by_its_original_id(self):
+        spec = FederationSpec(clusters=(ClusterSpec("c0", 8), ClusterSpec("c1", 8)))
+        crash = FaultEvent(time=10.0, kind="crash", member="#0", nodes=8)
+        job = ConvertedJob("rigid", "t1", submit_time=1.0, node_count=8, duration=100.0)
+        result = run_scenario(
+            EvaluationScale.tiny(), include_amr=False, psa_task_durations=(),
+            federation=spec, faults=FaultPlan(name="p", events=(crash,)), adaptive_jobs=[job],
+        )
+        decisions = result.federation.meta.decisions
+        assert [d.app_id for d in decisions] == ["t1", "t1:r1"]
+        assert {d.group for d in decisions} == {locality_group("t1")}
 
     def test_outage_and_recover_fill_the_recovery_ledger(self):
         fed, sim = federation()
