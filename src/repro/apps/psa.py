@@ -15,6 +15,12 @@ duration ``d_task``.  It monitors its preemptive view:
 
 The PSA never finishes by itself; experiments call :meth:`shutdown` when the
 evolving application completes.
+
+Tasks are simulated per *start batch*: the tasks one reconciliation starts
+share a start time and a finish time, so they share one completion event,
+which finishes the batch's surviving nodes in start order (exactly what one
+event per task, fired in scheduling order, would do).  Aborting a task drops
+its node from its batch; the event is cancelled with the batch's last node.
 """
 from __future__ import annotations
 
@@ -44,6 +50,18 @@ class PsaStatistics:
         return self.completed_node_seconds + self.waste_node_seconds
 
 
+class _Batch:
+    """The tasks one reconciliation started: one start time, one completion event."""
+
+    __slots__ = ("start", "nodes", "handle")
+
+    def __init__(self, start: Time, nodes: List[NodeId]):
+        self.start = start
+        #: The batch's running nodes, in start order.
+        self.nodes: Dict[NodeId, None] = dict.fromkeys(nodes)
+        self.handle = None
+
+
 class ParameterSweepApplication(BaseApplication):
     """A malleable application made of infinite single-node tasks."""
 
@@ -54,18 +72,15 @@ class ParameterSweepApplication(BaseApplication):
         cluster_id: ClusterId = "cluster0",
     ):
         super().__init__(name, cluster_id)
-        if task_duration <= 0:
-            raise ValueError("task_duration must be positive")
+        if not 0 < task_duration < math.inf:
+            raise ValueError("task_duration must be positive and finite")
         self.task_duration = float(task_duration)
         self.stats = PsaStatistics()
 
-        #: Node id -> start time of the task currently running on it.
-        self._running_tasks: Dict[NodeId, Time] = {}
-        #: The same tasks by start time: start -> its nodes, both levels in
-        #: start order (start times never decrease).
-        self._started_at: Dict[Time, Dict[NodeId, None]] = {}
-        #: Node id -> completion event handle (to cancel on kill).
-        self._task_events: Dict[NodeId, object] = {}
+        #: Node id -> the batch of the task currently running on it, in start order.
+        self._running_tasks: Dict[NodeId, _Batch] = {}
+        #: The batches with a running task, in start order (start times never decrease).
+        self._batches: Dict[_Batch, None] = {}
         #: Nodes held but currently idle (no task running).
         self._idle_nodes: Set[NodeId] = set()
         self.current_request: Optional[Request] = None
@@ -98,7 +113,7 @@ class ParameterSweepApplication(BaseApplication):
 
     def on_killed(self, reason: str) -> None:
         super().on_killed(reason)
-        for nid, start in list(self._running_tasks.items()):
+        for nid in list(self._running_tasks):
             self._abort_task(nid, count_waste=True)
 
     # ------------------------------------------------------------------ #
@@ -146,17 +161,16 @@ class ParameterSweepApplication(BaseApplication):
 
         # 2. Start tasks on idle nodes, but only on as many nodes as the view
         #    sustains for a whole task duration; release the rest gracefully.
-        busy = self.busy_count()
-        sustainable = max(0, allowed_window)
-        can_start = max(0, min(len(self._idle_nodes), sustainable - busy))
-        idle_sorted = sorted(self._idle_nodes)
-        for nid in idle_sorted[:can_start]:
-            self._start_task(nid)
-        to_release = idle_sorted[can_start:]
-        if to_release:
-            self._idle_nodes.difference_update(to_release)
-            held -= len(to_release)
-            self._resize_request(held, released=to_release)
+        if self._idle_nodes:
+            can_start = max(0, min(len(self._idle_nodes), allowed_window - self.busy_count()))
+            idle_sorted = sorted(self._idle_nodes)
+            if can_start:
+                self._start_tasks(idle_sorted[:can_start])
+            to_release = idle_sorted[can_start:]
+            if to_release:
+                self._idle_nodes.difference_update(to_release)
+                held -= len(to_release)
+                self._resize_request(held, released=to_release)
 
         # 3. Growth: ask for more nodes when the view offers more than we
         #    hold *and* they would be usable for at least one task.
@@ -167,37 +181,39 @@ class ParameterSweepApplication(BaseApplication):
     # ------------------------------------------------------------------ #
     # Task lifecycle
     # ------------------------------------------------------------------ #
-    def _start_task(self, node_id: NodeId) -> None:
-        self._idle_nodes.discard(node_id)
-        now = self.now
-        self._running_tasks[node_id] = now
-        self._started_at.setdefault(now, {})[node_id] = None
-        handle = self.rms.simulator.schedule(self.task_duration, self._task_finished, node_id)
-        self._task_events[node_id] = handle
+    def _start_tasks(self, node_ids: List[NodeId]) -> None:
+        """Start one task on each of *node_ids* (idle nodes), as one batch."""
+        batch = _Batch(self.now, node_ids)
+        self._idle_nodes.difference_update(batch.nodes)
+        self._running_tasks.update(dict.fromkeys(batch.nodes, batch))
+        self._batches[batch] = None
+        batch.handle = self.rms.simulator.schedule(self.task_duration, self._tasks_finished, batch)
 
-    def _task_finished(self, node_id: NodeId) -> None:
-        if node_id not in self._running_tasks or self.killed or self.finished():
+    def _tasks_finished(self, batch: _Batch) -> None:
+        if self.killed or self.finished():
             return
-        self._abort_task(node_id, count_waste=False)  # its event has fired: no cancel
-        self.stats.completed_tasks += 1
-        self.stats.completed_node_seconds += self.task_duration
-        self._idle_nodes.add(node_id)
+        del self._batches[batch]
+        running, duration = self._running_tasks, self.task_duration
+        seconds = self.stats.completed_node_seconds
+        for nid in batch.nodes:
+            del running[nid]
+            seconds += duration  # task by task: the float sum one event per task made
+        self.stats.completed_node_seconds = seconds
+        self.stats.completed_tasks += len(batch.nodes)
+        self._idle_nodes.update(batch.nodes)
         self._schedule_flush()
 
     def _abort_task(self, node_id: NodeId, count_waste: bool) -> None:
-        start = self._running_tasks.pop(node_id, None)
-        handle = self._task_events.pop(node_id, None)
-        if handle is not None:
-            handle.cancel()
-        if start is None:
+        batch = self._running_tasks.pop(node_id, None)
+        if batch is None:
             return
-        batch = self._started_at[start]
-        del batch[node_id]
-        if not batch:
-            del self._started_at[start]
+        del batch.nodes[node_id]
+        if not batch.nodes:
+            del self._batches[batch]
+            batch.handle.cancel()
         if count_waste:
             self.stats.killed_tasks += 1
-            self.stats.waste_node_seconds += max(0.0, self.now - start)
+            self.stats.waste_node_seconds += max(0.0, self.now - batch.start)
 
     def _pick_release_victims(self, count: int) -> List[NodeId]:
         """Choose which nodes to give back: idle ones first, then the tasks
@@ -211,18 +227,18 @@ class ParameterSweepApplication(BaseApplication):
         now = self.now
         run: List[Dict[NodeId, None]] = []  # batches of one elapsed time, latest first
         run_elapsed, run_size = None, 0
-        for start in reversed(self._started_at):
-            elapsed = now - start
+        for batch in reversed(self._batches):
+            elapsed = now - batch.start
             if elapsed != run_elapsed:
                 if len(victims) + run_size >= count:
                     break
-                for batch in reversed(run):
-                    victims.extend(batch)
+                for nodes in reversed(run):
+                    victims.extend(nodes)
                 run, run_elapsed, run_size = [], elapsed, 0
-            run.append(self._started_at[start])
-            run_size += len(run[-1])
-        for batch in reversed(run):  # a tie goes to the earliest started
-            victims.extend(islice(batch, count - len(victims)))
+            run.append(batch.nodes)
+            run_size += len(batch.nodes)
+        for nodes in reversed(run):  # a tie goes to the earliest started
+            victims.extend(islice(nodes, count - len(victims)))
         return victims
 
     # ------------------------------------------------------------------ #

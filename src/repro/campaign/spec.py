@@ -14,6 +14,7 @@ definitions in :mod:`repro.campaign.builtin`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -130,12 +131,13 @@ class WorkloadSpec:
                 "with an SWF file",
                 "trace_path",
             )
-        if any(d <= 0 for d in self.psa_task_durations):
-            raise SpecError("psa_task_durations must be positive")
-        if self.overcommit <= 0:
-            raise SpecError("overcommit must be positive")
-        if self.announce_interval < 0:
-            raise SpecError("announce_interval must be >= 0")
+        # Written so that NaN fails them too: it compares False with everything.
+        if not all(0 < d < math.inf for d in self.psa_task_durations):
+            raise SpecError("must be positive and finite", "psa_task_durations")
+        if not 0 < self.overcommit < math.inf:
+            raise SpecError("must be positive and finite", "overcommit")
+        if not 0 <= self.announce_interval < math.inf:
+            raise SpecError("must be >= 0 and finite", "announce_interval")
         if self.rigid_job_count < 0:
             raise SpecError("rigid_job_count must be >= 0")
         if self.rigid_max_nodes < 1:

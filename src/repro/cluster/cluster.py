@@ -89,7 +89,7 @@ class Cluster:
                 f"cluster {self.cluster_id!r}: requested {count} nodes, "
                 f"only {self.free_count()} free"
             )
-        chosen = frozenset(heapq.nsmallest(count, self._free))
+        chosen = frozenset(sorted(self._free)[:count])  # in C: cheaper than a heap walk
         if chosen:
             self._free -= chosen
             self._held.setdefault(app_id, set()).update(chosen)

@@ -15,6 +15,9 @@ are shared among the preemptible requests of all applications.  The policy is
 
 A *strict* mode disables the filling and always shows exactly the equal
 partition; it implements the "strict equi-partitioning" baseline of Figure 11.
+Its views never read a demand, so a strict pass computes none: it builds the
+one shared view from the capacity rule and only reschedules each busy
+application's requests against it.
 
 When no application holds a preemptible request, every application is shown
 the availability itself (strict: its equal slice), floored to whole nodes:
@@ -150,7 +153,7 @@ def _capacity_share(capacity: int, n_apps: int, strict: bool) -> int:
 
 
 def _partition_interval(
-    demands: List[int], capacity: int, strict: bool
+    demands: List[int], capacity: int, strict: bool = False
 ) -> List[int]:
     """Compute the per-application view values for one constant interval.
 
@@ -224,16 +227,14 @@ def eq_schedule(
     dict
         Application id -> preemptive view ``V_P^{(i)}``.
     """
-    if any(preemptible_sets.values()):
-        return partition_schedule(
-            preemptible_sets,
-            available,
-            not_before,
-            horizon=horizon,
-            partition=lambda demands, capacity: _partition_interval(demands, capacity, strict),
-        )
-    # Nobody holds a preemptible request: every row is the capacity rule alone,
-    # so each availability profile maps value by value, one view for everybody.
+    busy = any(preemptible_sets.values())
+    if busy and not strict:
+        return partition_schedule(preemptible_sets, available, not_before, horizon=horizon)
+    # Strict sharing or nobody holding a preemptible request: every row is the
+    # capacity rule alone, so each availability profile maps value by value,
+    # one view for everybody.  Strict sharing then only reschedules the busy
+    # applications against it (Algorithm 3, lines 28-30); their demands
+    # would change no row.
     if not preemptible_sets:
         return {}
     if horizon is None:
@@ -251,7 +252,14 @@ def eq_schedule(
         ]
         same = stop == len(own._times) and values == own._values
         caps[cid] = own if same else StepFunction(own._times[:stop], values)
-    return dict.fromkeys(preemptible_sets, View._adopt(caps))
+    view = View._adopt(caps)
+    if busy:
+        for requests in preemptible_sets.values():
+            if requests:
+                fixed_occ = to_view(requests, view)
+                if _is_waiting(requests):
+                    fit(requests, view - fixed_occ, not_before)
+    return dict.fromkeys(preemptible_sets, view)
 
 
 def _default_horizon(views: Sequence[View]) -> Time:
@@ -301,8 +309,7 @@ def partition_schedule(
     (every profile its own object): step 1 ran both calls on those inputs.
     """
     if partition is None:
-        def partition(demands, capacity):
-            return _partition_interval(demands, capacity, False)
+        partition = _partition_interval  # equi-partitioning with filling
 
     app_ids = list(preemptible_sets)
 
@@ -318,9 +325,9 @@ def partition_schedule(
                 occ = occ + fit(requests, available - occ, not_before)
             occupation[index] = occ
 
-    clusters = set(available.clusters())
+    clusters = set(available._caps)
     for occ in occupation.values():
-        clusters.update(occ.clusters())
+        clusters.update(occ._caps)
 
     if horizon is None:
         horizon = _default_horizon([available, *occupation.values()])
@@ -339,7 +346,7 @@ def partition_schedule(
         if busy_profiles:
             breakpoints = _interval_breakpoints([avail_profile] + busy_profiles, horizon)
             offered = [avail_profile.value_at(t) for t in breakpoints]
-            asked = [tuple(int(ceil(p.value_at(t) - 1e-9)) for p in busy_profiles) for t in breakpoints]
+            asked = zip(*[[ceil(p.value_at(t) - 1e-9) for t in breakpoints] for p in busy_profiles])
         else:
             # All idle: the intervals are the availability's own segments before the horizon.
             times = avail_profile._times

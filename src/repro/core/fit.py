@@ -28,7 +28,7 @@ from typing import List
 from .errors import SchedulingError
 from .request import Request
 from .request_set import RequestSet
-from .types import RelatedHow, RequestType, Time
+from .types import COALLOC, FREE, NEXT, NON_PREEMPTIBLE, PREALLOCATION, PREEMPTIBLE, Time
 from .view import View, ViewBuilder
 
 __all__ = ["fit"]
@@ -68,7 +68,7 @@ def fit(requests, available: View, not_before: Time) -> View:
     # 1-4).  A root is unconstrained or has its parent outside the live
     # requests (e.g. a finished predecessor of an update chain): the constraint
     # holds against the parent's recorded times, but the parent never moves.
-    free = RelatedHow.FREE
+    free = FREE
     request_list: List[Request] = []
     ids = set()
     children = {}
@@ -88,16 +88,16 @@ def fit(requests, available: View, not_before: Time) -> View:
         if not r.fixed:
             r.earliest_schedule_at = not_before
             r.scheduled_at = math.inf
-    queue = deque(
+    queue = deque([
         r for r in roots
         if r.related_to is None or r.related_how is free or r.related_to.request_id not in ids
-    )
+    ])
     visits = {}
 
     while queue:
         r = queue.popleft()
-        visits[r.request_id] = visits.get(r.request_id, 0) + 1
-        if visits[r.request_id] > _MAX_ITERATIONS_PER_REQUEST:
+        visited = visits[r.request_id] = visits.get(r.request_id, 0) + 1
+        if visited > _MAX_ITERATIONS_PER_REQUEST:
             raise SchedulingError(
                 f"fit() did not converge for request #{r.request_id}; "
                 "constraint graph is unsatisfiable"
@@ -113,7 +113,7 @@ def fit(requests, available: View, not_before: Time) -> View:
         before = r.scheduled_at
 
         if r.related_how is free or parent is None:
-            if r.rtype is RequestType.PREEMPTIBLE:
+            if r.rtype is PREEMPTIBLE:
                 # Preemptible requests are never queued: they start right
                 # away and the RMS shrinks them to whatever is available
                 # (possibly zero), as the CooRMv2 specification allows.
@@ -122,11 +122,8 @@ def fit(requests, available: View, not_before: Time) -> View:
             else:
                 r.scheduled_at = available.find_hole(r, 0.0)
 
-        elif r.related_how is RelatedHow.COALLOC:
-            if r.rtype is RequestType.PREEMPTIBLE and parent.rtype in (
-                RequestType.PREALLOCATION,
-                RequestType.NON_PREEMPTIBLE,
-            ):
+        elif r.related_how is COALLOC:
+            if r.rtype is PREEMPTIBLE and parent.rtype in (PREALLOCATION, NON_PREEMPTIBLE):
                 # Preemptible co-allocations never delay their parent: they
                 # start with it and shrink to whatever is available.
                 r.scheduled_at = parent.scheduled_at
@@ -141,11 +138,11 @@ def fit(requests, available: View, not_before: Time) -> View:
                     parent.earliest_schedule_at = r.scheduled_at
                     queue.append(parent)
 
-        elif r.related_how is RelatedHow.NEXT:
+        elif r.related_how is NEXT:
             parent_end = parent.end_time() if parent.finished() else (
                 parent.scheduled_at + parent.duration
             )
-            if r.rtype is RequestType.PREEMPTIBLE:
+            if r.rtype is PREEMPTIBLE:
                 r.scheduled_at = parent_end
                 r.n_alloc = available.alloc(r)
             else:

@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import ProfileError
@@ -354,9 +355,17 @@ class StepFunction:
 
     def clip_low(self, floor: float = 0.0) -> "StepFunction":
         """Clamp every value to be at least *floor*."""
-        if min(self._values) >= floor:
+        values = self._values
+        if min(values) >= floor:
             return self
-        return StepFunction(list(self._times), [max(v, floor) for v in self._values])
+        # What the constructor would make of the clamped values: compacted here.
+        times, kept = [0.0], [float(max(values[0], floor))]
+        for t, v in zip(islice(self._times, 1, None), islice(values, 1, None)):
+            v = float(max(v, floor))
+            if abs(v - kept[-1]) >= _EPS:
+                times.append(t)
+                kept.append(v)
+        return StepFunction._from_compacted(times, kept)
 
     def clip_high(self, ceiling: float) -> "StepFunction":
         """Clamp every value to be at most *ceiling*."""
@@ -567,8 +576,17 @@ class StepBuilder:
 
     def build(self) -> StepFunction:
         """The sum of every added rectangle, as an immutable profile."""
-        if not self._deltas:
-            return _SHARED_ZERO
+        deltas = self._deltas
+        if len(deltas) < 2:  # nothing, or open-ended rectangles of one start
+            if not deltas:
+                return _SHARED_ZERO
+            ((t, height),) = deltas.items()
+            level = 0.0 + height  # the sweep's float, and its base on [0, t) is 0.0
+            if t == 0.0:
+                return StepFunction._from_compacted([0.0], [level])
+            if abs(level) < _EPS:
+                return StepFunction._from_compacted([0.0], [0.0])
+            return StepFunction._from_compacted([0.0, t], [0.0, level])
         times: List[Time] = [0.0]
         values: List[float] = []
         level = 0.0

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from math import isnan
 from typing import FrozenSet, Optional, Set
 
 from .errors import ConstraintError, RequestError
+from .types import CANCELLED, FINISHED, NON_PREEMPTIBLE, PREALLOCATION, PREEMPTIBLE
 from .types import ClusterId, NodeId, RelatedHow, RequestState, RequestType, Time
 
 __all__ = ["Request"]
@@ -124,11 +126,12 @@ class Request:
     # ------------------------------------------------------------------ #
     def started(self) -> bool:
         """True once the RMS has started this request (paper's ``started(r)``)."""
-        return not math.isnan(self.started_at)
+        return not isnan(self.started_at)
 
     def finished(self) -> bool:
         """True once the request ended (``done()`` or duration elapsed)."""
-        return self.state in (RequestState.FINISHED, RequestState.CANCELLED)
+        state = self.state
+        return state is FINISHED or state is CANCELLED
 
     def active(self) -> bool:
         """True while the request holds (or reserves) resources."""
@@ -136,7 +139,7 @@ class Request:
 
     def pending(self) -> bool:
         """True while the request is waiting for its start time."""
-        return not self.started() and not self.finished()
+        return isnan(self.started_at) and not self.finished()
 
     # ------------------------------------------------------------------ #
     # Derived times
@@ -153,13 +156,13 @@ class Request:
         return max(0.0, self.end_time() - now)
 
     def is_preemptible(self) -> bool:
-        return self.rtype is RequestType.PREEMPTIBLE
+        return self.rtype is PREEMPTIBLE
 
     def is_preallocation(self) -> bool:
-        return self.rtype is RequestType.PREALLOCATION
+        return self.rtype is PREALLOCATION
 
     def is_non_preemptible(self) -> bool:
-        return self.rtype is RequestType.NON_PREEMPTIBLE
+        return self.rtype is NON_PREEMPTIBLE
 
     # ------------------------------------------------------------------ #
     # Mutation helpers used by the RMS

@@ -38,7 +38,7 @@ from .events import (
 from .request import Request
 from .scheduler import Scheduler
 from .session import ApplicationProtocol, Session
-from .types import NodeId, RelatedHow, Time
+from .types import NEXT, NodeId, Time
 from .view import View
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -159,7 +159,7 @@ class CooRMv2:
     @property
     def now(self) -> Time:
         """Current simulated time."""
-        return self.simulator.now
+        return self.simulator._now
 
     @property
     def policy(self):
@@ -400,7 +400,7 @@ class CooRMv2:
     def _pending_next_child(self, session: Session, request: Request) -> Optional[Request]:
         """A not-yet-started NEXT successor of *request*, if any."""
         for r in session.requests.scan():
-            if r.related_how is RelatedHow.NEXT and r.related_to is request and r.pending():
+            if r.related_how is NEXT and r.related_to is request and r.pending():
                 return r
         return None
 
@@ -429,7 +429,7 @@ class CooRMv2:
         if include_self and request.finished() and request.node_ids:
             yield request
         current = request
-        while current.related_how is RelatedHow.NEXT and current.related_to is not None:
+        while current.related_how is NEXT and current.related_to is not None:
             parent = current.related_to
             if not parent.finished():
                 break

@@ -17,13 +17,13 @@ state of a :class:`~repro.core.request_set.RequestSet` and hands out the same
 """
 from __future__ import annotations
 
-import math
 from collections import deque
+from math import isfinite, isnan
 from operator import attrgetter
 from typing import Optional
 
 from .request_set import RequestSet
-from .types import RelatedHow
+from .types import COALLOC, FREE, NEXT
 from .view import View, ViewBuilder
 
 __all__ = ["started_occupation", "to_view"]
@@ -101,14 +101,14 @@ def to_view(requests, available: Optional[View] = None) -> View:
     # One walk over the set: reset the fixed flag on every request, index the
     # constraint edges (so the propagation loop is linear in the number of
     # requests instead of quadratic) and queue the started requests.
-    free = RelatedHow.FREE
+    free = FREE
     children = {}
     queue = deque()
     for r in requests:
         r.fixed = False
         if r.related_to is not None and r.related_how is not free:
             children.setdefault(r.related_to.request_id, []).append(r)
-        if r.started() and not r.finished():
+        if not isnan(r.started_at) and not r.finished():  # started, not over
             queue.append(r)
     if not queue:
         return _NOTHING
@@ -123,23 +123,23 @@ def to_view(requests, available: Optional[View] = None) -> View:
         seen.add(r.request_id)
 
         parent = r.related_to
-        if r.started():
+        if not isnan(r.started_at):
             # Reality beats constraints: a started request occupies resources
             # from the moment it actually started.
             r.scheduled_at = r.started_at
         elif r.related_how is free or parent is None:
             # A non-started FREE request is not fixed; skip it.
             continue
-        elif r.related_how is RelatedHow.NEXT:
+        elif r.related_how is NEXT:
             r.scheduled_at = (
                 parent.end_time() if parent.finished() else parent.scheduled_at + parent.duration
             )
-        elif r.related_how is RelatedHow.COALLOC:
+        elif r.related_how is COALLOC:
             r.scheduled_at = parent.scheduled_at
         else:  # pragma: no cover - future constraint kinds
             continue
 
-        if math.isinf(r.scheduled_at) or math.isnan(r.scheduled_at):
+        if not isfinite(r.scheduled_at):
             # The parent itself never got a valid schedule; leave this
             # request unfixed so that fit() handles it.
             continue

@@ -210,7 +210,11 @@ class View:
             return NotImplemented
         mine, theirs = self._caps, other._caps
         if mine.keys() == theirs.keys():  # else a missing cluster is the zero profile
-            return all(cap is theirs[cid] or cap == theirs[cid] for cid, cap in mine.items())
+            for cid, cap in mine.items():
+                their = theirs[cid]
+                if cap is not their and not cap == their:
+                    return False
+            return True
         return all(self[cid] == other[cid] for cid in mine.keys() | theirs.keys())
 
     def __repr__(self) -> str:

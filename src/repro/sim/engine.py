@@ -3,9 +3,8 @@
 The paper's evaluation is driven by a discrete-event simulator ("we have
 replaced remote calls with direct function calls and calls to sleep() with
 simulator events", Section 5).  This module provides that substrate: a
-priority-queue of timestamped events, a simulation clock, callback scheduling
-and simpy-style generator processes (``yield <delay>`` suspends the process
-for that many simulated seconds).
+priority-queue of timestamped events, a simulation clock and callback
+scheduling.
 
 The engine is deterministic: events at equal times fire in scheduling order.
 
@@ -21,8 +20,6 @@ recovered by draining buckets in heap order.  Compared with a heap of
 comparisons each) into one heap operation per *distinct timestamp*;
 workloads with coalesced timestamps (scheduler passes, trace replays, batch
 completions) dispatch whole buckets with a plain loop.
-``EventHandle.__lt__`` still implements the ``(time, seq)`` order for code
-that compares handles directly.
 
 ``run()`` dispatches each bucket as a batch.  Any event scheduled *during*
 the batch carries a higher ``seq`` than every batch member -- if it lands on
@@ -37,13 +34,13 @@ import itertools
 import math
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core.errors import SimulationError
 from ..core.types import Time
 from ..obs import hooks as _obs
 
-__all__ = ["EventHandle", "Simulator", "Process", "callback_label"]
+__all__ = ["EventHandle", "Simulator", "callback_label"]
 
 #: Label cache keyed on the callback's code object.  Labels are derived from
 #: qualified names, which are a property of the function (and therefore of
@@ -58,16 +55,10 @@ def callback_label(callback: Callable) -> str:
     Used by the tracer's engine instrumentation: the label must be a pure
     function of the *code*, never of object identity (no ``repr`` with
     memory addresses), so traces stay byte-identical across processes.
-    Bound methods of a :class:`Process` report the process name, which is
-    itself derived from the generator's qualified name.
 
-    Results are memoized (per :class:`Process` for process steps, per code
-    object otherwise) so observed-mode tracing stops re-deriving labels on
-    every dispatched event.
+    Results are memoized per code object so observed-mode tracing stops
+    re-deriving labels on every dispatched event.
     """
-    owner = getattr(callback, "__self__", None)
-    if isinstance(owner, Process):
-        return owner._label
     func = getattr(callback, "__func__", callback)
     code = getattr(func, "__code__", None)
     if code is None:  # pragma: no cover - exotic callables (partial, C funcs)
@@ -117,58 +108,9 @@ class EventHandle:
     def pending(self) -> bool:
         return not self.cancelled and not self.fired
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return f"EventHandle(t={self.time:g}, {state}, {self.callback!r})"
-
-
-class Process:
-    """A generator-based simulated process.
-
-    The generator may ``yield`` a non-negative number (sleep that many
-    simulated seconds) or ``None`` (yield control, resume immediately).  The
-    process ends when the generator returns.
-    """
-
-    __slots__ = ("simulator", "generator", "name", "finished", "_resume_handle", "_label")
-
-    def __init__(self, simulator: "Simulator", generator: Generator, name: str = ""):
-        self.simulator = simulator
-        self.generator = generator
-        # The default name is the generator's *qualified name*, not its repr:
-        # a repr embeds the object address, which would make any trace or log
-        # carrying process names non-deterministic across processes.
-        self.name = name or getattr(generator, "__qualname__", type(generator).__qualname__)
-        self.finished = False
-        self._resume_handle: Optional[EventHandle] = None
-        self._label = f"process:{self.name}"
-
-    def _step(self) -> None:
-        if self.finished:
-            return
-        try:
-            delay = next(self.generator)
-        except StopIteration:
-            self.finished = True
-            return
-        if delay is None:
-            delay = 0.0
-        if delay < 0:
-            raise SimulationError(f"process {self.name!r} yielded a negative delay")
-        self._resume_handle = self.simulator.schedule(delay, self._step)
-
-    def interrupt(self) -> None:
-        """Stop the process; its pending resume event is cancelled."""
-        self.finished = True
-        if self._resume_handle is not None:
-            self._resume_handle.cancel()
-
-    def __repr__(self) -> str:
-        state = "finished" if self.finished else "running"
-        return f"Process({self.name!r}, {state})"
 
 
 class Simulator:
@@ -204,23 +146,29 @@ class Simulator:
         """True when no pending event remains (O(1))."""
         return self._pending == 0
 
-    def peek(self) -> Time:
-        """Time of the next pending event, or ``inf`` if there is none."""
-        head = self._next_bucket()
-        return head[0] if head is not None else math.inf
-
     # ------------------------------------------------------------------ #
     def schedule(self, delay: Time, callback: Callable, *args: Any, **kwargs: Any) -> EventHandle:
         """Schedule *callback* to run after *delay* simulated seconds."""
-        if delay < 0:
-            raise SimulationError("cannot schedule an event in the past")
-        return self.schedule_at(self._now + delay, callback, *args, **kwargs)
+        if not delay >= 0:  # a NaN delay fails this too
+            reason = "in the past" if delay < 0 else "after a NaN delay"
+            raise SimulationError(f"cannot schedule an event {reason}")
+        at = self._now + delay
+        handle = EventHandle(at, next(self._seq), callback, args, kwargs, self)
+        bucket = self._buckets.get(at)
+        if bucket is None:
+            self._buckets[at] = deque((handle,))
+            heapq.heappush(self._times, at)
+        else:
+            bucket.append(handle)
+        self._pending += 1
+        return handle
 
     def schedule_at(self, time: Time, callback: Callable, *args: Any, **kwargs: Any) -> EventHandle:
         """Schedule *callback* to run at absolute simulated time *time*."""
-        if time < self._now - 1e-12:
+        if not time >= self._now - 1e-12:  # a NaN time fails this too
             raise SimulationError(
                 f"cannot schedule at t={time:g}, the clock is already at {self._now:g}"
+                if time < self._now else "cannot schedule at a NaN time"
             )
         at = time if time > self._now else self._now
         handle = EventHandle(at, next(self._seq), callback, args, kwargs, self)
@@ -232,12 +180,6 @@ class Simulator:
             bucket.append(handle)
         self._pending += 1
         return handle
-
-    def process(self, generator: Generator, name: str = "") -> Process:
-        """Start a generator-based :class:`Process` immediately."""
-        proc = Process(self, generator, name)
-        self.schedule(0.0, proc._step)
-        return proc
 
     # ------------------------------------------------------------------ #
     def _next_bucket(self) -> Optional[Tuple[Time, Deque[EventHandle]]]:

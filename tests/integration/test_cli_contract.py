@@ -100,6 +100,7 @@ HOSTILE_FRAGMENTS = {
     "rigid_interarrival_zero.json": "scenarios[0].workload: rigid_mean_interarrival",
     "retired_trace_path.json": "scenarios[0].workload.trace_path:",
     "strict_with_filling_policy.json": "scenarios[0]: strict_equipartition=True conflicts",
+    "psa_duration_nan.json": "scenarios[0].workload.psa_task_durations: must be positive",
 }
 
 

@@ -2,7 +2,8 @@
 
 ``ParameterSweepApplication`` gives back idle nodes first, then the tasks
 with the least elapsed work.  It finds those by walking back from its latest
-start batch instead of ranking every running task; the pick must still be
+start batch instead of ranking every running task (batches of one start time
+run together, the earliest first); the pick must still be
 exactly ``heapq.nsmallest(k, running.items(), key=now - start)``, element
 for element -- ties in start order, and starts that round to one elapsed
 time tied as well -- because the victims' order feeds the float sum behind
@@ -40,23 +41,25 @@ def _psa(now=0.0):
     return psa
 
 
-def _start(psa, nid):
-    psa._idle_nodes.add(nid)
-    psa._start_task(nid)
+def _start(psa, nids):
+    psa._idle_nodes.update(nids)
+    psa._start_tasks(nids)
 
 
 def _reference(psa, k):
     now = psa.rms.now
     running = psa._running_tasks.items()
-    return [nid for nid, _ in heapq.nsmallest(k, running, key=lambda item: now - item[1])]
+    return [nid for nid, _ in heapq.nsmallest(k, running, key=lambda item: now - item[1].start)]
 
 
 _EVENT = st.one_of(
-    # A task starts on a fresh node, after a delay (0: same batch).
+    # A task starts on a fresh node, after a delay (0: the same instant, but
+    # a batch of its own), or 1-3 tasks start now as one batch.
     st.tuples(st.just("start"), st.sampled_from([0.0, 0.0, 0.0, 1e-9, 0.1, 1.0, 2.5])),
+    st.tuples(st.just("start"), st.integers(1, 3)),
     # A node whose task ended earlier starts a new one (re-inserted at the end).
     st.tuples(st.just("restart"), st.integers(0, 1000)),
-    # A running task completes or is aborted.
+    # A running task's batch completes, or the task is aborted.
     st.tuples(st.sampled_from(["finish", "abort"]), st.integers(0, 1000)),
 )
 
@@ -73,19 +76,23 @@ def test_victims_are_what_nsmallest_picks(origin, events, age):
     for kind, value in events:
         running = list(psa._running_tasks)
         if kind == "start":
-            psa.rms.now += value
-            _start(psa, fresh)
-            fresh += 1
+            if isinstance(value, float):
+                psa.rms.now += value
+                value = 1
+            _start(psa, list(range(fresh, fresh + value)))
+            fresh += value
         elif kind == "restart" and ended:
-            _start(psa, ended.pop(value % len(ended)))
+            _start(psa, [ended.pop(value % len(ended))])
         elif kind in ("finish", "abort") and running:
             nid = running[value % len(running)]
             if kind == "finish":
-                psa._task_finished(nid)
-                psa._idle_nodes.discard(nid)
+                nids = list(psa._running_tasks[nid].nodes)
+                psa._tasks_finished(psa._running_tasks[nid])
+                psa._idle_nodes.difference_update(nids)
             else:
+                nids = [nid]
                 psa._abort_task(nid, count_waste=False)
-            ended.append(nid)
+            ended.extend(nids)
     psa.rms.now += age
     assert not psa._idle_nodes
     for k in range(len(psa._running_tasks) + 1):
@@ -115,14 +122,17 @@ class _Tally(dict):
 def _visits(running, k, one_batch):
     """Start batches and tasks a shrink by *k* visits among *running* tasks."""
     psa = _psa()
-    for nid in range(running):
-        if not one_batch:
-            psa.rms.now += 1.0
-        _start(psa, nid)
+    if one_batch:
+        _start(psa, list(range(running)))
+    for nid in range(0 if one_batch else running):
+        psa.rms.now += 1.0
+        _start(psa, [nid])
     psa.rms.now += 10.0
     expected = _reference(psa, k)
     psa._running_tasks = _Tally(psa._running_tasks)
-    psa._started_at = _Tally({t: _Tally(b) for t, b in psa._started_at.items()})
+    for batch in psa._batches:
+        batch.nodes = _Tally(batch.nodes)
+    psa._batches = _Tally(psa._batches)
     _Tally.handed[0] = 0
     assert psa._pick_release_victims(k) == expected
     return _Tally.handed[0]

@@ -5,10 +5,12 @@ campaign seed:
 
 * ``fig9_trace.json`` -- the **byte-exact** JSONL trace export: event
   count, per-(category, name) counts, the first few JSONL lines verbatim,
-  and the SHA-256 of the full export.
+  the SHA-256 of the full export, and one SHA-256 per ``category/name``
+  kind over its events with ``seq`` removed (so a drift names its kinds).
 * ``fig9_analytics.json`` -- the **byte-exact** analytics derived from that
-  trace: SHA-256 of the canonical timeline JSON and of the canonical audit
-  list JSON, plus a few headline values for human-readable drift reports.
+  trace: SHA-256 of the canonical timeline JSON (and of each series) and of
+  the canonical audit list JSON, plus a few headline values for
+  human-readable drift reports.
 
 ``tests/regression/test_obs_golden.py`` re-runs the scenario under the
 tracer and compares -- the trace stream and everything derived from it are
@@ -51,6 +53,21 @@ def _traced_scenario(name: str) -> tuple:
     return tracer, seed
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _kind_digests(tracer: EventTracer) -> dict:
+    """``cat/name`` -> SHA-256 of that kind's events, in order, ``seq`` removed."""
+    lines: dict = {}
+    for event in tracer.events:
+        record = event.to_dict()
+        del record["seq"]
+        line = json.dumps(record, sort_keys=True, allow_nan=False)
+        lines.setdefault(f"{event.cat}/{event.name}", []).append(line)
+    return {kind: _sha256("\n".join(kind_lines)) for kind, kind_lines in sorted(lines.items())}
+
+
 def _trace_digest(tracer: EventTracer, name: str, seed: int) -> dict:
     text = tracer.to_jsonl()
     return {
@@ -62,7 +79,8 @@ def _trace_digest(tracer: EventTracer, name: str, seed: int) -> dict:
             for (cat, event), count in sorted(tracer.count_by().items())
         },
         "head": text.splitlines()[:HEAD_LINES],
-        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "sha256": _sha256(text),
+        "kind_sha256": _kind_digests(tracer),
     }
 
 
@@ -77,15 +95,15 @@ def _analytics_digest(tracer: EventTracer, name: str, seed: int) -> dict:
         "scenario": name,
         "seed": seed,
         "timeline_series": sorted(timeline.series),
-        "timeline_sha256": hashlib.sha256(
-            timeline.to_json().encode("utf-8")
-        ).hexdigest(),
+        "timeline_sha256": _sha256(timeline.to_json()),
+        "timeline_series_sha256": {
+            series: _sha256(json.dumps(values, allow_nan=False))
+            for series, values in sorted(timeline.series.items())
+        },
         "jobs": int(summary["jobs"]),
         "wait_p95": summary["wait_p95"],
         "node_seconds": summary["node_seconds"],
-        "audits_sha256": hashlib.sha256(
-            audits_to_json(audits).encode("utf-8")
-        ).hexdigest(),
+        "audits_sha256": _sha256(audits_to_json(audits)),
     }
 
 

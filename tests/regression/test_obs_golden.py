@@ -54,10 +54,17 @@ def _dispatch_labels(head_lines) -> list:
     return labels
 
 
+def _drifted(fresh: dict, pinned: dict) -> list:
+    """The keys of two digest maps whose digests differ (or exist on one side only)."""
+    return sorted(key for key in fresh.keys() | pinned.keys() if fresh.get(key) != pinned.get(key))
+
+
 def test_trace_export_matches_golden_digest(fresh: dict) -> None:
     fixture = load_fixture()
 
     assert fresh["seed"] == fixture["seed"], "seed derivation changed"
+    drifted = _drifted(fresh["kind_sha256"], fixture["kind_sha256"])
+    assert not drifted, f"trace events of these kinds drifted: {drifted}"
     assert fresh["event_count"] == fixture["event_count"]
     assert fresh["count_by"] == fixture["count_by"], (
         "per-event-type counts drifted; the instrumentation or the "
@@ -97,6 +104,8 @@ def test_analytics_match_golden_digest(fresh_analytics: dict) -> None:
     assert fresh_analytics["timeline_series"] == fixture["timeline_series"], (
         "the set of timeline series changed"
     )
+    drifted = _drifted(fresh_analytics["timeline_series_sha256"], fixture["timeline_series_sha256"])
+    assert not drifted, f"these timeline series drifted: {drifted}"
     assert fresh_analytics["jobs"] == fixture["jobs"]
     assert fresh_analytics["wait_p95"] == fixture["wait_p95"]
     assert fresh_analytics["node_seconds"] == fixture["node_seconds"]

@@ -11,6 +11,7 @@ from repro.campaign.spec import (
     WorkloadSpec,
     resolve_scale,
 )
+from repro.core.errors import SpecError
 
 
 def full_scenario() -> ScenarioSpec:
@@ -82,6 +83,12 @@ class TestScenarioSpecValidation:
     def test_negative_overcommit_rejected(self):
         with pytest.raises(ValueError):
             WorkloadSpec(overcommit=-1.0)
+
+    @pytest.mark.parametrize("field", ["overcommit", "announce_interval"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_workload_values_rejected_by_name(self, field, value):
+        with pytest.raises(SpecError, match=f"^{field}: must be"):
+            WorkloadSpec(**{field: value})
 
     def test_bad_headroom_rejected(self):
         with pytest.raises(ValueError):

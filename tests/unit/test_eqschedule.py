@@ -1,6 +1,8 @@
 """Unit tests of eqSchedule() and max-min fair sharing (paper Algorithm 3)."""
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.core import (
 )
 from repro.core.eqschedule import _partition_interval, partition_schedule
 from repro.core.profile import StepFunction
+from repro.core.types import RelatedHow
 from repro.testing import p_, p_set
 
 
@@ -243,3 +246,53 @@ def test_idle_closed_form_never_calls_the_partition_rule(monkeypatch):
         # Filling hands the availability's profile on; strict shows 4 // 2 = 2.
         assert (views["a"]["d"] is available["d"]) == (not strict)
         assert views["a"]["c"].values == ((4.0, 1.0) if strict else (8.0, 3.0))
+
+
+# --------------------------------------------------------------------- #
+# Strict sharing computes no demands: against the partition rows
+# --------------------------------------------------------------------- #
+#: One request: its state, nodes, duration, cluster and how it hangs on the one before.
+_REQUEST = st.tuples(
+    st.sampled_from(["started", "finished", "pending"]),
+    st.integers(1, 12),
+    st.sampled_from([math.inf, 5.0, 30.0]),
+    st.sampled_from(["a", "b"]),
+    st.sampled_from(list(RelatedHow)),
+)
+
+
+def _strict_sets(apps):
+    """Fresh request sets from drawn specs (each side of the comparison mutates its own)."""
+    sets = {}
+    for index, specs in enumerate(apps):
+        requests, before = [], None
+        for state, nodes, duration, cluster, how in specs:
+            r = p_(nodes, duration, cluster, how if before else RelatedHow.FREE, before)
+            if state != "pending":
+                r.mark_started(float(len(requests)))
+                if state == "finished":
+                    r.mark_finished(3.0)
+            requests.append(r)
+            before = r
+        sets[f"app{index}"] = p_set(*requests)
+    return sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(available=_AVAILABLE, apps=st.lists(st.lists(_REQUEST, max_size=3), max_size=4))
+def test_strict_sharing_equals_the_strict_partition_rows(available, apps):
+    new, ref = _strict_sets(apps), _strict_sets(apps)
+    views = eq_schedule(new, available, 4.0, strict=True)
+    rows = partition_schedule(
+        ref, available, 4.0, partition=lambda demands, cap: _partition_interval(demands, cap, True)
+    )
+    assert list(views) == list(rows)
+    for app_id in views:
+        assert views[app_id] == rows[app_id]
+        for r, expected in zip(new[app_id].scan(), ref[app_id].scan()):
+            assert (r.scheduled_at, r.fixed) == (expected.scheduled_at, expected.fixed)
+            # A request fit leaves unplaced keeps the n_alloc of whatever fit last
+            # visited it -- for the rows, the preliminary fit strict sharing skips.
+            # Only requests starting now have theirs read (by the RMS's node binding).
+            if r.scheduled_at < math.inf:
+                assert r.n_alloc == expected.n_alloc

@@ -415,6 +415,8 @@ def test_identity_laws_match_reference(rects, base, below):
     if fast.min_value() < fast.max_value():
         clipped = fast.clip_low(floor + below + 1)
         assert clipped is not fast
+        rebuilt = StepFunction(fast.times, [max(v, floor + below + 1) for v in fast.values])
+        assert (clipped._times, clipped._values) == (rebuilt._times, rebuilt._values)  # bit for bit
         _assert_profiles_match(
             clipped,
             ReferenceStepFunction(ref.times, [max(v, floor + below + 1) for v in ref.values]),

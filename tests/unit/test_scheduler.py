@@ -371,4 +371,5 @@ class TestSharingRefitsOnlyPendingRequests:
     def test_under_strict_sharing_it_is_rescheduled_against_its_half(self):
         counts, shown, own = self._lone_sweep(strict=True)
         assert (shown.times, shown.values) == ((0.0, 100.0), (3.0, 5.0))
-        assert counts["to_view"] == 2 and counts["fit"] == 2
+        # Strict views read no demand: only the reschedule against its half.
+        assert counts["to_view"] == 1 and counts["fit"] == 1

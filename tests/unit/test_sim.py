@@ -8,7 +8,7 @@ import pytest
 from repro.core import SimulationError
 from repro.obs import MetricsRegistry, observe
 from repro.sim import RandomSource, Simulator, derive_seed, spawn_streams
-from repro.sim.engine import EventHandle, callback_label
+from repro.sim.engine import callback_label
 from repro.sim.randomness import MAX_DERIVED_SEED
 
 
@@ -100,14 +100,19 @@ class TestScheduling:
         sim.run()
         assert seen == [1.0, 6.0]
 
-    def test_peek_and_empty(self):
+    def test_empty(self):
         sim = Simulator()
         assert sim.empty()
-        assert math.isinf(sim.peek())
         sim.schedule(3, lambda: None)
-        assert sim.peek() == 3.0
         assert not sim.empty()
         sim.run()
+        assert sim.empty()
+
+    def test_nan_times_are_rejected_not_fired_now(self):
+        sim = Simulator()
+        for schedule in (sim.schedule, sim.schedule_at):
+            with pytest.raises(SimulationError, match="NaN"):
+                schedule(math.nan, lambda: None)
         assert sim.empty()
 
     def test_infinite_loop_guard(self):
@@ -166,18 +171,6 @@ class TestPendingCounter:
         sim.run()
         assert sim.empty()
         assert keep.fired and not drop.fired
-
-    def test_interrupted_process_leaves_queue_empty(self):
-        sim = Simulator()
-
-        def worker():
-            while True:
-                yield 10
-
-        proc = sim.process(worker())
-        sim.schedule(25, proc.interrupt)
-        sim.run()
-        assert sim.empty()
 
 
 class TestBatchedDispatch:
@@ -275,18 +268,6 @@ class TestBatchedDispatch:
         # The observed run really went through the instrumented dispatch.
         assert (plain_count, observed_count) == (0, len(observed))
 
-    def test_event_handle_orders_by_time_then_seq(self):
-        sim = Simulator()
-        h1 = sim.schedule(5, lambda: None)
-        h2 = sim.schedule(5, lambda: None)
-        h3 = sim.schedule(4, lambda: None)
-        assert h3 < h1 < h2
-        assert sorted([h2, h3, h1]) == [h3, h1, h2]
-        # Direct construction keeps the same (time, seq) order.
-        a = EventHandle(1.0, 0, lambda: None, (), {})
-        b = EventHandle(1.0, 1, lambda: None, (), {})
-        assert a < b and not b < a
-
 
 class TestCallbackLabels:
     def test_plain_function_label(self):
@@ -308,70 +289,6 @@ class TestCallbackLabels:
         # every instance and every repeated call.
         assert label_a is label_b
         assert callback_label(a.cb) is label_a
-
-    def test_process_label_uses_process_name(self):
-        sim = Simulator()
-
-        def worker():
-            yield 1
-
-        proc = sim.process(worker(), name="pump")
-        assert callback_label(proc._step) == "process:pump"
-        assert callback_label(proc._step) is callback_label(proc._step)
-
-
-class TestProcesses:
-    def test_generator_process_sleeps(self):
-        sim = Simulator()
-        seen = []
-
-        def worker():
-            seen.append(sim.now)
-            yield 10
-            seen.append(sim.now)
-            yield 5
-            seen.append(sim.now)
-
-        proc = sim.process(worker(), name="worker")
-        sim.run()
-        assert seen == [0.0, 10.0, 15.0]
-        assert proc.finished
-
-    def test_yield_none_resumes_immediately(self):
-        sim = Simulator()
-        seen = []
-
-        def worker():
-            yield None
-            seen.append(sim.now)
-
-        sim.process(worker())
-        sim.run()
-        assert seen == [0.0]
-
-    def test_negative_yield_is_an_error(self):
-        sim = Simulator()
-
-        def worker():
-            yield -1
-
-        sim.process(worker())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_interrupt_stops_process(self):
-        sim = Simulator()
-        seen = []
-
-        def worker():
-            while True:
-                seen.append(sim.now)
-                yield 10
-
-        proc = sim.process(worker())
-        sim.schedule(25, proc.interrupt)
-        sim.run()
-        assert seen == [0.0, 10.0, 20.0]
 
 
 class TestRandomSource:
