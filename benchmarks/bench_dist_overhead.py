@@ -20,12 +20,14 @@ under the bare pytest of the CI benchmarks job (no pytest-benchmark
 plugin) and standalone via
 ``PYTHONPATH=src python benchmarks/bench_dist_overhead.py``.
 
-Floors are about a third of what a 2-core shared VM measured when grants
-became batches (issue 15: thread ~17k, ipc ~16k, tcp ~19k units/s; the
-per-unit protocol before it managed 1.5k-1.8k on the same machine), so
-they trip on genuine protocol regressions (per-unit round trips or sleeps,
-whole-queue scans, a scenario encoded per unit rather than once per variant
-or shipped per unit rather than once per grant), not on machine jitter.
+Floors are about a third of what a 2-core shared VM measured once results
+became outcomes and grants rows (thread ~25k, ipc ~28k, tcp ~30k units/s;
+full result records and per-unit task objects managed ~17k, ~19k and ~19k
+on the same machine, and the per-unit protocol before batched grants
+1.5k-1.8k), so they trip on genuine protocol regressions (per-unit round
+trips or sleeps, whole-queue scans, a scenario encoded per unit rather than
+once per variant or shipped per unit rather than once per grant, rows built
+on both sides of the wire), not on machine jitter.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from repro.dist.coordinator import Coordinator, DistConfig
 
 #: transport -> (workers, floor in no-op run units per second through the
 #: full coordinator loop).
-DISPATCH_FLOORS = {"thread": (4, 5000.0), "ipc": (2, 5000.0), "tcp": (2, 5000.0)}
+DISPATCH_FLOORS = {"thread": (4, 10000.0), "ipc": (2, 7000.0), "tcp": (2, 7000.0)}
 #: Units per measured run.
 UNITS = 2000
 

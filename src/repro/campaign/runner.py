@@ -34,7 +34,7 @@ from . import builtin  # noqa: F401  (registers the built-in runners)
 from .registry import consume_provenance, get_runner
 from .spec import CampaignSpec, ScenarioSpec
 from .store import ResultStore
-from .units import unit_key
+from .units import unit_key, unit_record
 
 __all__ = [
     "RunTask",
@@ -180,8 +180,9 @@ def _resolve_slo(name: str):
     return SLOSpec.load(name)
 
 
-def _execute_task(task: RunTask) -> Dict:
-    """Run one task in the current process (the serial loop and every worker)."""
+def _run_unit(task: RunTask) -> Dict:
+    """Run one task in the current process (the serial loop and every worker);
+    returns what the run computed, which ``unit_record`` makes a row."""
     runner = get_runner(task.scenario.runner)
     consume_provenance()  # drop leftovers from any previous run
     observing = task.collect_obs or bool(task.trace_dir) or bool(task.slo_spec)
@@ -190,40 +191,22 @@ def _execute_task(task: RunTask) -> Dict:
     profiler = PhaseProfiler() if task.collect_obs else None
     if observing:
         with observe(tracer=tracer, metrics=registry, profiler=profiler):
-            metrics = dict(runner(task.scenario, task.seed))
+            outcome = {"metrics": dict(runner(task.scenario, task.seed))}
     else:
-        metrics = dict(runner(task.scenario, task.seed))
-    record = {
-        "scenario": task.scenario.name,
-        "base_scenario": task.base_scenario or task.scenario.name,
-        "policy": task.scenario.policy_name,
-        # Federation columns: empty strings on the single-cluster path, so
-        # federated and classic records stay byte-stable side by side.
-        "routing": task.scenario.routing_name,
-        "topology": task.scenario.topology_label,
-        "replicate": task.replicate,
-        "seed": task.seed,
-        "runner": task.scenario.runner,
-        "scale": task.scenario.scale,
-        "metrics": metrics,
-        # The unit's idempotency key: what --resume and the coordinator
-        # deduplicate against.  A pure function of the task, so it never
-        # perturbs byte-identity across transports or worker counts.
-        "unit": unit_key(task),
-    }
+        outcome = {"metrics": dict(runner(task.scenario, task.seed))}
     # Workload provenance (trace fingerprint, model parameters, transform
     # chain) published by the runner rides along in the persisted record.
     provenance = consume_provenance()
     if provenance is not None:
-        record["provenance"] = provenance
+        outcome["provenance"] = provenance
     if registry is not None:
         # Deterministic: snapshots are pure functions of the simulation,
         # so they may live in the byte-stable run records.
-        record["obs"] = registry.snapshot()
+        outcome["obs"] = registry.snapshot()
     if profiler is not None and len(profiler):
         # Wall-clock: the parent pops this out and aggregates it into
         # meta.json; it must never be persisted in runs.jsonl.
-        record["_phase_seconds"] = profiler.snapshot()
+        outcome["_phase_seconds"] = profiler.snapshot()
     if tracer is not None and task.slo_spec:
         # Deterministic analytics over the in-memory trace: audits and a
         # timeline are pure functions of the event stream, so the flat SLO
@@ -234,7 +217,7 @@ def _execute_task(task: RunTask) -> Dict:
 
         audits = build_audits(tracer.events)
         timeline = TimelineBuilder().build(tracer.events)
-        record["slo"] = evaluate_slo(
+        outcome["slo"] = evaluate_slo(
             _resolve_slo(task.slo_spec), audits, timeline
         ).to_flat()
     if tracer is not None and task.trace_dir:
@@ -242,7 +225,7 @@ def _execute_task(task: RunTask) -> Dict:
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / trace_filename(task.scenario.name, task.replicate)
         path.write_text(tracer.to_jsonl(), encoding="utf-8")
-    return record
+    return outcome
 
 
 class CampaignRunner:
@@ -272,19 +255,20 @@ class CampaignRunner:
         Seeds derive from the *base* scenario name, so with a policy matrix
         every policy variant of a scenario replays the same workload.
         """
-        return [
-            RunTask(
-                scenario=variant,
-                replicate=replicate,
-                seed=derive_seed(self.spec.root_seed, base_name, replicate),
-                base_scenario=base_name,
-                collect_obs=self.collect_obs,
-                trace_dir=self.trace_dir,
-                slo_spec=self.slo_spec,
+        spec, obs, trace_dir, slo = self.spec, self.collect_obs, self.trace_dir, self.slo_spec
+        seeds: Dict[str, List[int]] = {}  # per base: its variants share them
+        tasks = []
+        for variant, base_name in spec.expanded_scenarios():
+            if base_name not in seeds:
+                seeds[base_name] = [
+                    derive_seed(spec.root_seed, base_name, replicate)
+                    for replicate in range(spec.seeds)
+                ]
+            tasks.extend(
+                RunTask(variant, replicate, seed, base_name, obs, trace_dir, slo)
+                for replicate, seed in enumerate(seeds[base_name])
             )
-            for variant, base_name in self.spec.expanded_scenarios()
-            for replicate in range(self.spec.seeds)
-        ]
+        return tasks
 
     def run(
         self,
@@ -392,12 +376,14 @@ class CampaignRunner:
         result = CampaignResult(self.spec, [], 0.0, workers=1)
         try:
             for task in tasks:
+                key = unit_key(task)
                 try:
-                    record = _execute_task(task)
+                    outcome = _run_unit(task)
                 except Exception as exc:  # noqa: BLE001 - reported once the rest ran
-                    _LOG.debug("unit %s failed", unit_key(task), exc_info=True)
-                    result.failed[unit_key(task)] = f"{type(exc).__name__}: {exc}"
+                    _LOG.debug("unit %s failed", key, exc_info=True)
+                    result.failed[key] = f"{type(exc).__name__}: {exc}"
                     continue
+                record = unit_record(task, key, outcome)
                 result.records.append(record)
                 if self.progress is not None:
                     self.progress(len(result.records), len(tasks), record)
@@ -409,7 +395,7 @@ class CampaignRunner:
         """Run the units on workers that lease them from a coordinator.
 
         Imported lazily: :mod:`repro.dist` imports this module for
-        ``_execute_task``.
+        ``_run_unit``.
         """
         from ..dist.coordinator import Coordinator
 

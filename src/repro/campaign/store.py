@@ -39,6 +39,11 @@ _RUNS_FILE = "runs.jsonl"
 _SPEC_FILE = "campaign.json"
 _META_FILE = "meta.json"
 
+#: The encoder of every run row (one object: a ``json.dumps`` with options
+#: builds a new one per call), and the decoder that reads them back.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_ROW_DECODER = json.JSONDecoder()
+
 
 @dataclass(frozen=True)
 class CampaignInfo:
@@ -103,8 +108,9 @@ class ResultStore:
             variant.name: i for i, (variant, _base) in enumerate(spec.expanded_scenarios())
         }
         ordered = sorted(records, key=_record_sort_key(order))
+        encode = _ROW_ENCODER.encode
         lines = "".join(
-            json.dumps(dict(r), sort_keys=True, allow_nan=False) + "\n" for r in ordered
+            [encode(r if type(r) is dict else dict(r)) + "\n" for r in ordered]
         )
         mode = "a" if append else "w"
         with open(directory / _RUNS_FILE, mode, encoding="utf-8") as fh:
@@ -122,26 +128,19 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #
-    def list_campaigns(self) -> List[CampaignInfo]:
-        """Summaries of every campaign stored under the root, sorted by name."""
+    def _campaign_names(self) -> List[str]:
+        """The directories under the root that hold a run file, sorted."""
         if not self.root.is_dir():
             return []
+        return [d.name for d in sorted(self.root.iterdir()) if (d / _RUNS_FILE).is_file()]
+
+    def list_campaigns(self) -> List[CampaignInfo]:
+        """Summaries of every campaign stored under the root, sorted by name."""
         infos: List[CampaignInfo] = []
-        for directory in sorted(self.root.iterdir()):
-            if not (directory / _RUNS_FILE).is_file():
-                continue
-            records = self.load_records(directory.name)
-            scenarios = tuple(
-                dict.fromkeys(str(r.get("scenario", "")) for r in records)
-            )
-            infos.append(
-                CampaignInfo(
-                    name=directory.name,
-                    run_count=len(records),
-                    scenarios=scenarios,
-                    path=str(directory),
-                )
-            )
+        for name in self._campaign_names():
+            records = self.load_records(name)
+            scenarios = tuple(dict.fromkeys(str(r.get("scenario", "")) for r in records))
+            infos.append(CampaignInfo(name, len(records), scenarios, str(self.root / name)))
         return infos
 
     def load_records(self, name: str) -> List[Dict]:
@@ -150,24 +149,30 @@ class ResultStore:
         if not path.is_file():
             raise FileNotFoundError(
                 f"campaign {name!r} has no runs at {path}; "
-                f"known campaigns: {[i.name for i in self.list_campaigns()]}"
+                f"known campaigns: {self._campaign_names()}"
             )
         records: List[Dict] = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    # An interrupted append leaves a truncated trailing line;
-                    # one lost record must not make the whole store unreadable.
-                    get_logger("campaign").warning(
-                        "%s:%d: skipping unparseable record (truncated write?)",
-                        path,
-                        lineno,
-                    )
+        # One read, split on "\n" only: universal newlines already folded
+        # "\r\n" and "\r", and splitlines() would also break on \x85 etc.
+        decode = _ROW_DECODER.raw_decode  # a stripped line: json.loads minus its checks
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record, end = decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end == len(line):
+                records.append(record)
+            else:
+                # An interrupted append leaves a truncated trailing line;
+                # one lost record must not make the whole store unreadable.
+                get_logger("campaign").warning(
+                    "%s:%d: skipping unparseable record (truncated write?)",
+                    path,
+                    lineno,
+                )
         return records
 
     def load_spec(self, name: str) -> Optional[CampaignSpec]:
@@ -194,12 +199,7 @@ class ResultStore:
         """
         if not self.runs_path(name).is_file():
             return set()
-        keys: Set[str] = set()
-        for record in self.load_records(name):
-            unit = record.get("unit")
-            if unit:
-                keys.add(str(unit))
-        return keys
+        return {str(record["unit"]) for record in self.load_records(name) if record.get("unit")}
 
     # ------------------------------------------------------------------ #
     # Analysis
@@ -231,16 +231,7 @@ class ResultStore:
         snapshots are flat metric dicts, so the same median machinery that
         summarises simulation metrics applies unchanged.
         """
-        by_scenario: Dict[str, List[Mapping]] = {}
-        for record in records if records is not None else self.load_records(name):
-            obs = record.get("obs")
-            if isinstance(obs, Mapping):
-                scenario = str(record.get("scenario", ""))
-                by_scenario.setdefault(scenario, []).append(obs)
-        return {
-            scenario: median_summary(snapshots)
-            for scenario, snapshots in by_scenario.items()
-        }
+        return self._field_medians(name, records, "obs")
 
     def slo_summary(
         self, name: str, records: Optional[Sequence[Mapping]] = None
@@ -253,15 +244,22 @@ class ResultStore:
         median reads as "the majority of replicates passed"), summarised by
         the same median machinery as everything else.
         """
+        return self._field_medians(name, records, "slo")
+
+    def _field_medians(
+        self, name: str, records: Optional[Sequence[Mapping]], field: str
+    ) -> Dict[str, Dict[str, float]]:
+        """Per-scenario medians of the flat dicts in the records' *field*."""
         by_scenario: Dict[str, List[Mapping]] = {}
         for record in records if records is not None else self.load_records(name):
-            slo = record.get("slo")
-            if isinstance(slo, Mapping):
+            values = record.get(field)
+            # Most records lack the field: skip them before the ABC check.
+            if values is not None and isinstance(values, Mapping):
                 scenario = str(record.get("scenario", ""))
-                by_scenario.setdefault(scenario, []).append(slo)
+                by_scenario.setdefault(scenario, []).append(values)
         return {
-            scenario: median_summary(verdicts)
-            for scenario, verdicts in by_scenario.items()
+            scenario: median_summary(samples)
+            for scenario, samples in by_scenario.items()
         }
 
     def provenance_of(
@@ -279,8 +277,9 @@ class ResultStore:
             scenario = str(record.get("scenario", ""))
             if scenario in provenance:
                 continue
-            if isinstance(record.get("provenance"), Mapping):
-                provenance[scenario] = dict(record["provenance"])
+            found = record.get("provenance")
+            if found is not None and isinstance(found, Mapping):
+                provenance[scenario] = dict(found)
         return provenance
 
     def _matrix(

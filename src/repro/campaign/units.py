@@ -27,8 +27,9 @@ All replicates of a variant share one frozen scenario object and differ
 only in replicate and seed, so the key splices those two integers into a
 text built once per variant, and the wire form -- a ``grant`` message (see
 :mod:`repro.dist.worker`), encoded by :func:`grant_message` and read by
-:func:`grant_tasks` -- carries each distinct scenario text
-(:attr:`ScenarioSpec.canonical_json`) once; its units name theirs by index.
+:func:`grant_tasks` -- carries each distinct variant (scenario text, base
+scenario, obs flag, trace directory, SLO spec) once, then one row per unit.
+What comes back is a run's outcome, which :func:`unit_record` makes a row.
 """
 from __future__ import annotations
 
@@ -38,7 +39,10 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 from ..sim.randomness import stable_fingerprint
 
-__all__ = ["unit_key", "grant_message", "grant_tasks"]
+__all__ = ["OUTCOME_KEYS", "unit_key", "unit_record", "grant_message", "grant_tasks"]
+
+#: What a run's outcome may carry: all it adds to the task's columns.
+OUTCOME_KEYS = ("metrics", "provenance", "obs", "_phase_seconds", "slo")
 
 
 @lru_cache(maxsize=256)
@@ -69,22 +73,40 @@ def unit_key(task) -> str:
     return f"{scenario.name}:r{task.replicate}:{stable_fingerprint(payload)}"
 
 
+def unit_record(task, key: str, outcome: Mapping) -> Dict:
+    """The store row of *task*: its columns, its *key* and the
+    :data:`OUTCOME_KEYS` of what its run computed -- built here for the
+    serial loop and the coordinator alike, never by a worker."""
+    scenario = task.scenario
+    record = {
+        "scenario": scenario.name,
+        "base_scenario": task.base_scenario or scenario.name,
+        "policy": scenario.policy_name,
+        # Federation columns: empty strings on the single-cluster path, so
+        # federated and classic records stay byte-stable side by side.
+        "routing": scenario.routing_name,
+        "topology": scenario.topology_label,
+        "replicate": task.replicate,
+        "seed": task.seed,
+        "runner": scenario.runner,
+        "scale": scenario.scale,
+        # What --resume and the coordinator deduplicate against.
+        "unit": key,
+    }
+    record.update((name, outcome[name]) for name in OUTCOME_KEYS if name in outcome)
+    return record
+
+
 def grant_message(units: Iterable[Tuple[str, object]]) -> Dict:
     """The JSON-safe ``grant`` of *units*, ``(key, RunTask)`` pairs."""
-    scenarios: Dict[str, int] = {}
-    wire = []
+    variants: Dict[tuple, int] = {}
+    rows = []
     for key, task in units:
-        text = task.scenario.canonical_json
-        wire.append({"key": key, "task": {
-            "scenario": scenarios.setdefault(text, len(scenarios)),
-            "replicate": task.replicate,
-            "seed": task.seed,
-            "base_scenario": task.base_scenario,
-            "collect_obs": bool(task.collect_obs),
-            "trace_dir": task.trace_dir,
-            "slo_spec": task.slo_spec,
-        }})
-    return {"op": "grant", "scenarios": list(scenarios), "units": wire}
+        variant = (task.scenario.canonical_json, task.base_scenario,
+                   bool(task.collect_obs), task.trace_dir, task.slo_spec)
+        rows.append([key, variants.setdefault(variant, len(variants)),
+                     task.replicate, task.seed])
+    return {"op": "grant", "variants": list(variants), "units": rows}
 
 
 @lru_cache(maxsize=64)
@@ -105,21 +127,14 @@ def grant_tasks(message: Mapping) -> List[Tuple[str, object]]:
     """
     from .runner import RunTask
 
-    scenarios = message["scenarios"]
+    variants = message["variants"]
     tasks = []
-    for unit in message["units"]:
+    for key, index, replicate, seed in message["units"]:
         try:
-            data = unit["task"]
-            task = RunTask(
-                scenario=_scenario_from_json(scenarios[data["scenario"]]),
-                replicate=int(data["replicate"]),
-                seed=int(data["seed"]),
-                base_scenario=str(data.get("base_scenario", "")),
-                collect_obs=bool(data.get("collect_obs", False)),
-                trace_dir=str(data.get("trace_dir", "")),
-                slo_spec=str(data.get("slo_spec", "")),
-            )
+            # The scenario text, then the other RunTask fields after the seed.
+            text, *columns = variants[index]
+            task = RunTask(_scenario_from_json(text), int(replicate), int(seed), *columns)
         except Exception as exc:  # noqa: BLE001 - the unit's own failure
             task = exc
-        tasks.append((str(unit["key"]), task))
+        tasks.append((str(key), task))
     return tasks

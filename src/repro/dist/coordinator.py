@@ -9,13 +9,14 @@ retried with backoff and deduplicated by idempotency key.
 
 The protocol (spelled out in :mod:`repro.dist.worker`) costs one request
 and one reply per *batch*: a ``lease`` request reports what the worker
-finished and asks for more, and the reply grants a batch of units, each
-distinct scenario text once (:func:`repro.campaign.units.grant_message`).
+finished and asks for more, and the reply grants a batch of units as rows,
+each distinct variant once (:func:`repro.campaign.units.grant_message`).
 A request that finds nothing leasable is *parked* -- answered once a unit
 is (a reclaim, a backoff run out) or the campaign stops -- so an idle worker
 sends only heartbeats.  Nothing a peer sends is trusted: a malformed message
 costs that peer its connection (and its leases, which are re-granted),
-never the campaign.
+never the campaign.  A worker reports a run's outcome only (its row is built
+here from the granted task), so no peer writes a row's task columns.
 
 Grants are sized by guided self-scheduling (:meth:`Coordinator._grant_limit`)
 to about one ``poll_interval`` of work, shared over the launched workers even
@@ -38,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..campaign.units import grant_message, unit_key
+from ..campaign.units import OUTCOME_KEYS, grant_message, unit_key, unit_record
 from ..core.errors import SpecError
 from ..obs.logsetup import get_logger
 from ..obs.metrics import MetricsRegistry
@@ -177,24 +178,26 @@ class Coordinator:
             raise _ProtocolError(f"'busy_s' must be a finite number >= 0, got {seconds!r}")
         reports = []
         for entry in results:
-            if not isinstance(entry, dict) or ("record" in entry) == ("error" in entry):
-                raise _ProtocolError("a result needs a 'key' and one of 'record' / 'error'")
-            key, record, error = entry.get("key"), entry.get("record"), entry.get("error")
+            if not isinstance(entry, dict) or ("outcome" in entry) == ("error" in entry):
+                raise _ProtocolError("a result needs a 'key' and one of 'outcome' / 'error'")
+            key, outcome, error = entry.get("key"), entry.get("outcome"), entry.get("error")
             if not isinstance(key, str) or key not in self.queue:
                 raise _ProtocolError(f"unknown unit key {key!r}")
-            if "record" in entry:
-                if not isinstance(record, dict) or record.get("unit") != key:
-                    raise _ProtocolError(f"'record' of {key} is not that unit's record")
+            if "outcome" in entry:
+                if (not isinstance(outcome, dict) or "metrics" not in outcome
+                        or outcome.keys() - OUTCOME_KEYS  # a task column, or worse
+                        or not all(isinstance(value, dict) for value in outcome.values())):
+                    raise _ProtocolError(f"'outcome' of {key} is not a run's outcome")
             elif not isinstance(error, str):
                 raise _ProtocolError(f"'error' of {key} must be a string")
-            reports.append((key, record, error))
+            reports.append((key, outcome, error))
         return reports, float(seconds)
 
     def _handle_lease(self, worker: str, reports, seconds: float, now: float) -> bool:
         progressed = False
-        for key, record, error in reports:
-            if record is not None:
-                progressed = self._complete(key, worker, record, now) or progressed
+        for key, outcome, error in reports:
+            if outcome is not None:
+                progressed = self._complete(key, worker, outcome, now) or progressed
             else:
                 state = self.queue.fail(key, worker, now, error=error)
                 self.metrics.inc("dist_errors")
@@ -239,10 +242,11 @@ class Coordinator:
         share = -(-self.queue.unleased() // (2 * workers))
         return max(1, min(share, int(self.config.poll_interval / self._unit_seconds)))
 
-    def _complete(self, key: str, worker: str, record: Dict, now: float) -> bool:
+    def _complete(self, key: str, worker: str, outcome: Dict, now: float) -> bool:
         accepted = self.queue.complete(key, worker, now)
         if accepted:
-            self._records[self.queue.unit(key).index] = record
+            unit = self.queue.unit(key)
+            record = self._records[unit.index] = unit_record(unit.task, key, outcome)
             self.metrics.inc("dist_acks")
             if self.progress is not None:
                 # Same signature as the serial loop's progress callback.
@@ -299,9 +303,10 @@ class Coordinator:
                 self._drain(transport)
         finally:
             transport.close()
-            for handle in handles:
+            for handle in handles:  # terminate all, then join: they exit side by side
                 if handle.process is not None and handle.alive():
                     handle.process.terminate()
+            for handle in handles:
                 handle.join(timeout=2.0)
         stats = self.queue.snapshot()
         self.metrics.gauge("dist_workers", float(launched))

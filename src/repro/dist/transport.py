@@ -64,7 +64,7 @@ TRANSPORT_NAMES: Tuple[str, ...] = ("thread", "ipc", "tcp")
 #: Frame header: payload length as a 4-byte big-endian unsigned integer.
 _LENGTH = struct.Struct(">I")
 
-#: Upper bound on one frame; a result record with obs snapshots is a few
+#: Upper bound on one frame; a run's outcome with obs snapshots is a few
 #: kilobytes, so anything near this size indicates a protocol error.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
@@ -73,10 +73,12 @@ class ChannelClosed(Exception):
     """The peer went away: the channel cannot carry further messages."""
 
 
+#: One encoder, not one per dumps call; allow_nan=False keeps every wire strict JSON.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def _encode(message: Dict) -> bytes:
-    # allow_nan=False keeps the wire format strict JSON on every backend;
-    # result metrics are NaN-free by construction (PR 6 invariant).
-    return json.dumps(message, sort_keys=True, allow_nan=False).encode("utf-8")
+    return _ENCODER.encode(message).encode("utf-8")
 
 
 def _decode(payload: bytes) -> object:
@@ -418,28 +420,29 @@ class IpcTransport:
 
 
 class _TcpServerEnd:
-    """Coordinator end of one accepted TCP connection, with a frame buffer."""
+    """Coordinator end of one accepted TCP connection, with an in-place frame buffer."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.buffer = b""
+        self.buffer = bytearray()
 
     def send(self, message: Dict) -> None:
         send_frame(self.sock, message)
 
-    def extract_frames(self) -> List[object]:
-        """Complete frames currently sitting in the receive buffer."""
+    def feed(self, data: bytes) -> List[object]:
+        """Append one read; returns the frames it completed."""
+        buffer = self.buffer
+        buffer += data
         frames: List[object] = []
-        while len(self.buffer) >= _LENGTH.size:
-            (length,) = _LENGTH.unpack(self.buffer[: _LENGTH.size])
+        while len(buffer) >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(buffer)
             if length > MAX_FRAME_BYTES:
                 raise ChannelClosed(f"oversized frame announced ({length} bytes)")
             end = _LENGTH.size + length
-            if len(self.buffer) < end:
+            if len(buffer) < end:
                 break
-            payload = self.buffer[_LENGTH.size:end]
-            self.buffer = self.buffer[end:]
-            frames.append(_decode(payload))
+            frames.append(_decode(buffer[_LENGTH.size:end]))
+            del buffer[:end]
         return frames
 
     def close(self) -> None:
@@ -468,6 +471,10 @@ class TcpTransport:
         return f"{host}:{port}"
 
     def launch_worker(self, worker_id: str, options: Dict) -> WorkerHandle:
+        # getaddrinfo encodes its host with the idna codec; imported here,
+        # before the fork, a worker's first connect skips that ~5 ms import.
+        import encodings.idna  # noqa: F401
+
         from .worker import tcp_worker_entry
 
         host, port = self._listener.getsockname()[:2]
@@ -507,9 +514,8 @@ class TcpTransport:
                 self.drop(end)
                 messages.append((end, None))
                 continue
-            end.buffer += data
             try:
-                for frame in end.extract_frames():
+                for frame in end.feed(data):
                     messages.append((end, frame))
             except ChannelClosed:
                 self.drop(end)

@@ -2,31 +2,35 @@
 
 A worker is a pull-based client of the coordinator: it leases a batch of
 run units, executes each through the exact same
-:func:`repro.campaign.runner._execute_task` path the serial loop uses (so
-records are byte-identical by construction), and hands the result records
--- simulation metrics, obs/metrics snapshots, SLO verdicts, phase timings
--- back with its request for the next batch.
+:func:`repro.campaign.runner._run_unit` path the serial loop uses, and
+hands each run's *outcome* back with its request for the next batch.  It
+builds no row: the coordinator does, from the task it granted, with the
+serial loop's :func:`~repro.campaign.units.unit_record`.
 
 Worker-side protocol (all messages are JSON objects; four kinds)::
 
     -> {"op": "lease", "worker": id, "busy_s": t,
-        "results": [{"key": k, "record": {...}} | {"key": k, "error": "..."}, ...]}
-    <- {"op": "grant", "scenarios": [text, ...],
-        "units": [{"key": k, "task": {..., "scenario": index}}, ...]}
+        "results": [{"key": k, "outcome": {"metrics": {...}, ...}}
+                    | {"key": k, "error": "..."}, ...]}
+    <- {"op": "grant",
+        "variants": [[scenario_text, base_scenario, collect_obs, trace_dir, slo_spec], ...],
+        "units": [[key, variant, replicate, seed], ...]}
      | {"op": "stop"}
     -> {"op": "heartbeat", "worker": id}          # one-way, never replied
 
 ``lease`` is the only request: it reports every unit of the previous grant
 (``results`` is empty on the first request) with the seconds they took
 (``busy_s``, from which the coordinator sizes the next grant), and asks
-for more.  A grant carries each distinct scenario text once, and its units
-name theirs by index (:mod:`repro.campaign.units` encodes and reads that
-form; a unit whose task does not rebuild fails on its own).  Any reply
-acknowledges those results, and comes when there is something to say: with
-nothing leasable the worker just stays blocked in ``recv``.  A request
-unanswered after ``reply_timeout`` is re-sent as it is (which is what
-notices a coordinator host that vanished); the coordinator may then see the
-results twice, and drops the second copy of each.
+for more.  An outcome is ``metrics`` plus whichever of ``provenance``,
+``obs``, ``_phase_seconds`` and ``slo`` the run produced.  A grant carries
+each distinct variant once, and its units name theirs by index
+(:mod:`repro.campaign.units` encodes and reads that form; a unit whose task
+does not rebuild fails on its own).  Any reply acknowledges those results,
+and comes when there is something to say: with nothing leasable the worker
+just stays blocked in ``recv``.  A request unanswered after
+``reply_timeout`` is re-sent as it is (which is what notices a coordinator
+host that vanished); the coordinator may then see the results twice, and
+drops the second copy of each.
 
 Heartbeats come from a daemon thread so a long-running simulation cannot
 lose its lease; a dead worker stops heartbeating (and its connection
@@ -46,9 +50,10 @@ import signal
 import socket
 import threading
 import time
+from contextlib import nullcontext
 from typing import Dict, List, Mapping, Optional
 
-from ..campaign.runner import _execute_task
+from ..campaign.runner import _run_unit
 from ..campaign.units import grant_tasks
 from ..obs.logsetup import get_logger
 from .transport import Channel, ChannelClosed, connect_tcp, parse_endpoint
@@ -87,8 +92,8 @@ class _Heartbeat:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
-    def start(self) -> None:
-        if self._interval <= 0:
+    def start(self) -> None:  # a second call does nothing
+        if self._interval <= 0 or self._thread is not None:
             return
         self._thread = threading.Thread(
             target=self._run, name="dist-heartbeat", daemon=True
@@ -125,7 +130,6 @@ def worker_loop(channel: Channel, worker_id: str, options: Mapping) -> int:
             channel.send(message)
 
     heartbeat = _Heartbeat(send, worker_id, heartbeat_interval)
-    heartbeat.start()
     leases = 0
     results: List[Dict] = []  # of the previous grant, until a reply acknowledges them
     busy_s = 0.0
@@ -134,6 +138,7 @@ def worker_loop(channel: Channel, worker_id: str, options: Mapping) -> int:
             try:
                 send({"op": "lease", "worker": worker_id, "results": results,
                       "busy_s": busy_s})
+                heartbeat.start()  # after the request: a thread start waits on a busy CPU
                 reply = channel.recv(reply_timeout)
             except ChannelClosed:
                 _LOG.debug("%s: coordinator went away; exiting", worker_id)
@@ -164,16 +169,13 @@ def worker_loop(channel: Channel, worker_id: str, options: Mapping) -> int:
                 try:
                     if isinstance(task, Exception):
                         raise task
-                    if in_process:
-                        with _EXECUTE_LOCK:
-                            record = _execute_task(task)
-                    else:
-                        record = _execute_task(task)
+                    with _EXECUTE_LOCK if in_process else nullcontext():
+                        outcome = _run_unit(task)
                 except Exception as exc:  # noqa: BLE001 - reported, retried upstream
                     _LOG.warning("%s: unit %s failed: %s", worker_id, key, exc)
                     results.append({"key": key, "error": f"{type(exc).__name__}: {exc}"})
                 else:
-                    results.append({"key": key, "record": record})
+                    results.append({"key": key, "outcome": outcome})
             busy_s = time.perf_counter() - started
     finally:
         heartbeat.stop()

@@ -47,12 +47,9 @@ def derive_seed(root: Optional[int], *components) -> int:
     separated by an escape byte so ``("ab", "c")`` and ``("a", "bc")`` derive
     different seeds.
     """
-    digest = hashlib.sha256()
-    digest.update(repr(None if root is None else int(root)).encode("utf-8"))
-    for component in components:
-        digest.update(b"\x1f")
-        digest.update(repr(component).encode("utf-8"))
-    return int.from_bytes(digest.digest()[:8], "big") % MAX_DERIVED_SEED
+    texts = [repr(None if root is None else int(root)), *map(repr, components)]
+    digest = hashlib.sha256("\x1f".join(texts).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % MAX_DERIVED_SEED
 
 
 def stable_fingerprint(data: Union[bytes, str]) -> str:

@@ -33,7 +33,7 @@ from repro.campaign import (
     resolve_scenarios,
 )
 from repro.campaign.cli import main as cli_main
-from repro.campaign.runner import CampaignFailed, _execute_task
+from repro.campaign.runner import CampaignFailed, _run_unit
 from repro.campaign.units import grant_tasks, unit_key
 from repro.core.errors import WorkloadError
 from repro.dist import coordinator as coordinator_module
@@ -220,7 +220,7 @@ class _LiveCoordinator:
 
 def run_grant(reply):
     """Execute every unit of a ``grant``: the ``results`` of the next lease."""
-    return [{"key": key, "record": _execute_task(task)} for key, task in grant_tasks(reply)]
+    return [{"key": key, "outcome": _run_unit(task)} for key, task in grant_tasks(reply)]
 
 
 def serial_record_rows(spec):
@@ -276,8 +276,8 @@ class TestProtocolRobustness:
         # A peer that holds a lease when it breaks the protocol loses it.
         sock = socket.create_connection((host, port))
         sock.sendall(lease(results=[], busy_s=0.0))
-        (unit,) = recv_frame(sock, 10.0)["units"]
-        sock.sendall(lease(results=[{"key": "no-such-unit", "record": {}}]))
+        ((key, *_row),) = recv_frame(sock, 10.0)["units"]
+        sock.sendall(lease(results=[{"key": "no-such-unit", "outcome": {"metrics": {}}}]))
         assert dropped(sock)
         sock.close()
 
@@ -292,11 +292,18 @@ class TestProtocolRobustness:
             encode_frame({"op": "lease", "worker": 7}),
             lease(results="all of them"),
             lease(results=["k0"]),
-            lease(results=[{"key": unit["key"]}]),
-            lease(results=[{"key": unit["key"], "record": {}, "error": "both"}]),
-            lease(results=[{"key": unit["key"], "record": ["not", "a", "dict"]}]),
-            lease(results=[{"key": unit["key"], "record": {"unit": "another"}}]),
-            lease(results=[{"key": unit["key"], "error": 5}]),
+            lease(results=[{"key": key}]),
+            lease(results=[{"key": key, "outcome": {"metrics": {}}, "error": "both"}]),
+            lease(results=[{"key": key, "outcome": ["not", "a", "dict"]}]),
+            # A worker sends what its run computed, never a row.
+            lease(results=[{"key": key, "record": {"unit": key, "metrics": {}}}]),
+            lease(results=[{"key": key, "outcome": {"metrics": {}, "scenario": {"name": "x"}}}]),
+            lease(results=[{"key": key, "outcome": {"metrics": {}, "seed": 1}}]),
+            lease(results=[{"key": key, "outcome": {"metrics": {}, "unit": "another"}}]),
+            lease(results=[{"key": key, "outcome": {"obs": {}}}]),
+            lease(results=[{"key": key, "outcome": {"metrics": [1.0]}}]),
+            lease(results=[{"key": key, "outcome": {"metrics": {}, "slo": "passed"}}]),
+            lease(results=[{"key": key, "error": 5}]),
             lease(results=[], busy_s=-1.0),
             lease(results=[], busy_s="long"),
         ]
@@ -620,8 +627,8 @@ class TestGrants:
         def breaking(end, message):
             if message["op"] == "grant" and len(message["units"]) > 1 and not broken:
                 unit = message["units"][1]
-                unit["task"]["scenario"] = len(message["scenarios"])  # names no text
-                broken.append(unit["key"])
+                unit[1] = len(message["variants"])  # names no variant
+                broken.append(unit[0])
             reply(end, message)
 
         monkeypatch.setattr(coordinator, "_safe_reply", breaking)

@@ -1,5 +1,7 @@
 """ResultStore: append/load, deterministic files, summaries, comparison."""
 import json
+import re
+from types import MappingProxyType
 
 import pytest
 
@@ -60,6 +62,13 @@ class TestSaveLoad:
         store.save_campaign(spec, list(reversed(make_records())))
         assert store.runs_path("camp").read_bytes() == first
 
+    def test_any_mapping_saves_as_its_dict_would(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.save_campaign(make_spec(), make_records())
+        first = store.runs_path("camp").read_bytes()
+        store.save_campaign(make_spec(), [MappingProxyType(r) for r in make_records()])
+        assert store.runs_path("camp").read_bytes() == first
+
     def test_append_keeps_history(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = make_spec()
@@ -79,6 +88,25 @@ class TestSaveLoad:
     def test_missing_campaign_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope"):
             ResultStore(tmp_path).load_records("nope")
+
+    def test_a_missing_campaign_names_the_stored_ones_without_reading_them(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        store.save_campaign(make_spec("alpha"), make_records())
+        store.save_campaign(make_spec("beta"), make_records())
+        (tmp_path / "no-runs").mkdir()
+        read, load_records = [], store.load_records
+        monkeypatch.setattr(
+            store, "load_records", lambda name: read.append(name) or load_records(name)
+        )
+        with pytest.raises(FileNotFoundError) as missing:
+            store.load_records("alpah")
+        assert read == ["alpah"]  # no stored campaign's rows were decoded
+        assert str(missing.value) == (
+            f"campaign 'alpah' has no runs at {tmp_path / 'alpah' / 'runs.jsonl'}; "
+            "known campaigns: ['alpha', 'beta']"
+        )
 
     def test_invalid_name_rejected(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -153,3 +181,35 @@ class TestTruncatedWrites:
         with caplog.at_level("WARNING"):
             assert store.load_records("camp") == records
         assert not caplog.records
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("blank", [False, True], ids=["dense", "blank-lines"])
+    @pytest.mark.parametrize("truncated", [False, True], ids=["whole", "truncated"])
+    def test_one_read_decodes_what_line_by_line_reading_did(
+        self, tmp_path, caplog, propagating_logs, newline, blank, truncated
+    ):
+        store = ResultStore(tmp_path)
+        store.save_campaign(make_spec(), make_records())
+        path = store.runs_path("camp")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # A row written unescaped: only "\n" may end a line, not \u2028 or \x85.
+        unescaped = {"scenario": "s1", "label": "a\u2028b\x85c"}
+        lines.insert(1, json.dumps(unescaped, ensure_ascii=False))
+        if truncated:
+            lines[-1] = lines[-1][: len(lines[-1]) // 2]
+        if blank:
+            lines = [part for line in lines for part in (line, "  ", "")]
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+        # The reading load_records used before: the file iterated line by line.
+        expected, bad = [], []
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    if line.strip():
+                        expected.append(json.loads(line))
+                except json.JSONDecodeError:
+                    bad.append(lineno)
+        with caplog.at_level("WARNING"):
+            assert store.load_records("camp") == expected
+        warned = [int(re.search(r":(\d+): skipping", m).group(1)) for m in caplog.messages]
+        assert warned == bad and len(bad) == int(truncated)

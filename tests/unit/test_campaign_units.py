@@ -87,6 +87,18 @@ class TestKeyStability:
         assert rebuilt == task
         assert unit_key(rebuilt) == unit_key(task)
 
+    def test_a_grant_round_trips_several_variants(self):
+        tasks = [
+            make_task(replicate=0),
+            make_task(replicate=1, collect_obs=True, slo_spec="default"),
+            make_task(scenario="strict-equipartition", trace_dir="traces/out"),
+            make_task(replicate=2, collect_obs=True, slo_spec="default"),
+        ]
+        grant = grant_message((unit_key(task), task) for task in tasks)
+        assert len(grant["variants"]) == 3
+        assert [variant for _key, variant, _r, _s in grant["units"]] == [0, 1, 2, 1]
+        assert wire_round_trip(*tasks) == tasks
+
     def test_trace_dir_does_not_perturb_the_key(self):
         # Where the side-channel trace lands never changes the row bytes,
         # so two otherwise-identical runs must deduplicate.
@@ -213,9 +225,9 @@ class TestOneEncodingPerScenario:
         grant = grant_message((unit_key(task), task) for task in tasks)
         assert len(keys) == 50
         assert len(calls) == 1
-        (text,) = grant["scenarios"]
+        ((text, *_variant),) = grant["variants"]
         assert text is spec.canonical_json
-        assert {unit["task"]["scenario"] for unit in grant["units"]} == {0}
+        assert {variant for _key, variant, _replicate, _seed in grant["units"]} == {0}
 
     def test_a_worker_rebuilds_each_distinct_scenario_once(self):
         first, second = (make_task(replicate=r) for r in (0, 1))

@@ -11,8 +11,10 @@ import json
 import multiprocessing
 import socket
 import struct
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dist.transport import (
     MAX_FRAME_BYTES,
@@ -25,6 +27,7 @@ from repro.dist.transport import (
     encode_frame,
     make_transport,
     parse_endpoint,
+    _TcpServerEnd,
 )
 
 
@@ -142,6 +145,41 @@ class TestTcpTransport:
         assert outcome == [None]
         sock.close()
         transport.close()
+
+
+class TestTcpReceiveBuffer:
+    """The coordinator's per-connection frame buffer, fed as reads arrive."""
+
+    @given(
+        messages=st.lists(
+            st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=30),
+                            max_size=4),
+            max_size=6,
+        ),
+        cuts=st.lists(st.integers(min_value=0), max_size=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_chunking_of_a_stream_yields_the_same_frames(self, messages, cuts):
+        stream = b"".join(encode_frame(message) for message in messages)
+        bounds = sorted({cut % (len(stream) + 1) for cut in cuts} | {0, len(stream)})
+        end = _TcpServerEnd(None)
+        frames = []
+        for start, stop in zip(bounds, bounds[1:]):
+            frames += end.feed(stream[start:stop])
+        assert frames == messages
+        assert not end.buffer
+
+    def test_a_large_frame_in_small_reads_costs_linear_time(self):
+        size = 32 * 1024 * 1024
+        frame = encode_frame({"pad": "x" * size})
+        end = _TcpServerEnd(None)
+        frames = []
+        started = time.perf_counter()
+        for start in range(0, len(frame), 65536):
+            frames += end.feed(frame[start:start + 65536])
+        elapsed = time.perf_counter() - started
+        assert [len(f["pad"]) for f in frames] == [size]
+        assert elapsed < 1.0, f"{elapsed:.2f} s for one 32 MiB frame in 64 KiB reads"
 
 
 class TestThreadTransport:

@@ -1,9 +1,11 @@
 """Unit tests of the discrete-event simulation engine."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import SimulationError
 from repro.obs import MetricsRegistry, observe
@@ -345,6 +347,19 @@ class TestDeriveSeed:
             for replicate in range(250)
         }
         assert len(seeds) == 1000
+
+    @given(
+        root=st.none() | st.integers(min_value=-(2**70), max_value=2**70),
+        components=st.lists(st.text() | st.integers() | st.floats(allow_nan=False), max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_joined_hash_is_the_component_wise_hash(self, root, components):
+        digest = hashlib.sha256(repr(root if root is None else int(root)).encode("utf-8"))
+        for component in components:
+            digest.update(b"\x1f")
+            digest.update(repr(component).encode("utf-8"))
+        expected = int.from_bytes(digest.digest()[:8], "big") % MAX_DERIVED_SEED
+        assert derive_seed(root, *components) == expected
 
     def test_feeds_numpy_generator(self):
         a = RandomSource(derive_seed(0, "s", 0)).uniform()
