@@ -5,47 +5,34 @@ more updates came before it: ``RequestSet.prune_finished`` kept *every*
 finished ancestor of a live request, and ``CooRMv2._next_chain_ancestors``
 walked up to 64 finished links looking for retained nodes.  Now a set keeps
 the live requests and the one request each of them names, and the walk ends
-at the first ancestor that ``_start_request`` served.
-
-``ReferenceCooRMv2`` keeps both old pieces verbatim as the oracle.  Two worlds
--- reference and new, each with its own simulator, platform, applications and
-requests -- are driven through the same random protocol sequences: submissions
-of all three request types under ``FREE`` / ``NEXT`` / ``COALLOC`` (parents of
-another type included, so a started pre-allocation can sit in the middle of a
-``NEXT`` chain; ``FREE`` requests that still name a ``related_to``), ``done``
-with and without ``released_node_ids``, bursts of up to 40 updates that no
-pass has served yet, time advancing past expiries, ``set_capacity`` shrinking
-and growing, applications disconnecting and returning under their old id.
-After every step the worlds must agree on the event log, on every pushed
-view, on the lifecycle and node IDs of every request, on what each session
-holds and on the free nodes of the cluster -- and in each world what a live
-session holds must be the union of the node IDs bound to the requests it
-submitted, with no node bound to two of them.
+at the first ancestor that ``_start_request`` served.  ``ReferenceCooRMv2``
+keeps both old pieces verbatim as the oracle; ``ChainMachine`` drives it and
+``CooRMv2`` through the same steps of the protocol machine
+(``tests/support/protocol.py``).
 
 Two things are excluded by construction, not by tolerance, because there the
 old walk was wrong.  More than 64 updates in a row without a start in
-between: its hop limit stranded the retained nodes (``test_rms.py`` pins the
-fix).  And a *forked* chain in which a request finishes, retaining nodes for
-its own pending successor, while a request below it on another branch has
-already been served (possible when that branch runs through a link cancelled
-before it started): the old walk climbed past the served request and handed
-the retained nodes to the wrong branch.  ``_a_start_emptied_everything_above``
-states the invariant the new walk relies on; a script ends at the step that
-breaks it, and ``test_a_forked_chain_is_where_the_worlds_part`` shows both
+between: its hop limit stranded the retained nodes.  And a *forked* chain in
+which a request finishes, retaining nodes for its own pending successor,
+while a request below it on another branch has already been served (possible
+when that branch runs through a link cancelled before it started): the old
+walk climbed past the served request and handed the retained nodes to the
+wrong branch.  ``ChainMachine.parted`` drops the reference, before the
+worlds are compared, once a run is longer than ``_UNSERVED_LIMIT`` or
+``_a_start_emptied_everything_above``, the invariant the new walk relies on,
+is broken; ``test_a_forked_chain_is_where_the_worlds_part`` shows both
 behaviours.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import pytest
+from hypothesis import settings
+from support.protocol import NP, P, PA, ProtocolMachine, handover_path
 
-from repro.cluster import Platform
-from repro.core import CooRMv2, RelatedHow, ReproError, Request, RequestSet, RequestType
-from repro.sim import Simulator
-from repro.testing import RecordingApp
+from repro.core import CooRMv2, RelatedHow, RequestSet, RequestType
+from repro.core.types import NEXT
 
 
 class _KeepEveryAncestorSet(RequestSet):
@@ -107,24 +94,8 @@ class ReferenceCooRMv2(CooRMv2):
             hops += 1
 
 
-_NODES = 16
-_APP_IDS = ("a", "b", "c")
-_TYPES = (RequestType.PREEMPTIBLE, RequestType.NON_PREEMPTIBLE, RequestType.PREALLOCATION)
-_HOWS = (RelatedHow.NEXT, RelatedHow.FREE, RelatedHow.COALLOC)
-_DURATIONS = (math.inf, 100.0, 20.0, 3.0, 0.5)
 #: The old walk gave up after 64 hops; a run of unserved updates stays below.
 _UNSERVED_LIMIT = 60
-
-
-def _unserved_run(request):
-    """Finished ``NEXT`` links above *request* that no start has swept yet."""
-    hops = 0
-    while request.related_how is RelatedHow.NEXT and request.related_to is not None:
-        request = request.related_to
-        if not request.finished() or (request.started() and not request.is_preallocation()):
-            break
-        hops += 1
-    return hops
 
 
 def _a_start_emptied_everything_above(requests):
@@ -136,246 +107,88 @@ def _a_start_emptied_everything_above(requests):
     return True
 
 
-class _World:
-    """One RMS with everything it touches, driven by index-addressed steps."""
+class ChainMachine(ProtocolMachine):
+    reference = ReferenceCooRMv2
+    differs_by_design = ("members",)  # the reference keeps every ancestor
 
-    def __init__(self, rms_class):
-        self.sim = Simulator()
-        self.platform = Platform.single_cluster(_NODES)
-        self.cluster = self.platform.cluster("cluster0")
-        self.rms = rms_class(self.platform, self.sim, rescheduling_interval=1.0)
-        self.apps = []  # every application object that ever connected
-        self.requests = []  # every request ever submitted, in order
-        self.since = {}  # app id -> len(self.requests) at its latest connect
-        self.outcomes = []  # what each step raised, if anything
-
-    # -- steps ---------------------------------------------------------- #
-    def _attempt(self, call, *args, **kwargs):
-        try:
-            return call(*args, **kwargs)
-        except ReproError as error:
-            self.outcomes.append(type(error).__name__)
-            return None
-
-    def connect(self, app):
-        recorder = RecordingApp(_APP_IDS[app])
-        if self._attempt(self.rms.connect, recorder, recorder.name) is not None:
-            self.apps.append(recorder)
-            self.since[recorder.name] = len(self.requests)
-
-    def disconnect(self, app):
-        self._attempt(self.rms.disconnect, _APP_IDS[app])
-
-    def _submit(self, app_id, nodes, duration, rtype, how, parent):
-        request = Request("cluster0", nodes, duration, rtype, how, parent)
-        if self._attempt(self.rms.submit, app_id, request) is not None:
-            self.requests.append(request)
-            return request
-        return None
-
-    def _pick(self, index, app_id=None, unfinished=False):
-        """A request by index, preferring the narrower pool when it has any."""
-        pool = [r for r in self.requests if app_id is None or r.app_id == app_id]
-        if unfinished:
-            pool = [r for r in pool if not r.finished()] or pool
-        return pool[index % len(pool)] if pool else None
-
-    def submit(self, app, rtype, nodes, duration, how, parent, pin):
-        app_id = _APP_IDS[app]
-        target = self._pick(parent, app_id)
-        how = _HOWS[how] if target is not None else RelatedHow.FREE
-        if how is RelatedHow.FREE and not pin:
-            target = None
-        self._submit(app_id, nodes, _DURATIONS[duration], _TYPES[rtype], how, target)
-
-    def _released(self, request, mode):
-        """``released_node_ids`` for a ``done``: None, nothing, or some held."""
-        if mode == 0:
-            return None
-        held = sorted(self.rms.sessions[request.app_id].holds("cluster0"))
-        return held[: mode - 1]
-
-    def done(self, request, unfinished, mode):
-        target = self._pick(request, unfinished=unfinished)
-        if target is not None:
-            self._attempt(self.rms.done, target.app_id, target, self._released(target, mode))
-
-    def burst(self, request, count, rtype, nodes, mode):
-        """*count* updates in a row from one request, with no pass in between."""
-        current = self._pick(request, unfinished=True)
-        if current is None or current.finished():
-            return
-        count = min(count, _UNSERVED_LIMIT - _unserved_run(current))
-        for link in range(count):
-            kind = current.rtype if rtype is None or link else _TYPES[rtype]
-            successor = self._submit(
-                current.app_id, max(1, nodes + link % 3 - 1), current.duration, kind,
-                RelatedHow.NEXT, current,
-            )
-            if successor is None:
-                return
-            self._attempt(self.rms.done, current.app_id, current, self._released(current, mode))
-            current = successor
-
-    def advance(self, delay):
-        self._attempt(self.sim.run, until=self.sim.now + delay)
-
-    def capacity(self, nodes):
-        self._attempt(self.rms.set_capacity, nodes)
-
-    # -- what the worlds must agree on ---------------------------------- #
-    def snapshot(self):
-        ordinal = {r.request_id: i for i, r in enumerate(self.requests)}
-        events = []
-        for event in self.rms.event_log:
-            fields = dataclasses.asdict(event)
-            if "request_id" in fields:
-                fields["request_id"] = ordinal[fields["request_id"]]
-            events.append((type(event).__name__, sorted(fields.items())))
-        requests = [
-            (
-                r.state, repr(r.started_at), repr(r.finished_at), r.duration,
-                sorted(r.node_ids),
-            )
-            for r in self.requests
-        ]
-        held = {
-            app_id: sorted(session.holds("cluster0"))
-            for app_id, session in self.rms.sessions.items()
-        }
-        views = [(app.name, app.views, app.killed_reason) for app in self.apps]
-        return {
-            "outcomes": self.outcomes,
-            "events": events,
-            "requests": requests,
-            "held": held,
-            "views": views,
-            "free": self.cluster.free_nodes(),
-            "now": self.sim.now,
-        }
+    def parted(self):
+        requests = self.worlds[0].requests
+        return not _a_start_emptied_everything_above(requests) or any(
+            len(list(handover_path(r))) > _UNSERVED_LIMIT for r in requests if r.pending()
+        )
 
 
-_APP = st.integers(0, len(_APP_IDS) - 1)
-_INDEX = st.integers(0, 40)
-_SUBMIT = st.tuples(
-    st.just("submit"), _APP, st.integers(0, 2), st.integers(0, 10),
-    st.integers(0, len(_DURATIONS) - 1), st.integers(0, 2), _INDEX, st.booleans(),
-)
-_DONE = st.tuples(st.just("done"), _INDEX, st.booleans(), st.integers(0, 5))
-_BURST = st.tuples(
-    st.just("burst"), _INDEX, st.integers(1, 40),
-    st.one_of(st.none(), st.integers(0, 2)), st.integers(1, 8), st.integers(0, 3),
-)
-_ADVANCE = st.tuples(st.just("advance"), st.sampled_from([0.25, 1.0, 1.0, 2.5, 30.0, 150.0]))
-_CAPACITY = st.tuples(st.just("capacity"), st.integers(4, 24))
-_DISCONNECT = st.tuples(st.just("disconnect"), _APP)
-_CONNECT = st.tuples(st.just("connect"), _APP)
-#: Updates and the passes that serve them make up most of a script; the
-#: events that wipe an application's requests are the seasoning.
-_STEP = st.sampled_from(
-    [_SUBMIT] * 3 + [_DONE] * 2 + [_BURST] * 5 + [_ADVANCE] * 6
-    + [_CAPACITY, _DISCONNECT, _CONNECT]
-).flatmap(lambda step: step)
-#: Two applications, one of them running a preemptible request to update.
-_PRELUDE = [
-    ("connect", 0), ("connect", 1), ("submit", 0, 0, 6, 0, 1, 0, False), ("advance", 1.0),
-]
-
-
-def _assert_holds_match_a_scan(world):
-    """The cluster's ownership map, as sessions read it, against the node IDs
-    bound to each live session's requests: equal, and no node bound twice."""
-    for session in world.rms.connected_sessions():
-        bound = [
-            r.node_ids for r in world.requests[world.since[session.app_id]:]
-            if r.app_id == session.app_id
-        ]
-        union = frozenset().union(*bound)
-        assert session.holds("cluster0") == union, session.app_id
-        assert sum(map(len, bound)) == len(union), ("bound twice", session.app_id)
-
-
-def _run(steps):
-    new, ref = _World(CooRMv2), _World(ReferenceCooRMv2)
-    script = [*_PRELUDE, *steps, ("advance", 150.0)]
-    for position, (action, *args) in enumerate(script):
-        for world in (new, ref):
-            getattr(world, action)(*args)
-            _assert_holds_match_a_scan(world)
-        got, expected = new.snapshot(), ref.snapshot()
-        for key in expected:
-            assert got[key] == expected[key], (key, position, action, args)
-        if not _a_start_emptied_everything_above(new.requests):
-            break
-    return new
-
-
-@settings(max_examples=300, deadline=None)
-@given(steps=st.lists(_STEP, min_size=4, max_size=30))
-def test_worlds_agree_after_every_step(steps):
-    _run(steps)
+TestChainMachine = ChainMachine.TestCase
+TestChainMachine.settings = settings(max_examples=130, stateful_step_count=30, deadline=None)
 
 
 def test_a_started_preallocation_in_the_middle_of_a_chain():
     """Named, not left to chance: the walk passes through a pre-allocation."""
-    world = _run(
-        [
-            ("burst", 0, 1, 2, 6, 0),  # NEXT pre-allocation; done(first) retains
-            ("advance", 1.0),  # the pre-allocation starts, sweeping nothing
-            ("burst", 1, 5, 0, 6, 0),  # five preemptible updates below it
-            ("advance", 1.0),
-        ]
+    machine = ChainMachine.started()
+    machine.steps(
+        ("submit", "a", "cluster0", 6, math.inf, P),
+        ("advance", 1.0),
+        ("burst", 0, 1, PA, 6, 0),  # NEXT pre-allocation; done(first) retains
+        ("advance", 1.0),  # the pre-allocation starts, sweeping nothing
+        ("burst", 1, 5, P, 6, 0),  # five preemptible updates below it
+        ("advance", 1.0),
     )
+    world = machine.worlds[0]
     first, tail = world.requests[0], world.requests[-1]
     assert world.requests[1].is_preallocation() and world.requests[1].finished()
     assert tail.started() and len(tail.node_ids) == tail.node_count
     assert first.node_ids == frozenset()
-    assert world.cluster.allocated_count() == len(tail.node_ids)
+    assert world.platform.cluster("cluster0").allocated_count() == len(tail.node_ids)
 
 
 def test_a_forked_chain_is_where_the_worlds_part():
-    """Retained nodes go to the successor they were retained for."""
-    taken = {}
-    for rms_class in (CooRMv2, ReferenceCooRMv2):
-        world = _World(rms_class)
-        world.connect(0)
+    """Retained nodes go to the successor they were retained for.
 
-        def submit(nodes, parent=None):
-            how = RelatedHow.FREE if parent is None else RelatedHow.NEXT
-            return world._submit("a", nodes, math.inf, RequestType.PREEMPTIBLE, how, parent)
-
-        fork = submit(6)
-        world.advance(1.0)
-        held = fork.node_ids
-        cancelled = submit(3, fork)
-        served = submit(3, cancelled)
-        world.rms.done("a", cancelled)
-        world.advance(1.0)
-        assert served.started() and not fork.finished()
-        other_branch = submit(5, served)
-        own_successor = submit(6, fork)
-        world.rms.done("a", fork)  # keeps its six nodes for ``own_successor``
-        assert not _a_start_emptied_everything_above(world.requests)
-        world.rms.done("a", served)
-        world.advance(1.0)
-        taken[rms_class] = (len(held & other_branch.node_ids), own_successor.node_ids >= held)
-    assert taken[CooRMv2] == (0, True)
-    assert taken[ReferenceCooRMv2] == (2, False)
+    A fork whose own successor is pending when a branch below it was served:
+    ``CooRMv2`` hands the fork's nodes to that successor, the reference to
+    the other branch, which the NEXT hand-over rule refuses.
+    """
+    machine = ChainMachine.started()
+    machine.steps(
+        ("submit", "a", "cluster0", 6, math.inf, P),  # 0: the fork
+        ("advance", 1.0),
+        ("update", 0, NEXT, P, 3, math.inf),  # 1: cancelled before it starts
+        ("update", 1, NEXT, P, 3, math.inf),  # 2: served
+        ("done", 1, 0),
+        ("advance", 1.0),
+    )
+    new, old = machine.worlds
+    fork, _, served = new.requests
+    assert served.started() and not fork.finished()
+    machine.update(2, NEXT, P, 5, math.inf)  # 3: the other branch
+    machine.update(0, NEXT, P, 6, math.inf)  # 4: the fork's own successor
+    machine.done(0, 0)  # keeps its six nodes for its own successor
+    assert machine.parted()
+    held = [world.requests[0].node_ids for world in (new, old)]
+    machine.done(2, 0)
+    machine.advance(1.0)
+    for world, nodes, taken in [(new, held[0], (0, True)), (old, held[1], (2, False))]:
+        other_branch, own_successor = world.requests[3:]
+        assert (len(nodes & other_branch.node_ids), own_successor.node_ids >= nodes) == taken
+    new.assert_invariants()
+    with pytest.raises(AssertionError, match="NEXT hand-over"):
+        old.assert_invariants()
 
 
 def test_a_killed_request_binds_nothing_to_a_reconnected_session():
     """A NEXT child of a request killed in an earlier session under the same id
     inherits none of its former nodes: they may be bound to a live request now."""
-    world = _run(
-        [
-            ("capacity", 4),  # "a" holds victims 4 and 5: killed
-            ("connect", 0),
-            ("submit", 0, 1, 3, 0, 1, 0, False),  # x: 3 NP nodes, 0-2
-            ("advance", 1.0),
-            ("submit", 0, 1, 1, 0, 0, 0, True),  # y: NEXT child of the killed request
-            ("advance", 1.0),
-        ]
+    machine = ChainMachine.started()
+    machine.steps(
+        ("submit", "a", "cluster0", 6, math.inf, P),  # nodes 0-5
+        ("advance", 1.0),
+        ("set_capacity", 4),  # "a" holds victims 4 and 5: killed
+        ("connect", "a"),
+        ("submit", "a", "cluster0", 3, math.inf, NP),  # x: 3 NP nodes, 0-2
+        ("advance", 1.0),
+        ("update", 0, NEXT, NP, 1, math.inf),  # y: NEXT child of the killed request
+        ("advance", 1.0),
     )
-    killed, x, y = (r for r in world.requests if r.app_id == "a")
+    killed, x, y = machine.worlds[0].requests
     assert killed.node_ids == frozenset() and sorted(x.node_ids) == [0, 1, 2]
     assert sorted(y.node_ids) == [3]  # the free node, not one of x's

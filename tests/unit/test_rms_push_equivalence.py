@@ -8,34 +8,26 @@ change" once per distinct (last pushed object, new object) pair, and reads
 each pushed view's ``value_at(now)`` once.
 
 ``ReferencePushRMS`` keeps the previous ``_run_schedule`` -- prune-everything
-loop and per-session ``reference_push`` -- verbatim as the oracle.  Two worlds,
-each with its own simulator, platform, applications and requests, are driven
-through the same random scripts: rigid applications joining and leaving, a
-parameter-sweep application resizing its preemptible request, an application
-with a pre-allocation, ``done()`` on running requests, capacity changes, time
-advancing past expiries, and sessions whose last-pushed views are swapped for
-equal but *distinct* objects (twins), which is what an application that joined
-one pass later holds.  After every step the worlds must agree on the event
-log (``ViewsPushed`` totals included), on every ``on_views`` call in order, on
-the ``to_start`` order of every pass and on what each request set still holds.
+loop and per-session ``reference_push`` -- verbatim as the oracle;
+``PushMachine`` drives it and ``CooRMv2`` through the same steps of the
+protocol machine (``tests/support/protocol.py``), whose ``twins`` rule swaps
+a session's last-pushed views for equal but *distinct* objects, as an
+application that joined one pass later holds.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import settings
+from support.protocol import NP, P, PA, ProtocolMachine
 
-from repro.cluster import Platform
-from repro.core import CooRMv2, RelatedHow, ReproError, Request, RequestType
+from repro.core import CooRMv2
 from repro.core.events import ViewsPushed
 from repro.core.request_set import ApplicationRequests
+from repro.core.types import NEXT
 from repro.core.view import View
 from repro.obs import hooks as _obs
-from repro.sim import Simulator
-from repro.testing import RecordingApp
 
 
 def reference_push(rms, result, metrics):
@@ -108,229 +100,66 @@ class ReferencePushRMS(CooRMv2):
             self.simulator.schedule(self.violation_grace, self._check_protocol_violations)
 
 
-_NODES = 16
-_DURATIONS = (math.inf, 40.0, 6.0, 0.5)
+class PushMachine(ProtocolMachine):
+    reference = ReferencePushRMS
 
 
-def _twin(view):
-    """An equal view that shares no object with *view*."""
-    if view is None:
-        return None
-    return View({cid: view[cid].copy() for cid in view.clusters()})
-
-
-class _World:
-    """One RMS with everything it touches, driven by index-addressed steps."""
-
-    def __init__(self, rms_class, policy):
-        self.sim = Simulator()
-        self.platform = Platform.single_cluster(_NODES)
-        self.rms = rms_class(self.platform, self.sim, rescheduling_interval=1.0, policy=policy)
-        self.apps = {}  # name -> every application object that connected, alive or not
-        self.requests = []  # every request ever submitted, in order
-        self.outcomes = []  # what each step raised, if anything
-        self.to_start = []  # per pass: the requests to start, as positions in ``requests``
-        schedule = self.rms.scheduler.schedule
-
-        def recording(applications, now, usage=None):
-            result = schedule(applications, now, usage=usage)
-            self.to_start.append([self.requests.index(r) for r in result.to_start])
-            return result
-
-        self.rms.scheduler.schedule = recording
-
-    # -- steps ---------------------------------------------------------- #
-    def _attempt(self, call, *args, **kwargs):
-        try:
-            return call(*args, **kwargs)
-        except ReproError as error:
-            self.outcomes.append(type(error).__name__)
-            return None
-
-    def _alive(self):
-        return [s.app_id for s in self.rms.connected_sessions()]
-
-    def _connect(self, name):
-        if name in self._alive():
-            return True
-        recorder = RecordingApp(name)
-        if self._attempt(self.rms.connect, recorder, name) is None:
-            return False
-        self.apps.setdefault(name, []).append(recorder)
-        return True
-
-    def _submit(self, name, nodes, duration, rtype, how=RelatedHow.FREE, parent=None):
-        request = Request("cluster0", nodes, duration, rtype, how, parent)
-        if self._attempt(self.rms.submit, name, request) is not None:
-            self.requests.append(request)
-            return request
-        return None
-
-    def _running(self, name, rtype):
-        """The unfinished requests of *rtype* that application *name* holds."""
-        return [
-            r for r in self.requests
-            if r.app_id == name and r.rtype is rtype and not r.finished()
-            and self.rms.sessions[name].requests.find(r.request_id) is not None
-        ]
-
-    def join(self, index, nodes, duration):
-        """A rigid application: one non-preemptible request, then silence."""
-        name = f"rigid{index}"
-        if name not in self._alive() and self._connect(name):
-            self._submit(name, nodes, _DURATIONS[duration], RequestType.NON_PREEMPTIBLE)
-
-    def leave(self, index):
-        alive = self._alive()
-        if alive:
-            self._attempt(self.rms.disconnect, alive[index % len(alive)])
-
-    def psa(self, nodes):
-        """Connect the sweep, or resize it: ``request(NEXT -> old)`` + ``done(old)``."""
-        fresh = "psa" not in self._alive()
-        if not self._connect("psa"):
-            return
-        current = None if fresh else (self._running("psa", RequestType.PREEMPTIBLE) or [None])[-1]
-        how = RelatedHow.FREE if current is None else RelatedHow.NEXT
-        self._submit("psa", nodes, math.inf, RequestType.PREEMPTIBLE, how, current)
-        if current is not None:
-            self._attempt(self.rms.done, "psa", current)
-
-    def prealloc(self, nodes, inside):
-        """An application that pre-allocates, then works inside its space."""
-        fresh = "pre" not in self._alive()
-        if not self._connect("pre"):
-            return
-        if fresh or not self._running("pre", RequestType.PREALLOCATION):
-            self._submit("pre", nodes, math.inf, RequestType.PREALLOCATION)
-        self._submit("pre", inside, 20.0, RequestType.NON_PREEMPTIBLE)
-
-    def done(self, index):
-        live = [r for r in self.requests if not r.finished() and r.app_id in self._alive()]
-        if live:
-            target = live[index % len(live)]
-            self._attempt(self.rms.done, target.app_id, target)
-
-    def twins(self, index):
-        """One session's last-pushed views become equal but distinct objects."""
-        sessions = self.rms.connected_sessions()
-        if sessions:
-            session = sessions[index % len(sessions)]
-            session.last_non_preemptive_view = _twin(session.last_non_preemptive_view)
-            session.last_preemptive_view = _twin(session.last_preemptive_view)
-
-    def advance(self, delay):
-        self.sim.schedule(delay, lambda: None)  # the clock stops where the events do
-        self._attempt(self.sim.run, until=self.sim.now + delay)
-
-    def capacity(self, nodes):
-        self._attempt(self.rms.set_capacity, nodes)
-
-    # -- what the worlds must agree on ---------------------------------- #
-    def snapshot(self):
-        ordinal = {r.request_id: i for i, r in enumerate(self.requests)}
-        events = []
-        for event in self.rms.event_log:
-            fields = dataclasses.asdict(event)
-            if "request_id" in fields:
-                fields["request_id"] = ordinal[fields["request_id"]]
-            events.append((type(event).__name__, sorted(fields.items())))
-        on_views = {
-            name: [[(repr(a), repr(b)) for a, b in app.views] for app in apps]
-            for name, apps in self.apps.items()
-        }
-        held = {
-            app_id: [ordinal[r.request_id] for r in session.requests.scan()]
-            for app_id, session in self.rms.sessions.items()
-            if session.alive
-        }
-        return {
-            "outcomes": self.outcomes,
-            "events": events,
-            "on_views": on_views,
-            "to_start": self.to_start,
-            "held": held,
-            "states": [(r.state, repr(r.started_at), sorted(r.node_ids)) for r in self.requests],
-            "now": self.sim.now,
-        }
-
-
-_INDEX = st.integers(0, 40)
-_JOIN = st.tuples(
-    st.just("join"), st.integers(0, 7), st.integers(1, 10), st.integers(0, len(_DURATIONS) - 1)
-)
-_LEAVE = st.tuples(st.just("leave"), _INDEX)
-_PSA = st.tuples(st.just("psa"), st.integers(1, 16))
-_PREALLOC = st.tuples(st.just("prealloc"), st.integers(2, 10), st.integers(1, 6))
-_DONE = st.tuples(st.just("done"), _INDEX)
-_TWINS = st.tuples(st.just("twins"), _INDEX)
-_ADVANCE = st.tuples(st.just("advance"), st.sampled_from([0.25, 1.0, 1.0, 2.5, 10.0, 50.0]))
-_CAPACITY = st.tuples(st.just("capacity"), st.integers(4, 24))
-_STEP = st.sampled_from(
-    [_JOIN] * 5 + [_ADVANCE] * 6 + [_PSA] * 2 + [_TWINS] * 2
-    + [_LEAVE, _PREALLOC, _DONE, _CAPACITY]
-).flatmap(lambda step: step)
-_POLICY = st.sampled_from(["coorm", "coorm", "easy", "coorm-strict", "sjf"])
-
-
-def _run(steps, policy="coorm"):
-    new, ref = _World(CooRMv2, policy), _World(ReferencePushRMS, policy)
-    script = [*steps, ("advance", 60.0)]
-    for position, (action, *args) in enumerate(script):
-        for world in (new, ref):
-            getattr(world, action)(*args)
-        got, expected = new.snapshot(), ref.snapshot()
-        for key in expected:
-            assert got[key] == expected[key], (key, position, action, args)
-    return new, ref
-
-
-@settings(max_examples=250, deadline=None)
-@given(steps=st.lists(_STEP, min_size=4, max_size=30), policy=_POLICY)
-def test_worlds_agree_after_every_step(steps, policy):
-    _run(steps, policy)
+TestPushMachine = PushMachine.TestCase
+TestPushMachine.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
 
 
 # --------------------------------------------------------------------- #
 # The cases the push loop is about, named rather than left to chance
 # --------------------------------------------------------------------- #
 def test_settled_rigid_applications_and_one_more_joining():
-    new, _ = _run(
-        [("join", i, 2, 1) for i in range(5)]
-        + [("advance", 1.0), ("join", 5, 12, 2), ("advance", 1.0), ("advance", 10.0)]
+    machine = PushMachine.started()
+    machine.steps(
+        *[("submit", app, "cluster0", 2, 100.0, NP) for app in "abc"],
+        ("advance", 1.0), ("connect", "d"), ("submit", "d", "cluster0", 12, 20.0, NP),
+        ("advance", 1.0), ("advance", 10.0),
     )
-    pushes = [e for e in new.rms.event_log if isinstance(e, ViewsPushed)]
-    assert {e.app_id for e in pushes} == {f"rigid{i}" for i in range(6)}
+    pushes = [e for e in machine.worlds[0].rms.event_log if isinstance(e, ViewsPushed)]
+    assert {e.app_id for e in pushes} == set("abcd")
 
 
 def test_twins_compare_equal_and_are_not_pushed_again():
     """Equal but distinct last views: one deep verdict, no push, both worlds."""
-    steps = [("join", 0, 2, 0), ("join", 1, 3, 0), ("advance", 1.0), ("advance", 1.0)]
-    new, ref = _run(steps + [("twins", 0), ("twins", 1), ("join", 2, 1, 0), ("advance", 5.0)])
-    for world in (new, ref):
+    machine = PushMachine.started()
+    machine.steps(
+        ("submit", "a", "cluster0", 2, math.inf, NP),
+        ("submit", "b", "cluster0", 3, math.inf, NP),
+        ("advance", 1.0), ("advance", 1.0), ("twins", "a"), ("twins", "b"), ("connect", "d"),
+        ("submit", "d", "cluster0", 1, math.inf, NP), ("advance", 5.0),
+    )
+    for world in machine.worlds:
         world.rms.force_schedule()  # whatever was still due
         before = len(world.rms.event_log)
-        world.twins(0)
-        world.twins(2)
+        world.twins("a")
+        world.twins("d")
         world.rms.force_schedule()  # nothing changed but the objects
         assert len(world.rms.event_log) == before
 
 
 def test_a_resizing_sweep_next_to_a_preallocation_and_a_capacity_change():
-    _run(
-        [
-            ("psa", 16), ("prealloc", 6, 3), ("join", 0, 4, 1), ("advance", 1.0),
-            ("psa", 8), ("advance", 1.0), ("capacity", 10), ("advance", 1.0),
-            ("psa", 12), ("twins", 1), ("advance", 2.5), ("leave", 0), ("advance", 50.0),
-        ]
+    """"a" sweeps and resizes, "b" works inside a pre-allocation, "c" is rigid."""
+    PushMachine.started().steps(
+        ("submit", "a", "cluster0", 16, math.inf, P),
+        ("submit", "b", "cluster0", 6, math.inf, PA), ("submit", "b", "cluster0", 3, 20.0, NP),
+        ("submit", "c", "cluster0", 4, 100.0, NP), ("advance", 1.0),
+        ("update", 0, NEXT, P, 8, math.inf), ("done", 0, 0), ("advance", 1.0),
+        ("set_capacity", 10), ("advance", 1.0),
+        ("update", 4, NEXT, P, 12, math.inf), ("done", 4, 0),
+        ("twins", "b"), ("advance", 2.5), ("disconnect", "a"), ("advance", 50.0),
     )
 
 
 def test_only_sessions_that_finished_something_are_pruned(monkeypatch):
     """Entered for the sweep that resized, not for the rigid application."""
-    world = _World(CooRMv2, "coorm")
-    for action, *args in [("join", 0, 2, 0), ("psa", 6), ("advance", 1.0), ("psa", 4)]:
-        getattr(world, action)(*args)
+    machine = ProtocolMachine.started()
+    machine.steps(
+        ("submit", "a", "cluster0", 2, math.inf, NP), ("submit", "b", "cluster0", 6, math.inf, P),
+        ("advance", 1.0), ("update", 1, NEXT, P, 4, math.inf), ("done", 1, 0),
+    )
     pruned = []
     real = ApplicationRequests.prune_finished
 
@@ -339,24 +168,25 @@ def test_only_sessions_that_finished_something_are_pruned(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(ApplicationRequests, "prune_finished", counting)
-    world.advance(1.0)
-    assert pruned == ["psa"]
+    machine.advance(1.0)
+    assert pruned == ["b"]
     # The finished link the resize left behind is still named by its successor.
-    assert len(world.rms.sessions["psa"].requests.preemptible) == 2
-    world.advance(1.0)  # a pass in which nobody finished anything
-    world.rms.force_schedule()
-    assert pruned == ["psa"]
+    rms = machine.worlds[0].rms
+    assert len(rms.sessions["b"].requests.preemptible) == 2
+    machine.advance(1.0)  # a pass in which nobody finished anything
+    rms.force_schedule()
+    assert pruned == ["b"]
 
 
 def test_a_request_finished_behind_the_rms_back_stays_until_pruned_by_hand():
     """The documented contract of the touched-session prune."""
-    world = _World(CooRMv2, "coorm")
-    world.join(0, 2, 0)
-    world.advance(1.0)
+    machine = ProtocolMachine.started()
+    machine.steps(("submit", "a", "cluster0", 2, math.inf, NP), ("advance", 1.0))
+    world = machine.worlds[0]
     request = world.requests[0]
     request.mark_finished(world.sim.now)  # not through ``rms.done``
     world.rms.force_schedule()
-    requests = world.rms.sessions["rigid0"].requests
+    requests = world.rms.sessions["a"].requests
     assert requests.find(request.request_id) is request
     requests.prune_finished()
     assert requests.find(request.request_id) is None

@@ -6,27 +6,22 @@ merges for every connected application, and ``partition_schedule`` a
 not the application had anything to place.  The pass now skips the fits of a
 request set with nothing pending, hands applications without started
 pre-allocations one shared clipped availability, and builds one preemptive
-profile per distinct column of partition values.
+profile per distinct column of partition values.  It is also incremental
+(memoised started-occupation views, the two availabilities maintained as a
+delta over the previous pass), so the reference is the only *stateless* pass.
 
 ``reference_schedule`` / ``reference_partition_schedule`` keep the previous
-loops verbatim (and ``_reference_easy_fit_pending`` the previous EASY
-stage) as the oracle: over random mixes of rigid, pre-allocating and
-preemptible applications -- started, pending, fixed-``NEXT`` and finished
-requests, idle and busy applications, several passes with starts, finishes
-and submissions in between -- both must give equal views, the same
-``to_start`` order, the same scheduling attributes on every request and,
-with the tracer on, the same ``scheduler/*`` event stream.  The reference
-pass also runs on the previous view algebra (``_previous_algebra``: every
-operator builds a new object), so the comparison covers the identity laws
-and the sharing of operands they bring.
-
-Since the pass became incremental (memoised started-occupation views, the
-two availabilities maintained as a delta over the previous pass), the
-reference is also the only *stateless* pass left, and the worlds exercise
-everything the kept state can get wrong: applications joining and leaving
-the mapping, an id returning with fresh request sets, ``set_capacity``
-between passes, a request cancelled before it started, the mapping handed
-over in another order, and one scheduler alternating between two worlds.
+loops verbatim (and ``_reference_easy_fit_pending`` the previous EASY stage)
+as the oracle, on the previous view algebra (``_previous_algebra``: every
+operator builds a new object).  ``SchedulerMachine`` drives ``CooRMv2`` and
+``ReferencePassRMS`` -- the same RMS with ``reference_schedule`` as its pass
+-- through the steps of the protocol machine (``tests/support/protocol.py``)
+under every registered policy: equal views, ``to_start`` orders and
+scheduling attributes, and in ``TestTracedSchedulerMachine`` equal trace
+streams.  Sessions leaving and returning under their old id (a mapping in
+another order, fresh request sets), ``set_capacity`` between passes and
+cancels exercise the kept state.  One scheduler alternating between two
+mappings under the same ids is pinned below: no RMS verb produces it.
 """
 from __future__ import annotations
 
@@ -35,15 +30,15 @@ import math
 from typing import Dict, List
 from unittest import mock
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import pytest
+from hypothesis import settings
+from support.protocol import NP, P, ProtocolMachine, weighted
 
 import repro.core.eqschedule as eqschedule
-from repro.core import RelatedHow, Request, RequestType
+from repro.core import CooRMv2
 from repro.core.eqschedule import _interval_breakpoints, _partition_interval
 from repro.core.fit import fit
 from repro.core.profile import StepFunction
-from repro.core.request_set import ApplicationRequests
 from repro.core.scheduler import (
     ScheduleResult,
     Scheduler,
@@ -53,10 +48,8 @@ from repro.core.scheduler import (
 from repro.core.toview import to_view
 from repro.core.view import View
 from repro.obs import hooks as obs_hooks
-from repro.obs.tracer import EventTracer
-from repro.policies import SchedulingPolicy, resolve_policy
 from repro.policies.base import SchedulingContext
-from repro.policies.sharing import WeightedMaxMinSharing
+from repro.testing import app_with, np_, p_
 
 _EPS = 1e-9
 
@@ -311,255 +304,59 @@ def _reference_schedule(scheduler: Scheduler, applications, now, usage) -> Sched
     return result
 
 
-# --------------------------------------------------------------------- #
-# Random worlds
-# --------------------------------------------------------------------- #
-_CAPACITY = {"a": 8, "b": 4}
-_TYPES = {
-    "PA": RequestType.PREALLOCATION,
-    "NP": RequestType.NON_PREEMPTIBLE,
-    "P": RequestType.PREEMPTIBLE,
-}
+class ReferencePassRMS(CooRMv2):
+    """``CooRMv2`` whose every pass is ``reference_schedule``."""
 
-#: One request: (set, cluster, nodes, duration, constraint, parent index in
-#: the application or -1, lifecycle state).  Ten nodes exceed both clusters.
-_REQUEST = st.tuples(
-    st.sampled_from(["PA", "NP", "NP", "P"]),
-    st.sampled_from(["a", "a", "b"]),
-    st.integers(0, 10),
-    st.sampled_from([5.0, 20.0, 60.0, math.inf]),
-    st.sampled_from([RelatedHow.FREE, RelatedHow.NEXT, RelatedHow.NEXT, RelatedHow.COALLOC]),
-    st.integers(-1, 5),
-    st.sampled_from(["pending", "pending", "started", "started", "finished"]),
-)
-#: An application is the list of its requests; the empty list is an idle one.
-_APPS = st.lists(st.lists(_REQUEST, max_size=4), min_size=1, max_size=7)
-#: Between two passes: time advances, then requests finish, are submitted or
-#: are cancelled before they started; applications join, leave or come back
-#: under their old id with fresh request sets; the mapping changes its order;
-#: the platform shrinks, grows or loses a cluster.
-_EVENT = st.tuples(
-    st.sampled_from(
-        ["finish", "finish", "submit", "submit"]
-        + ["cancel", "join", "leave", "return", "reorder", "capacity"]
-    ),
-    st.integers(0, 40),
-    _REQUEST,
-)
-#: ``set_capacity`` targets: shrink, grow, a cluster at 0, back to the start.
-_CAPACITIES = [{"a": 4, "b": 4}, {"a": 12, "b": 6}, {"a": 8, "b": 0}, {"a": 8, "b": 4}]
-_STEPS = st.lists(
-    st.tuples(st.sampled_from([0.0, 1.0, 7.0, 30.0]), st.lists(_EVENT, max_size=3)),
-    min_size=1,
-    max_size=4,
-)
-
-
-class _World:
-    """The request sets of every application, built from a spec.
-
-    Two worlds built from one spec hold equal requests at equal positions
-    of ``self.requests``; request ids differ, nothing else does.
-    """
-
-    def __init__(self, apps):
-        self.applications: Dict[str, ApplicationRequests] = {}
-        self.requests: List[Request] = []
-        self.by_app: Dict[str, List[Request]] = {}
-        self.joined = 0
-        for spec in apps:
-            self.join(spec, now=0.0)
-
-    def join(self, spec, now, app_id=None):
-        """A new application (or a known id with fresh request sets)."""
-        if app_id is None:
-            app_id = f"app{self.joined}"
-            self.joined += 1
-        self.applications[app_id] = ApplicationRequests(app_id)
-        self.by_app[app_id] = []
-        for request_spec in spec:
-            self.submit(app_id, request_spec, now)
-
-    def submit(self, app_id, spec, now):
-        kind, cluster, nodes, duration, how, parent, state = spec
-        siblings = self.by_app[app_id]
-        target = siblings[parent % len(siblings)] if siblings and parent >= 0 else None
-        request = Request(
-            cluster,
-            nodes,
-            duration,
-            _TYPES[kind],
-            how if target is not None else RelatedHow.FREE,
-            target,
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        scheduler = self.scheduler
+        scheduler.schedule = lambda apps, now, usage=None: reference_schedule(
+            scheduler, apps, now, usage
         )
-        if state != "pending":
-            request.mark_started(now)
-        if state == "finished":
-            request.mark_finished(now)
-        self.applications[app_id].add(request)
-        siblings.append(request)
-        self.requests.append(request)
-
-    def apply(self, events, now):
-        for action, index, spec in events:
-            app_ids = list(self.applications)
-            if action == "join":
-                self.join([spec], now)
-            elif action == "reorder":
-                self.applications = dict(reversed(list(self.applications.items())))
-            elif not app_ids:
-                continue
-            elif action == "submit":
-                self.submit(app_ids[index % len(app_ids)], spec, now)
-            elif action == "leave":
-                del self.applications[app_ids[index % len(app_ids)]]
-            elif action == "return":
-                self.join([spec], now, app_id=app_ids[index % len(app_ids)])
-            elif action == "cancel":
-                pending = [r for r in self._live() if r.pending()]
-                if pending:
-                    pending[index % len(pending)].mark_cancelled(now)
-            elif action == "finish":
-                running = [r for r in self._live() if r.started() and not r.finished()]
-                if running:
-                    running[index % len(running)].mark_finished(now)
-
-    def _live(self):
-        """The requests still held by an application of the mapping."""
-        return [r for requests in self.applications.values() for r in requests.scan()]
-
-    def prune(self):
-        for requests in self.applications.values():
-            requests.prune_finished()
-
-    def state(self):
-        return [
-            (r.scheduled_at, r.n_alloc, r.fixed, r.earliest_schedule_at, r.started_at)
-            for r in self.requests
-        ]
 
 
-def _run_pass(world, now, run):
-    """One RMS pass on *world*: prune, schedule, start what must start."""
-    world.prune()
-    try:
-        result = run(world.applications, now)
-    except Exception as error:  # an unsatisfiable graph must fail alike
-        return type(error), None
-    for request in result.to_start:
-        request.mark_started(now)
-    return None, result
+class SchedulerMachine(ProtocolMachine):
+    reference = ReferencePassRMS
 
 
-def _assert_same_pass(new_world, ref_world, new, ref):
-    assert list(new.non_preemptive_views) == list(ref.non_preemptive_views)
-    assert list(new.preemptive_views) == list(ref.preemptive_views)
-    for app_id, view in ref.non_preemptive_views.items():
-        assert new.non_preemptive_views[app_id] == view, app_id
-        # Byte-identity, not eps-equality: the breakpoints and values agree.
-        assert repr(new.non_preemptive_views[app_id]) == repr(view), app_id
-    for app_id, view in ref.preemptive_views.items():
-        assert new.preemptive_views[app_id] == view, app_id
-        assert repr(new.preemptive_views[app_id]) == repr(view), app_id
-    position = {id(r): i for i, r in enumerate(new_world.requests)}
-    ref_position = {id(r): i for i, r in enumerate(ref_world.requests)}
-    assert [position[id(r)] for r in new.to_start] == [
-        ref_position[id(r)] for r in ref.to_start
-    ]
-    assert repr(new_world.state()) == repr(ref_world.state())
+class TracedSchedulerMachine(SchedulerMachine):
+    traced = True
 
 
-def _weighted(weights):
-    base = resolve_policy("maxmin-weighted")
-    return SchedulingPolicy(
-        name=base.name,
-        ordering=base.ordering,
-        backfill=base.backfill,
-        sharing=WeightedMaxMinSharing(weights),
-    )
-
-
-# Non-uniform weights, idle applications included: an idle application's view
-# depends on its own weight, so idle applications do not all see the same
-# numbers.
-_WEIGHTED = st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=7, max_size=7).map(
-    lambda ws: _weighted({f"app{i}": w for i, w in enumerate(ws)})
+TestSchedulerMachine = SchedulerMachine.TestCase
+TestSchedulerMachine.settings = settings(max_examples=130, stateful_step_count=30, deadline=None)
+TestTracedSchedulerMachine = TracedSchedulerMachine.TestCase
+TestTracedSchedulerMachine.settings = settings(
+    max_examples=50, stateful_step_count=30, deadline=None
 )
-_POLICIES = st.sampled_from(["coorm", "easy", "coorm-strict", "sjf", "weighted"]).flatmap(
-    lambda name: _WEIGHTED if name == "weighted" else st.just(name)
-)
-
-
-def _compare(worlds, policy, traced):
-    """Run every ``(apps, steps)`` of *worlds* on ONE scheduler, pass by pass.
-
-    Pass *k* of every world runs before pass *k + 1* of any, so with two
-    worlds the scheduler's kept state always stems from the other one.
-    """
-    scheduler = Scheduler(_CAPACITY, policy=policy)
-    new_tracer, ref_tracer = EventTracer(), EventTracer()
-    lanes = [
-        {"new": _World(apps), "ref": _World(apps), "steps": [(0.0, [])] + steps, "now": 0.0}
-        for apps, steps in worlds
-    ]
-    for k in range(max(len(lane["steps"]) for lane in lanes)):
-        for lane in lanes:
-            if k >= len(lane["steps"]) or lane.get("failed"):
-                continue
-            dt, events = lane["steps"][k]
-            now = lane["now"] = lane["now"] + dt
-            new_world, ref_world = lane["new"], lane["ref"]
-            for action, index, _ in events:
-                if action == "capacity":
-                    scheduler.set_capacity(_CAPACITIES[index % len(_CAPACITIES)])
-            new_world.apply(events, now)
-            ref_world.apply(events, now)
-            with obs_hooks.observe(tracer=new_tracer if traced else None):
-                new_error, new = _run_pass(new_world, now, scheduler.schedule)
-            with obs_hooks.observe(tracer=ref_tracer if traced else None):
-                ref_error, ref = _run_pass(
-                    ref_world, now, lambda apps_, t: reference_schedule(scheduler, apps_, t)
-                )
-            assert new_error is ref_error
-            if ref_error is not None:
-                # An unsatisfiable graph ends this world; the other goes on.
-                lane["failed"] = True
-                continue
-            _assert_same_pass(new_world, ref_world, new, ref)
-            assert scheduler.full_view() == View.constant(scheduler.capacity)
-    if traced:
-        def stream(tracer):
-            return [(e.ts, e.seq, e.cat, e.name, e.ph, e.args) for e in tracer.events]
-
-        assert stream(new_tracer) == stream(ref_tracer)
-        assert {e.cat for e in new_tracer.events} <= {"scheduler"}
-
-
-@settings(max_examples=300, deadline=None)
-@given(apps=_APPS, steps=_STEPS, policy=_POLICIES)
-def test_pass_matches_the_reference_loop(apps, steps, policy):
-    _compare([(apps, steps)], policy, traced=False)
-
-
-@settings(max_examples=150, deadline=None)
-@given(apps=_APPS, steps=_STEPS, policy=_POLICIES)
-def test_traced_pass_emits_the_reference_event_stream(apps, steps, policy):
-    _compare([(apps, steps)], policy, traced=True)
-
-
-@settings(max_examples=300, deadline=None)
-@given(apps=_APPS, steps=_STEPS, other_apps=_APPS, other_steps=_STEPS, policy=_POLICIES)
-def test_one_scheduler_alternating_between_two_worlds(
-    apps, steps, other_apps, other_steps, policy
-):
-    _compare([(apps, steps), (other_apps, other_steps)], policy, traced=False)
 
 
 # --------------------------------------------------------------------- #
 # The cases the optimisation is about, pinned explicitly
 # --------------------------------------------------------------------- #
-def _rigid(state, nodes=2, duration=50.0):
-    return [("NP", "a", nodes, duration, RelatedHow.FREE, -1, state)]
+_CAPACITY = {"a": 8, "b": 4}
+
+
+def _mapping(*apps):
+    """``app<i>`` -> request sets; each request is ``(request, state)``."""
+    for requests in apps:
+        for request, state in requests:
+            if state != "pending":
+                request.mark_started(0.0)
+            if state == "finished":
+                request.mark_finished(0.0)
+    return {
+        f"app{i}": app_with(*(r for r, _ in requests), app_id=f"app{i}")
+        for i, requests in enumerate(apps)
+    }
+
+
+def _rigid(state, nodes=2):
+    return [(np_(nodes, 50.0, cluster="a"), state)]
+
+
+def _sweep(state, nodes=8):
+    return [(p_(nodes, math.inf, cluster="a"), state)]
 
 
 def test_the_oracle_runs_on_the_previous_algebra():
@@ -571,9 +368,41 @@ def test_the_oracle_runs_on_the_previous_algebra():
     assert view + View.empty() is view
 
 
+@pytest.mark.parametrize("policy", ["coorm", "easy", "coorm-strict", "weighted"])
+def test_one_scheduler_alternating_between_two_worlds(policy):
+    """Mappings A, B (same ids, other objects), A: kept state never leaks."""
+    if policy == "weighted":
+        policy = weighted({"app0": 2.0, "app2": 0.5})
+
+    def a():
+        return _mapping(_rigid("started"), _sweep("started"), _rigid("pending", 5))
+
+    def b():
+        return _mapping(_sweep("pending", 3), [], _rigid("started", 7), _rigid("pending"))
+
+    scheduler = Scheduler(_CAPACITY, policy=policy)
+    new_a, ref_a = a(), a()
+    for now, new, ref in [(0.0, new_a, ref_a), (1.0, b(), b()), (7.0, new_a, ref_a)]:
+        got = scheduler.schedule(new, now)
+        expected = reference_schedule(scheduler, ref, now)
+        for views in ("non_preemptive_views", "preemptive_views"):
+            assert repr(getattr(got, views)) == repr(getattr(expected, views))
+        ordinals = [
+            {id(r): i for i, r in enumerate(r for s in m.values() for r in s.all_requests())}
+            for m in (new, ref)
+        ]
+        assert [ordinals[0][id(r)] for r in got.to_start] == [
+            ordinals[1][id(r)] for r in expected.to_start
+        ]
+        for result in (got, expected):
+            for request in result.to_start:
+                request.mark_started(now)
+        assert scheduler.full_view() == View.constant(scheduler.capacity)
+
+
 def test_idle_and_running_applications_are_not_fitted(monkeypatch):
     """Only the application with a pending request reaches ``fit``."""
-    world = _World([_rigid("started"), [], _rigid("pending"), _rigid("finished")])
+    applications = _mapping(_rigid("started"), [], _rigid("pending"), _rigid("finished"))
     calls = []
     real_fit = fit
 
@@ -583,14 +412,14 @@ def test_idle_and_running_applications_are_not_fitted(monkeypatch):
 
     monkeypatch.setattr("repro.policies.backfill.fit", counting)
     monkeypatch.setattr("repro.core.eqschedule.fit", counting)
-    result = Scheduler(_CAPACITY).schedule(world.applications, 0.0)
+    result = Scheduler(_CAPACITY).schedule(applications, 0.0)
     assert calls == [["app2"]]
     assert [r.app_id for r in result.to_start] == ["app2"]
 
 
 def test_applications_without_preallocations_share_one_view_object():
-    world = _World([_rigid("started"), [], _rigid("started", nodes=3), []])
-    result = Scheduler(_CAPACITY).schedule(world.applications, 0.0)
+    applications = _mapping(_rigid("started"), [], _rigid("started", nodes=3), [])
+    result = Scheduler(_CAPACITY).schedule(applications, 0.0)
     views = list(result.non_preemptive_views.values())
     assert all(view is views[0] for view in views)
     assert views[0]["a"].value_at(0.0) == 3.0
@@ -601,10 +430,9 @@ def test_applications_without_preallocations_share_one_view_object():
 
 def test_weighted_idle_applications_keep_their_own_numbers():
     """Idle applications are de-duplicated by content, never by idleness."""
-    busy = [("P", "a", 8, math.inf, RelatedHow.FREE, -1, "started")]
-    world = _World([busy, [], [], []])
-    policy = _weighted({"app0": 1.0, "app1": 1.0, "app2": 3.0, "app3": 1.0})
-    views = Scheduler(_CAPACITY, policy=policy).schedule(world.applications, 0.0).preemptive_views
+    applications = _mapping(_sweep("started"), [], [], [])
+    policy = weighted({"app0": 1.0, "app1": 1.0, "app2": 3.0, "app3": 1.0})
+    views = Scheduler(_CAPACITY, policy=policy).schedule(applications, 0.0).preemptive_views
     assert views["app1"]["a"] is views["app3"]["a"]
     assert views["app2"]["a"] is not views["app1"]["a"]
     assert views["app2"]["a"].value_at(0.0) > views["app1"]["a"].value_at(0.0)
@@ -613,16 +441,12 @@ def test_weighted_idle_applications_keep_their_own_numbers():
 # --------------------------------------------------------------------- #
 # The idle sharing branch: entered and left under the stateless reference
 # --------------------------------------------------------------------- #
-_SWEEP = [("P", "a", 6, math.inf, RelatedHow.FREE, -1, "started")]
-#: The request spec of an event that does not read it.
-_REQUEST_PLACEHOLDER = _rigid("pending")[0]
-
-
 def _unions_per_pass(monkeypatch):
     """How many breakpoint unions each ``Scheduler.schedule`` call ran.
 
     Only the pass under test is counted: the reference keeps the
-    ``_interval_breakpoints`` this module imported.
+    ``_interval_breakpoints`` this module imported.  Patch before the
+    machine is built, as each world wraps the pass it finds.
     """
     per_pass = []
     real_union, real_schedule = eqschedule._interval_breakpoints, Scheduler.schedule
@@ -640,34 +464,35 @@ def _unions_per_pass(monkeypatch):
     return per_pass
 
 
-def test_every_application_idle(monkeypatch):
+_WEIGHTS = (2.0, 1.0, 0.5, 3.0)
+
+
+@pytest.mark.parametrize("policy", ["coorm", "coorm-strict", "easy", "maxmin-weighted"])
+def test_every_application_idle(monkeypatch, policy):
     """No preemptible request anywhere: rows come off the availability itself."""
     per_pass = _unions_per_pass(monkeypatch)
-    apps = [_rigid("started"), [], _rigid("pending", nodes=7), _rigid("started", nodes=1), []]
-    steps = [
-        (1.0, [("submit", 1, _rigid("pending", nodes=3)[0])]),
-        (7.0, [("finish", 0, _REQUEST_PLACEHOLDER), ("capacity", 0, _REQUEST_PLACEHOLDER)]),
-        (30.0, [("join", 0, _rigid("pending")[0]), ("leave", 0, _REQUEST_PLACEHOLDER)]),
-    ]
-    for policy in ("coorm", "coorm-strict", "easy", _weighted({"app0": 2.0, "app2": 0.5})):
-        del per_pass[:]
-        _compare([(apps, steps)], policy, traced=False)
-        assert per_pass == [0, 0, 0, 0]
+    SchedulerMachine.started(policy, _WEIGHTS).steps(
+        ("connect", "d"),
+        ("submit", "a", "cluster0", 2, 50.0, NP), ("submit", "c", "cluster1", 7, 50.0, NP),
+        ("submit", "d", "cluster0", 1, 50.0, NP), ("advance", 1.0),
+        ("submit", "b", "cluster0", 3, 50.0, NP), ("advance", 7.0), ("done", 0, 0),
+        ("set_capacity", 4), ("advance", 30.0), ("disconnect", "d"), ("connect", "d"),
+        ("submit", "d", "cluster0", 2, 50.0, NP), ("advance", 1.0),
+    )
+    assert len(per_pass) > 3 and set(per_pass) == {0}
 
 
-def test_the_last_preemptible_request_finishes_mid_run(monkeypatch):
+@pytest.mark.parametrize("policy", ["coorm", "coorm-strict", "maxmin-weighted"])
+def test_the_last_preemptible_request_finishes_mid_run(monkeypatch, policy):
     """The idle branch is left when a sweep arrives and entered when it ends."""
     per_pass = _unions_per_pass(monkeypatch)
-    apps = [_rigid("pending"), _SWEEP, []]
-    steps = [
-        (1.0, []),
-        (7.0, [("finish", 1, _REQUEST_PLACEHOLDER)]),  # the sweep: the one started request
-        (1.0, []),
-        (30.0, [("submit", 2, _SWEEP[0])]),
-    ]
-    for policy in ("coorm", "coorm-strict", _weighted({"app1": 3.0})):
-        del per_pass[:]
-        _compare([(apps, steps)], policy, traced=False)
-        # One union per cluster ("a", "b") while a preemptible request lives;
-        # strict sharing reads no demand, so it never takes one.
-        assert per_pass == ([0] * 5 if policy == "coorm-strict" else [2, 2, 0, 0, 2])
+    SchedulerMachine.started(policy, _WEIGHTS).steps(
+        ("submit", "a", "cluster0", 2, 50.0, NP), ("submit", "b", "cluster0", 6, math.inf, P),
+        ("advance", 1.0), ("connect", "d"), ("advance", 1.0),
+        ("done", 1, 0), ("advance", 1.0),  # the sweep: the one preemptible request
+        ("disconnect", "d"), ("advance", 1.0),
+        ("submit", "c", "cluster0", 6, math.inf, P), ("advance", 1.0),
+    )
+    # One union per cluster while a preemptible request lives; strict
+    # sharing reads no demand, so it never takes one.
+    assert per_pass == ([0] * 5 if policy == "coorm-strict" else [2, 2, 0, 0, 2])
