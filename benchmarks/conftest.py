@@ -4,7 +4,7 @@ Every benchmark regenerates one figure (or one ablation) of the paper at a
 configurable scale and prints the corresponding rows/series after timing the
 run, so that ``pytest benchmarks/ --benchmark-only -s`` doubles as the
 figure-reproduction harness.  The scale is kept small by default so the whole
-suite completes in a few minutes; EXPERIMENTS.md records a larger run.
+suite completes in a few minutes; no run at the paper's scale is recorded yet.
 """
 from __future__ import annotations
 

@@ -10,7 +10,6 @@ only encode behaviour.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from typing import FrozenSet, Optional, Callable, Tuple
 
@@ -112,8 +111,7 @@ class BaseApplication:
         A new request is submitted ``NEXT`` to the current one (so surviving
         node IDs are carried over) and the current request is terminated.
         When shrinking, *released_node_ids* tells the RMS which nodes are
-        given back; when omitted, the highest node IDs are released (picked
-        without sorting the allocation).
+        given back; when omitted, the highest node IDs are released.
         """
         new_request = self.submit(
             node_count=new_node_count,
@@ -123,8 +121,7 @@ class BaseApplication:
             related_to=current,
         )
         if released_node_ids is None and new_node_count < len(current.node_ids):
-            surplus = len(current.node_ids) - new_node_count
-            released_node_ids = heapq.nlargest(surplus, current.node_ids)
+            released_node_ids = sorted(current.node_ids)[new_node_count:]
         self.done(current, released_node_ids)
         return new_request
 

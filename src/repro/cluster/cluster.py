@@ -7,7 +7,6 @@ inherit the nodes of their predecessor.
 """
 from __future__ import annotations
 
-import heapq
 from typing import AbstractSet, Collection, Dict, FrozenSet, Iterable, List, Set
 
 from ..core.errors import AllocationError
@@ -56,7 +55,7 @@ class Cluster:
 
     def highest_free(self, count: int) -> List[NodeId]:
         """The *count* highest free node IDs, highest first."""
-        return heapq.nlargest(count, self._free)
+        return sorted(self._free, reverse=True)[:max(count, 0)]
 
     def held_by(self, app_id: str) -> AbstractSet[NodeId]:
         """IDs of the nodes *app_id* holds: the live set itself, read-only."""

@@ -1,18 +1,22 @@
-"""Protocol message records exchanged between the RMS and applications.
+"""Protocol message records: the RMS's one stream of what happened.
 
 The CooRMv2 protocol (paper Section 3.3 and Figure 8) consists of a small set
 of messages: an application *connects*, submits *request* and *done*
-messages, and the RMS answers with *view updates* and *start notifications*.
-These dataclasses record each message so that simulations produce an
-inspectable trace (tests replay the Figure 8 interaction against it) and so
-the RMS event log doubles as documentation of what happened.
+messages, and the RMS answers with *view updates* and *start notifications*,
+and may *kill* it.  The RMS records each message once, as one of these
+frozen records, in its :class:`EventLog`.  Tests replay the Figure 8
+interaction against the log; under observation, :class:`ProtocolFormatter`
+turns each record into the tracer's ``rms`` events and the ``rms.*`` metric
+increments, so the trace and the counters are read off the log rather than
+built beside it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .types import NodeId, Time
+from .types import PREALLOCATION, NodeId, Time
 
 __all__ = [
     "ProtocolEvent",
@@ -22,9 +26,12 @@ __all__ = [
     "RequestDone",
     "RequestStarted",
     "RequestExpired",
+    "RequestFinished",
     "ViewsPushed",
     "SessionKilled",
+    "CapacityChanged",
     "EventLog",
+    "ProtocolFormatter",
 ]
 
 
@@ -74,6 +81,8 @@ class RequestStarted(ProtocolEvent):
 
     request_id: int
     node_ids: Tuple[NodeId, ...] = ()
+    rtype: str = ""
+    cluster_id: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,6 +90,17 @@ class RequestExpired(ProtocolEvent):
     """A started request reached the end of its duration."""
 
     request_id: int
+
+
+@dataclass(frozen=True, slots=True)
+class RequestFinished(ProtocolEvent):
+    """A request ended: on ``done()``, at its expiry or at ``disconnect``."""
+
+    request_id: int
+    rtype: str
+    nodes: int  # what it used if it started, else 0
+    started: bool
+    expired: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +116,17 @@ class SessionKilled(ProtocolEvent):
     """The RMS terminated the session after a protocol violation."""
 
     reason: str = ""
+
+
+@dataclass(frozen=True, slots=True)
+class CapacityChanged(ProtocolEvent):
+    """The RMS resized a cluster; ``app_id`` is empty, ``killed`` lists the
+    applications the shrink killed."""
+
+    cluster_id: str
+    node_count: int
+    reason: str
+    killed: Tuple[str, ...] = ()
 
 
 class EventLog:
@@ -130,3 +161,70 @@ class EventLog:
             if kind is None or isinstance(e, kind):
                 return e
         return None
+
+
+#: Record kind -> metric it increments.
+_COUNTERS = {
+    RequestSubmitted: "rms.requests_submitted",
+    RequestFinished: "rms.requests_finished",
+    ViewsPushed: "rms.views_pushed",
+}
+
+#: Record kind -> ``(formatter, record) -> (trace event name, its args, whether
+#: an ``allocated`` sample follows)``.  Open-ended requests carry an infinite
+#: duration, which strict JSON cannot represent; null marks "unbounded".
+_TRACES = {
+    Connected: lambda f, e: ("connect", {"app": e.app_id}, False),
+    Disconnected: lambda f, e: ("disconnect", {"app": e.app_id}, False),
+    SessionKilled: lambda f, e: ("kill", {"app": e.app_id, "reason": e.reason}, True),
+    RequestSubmitted: lambda f, e: ("submit", {
+        "app": e.app_id, "req": f.ordinal(e), "rtype": e.rtype, "nodes": e.node_count,
+        "duration": e.duration if math.isfinite(e.duration) else None}, False),
+    RequestFinished: lambda f, e: ("finish", {
+        "app": e.app_id, "req": f.ordinal(e), "rtype": e.rtype, "nodes": e.nodes,
+        "started": e.started, "expired": e.expired}, True),
+    RequestStarted: lambda f, e: ("start", {
+        "app": e.app_id, "req": f.ordinal(e), "rtype": e.rtype, "nodes": len(e.node_ids),
+        "cluster": e.cluster_id}, e.rtype != PREALLOCATION.value),
+    CapacityChanged: lambda f, e: ("capacity", {
+        "cluster": e.cluster_id, "nodes": e.node_count, "reason": e.reason,
+        "killed": list(e.killed)}, True),
+}
+
+
+class ProtocolFormatter:
+    """One RMS's records as the tracer's ``rms`` events and ``rms.*`` counters.
+
+    Called with each record and the ``(tracer, metrics)`` pair of
+    :data:`repro.obs.hooks.SINK`.  A request's ``req`` is its per-application
+    submission ordinal, assigned at the first of its records formatted for a
+    tracer: ``request_id`` comes from a process-global counter and would
+    differ between worker processes, so it never reaches a trace.  Records
+    that move nodes end with an ``allocated`` counter sample of *platform*.
+    """
+
+    def __init__(self, platform) -> None:
+        self.platform = platform
+        self._ordinals: Dict[int, int] = {}
+        self._counts: Dict[str, int] = {}
+
+    def __call__(self, event: ProtocolEvent, tracer, metrics) -> None:
+        kind = type(event)
+        if metrics is not None and kind in _COUNTERS:
+            metrics.inc(_COUNTERS[kind])
+        if tracer is None or kind not in _TRACES:
+            return
+        name, args, moved = _TRACES[kind](self, event)
+        tracer.emit(event.time, "rms", name, args)
+        if moved:
+            clusters = self.platform.clusters
+            allocated = {cid: float(clusters[cid].allocated_count()) for cid in sorted(clusters)}
+            tracer.counter(event.time, "rms", "allocated", allocated)
+
+    def ordinal(self, event) -> int:
+        """The per-application submission ordinal of *event*'s request."""
+        ordinal = self._ordinals.get(event.request_id)
+        if ordinal is None:
+            ordinal = self._ordinals[event.request_id] = self._counts.get(event.app_id, 0) + 1
+            self._counts[event.app_id] = ordinal
+        return ordinal

@@ -25,11 +25,15 @@ from ..obs import hooks as _obs
 from .accounting import Accountant
 from .errors import RequestError, SessionError
 from .events import (
+    CapacityChanged,
     Connected,
     Disconnected,
     EventLog,
+    ProtocolEvent,
+    ProtocolFormatter,
     RequestDone,
     RequestExpired,
+    RequestFinished,
     RequestStarted,
     RequestSubmitted,
     SessionKilled,
@@ -95,6 +99,7 @@ class CooRMv2:
         self.scheduler = Scheduler(platform.capacity(), policy=policy)
         self.accountant = accountant if accountant is not None else Accountant()
         self.event_log = EventLog()
+        self._format = ProtocolFormatter(platform)
 
         #: Every session that ever connected, by app id (the latest one when
         #: an id re-connected): the lookup table.  Passes walk ``_live``.
@@ -108,12 +113,7 @@ class CooRMv2:
         self._schedule_handle: Optional[EventHandle] = None
         self._last_schedule_time: Time = -math.inf
         self._expiry_handles: Dict[int, EventHandle] = {}
-        # Deterministic per-app request ordinals for lifecycle trace events:
-        # ``Request.request_id`` comes from a process-global counter and would
-        # differ between worker processes, so it must never reach a trace.
-        self._obs_req_ordinals: Dict[int, int] = {}
-        self._obs_app_counts: Dict[str, int] = {}
-        tracer = _obs.TRACER[0]
+        tracer = _obs.TRACER[0]  # rms/platform: a setting, not a message
         if tracer is not None:
             tracer.emit(
                 self.now,
@@ -128,30 +128,16 @@ class CooRMv2:
                 },
             )
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle observability helpers (only called with a live tracer)
-    # ------------------------------------------------------------------ #
-    def _obs_req(self, request: Request) -> int:
-        """Per-app submission ordinal of *request* (deterministic)."""
-        ordinal = self._obs_req_ordinals.get(request.request_id)
-        if ordinal is None:
-            app_id = request.app_id or ""
-            ordinal = self._obs_app_counts.get(app_id, 0) + 1
-            self._obs_app_counts[app_id] = ordinal
-            self._obs_req_ordinals[request.request_id] = ordinal
-        return ordinal
+    def _record(self, event: ProtocolEvent) -> None:
+        """Log *event*: the one path every protocol message takes.
 
-    def _obs_allocation(self, tracer) -> None:
-        """Sample the per-cluster allocated node counts as a counter event."""
-        tracer.counter(
-            self.now,
-            "rms",
-            "allocated",
-            {
-                cid: float(self.platform.cluster(cid).allocated_count())
-                for cid in sorted(self.platform.clusters)
-            },
-        )
+        Under observation its :class:`ProtocolFormatter` turns it into the
+        trace events and counters; unobserved it costs one check.
+        """
+        self.event_log.record(event)
+        sink = _obs.SINK[0]
+        if sink is not None:
+            self._format(event, *sink)
 
     # ------------------------------------------------------------------ #
     # Time
@@ -178,10 +164,7 @@ class CooRMv2:
             raise SessionError(f"application {app_id!r} is already connected")
         session = Session(app_id, application, self.now, self.platform)
         self.sessions[app_id] = self._live[app_id] = session
-        self.event_log.record(Connected(self.now, app_id))
-        tracer = _obs.TRACER[0]
-        if tracer is not None:
-            tracer.emit(self.now, "rms", "connect", {"app": app_id})
+        self._record(Connected(self.now, app_id))
         self._trigger_schedule()
         return session
 
@@ -193,10 +176,7 @@ class CooRMv2:
                 self._finish_request(session, request, released_node_ids=None, expired=False)
         session.alive = False
         del self._live[app_id]
-        self.event_log.record(Disconnected(self.now, app_id))
-        tracer = _obs.TRACER[0]
-        if tracer is not None:
-            tracer.emit(self.now, "rms", "disconnect", {"app": app_id})
+        self._record(Disconnected(self.now, app_id))
         self._trigger_schedule()
 
     def kill(self, app_id: str, reason: str) -> None:
@@ -213,11 +193,7 @@ class CooRMv2:
         self.platform.release_all_of(app_id)
         session.kill(reason)
         del self._live[app_id]
-        self.event_log.record(SessionKilled(self.now, app_id, reason=reason))
-        tracer = _obs.TRACER[0]
-        if tracer is not None:
-            tracer.emit(self.now, "rms", "kill", {"app": app_id, "reason": reason})
-            self._obs_allocation(tracer)
+        self._record(SessionKilled(self.now, app_id, reason=reason))
         session.application.on_killed(reason)
         self._trigger_schedule()
 
@@ -249,37 +225,8 @@ class CooRMv2:
             )
         request.submitted_at = self.now
         session.requests.add(request)
-        self.event_log.record(
-            RequestSubmitted(
-                self.now,
-                app_id,
-                request_id=request.request_id,
-                rtype=request.rtype.value,
-                node_count=request.node_count,
-                duration=request.duration,
-            )
-        )
-        metrics = _obs.METRICS[0]
-        if metrics is not None:
-            metrics.inc("rms.requests_submitted")
-        tracer = _obs.TRACER[0]
-        if tracer is not None:
-            tracer.emit(
-                self.now,
-                "rms",
-                "submit",
-                {
-                    "app": app_id,
-                    "req": self._obs_req(request),
-                    "rtype": request.rtype.value,
-                    "nodes": request.node_count,
-                    # Open-ended requests carry an infinite duration, which
-                    # strict JSON cannot represent; null marks "unbounded".
-                    "duration": (
-                        request.duration if math.isfinite(request.duration) else None
-                    ),
-                },
-            )
+        self._record(RequestSubmitted(self.now, app_id, request.request_id, request.rtype.value,
+                                      request.node_count, request.duration))
         self._trigger_schedule()
         return request
 
@@ -304,15 +251,10 @@ class CooRMv2:
             raise RequestError(
                 f"request #{request.request_id} does not belong to {app_id!r}"
             )
+        released = tuple(sorted(released_node_ids)) if released_node_ids else ()
+        self._record(RequestDone(self.now, app_id, request_id=request.request_id,
+                                 released_node_ids=released))
         self._finish_request(session, request, released_node_ids, expired=False)
-        self.event_log.record(
-            RequestDone(
-                self.now,
-                app_id,
-                request_id=request.request_id,
-                released_node_ids=tuple(sorted(released_node_ids)) if released_node_ids else (),
-            )
-        )
         self._trigger_schedule()
 
     # ------------------------------------------------------------------ #
@@ -374,28 +316,11 @@ class CooRMv2:
                 end=self.now,
             )
         if expired:
-            self.event_log.record(
-                RequestExpired(self.now, session.app_id, request_id=request.request_id)
-            )
-        metrics = _obs.METRICS[0]
-        if metrics is not None:
-            metrics.inc("rms.requests_finished")
-        tracer = _obs.TRACER[0]
-        if tracer is not None:
-            tracer.emit(
-                self.now,
-                "rms",
-                "finish",
-                {
-                    "app": session.app_id,
-                    "req": self._obs_req(request),
-                    "rtype": request.rtype.value,
-                    "nodes": nodes_used if was_started else 0,
-                    "started": was_started,
-                    "expired": expired,
-                },
-            )
-            self._obs_allocation(tracer)
+            self._record(RequestExpired(self.now, session.app_id, request_id=request.request_id))
+        self._record(
+            RequestFinished(self.now, session.app_id, request.request_id, request.rtype.value,
+                            nodes_used if was_started else 0, was_started, expired)
+        )
 
     def _pending_next_child(self, session: Session, request: Request) -> Optional[Request]:
         """A not-yet-started NEXT successor of *request*, if any."""
@@ -444,8 +369,7 @@ class CooRMv2:
         if request.started() or request.finished():
             return True
         now = self.now
-        preallocation = request.is_preallocation()
-        if preallocation:
+        if request.is_preallocation():
             all_nodes = frozenset()
             request.mark_started(now, all_nodes)
             session.application.on_start(request, all_nodes)
@@ -457,26 +381,10 @@ class CooRMv2:
             request.mark_started(now, all_nodes)
             self._schedule_expiry(session, request)
             session.application.on_start(request, all_nodes)
-        node_ids = tuple(sorted(all_nodes))
-        self.event_log.record(
-            RequestStarted(now, session.app_id, request_id=request.request_id, node_ids=node_ids)
+        self._record(
+            RequestStarted(now, session.app_id, request.request_id, tuple(sorted(all_nodes)),
+                           request.rtype.value, request.cluster_id)
         )
-        tracer = _obs.TRACER[0]
-        if tracer is not None:
-            tracer.emit(
-                now,
-                "rms",
-                "start",
-                {
-                    "app": session.app_id,
-                    "req": self._obs_req(request),
-                    "rtype": request.rtype.value,
-                    "nodes": len(all_nodes),
-                    "cluster": request.cluster_id,
-                },
-            )
-            if not preallocation:
-                self._obs_allocation(tracer)
         return True
 
     def _bind_nodes(self, session: Session, request: Request) -> Optional[FrozenSet[NodeId]]:
@@ -584,7 +492,7 @@ class CooRMv2:
         usage = None
         if self.scheduler.policy.ordering.needs_usage:
             usage = self.accountant.used_node_seconds_by_app()
-        metrics = _obs.METRICS[0]
+        metrics = _obs.METRICS[0]  # pass counters
         profiler = _obs.PROFILER[0]
         if metrics is not None:
             metrics.inc("rms.passes")
@@ -645,10 +553,8 @@ class CooRMv2:
                 verdict = verdicts[key] = (last_np, last_p, non_preemptive, preemptive, changed)
             if verdict[4]:
                 session.remember_views(non_preemptive, preemptive)
-                if metrics is not None:
-                    metrics.inc("rms.views_pushed")
                 pushed = (total_now(non_preemptive), total_now(preemptive))
-                self.event_log.record(ViewsPushed(now, session.app_id, *pushed))
+                self._record(ViewsPushed(now, session.app_id, *pushed))
                 session.application.on_views(non_preemptive, preemptive)
 
         if self.kill_protocol_violators:
@@ -705,20 +611,8 @@ class CooRMv2:
         else:
             cluster.add_nodes(node_count - current)
         self.scheduler.set_capacity(self.platform.capacity())
-        tracer = _obs.TRACER[0]
-        if tracer is not None:
-            tracer.emit(
-                self.now,
-                "rms",
-                "capacity",
-                {
-                    "cluster": cluster.cluster_id,
-                    "nodes": cluster.node_count,
-                    "reason": reason,
-                    "killed": killed,
-                },
-            )
-            self._obs_allocation(tracer)
+        self._record(CapacityChanged(self.now, "", cluster.cluster_id, cluster.node_count,
+                                     reason, tuple(killed)))
         self._trigger_schedule()
         return killed
 
@@ -737,20 +631,7 @@ class CooRMv2:
             return 0
         cluster.remove_nodes(free)
         self.scheduler.set_capacity(self.platform.capacity())
-        tracer = _obs.TRACER[0]
-        if tracer is not None:
-            tracer.emit(
-                self.now,
-                "rms",
-                "capacity",
-                {
-                    "cluster": cluster.cluster_id,
-                    "nodes": cluster.node_count,
-                    "reason": reason,
-                    "killed": [],
-                },
-            )
-            self._obs_allocation(tracer)
+        self._record(CapacityChanged(self.now, "", cluster.cluster_id, cluster.node_count, reason))
         self._trigger_schedule()
         return len(free)
 

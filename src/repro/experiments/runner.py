@@ -6,8 +6,8 @@ Parameter-Sweep Applications on a single homogeneous cluster, scheduled by
 CooRMv2 with a 1-second re-scheduling interval.  :func:`run_scenario` builds
 and runs that scenario and returns the collected metrics;
 :class:`EvaluationScale` groups the size knobs so the same code can run at
-the paper's full scale, at a reduced scale (default for EXPERIMENTS.md) or at
-a tiny scale suitable for unit tests and benchmarks.
+the paper's full scale, at a reduced scale or at a tiny scale suitable for
+unit tests and benchmarks.
 """
 from __future__ import annotations
 

@@ -7,7 +7,9 @@ consults three module-level one-element lists -- :data:`TRACER`,
 path whenever the relevant slot holds ``None``.  A one-element list (rather
 than a bare module attribute) lets the hot path cache the *cell* once and
 pay a single index + identity test per check, and lets :func:`observe`
-swap the active instruments without rebinding module globals.
+swap the active instruments without rebinding module globals.  The RMS's
+protocol records check one more slot, :data:`SINK`, which :func:`observe`
+keeps at ``(tracer, metrics)`` while either of them is active.
 
 Exactly one observation is active per process at a time (campaign workers
 execute one run at a time, so a single slot per process is race-free --
@@ -24,9 +26,9 @@ file re-exports the instruments and analytics lazily: ``import repro`` loads
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-__all__ = ["TRACER", "METRICS", "PROFILER", "observation_enabled", "observe"]
+__all__ = ["TRACER", "METRICS", "PROFILER", "SINK", "observation_enabled", "observe"]
 
 #: Active :class:`~repro.obs.tracer.EventTracer`, or ``None`` (disabled).
 TRACER: List[Optional[object]] = [None]
@@ -34,6 +36,9 @@ TRACER: List[Optional[object]] = [None]
 METRICS: List[Optional[object]] = [None]
 #: Active :class:`~repro.obs.profiler.PhaseProfiler`, or ``None``.
 PROFILER: List[Optional[object]] = [None]
+#: ``(tracer, metrics)`` while either of them is active, else ``None``: the
+#: one slot a protocol record checks before it is formatted for them.
+SINK: List[Optional[Tuple[object, object]]] = [None]
 
 
 def observation_enabled() -> bool:
@@ -49,9 +54,10 @@ def observe(tracer=None, metrics=None, profiler=None):
     fully replaces the active observation; it does not merge with an outer
     one).  The previous observation is restored on exit, even on error.
     """
-    previous = (TRACER[0], METRICS[0], PROFILER[0])
-    TRACER[0], METRICS[0], PROFILER[0] = tracer, metrics, profiler
+    previous = (TRACER[0], METRICS[0], PROFILER[0], SINK[0])
+    sink = None if tracer is None and metrics is None else (tracer, metrics)
+    TRACER[0], METRICS[0], PROFILER[0], SINK[0] = tracer, metrics, profiler, sink
     try:
         yield
     finally:
-        TRACER[0], METRICS[0], PROFILER[0] = previous
+        TRACER[0], METRICS[0], PROFILER[0], SINK[0] = previous

@@ -1,8 +1,8 @@
 """Integration tests of the experiment drivers (one per paper figure).
 
 Each driver is run at a very small scale and checked for the qualitative
-shape the corresponding figure shows.  The full-scale sweeps are run from
-``benchmarks/`` and recorded in EXPERIMENTS.md.
+shape the corresponding figure shows.  Larger sweeps run from
+``benchmarks/`` or ``python -m repro campaign run --scale paper``.
 """
 from __future__ import annotations
 

@@ -5,11 +5,11 @@ The paper's RMS is a protocol.  Applications ``connect``, ``request``
 ``COALLOC``) and call ``done``, and the RMS may ``kill`` an application.
 :class:`ProtocolMachine` is a ``hypothesis.stateful.RuleBasedStateMachine``
 whose rules are those verbs -- plus ``disconnect``, bursts of ``NEXT``
-updates, ``set_capacity`` (0 and back) and ``release_capacity``, views swapped
-for equal twins, and the clock -- on one two-cluster platform, under a policy
-drawn from the registry, starting from a drawn workload.  The rules reach the
-RMS through its public verbs only, so any class with ``CooRMv2``'s interface
-can stand behind them.
+updates (also through a started pre-allocation), ``set_capacity`` (0 and
+back) and ``release_capacity``, views swapped for equal twins, and the clock
+-- on one two-cluster platform, under a policy drawn from the registry,
+starting from a drawn workload.  The rules reach the RMS through its public
+verbs only, so any class with ``CooRMv2``'s interface can stand behind them.
 
 After every step :meth:`ProtocolMachine.check` asserts
 :meth:`World.assert_invariants`, which needs no reference, on every world.
@@ -201,6 +201,19 @@ class World:
             self.done(ordinal, release)
             ordinal = new
         return ordinal
+
+    def prechain(self, pick, count, rtype, nodes):
+        """A ``NEXT`` chain through a started pre-allocation that has retained
+        nodes above it: a ``NEXT`` pre-allocation replaces one of the running
+        requests holding nodes (``pick``-th, cyclically), which retains them;
+        a pass starts it; then ``burst`` of *count* updates below it.  A walk
+        from the tail must pass through the pre-allocation to the nodes."""
+        holders = [i for i, r in enumerate(self.requests) if r.active() and r.node_ids]
+        if not holders:
+            return None
+        top = self.burst(holders[pick % len(holders)], 1, PA, nodes, 0)
+        self.advance(1.0)
+        return self.burst(top, count, rtype, nodes, 0)
 
     def twins(self, app):
         """The session's last-pushed views become equal but distinct objects."""
@@ -406,6 +419,11 @@ class ProtocolMachine(RuleBasedStateMachine):
         "release_capacity", lambda w, count: w.attempt(w.rms.release_capacity, count),
         count=st.integers(1, 6),
     )
+    prechain = _verb(
+        "prechain", target=requests, pick=st.integers(0, 7),
+        count=st.sampled_from([1, 2, 3, 5, 8, 13, 70]),
+        rtype=st.sampled_from([P, NP]), nodes=st.integers(1, 8),
+    )
     twins = _verb("twins", app=_APP)
     advance = _verb("advance", delay=st.sampled_from([1.0, 0.25, 1.0, 2.5, 30.0, 150.0]))
     # A rule listed n times is drawn n times as often: requests, updates and
@@ -414,6 +432,7 @@ class ProtocolMachine(RuleBasedStateMachine):
     submit_ = submit
     update_ = update
     burst_ = burst
+    prechain_ = prechain
     advance_ = advance
 
     @invariant()
