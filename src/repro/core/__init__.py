@@ -32,7 +32,6 @@ from .eqschedule import eq_schedule, max_min_fair
 from .cbf import CbfJob, ConservativeBackfillQueue
 from .scheduler import Scheduler, ScheduleResult
 from .session import ApplicationProtocol, Session
-from .accounting import Accountant, AllocationRecord, UsageSummary
 from .events import (
     Connected,
     Disconnected,
@@ -87,9 +86,6 @@ __all__ = [
     # RMS server
     "ApplicationProtocol",
     "Session",
-    "Accountant",
-    "AllocationRecord",
-    "UsageSummary",
     "CooRMv2",
     # protocol events
     "Connected",

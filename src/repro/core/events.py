@@ -94,13 +94,23 @@ class RequestExpired(ProtocolEvent):
 
 @dataclass(frozen=True, slots=True)
 class RequestFinished(ProtocolEvent):
-    """A request ended: on ``done()``, at its expiry or at ``disconnect``."""
+    """A request ended: on ``done()``, at its expiry or at ``disconnect``.
+
+    A started one used ``nodes`` on ``cluster_id`` from ``started_at`` to
+    ``time``: these records are the RMS's account of a run.
+    """
 
     request_id: int
     rtype: str
     nodes: int  # what it used if it started, else 0
     started: bool
     expired: bool
+    started_at: Time  # NaN if it never started
+    cluster_id: str
+
+    @property
+    def node_seconds(self) -> float:
+        return self.nodes * max(0.0, self.time - self.started_at)
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tup
 
 from ..cluster.platform import Platform
 from ..obs import hooks as _obs
-from .accounting import Accountant
 from .errors import RequestError, SessionError
 from .events import (
     CapacityChanged,
@@ -68,9 +67,6 @@ class CooRMv2:
         preemptive view allows for longer than *violation_grace* seconds.
     violation_grace:
         Grace period before a protocol violation leads to a kill.
-    accountant:
-        Optional :class:`~repro.core.accounting.Accountant`; a fresh one is
-        created when omitted.
     policy:
         Scheduling policy driving the passes: a registered policy name, a
         stage mapping, or a :class:`~repro.policies.SchedulingPolicy`
@@ -86,7 +82,6 @@ class CooRMv2:
         rescheduling_interval: float = 1.0,
         kill_protocol_violators: bool = False,
         violation_grace: float = 30.0,
-        accountant: Optional[Accountant] = None,
         policy=None,
     ):
         if rescheduling_interval < 0:
@@ -97,8 +92,11 @@ class CooRMv2:
         self.kill_protocol_violators = kill_protocol_violators
         self.violation_grace = float(violation_grace)
         self.scheduler = Scheduler(platform.capacity(), policy=policy)
-        self.accountant = accountant if accountant is not None else Accountant()
         self.event_log = EventLog()
+        #: App id -> node-seconds its finished requests used (pre-allocations
+        #: reserve, they do not use): the running sum of the event log's
+        #: ``RequestFinished.node_seconds``, handed to every pass.
+        self.used_node_seconds: Dict[str, float] = {}
         self._format = ProtocolFormatter(platform)
 
         #: Every session that ever connected, by app id (the latest one when
@@ -305,22 +303,17 @@ class CooRMv2:
                     self.platform.release(request.cluster_id, ancestor.node_ids, session.app_id)
                     ancestor.node_ids = frozenset()
 
-        if was_started:
-            self.accountant.record_interval(
-                app_id=session.app_id,
-                request_id=request.request_id,
-                rtype=request.rtype,
-                cluster_id=request.cluster_id,
-                node_count=nodes_used,
-                start=request.started_at,
-                end=self.now,
-            )
+        finished = RequestFinished(
+            self.now, session.app_id, request.request_id, request.rtype.value,
+            nodes_used if was_started else 0, was_started, expired, request.started_at,
+            request.cluster_id,
+        )
+        if was_started and not request.is_preallocation():
+            used = self.used_node_seconds
+            used[session.app_id] = used.get(session.app_id, 0.0) + finished.node_seconds
         if expired:
             self._record(RequestExpired(self.now, session.app_id, request_id=request.request_id))
-        self._record(
-            RequestFinished(self.now, session.app_id, request.request_id, request.rtype.value,
-                            nodes_used if was_started else 0, was_started, expired)
-        )
+        self._record(finished)
 
     def _pending_next_child(self, session: Session, request: Request) -> Optional[Request]:
         """A not-yet-started NEXT successor of *request*, if any."""
@@ -487,11 +480,7 @@ class CooRMv2:
         applications = {session.app_id: session.requests for session in self._live.values()}
         if not applications:
             return
-        # Usage-aware queue orderings (fair-share) consult the accountant;
-        # the aggregation walk is skipped for every other policy.
-        usage = None
-        if self.scheduler.policy.ordering.needs_usage:
-            usage = self.accountant.used_node_seconds_by_app()
+        usage = self.used_node_seconds  # fair-share ranks applications by it
         metrics = _obs.METRICS[0]  # pass counters
         profiler = _obs.PROFILER[0]
         if metrics is not None:

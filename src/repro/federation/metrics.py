@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..apps.nea import AmrApplication
-from ..core.types import RequestType
 from ..metrics.collector import (
     SimulationMetrics,
+    allocations,
     clip_node_seconds,
     measurement_window_start,
 )
@@ -60,8 +60,7 @@ def federation_breakdown(
     for member in federation.members:
         allocated = sum(
             clip_node_seconds(rec, window_start, window_end)
-            for rec in member.rms.accountant.records
-            if rec.rtype is not RequestType.PREALLOCATION
+            for rec in allocations(member.rms)
         )
         member_capacity = member.capacity * horizon
         name = member.name

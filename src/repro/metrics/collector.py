@@ -10,9 +10,9 @@ The evaluation section of the paper reports three families of quantities:
   minus the PSA waste, as a fraction of the total node-seconds offered by the
   platform over the measurement horizon (Figures 10 and 11).
 
-:class:`SimulationMetrics` computes all of them from the RMS accountant and
-the application objects, so every experiment and benchmark shares one
-definition of every metric.
+:class:`SimulationMetrics` computes all of them from the RMS's event log
+(its ``RequestFinished`` records) and the application objects, so every
+experiment and benchmark shares one definition of every metric.
 """
 from __future__ import annotations
 
@@ -22,11 +22,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..apps.nea import AmrApplication
 from ..apps.psa import ParameterSweepApplication
+from ..core.events import RequestFinished
 from ..core.rms import CooRMv2
-from ..core.types import RequestType
+from ..core.types import NON_PREEMPTIBLE, PREALLOCATION
 
 __all__ = [
     "SimulationMetrics",
+    "allocations",
     "clip_node_seconds",
     "measurement_window_start",
     "summarize_runs",
@@ -45,10 +47,19 @@ def measurement_window_start(amr: Optional[AmrApplication]) -> float:
     return 0.0
 
 
-def clip_node_seconds(record, window_start: float, window_end: float) -> float:
-    """Node-seconds of one allocation record inside the window."""
-    overlap = min(record.end, window_end) - max(record.start, window_start)
-    return record.node_count * max(0.0, overlap)
+def allocations(rms: CooRMv2) -> List[RequestFinished]:
+    """The finished requests of *rms* that held nodes, in the order it logged
+    them: its started ``RequestFinished`` records other than pre-allocations."""
+    return [
+        rec for rec in rms.event_log
+        if type(rec) is RequestFinished and rec.started and rec.rtype != PREALLOCATION.value
+    ]
+
+
+def clip_node_seconds(record: RequestFinished, window_start: float, window_end: float) -> float:
+    """Node-seconds of one finished request inside the window."""
+    overlap = min(record.time, window_end) - max(record.started_at, window_start)
+    return record.nodes * max(0.0, overlap)
 
 
 @dataclass
@@ -142,7 +153,7 @@ class SimulationMetrics:
         """Metrics aggregated over several RMSs sharing one event engine.
 
         This is :meth:`collect` generalised to a federation: the capacity is
-        the combined node count of every member, allocation records of all
+        the combined node count of every member, the allocations of all
         members count towards the totals, and the horizon comes from the
         shared simulation clock (every member reports the same ``now``).
         With a single RMS the arithmetic reduces exactly to :meth:`collect`
@@ -163,21 +174,16 @@ class SimulationMetrics:
         def clipped(record) -> float:
             return clip_node_seconds(record, window_start, window_end)
 
-        total_allocated = sum(
-            clipped(rec)
-            for rms in rmss
-            for rec in rms.accountant.records
-            if rec.rtype is not RequestType.PREALLOCATION
-        )
+        used = [rec for rms in rmss for rec in allocations(rms)]
+        total_allocated = sum(clipped(rec) for rec in used)
 
         amr_used = 0.0
         amr_end = math.nan
         if amr is not None:
             amr_used = sum(
                 clipped(rec)
-                for rms in rmss
-                for rec in rms.accountant.records
-                if rec.app_id == amr.name and rec.rtype is RequestType.NON_PREEMPTIBLE
+                for rec in used
+                if rec.app_id == amr.name and rec.rtype == NON_PREEMPTIBLE.value
             )
             if amr_used == 0.0:
                 amr_used = amr.used_node_seconds

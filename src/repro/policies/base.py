@@ -41,8 +41,8 @@ class SchedulingContext:
     now: Time
     #: Cluster id -> total node count of the platform.
     capacity: Mapping[ClusterId, int] = field(default_factory=dict)
-    #: Application id -> node-seconds consumed so far (from the accountant).
-    #: Only populated when the active ordering declares ``needs_usage``.
+    #: Application id -> node-seconds used so far, summed from the RMS's
+    #: event log (:attr:`repro.core.CooRMv2.used_node_seconds`).
     usage: Mapping[str, float] = field(default_factory=dict)
 
 
@@ -56,9 +56,6 @@ class OrderingStrategy:
 
     #: Registry name of the strategy.
     name: str = "?"
-    #: True when :meth:`order` wants accumulated per-application usage in
-    #: the context (the RMS then queries its accountant before each pass).
-    needs_usage: bool = False
 
     def order(
         self,

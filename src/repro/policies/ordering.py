@@ -105,14 +105,13 @@ class LargestAreaFirstOrdering(OrderingStrategy):
 class FairShareOrdering(OrderingStrategy):
     """Applications that consumed the fewest node-seconds so far go first.
 
-    The accumulated usage comes from the RMS accountant
-    (:meth:`repro.core.accounting.Accountant.used_node_seconds_by_app`);
+    The accumulated usage is ``ctx.usage``: node-seconds used so far, from
+    the RMS's event log (:attr:`repro.core.CooRMv2.used_node_seconds`);
     applications without any recorded usage count as zero, so newcomers are
     served ahead of long-running resource hogs.
     """
 
     name = "fair-share"
-    needs_usage = True
 
     def order(
         self, applications: Mapping[str, ApplicationRequests], ctx: SchedulingContext

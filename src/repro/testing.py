@@ -4,9 +4,8 @@ The unit, property and regression suites all need the same small factories:
 a request of each type, an application's request sets, a preemptible request
 set, and a wired (simulator, platform, RMS) triple.  They used to be
 copy-pasted across ``tests/unit/test_scheduler.py``, ``test_rms.py`` and
-``test_eqschedule.py``; this module is the single home, re-exported as
-fixtures by ``tests/conftest.py`` and importable directly from benchmarks
-and examples.
+``test_eqschedule.py``; this module is the single home, imported by the
+tests, benchmarks and examples alike.
 """
 from __future__ import annotations
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments import EvaluationScale, run_scenario
 from repro.experiments.runner import build_evolution
+from repro.metrics.collector import allocations
 
 SCALE = EvaluationScale.tiny()
 
@@ -120,7 +121,7 @@ class TestConservation:
         cluster = result.rms.platform.cluster("cluster0")
         assert cluster.free_count() == result.cluster_nodes
         # Accounting: every allocated node-second was charged to somebody.
-        total = result.rms.accountant.total_used_node_seconds()
+        total = sum(finished.node_seconds for finished in allocations(result.rms))
         psa_busy = sum(p.stats.total_busy_node_seconds for p in result.psas)
         assert total >= result.metrics.amr_used_node_seconds
         assert total == pytest.approx(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.rigid import RigidApplication
-from repro.core.events import RequestStarted
+from repro.core.events import RequestFinished, RequestStarted
 from repro.federation import (
     ROUTINGS,
     ClusterSpec,
@@ -120,13 +120,14 @@ def test_no_cross_cluster_double_booking(capacities, jobs, routing, seeds_):
         for event in member.rms.event_log.of_kind(RequestStarted):
             assert homes[event.app_id] == member.name
 
-    # Physical allocation: replaying each member's accounting intervals
+    # Physical allocation: replaying each member's finished requests
     # never exceeds that member's capacity at any instant.
     for member in fed.members:
         edges = []
-        for record in member.rms.accountant.records:
-            edges.append((record.start, record.node_count))
-            edges.append((record.end, -record.node_count))
+        for record in member.rms.event_log.of_kind(RequestFinished):
+            if record.started:
+                edges.append((record.started_at, record.nodes))
+                edges.append((record.time, -record.nodes))
         held = 0
         # Releases sort before same-instant allocations (a node freed at t
         # may be re-bound at t), so the sweep measures true concurrency.

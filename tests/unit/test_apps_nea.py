@@ -8,6 +8,8 @@ import pytest
 from repro.apps import AmrApplication
 from repro.cluster import Platform
 from repro.core import CooRMv2
+from repro.core.events import RequestFinished
+from repro.core.types import NON_PREEMPTIBLE, PREALLOCATION
 from repro.models import SpeedupModel, WorkingSetEvolution
 from repro.sim import Simulator
 
@@ -54,9 +56,12 @@ class TestDynamicExecution:
         assert len(app.step_records) == evolution.num_steps
         assert platform.cluster("cluster0").free_count() == 64
         # One pre-allocation plus at least one non-preemptible request were used.
-        summary = rms.accountant.summary("amr")
-        assert summary.preallocated_node_seconds > 0
-        assert summary.non_preemptible_node_seconds > 0
+        used = {PREALLOCATION.value: 0.0, NON_PREEMPTIBLE.value: 0.0}
+        for finished in rms.event_log.of_kind(RequestFinished):
+            if finished.app_id == "amr":
+                used[finished.rtype] += finished.node_seconds
+        assert used[PREALLOCATION.value] > 0
+        assert used[NON_PREEMPTIBLE.value] > 0
 
     def test_allocation_tracks_the_working_set(self, evolution):
         sim, _, rms = make_env()

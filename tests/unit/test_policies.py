@@ -24,7 +24,7 @@ from repro.policies import (
     resolve_policy,
 )
 from repro.policies.registry import policy_label
-from repro.testing import app_with, make_env, np_, p_, p_set, pa
+from repro.testing import RecordingApp, app_with, make_env, np_, p_, p_set, pa
 from repro.workloads.generator import RigidJobSpec
 
 
@@ -114,7 +114,6 @@ class TestOrderings:
 
     def test_fair_share_prefers_light_consumers(self):
         ordering = ORDERINGS.get("fair-share")()
-        assert ordering.needs_usage
         apps = self._apps()
         ctx = SchedulingContext(now=0.0, usage={"slow": 10.0, "fast": 9000.0})
         # 'big' has no usage at all -> first; then slow; the hog goes last.
@@ -240,17 +239,24 @@ class TestSchedulerPolicyIntegration:
         r = waiting.non_preemptible.roots()[0]
         assert math.isinf(r.scheduled_at)  # genuinely never fits: blocked forever
 
-    def test_fair_share_through_rms_accountant(self):
-        # After 'hog' consumed node-seconds, a scheduling pass serves the
-        # newcomer first under fair-share ordering.
-        sim, _platform, rms = make_env(nodes=10, policy="fair-share")
-        assert rms.policy.ordering.needs_usage
-        rms.accountant.record_interval(
-            app_id="hog", request_id=1, rtype=np_(1).rtype,
-            cluster_id="cluster0", node_count=8, start=0.0, end=1000.0,
-        )
-        usage = rms.accountant.used_node_seconds_by_app()
-        assert usage == {"hog": 8000.0}
+    @pytest.mark.parametrize("policy, first", [("fair-share", "light"), ("coorm", "hog")])
+    def test_fair_share_through_the_rms(self, policy, first):
+        # 'hog' uses the whole cluster for 100 s; then both ask for all of it
+        # at once, 'hog' first.  Fair-share serves the application that used
+        # less first; FCFS keeps connection order.
+        sim, _platform, rms = make_env(nodes=10, policy=policy)
+        apps = {name: RecordingApp(name) for name in ("hog", "light")}
+        for name, app in apps.items():
+            rms.connect(app, name)
+        rms.submit("hog", np_(10, 100.0, "cluster0"))
+        sim.run(until=200.0)
+        assert rms.used_node_seconds == {"hog": 1000.0}
+        for name in apps:
+            rms.submit(name, np_(10, 50.0, "cluster0"))
+        sim.run(until=400.0)
+        started = {name: app.started[-1][0].started_at for name, app in apps.items()}
+        assert min(started, key=started.get) == first
+        assert abs(started["hog"] - started["light"]) == 50.0
 
 
 class TestWeightedMaxMin:

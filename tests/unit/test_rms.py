@@ -19,6 +19,7 @@ from repro.core import (
     SessionKilled,
     ViewsPushed,
 )
+from repro.core.events import RequestFinished
 from repro.cluster import Platform
 from repro.sim import Simulator
 from repro.testing import RecordingApp, make_env
@@ -166,8 +167,10 @@ class TestRequestLifecycle:
         rms.done("a", request)  # second call is a no-op
         sim.run(until=20.0)
         assert platform.cluster("cluster0").free_count() == 16
-        summary = rms.accountant.summary("a")
-        assert summary.non_preemptible_node_seconds == pytest.approx(4 * (10.0 - 1.0), rel=0.2)
+        finished = rms.event_log.of_kind(RequestFinished)
+        assert len(finished) == 1  # one finish, one account
+        assert finished[0].rtype == RequestType.NON_PREEMPTIBLE.value
+        assert finished[0].node_seconds == pytest.approx(4 * (10.0 - 1.0), rel=0.2)
 
     def test_done_on_a_finished_request_does_not_depend_on_pass_timing(self):
         sim, _, rms = make_env()

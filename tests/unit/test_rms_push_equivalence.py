@@ -66,9 +66,7 @@ class ReferencePushRMS(CooRMv2):
         applications = {session.app_id: session.requests for session in sessions}
         if not applications:
             return
-        usage = None
-        if self.scheduler.policy.ordering.needs_usage:
-            usage = self.accountant.used_node_seconds_by_app()
+        usage = self.used_node_seconds
         metrics = _obs.METRICS[0]
         profiler = _obs.PROFILER[0]
         if metrics is not None:
