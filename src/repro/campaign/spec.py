@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 from ..core.errors import SpecError
-from ..core.serde import from_strict_dict, located, read_json
+from ..core.serde import Spec, located, read_json
 from ..experiments.runner import EvaluationScale, _strict_policy
 from ..faults.plan import FAULT_PLANS, FaultPlan
 from ..federation.routing import ROUTINGS
@@ -43,17 +43,8 @@ __all__ = [
 SCALE_NAMES: Tuple[str, ...] = ("tiny", "reduced", "paper")
 
 
-def _jsonify(value):
-    """Convert tuples to lists recursively so ``to_dict`` is JSON-canonical."""
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    return value
-
-
 @dataclass(frozen=True)
-class PlatformSpec:
+class PlatformSpec(Spec):
     """Where the scenario runs.
 
     ``cluster_nodes == 0`` means "derive the cluster size from the evolving
@@ -64,22 +55,16 @@ class PlatformSpec:
     cluster_nodes: int = 0
     cluster_headroom: float = 1.16
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if self.cluster_nodes < 0:
             raise SpecError("cluster_nodes must be >= 0 (0 = derive)")
-        if self.cluster_headroom < 1.0:
-            raise SpecError("cluster_headroom must be >= 1")
-
-    def to_dict(self) -> Dict:
-        return _jsonify(asdict(self))
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PlatformSpec":
-        return from_strict_dict(cls, data)
+        # Written so that NaN fails it too: it compares False with everything.
+        if not 1.0 <= self.cluster_headroom < math.inf:
+            raise SpecError("cluster_headroom must be >= 1 and finite")
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Spec):
     """The application mix submitted to the RMS.
 
     The default is the paper's evaluation workload: one non-predictably
@@ -116,15 +101,15 @@ class WorkloadSpec:
     #: promoted to :class:`~repro.traces.source.TraceSource` on construction.
     trace: Optional[TraceSource] = None
 
-    def __post_init__(self) -> None:
+    NESTED = {"trace": TraceSource}
+
+    def validate(self) -> None:
         with located("psa_task_durations"):
             object.__setattr__(
                 self,
                 "psa_task_durations",
                 tuple(float(d) for d in self.psa_task_durations),
             )
-        if self.trace is not None and not isinstance(self.trace, TraceSource):
-            object.__setattr__(self, "trace", TraceSource.from_dict(self.trace))
         if self.trace_path is not None:
             raise SpecError(
                 'the 4-field replay format is retired; use trace = {"path": ...} '
@@ -147,18 +132,9 @@ class WorkloadSpec:
         if self.rigid_runtime_median <= 0:
             raise SpecError("rigid_runtime_median must be positive")
 
-    def to_dict(self) -> Dict:
-        data = _jsonify(asdict(self))
-        data["trace"] = None if self.trace is None else self.trace.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "WorkloadSpec":
-        return from_strict_dict(cls, data, nested={"trace": TraceSource})
-
 
 @dataclass(frozen=True)
-class RmsSpec:
+class RmsSpec(Spec):
     """Configuration of the CooRMv2 RMS under test."""
 
     rescheduling_interval: float = 1.0
@@ -166,22 +142,15 @@ class RmsSpec:
     kill_protocol_violators: bool = False
     violation_grace: float = 30.0
 
-    def __post_init__(self) -> None:
-        if self.rescheduling_interval < 0:
-            raise SpecError("rescheduling_interval must be >= 0")
-        if self.violation_grace < 0:
-            raise SpecError("violation_grace must be >= 0")
-
-    def to_dict(self) -> Dict:
-        return _jsonify(asdict(self))
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RmsSpec":
-        return from_strict_dict(cls, data)
+    def validate(self) -> None:
+        if not 0 <= self.rescheduling_interval < math.inf:
+            raise SpecError("rescheduling_interval must be >= 0 and finite")
+        if not 0 <= self.violation_grace < math.inf:
+            raise SpecError("violation_grace must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Spec):
     """One named, fully-described simulation scenario.
 
     ``runner`` names an executor registered in
@@ -208,8 +177,7 @@ class ScenarioSpec:
     policy: Optional[Union[str, Mapping]] = None
     #: Multi-cluster federation topology + routing policy (see
     #: :class:`~repro.federation.spec.FederationSpec`).  ``None`` runs the
-    #: classic single-scheduler path; dictionaries are promoted on
-    #: construction so specs stay JSON-writable.
+    #: classic single-scheduler path.
     federation: Optional[FederationSpec] = None
     #: Fault plan armed against the federation: a registered plan name
     #: (see ``repro.faults.plan``), a plan dictionary (promoted to
@@ -217,7 +185,16 @@ class ScenarioSpec:
     #: Requires ``federation``; ``None`` runs fault-free.
     faults: Optional[Union[str, FaultPlan]] = None
 
-    def __post_init__(self) -> None:
+    NESTED = {
+        "platform": PlatformSpec,
+        "workload": WorkloadSpec,
+        "rms": RmsSpec,
+        "federation": FederationSpec,
+        # A function loads mappings only: a plan name reaches validate().
+        "faults": FaultPlan.from_dict,
+    }
+
+    def validate(self) -> None:
         if not (self.name and isinstance(self.name, str)):
             raise SpecError("scenario name must be a non-empty string")
         if not self.runner:
@@ -228,23 +205,16 @@ class ScenarioSpec:
         object.__setattr__(self, "metrics", tuple(str(m) for m in self.metrics))
         if self.policy is not None:
             if isinstance(self.policy, Mapping):
-                object.__setattr__(self, "policy", _jsonify(dict(self.policy)))
+                object.__setattr__(self, "policy", dict(self.policy))
             elif not isinstance(self.policy, str):
                 raise SpecError(
                     "policy must be a registered name or a stage mapping, "
                     f"got {self.policy!r}"
                 )
             resolve_policy(self.policy)  # fail fast on unknown names/stages
-        if self.federation is not None and not isinstance(self.federation, FederationSpec):
-            object.__setattr__(
-                self, "federation", FederationSpec.from_dict(self.federation)
-            )
         if self.faults is not None:
             if isinstance(self.faults, str):
                 FAULT_PLANS.get(self.faults)  # fail fast on unknown plan names
-            elif isinstance(self.faults, Mapping):
-                with located("faults"):
-                    object.__setattr__(self, "faults", FaultPlan.from_dict(self.faults))
             elif not isinstance(self.faults, FaultPlan):
                 raise SpecError(
                     "faults must be a registered plan name, a plan mapping or "
@@ -302,26 +272,6 @@ class ScenarioSpec:
         """The scenario's declarative trace source, if any."""
         return self.workload.trace
 
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "runner": self.runner,
-            "scale": self.scale,
-            "description": self.description,
-            "platform": self.platform.to_dict(),
-            "workload": self.workload.to_dict(),
-            "rms": self.rms.to_dict(),
-            "params": _jsonify(dict(self.params)),
-            "metrics": list(self.metrics),
-            "policy": self.policy,
-            "federation": None if self.federation is None else self.federation.to_dict(),
-            "faults": (
-                self.faults.to_dict()
-                if isinstance(self.faults, FaultPlan)
-                else self.faults
-            ),
-        }
-
     @cached_property
     def canonical_json(self) -> str:
         """``to_dict()`` as canonical (key-sorted) JSON text, encoded once.
@@ -333,22 +283,9 @@ class ScenarioSpec:
         """
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ScenarioSpec":
-        return from_strict_dict(
-            cls,
-            data,
-            nested={
-                "platform": PlatformSpec,
-                "workload": WorkloadSpec,
-                "rms": RmsSpec,
-                "federation": FederationSpec,
-            },
-        )
-
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(Spec):
     """A set of scenarios swept over a seed range (and optionally policies).
 
     Every (scenario, replicate) pair becomes one run whose seed is
@@ -382,10 +319,11 @@ class CampaignSpec:
     #: every scenario in the campaign to carry a federation spec.
     routings: Tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+    NESTED = {"scenarios": [ScenarioSpec]}
+
+    def validate(self) -> None:
         if not (self.name and isinstance(self.name, str)):
             raise SpecError("campaign name must be a non-empty string")
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
         if not self.scenarios:
             raise SpecError("campaign needs at least one scenario")
         names = [s.name for s in self.scenarios]
@@ -446,22 +384,6 @@ class CampaignSpec:
                 )
                 variants.extend((v, scenario.name) for v in routing_variants)
         return tuple(variants)
-
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "scenarios": [s.to_dict() for s in self.scenarios],
-            "seeds": self.seeds,
-            "root_seed": self.root_seed,
-            "workers": self.workers,
-            "description": self.description,
-            "policies": list(self.policies),
-            "routings": list(self.routings),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CampaignSpec":
-        return from_strict_dict(cls, data, nested={"scenarios": [ScenarioSpec]})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

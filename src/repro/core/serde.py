@@ -1,26 +1,34 @@
-"""One strict loader for every declarative spec of the package.
+"""One codec for every declarative spec of the package.
 
 Campaigns, scenarios, federations, fault plans, trace sources and SLO specs
 all reach the simulator as plain dictionaries (usually parsed from a JSON
-file).  :func:`from_strict_dict` turns one into its frozen dataclass or
-raises a :class:`~repro.core.errors.SpecError` that says *where* the input
-is wrong (``scenarios[0].faults.events[0]: ...``); :func:`read_json` does
-the same for the file around it.  Nothing else in the package rejects
-unknown keys.
+file) and leave it the same way.  A spec class derives from :class:`Spec`:
+its dictionary form is its dataclass fields, written by
+:meth:`Spec.to_dict` and read back by :meth:`Spec.from_dict`, and its
+nested sections are named once, in ``NESTED``, which promotes them on
+construction whoever calls it.  :func:`from_strict_dict` raises a
+:class:`~repro.core.errors.SpecError` that says *where* the input is wrong
+(``scenarios[0].faults.events[0]: ...``); :func:`read_json` does the same
+for the file around it.  Nothing else in the package rejects unknown keys
+or writes a spec.
 """
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
-from typing import Any, Callable, Iterator, Mapping, Optional
+from functools import lru_cache
+from typing import Any, Callable, ClassVar, Dict, Iterator, Tuple
 
 from .errors import ReproError, SpecError
 
-__all__ = ["from_strict_dict", "located", "read_json"]
+__all__ = ["Spec", "from_strict_dict", "located", "read_json"]
 
-#: What a constructor (or a nested loader) raises on bad input.
-_REJECTIONS = (TypeError, ValueError, ReproError)
+#: What a constructor (or a nested loader) raises on bad input; ``int(inf)``
+#: raises OverflowError.
+_REJECTIONS = (TypeError, ValueError, OverflowError, ReproError)
 
 
 @contextmanager
@@ -38,8 +46,45 @@ def located(where: str) -> Iterator[None]:
         raise SpecError(reason, f"{where}{dot}{path}") from None
 
 
+@lru_cache(maxsize=None)
+def _init_fields(cls) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.init)
+
+
+def _write(value):
+    """The JSON form of a field value: specs as dicts, tuples as lists."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, Spec):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_write(item) for item in value]
+    if isinstance(value, Mapping):
+        return {key: _write(item) for key, item in value.items()}
+    return value
+
+
+def _require_strict_json(value, where: str) -> None:
+    """Reject the first NaN or infinity in a written value: strict JSON (the
+    wire's and the store's) holds neither."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise SpecError(f"must be finite, got {value}", where)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _require_strict_json(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _require_strict_json(item, f"{where}[{index}]")
+
+
 def _promote(loader, value, where: str):
-    """Load one nested section (a ready-made instance passes)."""
+    """Load one nested section.
+
+    A spec class loads whatever is not already an instance (its loader
+    rejects a non-mapping by name); a function loads mappings only and
+    leaves the rest to the owner's checks; ``[loader]`` loads a list.
+    """
     with located(where):
         if isinstance(loader, list):
             if not isinstance(value, (list, tuple)):
@@ -47,19 +92,56 @@ def _promote(loader, value, where: str):
             return tuple(
                 _promote(loader[0], item, f"[{i}]") for i, item in enumerate(value)
             )
-        if isinstance(loader, type) and isinstance(value, loader):
-            return value
-        return getattr(loader, "from_dict", loader)(value)
+        if isinstance(loader, type):
+            return value if isinstance(value, loader) else loader.from_dict(value)
+        return loader(value) if isinstance(value, Mapping) else value
 
 
-def from_strict_dict(cls, data: Any, where: str = "", nested: Optional[Mapping] = None):
+class Spec:
+    """Base of the frozen dataclass specs: the JSON form is the fields.
+
+    ``NESTED`` maps a field to what loads its section -- a spec class, a
+    ``mapping -> object`` function or ``[loader]`` for a list of sections.
+    Construction promotes those sections, then runs :meth:`validate`, then
+    makes sure the spec writes strict JSON; a spec that loads can be sent
+    and stored.  A class-level string ``kind`` that is not a field is
+    written too (the registry readers dispatch on it).
+    """
+
+    NESTED: ClassVar[Mapping[str, Any]] = {}
+
+    def __post_init__(self) -> None:
+        declared = self.__dataclass_fields__
+        for name, loader in self.NESTED.items():
+            value = getattr(self, name)
+            # None stands for "absent" only where that is the field's default.
+            if not (value is None and declared[name].default is None):
+                object.__setattr__(self, name, _promote(loader, value, name))
+        self.validate()
+        for name, value in self.to_dict().items():
+            _require_strict_json(value, name)
+
+    def validate(self) -> None:
+        """Check the (promoted) fields; raise on what the spec cannot mean."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        data = {name: _write(getattr(self, name)) for name in _init_fields(type(self))}
+        kind = getattr(type(self), "kind", None)
+        if isinstance(kind, str) and "kind" not in data:
+            data["kind"] = kind
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        return from_strict_dict(cls, data)
+
+
+def from_strict_dict(cls, data: Any, where: str = ""):
     """Build dataclass *cls* from the mapping *data*, or say what is wrong.
 
-    Non-mappings, unknown keys and missing required keys are rejected.
-    *nested* maps field names to what loads their section: a spec class
-    (its ``from_dict``) or any ``mapping -> object`` callable, ``[loader]``
-    for a list of sections.  Whatever a section or the constructor rejects
-    comes out as a :class:`SpecError` whose path starts with *where*.
+    Non-mappings, unknown keys and missing required keys are rejected;
+    whatever the constructor (and so a nested section of a :class:`Spec`)
+    rejects comes out as a :class:`SpecError` whose path starts with *where*.
     """
     with located(where):
         if not isinstance(data, Mapping):
@@ -77,12 +159,7 @@ def from_strict_dict(cls, data: Any, where: str = "", nested: Optional[Mapping] 
         ]
         if missing:
             raise SpecError(f"{cls.__name__} needs field(s): {missing}")
-        kwargs = dict(data)
-        for name, loader in (nested or {}).items():
-            # None stands for "absent" only where that is the field's default.
-            if name in kwargs and not (kwargs[name] is None and known[name].default is None):
-                kwargs[name] = _promote(loader, kwargs[name], name)
-        return cls(**kwargs)
+        return cls(**data)
 
 
 def read_json(path, load: Callable[[Any], Any] = lambda data: data):

@@ -19,12 +19,13 @@ byte-identical.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 from ..core.errors import SpecError
 from ..core.registry import Registry
-from ..core.serde import from_strict_dict
+from ..core.serde import Spec
 
 __all__ = [
     "FaultEvent",
@@ -43,7 +44,7 @@ MEMBER_KINDS = ("outage", "recover")
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(Spec):
     """One timed fault: a node crash/restart or a member outage/recovery."""
 
     time: float
@@ -51,9 +52,10 @@ class FaultEvent:
     member: str
     nodes: int = 0
 
-    def __post_init__(self):
-        if self.time < 0:
-            raise SpecError(f"fault event time must be >= 0, got {self.time}")
+    def validate(self) -> None:
+        # Written so that NaN fails it too: it compares False with everything.
+        if not 0 <= self.time < math.inf:
+            raise SpecError(f"fault event time must be >= 0 and finite, got {self.time}")
         if self.kind not in NODE_KINDS + MEMBER_KINDS:
             raise SpecError(
                 f"unknown fault kind {self.kind!r}; expected one of "
@@ -66,19 +68,9 @@ class FaultEvent:
         if self.kind in MEMBER_KINDS and self.nodes != 0:
             raise SpecError(f"{self.kind!r} applies to the whole member; nodes must be 0")
 
-    def to_dict(self) -> Dict:
-        return {
-            "time": self.time, "kind": self.kind,
-            "member": self.member, "nodes": self.nodes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FaultEvent":
-        return from_strict_dict(cls, data)
-
 
 @dataclass(frozen=True)
-class ElasticRule:
+class ElasticRule(Spec):
     """Utilization-triggered capacity rule for one member.
 
     Every ``interval`` seconds from ``start`` until ``until`` (a *finite*
@@ -102,13 +94,14 @@ class ElasticRule:
     min_nodes: int = 1
     max_nodes: int = 0  # 0 = unbounded
 
-    def __post_init__(self):
+    def validate(self) -> None:
         if not self.member:
             raise SpecError("elastic rule needs a member name or '#index'")
-        if self.interval <= 0:
-            raise SpecError("elastic rule interval must be positive")
-        if self.until < self.start or self.start < 0:
-            raise SpecError("elastic rule needs 0 <= start <= until")
+        if not 0 < self.interval < math.inf:
+            raise SpecError("elastic rule interval must be positive and finite")
+        # A non-finite bound would make check_times() an endless grid.
+        if not 0 <= self.start <= self.until < math.inf:
+            raise SpecError("elastic rule needs 0 <= start <= until, finite")
         if not 0.0 <= self.low_util < self.high_util <= 1.0:
             raise SpecError("elastic rule needs 0 <= low_util < high_util <= 1")
         if self.grow_step < 0 or self.shrink_step < 0:
@@ -129,22 +122,9 @@ class ElasticRule:
             times.append(t)
             k += 1
 
-    def to_dict(self) -> Dict:
-        return {
-            "member": self.member, "interval": self.interval,
-            "until": self.until, "start": self.start,
-            "high_util": self.high_util, "low_util": self.low_util,
-            "grow_step": self.grow_step, "shrink_step": self.shrink_step,
-            "min_nodes": self.min_nodes, "max_nodes": self.max_nodes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ElasticRule":
-        return from_strict_dict(cls, data)
-
 
 @dataclass(frozen=True)
-class AdmissionSpec:
+class AdmissionSpec(Spec):
     """Meta-scheduler admission control parameters.
 
     ``rate``/``burst`` parameterize a per-member token bucket refilled in
@@ -159,30 +139,19 @@ class AdmissionSpec:
     failure_threshold: int = 3
     cooldown: float = 300.0
 
-    def __post_init__(self):
-        if self.rate < 0:
-            raise SpecError("admission rate must be >= 0 (0 = unthrottled)")
-        if self.burst <= 0:
-            raise SpecError("admission burst must be positive")
+    def validate(self) -> None:
+        if not 0 <= self.rate < math.inf:
+            raise SpecError("admission rate must be >= 0 (0 = unthrottled) and finite")
+        if not 0 < self.burst < math.inf:
+            raise SpecError("admission burst must be positive and finite")
         if self.failure_threshold <= 0:
             raise SpecError("admission failure_threshold must be positive")
-        if self.cooldown <= 0:
-            raise SpecError("admission cooldown must be positive")
-
-    def to_dict(self) -> Dict:
-        return {
-            "rate": self.rate, "burst": self.burst,
-            "failure_threshold": self.failure_threshold,
-            "cooldown": self.cooldown,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AdmissionSpec":
-        return from_strict_dict(cls, data)
+        if not 0 < self.cooldown < math.inf:
+            raise SpecError("admission cooldown must be positive and finite")
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Spec):
     """A complete, serialisable chaos experiment description."""
 
     name: str
@@ -196,49 +165,15 @@ class FaultPlan:
     #: counts as lost.
     max_respawns: int = 1
 
-    def __post_init__(self):
+    NESTED = {"events": [FaultEvent], "elastic": [ElasticRule], "admission": AdmissionSpec}
+
+    def validate(self) -> None:
         if not (self.name and isinstance(self.name, str)):
             raise SpecError("a fault plan needs a name")
-        events = tuple(
-            e if isinstance(e, FaultEvent) else FaultEvent.from_dict(e)
-            for e in self.events
-        )
-        object.__setattr__(self, "events", events)
-        elastic = tuple(
-            r if isinstance(r, ElasticRule) else ElasticRule.from_dict(r)
-            for r in self.elastic
-        )
-        object.__setattr__(self, "elastic", elastic)
-        if self.admission is not None and not isinstance(self.admission, AdmissionSpec):
-            object.__setattr__(
-                self, "admission", AdmissionSpec.from_dict(self.admission)
-            )
-        if self.jitter < 0:
-            raise SpecError("fault plan jitter must be >= 0")
+        if not 0 <= self.jitter < math.inf:
+            raise SpecError("fault plan jitter must be >= 0 and finite")
         if self.max_respawns < 0:
             raise SpecError("fault plan max_respawns must be >= 0")
-
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "events": [e.to_dict() for e in self.events],
-            "elastic": [r.to_dict() for r in self.elastic],
-            "admission": None if self.admission is None else self.admission.to_dict(),
-            "jitter": self.jitter,
-            "max_respawns": self.max_respawns,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FaultPlan":
-        return from_strict_dict(
-            cls,
-            data,
-            nested={
-                "events": [FaultEvent],
-                "elastic": [ElasticRule],
-                "admission": AdmissionSpec,
-            },
-        )
 
     def label(self) -> str:
         bits = [f"{len(self.events)} events"]

@@ -13,11 +13,11 @@ The spec describes *what* to federate, never *how*: execution lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from ..core.errors import SpecError
 from ..core.registry import Registry
-from ..core.serde import from_strict_dict
+from ..core.serde import Spec
 from ..policies.registry import policy_label
 from .routing import DEFAULT_ROUTING, ROUTINGS
 
@@ -25,7 +25,7 @@ __all__ = ["ClusterSpec", "FederationSpec", "TOPOLOGIES"]
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Spec):
     """One member cluster of a federation.
 
     ``nodes == 0`` means "derive the size from the scenario's evolving
@@ -45,7 +45,7 @@ class ClusterSpec:
     min_nodes: int = 0
     max_nodes: int = 0
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not (self.name and isinstance(self.name, str)):
             raise SpecError("cluster name must be a non-empty string")
         if self.nodes < 0:
@@ -62,34 +62,17 @@ class ClusterSpec:
         if self.policy is not None:
             policy_label(self.policy)  # fail fast on unknown policies
 
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "nodes": self.nodes,
-            "policy": self.policy if not isinstance(self.policy, Mapping)
-            else dict(self.policy),
-            "min_nodes": self.min_nodes,
-            "max_nodes": self.max_nodes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ClusterSpec":
-        return from_strict_dict(cls, data)
-
 
 @dataclass(frozen=True)
-class FederationSpec:
+class FederationSpec(Spec):
     """A federation topology plus the meta-scheduler's routing policy."""
 
     clusters: Tuple[ClusterSpec, ...] = field(default_factory=tuple)
     routing: str = DEFAULT_ROUTING
 
-    def __post_init__(self) -> None:
-        promoted = tuple(
-            c if isinstance(c, ClusterSpec) else ClusterSpec.from_dict(c)
-            for c in self.clusters
-        )
-        object.__setattr__(self, "clusters", promoted)
+    NESTED = {"clusters": [ClusterSpec]}
+
+    def validate(self) -> None:
         if not self.clusters:
             raise SpecError("a federation needs at least one cluster")
         names = [c.name for c in self.clusters]
@@ -121,7 +104,7 @@ class FederationSpec:
         )
 
     def with_routing(self, routing: str) -> "FederationSpec":
-        return replace(self, routing=routing)  # __post_init__ validates the name
+        return replace(self, routing=routing)  # validate() checks the name
 
     def label(self) -> str:
         """Compact topology label for result records and reports."""
@@ -129,17 +112,6 @@ class FederationSpec:
             f"{c.name}:{c.nodes if c.nodes else '*'}" for c in self.clusters
         )
         return f"{len(self.clusters)}x[{inner}]"
-
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict:
-        return {
-            "clusters": [c.to_dict() for c in self.clusters],
-            "routing": self.routing,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FederationSpec":
-        return from_strict_dict(cls, data, nested={"clusters": [ClusterSpec]})
 
 
 # --------------------------------------------------------------------- #

@@ -34,7 +34,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.errors import SpecError
 from ..core.registry import unknown_name
-from ..core.serde import from_strict_dict, located, read_json
+from ..core.serde import Spec, located, read_json
 from .lifecycle import JobAudit, percentile
 from .timeline import Timeline
 
@@ -51,13 +51,13 @@ OBJECTIVE_KINDS = {
 
 
 @dataclass(frozen=True)
-class SLOSpec:
+class SLOSpec(Spec):
     """A named, declarative set of objectives (immutable, JSON-round-trip)."""
 
     name: str = "unnamed"
     objectives: Tuple[Mapping[str, object], ...] = ()
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not (isinstance(self.objectives, (list, tuple)) and self.objectives):
             raise SpecError(
                 f"SLO spec {self.name!r} declares no objectives (a non-empty "
@@ -77,16 +77,6 @@ class SLOSpec:
         object.__setattr__(self, "objectives", tuple(objectives))
 
     # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "objectives": [dict(obj) for obj in self.objectives],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "SLOSpec":
-        return from_strict_dict(cls, data)
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 

@@ -18,8 +18,8 @@ and builds the corresponding simulator application objects:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..apps.base import BaseApplication
 from ..apps.evolving_predictable import (
@@ -30,7 +30,7 @@ from ..apps.malleable import MalleableApplication, power_of_two_selector
 from ..apps.moldable import MoldableApplication
 from ..apps.rigid import RigidApplication, RigidJobSpec
 from ..core.errors import SpecError, WorkloadError
-from ..core.serde import from_strict_dict
+from ..core.serde import Spec
 from ..sim.randomness import MAX_DERIVED_SEED, derive_seed
 from .swf import Trace
 
@@ -49,7 +49,7 @@ APP_KINDS: Tuple[str, ...] = ("rigid", "moldable", "malleable", "evolving")
 
 
 @dataclass(frozen=True)
-class AdaptiveMix:
+class AdaptiveMix(Spec):
     """Target fractions of each application kind (normalised on use)."""
 
     rigid: float = 1.0
@@ -57,7 +57,7 @@ class AdaptiveMix:
     malleable: float = 0.0
     evolving: float = 0.0
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         # `not 0 <= f` (instead of `f < 0`) also rejects NaN fractions,
         # which would otherwise send every job to the last kind.
         if any(not 0 <= getattr(self, kind) < math.inf for kind in APP_KINDS):
@@ -77,13 +77,6 @@ class AdaptiveMix:
             if draw < cumulative:
                 return kind
         return APP_KINDS[-1]
-
-    def to_dict(self) -> Dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AdaptiveMix":
-        return from_strict_dict(cls, data)
 
     @classmethod
     def parse(cls, text: str) -> "AdaptiveMix":

@@ -22,12 +22,12 @@ arbitrarily long statistically-similar synthetic one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 from ..core.errors import SpecError, WorkloadError
 from ..core.registry import Registry
-from ..core.serde import from_strict_dict
+from ..core.serde import Spec, from_strict_dict
 from ..sim.randomness import RandomSource
 from .swf import SwfHeader, SwfJob, Trace
 
@@ -44,23 +44,17 @@ __all__ = [
 SECONDS_PER_DAY = 86_400.0
 
 
-def _to_dict(model) -> Dict:
-    data = asdict(model)
-    data["kind"] = model.kind
-    return data
-
-
 # --------------------------------------------------------------------- #
 # Arrival processes
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class PoissonArrivals:
+class PoissonArrivals(Spec):
     """Homogeneous Poisson arrivals with a constant rate (jobs/second)."""
 
     kind = "poisson"
     rate: float = 1.0 / 300.0
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         # The comparison-based check alone would let nan/inf through (nan
         # compares False everywhere) and hang or poison the synthesis.
         if not 0 < self.rate < math.inf:
@@ -85,7 +79,7 @@ class PoissonArrivals:
 
 
 @dataclass(frozen=True)
-class DailyCycleArrivals:
+class DailyCycleArrivals(Spec):
     """Non-homogeneous Poisson arrivals with a sinusoidal daily cycle.
 
     The instantaneous rate is ``mean_rate * (1 + a*cos(2*pi*(t - peak)/day))``
@@ -99,7 +93,7 @@ class DailyCycleArrivals:
     peak_to_trough: float = 4.0
     peak_hour: float = 14.0
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not 0 < self.mean_rate < math.inf:
             raise ValueError("mean arrival rate must be positive and finite")
         # An infinite ratio makes the amplitude nan, and the thinning loop in
@@ -142,14 +136,14 @@ class DailyCycleArrivals:
 # Duration and node-count distributions
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class LogUniformDuration:
+class LogUniformDuration(Spec):
     """Runtimes drawn log-uniformly from ``[min_seconds, max_seconds]``."""
 
     kind = "log_uniform_duration"
     min_seconds: float = 60.0
     max_seconds: float = 86_400.0
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not 0 < self.min_seconds <= self.max_seconds < math.inf:
             raise ValueError("duration bounds must satisfy 0 < min <= max, finite")
 
@@ -167,7 +161,7 @@ class LogUniformDuration:
 
 
 @dataclass(frozen=True)
-class LogNormalDuration:
+class LogNormalDuration(Spec):
     """Log-normal runtimes, clipped to ``[min_seconds, max_seconds]``."""
 
     kind = "log_normal_duration"
@@ -176,7 +170,7 @@ class LogNormalDuration:
     min_seconds: float = 1.0
     max_seconds: float = 86_400.0
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not math.isfinite(self.log_mean) or not 0 <= self.log_sigma < math.inf:
             raise ValueError("log_mean must be finite and log_sigma >= 0 and finite")
         if not 0 < self.min_seconds <= self.max_seconds < math.inf:
@@ -203,7 +197,7 @@ class LogNormalDuration:
 
 
 @dataclass(frozen=True)
-class LogUniformNodes:
+class LogUniformNodes(Spec):
     """Node counts drawn log-uniformly, optionally snapped to powers of two."""
 
     kind = "log_uniform_nodes"
@@ -211,7 +205,7 @@ class LogUniformNodes:
     max_nodes: int = 128
     power_of_two: bool = True
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not 1 <= self.min_nodes <= self.max_nodes:
             raise ValueError("node bounds must satisfy 1 <= min <= max")
 
@@ -271,14 +265,16 @@ def model_from_dict(data: Mapping):
 # The combined trace model
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class TraceModel:
+class TraceModel(Spec):
     """Arrivals x durations x node counts, synthesizing full SWF traces."""
 
     arrivals: PoissonArrivals = PoissonArrivals()
     durations: LogNormalDuration = LogNormalDuration()
     nodes: LogUniformNodes = LogUniformNodes()
 
-    def __post_init__(self) -> None:
+    NESTED = dict.fromkeys(_SLOT_TYPES, model_from_dict)
+
+    def validate(self) -> None:
         for slot, allowed in _SLOT_TYPES.items():
             if not isinstance(getattr(self, slot), allowed):
                 raise SpecError(
@@ -339,14 +335,3 @@ class TraceModel:
             durations=LogNormalDuration.fit([job.duration for job in jobs]),
             nodes=LogUniformNodes.fit([job.node_count for job in jobs]),
         )
-
-    def to_dict(self) -> Dict:
-        return {
-            "arrivals": _to_dict(self.arrivals),
-            "durations": _to_dict(self.durations),
-            "nodes": _to_dict(self.nodes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TraceModel":
-        return from_strict_dict(cls, data, nested=dict.fromkeys(_SLOT_TYPES, model_from_dict))

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.errors import SpecError
-from ..core.serde import from_strict_dict, located
+from ..core.serde import Spec, located
 from ..core.textio import read_trace_text
 from ..sim.randomness import derive_seed, stable_fingerprint
 from .convert import AdaptiveMix, ConvertedJob, convert_trace, mix_counts
@@ -30,7 +30,7 @@ DEFAULT_JOB_COUNT = 100
 
 
 @dataclass(frozen=True)
-class TraceSource:
+class TraceSource(Spec):
     """Declarative description of where a workload trace comes from.
 
     Exactly one of *path* (an SWF file, optionally gzip-compressed) and
@@ -51,7 +51,7 @@ class TraceSource:
     mix: Optional[Mapping] = None
     strict: bool = True
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if (self.path is None) == (self.model is None):
             raise SpecError("exactly one of path/model must be given")
         if self.path is not None and self.job_count is not None:
@@ -75,21 +75,6 @@ class TraceSource:
             with located("mix"):
                 object.__setattr__(self, "mix", dict(self.mix))
                 AdaptiveMix.from_dict(self.mix)
-
-    def to_dict(self) -> Dict:
-        data: Dict = {
-            "path": self.path,
-            "model": None if self.model is None else dict(self.model),
-            "job_count": self.job_count,
-            "transforms": [dict(t) for t in self.transforms],
-            "mix": None if self.mix is None else dict(self.mix),
-            "strict": self.strict,
-        }
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TraceSource":
-        return from_strict_dict(cls, data)
 
 
 @lru_cache(maxsize=8)

@@ -16,11 +16,11 @@ time window (:class:`TimeWindow`), rescaling the offered load
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.registry import Registry
-from ..core.serde import from_strict_dict, located
+from ..core.serde import Spec, located
 from .swf import SwfJob, Trace
 
 __all__ = [
@@ -34,25 +34,12 @@ __all__ = [
 ]
 
 
-def _step_dict(transform) -> Dict:
-    data = asdict(transform)
-    data["kind"] = transform.kind
-    return data
-
-
 @dataclass(frozen=True)
-class _Transform:
-    """Base class: `apply` plus dict round-tripping shared by all steps."""
+class _Transform(Spec):
+    """Base class: `apply`; the codec writes a step as its fields plus kind."""
 
     def apply(self, trace: Trace) -> Trace:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def to_dict(self) -> Dict:
-        return _step_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping):
-        return from_strict_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -72,7 +59,7 @@ class FilterJobs(_Transform):
     statuses: Optional[Tuple[int, ...]] = None
     require_valid: bool = True
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         # A NaN bound compares False against everything, silently turning
         # the filter into a no-op (or dropping nothing) -- reject it.
         for name in ("min_nodes", "max_nodes", "min_duration", "max_duration"):
@@ -114,7 +101,7 @@ class TimeWindow(_Transform):
     start: float = 0.0
     end: float = math.inf
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         # `not start < end` (instead of `end <= start`) also rejects NaN
         # bounds, which would otherwise silently drop every job.
         if not math.isfinite(self.start) or not self.start < self.end:
@@ -129,7 +116,7 @@ class TimeWindow(_Transform):
         return trace.with_jobs(kept, step=step)
 
     def to_dict(self) -> Dict:
-        data = _step_dict(self)
+        data = super().to_dict()
         if math.isinf(self.end):
             data["end"] = None  # an open window stays strict-JSON
         return data
@@ -154,7 +141,7 @@ class LoadRescale(_Transform):
     kind = "load_rescale"
     factor: float = 1.0
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not 0 < self.factor < math.inf:  # also rejects NaN
             raise ValueError("load factor must be positive and finite")
 
@@ -184,7 +171,7 @@ class ClampNodes(_Transform):
     kind = "clamp_nodes"
     max_nodes: int = 1
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not 0 < self.max_nodes < math.inf:  # also rejects NaN
             raise ValueError("max_nodes must be positive and finite")
 

@@ -10,19 +10,19 @@ tests and examples can exercise the RMS under mixed load.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..apps.rigid import RigidJobSpec
 from ..core.errors import SpecError
-from ..core.serde import from_strict_dict
+from ..core.serde import Spec
 from ..sim.randomness import RandomSource
 
 __all__ = ["RigidJobSpec", "WorkloadParameters", "generate_rigid_workload"]
 
 
 @dataclass(frozen=True)
-class WorkloadParameters:
+class WorkloadParameters(Spec):
     """Knobs of the rigid-workload generator."""
 
     #: Number of jobs to generate.
@@ -41,7 +41,7 @@ class WorkloadParameters:
     min_runtime: float = 60.0
     max_runtime: float = 86_400.0
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if self.job_count <= 0:
             raise SpecError("job_count must be positive")
         if self.mean_interarrival <= 0:
@@ -50,14 +50,6 @@ class WorkloadParameters:
             raise SpecError("node bounds must satisfy 1 <= min <= max")
         if not 0 < self.min_runtime <= self.max_runtime:
             raise SpecError("runtime bounds must satisfy 0 < min <= max")
-
-    def to_dict(self) -> Dict:
-        """JSON-friendly representation (for campaign scenario specs)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "WorkloadParameters":
-        return from_strict_dict(cls, data)
 
 
 def generate_rigid_workload(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,8 @@ HOSTILE_FRAGMENTS = {
     "retired_trace_path.json": "scenarios[0].workload.trace_path:",
     "strict_with_filling_policy.json": "scenarios[0]: strict_equipartition=True conflicts",
     "psa_duration_nan.json": "scenarios[0].workload.psa_task_durations: must be positive",
+    "elastic_until_infinity.json": "scenarios[0].faults.elastic[0]: elastic rule needs",
+    "rms_interval_nan.json": "scenarios[0].rms: rescheduling_interval must be >= 0 and finite",
 }
 
 
@@ -298,7 +301,8 @@ def mutated(draw, data):
             st.sampled_from([1, "x", None, [], {}])
         )
         return root
-    swaps = [[], {}, [node], {"value": node}, 5, "text", None, True, -1.5]
+    swaps = [[], {}, [node], {"value": node}, 5, "text", None, True, -1.5,
+             math.nan, math.inf, -math.inf]
     if isinstance(node, dict):
         swaps.append(list(node.values()))
     if isinstance(node, list):
@@ -316,7 +320,8 @@ def test_mutated_spec_is_rejected_or_usable(subject, data):
         loaded = load(candidate)
     except ReproError:
         return
-    json.dumps(loaded.to_dict())  # a spec that loads must also serialise
+    # A spec that loads must also serialise, as strict JSON as the wire does.
+    json.dumps(loaded.to_dict(), allow_nan=False)
 
 
 @pytest.mark.parametrize("subject", sorted(SUBJECTS))

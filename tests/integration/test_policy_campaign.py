@@ -104,18 +104,6 @@ class TestPolicyMatrixDeterminism:
         for medians in matrix["mini-trace"].values():
             assert medians  # every policy produced metrics
 
-    def test_spec_round_trips_with_policies(self, tmp_path):
-        spec = tiny_trace_campaign(2)
-        again = CampaignSpec.from_json(spec.to_json())
-        assert again == spec
-        assert again.policies == POLICIES
-        # A scenario-level policy survives the round trip too.
-        pinned = ScenarioSpec(name="pinned", policy="easy")
-        assert ScenarioSpec.from_dict(pinned.to_dict()) == pinned
-        assert ScenarioSpec.from_dict(
-            json.loads(json.dumps(pinned.to_dict()))
-        ).policy == "easy"
-
 
 class TestPoliciesDivergeUnderContention:
     def test_at_least_one_metric_differs_across_policies(self, tmp_path):

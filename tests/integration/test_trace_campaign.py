@@ -137,17 +137,6 @@ class TestProvenance:
         assert fingerprint["sha256_16"]  # content hash, not path-derived
         assert original.job_count == 12
 
-    def test_spec_json_round_trip_preserves_trace(self):
-        spec = CampaignSpec(
-            name="rt",
-            scenarios=(
-                fixture_scenario(mix={"rigid": 0.5, "malleable": 0.5}),
-            ),
-        )
-        reloaded = CampaignSpec.from_json(spec.to_json())
-        assert reloaded == spec
-        assert reloaded.scenarios[0].trace == spec.scenarios[0].trace
-
 
 class TestCli:
     def test_trace_info(self, capsys):

@@ -1,5 +1,6 @@
-"""Spec model: validation, dict/JSON round-trips, scale resolution."""
-import json
+"""Spec model: validation, JSON files, scale resolution (round trips:
+``test_spec_codec.py``)."""
+import math
 
 import pytest
 
@@ -12,66 +13,16 @@ from repro.campaign.spec import (
     resolve_scale,
 )
 from repro.core.errors import SpecError
+from repro.faults.plan import AdmissionSpec, ElasticRule, FaultEvent, FaultPlan
 
 
-def full_scenario() -> ScenarioSpec:
-    """A scenario exercising every non-default spec field."""
-    return ScenarioSpec(
-        name="everything",
-        runner="amr_psa",
-        scale="reduced",
-        description="all knobs set",
-        platform=PlatformSpec(cluster_nodes=128, cluster_headroom=1.5),
-        workload=WorkloadSpec(
-            include_amr=True,
-            psa_task_durations=(600.0, 60.0),
-            overcommit=2.0,
-            announce_interval=100.0,
-            static_allocation=True,
-            rigid_job_count=5,
-            rigid_max_nodes=16,
-            rigid_mean_interarrival=120.0,
-            rigid_runtime_median=300.0,
-            trace_path=None,
-        ),
-        rms=RmsSpec(
-            rescheduling_interval=2.0,
-            strict_equipartition=True,
-            kill_protocol_violators=True,
-            violation_grace=10.0,
-        ),
-        params={"overcommit_factors": [0.5, 1.0]},
-        metrics=("psa_waste_percent",),
-    )
-
-
-class TestScenarioSpecRoundTrip:
-    def test_dict_round_trip_is_lossless(self):
-        spec = full_scenario()
-        data = spec.to_dict()
-        assert ScenarioSpec.from_dict(data) == spec
-
-    def test_dict_round_trip_is_canonical(self):
-        # dict -> spec -> dict reproduces the dict exactly (tuples as lists).
-        data = full_scenario().to_dict()
-        assert ScenarioSpec.from_dict(data).to_dict() == data
-
-    def test_to_dict_is_json_serialisable(self):
-        text = json.dumps(full_scenario().to_dict(), sort_keys=True)
-        assert ScenarioSpec.from_dict(json.loads(text)) == full_scenario()
-
-    def test_defaults_round_trip(self):
-        spec = ScenarioSpec(name="bare")
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
-
+class TestScenarioSpecValidation:
     def test_unknown_field_rejected(self):
         data = ScenarioSpec(name="x").to_dict()
         data["frobnicate"] = 1
         with pytest.raises(ValueError, match="frobnicate"):
             ScenarioSpec.from_dict(data)
 
-
-class TestScenarioSpecValidation:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec(name="")
@@ -89,6 +40,30 @@ class TestScenarioSpecValidation:
     def test_non_finite_workload_values_rejected_by_name(self, field, value):
         with pytest.raises(SpecError, match=f"^{field}: must be"):
             WorkloadSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "cls, field, required",
+        [
+            (PlatformSpec, "cluster_headroom", {}),
+            (RmsSpec, "rescheduling_interval", {}),
+            (RmsSpec, "violation_grace", {}),
+            (FaultEvent, "time", {"kind": "crash", "member": "#0", "nodes": 1}),
+            (ElasticRule, "interval", {"member": "#0", "until": 60.0}),
+            (ElasticRule, "until", {"member": "#0", "interval": 60.0}),
+            (FaultPlan, "jitter", {"name": "p"}),
+            (AdmissionSpec, "rate", {}),
+            (AdmissionSpec, "burst", {}),
+            (AdmissionSpec, "cooldown", {}),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_typed_values_rejected_by_name(self, cls, field, required, value):
+        with pytest.raises(SpecError, match=field):
+            cls(**required, **{field: value})
+
+    def test_free_form_sections_must_write_strict_json(self):
+        with pytest.raises(SpecError, match=r"^params\.factors\[1\]: must be finite, got nan"):
+            ScenarioSpec(name="x", params={"factors": [1.0, math.nan]})
 
     def test_bad_headroom_rejected(self):
         with pytest.raises(ValueError):
@@ -111,20 +86,12 @@ class TestCampaignSpec:
         defaults.update(kwargs)
         return CampaignSpec(**defaults)
 
-    def test_round_trip(self):
-        spec = self.make()
-        assert CampaignSpec.from_dict(spec.to_dict()) == spec
-        assert CampaignSpec.from_json(spec.to_json()) == spec
-
-    def test_canonical_dict_round_trip(self):
-        data = self.make().to_dict()
-        assert CampaignSpec.from_dict(data).to_dict() == data
-
     def test_save_load(self, tmp_path):
         spec = self.make()
         path = tmp_path / "campaign.json"
         spec.save(path)
         assert CampaignSpec.load(path) == spec
+        assert CampaignSpec.from_json(spec.to_json()) == spec
 
     def test_run_count(self):
         assert self.make().run_count == 6

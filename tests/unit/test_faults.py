@@ -125,10 +125,6 @@ class TestFaultPlan:
         with pytest.raises(TypeError, match="plan name, mapping or FaultPlan"):
             resolve_fault_plan(42)
 
-    def test_builtin_plans_round_trip(self):
-        for name in FAULT_PLANS.names():
-            plan = get_fault_plan(name)
-            assert FaultPlan.from_dict(plan.to_dict()) == plan
 
 
 # --------------------------------------------------------------------- #

@@ -14,7 +14,7 @@ from repro.core.errors import (
     UnknownNameError,
 )
 from repro.core.registry import Registry, unknown_name
-from repro.core.serde import from_strict_dict, located, read_json
+from repro.core.serde import Spec, from_strict_dict, located, read_json
 
 
 class TestRegistry:
@@ -106,29 +106,23 @@ class TestRegistry:
 
 
 @dataclass(frozen=True)
-class Leaf:
+class Leaf(Spec):
     size: int
     label: str = ""
 
-    def __post_init__(self):
+    def validate(self):
         if self.size < 0:
             raise ValueError("size must be >= 0")
 
-    @classmethod
-    def from_dict(cls, data):
-        return from_strict_dict(cls, data)
-
 
 @dataclass(frozen=True)
-class Tree:
+class Tree(Spec):
     name: str
     root: Optional[Leaf] = None
     leaves: Tuple[Leaf, ...] = ()
     tags: Tuple[str, ...] = field(default_factory=tuple)
 
-    @classmethod
-    def from_dict(cls, data):
-        return from_strict_dict(cls, data, nested={"root": Leaf, "leaves": [Leaf]})
+    NESTED = {"root": Leaf, "leaves": [Leaf]}
 
 
 class TestStrictLoader:
@@ -160,10 +154,7 @@ class TestStrictLoader:
     def test_where_prefixes_and_paths_compose(self):
         with pytest.raises(SpecError) as caught:
             with located("forest[2]"):
-                from_strict_dict(
-                    Tree, {"name": "t", "leaves": [{}]}, where="tree",
-                    nested={"leaves": [Leaf]},
-                )
+                from_strict_dict(Tree, {"name": "t", "leaves": [{}]}, where="tree")
         assert caught.value.path == "forest[2].tree.leaves[0]"
         assert str(caught.value).startswith("forest[2].tree.leaves[0]: Leaf needs")
 

@@ -53,10 +53,6 @@ class TestAdaptiveMix:
         with pytest.raises(ValueError):
             AdaptiveMix(rigid=-1.0, moldable=2.0)
 
-    def test_dict_round_trip(self):
-        mix = AdaptiveMix(rigid=0.1, moldable=0.2, malleable=0.3, evolving=0.4)
-        assert AdaptiveMix.from_dict(mix.to_dict()) == mix
-
 
 class TestConvertTrace:
     def test_deterministic_and_order_independent(self, trace):

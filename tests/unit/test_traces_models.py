@@ -112,14 +112,6 @@ class TestTraceModel:
         trace = TraceModel().synthesize(50, seed=1)
         assert len(trace.to_rigid_jobs()) == 50
 
-    def test_dict_round_trip(self):
-        model = TraceModel(
-            arrivals=DailyCycleArrivals(mean_rate=0.01),
-            durations=LogUniformDuration(min_seconds=5.0, max_seconds=50.0),
-            nodes=LogUniformNodes(max_nodes=16),
-        )
-        assert TraceModel.from_dict(model.to_dict()) == model
-
     def test_fit_then_synthesize(self):
         original = TraceModel().synthesize(300, seed=2)
         fitted = TraceModel.fit(original)
