@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import List, Mapping, Optional, Tuple, Union
 
 from ..core.errors import SpecError
-from ..core.serde import Spec, located, read_json
+from ..core.serde import Spec, located, read_json, require_text
 from ..experiments.runner import EvaluationScale, _strict_policy
 from ..faults.plan import FAULT_PLANS, FaultPlan
 from ..federation.routing import ROUTINGS
@@ -197,6 +197,7 @@ class ScenarioSpec(Spec):
     def validate(self) -> None:
         if not (self.name and isinstance(self.name, str)):
             raise SpecError("scenario name must be a non-empty string")
+        require_text(self.description, "description")
         if not self.runner:
             raise SpecError("scenario runner must not be empty")
         if self.scale not in SCALE_NAMES:
@@ -324,6 +325,7 @@ class CampaignSpec(Spec):
     def validate(self) -> None:
         if not (self.name and isinstance(self.name, str)):
             raise SpecError("campaign name must be a non-empty string")
+        require_text(self.description, "description")
         if not self.scenarios:
             raise SpecError("campaign needs at least one scenario")
         names = [s.name for s in self.scenarios]

@@ -13,8 +13,8 @@ built beside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Dict, Mapping, Optional, Tuple
 
 from .types import PREALLOCATION, NodeId, Time
 
@@ -35,7 +35,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+def _record(cls):
+    """*cls* as a frozen, slotted dataclass built at about a tuple's cost.
+
+    A frozen dataclass's ``__init__`` goes through ``object.__setattr__`` once
+    per field; this one calls each slot's own setter, which halves the cost
+    of a record (a ``namedtuple`` costs about as much).  Everything else --
+    equality, hashing, ``repr``, ``replace`` and ``FrozenInstanceError`` on
+    assignment -- is the dataclass's.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    scope, params = {}, []
+    for f in fields(cls):
+        scope[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            scope[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    body = "".join(f"    _set_{f.name}(self, {f.name})\n" for f in fields(cls))
+    exec(f"def __init__(self, {', '.join(params)}):\n{body}", scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
+@_record
 class ProtocolEvent:
     """Base class of every protocol trace record."""
 
@@ -47,17 +72,17 @@ class ProtocolEvent:
         return type(self).__name__
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Connected(ProtocolEvent):
     """An application opened a session with the RMS."""
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Disconnected(ProtocolEvent):
     """An application closed its session normally."""
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class RequestSubmitted(ProtocolEvent):
     """The application called ``request()``."""
 
@@ -67,7 +92,7 @@ class RequestSubmitted(ProtocolEvent):
     duration: Time
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class RequestDone(ProtocolEvent):
     """The application called ``done()`` on a request."""
 
@@ -75,7 +100,7 @@ class RequestDone(ProtocolEvent):
     released_node_ids: Tuple[NodeId, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class RequestStarted(ProtocolEvent):
     """The RMS started a request (``startNotify``)."""
 
@@ -85,14 +110,14 @@ class RequestStarted(ProtocolEvent):
     cluster_id: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class RequestExpired(ProtocolEvent):
     """A started request reached the end of its duration."""
 
     request_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class RequestFinished(ProtocolEvent):
     """A request ended: on ``done()``, at its expiry or at ``disconnect``.
 
@@ -113,7 +138,7 @@ class RequestFinished(ProtocolEvent):
         return self.nodes * max(0.0, self.time - self.started_at)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ViewsPushed(ProtocolEvent):
     """The RMS pushed fresh views to the application."""
 
@@ -121,14 +146,14 @@ class ViewsPushed(ProtocolEvent):
     preemptive_total: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SessionKilled(ProtocolEvent):
     """The RMS terminated the session after a protocol violation."""
 
     reason: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class CapacityChanged(ProtocolEvent):
     """The RMS resized a cluster; ``app_id`` is empty, ``killed`` lists the
     applications the shrink killed."""
@@ -140,9 +165,14 @@ class CapacityChanged(ProtocolEvent):
 
 
 class EventLog:
-    """Append-only trace of protocol events, with simple query helpers."""
+    """Append-only trace of protocol events, with simple query helpers.
 
-    def __init__(self) -> None:
+    ``capacity`` is the cluster id -> node count of the platform the log
+    opened on; ``CapacityChanged`` records say how it changed since.
+    """
+
+    def __init__(self, capacity: Mapping[str, int]) -> None:
+        self.capacity = dict(capacity)
         self._events: list = []
 
     def record(self, event: ProtocolEvent) -> None:

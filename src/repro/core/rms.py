@@ -92,7 +92,7 @@ class CooRMv2:
         self.kill_protocol_violators = kill_protocol_violators
         self.violation_grace = float(violation_grace)
         self.scheduler = Scheduler(platform.capacity(), policy=policy)
-        self.event_log = EventLog()
+        self.event_log = EventLog(platform.capacity())
         #: App id -> node-seconds its finished requests used (pre-allocations
         #: reserve, they do not use): the running sum of the event log's
         #: ``RequestFinished.node_seconds``, handed to every pass.
@@ -516,19 +516,14 @@ class CooRMv2:
         # objects in the pass, not once per session -- the scheduler and
         # sharing hand many applications the same view objects.  Views are
         # immutable, so a verdict for four objects holds for the pass; the memo
-        # holds them, so no ``id`` is reused while it lives.  Sessions are
-        # listed afresh: start callbacks may disconnect some.
+        # holds them, so no ``id`` is reused while it lives.  A verdict to push
+        # carries the two totals ``ViewsPushed`` records (the nodes each view
+        # offers now), else None.  Sessions are listed afresh: start callbacks
+        # may disconnect some.
         default_cid = self.platform.default_cluster_id()
         empty_view = View.empty()
         now = self.now
-        verdicts: Dict[Tuple[int, int, int, int], Tuple[Optional[View], ...]] = {}
-        totals: Dict[int, float] = {}  # id(new view) -> its nodes on offer now
-
-        def total_now(view: View) -> float:
-            if id(view) not in totals:
-                totals[id(view)] = view[default_cid].value_at(now)
-            return totals[id(view)]
-
+        verdicts: Dict[Tuple[int, int, int, int], Tuple[object, ...]] = {}
         for session in self.connected_sessions():
             non_preemptive = result.non_preemptive_views.get(session.app_id, empty_view)
             preemptive = result.preemptive_views.get(session.app_id, empty_view)
@@ -536,14 +531,16 @@ class CooRMv2:
             key = (id(last_np), id(last_p), id(non_preemptive), id(preemptive))
             verdict = verdicts.get(key)
             if verdict is None:
-                changed = (last_np is not non_preemptive and last_np != non_preemptive) or (
+                totals = None
+                if (last_np is not non_preemptive and last_np != non_preemptive) or (
                     last_p is not preemptive and last_p != preemptive
-                )
-                verdict = verdicts[key] = (last_np, last_p, non_preemptive, preemptive, changed)
+                ):
+                    totals = (non_preemptive[default_cid].value_at(now),
+                              preemptive[default_cid].value_at(now))
+                verdict = verdicts[key] = (last_np, last_p, non_preemptive, preemptive, totals)
             if verdict[4]:
                 session.remember_views(non_preemptive, preemptive)
-                pushed = (total_now(non_preemptive), total_now(preemptive))
-                self._record(ViewsPushed(now, session.app_id, *pushed))
+                self._record(ViewsPushed(now, session.app_id, *verdict[4]))
                 session.application.on_views(non_preemptive, preemptive)
 
         if self.kill_protocol_violators:

@@ -24,7 +24,7 @@ from typing import Any, Callable, ClassVar, Dict, Iterator, Tuple
 
 from .errors import ReproError, SpecError
 
-__all__ = ["Spec", "from_strict_dict", "located", "read_json"]
+__all__ = ["Spec", "from_strict_dict", "located", "read_json", "require_text"]
 
 #: What a constructor (or a nested loader) raises on bad input; ``int(inf)``
 #: raises OverflowError.
@@ -65,17 +65,25 @@ def _write(value):
 
 
 def _require_strict_json(value, where: str) -> None:
-    """Reject the first NaN or infinity in a written value: strict JSON (the
-    wire's and the store's) holds neither."""
+    """Reject the first NaN or infinity in a field value: strict JSON (the
+    wire's and the store's) holds neither.  A nested spec is passed over: it
+    checked its own fields when it was built."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise SpecError(f"must be finite, got {value}", where)
-    elif isinstance(value, dict):
+    elif isinstance(value, Mapping):
         for key, item in value.items():
             _require_strict_json(item, f"{where}.{key}")
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for index, item in enumerate(value):
             _require_strict_json(item, f"{where}[{index}]")
+
+
+def require_text(value, where: str) -> None:
+    """Reject a free-form text field (a description, a label) that holds no
+    string: JSON lets it hold anything."""
+    if not isinstance(value, str):
+        raise SpecError(f"must be a string, got {type(value).__name__}", where)
 
 
 def _promote(loader, value, where: str):
@@ -104,7 +112,8 @@ class Spec:
     ``mapping -> object`` function or ``[loader]`` for a list of sections.
     Construction promotes those sections, then runs :meth:`validate`, then
     makes sure the spec writes strict JSON; a spec that loads can be sent
-    and stored.  A class-level string ``kind`` that is not a field is
+    and stored.  Each spec checks its own fields once: its sections did when
+    they were built.  A class-level string ``kind`` that is not a field is
     written too (the registry readers dispatch on it).
     """
 
@@ -118,8 +127,8 @@ class Spec:
             if not (value is None and declared[name].default is None):
                 object.__setattr__(self, name, _promote(loader, value, name))
         self.validate()
-        for name, value in self.to_dict().items():
-            _require_strict_json(value, name)
+        for name in _init_fields(type(self)):
+            _require_strict_json(getattr(self, name), name)
 
     def validate(self) -> None:
         """Check the (promoted) fields; raise on what the spec cannot mean."""

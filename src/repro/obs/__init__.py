@@ -23,6 +23,9 @@ recorded trace (hence byte-identical at any worker count):
 * :class:`SLOSpec` / :func:`evaluate_slo` -- declarative service-level
   objectives evaluated per run and aggregated by ``campaign report``.
 
+:mod:`repro.obs.invariants` checks the paper's guarantees against an RMS's
+event log; tests and CI call it, no run does.
+
 ``python -m repro obs`` (see :mod:`repro.obs.cli`) fronts all of it:
 ``export`` / ``summarize`` / ``timeline`` / ``audit`` / ``slo`` /
 ``report`` / ``diff``.  :func:`logging_setup` is the shared CLI logging

@@ -34,7 +34,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.errors import SpecError
 from ..core.registry import unknown_name
-from ..core.serde import Spec, located, read_json
+from ..core.serde import Spec, located, read_json, require_text
 from .lifecycle import JobAudit, percentile
 from .timeline import Timeline
 
@@ -58,6 +58,7 @@ class SLOSpec(Spec):
     objectives: Tuple[Mapping[str, object], ...] = ()
 
     def validate(self) -> None:
+        require_text(self.name, "name")
         if not (isinstance(self.objectives, (list, tuple)) and self.objectives):
             raise SpecError(
                 f"SLO spec {self.name!r} declares no objectives (a non-empty "

@@ -99,34 +99,22 @@ class TimeWindow(_Transform):
 
     kind = "time_window"
     start: float = 0.0
-    end: float = math.inf
+    end: Optional[float] = None  # None (or infinity): open-ended
 
     def validate(self) -> None:
+        if self.end == math.inf:
+            object.__setattr__(self, "end", None)  # an open window stays strict JSON
         # `not start < end` (instead of `end <= start`) also rejects NaN
         # bounds, which would otherwise silently drop every job.
-        if not math.isfinite(self.start) or not self.start < self.end:
+        if not math.isfinite(self.start) or not (self.end is None or self.start < self.end):
             raise ValueError("time window must satisfy finite start < end")
 
     def apply(self, trace: Trace) -> Trace:
-        kept = [
-            job for job in trace.jobs if self.start <= job.submit_time < self.end
-        ]
+        end = math.inf if self.end is None else self.end
+        kept = [job for job in trace.jobs if self.start <= job.submit_time < end]
         step = self.to_dict()
         step["dropped"] = trace.job_count - len(kept)
         return trace.with_jobs(kept, step=step)
-
-    def to_dict(self) -> Dict:
-        data = super().to_dict()
-        if math.isinf(self.end):
-            data["end"] = None  # an open window stays strict-JSON
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping):
-        data = dict(data)
-        if data.get("end") is None:
-            data.pop("end", None)
-        return super().from_dict(data)
 
 
 @dataclass(frozen=True)

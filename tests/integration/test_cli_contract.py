@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.__main__ import COMMAND_GROUPS, build_parser, main
 from repro.campaign import CampaignSpec, ScenarioSpec, WorkloadSpec
 from repro.campaign.registry import builtin_scenarios
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, SpecError
 from repro.faults.plan import FaultPlan, get_fault_plan
 from repro.federation import TOPOLOGIES, FederationSpec
 from repro.obs.slo import DEFAULT_SLO, SLOSpec
@@ -104,6 +104,7 @@ HOSTILE_FRAGMENTS = {
     "psa_duration_nan.json": "scenarios[0].workload.psa_task_durations: must be positive",
     "elastic_until_infinity.json": "scenarios[0].faults.elastic[0]: elastic rule needs",
     "rms_interval_nan.json": "scenarios[0].rms: rescheduling_interval must be >= 0 and finite",
+    "description_not_a_string.json": "scenarios[0].description: must be a string, got int",
 }
 
 
@@ -322,6 +323,28 @@ def test_mutated_spec_is_rejected_or_usable(subject, data):
         return
     # A spec that loads must also serialise, as strict JSON as the wire does.
     json.dumps(loaded.to_dict(), allow_nan=False)
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+@pytest.mark.parametrize("subject", sorted(SUBJECTS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_number_for_a_name_or_description_is_rejected(subject, data):
+    """Free-form text is typed too: a number in any ``name`` or
+    ``description`` is a :class:`SpecError` located at that field or at the
+    section that holds it."""
+    load, valid = SUBJECTS[subject]
+    names = [p for p in _paths(valid) if p and p[-1] in ("name", "description")]
+    if not names:
+        return
+    path = data.draw(st.sampled_from(names))
+    number = data.draw(st.integers() | st.floats(allow_nan=False, allow_infinity=False))
+    with pytest.raises(SpecError) as error:
+        load(_replace(copy.deepcopy(valid), path, number))
+    assert error.value.path in (_dotted(path), _dotted(path[:-1]))
 
 
 @pytest.mark.parametrize("subject", sorted(SUBJECTS))

@@ -18,6 +18,7 @@ import pytest
 from repro.experiments import EvaluationScale, run_scenario
 from repro.experiments.runner import build_evolution
 from repro.metrics.collector import allocations
+from repro.obs.invariants import violations
 
 SCALE = EvaluationScale.tiny()
 
@@ -118,6 +119,7 @@ class TestFigure11Behaviour:
 class TestConservation:
     def test_all_nodes_returned_and_accounting_consistent(self, evolution):
         result = run_scenario(SCALE, overcommit=1.0, evolution=evolution)
+        assert not list(violations(result.rms.event_log))
         cluster = result.rms.platform.cluster("cluster0")
         assert cluster.free_count() == result.cluster_nodes
         # Accounting: every allocated node-second was charged to somebody.

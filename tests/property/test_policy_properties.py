@@ -12,9 +12,9 @@ safety invariants the default algorithm guarantees:
   allocated node count;
 * preemptive views stay within the platform and never go negative.
 
-An RMS-level test additionally replays random submissions end-to-end per
-policy and asserts that no physical node is ever bound to two live
-requests at once.
+An RMS-level test additionally runs random submissions end-to-end per
+policy, and ``repro.obs.invariants`` finds nothing in its event log: no
+physical node is ever bound to two live requests at once.
 """
 from __future__ import annotations
 
@@ -23,8 +23,9 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Request, RequestType, Scheduler, to_view
+from repro.obs.invariants import violations
 from repro.policies import POLICIES
-from repro.testing import app_with, make_env, np_, p_, pa
+from repro.testing import RecordingApp, app_with, make_env, np_, p_, pa
 
 CLUSTER_NODES = 32
 
@@ -194,20 +195,7 @@ class TestNoNodeIsDoubleBooked:
     @given(jobs=rms_workloads(), policy=st.sampled_from(ALL_POLICIES))
     @settings(max_examples=40, deadline=None)
     def test_rms_never_binds_a_node_twice(self, jobs, policy):
-        from repro.core import RequestDone, RequestExpired, RequestStarted
-
         simulator, _platform, rms = make_env(nodes=12, policy=policy)
-
-        class Quiet:
-            def on_views(self, *_):
-                pass
-
-            def on_start(self, *_):
-                pass
-
-            def on_killed(self, *_):
-                pass
-
         for i, (delay, nodes, duration, preemptible) in enumerate(jobs):
             rtype = (
                 RequestType.PREEMPTIBLE if preemptible else RequestType.NON_PREEMPTIBLE
@@ -215,32 +203,9 @@ class TestNoNodeIsDoubleBooked:
 
             def submit(i=i, nodes=nodes, duration=duration, rtype=rtype):
                 app_id = f"w{i}"
-                rms.connect(Quiet(), app_id)
+                rms.connect(RecordingApp(app_id), app_id)
                 rms.submit(app_id, Request("cluster0", nodes, duration, rtype))
 
             simulator.schedule(delay, submit)
         simulator.run()
-
-        # Replay the protocol log: a node must never be re-bound while its
-        # current holder is still live.  Every request here has a finite
-        # duration, so each start is paired with a Done/Expired event.
-        ends = {}
-        for event in rms.event_log:
-            if isinstance(event, (RequestDone, RequestExpired)):
-                ends.setdefault(event.request_id, event.time)
-        intervals = [
-            (event.time, ends.get(event.request_id, math.inf), event)
-            for event in rms.event_log.of_kind(RequestStarted)
-            if event.node_ids
-        ]
-        for idx, (start_a, end_a, ev_a) in enumerate(intervals):
-            for start_b, _end_b, ev_b in intervals[idx + 1:]:
-                if ev_b.request_id == ev_a.request_id:
-                    continue
-                overlap = set(ev_a.node_ids) & set(ev_b.node_ids)
-                if overlap and start_b < end_a - 1e-9:
-                    raise AssertionError(
-                        f"policy {policy}: node(s) {sorted(overlap)} double-booked"
-                        f" by #{ev_a.request_id} (alive until {end_a}) and "
-                        f"#{ev_b.request_id} (started {start_b})"
-                    )
+        assert not list(violations(rms.event_log)), policy

@@ -30,9 +30,11 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, invar
 
 from repro.cluster import Platform
 from repro.core import CooRMv2, ReproError, Request
+from repro.core.events import SessionKilled
 from repro.core.types import COALLOC, FREE, NEXT, RequestType
 from repro.core.view import View
 from repro.obs.hooks import observe
+from repro.obs.invariants import violations
 from repro.obs.tracer import EventTracer
 from repro.policies import SchedulingPolicy, resolve_policy
 from repro.policies.registry import POLICIES
@@ -52,6 +54,14 @@ def weighted(weights):
     base = resolve_policy("maxmin-weighted")
     sharing = WeightedMaxMinSharing(weights)
     return SchedulingPolicy(base.name, base.ordering, base.backfill, sharing)
+
+
+def breaches(log):
+    """The invariant checker's verdict on *log*, less the kill finding (ROADMAP
+    item 15): ``CooRMv2.kill`` logs no ``RequestFinished``, so each start still
+    running when its session is killed is an ``ends once`` violation there."""
+    kills = {(e.time, e.app_id) for e in log.of_kind(SessionKilled)}
+    return [v for v in violations(log) if v.rule != "ends once" or (v.time, v.app) not in kills]
 
 
 def handover_path(request):
@@ -246,10 +256,13 @@ class World:
     def assert_invariants(self):
         """The protocol's rules, read off this world alone.
 
+        :func:`repro.obs.invariants.violations` checks the event log, less
+        the kill finding (:func:`breaches`).  The log names no node that a
+        finished request keeps for its ``NEXT`` successor, so three rules are
+        read off the requests and the clusters here:
+
         - *Holds match a scan*: a live session holds exactly the union of the
           ``node_ids`` of the requests submitted in it; a closed one, none.
-        - *No node bound twice*, across every request ever submitted, those
-          of killed and disconnected sessions included.
         - *NEXT hand-over*: a start takes a node that a finished request
           still binds only if that request is on the starter's
           :func:`handover_path` (checked at the start, against the bindings
@@ -257,19 +270,14 @@ class World:
         - *Nothing stranded*: a finished request binds nodes only while it is
           on the :func:`handover_path` of a pending request or of a running
           pre-allocation (which starts without taking them).
-        - The scheduler's full view is its capacity.
+
+        And the scheduler's full view is its capacity.
         """
-        bound, scan, reachable, retaining = {}, {}, set(), []
-        for position, (request, session) in enumerate(zip(self.requests, self.sessions)):
+        scan, reachable = {}, set()
+        for request, session in zip(self.requests, self.sessions):
             if request.node_ids:
                 key = (request.cluster_id, session)
                 scan[key] = scan.get(key, frozenset()) | request.node_ids
-                for node in request.node_ids:
-                    node = (request.cluster_id, node)
-                    assert node not in bound, ("bound twice", node, bound[node], position)
-                    bound[node] = position
-                if request.finished():
-                    retaining.append(position)
             if request.pending() or (request.is_preallocation() and not request.finished()):
                 reachable.update(map(id, handover_path(request)))
         for app_id in APP_IDS:
@@ -278,9 +286,11 @@ class World:
             for cid, cluster in self.platform.clusters.items():
                 expected = scan.get((cid, session), frozenset()) if alive else frozenset()
                 assert cluster.held_by(app_id) == expected, ("holds", app_id, cid)
-        stranded = [p for p in retaining if id(self.requests[p]) not in reachable]
+        stranded = [p for p, r in enumerate(self.requests)
+                    if r.finished() and r.node_ids and id(r) not in reachable]
         assert not stranded, ("stranded", stranded)
         assert not self.refused, ("NEXT hand-over", self.refused)
+        assert not breaches(self.rms.event_log), breaches(self.rms.event_log)
         scheduler = self.rms.scheduler
         assert scheduler.full_view() == View.constant(scheduler.capacity)
 

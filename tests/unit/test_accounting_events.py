@@ -15,7 +15,7 @@ from repro.testing import RecordingApp, make_env
 
 class TestEventLog:
     def test_record_and_query(self):
-        log = EventLog()
+        log = EventLog({})
         log.record(Connected(0.0, "a"))
         log.record(RequestSubmitted(1.0, "a", request_id=1, rtype="nonP", node_count=4, duration=10))
         log.record(RequestDone(5.0, "a", request_id=1))
@@ -32,8 +32,8 @@ class TestEventLog:
         assert log.all()[0].time == 0.0
 
     def test_last_on_empty_log(self):
-        assert EventLog().last() is None
-        assert EventLog().last(Connected) is None
+        assert EventLog({}).last() is None
+        assert EventLog({}).last(Connected) is None
 
     def test_records_are_immutable_values(self):
         pushed = ViewsPushed(2.0, "a", non_preemptive_total=4.0, preemptive_total=1.0)

@@ -12,7 +12,8 @@ and nothing in the log is left out of it.
 The log is also the RMS's account of a run: a started ``RequestFinished``
 carries the ``nodes``, ``cluster_id`` and ``started_at`` that the metrics,
 the federation breakdown and fair-share's ``used_node_seconds`` are summed
-from, and ``test_the_log_balances`` checks that it can carry that weight.
+from, and ``test_the_log_balances`` checks, with ``repro.obs.invariants``,
+that it can carry that weight.
 """
 from __future__ import annotations
 
@@ -35,7 +36,9 @@ from repro.core.events import (
     RequestSubmitted,
     SessionKilled,
 )
+from repro.metrics.collector import allocations
 from repro.obs import EventTracer, MetricsRegistry, observe
+from repro.obs.invariants import violations
 from repro.sim.randomness import derive_seed
 
 #: Trace event name -> the record kind it is formatted from.
@@ -148,37 +151,21 @@ def test_kills_disconnects_and_capacity_changes_are_one_stream(shadows):
     ("fig9", None), ("fed-chaos-dual", None), ("trace-adaptive", "fair-share"),
 ])
 def test_the_log_balances(shadows, request, name, policy):
-    """Every start ends exactly once, recording what it started on, and the
-    running usage is the log's (``==`` on floats).  ``fed-chaos-dual`` kills
-    sessions through ``set_capacity``."""
+    """The invariant checker finds nothing in any RMS's log (every start ends
+    exactly once, recording what it started on), and the running usage is
+    the log's (``==`` on floats).  ``fed-chaos-dual`` kills sessions through
+    ``set_capacity``."""
     spec = dataclasses.replace(builtin_scenarios()[name], policy=policy)
     get_runner(spec.runner)(spec, derive_seed(0, name, 0))
     consume_provenance()
-    unfinished = []
     for rms, _, _ in shadows:
-        log = rms.event_log
-        starts = {e.request_id: e for e in log.of_kind(RequestStarted)}
-        submitted = {e.request_id: e.node_count for e in log.of_kind(RequestSubmitted)}
         usage = {}
-        for finished in log.of_kind(RequestFinished):
-            if not finished.started:
-                continue
-            assert finished.request_id in starts  # started, and not finished before
-            start = starts.pop(finished.request_id)
-            assert (finished.started_at, finished.rtype, finished.cluster_id) == (
-                start.time, start.rtype, start.cluster_id
-            )
-            if finished.rtype == PA.value:
-                assert finished.nodes == submitted[finished.request_id]
-                continue
-            assert finished.nodes == len(start.node_ids)
-            used = len(start.node_ids) * max(0.0, finished.time - start.time)
-            usage[finished.app_id] = usage.get(finished.app_id, 0.0) + used
+        for finished in allocations(rms):
+            usage[finished.app_id] = usage.get(finished.app_id, 0.0) + finished.node_seconds
         assert rms.used_node_seconds == usage
-        unfinished.extend(starts.values())
     if name == "fed-chaos-dual":
         request.applymarker(pytest.mark.xfail(strict=True, reason=(
             "CooRMv2.kill ends a killed session's started requests without a "
             "RequestFinished record, so what they used is in no account"
         )))
-    assert not unfinished
+    assert not [v for rms, _, _ in shadows for v in violations(rms.event_log)]
