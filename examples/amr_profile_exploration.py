@@ -16,8 +16,6 @@ Run with::
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.metrics import format_table
 from repro.models import (
     PAPER_SPEEDUP_MODEL,
@@ -35,14 +33,14 @@ def describe_profiles() -> None:
     rows = []
     for seed in range(4):
         profile = normalized_profile(seed=seed)
-        diffs = np.diff(profile)
+        diffs = [b - a for a, b in zip(profile, profile[1:])]
         rows.append(
             (
                 seed,
-                round(float(profile[0]), 1),
-                round(float(profile[-1]), 1),
-                f"{100 * float(np.mean(diffs > 0)):.0f}%",
-                round(float(diffs.max()), 1),
+                round(profile[0], 1),
+                round(profile[-1], 1),
+                f"{100 * sum(d > 0 for d in diffs) / len(diffs):.0f}%",
+                round(max(diffs), 1),
             )
         )
     print(format_table(["seed", "start", "end", "increasing steps", "largest jump"], rows))
@@ -73,7 +71,7 @@ def describe_static_vs_dynamic() -> None:
     choice_range = static_allocation_range(evolution, 0.75)
     rows = [
         ("peak working set", f"{evolution.peak_size_mib / TIB_IN_MIB:.2f} TiB"),
-        ("dynamic allocation (min..peak nodes)", f"{int(dyn.node_counts.min())}..{dyn.peak_nodes}"),
+        ("dynamic allocation (min..peak nodes)", f"{int(min(dyn.node_counts))}..{dyn.peak_nodes}"),
         ("dynamic consumed area A(0.75)", f"{dyn.consumed_area / 1e6:.1f} M node*s"),
         ("equivalent static allocation n_eq", f"{static.n_eq:.0f} nodes"),
         ("end-time increase if static", f"{100 * static.end_time_increase:.2f}%"),

@@ -15,12 +15,11 @@ Run with::
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro import CooRMv2, Platform, Simulator
 from repro.apps import AmrApplication, ParameterSweepApplication
 from repro.metrics import SimulationMetrics, format_table
 from repro.models import WorkingSetEvolution
+from repro.testing import linspace
 
 
 def main() -> None:
@@ -33,7 +32,7 @@ def main() -> None:
     # A deterministic working set that grows from ~5 GiB to ~100 GiB over 25
     # steps (use WorkingSetEvolution.generate(...) for the paper's random
     # acceleration-deceleration profiles).
-    evolution = WorkingSetEvolution(np.linspace(5_000.0, 100_000.0, 25))
+    evolution = WorkingSetEvolution(linspace(5_000.0, 100_000.0, 25))
     amr = AmrApplication(
         name="amr",
         evolution=evolution,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..models.amr_evolution import WorkingSetEvolution
-from ..models.speedup import PAPER_SPEEDUP_MODEL, SpeedupModel
+from ..models.speedup import PAPER_SPEEDUP_MODEL, SpeedupModel, pairwise_sum
 
 __all__ = ["StaticRunPrediction", "predict_static_run"]
 
@@ -41,14 +41,7 @@ def predict_static_run(
     """
     if node_count <= 0:
         raise ValueError("node_count must be positive")
-    sizes = evolution.sizes_mib
-    durations = (
-        speedup_model.a * sizes / node_count
-        + speedup_model.b * node_count
-        + speedup_model.c * sizes
-        + speedup_model.d
-    )
-    end_time = float(durations.sum())
+    end_time = pairwise_sum(speedup_model.static_step_durations(node_count, evolution.sizes_mib))
     return StaticRunPrediction(
         node_count=node_count,
         end_time=end_time,

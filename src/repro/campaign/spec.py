@@ -23,7 +23,7 @@ from typing import List, Mapping, Optional, Tuple, Union
 from ..core.errors import SpecError
 from ..core.serde import Spec, located, read_json, require_text
 from ..experiments.runner import EvaluationScale, _strict_policy
-from ..faults.plan import FAULT_PLANS, FaultPlan
+from ..faults.plan import FAULT_PLANS, FaultPlan, resolve_fault_plan
 from ..federation.routing import ROUTINGS
 from ..federation.spec import FederationSpec
 from ..policies.registry import policy_label, resolve_policy
@@ -226,6 +226,8 @@ class ScenarioSpec(Spec):
                     f"scenario {self.name!r} declares a fault plan but no "
                     f"federation; fault injection targets federation members"
                 )
+            with located("faults"):
+                resolve_fault_plan(self.faults).check_members(self.federation.cluster_names)
         if self.rms.strict_equipartition:
             # The run would refuse a policy (default or member pin) that
             # does not share strictly; refuse it while the spec loads.

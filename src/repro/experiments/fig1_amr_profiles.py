@@ -9,13 +9,10 @@ comparable to the published ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from ..metrics.report import format_table
 from ..models.amr_evolution import AmrEvolutionParameters, normalized_profile
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["ProfileSummary", "run", "main"]
 
@@ -32,26 +29,28 @@ class ProfileSummary:
     max_step_increase: float
 
 
-def summarize_profile(seed: int, profile: np.ndarray) -> ProfileSummary:
+def summarize_profile(seed: int, profile: Sequence[float]) -> ProfileSummary:
     """Compute the shape statistics reported for Figure 1."""
-    import numpy as np
-
-    diffs = np.diff(profile)
+    diffs = [after - before for before, after in zip(profile, profile[1:])]
     noise_scale = 3.0  # ~ the model's noise sigma; below this a step is "flat"
+
+    def fraction(count: int) -> float:
+        return count / len(diffs) if diffs else float("nan")
+
     return ProfileSummary(
         seed=seed,
-        peak=float(profile.max()),
-        final_value=float(profile[-1]),
-        increasing_fraction=float(np.mean(diffs > 0)),
-        plateau_fraction=float(np.mean(np.abs(diffs) < noise_scale)),
-        max_step_increase=float(diffs.max()) if len(diffs) else 0.0,
+        peak=max(profile),
+        final_value=profile[-1],
+        increasing_fraction=fraction(sum(d > 0 for d in diffs)),
+        plateau_fraction=fraction(sum(abs(d) < noise_scale for d in diffs)),
+        max_step_increase=max(diffs, default=0.0),
     )
 
 
 def run(
     seeds: Sequence[int] = tuple(range(5)),
     params: AmrEvolutionParameters = AmrEvolutionParameters(),
-) -> Dict[int, np.ndarray]:
+) -> Dict[int, List[float]]:
     """Generate one normalised profile per seed (the figure's curves)."""
     return {seed: normalized_profile(seed=seed, params=params) for seed in seeds}
 

@@ -35,15 +35,15 @@ class EndTimePoint:
 
     @property
     def median_increase(self) -> float:
-        import numpy as np
-
-        return float(np.median(self.samples)) if self.samples else float("nan")
+        ordered = sorted(self.samples)
+        if not ordered:
+            return float("nan")
+        mid = len(ordered) // 2
+        return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
     @property
     def max_increase(self) -> float:
-        import numpy as np
-
-        return float(np.max(self.samples)) if self.samples else float("nan")
+        return max(self.samples, default=float("nan"))
 
 
 def run(

@@ -121,25 +121,7 @@ class FaultInjector:
     def _resolve(self, ref: str):
         """A member reference: a cluster name or ``"#i"`` federation index."""
         members = self.federation.members
-        if ref.startswith("#"):
-            try:
-                index = int(ref[1:])
-            except ValueError:
-                raise ValueError(
-                    f"fault plan {self.plan.name!r}: bad member reference {ref!r}"
-                ) from None
-            if not 0 <= index < len(members):
-                raise ValueError(
-                    f"fault plan {self.plan.name!r} references member {ref!r} "
-                    f"but the federation has {len(members)} members"
-                )
-            return members[index]
-        try:
-            return self.federation.member(ref)
-        except KeyError as exc:
-            raise ValueError(
-                f"fault plan {self.plan.name!r}: {exc.args[0]}"
-            ) from None
+        return members[self.plan.member_index(ref, [m.name for m in members])]
 
     # ------------------------------------------------------------------ #
     # Event application

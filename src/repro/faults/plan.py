@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.errors import SpecError
-from ..core.registry import Registry
-from ..core.serde import Spec
+from ..core.registry import Registry, unknown_name
+from ..core.serde import Spec, require_text
 
 __all__ = [
     "FaultEvent",
@@ -61,6 +61,7 @@ class FaultEvent(Spec):
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{NODE_KINDS + MEMBER_KINDS}"
             )
+        require_text(self.member, "member")
         if not self.member:
             raise SpecError("fault event needs a member name or '#index'")
         if self.kind in NODE_KINDS and self.nodes <= 0:
@@ -95,6 +96,7 @@ class ElasticRule(Spec):
     max_nodes: int = 0  # 0 = unbounded
 
     def validate(self) -> None:
+        require_text(self.member, "member")
         if not self.member:
             raise SpecError("elastic rule needs a member name or '#index'")
         if not 0 < self.interval < math.inf:
@@ -174,6 +176,33 @@ class FaultPlan(Spec):
             raise SpecError("fault plan jitter must be >= 0 and finite")
         if self.max_respawns < 0:
             raise SpecError("fault plan max_respawns must be >= 0")
+
+    def member_index(self, ref: str, names: Sequence[str]) -> int:
+        """Where member *ref* (a cluster name or ``"#i"``) is among *names*.
+
+        :class:`SpecError` when the federation of *names* has no such member:
+        ``ScenarioSpec`` checks every reference while it loads, and the
+        injector resolves them with this same rule when it arms the plan.
+        """
+        if not ref.startswith("#"):
+            if ref not in names:
+                raise SpecError(f"fault plan {self.name!r}: {unknown_name('member', ref, names)}")
+            return list(names).index(ref)
+        try:
+            index = int(ref[1:])
+        except ValueError:
+            raise SpecError(f"fault plan {self.name!r}: bad member reference {ref!r}") from None
+        if not 0 <= index < len(names):
+            raise SpecError(
+                f"fault plan {self.name!r} references member {ref!r} "
+                f"but the federation has {len(names)} members"
+            )
+        return index
+
+    def check_members(self, names: Sequence[str]) -> None:
+        """Raise :class:`SpecError` unless every member named here is in *names*."""
+        for ref in [e.member for e in self.events] + [r.member for r in self.elastic]:
+            self.member_index(ref, names)
 
     def label(self) -> str:
         bits = [f"{len(self.events)} events"]

@@ -5,7 +5,7 @@ from .amr_evolution import (
     normalized_profile,
     working_set_profile,
 )
-from .speedup import GIB_IN_MIB, PAPER_SPEEDUP_MODEL, SpeedupModel, TIB_IN_MIB
+from .speedup import GIB_IN_MIB, PAPER_SPEEDUP_MODEL, SpeedupModel, TIB_IN_MIB, pairwise_sum
 from .static_equivalent import (
     DEFAULT_NODE_MEMORY_MIB,
     DynamicAllocationResult,
@@ -25,6 +25,7 @@ __all__ = [
     "PAPER_SPEEDUP_MODEL",
     "GIB_IN_MIB",
     "TIB_IN_MIB",
+    "pairwise_sum",
     "DynamicAllocationResult",
     "StaticEquivalentResult",
     "dynamic_allocation",

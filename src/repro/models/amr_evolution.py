@@ -20,12 +20,9 @@ paper extracts from published AMR studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..sim.randomness import RandomSource
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "AmrEvolutionParameters",
@@ -90,17 +87,15 @@ def normalized_profile(
     seed: Optional[int] = None,
     params: AmrEvolutionParameters = AmrEvolutionParameters(),
     random_source: Optional[RandomSource] = None,
-) -> np.ndarray:
+) -> List[float]:
     """Generate one normalised working-set profile.
 
-    Returns an array of ``params.num_steps`` values in ``[0, 1000]`` whose
-    maximum is exactly 1000 (the paper's normalisation).
+    Returns ``params.num_steps`` values in ``[0, 1000]`` whose maximum is
+    exactly 1000 (the paper's normalisation).
     """
-    import numpy as np
-
     rng = random_source if random_source is not None else RandomSource(seed)
 
-    sizes = np.empty(params.num_steps, dtype=float)
+    sizes = [0.0] * params.num_steps
     size = 0.0
     velocity = 0.0
     step = 0
@@ -121,17 +116,19 @@ def normalized_profile(
         phase_index += 1
 
     if params.noise_sigma > 0:
-        sizes = sizes + rng.gaussian_array(0.0, params.noise_sigma, params.num_steps)
+        noise = rng.gaussian_array(0.0, params.noise_sigma, params.num_steps)
+        sizes = [size + delta for size, delta in zip(sizes, noise)]
 
     # The working set cannot be negative.
-    sizes = np.maximum(sizes, 0.0)
+    sizes = [size if size >= 0.0 else 0.0 for size in sizes]
 
-    peak = sizes.max()
+    peak = max(sizes)
     if peak <= 0:
         # Degenerate (can only happen for tiny profiles drowned in noise):
         # return a flat profile at the peak value.
-        return np.full(params.num_steps, NORMALIZED_PEAK)
-    return sizes * (NORMALIZED_PEAK / peak)
+        return [NORMALIZED_PEAK] * params.num_steps
+    scale = NORMALIZED_PEAK / peak
+    return [size * scale for size in sizes]
 
 
 def working_set_profile(
@@ -139,7 +136,7 @@ def working_set_profile(
     seed: Optional[int] = None,
     params: AmrEvolutionParameters = AmrEvolutionParameters(),
     random_source: Optional[RandomSource] = None,
-) -> np.ndarray:
+) -> List[float]:
     """Generate an actual (non-normalised) data-size profile in MiB.
 
     The normalised profile is scaled so that its peak equals *max_size_mib*
@@ -149,7 +146,8 @@ def working_set_profile(
     if max_size_mib <= 0:
         raise ValueError("max_size_mib must be positive")
     profile = normalized_profile(seed=seed, params=params, random_source=random_source)
-    return profile * (max_size_mib / NORMALIZED_PEAK)
+    scale = max_size_mib / NORMALIZED_PEAK
+    return [size * scale for size in profile]
 
 
 class WorkingSetEvolution:
@@ -162,12 +160,10 @@ class WorkingSetEvolution:
     """
 
     def __init__(self, sizes_mib: Sequence[float]):
-        import numpy as np
-
-        sizes = np.asarray(sizes_mib, dtype=float)
-        if sizes.ndim != 1 or len(sizes) == 0:
+        sizes: Tuple[float, ...] = tuple(float(s) for s in sizes_mib)
+        if not sizes:
             raise ValueError("sizes_mib must be a non-empty 1-D sequence")
-        if (sizes < 0).any():
+        if any(s < 0 for s in sizes):
             raise ValueError("data sizes cannot be negative")
         self.sizes_mib = sizes
 
@@ -192,16 +188,16 @@ class WorkingSetEvolution:
 
     @property
     def peak_size_mib(self) -> float:
-        return float(self.sizes_mib.max())
+        return max(self.sizes_mib)
 
     def size_at(self, step: int) -> float:
         """Data size (MiB) during step *step* (0-based)."""
         if not 0 <= step < self.num_steps:
             raise IndexError(f"step {step} out of range [0, {self.num_steps})")
-        return float(self.sizes_mib[step])
+        return self.sizes_mib[step]
 
     def __len__(self) -> int:
         return self.num_steps
 
     def __iter__(self):
-        return iter(float(s) for s in self.sizes_mib)
+        return iter(self.sizes_mib)

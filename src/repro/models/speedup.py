@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from functools import lru_cache, reduce
+from operator import add
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-if TYPE_CHECKING:
-    import numpy as np
-
-__all__ = ["SpeedupModel", "PAPER_SPEEDUP_MODEL", "GIB_IN_MIB", "TIB_IN_MIB"]
+__all__ = ["SpeedupModel", "PAPER_SPEEDUP_MODEL", "GIB_IN_MIB", "TIB_IN_MIB", "pairwise_sum"]
 
 #: MiB per GiB / TiB, used when reproducing Figure 2's data sizes.
 GIB_IN_MIB = 1024.0
@@ -72,14 +70,18 @@ class SpeedupModel:
     def _step_duration_cached(self, nodes: float, size_mib: float) -> float:
         return self.a * size_mib / nodes + self.b * nodes + self.c * size_mib + self.d
 
-    def step_duration_array(self, nodes: np.ndarray, size_mib: float) -> np.ndarray:
-        """Vectorised :meth:`step_duration` over an array of node counts."""
-        import numpy as np
+    def step_duration_array(self, nodes: Iterable[float], size_mib: float) -> List[float]:
+        """:meth:`step_duration` for each of *nodes*."""
+        return [self.step_duration(n, size_mib) for n in nodes]
 
-        nodes = np.asarray(nodes, dtype=float)
-        if (nodes <= 0).any():
-            raise ValueError("nodes must be positive")
-        return self.a * size_mib / nodes + self.b * nodes + self.c * size_mib + self.d
+    def static_step_durations(self, nodes: float, sizes_mib: Iterable[float]) -> List[float]:
+        """Duration of every step of a run that holds *nodes* nodes throughout.
+
+        Evaluated as ``a*S/n + b*n + c*S + d`` in that order, like
+        :meth:`step_duration`: the figure goldens depend on its last bits.
+        """
+        a, bn, c, d = self.a, self.b * nodes, self.c, self.d
+        return [a * s / nodes + bn + c * s + d for s in sizes_mib]
 
     def speedup(self, nodes: float, size_mib: float) -> float:
         """Speed-up relative to a single node."""
@@ -174,3 +176,27 @@ class SpeedupModel:
 
 #: The exact constants published in the paper (Section 2.2).
 PAPER_SPEEDUP_MODEL = SpeedupModel()
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's float64 ``sum`` of *values*, to the last bit.
+
+    numpy adds ``0.0`` to a pairwise sum: fewer than 8 values are added in
+    order, up to 128 in 8 strided lanes combined as a tree, and longer runs
+    are split in halves rounded down to a multiple of 8.  (The builtin
+    ``sum`` is no substitute: it is compensated from Python 3.12 on.)
+    """
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(values: Sequence[float], lo: int, n: int) -> float:
+    if n < 8:
+        return reduce(add, values[lo:lo + n], -0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [reduce(add, values[lo + lane:end:8]) for lane in range(8)]
+        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[end:lo + n], tree)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)

@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .amr_evolution import WorkingSetEvolution
-from .speedup import SpeedupModel, PAPER_SPEEDUP_MODEL
-
-if TYPE_CHECKING:
-    import numpy as np
+from .speedup import SpeedupModel, PAPER_SPEEDUP_MODEL, pairwise_sum
 
 __all__ = [
     "DynamicAllocationResult",
@@ -48,23 +45,23 @@ class DynamicAllocationResult:
     """Per-step allocation that tracks the target efficiency."""
 
     target_efficiency: float
-    node_counts: np.ndarray
-    step_durations: np.ndarray
+    node_counts: Tuple[float, ...]
+    step_durations: Tuple[float, ...]
 
     @property
     def consumed_area(self) -> float:
         """Total node-seconds (the paper's :math:`A(e_t)`)."""
-        return float((self.node_counts * self.step_durations).sum())
+        return pairwise_sum([n * t for n, t in zip(self.node_counts, self.step_durations)])
 
     @property
     def end_time(self) -> float:
         """Total execution time of the dynamic allocation."""
-        return float(self.step_durations.sum())
+        return pairwise_sum(self.step_durations)
 
     @property
     def peak_nodes(self) -> int:
         """Largest per-step allocation (the NEA's worst-case requirement)."""
-        return int(self.node_counts.max())
+        return int(max(self.node_counts))
 
 
 @dataclass(frozen=True)
@@ -95,25 +92,18 @@ def dynamic_allocation(
     Only the current step's data size is needed for each decision, which is
     why a non-predictably evolving application can follow this policy online.
     """
-    import numpy as np
-
-    nodes = np.empty(evolution.num_steps, dtype=float)
-    durations = np.empty(evolution.num_steps, dtype=float)
-    for i, size in enumerate(evolution.sizes_mib):
-        n = model.nodes_for_efficiency(size, target_efficiency)
-        nodes[i] = n
-        durations[i] = model.step_duration(n, size)
+    nodes = [float(model.nodes_for_efficiency(size, target_efficiency))
+             for size in evolution.sizes_mib]
     return DynamicAllocationResult(
         target_efficiency=target_efficiency,
-        node_counts=nodes,
-        step_durations=durations,
+        node_counts=tuple(nodes),
+        step_durations=tuple(map(model.step_duration, nodes, evolution.sizes_mib)),
     )
 
 
-def _static_area(n: float, sizes: np.ndarray, model: SpeedupModel) -> float:
+def _static_area(n: float, sizes: Sequence[float], model: SpeedupModel) -> float:
     """Consumed area if *n* nodes are allocated during every step."""
-    durations = model.a * sizes / n + model.b * n + model.c * sizes + model.d
-    return float(n * durations.sum())
+    return n * pairwise_sum(model.static_step_durations(n, sizes))
 
 
 def equivalent_static_allocation(
@@ -152,11 +142,10 @@ def equivalent_static_allocation(
             break
     n_eq = 0.5 * (lo + hi)
 
-    static_durations = model.a * sizes / n_eq + model.b * n_eq + model.c * sizes + model.d
     return StaticEquivalentResult(
         target_efficiency=target_efficiency,
         n_eq=n_eq,
-        static_end_time=float(static_durations.sum()),
+        static_end_time=pairwise_sum(model.static_step_durations(n_eq, sizes)),
         dynamic_end_time=dyn.end_time,
         consumed_area=target_area,
     )

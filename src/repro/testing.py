@@ -10,7 +10,7 @@ tests, benchmarks and examples alike.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .cluster.platform import Platform
 from .core.request import Request
@@ -27,6 +27,7 @@ __all__ = [
     "p_set",
     "make_env",
     "RecordingApp",
+    "linspace",
 ]
 
 
@@ -110,3 +111,9 @@ class RecordingApp:
 
     def on_killed(self, reason):
         self.killed_reason = reason
+
+
+def linspace(start: float, stop: float, num: int) -> List[float]:
+    """``numpy.linspace(start, stop, num)``'s values (*num* >= 2): fixed working sets."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]

@@ -148,7 +148,7 @@ def convert_trace(
     for job in _as_rigid_jobs(trace):
         # The derived seed is already a uniform 63-bit hash of (seed, job id);
         # dividing by the bound turns it into the kind-selection draw without
-        # paying for a numpy Generator per job on this hot path.
+        # seeding a RandomSource (a SeedSequence hash) per job on this hot path.
         draw = derive_seed(seed, "convert", job.job_id) / MAX_DERIVED_SEED
         nodes = job.node_count if max_nodes is None else min(job.node_count, max_nodes)
         converted.append(

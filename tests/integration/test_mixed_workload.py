@@ -8,8 +8,6 @@ yielding to the others when needed.
 """
 from __future__ import annotations
 
-
-import numpy as np
 import pytest
 
 from repro.apps import (
@@ -25,6 +23,7 @@ from repro.cluster import Platform
 from repro.core import CooRMv2
 from repro.models import WorkingSetEvolution
 from repro.sim import Simulator
+from repro.testing import linspace
 from repro.workloads import WorkloadParameters, generate_rigid_workload
 from repro.baselines import BatchSchedulerBaseline
 
@@ -35,7 +34,7 @@ class TestMixedWorkload:
         platform = Platform.single_cluster(64)
         rms = CooRMv2(platform, sim, rescheduling_interval=1.0)
 
-        evolution = WorkingSetEvolution(np.linspace(5_000.0, 60_000.0, 12))
+        evolution = WorkingSetEvolution(linspace(5_000.0, 60_000.0, 12))
         amr = AmrApplication("amr", evolution, preallocation_nodes=24)
         psa = ParameterSweepApplication("psa", task_duration=40.0)
         rigid = RigidApplication("rigid", node_count=8, duration=300.0)
@@ -97,7 +96,7 @@ class TestMixedWorkload:
         platform = Platform.single_cluster(32)
         rms = CooRMv2(platform, sim, rescheduling_interval=1.0)
 
-        evolution = WorkingSetEvolution(np.linspace(5_000.0, 40_000.0, 8))
+        evolution = WorkingSetEvolution(linspace(5_000.0, 40_000.0, 8))
         first = AmrApplication(
             "first", evolution, preallocation_nodes=20, preallocation_duration=50_000.0
         )

@@ -4,10 +4,10 @@ Deterministic and timing-free: every probe starts a fresh interpreter on
 ``src/``, runs a few lines and writes what it saw (``sys.modules`` mostly)
 to a file.  The rule the probes pin:
 
-* numpy is imported where it is used.  A process that never draws a random
-  number or touches an AMR profile -- ``import repro`` and its packages, the
-  listing commands, a coordinator and its workers on units that do not
-  simulate, ``campaign report``, ``--resume`` -- never loads it.
+* numpy is never imported.  ``RandomSource`` draws numpy's own streams in
+  pure Python, so not even a process that simulates loads it -- nor does
+  ``import repro``, a listing command, a coordinator and its workers,
+  ``campaign report`` or ``--resume``.
 * ``python -m repro`` imports a command group when it is dispatched, and
   ``repro.obs`` imports an instrument when it is asked for.
 
@@ -28,11 +28,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: Packages (and the CLI front door) whose import must not load numpy.
-NUMPY_FREE_IMPORTS = [
-    "repro", "repro.core", "repro.campaign", "repro.dist", "repro.traces",
-    "repro.federation", "repro.faults", "repro.obs", "repro.__main__",
-]
 IMPORT_REPRO_BUDGET = 40
 POLICY_LIST_BUDGET = 60
 
@@ -73,21 +68,38 @@ def repro_modules(seen: dict) -> list:
 
 
 # --------------------------------------------------------------------- #
-# (a) numpy stays out of processes that do not simulate
+# (a) numpy stays out of every process, simulating ones too
 # --------------------------------------------------------------------- #
-def test_no_package_import_loads_numpy(tmp_path):
-    # One interpreter, in order: sys.modules only grows, so the first True
-    # names the package that pulled numpy in.
-    seen = probe(
-        tmp_path,
-        "import importlib\n"
-        f"for name in {NUMPY_FREE_IMPORTS!r}:\n"
-        "    importlib.import_module(name)\n"
-        "    seen[name] = 'numpy' in sys.modules\n",
-    )
-    assert {name: seen[name] for name in NUMPY_FREE_IMPORTS} == dict.fromkeys(
-        NUMPY_FREE_IMPORTS, False
-    )
+SIMULATING = """
+from dataclasses import replace
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition('.')[0] == 'numpy':
+            raise ImportError('numpy is not installed here')
+
+sys.meta_path.insert(0, NoNumpy())
+from repro.__main__ import main
+from repro.campaign import builtin_scenarios, get_runner
+from repro.traces import TraceSource
+
+seen['synth'] = main(['trace', 'synth', {swf!r}, '--jobs', '20', '--seed', '7'])
+seen['fig9'] = main(['campaign', 'run', '--scenarios', 'fig9', '--seeds', '1',
+                     '--results-dir', {results!r}, '--quiet'])
+base = builtin_scenarios()['trace-replay']
+replay = replace(base, workload=replace(base.workload, trace=TraceSource(path={swf!r})))
+seen['replayed'] = get_runner(base.runner)(replay, 1)['trace_finished']
+"""
+
+
+def test_a_simulating_process_never_loads_numpy(tmp_path):
+    # numpy's import fails in the probe, so this also runs a simulating
+    # campaign and an SWF replay where numpy is not installed.
+    seen = probe(tmp_path, SIMULATING.format(
+        swf=str(tmp_path / "jobs.swf"), results=str(tmp_path / "results")
+    ))
+    assert (seen["synth"], seen["fig9"], seen["replayed"]) == (0, 0, 20)
+    assert "numpy" not in seen["modules"]
 
 
 @pytest.mark.parametrize(
@@ -124,30 +136,7 @@ def test_noop_campaign_report_and_resume_do_not_load_numpy(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# (b) ... and arrives with the first thing that needs it
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "code",
-    [
-        "from repro.sim import RandomSource\nuse = lambda: RandomSource(1)",
-        "from repro.models import WorkingSetEvolution\n"
-        "use = lambda: WorkingSetEvolution.generate(1024.0, seed=1)",
-        "from repro.models import SpeedupModel\n"
-        "use = lambda: SpeedupModel().step_duration_array([1, 2], 1024.0)",
-    ],
-    ids=["RandomSource", "WorkingSetEvolution.generate", "step_duration_array"],
-)
-def test_numpy_arrives_with_its_first_user(tmp_path, code):
-    seen = probe(
-        tmp_path,
-        code + "\nseen['before'] = 'numpy' in sys.modules\nuse()\n"
-        "seen['after'] = 'numpy' in sys.modules\n",
-    )
-    assert (seen["before"], seen["after"]) == (False, True)
-
-
-# --------------------------------------------------------------------- #
-# (c) a forked ipc worker on units that do not simulate
+# (b) a forked ipc worker on units that do not simulate
 # --------------------------------------------------------------------- #
 IPC_WORKERS = """
 import os
@@ -177,7 +166,7 @@ def test_ipc_workers_on_noop_units_do_not_load_numpy(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# (d) module sets
+# (c) module sets
 # --------------------------------------------------------------------- #
 def test_import_repro_loads_hooks_and_no_other_obs_module(tmp_path):
     loaded = repro_modules(probe(tmp_path, "import repro"))
@@ -192,26 +181,16 @@ def test_policy_list_imports_its_own_command_group_only(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# (e) the rule itself (ruff's TID253 says the same in CI)
+# (d) the rule itself (ruff's TID251 says the same in CI)
 # --------------------------------------------------------------------- #
-def _imports_at_import_time(node: ast.AST):
-    """Import statements that run when the module does."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.Import, ast.ImportFrom)):
-            yield child
-        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        elif isinstance(child, ast.If) and "TYPE_CHECKING" in ast.unparse(child.test):
-            continue
-        else:
-            yield from _imports_at_import_time(child)
-
-
-def test_no_module_level_numpy_import_under_src():
+def test_no_numpy_import_under_src():
+    # Anywhere: module level, inside a function, under TYPE_CHECKING.
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in _imports_at_import_time(tree):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
             names = (
                 [node.module or ""] if isinstance(node, ast.ImportFrom)
                 else [alias.name for alias in node.names]

@@ -24,27 +24,19 @@ from repro.sim.randomness import derive_seed
 from support.protocol import breaches
 
 
-def _fits(plan, federation) -> bool:
-    """Every member *plan* names (``#i`` or a cluster name) is in *federation*."""
-    names = federation.cluster_names
-    refs = [e.member for e in plan.events] + [r.member for r in plan.elastic]
-    return all(int(r[1:]) < len(names) if r.startswith("#") else r in names for r in refs)
-
-
 def runs():
     """``(label, spec)`` per built-in x accepted policy x fitting fault plan."""
     for name, spec in builtin_scenarios().items():
         plans = [spec.faults]
         if spec.federation is not None:
-            plans += [p for p in FAULT_PLANS.names()
-                      if p != spec.faults and _fits(FAULT_PLANS.get(p)(), spec.federation)]
+            plans += [p for p in FAULT_PLANS.names() if p != spec.faults]
         for policy in (None, *POLICIES.names()):
             if spec.runner not in POLICY_AWARE_RUNNERS and policy not in (None, "coorm"):
                 continue  # a figure runner reproduces the paper's policy only
             for plan in plans:
                 try:
                     variant = dataclasses.replace(spec, policy=policy, faults=plan)
-                except SpecError:  # strict-equipartition refuses a filling policy
+                except SpecError:  # strict vs filling policy, or a member the plan lacks
                     continue
                 yield f"{name} {policy or '-'} {plan or '-'}", variant
 

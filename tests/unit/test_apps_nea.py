@@ -1,8 +1,6 @@
 """Unit tests of the non-predictably evolving AMR application (Section 5.1.1)."""
 from __future__ import annotations
 
-
-import numpy as np
 import pytest
 
 from repro.apps import AmrApplication
@@ -12,11 +10,12 @@ from repro.core.events import RequestFinished
 from repro.core.types import NON_PREEMPTIBLE, PREALLOCATION
 from repro.models import SpeedupModel, WorkingSetEvolution
 from repro.sim import Simulator
+from repro.testing import linspace
 
 
 @pytest.fixture
 def evolution() -> WorkingSetEvolution:
-    return WorkingSetEvolution(np.linspace(5_000.0, 100_000.0, 15))
+    return WorkingSetEvolution(linspace(5_000.0, 100_000.0, 15))
 
 
 def make_env(nodes=64):

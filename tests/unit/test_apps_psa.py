@@ -1,8 +1,6 @@
 """Unit tests of the Parameter-Sweep Application (Section 5.1.2)."""
 from __future__ import annotations
 
-
-import numpy as np
 import pytest
 
 from repro.apps import AmrApplication, ParameterSweepApplication, RigidApplication
@@ -10,6 +8,7 @@ from repro.cluster import Platform
 from repro.core import CooRMv2
 from repro.models import WorkingSetEvolution
 from repro.sim import Simulator
+from repro.testing import linspace
 
 
 def make_env(nodes=16, strict=False):
@@ -105,7 +104,7 @@ class TestPreemption:
         assert psa.stats.waste_node_seconds <= psa.task_duration
 
     def test_waste_decreases_with_announce_interval(self):
-        evolution = WorkingSetEvolution(np.linspace(5_000.0, 100_000.0, 15))
+        evolution = WorkingSetEvolution(linspace(5_000.0, 100_000.0, 15))
         waste = {}
         for interval in (0.0, 60.0):
             sim, _, rms = make_env(nodes=64)

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from repro.apps.rigid import RigidApplication
+from repro.campaign import ScenarioSpec
 from repro.core import AdmissionError, Request, RequestType
+from repro.core.errors import SpecError
 from repro.faults import (
     FAULT_PLANS,
     AdmissionController,
@@ -38,6 +40,8 @@ class TestFaultEvent:
             FaultEvent(time=0.0, kind="meteor", member="c0")
         with pytest.raises(ValueError, match="member name"):
             FaultEvent(time=0.0, kind="crash", member="", nodes=1)
+        with pytest.raises(ValueError, match="member: must be a string, got list"):
+            FaultEvent(time=0.0, kind="crash", member=["#0"], nodes=1)
         with pytest.raises(ValueError, match="positive node count"):
             FaultEvent(time=0.0, kind="crash", member="c0", nodes=0)
         with pytest.raises(ValueError, match="whole member"):
@@ -54,6 +58,8 @@ class TestElasticRule:
     def test_validation(self):
         with pytest.raises(ValueError, match="interval must be positive"):
             ElasticRule(member="c0", interval=0.0, until=10.0)
+        with pytest.raises(ValueError, match="member: must be a string, got int"):
+            ElasticRule(member=1, interval=1.0, until=10.0)
         with pytest.raises(ValueError, match="start <= until"):
             ElasticRule(member="c0", interval=1.0, until=5.0, start=10.0)
         with pytest.raises(ValueError, match="low_util < high_util"):
@@ -326,17 +332,15 @@ class TestFaultInjector:
             injector.arm()
 
     def test_member_resolution_errors(self):
+        # One rule: the spec refuses the plan while it loads, the injector
+        # when it arms (for a plan built by hand).
         fed, _sim = federation()
         for ref in ("#5", "#x", "nope"):
-            injector = FaultInjector(
-                FaultPlan(
-                    name="p",
-                    events=(FaultEvent(time=1.0, kind="outage", member=ref),),
-                ),
-                fed,
-            )
-            with pytest.raises(ValueError):
-                injector.arm()
+            plan = FaultPlan(name="p", events=(FaultEvent(time=1.0, kind="outage", member=ref),))
+            with pytest.raises(SpecError, match="^faults: fault plan 'p'"):
+                ScenarioSpec(name="s", runner="amr_psa", federation=fed.spec, faults=plan)
+            with pytest.raises(SpecError, match="^fault plan 'p'"):
+                FaultInjector(plan, fed).arm()
 
     def test_crash_kills_and_respawns_the_victim(self):
         fed, sim = federation()

@@ -1,7 +1,8 @@
 """Unit tests of metric collection and text reporting."""
 from __future__ import annotations
 
-import numpy as np
+import math
+
 import pytest
 
 from repro.apps import AmrApplication, ParameterSweepApplication
@@ -17,6 +18,7 @@ from repro.metrics import (
 )
 from repro.models import WorkingSetEvolution
 from repro.sim import Simulator
+from repro.testing import linspace
 
 
 class TestReportFormatting:
@@ -44,7 +46,7 @@ class TestReportFormatting:
 
 class TestSimulationMetrics:
     def test_collect_from_a_small_scenario(self):
-        evolution = WorkingSetEvolution(np.linspace(5_000.0, 100_000.0, 10))
+        evolution = WorkingSetEvolution(linspace(5_000.0, 100_000.0, 10))
         sim = Simulator()
         rms = CooRMv2(Platform.single_cluster(64), sim, rescheduling_interval=1.0)
         amr = AmrApplication("amr", evolution, preallocation_nodes=40)
@@ -134,7 +136,7 @@ class TestSummarizeRuns:
 
     def test_summary_is_nan_free(self):
         runs = [self.make(10.0), self.make_unfinished(30.0)]
-        assert all(np.isfinite(v) for v in summarize_runs(runs).values())
+        assert all(math.isfinite(v) for v in summarize_runs(runs).values())
 
 
 class TestZeroLengthWindow:

@@ -306,7 +306,7 @@ class TestRandomSource:
         assert min(values) >= 3 and max(values) <= 7
 
     def test_gaussian_array_shape(self):
-        assert RandomSource(0).gaussian_array(0, 1, 10).shape == (10,)
+        assert len(RandomSource(0).gaussian_array(0, 1, 10)) == 10
 
     def test_choice(self):
         assert RandomSource(0).choice(["only"]) == "only"

@@ -1,7 +1,6 @@
 """Unit tests of workload generation and the baselines."""
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.apps import AmrApplication
@@ -9,6 +8,7 @@ from repro.baselines import BatchSchedulerBaseline, peak_static_job, predict_sta
 from repro.cluster import Platform
 from repro.models import WorkingSetEvolution
 from repro.sim import Simulator
+from repro.testing import linspace
 from repro.workloads import (
     RigidJobSpec,
     WorkloadParameters,
@@ -74,7 +74,7 @@ class TestBatchBaseline:
 
 class TestStaticPrediction:
     def test_matches_simulated_static_run(self):
-        evolution = WorkingSetEvolution(np.linspace(5_000.0, 100_000.0, 12))
+        evolution = WorkingSetEvolution(linspace(5_000.0, 100_000.0, 12))
         prediction = predict_static_run(evolution, node_count=30)
 
         sim = Simulator()
