@@ -1,7 +1,7 @@
 """Benchmark and reproduction of Figure 10 (announced updates)."""
 from __future__ import annotations
 
-from repro.experiments import fig10_announced, run_scenario
+from repro.experiments import EvaluationScale, run_scenario
 
 
 def test_fig10_single_announced_scenario(benchmark, bench_scale):
@@ -21,19 +21,17 @@ def test_fig10_single_announced_scenario(benchmark, bench_scale):
     assert result.metrics.psa_waste_node_seconds == 0.0
 
 
-def test_fig10_sweep_report(benchmark, report_scale):
+def test_fig10_sweep_report(benchmark, sweep_report):
     """Time (and print) the announce-interval sweep."""
-    intervals = tuple(
-        report_scale.psa1_task_duration * f for f in (0.0, 0.25, 0.5, 0.75, 0.92, 1.0, 1.2)
-    )
-    points = benchmark.pedantic(
-        fig10_announced.run,
-        kwargs=dict(announce_intervals=intervals, scale=report_scale, seed=0),
+    task = EvaluationScale.tiny().psa1_task_duration
+    intervals = tuple(task * f for f in (0.0, 0.25, 0.5, 0.75, 0.92, 1.0, 1.2))
+    headers, rows = benchmark.pedantic(
+        sweep_report,
+        args=("fig10", ("workload.announce_interval", intervals)),
         rounds=1,
         iterations=1,
     )
     # Waste vanishes once the announce interval reaches the task duration.
-    assert points[-1].psa_waste_percent == 0.0
-    assert points[0].psa_waste_percent >= points[-1].psa_waste_percent
-    print()
-    print(fig10_announced.main(announce_intervals=intervals, scale=report_scale))
+    waste = [row[headers.index("psa_waste_percent")] for row in rows]
+    assert waste[-1] == 0.0
+    assert waste[0] >= waste[-1]

@@ -1,7 +1,7 @@
 """Benchmark and reproduction of Figure 11 (two PSAs, filling vs strict)."""
 from __future__ import annotations
 
-from repro.experiments import fig11_two_psas, run_scenario
+from repro.experiments import EvaluationScale, run_scenario
 
 
 def test_fig11_single_two_psa_scenario(benchmark, bench_scale):
@@ -25,19 +25,22 @@ def test_fig11_single_two_psa_scenario(benchmark, bench_scale):
     assert len(result.psas) == 2
 
 
-def test_fig11_sweep_report(benchmark, report_scale):
+def test_fig11_sweep_report(benchmark, sweep_report):
     """Time (and print) the filling-vs-strict comparison over announce intervals."""
-    intervals = tuple(
-        report_scale.psa1_task_duration * f for f in (0.0, 0.5, 1.0)
-    )
-    points = benchmark.pedantic(
-        fig11_two_psas.run,
-        kwargs=dict(announce_intervals=intervals, scale=report_scale, seed=0),
+    task = EvaluationScale.tiny().psa1_task_duration
+    headers, rows = benchmark.pedantic(
+        sweep_report,
+        args=(
+            "fig11",
+            ("workload.announce_interval", tuple(task * f for f in (0.0, 0.5, 1.0))),
+            ("rms.strict_equipartition", (True, False)),
+        ),
         rounds=1,
         iterations=1,
     )
-    # Equi-partitioning with filling never uses fewer resources than strict.
-    assert all(p.filling_gain_percent >= -1.0 for p in points)
-    assert any(p.filling_gain_percent > 0 for p in points)
-    print()
-    print(fig11_two_psas.main(announce_intervals=intervals, scale=report_scale))
+    # The filling rows' Δ is the gain over strict at the same interval:
+    # equi-partitioning with filling never uses fewer resources than strict.
+    delta = headers.index("Δ used_resources_percent")
+    gains = [row[delta] for row in rows if row[headers.index("strict_equipartition")] == "false"]
+    assert all(gain >= -1.0 for gain in gains)
+    assert any(gain > 0 for gain in gains)

@@ -1,12 +1,13 @@
 """Benchmark and reproduction of Figure 9 (spontaneous updates).
 
 The timed section runs one dynamic-allocation scenario; after timing, the
-full static-vs-dynamic sweep over overcommit factors is printed in the same
-form as the figure's two panels (AMR used resources and PSA waste).
+static-vs-dynamic sweep over overcommit factors runs as a campaign and its
+report's sweep table is printed (AMR used resources and PSA waste per point,
+dynamic against static in the Δ columns).
 """
 from __future__ import annotations
 
-from repro.experiments import fig9_spontaneous, run_scenario
+from repro.experiments import run_scenario
 
 BENCH_OVERCOMMITS = (0.5, 1.0, 2.0, 5.0)
 
@@ -22,16 +23,18 @@ def test_fig9_single_dynamic_scenario(benchmark, bench_scale):
     assert result.amr.finished()
 
 
-def test_fig9_sweep_report(benchmark, report_scale):
+def test_fig9_sweep_report(benchmark, sweep_report):
     """Time (and print) the static-vs-dynamic sweep over overcommit factors."""
-    points = benchmark.pedantic(
-        fig9_spontaneous.run,
-        kwargs=dict(overcommit_factors=BENCH_OVERCOMMITS, scale=report_scale, seed=0),
+    headers, rows = benchmark.pedantic(
+        sweep_report,
+        args=(
+            "fig9",
+            ("workload.overcommit", BENCH_OVERCOMMITS),
+            ("workload.static_allocation", (True, False)),
+        ),
         rounds=1,
         iterations=1,
     )
-    assert all(
-        p.static_amr_used_node_seconds >= p.dynamic_amr_used_node_seconds for p in points
-    )
-    print()
-    print(fig9_spontaneous.main(overcommit_factors=BENCH_OVERCOMMITS, scale=report_scale))
+    # Dynamic rows against the static row of their overcommit factor.
+    delta = headers.index("Δ amr_used_node_seconds")
+    assert all(row[delta] <= 0 for row in rows)

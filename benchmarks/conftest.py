@@ -8,9 +8,13 @@ suite completes in a few minutes; no run at the paper's scale is recorded yet.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.campaign import CampaignRunner, CampaignSpec, ResultStore, resolve_scenarios
 from repro.experiments import EvaluationScale
+from repro.metrics.report import format_table
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +23,20 @@ def bench_scale() -> EvaluationScale:
     return EvaluationScale.tiny()
 
 
-@pytest.fixture(scope="session")
-def report_scale() -> EvaluationScale:
-    """Scale used when printing figure tables (slightly larger than tiny)."""
-    return EvaluationScale.tiny().with_steps(80)
+@pytest.fixture
+def sweep_report(tmp_path):
+    """``sweep_report(name, *axes)``: the built-in figure *name* over *axes*
+    run as a serial campaign; returns (and prints) its ``campaign report``
+    sweep table as ``(headers, rows)``."""
+
+    def run(name, *axes):
+        (spec,) = resolve_scenarios([name])
+        spec = replace(spec, params={"axes": [list(axis) for axis in axes]})
+        store = ResultStore(tmp_path)
+        CampaignRunner(CampaignSpec(name=name, scenarios=(spec,)), store=store).run(workers=1)
+        headers, rows = store.sweeps(name)[name]
+        print()
+        print(format_table(headers, rows))
+        return headers, rows
+
+    return run

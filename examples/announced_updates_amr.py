@@ -7,10 +7,10 @@ Parameter-Sweep Application whose tasks take 10 minutes.  When the AMR grows
 when the AMR *announces* its growth some time in advance, the PSA can let
 tasks finish and release the nodes gracefully.
 
-This example runs the same scenario with several announce intervals and
-prints the trade-off the paper's Figure 10 shows: the longer the announce
-interval, the lower the PSA waste -- and the later the AMR receives its new
-nodes, so its end time grows.
+This example runs Figure 10's sweep over a few announce intervals and
+prints the trade-off the figure shows: the longer the announce interval, the
+lower the PSA waste -- and the later the AMR receives its new nodes, so its
+end time grows.
 
 Run with::
 
@@ -18,43 +18,39 @@ Run with::
 """
 from __future__ import annotations
 
-from repro.experiments import EvaluationScale, run_scenario
-from repro.experiments.runner import build_evolution
+from dataclasses import replace
+
+from repro.campaign import resolve_scenarios
+from repro.campaign.registry import run_sweep
+from repro.experiments import EvaluationScale
 from repro.metrics import format_table
 
 
 def main() -> None:
-    # A small scale so the example finishes in a few seconds; use
-    # EvaluationScale.reduced() or .paper() for the real experiment.
-    scale = EvaluationScale.tiny()
-    evolution = build_evolution(scale, seed=7)
-    announce_intervals = [0.0, scale.psa1_task_duration / 2, scale.psa1_task_duration]
+    # The tiny scale so the example finishes in a few seconds; `python -m
+    # repro campaign run --scenarios fig10 --scale paper` is the experiment.
+    task = EvaluationScale.tiny().psa1_task_duration
+    (fig10,) = resolve_scenarios(["fig10"])
+    intervals = [0.0, task / 2, task]
+    spec = replace(
+        fig10, params={"axes": [["workload.announce_interval", intervals]]}, metrics=()
+    )
+    points = run_sweep(spec, seed=7)
 
-    rows = []
-    baseline_end = None
-    for interval in announce_intervals:
-        result = run_scenario(
-            scale,
-            seed=7,
-            overcommit=1.0,
-            announce_interval=interval,
-            evolution=evolution,
+    baseline_end = points[0][1]["amr_end_time"]
+    rows = [
+        (
+            f"{variant.workload.announce_interval:.0f} s",
+            f"{metrics['amr_end_time']:.0f} s",
+            f"{100 * (metrics['amr_end_time'] / baseline_end - 1):+.1f}%",
+            f"{metrics['psa_waste_node_seconds']:.0f}",
+            f"{metrics['used_resources_percent']:.1f}%",
         )
-        metrics = result.metrics
-        if baseline_end is None:
-            baseline_end = metrics.amr_end_time
-        rows.append(
-            (
-                f"{interval:.0f} s",
-                f"{metrics.amr_end_time:.0f} s",
-                f"{100 * (metrics.amr_end_time / baseline_end - 1):+.1f}%",
-                f"{metrics.psa_waste_node_seconds:.0f}",
-                f"{metrics.used_resources_percent:.1f}%",
-            )
-        )
+        for variant, metrics in points
+    ]
 
     print("Announced updates: the waste / end-time trade-off")
-    print(f"(PSA task duration: {scale.psa1_task_duration:.0f} s)")
+    print(f"(PSA task duration: {task:.0f} s)")
     print()
     print(
         format_table(

@@ -4,7 +4,7 @@
 The analytics walk-through, one layer above raw tracing (for which see
 ``trace_a_scenario.py``):
 
-1. **trace** the fig9 scenario (spontaneous-update overcommit sweep) at its
+1. **trace** every point of the fig9 sweep (spontaneous-update overcommit) at its
    canonical campaign seed;
 2. **replay** the deterministic event stream into a sampled sim-time
    :class:`Timeline` (utilization, queue depth, job counts) and per-job
@@ -24,7 +24,7 @@ Run with::
 from __future__ import annotations
 
 from repro.campaign import builtin  # noqa: F401  (registers the scenarios)
-from repro.campaign.registry import builtin_scenarios, consume_provenance, get_runner
+from repro.campaign.registry import builtin_scenarios, run_sweep
 from repro.metrics import format_table
 from repro.obs import (
     EventTracer,
@@ -59,10 +59,8 @@ def main() -> int:
 
     print(f"1. Tracing scenario {SCENARIO!r} at its campaign seed {seed}")
     tracer = EventTracer()
-    consume_provenance()
     with observe(tracer=tracer):
-        get_runner(spec.runner)(spec, seed)
-    consume_provenance()
+        run_sweep(spec, seed)
     print(f"   {len(tracer)} events recorded")
 
     print()

@@ -6,8 +6,9 @@ The observability walk-through:
 1. **instrument** -- install an :class:`EventTracer`, a
    :class:`MetricsRegistry` and a :class:`PhaseProfiler` with one
    ``observe()`` context manager; everything that runs inside is traced;
-2. **run** the fig9 scenario (spontaneous-update overcommit sweep) exactly
-   as a campaign would, at its canonical derived seed;
+2. **run** every point of the fig9 sweep (spontaneous-update overcommit
+   factors x static/dynamic), in the order a campaign lists them, at its
+   canonical derived seed;
 3. **inspect** the captured stream: per-event-type counts, headline
    counters, wall-clock phase breakdown;
 4. **export** the trace as Chrome ``trace_event`` JSON -- drag it into
@@ -26,7 +27,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.campaign import builtin  # noqa: F401  (registers the scenarios)
-from repro.campaign.registry import builtin_scenarios, consume_provenance, get_runner
+from repro.campaign.registry import builtin_scenarios, run_sweep
 from repro.metrics import format_table
 from repro.obs import EventTracer, MetricsRegistry, PhaseProfiler, observe
 from repro.sim.randomness import derive_seed
@@ -40,11 +41,9 @@ def main() -> None:
     spec = builtin_scenarios()[SCENARIO]
     seed = derive_seed(0, SCENARIO, 0)  # the campaign's replicate-0 seed
     tracer, registry, profiler = EventTracer(), MetricsRegistry(), PhaseProfiler()
-    consume_provenance()
     with observe(tracer=tracer, metrics=registry, profiler=profiler):
-        metrics = dict(get_runner(spec.runner)(spec, seed))
-    consume_provenance()
-    print(f"ran {SCENARIO!r} at seed {seed}: {len(tracer)} trace events")
+        points = run_sweep(spec, seed)
+    print(f"ran {len(points)} points of {SCENARIO!r} at seed {seed}: {len(tracer)} trace events")
 
     # --- 3. inspect -------------------------------------------------------
     print("\nevents by category/name:")
@@ -77,7 +76,8 @@ def main() -> None:
         tracer.to_chrome(label=f"repro {SCENARIO} seed={seed}"), encoding="utf-8"
     )
     print(f"\nChrome trace written to {OUT} -- open it in chrome://tracing")
-    print(f"simulation metrics captured alongside the trace: {len(metrics)}")
+    captured = sum(len(metrics) for _variant, metrics in points)
+    print(f"simulation metrics captured alongside the trace: {captured}")
 
 
 if __name__ == "__main__":

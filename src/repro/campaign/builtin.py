@@ -1,23 +1,21 @@
-"""Built-in scenario runners: the paper's figures plus mixed workloads.
-
-Each figure of the evaluation (`repro.experiments.fig*`) is ported here as a
-registered scenario runner so the whole paper evaluation can run as one
-parallel campaign (``python -m repro campaign run --scenarios paper``-style
-sweeps).  Runners return **flat** ``{metric: number}`` mappings -- figure
-sweeps are flattened with one key per (x-position, series) pair -- because
-flat records make medians across seeds and cross-campaign comparisons
-trivial.
-
-Two generic runners complement the figures:
+"""Built-in scenario runners and scenarios: the paper's figures plus mixed
+workloads.
 
 ``amr_psa`` is the generic runner: it executes whatever the scenario's
 platform/workload/RMS sections describe (the paper scenario with every knob
 exposed, including rigid batch-job streams layered on top -- see the
-built-in ``mixed-rigid`` scenario).
+built-in ``mixed-rigid`` scenario).  The analytic figures 1--4 have runners
+of their own (ports of ``repro.experiments.fig*``); the simulated figures
+9--11 are ``amr_psa`` scenarios swept over ``params["axes"]``, one campaign
+unit per x-point, built for a scale by the ``fig9``/``fig10``/``fig11``
+builders below.  Runners return **flat** ``{metric: number}`` mappings,
+because flat records make medians across seeds and cross-campaign
+comparisons trivial.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..experiments import (
@@ -25,12 +23,9 @@ from ..experiments import (
     fig2_speedup_fit,
     fig3_static_endtime,
     fig4_static_choices,
-    fig9_spontaneous,
-    fig10_announced,
-    fig11_two_psas,
 )
 from ..core.errors import SpecError
-from ..experiments.runner import run_scenario
+from ..experiments.runner import EvaluationScale, run_scenario
 from ..federation.metrics import federation_breakdown
 from ..federation.spec import TOPOLOGIES
 from ..models.amr_evolution import AmrEvolutionParameters, normalized_profile
@@ -42,17 +37,10 @@ from .spec import PlatformSpec, RmsSpec, ScenarioSpec, WorkloadSpec, resolve_sca
 
 __all__ = ["clean_metrics", "POLICY_AWARE_RUNNERS"]
 
-#: Runners that honour ``ScenarioSpec.policy``.  The figure runners
-#: reproduce fixed paper experiments and reject policy sweeps
+#: Runners that honour ``ScenarioSpec.policy``.  The analytic figure
+#: runners reproduce fixed paper computations and reject policy sweeps
 #: (see :func:`_require_default_policy`).
 POLICY_AWARE_RUNNERS = frozenset({"amr_psa"})
-
-#: Announce intervals of Figures 10/11 expressed relative to the PSA1 task
-#: duration (the paper sweeps 0..700 s against 600-second tasks), so the
-#: sweep keeps its shape at every scale.
-RELATIVE_ANNOUNCE_INTERVALS: Tuple[float, ...] = tuple(
-    i / 600.0 for i in fig10_announced.PAPER_ANNOUNCE_INTERVALS
-)
 
 
 def clean_metrics(metrics: Dict[str, object]) -> Dict[str, object]:
@@ -74,32 +62,27 @@ def _apply_metrics_filter(spec: ScenarioSpec, metrics: Dict[str, object]) -> Dic
 def _require_default_policy(spec: ScenarioSpec) -> None:
     """Fail loudly when a policy-agnostic runner is asked to sweep policies.
 
-    The figure runners reproduce fixed paper experiments (fig11 even embeds
-    its own strict-vs-filling comparison); silently running the default
-    algorithm while the record claims another policy would fabricate a
-    policy comparison out of identical runs.  Only the generic ``amr_psa``
-    runner honours ``ScenarioSpec.policy`` -- and, for the same reason,
-    ``ScenarioSpec.federation``.
+    The runners of figures 1--4 compute fixed paper results that no RMS
+    takes part in; silently running them while the record claims another
+    policy (or a federation, or a fault plan) would fabricate a comparison
+    out of identical runs.  The generic ``amr_psa`` runner (figures 9--11
+    included) honours all three.
     """
-    if spec.policy is not None and spec.policy_name != "coorm":
-        raise SpecError(
-            f"scenario {spec.name!r} (runner {spec.runner!r}) reproduces a fixed "
-            f"paper experiment and ignores scheduling policies; it cannot run "
-            f"under policy {spec.policy_name!r}. Sweep policies over 'amr_psa'-"
-            f"based scenarios (e.g. trace-replay, baseline-dynamic) instead."
+    ignored = [
+        what
+        for what, given in (
+            (f"scheduling policies (not {spec.policy_name!r})", spec.policy_name != "coorm"),
+            ("federation specs", spec.federation is not None),
+            ("fault plans", spec.faults is not None),
         )
-    if spec.federation is not None:
+        if given
+    ]
+    if ignored:
         raise SpecError(
             f"scenario {spec.name!r} (runner {spec.runner!r}) reproduces a fixed "
-            f"paper experiment on a single cluster and ignores federation "
-            f"specs; federate 'amr_psa'-based scenarios (e.g. fed-dual-trace) "
-            f"instead."
-        )
-    if spec.faults is not None:
-        raise SpecError(
-            f"scenario {spec.name!r} (runner {spec.runner!r}) reproduces a fixed "
-            f"paper experiment and ignores fault plans; inject faults into "
-            f"'amr_psa'-based federated scenarios (e.g. fed-chaos-dual) instead."
+            f"paper computation and ignores {', '.join(ignored)}; "
+            f"run 'amr_psa'-based scenarios (e.g. fig9, trace-replay, "
+            f"fed-chaos-dual) instead."
         )
 
 
@@ -154,8 +137,15 @@ def run_amr_psa(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
 
     ``rigid_jobs`` / ``trace_jobs`` count incarnations: a job a fault killed
     and respawned counts once per submission (the chaos goldens' 125 trace
-    jobs are 120 jobs plus 5 respawns).
+    jobs are 120 jobs plus 5 respawns).  A sweep (``params["axes"]``) is
+    refused: its variants are the runs.
     """
+    if "axes" in spec.params:
+        raise SpecError(
+            f"scenario {spec.name!r} is a sweep of {len(spec.expand())} points; run "
+            f"its variants (a campaign runs one unit per point, "
+            f"repro.campaign.registry.run_sweep loops them)"
+        )
     scale = resolve_scale(spec)
     workload = spec.workload
     # An empty duration list means "the scale's default PSA1" for the paper
@@ -272,71 +262,6 @@ def run_fig4(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     return _finish(spec, metrics)
 
 
-def _overcommit_factors(spec: ScenarioSpec) -> Tuple[float, ...]:
-    factors = spec.params.get("overcommit_factors")
-    if factors is None:
-        return fig9_spontaneous.PAPER_OVERCOMMIT_FACTORS
-    return tuple(float(f) for f in factors)
-
-
-@RUNNERS.register("fig9")
-def run_fig9(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
-    """Static-vs-dynamic overcommit sweep with spontaneous updates."""
-    _require_default_policy(spec)
-    scale = resolve_scale(spec)
-    points = fig9_spontaneous.run(_overcommit_factors(spec), scale=scale, seed=seed)
-    metrics: Dict[str, object] = {}
-    for p in points:
-        prefix = f"oc={p.overcommit:g}"
-        metrics[f"amr_used_static[{prefix}]"] = p.static_amr_used_node_seconds
-        metrics[f"amr_used_dynamic[{prefix}]"] = p.dynamic_amr_used_node_seconds
-        metrics[f"psa_waste_dynamic[{prefix}]"] = p.dynamic_psa_waste_node_seconds
-        metrics[f"end_time_static[{prefix}]"] = p.static_end_time
-        metrics[f"end_time_dynamic[{prefix}]"] = p.dynamic_end_time
-    return _finish(spec, metrics)
-
-
-def _announce_intervals(spec: ScenarioSpec, psa1_task_duration: float) -> Tuple[float, ...]:
-    intervals = spec.params.get("announce_intervals")
-    if intervals is not None:
-        return tuple(float(i) for i in intervals)
-    # Scale the paper's 0..700 s x-axis with the PSA task duration so the
-    # "interval reaches the task duration" transition survives at tiny scale.
-    return tuple(r * psa1_task_duration for r in RELATIVE_ANNOUNCE_INTERVALS)
-
-
-@RUNNERS.register("fig10")
-def run_fig10(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
-    """Announce-interval sweep: end-time increase, waste, used resources."""
-    _require_default_policy(spec)
-    scale = resolve_scale(spec)
-    intervals = _announce_intervals(spec, scale.psa1_task_duration)
-    points = fig10_announced.run(intervals, scale=scale, seed=seed)
-    metrics: Dict[str, object] = {}
-    for p in points:
-        prefix = f"announce={p.announce_interval:g}"
-        metrics[f"end_time_increase_pct[{prefix}]"] = p.amr_end_time_increase_percent
-        metrics[f"psa_waste_pct[{prefix}]"] = p.psa_waste_percent
-        metrics[f"used_resources_pct[{prefix}]"] = p.used_resources_percent
-    return _finish(spec, metrics)
-
-
-@RUNNERS.register("fig11")
-def run_fig11(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
-    """Two-PSA filling-vs-strict equi-partitioning sweep."""
-    _require_default_policy(spec)
-    scale = resolve_scale(spec)
-    intervals = _announce_intervals(spec, scale.psa1_task_duration)
-    points = fig11_two_psas.run(intervals, scale=scale, seed=seed)
-    metrics: Dict[str, object] = {}
-    for p in points:
-        prefix = f"announce={p.announce_interval:g}"
-        metrics[f"used_filling_pct[{prefix}]"] = p.used_resources_filling_percent
-        metrics[f"used_strict_pct[{prefix}]"] = p.used_resources_strict_percent
-        metrics[f"filling_gain_pct[{prefix}]"] = p.filling_gain_percent
-    return _finish(spec, metrics)
-
-
 # --------------------------------------------------------------------- #
 # Built-in scenario definitions
 # --------------------------------------------------------------------- #
@@ -366,6 +291,99 @@ _CHAOS_TRACE: Dict[str, object] = {
     "transforms": [{"kind": "clamp_nodes", "max_nodes": 32}],
 }
 
+#: Overcommit factors of Figure 9 (log scale from 0.1 to 10).
+PAPER_OVERCOMMIT_FACTORS: Tuple[float, ...] = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
+
+#: The x-axis of Figures 10 and 11, seconds, against 600-second PSA1 tasks.
+PAPER_ANNOUNCE_INTERVALS: Tuple[float, ...] = (
+    0.0, 100.0, 200.0, 300.0, 400.0, 500.0, 550.0, 600.0, 700.0,
+)
+
+
+def _announce_axis(scale: EvaluationScale) -> list:
+    """Figures 10/11's x-axis relative to the scale's PSA1 task duration, so
+    the "interval reaches the task duration" transition survives at every
+    scale."""
+    intervals = [i / 600.0 * scale.psa1_task_duration for i in PAPER_ANNOUNCE_INTERVALS]
+    return ["workload.announce_interval", intervals]
+
+
+def fig9(scale: EvaluationScale) -> ScenarioSpec:
+    """Figure 9 -- scheduling with spontaneous updates.
+
+    One AMR application and one PSA (600-second tasks) share a cluster sized
+    to the AMR's pre-allocation.  The AMR's pre-allocation is its ideal
+    static guess times an *overcommit factor*; the figure sweeps that factor
+    and reports
+
+    * the resources effectively allocated to the AMR, for a *static*
+      allocation (the application is forced to use its whole
+      pre-allocation) and a *dynamic* allocation (the application updates
+      its non-preemptible request inside the pre-allocation), and
+    * the PSA waste caused by the AMR's spontaneous updates in the dynamic
+      case.
+
+    Expected shape: static used-resources grow with the overcommit factor
+    while dynamic stays flat; waste grows with the overcommit factor and
+    saturates beyond 1.
+    """
+    return ScenarioSpec(
+        name="fig9",
+        description="Spontaneous updates: static vs dynamic overcommit sweep",
+        params={"axes": [
+            ["workload.overcommit", list(PAPER_OVERCOMMIT_FACTORS)],
+            ["workload.static_allocation", [True, False]],
+        ]},
+        metrics=("amr_used_node_seconds", "psa_waste_node_seconds", "amr_end_time"),
+    )
+
+
+def fig10(scale: EvaluationScale) -> ScenarioSpec:
+    """Figure 10 -- scheduling with announced updates.
+
+    Same scenario as Figure 9 at overcommit factor 1, but the AMR announces
+    its updates some time in advance instead of requesting resources
+    spontaneously.  Three series are reported against the announce interval:
+
+    * the AMR end-time increase (relative to spontaneous updates: the
+      report's Δ% of ``amr_end_time`` against interval 0) -- announced
+      growth means the AMR receives nodes later than it would like;
+    * the PSA waste, as a percentage of the platform's capacity -- it
+      shrinks as the announce interval grows and vanishes once the interval
+      reaches the task duration;
+    * the percent of used resources.
+    """
+    return ScenarioSpec(
+        name="fig10",
+        description="Announced updates: end-time increase, waste, used resources",
+        params={"axes": [_announce_axis(scale)]},
+        metrics=("amr_end_time", "psa_waste_percent", "used_resources_percent"),
+    )
+
+
+def fig11(scale: EvaluationScale) -> ScenarioSpec:
+    """Figure 11 -- efficient resource filling with two PSAs.
+
+    A second PSA with much shorter tasks (60 s instead of 600 s) is added to
+    the announced-update scenario.  Under CooRMv2's equi-partitioning *with
+    filling*, resources that PSA1 cannot exploit (holes shorter than its
+    task duration) are offered to PSA2, which can fill them; under *strict*
+    equi-partitioning both PSAs are always shown the same equal slice and
+    the holes stay idle.  The figure reports the percent of used resources
+    for both policies against the announce interval; the filling gain is
+    the report's Δ of the ``strict_equipartition=false`` row.
+    """
+    return ScenarioSpec(
+        name="fig11",
+        description="Two PSAs: equi-partitioning with filling vs strict",
+        workload=WorkloadSpec(
+            psa_task_durations=(scale.psa1_task_duration, scale.psa2_task_duration)
+        ),
+        params={"axes": [_announce_axis(scale), ["rms.strict_equipartition", [True, False]]]},
+        metrics=("used_resources_percent",),
+    )
+
+
 _BUILTIN_SCENARIOS = (
     *(
         ScenarioSpec(name=_name, runner=_name, description=_description)
@@ -374,17 +392,7 @@ _BUILTIN_SCENARIOS = (
             ("fig2", "AMR step-duration model curves (speed-up fit)"),
             ("fig3", "End-time increase of the equivalent static allocation"),
             ("fig4", "Feasible static node-count choices per relative peak size"),
-            ("fig9", "Spontaneous updates: static vs dynamic overcommit sweep"),
-            ("fig10", "Announced updates: end-time increase, waste, used resources"),
-            ("fig11", "Two PSAs: equi-partitioning with filling vs strict"),
         ]
-    ),
-    # Descriptive alias: the fig9 experiment is the paper's *spontaneous
-    # update* evaluation, and tooling examples refer to it by that name.
-    ScenarioSpec(
-        name="fig9-spontaneous",
-        runner="fig9",
-        description="Alias of fig9 (spontaneous updates overcommit sweep)",
     ),
     ScenarioSpec(
         name="baseline-dynamic",
@@ -520,5 +528,16 @@ _BUILTIN_SCENARIOS = (
         federation=TOPOLOGIES.get("hetero3"),
     ),
 )
+# The registry holds one builder per scenario, ``EvaluationScale ->
+# ScenarioSpec``; only the figures' sweeps depend on the scale.
 for _spec in _BUILTIN_SCENARIOS:
-    SCENARIOS.register(_spec.name, _spec, _spec.description)
+    SCENARIOS.register(_spec.name, lambda _scale, spec=_spec: spec, _spec.description)
+for _build in (fig9, fig10, fig11):
+    SCENARIOS.register(_build.__name__, _build)
+# Descriptive alias: the fig9 experiment is the paper's *spontaneous update*
+# evaluation, and tooling examples refer to it by that name.
+SCENARIOS.register("fig9-spontaneous", lambda scale: replace(
+    fig9(scale),
+    name="fig9-spontaneous",
+    description="Alias of fig9 (spontaneous updates overcommit sweep)",
+))

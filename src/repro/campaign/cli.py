@@ -10,13 +10,16 @@ Commands::
     python -m repro campaign report <name> [--compare <other>]
     python -m repro campaign scenarios
 
-``campaign run`` executes the scenario x seed grid in parallel and persists
-one JSON-lines record per run under the results directory (``results/`` by
+``campaign run`` executes the variant x seed grid in parallel -- a figure
+such as fig9 is one variant per x-point, see
+:meth:`~repro.campaign.spec.ScenarioSpec.sweep` -- and persists one
+JSON-lines record per run under the results directory (``results/`` by
 default, or ``--results-dir`` / the ``REPRO_RESULTS_DIR`` variable).  Runs
 are deterministic: the same spec writes byte-identical records regardless of
 the worker count and of how the workers are reached (``--workers N``: local
 pipes; ``--transport tcp --bind HOST:PORT``: ``dist worker`` processes on any
-host as well).  The top-level parser that dispatches this group next to
+host as well).  ``campaign report`` adds one sweep table per swept
+scenario.  The top-level parser that dispatches this group next to
 ``trace``, ``policy`` and ``federation`` lives in :mod:`repro.__main__`;
 ``build_parser``/``main`` are kept here as aliases for callers that predate
 the centralised dispatch.
@@ -34,7 +37,7 @@ from ..dist.transport import TRANSPORT_NAMES, parse_endpoint
 from ..metrics.report import format_comparison, format_table
 from ..obs.logsetup import get_logger
 from . import builtin  # noqa: F401  (registers the built-in scenarios)
-from .registry import SCENARIOS, resolve_scenarios
+from .registry import builtin_scenarios, resolve_scenarios
 from .runner import CampaignInterrupted, CampaignRunner
 from .spec import SCALE_NAMES, CampaignSpec
 from .store import ResultStore
@@ -117,12 +120,6 @@ def add_commands(campaign: argparse.ArgumentParser) -> None:
         help="tcp transport: the endpoint to serve workers on (default: "
         "%(default)s, a free port that is logged when the run starts)",
     )
-    # Accepted for one more release: --backend selects nothing any more and
-    # --dist-workers is read as --workers.
-    run.add_argument(
-        "--backend", choices=("pool", "dist"), default=None, help=argparse.SUPPRESS
-    )
-    run.add_argument("--dist-workers", type=int, default=None, help=argparse.SUPPRESS)
     run.add_argument(
         "--resume", action="store_true",
         help="skip runs whose idempotency key already has a store row "
@@ -166,6 +163,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.spec:
         spec = CampaignSpec.load(args.spec)
         overrides = {}
+        # A spec file's axis values are used as written: --scale resizes
+        # the runs, not a sweep laid out for another scale.
         if args.scale is not None:
             overrides["scenarios"] = [
                 s.with_scale(args.scale).to_dict() for s in spec.scenarios
@@ -235,9 +234,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         slo_spec=args.slo,
     )
 
-    workers = args.workers if args.dist_workers is None else args.dist_workers
-    if workers is None:
-        workers = spec.workers
+    workers = spec.workers if args.workers is None else args.workers
     try:
         parse_endpoint(args.bind)
         config = DistConfig(
@@ -253,7 +250,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = runner.run(
             workers=workers,
             append=args.append,
-            backend=args.backend,
             resume=args.resume,
             dist=config if coordinated else None,
         )
@@ -370,6 +366,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sweeps = store.sweeps(args.name, records)
     matrix = store.policy_matrix(args.name, records)
     routing_matrix = store.routing_matrix(args.name, records)
     obs_summary = store.obs_summary(args.name, records)
@@ -411,11 +408,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"({'PASS' if passed else 'FAIL'}, median per run) --"
             )
             print(format_table(["objective", "median"], list(verdicts.items())))
+    for base, (headers, rows) in sweeps.items():
+        print()
+        print(f"== {base}: sweep (medians; Δ, Δ% against the first value of the last axis) ==")
+        print(format_table(headers, rows))
     # Matrix campaigns additionally get side-by-side comparisons of every
     # policy (and, for federated campaigns, every routing) on the same base
     # scenario -- identical workload per seed in both matrices.
-    _print_matrix_comparisons(matrix, "policy comparison")
-    _print_matrix_comparisons(routing_matrix, "routing comparison")
+    _print_matrix_comparisons(matrix, "policy comparison", sweeps)
+    _print_matrix_comparisons(routing_matrix, "routing comparison", sweeps)
     meta = store.load_meta(args.name)
     if meta and meta.get("dist"):
         print()
@@ -425,11 +426,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_matrix_comparisons(matrix: dict, title: str) -> None:
-    """One comparison table per base scenario with >= 2 matrix variants."""
+def _print_matrix_comparisons(matrix: dict, title: str, sweeps: dict) -> None:
+    """One comparison table per base scenario with >= 2 matrix variants (a
+    swept scenario's policies and routings are axes of its sweep table)."""
     for base in sorted(matrix):
         variants = matrix[base]
-        if len(variants) < 2:
+        if len(variants) < 2 or base in sweeps:
             continue
         names = sorted(variants)
         metrics = sorted(set().union(*(variants[n] for n in names)))
@@ -443,7 +445,7 @@ def _print_matrix_comparisons(matrix: dict, title: str) -> None:
 
 
 def _cmd_scenarios(_args: argparse.Namespace) -> int:
-    specs = [SCENARIOS.get(name) for name in SCENARIOS.names()]
+    specs = builtin_scenarios().values()
     rows = [(spec.name, spec.runner, spec.scale, spec.description) for spec in specs]
     print(format_table(["scenario", "runner", "scale", "description"], rows))
     return 0

@@ -8,16 +8,18 @@ that specs stay serialisable -- a campaign JSON file only ever references
 runners by their names.
 
 Built-in scenarios (the paper's figures plus a few mixed-workload
-configurations) register themselves in :data:`SCENARIOS` when
-:mod:`repro.campaign.builtin` is imported, which :mod:`repro.campaign`
-guarantees.
+configurations) register a builder ``EvaluationScale -> ScenarioSpec`` in
+:data:`SCENARIOS` when :mod:`repro.campaign.builtin` is imported, which
+:mod:`repro.campaign` guarantees; :func:`resolve_scenarios` builds them.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ..core.errors import SpecError
 from ..core.registry import Registry
-from .spec import ScenarioSpec
+from ..experiments.runner import EvaluationScale
+from .spec import SCALE_NAMES, ScenarioSpec
 
 __all__ = [
     "ScenarioRunner",
@@ -26,6 +28,7 @@ __all__ = [
     "get_runner",
     "builtin_scenarios",
     "resolve_scenarios",
+    "run_sweep",
     "record_provenance",
     "consume_provenance",
 ]
@@ -36,7 +39,7 @@ ScenarioRunner = Callable[[ScenarioSpec, int], Mapping[str, object]]
 
 #: Scenario runners by name.
 RUNNERS = Registry("scenario runner")
-#: Built-in scenario definitions by name.
+#: Built-in scenario builders (``EvaluationScale -> ScenarioSpec``) by name.
 SCENARIOS = Registry("scenario")
 
 #: Workload provenance of the run currently executing in this process.
@@ -71,17 +74,37 @@ def get_runner(name: str) -> ScenarioRunner:
 
 
 def builtin_scenarios() -> Dict[str, ScenarioSpec]:
-    """Name -> spec of every built-in scenario (a copy; safe to mutate)."""
-    return {name: SCENARIOS.get(name) for name in SCENARIOS.names()}
+    """Name -> spec of every built-in scenario at its default scale."""
+    names = SCENARIOS.names()
+    return dict(zip(names, resolve_scenarios(names)))
 
 
 def resolve_scenarios(
     names: Iterable[str], scale: Optional[str] = None
 ) -> List[ScenarioSpec]:
-    """Resolve scenario *names* against the built-in registry.
+    """Build the built-in scenarios *names* at *scale* (default ``tiny``).
 
-    ``scale`` (when given) overrides the scale of every resolved scenario,
-    which is how ``python -m repro campaign run --scale`` works.
+    The one place a named built-in meets a scale, which is how ``python -m
+    repro campaign run --scale`` works: a figure's sweep is laid out for the
+    scale's task durations.
     """
-    specs = [SCENARIOS.get(name) for name in names]
-    return specs if scale is None else [spec.with_scale(scale) for spec in specs]
+    scale = scale or "tiny"
+    if scale not in SCALE_NAMES:
+        raise SpecError(f"scale must be one of {SCALE_NAMES}, got {scale!r}")
+    evaluation = getattr(EvaluationScale, scale)()
+    specs = [SCENARIOS.get(name)(evaluation) for name in names]
+    return [spec if spec.scale == scale else spec.with_scale(scale) for spec in specs]
+
+
+def run_sweep(spec: ScenarioSpec, seed: int) -> List[Tuple[ScenarioSpec, Dict[str, object]]]:
+    """``(variant, metrics)`` per variant of *spec*, run at *seed* in
+    expansion order on this thread, under whatever the caller observes.
+
+    The loop a campaign spreads over its units, for callers that want every
+    point of one scenario at one seed (a trace of a whole figure, a golden).
+    """
+    points = []
+    for variant in spec.expand():
+        points.append((variant, dict(get_runner(variant.runner)(variant, seed))))
+        consume_provenance()
+    return points

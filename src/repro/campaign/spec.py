@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from itertools import product
 from pathlib import Path
-from typing import List, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.errors import SpecError
 from ..core.serde import Spec, located, read_json, require_text
@@ -155,10 +156,13 @@ class ScenarioSpec(Spec):
 
     ``runner`` names an executor registered in
     :mod:`repro.campaign.registry` (``amr_psa`` is the generic paper
-    scenario; ``fig1`` ... ``fig11`` reproduce the paper's figures).
-    ``params`` carries runner-specific knobs such as the overcommit sweep of
-    Figure 9.  ``metrics`` optionally restricts which metric keys are kept
-    in the result records (empty = keep everything).
+    scenario; ``fig1`` ... ``fig4`` reproduce the paper's analytic figures).
+    ``params`` carries runner-specific knobs, and ``params["axes"]`` a sweep:
+    a list of ``[dotted field path, [values...]]`` pairs such as
+    ``[["workload.overcommit", [0.5, 1, 2]]]``, whose product of variants
+    (see :meth:`sweep`) runs instead of the scenario itself.  ``metrics``
+    optionally restricts which metric keys are kept in the result records
+    (empty = keep everything).
     """
 
     name: str
@@ -232,28 +236,85 @@ class ScenarioSpec(Spec):
             # The run would refuse a policy (default or member pin) that
             # does not share strictly; refuse it while the spec loads.
             _strict_policy(self.policy, self.federation)
+        if "axes" in self.params:
+            self._check_axes()
+
+    def _check_axes(self) -> None:
+        """Each axis names a spec field and values the field accepts, and
+        no two variants share a name."""
+        axes = self.params["axes"]
+        if not (isinstance(axes, (list, tuple)) and axes):
+            raise SpecError("must be a non-empty list of [path, values] pairs", "params.axes")
+        params = {key: value for key, value in self.params.items() if key != "axes"}
+        paths = []
+        for i, axis in enumerate(axes):
+            where = f"params.axes[{i}]"
+            if not (
+                isinstance(axis, (list, tuple)) and len(axis) == 2 and isinstance(axis[0], str)
+            ):
+                raise SpecError("must be a [dotted field path, [values...]] pair", where)
+            path, values = axis
+            _check_path(path, where)
+            if path in paths:
+                raise SpecError(f"sweeps {path!r} a second time", where)
+            paths.append(path)
+            if not (isinstance(values, (list, tuple)) and values):
+                raise SpecError("needs a non-empty list of values", where)
+            for value in values:
+                try:
+                    _replaced(self, {path: value, "params": params})
+                except SpecError as exc:
+                    raise SpecError(f"{path} = {value!r}: {exc.reason}", where) from None
+        axes = self.axes
+        names = [
+            _variant_name(self.name, axes, len(axes), values)
+            for values in product(*(values for _path, values in axes))
+        ]
+        if len(set(names)) != len(names):
+            clashes = sorted({n for n in names if names.count(n) > 1})
+            raise SpecError(f"variants share the name(s) {clashes}", "params.axes")
 
     def with_scale(self, scale: str) -> "ScenarioSpec":
         return replace(self, scale=scale)
 
-    def with_policy(self, policy: Union[str, Mapping]) -> "ScenarioSpec":
-        """This scenario under another scheduling policy, suffix-renamed so
-        a policy matrix never produces duplicate scenario names."""
-        return replace(self, name=f"{self.name}@{policy_label(policy)}", policy=policy)
+    @property
+    def axes(self) -> Tuple[Tuple[str, Tuple], ...]:
+        """The scenario's own sweep: ``params["axes"]`` as (path, values) pairs."""
+        return tuple((path, tuple(values)) for path, values in self.params.get("axes", ()))
 
-    def with_routing(self, routing: str) -> "ScenarioSpec":
-        """This (federated) scenario under another routing policy,
-        suffix-renamed so a routing matrix never duplicates names."""
-        if self.federation is None:
-            raise SpecError(
-                f"scenario {self.name!r} has no federation; routing matrices "
-                f"only apply to federated scenarios"
-            )
-        return replace(
-            self,
-            name=f"{self.name}+{routing}",
-            federation=self.federation.with_routing(routing),
-        )
+    def sweep(
+        self, policies: Sequence = (), routings: Sequence[str] = ()
+    ) -> Tuple[Tuple[Tuple[str, Tuple], ...], Tuple[Tuple[Tuple, "ScenarioSpec"], ...]]:
+        """The one expansion rule: ``(axes, points)``.
+
+        *axes* are the (dotted path, values) pairs swept -- the scenario's
+        own ``params["axes"]``, then ``policy`` over *policies*, then
+        ``federation.routing`` over *routings* -- and *points* one
+        ``(values, variant)`` per cell of their product, the last axis
+        fastest.  Each variant is one nested ``replace`` (so every spec check
+        runs on it) without ``axes`` in its params, named
+        ``base[leaf=value,...]@policy+routing``.  Without axes the scenario
+        is its own single point.
+        """
+        own = self.axes
+        axes = own + (("policy", tuple(policies)),) * bool(policies)
+        axes += (("federation.routing", tuple(routings)),) * bool(routings)
+        if not axes:
+            return (), (((), self),)
+        params = {key: value for key, value in self.params.items() if key != "axes"}
+        points = []
+        for values in product(*(values for _path, values in axes)):
+            changes = dict(zip((path for path, _values in axes), values))
+            changes["name"] = _variant_name(self.name, axes, len(own), values)
+            changes["params"] = params
+            points.append((values, _replaced(self, changes)))
+        return axes, tuple(points)
+
+    def expand(
+        self, policies: Sequence = (), routings: Sequence[str] = ()
+    ) -> Tuple["ScenarioSpec", ...]:
+        """The variants of :meth:`sweep`, in its order."""
+        return tuple(variant for _values, variant in self.sweep(policies, routings)[1])
 
     @property
     def policy_name(self) -> str:
@@ -287,25 +348,72 @@ class ScenarioSpec(Spec):
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _check_path(path: str, where: str) -> None:
+    """*path* names a field of :class:`ScenarioSpec`, through its ``NESTED``
+    sections, other than ``name`` and ``params``."""
+    owner = ScenarioSpec
+    for part in path.split("."):
+        if not (isinstance(owner, type) and part in {f.name for f in fields(owner) if f.init}):
+            raise SpecError(f"{path!r} names no scenario field", where)
+        owner = owner.NESTED.get(part)
+    if path in ("name", "params"):
+        raise SpecError(f"{path!r} cannot be swept", where)
+
+
+def _replaced(spec, changes: Mapping[str, object]):
+    """*spec* with the dotted paths of *changes* set, one ``replace`` per
+    spec touched."""
+    own, nested = {}, {}
+    for path, value in changes.items():
+        head, dot, rest = path.partition(".")
+        if dot:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            own[head] = value
+    for head, inner in nested.items():
+        section = getattr(spec, head)
+        if section is None:
+            raise SpecError(f"is unset, so {sorted(inner)} cannot be swept", head)
+        own[head] = _replaced(section, inner)
+    with located(""):
+        return replace(spec, **own)
+
+
+def axis_label(value) -> str:
+    """A swept value in a variant name: numbers ``:g``, text as is, the
+    rest (booleans included) as JSON."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return f"{value:g}"
+    return value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+
+
+def _variant_name(base: str, axes, own: int, values) -> str:
+    """``base[leaf=value,...]`` over the first *own* axes, then ``@policy``
+    and ``+routing`` for the campaign's axes."""
+    leaves = [
+        f"{path.rpartition('.')[2]}={axis_label(value)}"
+        for (path, _values), value in zip(axes[:own], values)
+    ]
+    name = f"{base}[{','.join(leaves)}]" if leaves else base
+    for (path, _values), value in zip(axes[own:], values[own:]):
+        name += f"@{policy_label(value)}" if path == "policy" else f"+{value}"
+    return name
+
+
 @dataclass(frozen=True)
 class CampaignSpec(Spec):
     """A set of scenarios swept over a seed range (and optionally policies).
 
-    Every (scenario, replicate) pair becomes one run whose seed is
-    ``derive_seed(root_seed, scenario.name, replicate)`` -- fully determined
-    by the spec, never by execution order or worker count.
+    Every (variant, replicate) pair becomes one run whose seed is
+    ``derive_seed(root_seed, scenario.name, replicate)`` of the *base*
+    scenario name -- fully determined by the spec, never by execution order
+    or worker count, and shared by every variant of a scenario, so each
+    replays the exact same workload and their metrics compare directly.
 
-    A non-empty ``policies`` tuple turns the campaign into a policy x
-    scenario x replicate matrix: every scenario is executed once per listed
-    policy (named ``<scenario>@<policy>``), and the run seed is still derived
-    from the *base* scenario name -- so every policy replays the exact same
-    workload and the per-policy metrics are directly comparable.
-
-    A non-empty ``routings`` tuple does the same for federated scenarios:
-    every (policy-expanded) scenario additionally runs once per listed
-    routing policy (named ``<scenario>+<routing>``), again with the seed
-    derived from the base name, so every cell of the routing x topology
-    matrix fans in the exact same workload.
+    A scenario's variants are the cells of its own ``params["axes"]``, then
+    of ``policies`` (named ``<scenario>@<policy>``), then, for federated
+    scenarios, of ``routings`` (named ``<scenario>+<routing>``); see
+    :meth:`ScenarioSpec.sweep`.
     """
 
     name: str
@@ -357,36 +465,22 @@ class CampaignSpec(Spec):
 
     @property
     def run_count(self) -> int:
-        return (
-            len(self.scenarios)
-            * max(1, len(self.policies))
-            * max(1, len(self.routings))
-            * self.seeds
-        )
+        return len(self.expanded_scenarios()) * self.seeds
 
     def expanded_scenarios(self) -> Tuple[Tuple[ScenarioSpec, str], ...]:
-        """The policy x routing x scenario grid as ``(variant, base_name)``.
-
-        Without matrices every scenario maps to itself; a policy matrix
-        yields one ``@<policy>`` variant per policy, a routing matrix one
-        ``+<routing>`` variant per routing, and both together the full
-        cross product.  Seeds must be derived from the *base* name so that
-        all variants of one scenario replay identical workloads.
-        """
-        variants: List[Tuple[ScenarioSpec, str]] = []
-        for scenario in self.scenarios:
-            policy_variants = (
-                [scenario.with_policy(p) for p in self.policies]
-                if self.policies
-                else [scenario]
-            )
-            for policy_variant in policy_variants:
-                routing_variants = (
-                    [policy_variant.with_routing(r) for r in self.routings]
-                    if self.routings
-                    else [policy_variant]
+        """Every variant of every scenario as ``(variant, base_name)``, by
+        :meth:`ScenarioSpec.sweep` over the campaign's policies and
+        routings.  Seeds must be derived from the *base* name so that all
+        variants of one scenario replay identical workloads.  A variant no
+        spec check accepts (fig11's strict points under a non-strict policy)
+        fails here, located at its scenario, before anything runs."""
+        variants = []
+        for i, scenario in enumerate(self.scenarios):
+            with located(f"scenarios[{i}]"):
+                variants.extend(
+                    (variant, scenario.name)
+                    for variant in scenario.expand(self.policies, self.routings)
                 )
-                variants.extend((v, scenario.name) for v in routing_variants)
         return tuple(variants)
 
     def to_json(self) -> str:

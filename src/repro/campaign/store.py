@@ -28,7 +28,7 @@ from ..core.errors import SpecError
 from ..metrics.collector import median_summary
 from ..obs import hooks as _obs
 from ..obs.logsetup import get_logger
-from .spec import CampaignSpec
+from .spec import CampaignSpec, axis_label
 
 __all__ = ["CampaignInfo", "ResultStore", "DEFAULT_RESULTS_DIR"]
 
@@ -336,6 +336,48 @@ class ResultStore:
         skipped -- there is no routing to compare.
         """
         return self._matrix(name, records, field="routing", default=None)
+
+    def sweeps(
+        self, name: str, records: Optional[Sequence[Mapping]] = None
+    ) -> Dict[str, Tuple[List[str], List[tuple]]]:
+        """``{base_scenario: (headers, rows)}``: one sweep table per scenario
+        with axes, rebuilt from the stored campaign spec.
+
+        One row per variant, in axis order: the axis values, the medians of
+        the scenario's metrics (all of them when it names none), then the
+        Δ and Δ% of each against the row whose last axis takes its first
+        value, the other axes held fixed.  fig10's end-time increase is the
+        Δ% of ``amr_end_time``, fig11's filling gain the Δ of
+        ``used_resources_percent``.
+        """
+        spec = self.load_spec(name)
+        swept = [s for s in spec.scenarios if s.axes] if spec is not None else []
+        summary = self.summarize(name, records) if swept else {}
+        tables: Dict[str, Tuple[List[str], List[tuple]]] = {}
+        for scenario in swept:
+            axes, points = scenario.sweep(spec.policies, spec.routings)
+            medians = [summary.get(variant.name, {}) for _values, variant in points]
+            metrics = list(scenario.metrics) or sorted(set().union(*medians))
+            width = len(axes[-1][1])
+            rows = []
+            for i, (values, _variant) in enumerate(points):
+                row, reference = medians[i], medians[i - i % width]
+                deltas, percents = [], []
+                for metric in metrics:
+                    value, base = row.get(metric), reference.get(metric)
+                    known = value is not None and base is not None
+                    deltas.append(value - base if known else "")
+                    percents.append(100.0 * (value / base - 1.0) if known and base else "")
+                rows.append((
+                    *(axis_label(v) for v in values),
+                    *(row.get(metric, "") for metric in metrics),
+                    *deltas,
+                    *percents,
+                ))
+            headers = [path.rpartition(".")[2] for path, _values in axes]
+            headers += metrics + [f"Δ {m}" for m in metrics] + [f"Δ% {m}" for m in metrics]
+            tables[scenario.name] = (headers, rows)
+        return tables
 
     def compare(
         self, name_a: str, name_b: str

@@ -1,13 +1,12 @@
-"""Experiment drivers, one module per figure of the paper's evaluation."""
+"""Experiment drivers: the analytic figures 1--4, one module each, and the
+shared scenario of the simulated figures 9--11 (built in
+:mod:`repro.campaign.builtin` as sweeps of that scenario)."""
 from .runner import EvaluationScale, ScenarioResult, build_evolution, run_scenario
 from . import (
     fig1_amr_profiles,
     fig2_speedup_fit,
     fig3_static_endtime,
     fig4_static_choices,
-    fig9_spontaneous,
-    fig10_announced,
-    fig11_two_psas,
 )
 
 __all__ = [
@@ -19,7 +18,4 @@ __all__ = [
     "fig2_speedup_fit",
     "fig3_static_endtime",
     "fig4_static_choices",
-    "fig9_spontaneous",
-    "fig10_announced",
-    "fig11_two_psas",
 ]

@@ -116,15 +116,17 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     # Imported here: the campaign layer depends on this package, so the
     # module level must stay import-light to avoid a cycle.
-    from ..campaign.registry import SCENARIOS, get_runner
+    from ..campaign.registry import get_runner, resolve_scenarios
 
     topology = TOPOLOGIES.get(args.topology)
     if args.routing is not None:
         topology = topology.with_routing(args.routing)
-    # A figure runner rejecting federation, an unknown fault plan, a topology
-    # none of whose clusters can hold the scenario's applications: every
-    # rejection is a ReproError, which ``repro.__main__`` reports.
-    spec = replace(SCENARIOS.get(args.scenario), federation=topology)
+    # A figure runner rejecting federation, a sweep run as one point, an
+    # unknown fault plan, a topology none of whose clusters can hold the
+    # scenario's applications: every rejection is a ReproError, which
+    # ``repro.__main__`` reports.
+    (spec,) = resolve_scenarios([args.scenario])
+    spec = replace(spec, federation=topology)
     if args.faults is not None:
         spec = replace(spec, faults=args.faults)
     seed = derive_seed(args.seed, spec.name, 0)

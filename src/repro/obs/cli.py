@@ -11,10 +11,11 @@ Commands::
     python -m repro obs report --scenario fig9 --seed 1
     python -m repro obs diff a.trace.jsonl b.trace.jsonl
 
-``export`` runs one scenario under the event tracer and writes the trace as
-Chrome ``trace_event`` JSON (open it in ``chrome://tracing`` or Perfetto) or
-canonical JSONL.  ``summarize`` prints the event and metric breakdown of one
-run.  The analytics commands replay the deterministic trace: ``timeline``
+``export`` runs one scenario under the event tracer -- a sweep such as fig9
+runs every point, in expansion order, under the one tracer -- and writes the
+trace as Chrome ``trace_event`` JSON (open it in ``chrome://tracing`` or
+Perfetto) or canonical JSONL.  ``summarize`` prints the event and metric
+breakdown of one run.  The analytics commands replay the deterministic trace: ``timeline``
 samples sim-time series (utilization, queue depth, job counts) on a fixed
 grid, ``audit`` derives per-job lifecycle statistics, ``slo`` evaluates a
 declarative SLO spec (exit 1 on violation) and ``report`` renders all of it
@@ -27,7 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import List, Tuple
 
 from .hooks import observe
 from .logsetup import get_logger
@@ -115,20 +116,22 @@ def add_commands(obs: argparse.ArgumentParser) -> None:
 
 def _traced_run(
     scenario: str, seed: int, scale
-) -> Tuple[EventTracer, MetricsRegistry, Dict]:
-    """Run one scenario under tracer + metrics; returns both instruments."""
-    from ..campaign import builtin  # noqa: F401  (registers the runners)
-    from ..campaign.registry import consume_provenance, get_runner, resolve_scenarios
+) -> Tuple[EventTracer, MetricsRegistry, List[Tuple[str, str, object]]]:
+    """Run one scenario -- every point of a sweep, in order -- under tracer +
+    metrics; returns both instruments and ``(variant, metric, value)`` rows."""
+    from ..campaign.registry import resolve_scenarios, run_sweep
 
     spec = resolve_scenarios([scenario], scale=scale)[0]
-    runner = get_runner(spec.runner)
     tracer = EventTracer()
     registry = MetricsRegistry()
-    consume_provenance()
     with observe(tracer=tracer, metrics=registry):
-        metrics = dict(runner(spec, seed))
-    consume_provenance()
-    return tracer, registry, metrics
+        points = run_sweep(spec, seed)
+    rows = [
+        (variant.name, key, value)
+        for variant, metrics in points
+        for key, value in sorted(metrics.items())
+    ]
+    return tracer, registry, rows
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -169,11 +172,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         print(format_table(["metric", "value"], registry.rows()))
     if metrics:
         print()
-        print(
-            format_table(
-                ["simulation metric", "value"], sorted(metrics.items())
-            )
-        )
+        print(format_table(["scenario", "simulation metric", "value"], metrics))
     return 0
 
 

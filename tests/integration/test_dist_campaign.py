@@ -701,8 +701,7 @@ class TestTerminalFailure:
 
 class TestDistCli:
     def test_campaign_run_backend_dist_round_trip(self, tmp_path, capsys):
-        """Every spelling of a local run writes the same bytes, the legacy
-        ``--backend dist ... --dist-workers`` one included."""
+        """Every spelling of a local run writes the same bytes."""
         results = str(tmp_path)
         base = [
             "campaign", "run", "--scenarios", "baseline-dynamic", "--seeds", "2",
@@ -712,16 +711,15 @@ class TestDistCli:
             "one": ["--workers", "1"],
             "four": ["--workers", "4"],
             "tcp": ["--transport", "tcp", "--workers", "2"],
-            "legacy": ["--backend", "dist", "--transport", "tcp", "--dist-workers", "2"],
         }
         for name, flags in spellings.items():
             assert cli_main(base + ["--name", name] + flags) == 0
         out = capsys.readouterr().out
         assert "with 1 serial worker(s)" in out and "with 2 ipc worker(s)" in out
-        assert out.count("with 2 tcp worker(s)") == 2
+        assert "with 2 tcp worker(s)" in out
         store = ResultStore(results)
         assert len({store.runs_path(name).read_bytes() for name in spellings}) == 1
-        assert cli_main(["campaign", "report", "legacy",
+        assert cli_main(["campaign", "report", "tcp",
                          "--results-dir", results]) == 0
         out = capsys.readouterr().out
         assert "distributed execution" in out
@@ -733,6 +731,10 @@ class TestDistCli:
         text = capsys.readouterr().out
         assert "--bind" in text and "--transport" in text
         assert "--backend" not in text and "--dist-workers" not in text
+        for retired in (["--backend", "dist"], ["--dist-workers", "2"]):
+            with pytest.raises(SystemExit):
+                cli_main(["campaign", "run", "--scenarios", "baseline-dynamic", *retired])
+            assert "unrecognized arguments" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             cli_main(["dist", "coordinator", "--scenarios", "fig9"])
         assert "invalid choice: 'coordinator'" in capsys.readouterr().err

@@ -1,25 +1,50 @@
-"""Integration tests of the experiment drivers (one per paper figure).
+"""Integration tests of the paper's figures: the analytic drivers and the
+sweeps of figures 9--11.
 
-Each driver is run at a very small scale and checked for the qualitative
+Each figure is run at a very small scale and checked for the qualitative
 shape the corresponding figure shows.  Larger sweeps run from
 ``benchmarks/`` or ``python -m repro campaign run --scale paper``.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
+from repro.campaign import CampaignRunner, CampaignSpec, ResultStore
+from repro.campaign.registry import builtin_scenarios, get_runner, resolve_scenarios, run_sweep
+from repro.core.errors import SpecError
 from repro.experiments import (
     EvaluationScale,
     fig1_amr_profiles,
     fig2_speedup_fit,
     fig3_static_endtime,
     fig4_static_choices,
-    fig9_spontaneous,
-    fig10_announced,
-    fig11_two_psas,
 )
 
 TINY = EvaluationScale.tiny()
+
+#: fig10's AMR end-time increase (%) and fig11's filling gain (percentage
+#: points) per announce interval, at each figure's canonical campaign seed, as
+#: the figure runners computed them before the figures became sweeps.
+FIG10_END_TIME_INCREASE_PCT = [
+    0.0, 10.260785965203102, 19.290047364817674, 33.10406270532668, 44.75291248666344,
+    58.60298310548586, 62.52211051685097, 62.52211051685097, 72.38018248176081,
+]
+FIG11_FILLING_GAIN_PCT = [
+    6.316155000952875, 12.66138978283476, 14.34461909073228, 15.000875301587556,
+    14.103216199669944, 15.284359691904555, 10.834325720306737, 10.644570840935955,
+    14.488413920730963,
+]
+
+
+def sweep(name: str, *axes) -> dict:
+    """The built-in figure *name* over *axes* instead of its own, run at
+    seed 0: ``{axis values: metrics}``."""
+    spec = replace(builtin_scenarios()[name], params={"axes": [list(axis) for axis in axes]})
+    points = run_sweep(spec, 0)
+    return dict(zip(product(*(values for _path, values in axes)), (m for _v, m in points)))
 
 
 class TestAnalyticFigures:
@@ -63,28 +88,68 @@ class TestAnalyticFigures:
 
 
 class TestSimulationFigures:
+    @pytest.mark.parametrize("name, points", [("fig9", 14), ("fig10", 9), ("fig11", 18)])
+    def test_a_figure_never_runs_as_one_point(self, name, points):
+        spec = builtin_scenarios()[name]
+        assert spec.runner == "amr_psa" and len(spec.expand()) == points
+        with pytest.raises(SpecError, match=f"scenario '{name}' is a sweep of {points} points"):
+            get_runner(spec.runner)(spec, 0)
+
     def test_fig9_shape(self):
-        points = fig9_spontaneous.run(overcommit_factors=(1.0, 2.0), scale=TINY)
-        assert len(points) == 2
-        for point in points:
-            assert point.static_amr_used_node_seconds > point.dynamic_amr_used_node_seconds
+        points = sweep(
+            "fig9",
+            ("workload.overcommit", (1.0, 2.0)),
+            ("workload.static_allocation", (True, False)),
+        )
+        assert len(points) == 4
+        static = [points[(oc, True)]["amr_used_node_seconds"] for oc in (1.0, 2.0)]
+        dynamic = [points[(oc, False)]["amr_used_node_seconds"] for oc in (1.0, 2.0)]
+        for s, d in zip(static, dynamic):
+            assert s > d
         # Static usage grows with the overcommit factor, dynamic barely moves.
-        assert points[1].static_amr_used_node_seconds > points[0].static_amr_used_node_seconds
-        assert points[1].dynamic_amr_used_node_seconds <= points[0].dynamic_amr_used_node_seconds * 1.25
-        assert "Figure 9" in fig9_spontaneous.main(overcommit_factors=(1.0,), scale=TINY)
+        assert static[1] > static[0]
+        assert dynamic[1] <= dynamic[0] * 1.25
 
     def test_fig10_shape(self):
         intervals = (0.0, TINY.psa1_task_duration)
-        points = fig10_announced.run(announce_intervals=intervals, scale=TINY)
-        assert points[0].psa_waste_percent > 0
-        assert points[1].psa_waste_percent == pytest.approx(0.0, abs=1e-6)
-        assert points[1].amr_end_time_increase_percent > 0
-        assert points[0].amr_end_time_increase_percent == pytest.approx(0.0, abs=1e-6)
-        assert "Figure 10" in fig10_announced.main(announce_intervals=(0.0,), scale=TINY)
+        points = sweep("fig10", ("workload.announce_interval", intervals))
+        spontaneous, announced = (points[(i,)] for i in intervals)
+        # The end-time increase against spontaneous updates (interval 0).
+        increase = [
+            100.0 * (p["amr_end_time"] / spontaneous["amr_end_time"] - 1.0)
+            for p in (spontaneous, announced)
+        ]
+        assert spontaneous["psa_waste_percent"] > 0
+        assert announced["psa_waste_percent"] == pytest.approx(0.0, abs=1e-6)
+        assert increase[1] > 0
+        assert increase[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_fig11_shape(self):
-        intervals = (TINY.psa1_task_duration / 2,)
-        points = fig11_two_psas.run(announce_intervals=intervals, scale=TINY)
-        assert len(points) == 1
-        assert points[0].filling_gain_percent > 0
-        assert "Figure 11" in fig11_two_psas.main(announce_intervals=intervals, scale=TINY)
+        interval = TINY.psa1_task_duration / 2
+        points = sweep(
+            "fig11",
+            ("workload.announce_interval", (interval,)),
+            ("rms.strict_equipartition", (True, False)),
+        )
+        assert len(points) == 2
+        filling = points[(interval, False)]["used_resources_percent"]
+        strict = points[(interval, True)]["used_resources_percent"]
+        assert filling - strict > 0
+
+    def test_report_deltas_are_the_derived_series(self, tmp_path):
+        """fig10's end-time increase is its sweep table's Δ% of
+        ``amr_end_time`` against interval 0, and fig11's filling gain the Δ
+        of ``used_resources_percent`` on its filling rows -- to the bit."""
+        store = ResultStore(tmp_path)
+        spec = CampaignSpec(name="figs", scenarios=tuple(resolve_scenarios(["fig10", "fig11"])))
+        CampaignRunner(spec, store=store).run(workers=1)
+        tables = store.sweeps("figs")
+        headers, rows = tables["fig10"]
+        assert [row[headers.index("Δ% amr_end_time")] for row in rows] == (
+            FIG10_END_TIME_INCREASE_PCT
+        )
+        headers, rows = tables["fig11"]
+        filling = [row for row in rows if row[headers.index("strict_equipartition")] == "false"]
+        assert [row[headers.index("Δ used_resources_percent")] for row in filling] == (
+            FIG11_FILLING_GAIN_PCT
+        )

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, ResultStore, resolve_scenarios
-from repro.campaign.registry import consume_provenance, get_runner
+from repro.campaign.registry import run_sweep
 from repro.campaign.runner import trace_filename
 from repro.obs import EventTracer, MetricsRegistry, PhaseProfiler, observe
 from repro.__main__ import main as repro_main
@@ -134,16 +134,12 @@ class TestObservationNeutrality:
     @pytest.mark.parametrize("scenario_name", ["fig9", "fig10"])
     def test_live_instruments_change_no_simulation_metric(self, scenario_name):
         (spec,) = resolve_scenarios([scenario_name])
-        runner = get_runner(spec.runner)
 
-        consume_provenance()
-        plain = dict(runner(spec, 7))
-        consume_provenance()
+        plain = run_sweep(spec, 7)
         with observe(
             tracer=EventTracer(), metrics=MetricsRegistry(), profiler=PhaseProfiler()
         ):
-            observed = dict(runner(spec, 7))
-        consume_provenance()
+            observed = run_sweep(spec, 7)
 
         assert plain == observed
 

@@ -2,7 +2,9 @@
 
 The fixtures pin the summary metrics of every figure scenario (fig1 ... fig11)
 at the campaign's canonical seed (``derive_seed(0, name, 0)``, i.e. what
-``python -m repro campaign run --scenarios figN`` produces for replicate 0).
+``python -m repro campaign run --scenarios figN`` produces for replicate 0):
+``metrics`` for a single run, ``points`` (variant name -> metrics) for a
+sweep such as fig9.
 ``tests/regression/test_golden_experiments.py`` compares fresh runs against
 them, so any refactor that silently changes the paper outputs fails loudly.
 
@@ -18,7 +20,7 @@ import json
 from pathlib import Path
 
 from repro.campaign import builtin  # noqa: F401  (registers the scenarios)
-from repro.campaign.registry import builtin_scenarios, get_runner
+from repro.campaign.registry import builtin_scenarios, run_sweep
 from repro.sim.randomness import derive_seed
 
 #: The scenarios locked down by the golden fixtures: the paper figures, the
@@ -46,14 +48,13 @@ def golden_record(name: str) -> dict:
     """Execute one figure scenario at its canonical campaign seed."""
     spec = builtin_scenarios()[name]
     seed = derive_seed(0, name, 0)
-    metrics = dict(get_runner(spec.runner)(spec, seed))
-    return {
-        "scenario": name,
-        "runner": spec.runner,
-        "scale": spec.scale,
-        "seed": seed,
-        "metrics": metrics,
-    }
+    points = run_sweep(spec, seed)
+    record = {"scenario": name, "runner": spec.runner, "scale": spec.scale, "seed": seed}
+    if spec.axes:
+        record["points"] = {variant.name: metrics for variant, metrics in points}
+    else:
+        ((_spec, record["metrics"]),) = points
+    return record
 
 
 def main() -> None:
@@ -65,7 +66,7 @@ def main() -> None:
             json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n",
             encoding="utf-8",
         )
-        print(f"wrote {path} ({len(record['metrics'])} metrics)")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import json
 from pathlib import Path
 
 from repro.campaign import builtin  # noqa: F401  (registers the scenarios)
-from repro.campaign.registry import builtin_scenarios, consume_provenance, get_runner
+from repro.campaign.registry import builtin_scenarios, run_sweep
 from repro.obs import EventTracer, observe
 from repro.sim.randomness import derive_seed
 
@@ -42,14 +42,13 @@ GOLDEN_OBS_DIR = Path(__file__).resolve().parent.parent / "data" / "golden_obs"
 
 
 def _traced_scenario(name: str) -> tuple:
-    """Run one scenario under the tracer at its canonical campaign seed."""
+    """Run one scenario -- every point of its sweep, in order -- under the
+    tracer at its canonical campaign seed."""
     spec = builtin_scenarios()[name]
     seed = derive_seed(0, name, 0)
     tracer = EventTracer()
-    consume_provenance()
     with observe(tracer=tracer):
-        get_runner(spec.runner)(spec, seed)
-    consume_provenance()
+        run_sweep(spec, seed)
     return tracer, seed
 
 

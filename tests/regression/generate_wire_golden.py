@@ -3,8 +3,9 @@
 The fixture pins what a refactor of the spec classes must never move: the
 bytes of :attr:`ScenarioSpec.canonical_json` (the dist wire format) and the
 idempotency key of replicate 0 (what ``--resume`` deduplicates against), for
-every built-in scenario plus one policy-matrix (``@easy``) and one
-routing-matrix (``+least-loaded``) variant.
+every variant of every built-in scenario (a sweep such as fig9 has one per
+point) plus one policy-matrix (``@easy``) and one routing-matrix
+(``+least-loaded``) variant.
 ``tests/regression/test_wire_golden.py`` compares fresh values against it.
 
 Run this script ONLY when the wire format is changed on purpose::
@@ -31,11 +32,12 @@ GOLDEN_PATH = (
 def wire_keys() -> dict:
     """Scenario name -> canonical-JSON digest and replicate-0 unit key."""
     scenarios = builtin_scenarios()
-    variants = [(spec, name) for name, spec in scenarios.items()]
-    variants.append((scenarios["trace-replay"].with_policy("easy"), "trace-replay"))
-    variants.append(
-        (scenarios["fed-dual-trace"].with_routing("least-loaded"), "fed-dual-trace")
-    )
+    variants = [(v, name) for name, spec in scenarios.items() for v in spec.expand()]
+    variants += [(v, "trace-replay") for v in scenarios["trace-replay"].expand(["easy"])]
+    variants += [
+        (v, "fed-dual-trace")
+        for v in scenarios["fed-dual-trace"].expand(routings=["least-loaded"])
+    ]
     keys = {}
     for spec, base in variants:
         task = RunTask(

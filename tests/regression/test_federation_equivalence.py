@@ -26,7 +26,7 @@ import pytest
 
 from repro.apps.rigid import RigidJobSpec
 from repro.campaign import builtin  # noqa: F401  (registers the scenarios)
-from repro.campaign.registry import builtin_scenarios, get_runner
+from repro.campaign.registry import builtin_scenarios, run_sweep
 from repro.core.errors import RequestError
 from repro.experiments.runner import EvaluationScale, run_scenario
 from repro.faults import FaultPlan
@@ -122,19 +122,21 @@ def test_fed_single_matches_baseline_dynamic(name: str, replicate: int) -> None:
     ``single`` topology.
 
     The federated record additionally carries the ``fed_*`` federation
-    columns; every metric the two records share must match byte for byte.
+    columns; every metric the two records share must match byte for byte,
+    at every point of a sweep (with every metric kept).
     """
-    spec = builtin_scenarios()[name]
+    spec = replace(builtin_scenarios()[name], metrics=())
     seed = derive_seed(0, name, replicate)
-    direct_metrics = dict(get_runner("amr_psa")(spec, seed))
-    federated = replace(spec, federation=TOPOLOGIES.get("single"))
-    fed_metrics = dict(get_runner("amr_psa")(federated, seed))
+    direct = run_sweep(spec, seed)
+    federated = run_sweep(replace(spec, federation=TOPOLOGIES.get("single")), seed)
 
-    shared = set(fed_metrics) & set(direct_metrics)
-    assert shared == set(direct_metrics)  # the federation only *adds* columns
-    assert canonical({k: fed_metrics[k] for k in shared}) == canonical(direct_metrics)
-    extra = set(fed_metrics) - shared
-    assert extra and all(key.startswith("fed_") for key in extra)
+    assert len(federated) == len(direct)
+    for (_, direct_metrics), (_, fed_metrics) in zip(direct, federated):
+        shared = set(fed_metrics) & set(direct_metrics)
+        assert shared == set(direct_metrics)  # the federation only *adds* columns
+        assert canonical({k: fed_metrics[k] for k in shared}) == canonical(direct_metrics)
+        extra = set(fed_metrics) - shared
+        assert extra and all(key.startswith("fed_") for key in extra)
 
 
 def test_amr_too_large_for_every_member_names_the_member() -> None:

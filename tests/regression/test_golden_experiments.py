@@ -61,14 +61,18 @@ def test_figure_scenario_matches_golden_fixture(name: str) -> None:
         f"{name}: seed derivation changed "
         f"({fixture['seed']} -> {fresh['seed']}); campaign replays are broken"
     )
-    expected_metrics = fixture["metrics"]
-    actual_metrics = fresh["metrics"]
-    missing = sorted(set(expected_metrics) - set(actual_metrics))
-    added = sorted(set(actual_metrics) - set(expected_metrics))
-    assert not missing, f"{name}: metrics disappeared: {missing}"
-    assert not added, f"{name}: unexpected new metrics: {added}"
-    for key in sorted(expected_metrics):
-        assert_metric_equal(name, key, expected_metrics[key], actual_metrics[key])
+    # A sweep pins each point's metrics; a single run is its one point.
+    expected_points = fixture.get("points", {name: fixture.get("metrics")})
+    actual_points = fresh.get("points", {name: fresh.get("metrics")})
+    assert sorted(actual_points) == sorted(expected_points), f"{name}: the sweep's points changed"
+    for point, expected_metrics in expected_points.items():
+        actual_metrics = actual_points[point]
+        missing = sorted(set(expected_metrics) - set(actual_metrics))
+        added = sorted(set(actual_metrics) - set(expected_metrics))
+        assert not missing, f"{point}: metrics disappeared: {missing}"
+        assert not added, f"{point}: unexpected new metrics: {added}"
+        for key in sorted(expected_metrics):
+            assert_metric_equal(point, key, expected_metrics[key], actual_metrics[key])
 
 
 def test_every_fixture_has_a_scenario() -> None:

@@ -1,9 +1,9 @@
 """The paper's rules over every built-in run.
 
 ``repro.obs.invariants`` states the rules.  Run as a script, this module
-runs every built-in scenario under every policy it accepts (and, on a
-federation, every fault plan that fits its members) at
-``derive_seed(0, name, 0)``, prints the kill findings of each run, and
+runs every built-in scenario -- every point of a sweep -- under every policy
+it accepts (and, on a federation, every fault plan that fits its members)
+at ``derive_seed(0, name, 0)``, prints the kill findings of each run, and
 exits 1 if the checker reports anything else:
 
     PYTHONPATH=src:tests python tests/support/rules.py
@@ -14,7 +14,7 @@ import dataclasses
 import sys
 
 from repro.campaign.builtin import POLICY_AWARE_RUNNERS  # (registers the scenarios)
-from repro.campaign.registry import builtin_scenarios, consume_provenance, get_runner
+from repro.campaign.registry import builtin_scenarios, run_sweep
 from repro.core import CooRMv2
 from repro.core.errors import SpecError
 from repro.faults.plan import FAULT_PLANS
@@ -32,7 +32,7 @@ def runs():
             plans += [p for p in FAULT_PLANS.names() if p != spec.faults]
         for policy in (None, *POLICIES.names()):
             if spec.runner not in POLICY_AWARE_RUNNERS and policy not in (None, "coorm"):
-                continue  # a figure runner reproduces the paper's policy only
+                continue  # an analytic figure runner computes the paper's results only
             for plan in plans:
                 try:
                     variant = dataclasses.replace(spec, policy=policy, faults=plan)
@@ -53,8 +53,7 @@ def main() -> int:
     count = failed = 0
     for label, spec in runs():
         built.clear()
-        get_runner(spec.runner)(spec, derive_seed(0, spec.name, 0))
-        consume_provenance()
+        run_sweep(spec, derive_seed(0, spec.name, 0))
         count += 1
         found = [v for rms in built for v in breaches(rms.event_log)]
         kills = sum(len(list(violations(rms.event_log))) for rms in built) - len(found)

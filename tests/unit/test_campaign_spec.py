@@ -121,6 +121,69 @@ class TestCampaignSpec:
             ScenarioSpec.from_dict({"name": "s", "platform": [1, 2]})
 
 
+def swept(*axes, **kwargs) -> ScenarioSpec:
+    return ScenarioSpec(name="s", params={"axes": [list(axis) for axis in axes]}, **kwargs)
+
+
+class TestAxes:
+    """``params["axes"]``: one expansion rule for a scenario's own sweep and
+    the campaign's policies and routings."""
+
+    def test_variants_are_the_product_in_axis_order(self):
+        spec = swept(
+            ("workload.overcommit", [0.5, 2.0, 10.0]),
+            ("workload.static_allocation", [True, False]),
+        )
+        campaign = CampaignSpec(name="c", scenarios=(spec,), seeds=3, policies=("coorm", "easy"))
+        expanded = campaign.expanded_scenarios()
+        assert [(v.name, base) for v, base in expanded[:5:2]] == [
+            ("s[overcommit=0.5,static_allocation=true]@coorm", "s"),
+            ("s[overcommit=0.5,static_allocation=false]@coorm", "s"),
+            ("s[overcommit=2,static_allocation=true]@coorm", "s"),
+        ]
+        assert expanded[-1][0].name == "s[overcommit=10,static_allocation=false]@easy"
+        assert campaign.run_count == 36
+        values, variant = spec.sweep(policies=["easy"])[1][3]
+        assert values == (2.0, False, "easy")
+        assert (variant.workload.overcommit, variant.workload.static_allocation) == (2.0, False)
+        assert variant.policy == "easy" and variant.params == {}
+
+    def test_a_scenario_without_axes_is_its_own_point(self):
+        spec = ScenarioSpec(name="s", params={"k": 1})
+        assert spec.expand() == (spec,) and spec.expand()[0] is spec
+        (variant,) = spec.expand(policies=["easy"])
+        assert variant.name == "s@easy" and variant.params == {"k": 1}
+
+    @pytest.mark.parametrize("axes, message", [
+        ([["workload.nope", [1.0]]], r"^params\.axes\[0\]: 'workload.nope' names no scenario field"),
+        ([["faults.events", [1]]], r"^params\.axes\[0\]: 'faults.events' names no scenario field"),
+        ([["name", ["t"]]], r"^params\.axes\[0\]: 'name' cannot be swept"),
+        ([["workload.overcommit", []]], r"^params\.axes\[0\]: needs a non-empty list of values"),
+        ([["workload.overcommit", [1.0]], ["workload.overcommit", [2.0]]],
+         r"^params\.axes\[1\]: sweeps 'workload.overcommit' a second time"),
+        ([["workload.overcommit", [1.0, 1.0000001]]],
+         r"^params\.axes: variants share the name\(s\) \['s\[overcommit=1\]'\]"),
+        ([["rms.violation_grace", [1.0]], ["workload.overcommit", [1.0, -1.0]]],
+         r"^params\.axes\[1\]: workload\.overcommit = -1\.0: must be positive and finite"),
+        ([["federation.routing", ["random"]]], r"^params\.axes\[0\]: federation\.routing = 'random': is unset"),
+        ("workload.overcommit", r"^params\.axes: must be a non-empty list"),
+        ([["workload.overcommit"]], r"^params\.axes\[0\]: must be a \[dotted field path"),
+    ])
+    def test_a_bad_axis_is_located(self, axes, message):
+        with pytest.raises(SpecError, match=message):
+            ScenarioSpec(name="s", params={"axes": axes})
+        with pytest.raises(SpecError, match="^scenarios\\[0\\]." + message[1:]):
+            CampaignSpec.from_dict({"name": "c", "scenarios": [{"name": "s", "params": {"axes": axes}}]})
+
+    def test_a_strict_sweep_under_a_filling_policy_fails_located(self):
+        spec = swept(("rms.strict_equipartition", [True, False]))
+        with pytest.raises(SpecError, match=r"^params\.axes\[0\]: .*conflicts with policy 'easy'"):
+            ScenarioSpec.from_dict({**spec.to_dict(), "policy": "easy"})
+        campaign = CampaignSpec(name="c", scenarios=(ScenarioSpec(name="a"), spec), policies=("easy",))
+        with pytest.raises(SpecError, match=r"^scenarios\[1\]: .*conflicts with policy 'easy'"):
+            campaign.expanded_scenarios()
+
+
 class TestResolveScale:
     def test_named_scale_with_overrides(self):
         spec = ScenarioSpec(

@@ -143,7 +143,7 @@ class TestKeySensitivity:
         (spec,) = resolve_scenarios(["baseline-dynamic"])
         base = make_task()
         repoliced = RunTask(
-            scenario=spec.with_policy("easy"),
+            scenario=spec.expand(policies=["easy"])[0],
             replicate=0,
             seed=base.seed,
             base_scenario=spec.name,
@@ -190,7 +190,7 @@ class TestOneEncodingPerScenario:
         # strings carry -- and the keys of one run come from several
         # variants, so a cache that confused two of them would show.
         (spec,) = resolve_scenarios(["baseline-dynamic"])
-        for scenario in (spec, spec.with_policy("easy")):
+        for scenario in (spec, *spec.expand(policies=["easy"])):
             for collect_obs in (False, True):
                 task = RunTask(scenario=scenario, replicate=replicate, seed=seed,
                                base_scenario=base_scenario, collect_obs=collect_obs,
@@ -242,5 +242,5 @@ class TestOneEncodingPerScenario:
         twin = ScenarioSpec.from_dict(spec.to_dict())
         assert spec.canonical_json == json.dumps(spec.to_dict(), sort_keys=True)
         assert twin == spec and "canonical_json" not in twin.to_dict()
-        renamed = spec.with_policy("easy")
+        (renamed,) = spec.expand(policies=["easy"])
         assert renamed.canonical_json != spec.canonical_json

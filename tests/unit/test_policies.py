@@ -190,10 +190,11 @@ class TestSchedulerPolicyIntegration:
         from repro.campaign.registry import builtin_scenarios, get_runner
 
         fig = builtin_scenarios()["fig1"]
+        easy, coorm = fig.expand(policies=["easy", "coorm"])
         with pytest.raises(ValueError, match="ignores scheduling policies"):
-            get_runner(fig.runner)(fig.with_policy("easy"), seed=0)
+            get_runner(fig.runner)(easy, seed=0)
         # The default policy is what actually runs, so it stays accepted.
-        metrics = get_runner(fig.runner)(fig.with_policy("coorm"), seed=0)
+        metrics = get_runner(fig.runner)(coorm, seed=0)
         assert metrics
 
     def test_sjf_lets_short_job_reserve_first(self):

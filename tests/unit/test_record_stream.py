@@ -24,7 +24,7 @@ import pytest
 from support.protocol import NP, P, PA, ProtocolMachine
 
 from repro.campaign import builtin  # noqa: F401  (registers the scenarios)
-from repro.campaign.registry import builtin_scenarios, consume_provenance, get_runner
+from repro.campaign.registry import builtin_scenarios, run_sweep
 from repro.core import CooRMv2
 from repro.core.events import (
     CapacityChanged,
@@ -104,10 +104,8 @@ def assert_one_stream(tracer, shadows, metrics=None):
 def test_fig9_trace_is_its_event_log_formatted(shadows):
     spec = builtin_scenarios()["fig9"]
     tracer, metrics = EventTracer(), MetricsRegistry()
-    consume_provenance()
     with observe(tracer=tracer, metrics=metrics):
-        get_runner(spec.runner)(spec, derive_seed(0, "fig9", 0))
-    consume_provenance()
+        run_sweep(spec, derive_seed(0, "fig9", 0))
     assert shadows and metrics.counter("rms.views_pushed") > 0
     assert_one_stream(tracer, shadows, metrics)
 
@@ -156,8 +154,7 @@ def test_the_log_balances(shadows, request, name, policy):
     the log's (``==`` on floats).  ``fed-chaos-dual`` kills sessions through
     ``set_capacity``."""
     spec = dataclasses.replace(builtin_scenarios()[name], policy=policy)
-    get_runner(spec.runner)(spec, derive_seed(0, name, 0))
-    consume_provenance()
+    run_sweep(spec, derive_seed(0, name, 0))
     for rms, _, _ in shadows:
         usage = {}
         for finished in allocations(rms):

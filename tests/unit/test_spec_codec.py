@@ -41,7 +41,7 @@ def full_scenario() -> ScenarioSpec:
             rescheduling_interval=2.0, strict_equipartition=True,
             kill_protocol_violators=True, violation_grace=10.0,
         ),
-        params={"overcommit_factors": [0.5, 1.0]},
+        params={"knob": [0.5, 1.0]},
         metrics=("psa_waste_percent",),
     )
 
@@ -58,12 +58,13 @@ def registry_specs():
     builtins = list(builtin_scenarios().values())
     for scenario in builtins:
         yield scenario
-        strict = scenario.rms.strict_equipartition
-        for policy in ["coorm-strict"] if strict else POLICIES.names():
-            yield scenario.with_policy(policy)
-        yield scenario.with_policy({"ordering": "sjf", "sharing": "strict-eq"})
+        strict = scenario.rms.strict_equipartition or "rms.strict_equipartition" in dict(
+            scenario.axes
+        )
+        yield from scenario.expand(policies=["coorm-strict"] if strict else POLICIES.names())
+        yield from scenario.expand(policies=[{"ordering": "sjf", "sharing": "strict-eq"}])
         if scenario.federation is not None:
-            yield from (scenario.with_routing(r) for r in ROUTINGS.names())
+            yield from scenario.expand(routings=ROUTINGS.names())
     yield full_scenario()
     yield ScenarioSpec(name="bare")
     yield CampaignSpec(name="all", scenarios=tuple(builtins), policies=("coorm", "easy"))
