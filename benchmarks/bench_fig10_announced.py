@@ -21,16 +21,11 @@ def test_fig10_single_announced_scenario(benchmark, bench_scale):
     assert result.metrics.psa_waste_node_seconds == 0.0
 
 
-def test_fig10_sweep_report(benchmark, sweep_report):
+def test_fig10_sweep_report(sweep_report):
     """Time (and print) the announce-interval sweep."""
     task = EvaluationScale.tiny().psa1_task_duration
     intervals = tuple(task * f for f in (0.0, 0.25, 0.5, 0.75, 0.92, 1.0, 1.2))
-    headers, rows = benchmark.pedantic(
-        sweep_report,
-        args=("fig10", ("workload.announce_interval", intervals)),
-        rounds=1,
-        iterations=1,
-    )
+    headers, rows = sweep_report("fig10", ("workload.announce_interval", intervals))
     # Waste vanishes once the announce interval reaches the task duration.
     waste = [row[headers.index("psa_waste_percent")] for row in rows]
     assert waste[-1] == 0.0

@@ -25,18 +25,13 @@ def test_fig11_single_two_psa_scenario(benchmark, bench_scale):
     assert len(result.psas) == 2
 
 
-def test_fig11_sweep_report(benchmark, sweep_report):
+def test_fig11_sweep_report(sweep_report):
     """Time (and print) the filling-vs-strict comparison over announce intervals."""
     task = EvaluationScale.tiny().psa1_task_duration
-    headers, rows = benchmark.pedantic(
-        sweep_report,
-        args=(
-            "fig11",
-            ("workload.announce_interval", tuple(task * f for f in (0.0, 0.5, 1.0))),
-            ("rms.strict_equipartition", (True, False)),
-        ),
-        rounds=1,
-        iterations=1,
+    headers, rows = sweep_report(
+        "fig11",
+        ("workload.announce_interval", tuple(task * f for f in (0.0, 0.5, 1.0))),
+        ("rms.strict_equipartition", (True, False)),
     )
     # The filling rows' Δ is the gain over strict at the same interval:
     # equi-partitioning with filling never uses fewer resources than strict.

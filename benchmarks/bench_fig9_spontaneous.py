@@ -23,17 +23,12 @@ def test_fig9_single_dynamic_scenario(benchmark, bench_scale):
     assert result.amr.finished()
 
 
-def test_fig9_sweep_report(benchmark, sweep_report):
+def test_fig9_sweep_report(sweep_report):
     """Time (and print) the static-vs-dynamic sweep over overcommit factors."""
-    headers, rows = benchmark.pedantic(
-        sweep_report,
-        args=(
-            "fig9",
-            ("workload.overcommit", BENCH_OVERCOMMITS),
-            ("workload.static_allocation", (True, False)),
-        ),
-        rounds=1,
-        iterations=1,
+    headers, rows = sweep_report(
+        "fig9",
+        ("workload.overcommit", BENCH_OVERCOMMITS),
+        ("workload.static_allocation", (True, False)),
     )
     # Dynamic rows against the static row of their overcommit factor.
     delta = headers.index("Δ amr_used_node_seconds")

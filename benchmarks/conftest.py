@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, ResultStore, resolve_scenarios
+from repro.campaign.registry import run_sweep
 from repro.experiments import EvaluationScale
 from repro.metrics.report import format_table
 
@@ -23,15 +24,22 @@ def bench_scale() -> EvaluationScale:
     return EvaluationScale.tiny()
 
 
+#: AMR steps of the printed figure sweeps (twice tiny's).
+REPORT_STEPS = 80
+
+
 @pytest.fixture
-def sweep_report(tmp_path):
+def sweep_report(benchmark, tmp_path):
     """``sweep_report(name, *axes)``: the built-in figure *name* over *axes*
-    run as a serial campaign; returns (and prints) its ``campaign report``
-    sweep table as ``(headers, rows)``."""
+    at :data:`REPORT_STEPS` steps.  Times its points as one in-process loop
+    at seed 0, then runs it as a serial campaign and returns (and prints)
+    its ``campaign report`` sweep table as ``(headers, rows)``."""
 
     def run(name, *axes):
         (spec,) = resolve_scenarios([name])
-        spec = replace(spec, params={"axes": [list(axis) for axis in axes]})
+        params = {"axes": [list(axis) for axis in axes], "num_steps": REPORT_STEPS}
+        spec = replace(spec, params=params)
+        benchmark.pedantic(run_sweep, args=(spec, 0), rounds=1, iterations=1)
         store = ResultStore(tmp_path)
         CampaignRunner(CampaignSpec(name=name, scenarios=(spec,)), store=store).run(workers=1)
         headers, rows = store.sweeps(name)[name]

@@ -200,7 +200,7 @@ def run_amr_psa(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
 def run_fig1(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """Shape statistics of one normalised AMR working-set profile."""
     _require_default_policy(spec)
-    num_steps = int(spec.params.get("num_steps", resolve_scale(spec).num_steps))
+    num_steps = resolve_scale(spec).num_steps
     params = (
         AmrEvolutionParameters(num_steps=num_steps)
         if num_steps == 1000
@@ -237,9 +237,8 @@ def run_fig3(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """End-time increase of the equivalent static allocation (one seed)."""
     _require_default_policy(spec)
     scale = resolve_scale(spec)
-    num_steps = int(spec.params.get("num_steps", scale.num_steps))
     points = fig3_static_endtime.run(
-        seeds=(seed,), num_steps=num_steps, s_max_mib=scale.s_max_mib
+        seeds=(seed,), num_steps=scale.num_steps, s_max_mib=scale.s_max_mib
     )
     metrics: Dict[str, object] = {}
     for target, point in points.items():
@@ -252,9 +251,7 @@ def run_fig3(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
 def run_fig4(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """Static-choice node-count ranges per relative peak size (one seed)."""
     _require_default_policy(spec)
-    scale = resolve_scale(spec)
-    num_steps = int(spec.params.get("num_steps", scale.num_steps))
-    rows = fig4_static_choices.run(seed=seed, num_steps=num_steps)
+    rows = fig4_static_choices.run(seed=seed, num_steps=resolve_scale(spec).num_steps)
     metrics: Dict[str, object] = {}
     for relative, row in rows.items():
         metrics[f"min_nodes[rel={relative:g}]"] = row.min_nodes

@@ -367,8 +367,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sweeps = store.sweeps(args.name, records)
-    matrix = store.policy_matrix(args.name, records)
-    routing_matrix = store.routing_matrix(args.name, records)
+    # A swept scenario's policies and routings are axes of its sweep table.
+    plain = [r for r in records if r.get("base_scenario") not in sweeps]
+    matrix = store.policy_matrix(args.name, plain)
+    routing_matrix = store.routing_matrix(args.name, plain)
     obs_summary = store.obs_summary(args.name, records)
     slo_summary = store.slo_summary(args.name, records)
     print(f"campaign {args.name!r}: per-scenario medians over replicates")
@@ -410,13 +412,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(format_table(["objective", "median"], list(verdicts.items())))
     for base, (headers, rows) in sweeps.items():
         print()
-        print(f"== {base}: sweep (medians; Δ, Δ% against the first value of the last axis) ==")
+        print(
+            f"== {base}: sweep (medians; Δ, Δ% against the first value of its last own axis) =="
+        )
         print(format_table(headers, rows))
     # Matrix campaigns additionally get side-by-side comparisons of every
     # policy (and, for federated campaigns, every routing) on the same base
     # scenario -- identical workload per seed in both matrices.
-    _print_matrix_comparisons(matrix, "policy comparison", sweeps)
-    _print_matrix_comparisons(routing_matrix, "routing comparison", sweeps)
+    _print_matrix_comparisons(matrix, "policy comparison")
+    _print_matrix_comparisons(routing_matrix, "routing comparison")
     meta = store.load_meta(args.name)
     if meta and meta.get("dist"):
         print()
@@ -426,12 +430,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_matrix_comparisons(matrix: dict, title: str, sweeps: dict) -> None:
-    """One comparison table per base scenario with >= 2 matrix variants (a
-    swept scenario's policies and routings are axes of its sweep table)."""
+def _print_matrix_comparisons(matrix: dict, title: str) -> None:
+    """One comparison table per base scenario with >= 2 matrix variants."""
     for base in sorted(matrix):
         variants = matrix[base]
-        if len(variants) < 2 or base in sweeps:
+        if len(variants) < 2:
             continue
         names = sorted(variants)
         metrics = sorted(set().union(*(variants[n] for n in names)))

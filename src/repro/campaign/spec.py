@@ -350,7 +350,9 @@ class ScenarioSpec(Spec):
 
 def _check_path(path: str, where: str) -> None:
     """*path* names a field of :class:`ScenarioSpec`, through its ``NESTED``
-    sections, other than ``name`` and ``params``."""
+    sections, other than ``name`` and ``params``, and other than ``policy``
+    and ``federation.routing``: a campaign's ``policies`` and ``routings``
+    sweep those, and would overwrite a scenario's own values."""
     owner = ScenarioSpec
     for part in path.split("."):
         if not (isinstance(owner, type) and part in {f.name for f in fields(owner) if f.init}):
@@ -358,6 +360,9 @@ def _check_path(path: str, where: str) -> None:
         owner = owner.NESTED.get(part)
     if path in ("name", "params"):
         raise SpecError(f"{path!r} cannot be swept", where)
+    if path in ("policy", "federation.routing"):
+        option = "policies" if path == "policy" else "routings"
+        raise SpecError(f"{path!r} is swept by the campaign's {option!r}", where)
 
 
 def _replaced(spec, changes: Mapping[str, object]):
@@ -381,10 +386,12 @@ def _replaced(spec, changes: Mapping[str, object]):
 
 def axis_label(value) -> str:
     """A swept value in a variant name: numbers ``:g``, text as is, the
-    rest (booleans included) as JSON."""
+    rest (booleans included) as JSON.  Path separators are written ``%2F``
+    and ``%5C``: a variant name is also a file name (its runs' traces)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return f"{value:g}"
-    return value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+    label = value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+    return label.replace("/", "%2F").replace("\\", "%5C")
 
 
 def _variant_name(base: str, axes, own: int, values) -> str:
@@ -501,10 +508,13 @@ class CampaignSpec(Spec):
 def resolve_scale(spec: ScenarioSpec) -> EvaluationScale:
     """Build the :class:`EvaluationScale` a scenario runs at.
 
-    The named scale supplies the size knobs; the scenario's RMS and platform
-    sections override the scheduling interval and the cluster headroom.
+    The named scale supplies the size knobs, ``params["num_steps"]`` (when
+    given) the AMR's step count; the scenario's RMS and platform sections
+    override the scheduling interval and the cluster headroom.
     """
     scale: EvaluationScale = getattr(EvaluationScale, spec.scale)()
+    if "num_steps" in spec.params:
+        scale = scale.with_steps(int(spec.params["num_steps"]))
     return replace(
         scale,
         rescheduling_interval=spec.rms.rescheduling_interval,

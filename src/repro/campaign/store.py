@@ -289,48 +289,55 @@ class ResultStore:
         field: str,
         default: Optional[str],
     ) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """Medians grouped by (base scenario, record *field*).
+        """Medians grouped by (point, record *field*).
 
-        *default* substitutes a missing/empty field value; ``None`` skips
-        such records instead (no value to compare by).
+        A point is the record's variant without the ``@policy`` and
+        ``+routing`` suffixes a campaign's policies and routings add: the
+        base scenario, or one cell of its own axes.  *default* substitutes
+        a missing/empty field value; ``None`` skips such records instead
+        (no value to compare by).
         """
         grouped: Dict[str, Dict[str, List[Mapping]]] = {}
         for record in records if records is not None else self.load_records(name):
             value = str(record.get(field) or "") or default
             if value is None:
                 continue
-            base = str(record.get("base_scenario") or record.get("scenario", ""))
-            grouped.setdefault(base, {}).setdefault(value, []).append(
+            point = str(record.get("scenario", ""))
+            for suffix in (f"+{record.get('routing') or ''}", f"@{record.get('policy') or ''}"):
+                if len(suffix) > 1 and point.endswith(suffix):
+                    point = point[: -len(suffix)]
+            grouped.setdefault(point, {}).setdefault(value, []).append(
                 record.get("metrics", {})
             )
         return {
-            base: {
+            point: {
                 value: median_summary(metrics)
                 for value, metrics in by_value.items()
             }
-            for base, by_value in grouped.items()
+            for point, by_value in grouped.items()
         }
 
     def policy_matrix(
         self, name: str, records: Optional[Sequence[Mapping]] = None
     ) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """Per-policy medians: ``{base_scenario: {policy: {metric: median}}}``.
+        """Per-policy medians: ``{point: {policy: {metric: median}}}``.
 
-        Groups the records of one campaign by their pre-expansion scenario
-        name and the policy that produced them, so a policy-matrix campaign
-        can be read as a side-by-side comparison.  Records written before
-        the policy field existed count as the default policy.
+        Groups the records of one campaign by their point (the scenario, or
+        one cell of its own axes, before the policy expansion) and the
+        policy that produced them, so a policy-matrix campaign can be read
+        as a side-by-side comparison.  Records written before the policy
+        field existed count as the default policy.
         """
         return self._matrix(name, records, field="policy", default="coorm")
 
     def routing_matrix(
         self, name: str, records: Optional[Sequence[Mapping]] = None
     ) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """Per-routing medians: ``{base_scenario: {routing: {metric: median}}}``.
+        """Per-routing medians: ``{point: {routing: {metric: median}}}``.
 
         The federation counterpart of :meth:`policy_matrix`: groups the
-        records of one campaign by their pre-expansion scenario name and
-        the routing policy that placed their applications, so a routing x
+        records of one campaign by their point and the routing policy that
+        placed their applications, so a routing x
         topology campaign reads as a side-by-side comparison.  Records of
         non-federated runs (no ``routing`` field, or an empty one) are
         skipped -- there is no routing to compare.
@@ -345,10 +352,11 @@ class ResultStore:
 
         One row per variant, in axis order: the axis values, the medians of
         the scenario's metrics (all of them when it names none), then the
-        Δ and Δ% of each against the row whose last axis takes its first
-        value, the other axes held fixed.  fig10's end-time increase is the
-        Δ% of ``amr_end_time``, fig11's filling gain the Δ of
-        ``used_resources_percent``.
+        Δ and Δ% of each against the row whose last own axis (the last of
+        ``params["axes"]``, before the campaign's policies and routings)
+        takes its first value, every other axis held fixed.  fig10's
+        end-time increase is the Δ% of ``amr_end_time``, fig11's filling
+        gain the Δ of ``used_resources_percent``, under any policy.
         """
         spec = self.load_spec(name)
         swept = [s for s in spec.scenarios if s.axes] if spec is not None else []
@@ -358,10 +366,12 @@ class ResultStore:
             axes, points = scenario.sweep(spec.policies, spec.routings)
             medians = [summary.get(variant.name, {}) for _values, variant in points]
             metrics = list(scenario.metrics) or sorted(set().union(*medians))
-            width = len(axes[-1][1])
+            # Rows per step of the last own axis: one per campaign cell.
+            stride = max(len(spec.policies), 1) * max(len(spec.routings), 1)
+            width = len(scenario.axes[-1][1])
             rows = []
             for i, (values, _variant) in enumerate(points):
-                row, reference = medians[i], medians[i - i % width]
+                row, reference = medians[i], medians[i - (i // stride % width) * stride]
                 deltas, percents = [], []
                 for metric in metrics:
                     value, base = row.get(metric), reference.get(metric)

@@ -88,6 +88,9 @@ class EvaluationScale:
             psa2_task_duration=10.0,
         )
 
+    def with_steps(self, num_steps: int) -> "EvaluationScale":
+        return replace(self, num_steps=num_steps)
+
 
 @dataclass
 class ScenarioResult:

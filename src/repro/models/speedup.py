@@ -47,12 +47,6 @@ class SpeedupModel:
             raise ValueError("model coefficients must be positive (D non-negative)")
         if self.s_max_mib <= 0:
             raise ValueError("s_max_mib must be positive")
-        # The memoized methods key on ``self``: hash the fields once here
-        # instead of on every cache lookup.
-        object.__setattr__(self, "_hash", hash((self.a, self.b, self.c, self.d, self.s_max_mib)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     # ------------------------------------------------------------------ #
     # Core quantities

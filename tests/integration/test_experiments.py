@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from repro.campaign import CampaignRunner, CampaignSpec, ResultStore
+from repro.campaign import CampaignRunner, CampaignSpec, ResultStore, ScenarioSpec
 from repro.campaign.registry import builtin_scenarios, get_runner, resolve_scenarios, run_sweep
 from repro.core.errors import SpecError
 from repro.experiments import (
@@ -153,3 +153,27 @@ class TestSimulationFigures:
         assert [row[headers.index("Δ used_resources_percent")] for row in filling] == (
             FIG11_FILLING_GAIN_PCT
         )
+
+    def test_campaign_policies_keep_points_and_references_apart(self, tmp_path):
+        """Under ``--policies`` a policy matrix cell is one point, and the
+        Δ still compares the scenario's own last axis, policy held fixed."""
+        spec = ScenarioSpec(
+            name="s", params={"axes": [["workload.static_allocation", [True, False]]]}
+        )
+        store = ResultStore(tmp_path)
+        campaign = CampaignSpec(name="c", scenarios=(spec,), policies=("coorm", "easy"))
+        CampaignRunner(campaign, store=store).run(workers=1)
+        summary = store.summarize("c")
+        matrix = store.policy_matrix("c")
+        assert sorted(matrix) == ["s[static_allocation=false]", "s[static_allocation=true]"]
+        for point, policy in product(matrix, ("coorm", "easy")):
+            assert matrix[point][policy] == summary[f"{point}@{policy}"]
+        headers, rows = store.sweeps("c")["s"]
+        assert [row[:2] for row in rows] == [
+            ("true", "coorm"), ("true", "easy"), ("false", "coorm"), ("false", "easy"),
+        ]
+        used = headers.index("amr_used_node_seconds")
+        delta = headers.index("Δ amr_used_node_seconds")
+        assert [row[delta] for row in rows] == [
+            0.0, 0.0, rows[2][used] - rows[0][used], rows[3][used] - rows[1][used],
+        ]

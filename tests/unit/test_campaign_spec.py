@@ -1,9 +1,11 @@
 """Spec model: validation, JSON files, scale resolution (round trips:
 ``test_spec_codec.py``)."""
 import math
+from pathlib import PurePosixPath, PureWindowsPath
 
 import pytest
 
+from repro.campaign.runner import trace_filename
 from repro.campaign.spec import (
     CampaignSpec,
     PlatformSpec,
@@ -165,7 +167,10 @@ class TestAxes:
          r"^params\.axes: variants share the name\(s\) \['s\[overcommit=1\]'\]"),
         ([["rms.violation_grace", [1.0]], ["workload.overcommit", [1.0, -1.0]]],
          r"^params\.axes\[1\]: workload\.overcommit = -1\.0: must be positive and finite"),
-        ([["federation.routing", ["random"]]], r"^params\.axes\[0\]: federation\.routing = 'random': is unset"),
+        ([["federation.clusters", [[]]]], r"^params\.axes\[0\]: federation\.clusters = \[\]: is unset"),
+        ([["policy", ["coorm", "easy"]]], r"^params\.axes\[0\]: 'policy' is swept by the campaign's 'policies'"),
+        ([["federation.routing", ["random"]]],
+         r"^params\.axes\[0\]: 'federation.routing' is swept by the campaign's 'routings'"),
         ("workload.overcommit", r"^params\.axes: must be a non-empty list"),
         ([["workload.overcommit"]], r"^params\.axes\[0\]: must be a \[dotted field path"),
     ])
@@ -174,6 +179,14 @@ class TestAxes:
             ScenarioSpec(name="s", params={"axes": axes})
         with pytest.raises(SpecError, match="^scenarios\\[0\\]." + message[1:]):
             CampaignSpec.from_dict({"name": "c", "scenarios": [{"name": "s", "params": {"axes": axes}}]})
+
+    def test_a_path_value_names_one_file(self):
+        spec = swept(("description", ["data/a.swf", "data\\b.swf"]))
+        names = [variant.name for variant in spec.expand()]
+        assert names == ["s[description=data%2Fa.swf]", "s[description=data%5Cb.swf]"]
+        for name in names:
+            assert PurePosixPath(trace_filename(name, 0)).name == trace_filename(name, 0)
+            assert PureWindowsPath(trace_filename(name, 0)).name == trace_filename(name, 0)
 
     def test_a_strict_sweep_under_a_filling_policy_fails_located(self):
         spec = swept(("rms.strict_equipartition", [True, False]))
@@ -185,6 +198,10 @@ class TestAxes:
 
 
 class TestResolveScale:
+    def test_num_steps_sets_the_scale_of_every_runner(self):
+        spec = ScenarioSpec(name="s", params={"num_steps": 80})
+        assert resolve_scale(spec) == resolve_scale(ScenarioSpec(name="s")).with_steps(80)
+
     def test_named_scale_with_overrides(self):
         spec = ScenarioSpec(
             name="x",

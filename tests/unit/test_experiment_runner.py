@@ -28,6 +28,9 @@ class TestEvaluationScale:
         assert tiny.num_steps < reduced.num_steps < paper.num_steps
         assert tiny.s_max_mib < reduced.s_max_mib < paper.s_max_mib
 
+    def test_with_steps(self):
+        assert EvaluationScale.reduced().with_steps(42).num_steps == 42
+
 
 class TestScaledEvolutionParameters:
     def test_scaled_keeps_shape_for_short_runs(self):
