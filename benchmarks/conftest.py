@@ -14,6 +14,7 @@ import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, ResultStore, resolve_scenarios
 from repro.campaign.registry import run_sweep
+from repro.campaign.store import medians, sweep_tables
 from repro.experiments import EvaluationScale
 from repro.metrics.report import format_table
 
@@ -41,8 +42,9 @@ def sweep_report(benchmark, tmp_path):
         spec = replace(spec, params=params)
         benchmark.pedantic(run_sweep, args=(spec, 0), rounds=1, iterations=1)
         store = ResultStore(tmp_path)
-        CampaignRunner(CampaignSpec(name=name, scenarios=(spec,)), store=store).run(workers=1)
-        headers, rows = store.sweeps(name)[name]
+        campaign = CampaignSpec(name=name, scenarios=(spec,))
+        CampaignRunner(campaign, store=store).run(workers=1)
+        headers, rows = sweep_tables(campaign, medians(store.load_records(name)))[name]
         print()
         print(format_table(headers, rows))
         return headers, rows

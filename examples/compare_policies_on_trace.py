@@ -34,6 +34,7 @@ from repro.campaign import (
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.campaign.store import by_policy, comparisons
 from repro.metrics import format_table
 from repro.policies import registry
 
@@ -94,7 +95,7 @@ def main() -> None:
             f"({len(POLICIES)} policies x {spec.seeds} seed) "
             f"in {result.elapsed_seconds:.2f}s"
         )
-        matrix = store.policy_matrix(spec.name)["swf-policy-compare"]
+        matrix = comparisons(store.load_records(spec.name), by_policy)["swf-policy-compare"]
 
     rows = []
     for metric in METRICS:

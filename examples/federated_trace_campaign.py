@@ -36,6 +36,7 @@ from repro.campaign import (
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.campaign.store import by_routing, comparisons
 from repro.metrics import format_table
 
 TRACE_PATH = Path(__file__).parent.parent / "tests" / "data" / "tiny.swf"
@@ -95,7 +96,7 @@ def main() -> None:
             f"({len(ROUTINGS)} routings x {spec.seeds} seed) "
             f"in {result.elapsed_seconds:.2f}s"
         )
-        matrix = store.routing_matrix(spec.name)["swf-federated"]
+        matrix = comparisons(store.load_records(spec.name), by_routing)["swf-federated"]
 
     rows = []
     for metric in METRICS:

@@ -31,6 +31,7 @@ from repro.campaign import (
     TraceSource,
     WorkloadSpec,
 )
+from repro.campaign.store import medians, provenance
 from repro.metrics import format_table
 from repro.traces import AdaptiveMix, convert_trace, load_swf, mix_counts
 
@@ -81,15 +82,16 @@ def main() -> None:
             f"-> {result.store_path}"
         )
 
-        summary = store.summarize("swf-replay-demo")["swf-replay"]
+        records = store.load_records("swf-replay-demo")  # one read, two tables
+        summary = medians(records)["swf-replay"]
         rows = [(k, v) for k, v in summary.items() if not k.startswith("psa")]
         print(format_table(["metric (median over seeds)", "value"], rows))
 
-        provenance = store.provenance_of("swf-replay-demo")["swf-replay"]
-        print(f"\nworkload provenance: {provenance['source']['path']}")
+        origin = provenance(records)["swf-replay"]
+        print(f"\nworkload provenance: {origin['source']['path']}")
         print(f"  transform chain: "
-              f"{' -> '.join(s['kind'] for s in provenance['steps'])}")
-        print(f"  realised mix:    {provenance['kind_counts']}")
+              f"{' -> '.join(s['kind'] for s in origin['steps'])}")
+        print(f"  realised mix:    {origin['kind_counts']}")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,9 @@ from . import builtin  # noqa: F401  (registers the built-in scenarios)
 from .registry import builtin_scenarios, resolve_scenarios
 from .runner import CampaignInterrupted, CampaignRunner
 from .spec import SCALE_NAMES, CampaignSpec
-from .store import ResultStore
+from .store import (
+    ResultStore, by_policy, by_routing, compare, comparisons, medians, provenance, sweep_tables,
+)
 
 __all__ = ["add_commands", "run_command", "build_parser", "main"]
 
@@ -354,31 +356,33 @@ def _federation_breakdown_rows(summary: dict) -> List[tuple]:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     store = ResultStore(args.results_dir)
+    # One read of each run file; every table below is a function of its rows.
     try:
-        if args.compare:
-            rows = store.compare(args.name, args.compare)
-            print(f"campaign comparison: {args.name} vs {args.compare}")
-            print(format_comparison(rows, label_a=args.name, label_b=args.compare))
-            return 0
         records = store.load_records(args.name)
-        summary = store.summarize(args.name, records)
-        provenance = store.provenance_of(args.name, records)
+        if args.compare:
+            other = store.load_records(args.compare)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sweeps = store.sweeps(args.name, records)
+    summary = medians(records)
+    if args.compare:
+        print(f"campaign comparison: {args.name} vs {args.compare}")
+        rows = compare(summary, medians(other))
+        print(format_comparison(rows, label_a=args.name, label_b=args.compare))
+        return 0
+    spec = store.load_spec(args.name)
+    sweeps = sweep_tables(spec, summary) if spec is not None else {}
     # A swept scenario's policies and routings are axes of its sweep table.
     plain = [r for r in records if r.get("base_scenario") not in sweeps]
-    matrix = store.policy_matrix(args.name, plain)
-    routing_matrix = store.routing_matrix(args.name, plain)
-    obs_summary = store.obs_summary(args.name, records)
-    slo_summary = store.slo_summary(args.name, records)
+    provenance_of = provenance(records)
+    obs_summary = medians(records, field="obs")
+    slo_summary = medians(records, field="slo")
     print(f"campaign {args.name!r}: per-scenario medians over replicates")
     for scenario in summary:
         print()
         print(f"== {scenario} ==")
-        if scenario in provenance:
-            print(f"workload: {_describe_provenance(provenance[scenario])}")
+        if scenario in provenance_of:
+            print(f"workload: {_describe_provenance(provenance_of[scenario])}")
         rows = list(summary[scenario].items())
         print(format_table(["metric", "median"], rows))
         breakdown = _federation_breakdown_rows(summary[scenario])
@@ -419,8 +423,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     # Matrix campaigns additionally get side-by-side comparisons of every
     # policy (and, for federated campaigns, every routing) on the same base
     # scenario -- identical workload per seed in both matrices.
-    _print_matrix_comparisons(matrix, "policy comparison")
-    _print_matrix_comparisons(routing_matrix, "routing comparison")
+    _print_comparisons(comparisons(plain, by_policy), "policy comparison")
+    _print_comparisons(comparisons(plain, by_routing), "routing comparison")
     meta = store.load_meta(args.name)
     if meta and meta.get("dist"):
         print()
@@ -430,12 +434,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_matrix_comparisons(matrix: dict, title: str) -> None:
-    """One comparison table per base scenario with >= 2 matrix variants."""
+def _print_comparisons(matrix: dict, title: str) -> None:
+    """One table per point of :func:`~repro.campaign.store.comparisons`."""
     for base in sorted(matrix):
         variants = matrix[base]
-        if len(variants) < 2:
-            continue
         names = sorted(variants)
         metrics = sorted(set().union(*(variants[n] for n in names)))
         rows = [

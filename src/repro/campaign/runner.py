@@ -334,11 +334,6 @@ class CampaignRunner:
                 profiler.merge(phases)
 
         if self.store is not None:
-            # Time the run-file write through the store's own hook so the
-            # breakdown in meta.json includes it (meta.json itself is then
-            # rewritten with the final snapshot -- a cheap second write).
-            with observe(profiler=profiler):
-                self.store.save_campaign(self.spec, records, append=append)
             meta = {
                 "workers": result.workers,
                 "transport": result.transport,
@@ -347,16 +342,17 @@ class CampaignRunner:
                 "interrupted": result.interrupted,
                 "skipped": result.skipped,
                 "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                "phase_seconds": profiler.snapshot(),
             }
             if result.dist_stats is not None:
                 # Runtime distribution counters are non-deterministic under
                 # retries and kills; they belong in meta.json, never in the
                 # byte-stable runs.jsonl.
                 meta["dist"] = result.dist_stats
-            result.store_path = str(
-                self.store.save_campaign(self.spec, [], meta=meta, append=True)
-            )
+            # One write: the store times it into the profiler, whose
+            # snapshot becomes meta.json's phase_seconds.
+            with observe(profiler=profiler):
+                directory = self.store.save_campaign(self.spec, records, meta=meta, append=append)
+            result.store_path = str(directory)
 
         if result.interrupted:
             raise CampaignInterrupted(result)

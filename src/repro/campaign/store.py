@@ -12,7 +12,12 @@ Layout (one directory per campaign under the store root)::
 (scenario order, replicate) and serialised with sorted keys, so two
 executions of the same campaign produce **byte-identical** run files no
 matter how many workers they used.  Everything non-deterministic (timings,
-worker counts, timestamps) lives in ``meta.json``.
+worker counts, timestamps) lives in ``meta.json``.  One execution writes
+all three files in one :meth:`ResultStore.save_campaign` call.
+
+The analyses are functions of rows the caller loaded (one read of
+``runs.jsonl`` per report), and one rule: :func:`group_rows` groups them by
+a key, and :func:`median_summary` summarises each group once.
 """
 from __future__ import annotations
 
@@ -22,7 +27,9 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from ..core.errors import SpecError
 from ..metrics.collector import median_summary
@@ -30,7 +37,19 @@ from ..obs import hooks as _obs
 from ..obs.logsetup import get_logger
 from .spec import CampaignSpec, axis_label
 
-__all__ = ["CampaignInfo", "ResultStore", "DEFAULT_RESULTS_DIR"]
+__all__ = [
+    "CampaignInfo",
+    "ResultStore",
+    "DEFAULT_RESULTS_DIR",
+    "by_policy",
+    "by_routing",
+    "group_rows",
+    "medians",
+    "provenance",
+    "comparisons",
+    "sweep_tables",
+    "compare",
+]
 
 #: Default store root, overridable with the ``REPRO_RESULTS_DIR`` variable.
 DEFAULT_RESULTS_DIR = "results"
@@ -92,12 +111,17 @@ class ResultStore:
         meta: Optional[Mapping] = None,
         append: bool = False,
     ) -> Path:
-        """Persist one campaign execution; returns the campaign directory.
+        """Persist one campaign execution -- its rows, ``campaign.json`` and
+        (when given) ``meta.json`` -- in one call; returns the campaign
+        directory.
 
         Records are re-ordered deterministically before writing.  With
         ``append=True`` new records are added after the existing ones (the
         per-execution block is still deterministically ordered), which keeps
-        benchmark trajectories across repeated executions.
+        benchmark trajectories across repeated executions.  Under an
+        observed :class:`~repro.obs.PhaseProfiler` the rows and spec write is
+        timed as ``store.write``, and *meta*'s ``phase_seconds`` is the
+        profiler's snapshot taken after it.
         """
         profiler = _obs.PROFILER[0]
         write_started = time.perf_counter() if profiler is not None else 0.0
@@ -117,12 +141,15 @@ class ResultStore:
             fh.write(lines)
 
         (directory / _SPEC_FILE).write_text(spec.to_json() + "\n", encoding="utf-8")
-        if meta is not None:
-            (directory / _META_FILE).write_text(
-                json.dumps(dict(meta), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
         if profiler is not None:
             profiler.add("store.write", time.perf_counter() - write_started)
+        if meta is not None:
+            meta = dict(meta)
+            if profiler is not None:
+                meta["phase_seconds"] = profiler.snapshot()
+            (directory / _META_FILE).write_text(
+                json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
         return directory
 
     # ------------------------------------------------------------------ #
@@ -201,209 +228,154 @@ class ResultStore:
             return set()
         return {str(record["unit"]) for record in self.load_records(name) if record.get("unit")}
 
-    # ------------------------------------------------------------------ #
-    # Analysis
-    # ------------------------------------------------------------------ #
-    def summarize(
-        self, name: str, records: Optional[Sequence[Mapping]] = None
-    ) -> Dict[str, Dict[str, float]]:
-        """Per-scenario medians over replicates: ``{scenario: {metric: median}}``.
 
-        Pass *records* (from :meth:`load_records`) to analyse an
-        already-loaded run file instead of re-reading it from disk.
-        """
-        by_scenario: Dict[str, List[Mapping]] = {}
-        for record in records if records is not None else self.load_records(name):
-            scenario = str(record.get("scenario", ""))
-            by_scenario.setdefault(scenario, []).append(record.get("metrics", {}))
-        return {
-            scenario: median_summary(metrics)
-            for scenario, metrics in by_scenario.items()
-        }
+# ---------------------------------------------------------------------- #
+# Analysis: functions of rows the caller loaded, one rule for all of them
+# ---------------------------------------------------------------------- #
+def _scenario(record: Mapping) -> str:
+    """A row's scenario variant: the key of every per-scenario table."""
+    return str(record.get("scenario", ""))
 
-    def obs_summary(
-        self, name: str, records: Optional[Sequence[Mapping]] = None
-    ) -> Dict[str, Dict[str, float]]:
-        """Per-scenario medians of the recorded observability counters.
 
-        Records carry an ``obs`` field only when the campaign ran with
-        ``--obs``; scenarios without any such record are absent.  The
-        snapshots are flat metric dicts, so the same median machinery that
-        summarises simulation metrics applies unchanged.
-        """
-        return self._field_medians(name, records, "obs")
+def _point(record: Mapping) -> str:
+    """The row's variant without the ``@policy`` and ``+routing`` suffixes a
+    campaign's policies and routings add: the base scenario, or one cell of
+    its own axes."""
+    point = _scenario(record)
+    for suffix in (f"+{record.get('routing') or ''}", f"@{record.get('policy') or ''}"):
+        if len(suffix) > 1 and point.endswith(suffix):
+            point = point[: -len(suffix)]
+    return point
 
-    def slo_summary(
-        self, name: str, records: Optional[Sequence[Mapping]] = None
-    ) -> Dict[str, Dict[str, float]]:
-        """Per-scenario medians of the recorded SLO verdicts.
 
-        Records carry an ``slo`` field only when the campaign ran with
-        ``--slo``; scenarios without any such record are absent.  The
-        verdicts are flat metric dicts (``slo.passed`` is 1.0/0.0, so its
-        median reads as "the majority of replicates passed"), summarised by
-        the same median machinery as everything else.
-        """
-        return self._field_medians(name, records, "slo")
+def by_policy(record: Mapping) -> Tuple[str, str]:
+    """``(point, policy)``; rows written before the policy field existed
+    count as the default policy."""
+    return _point(record), str(record.get("policy") or "") or "coorm"
 
-    def _field_medians(
-        self, name: str, records: Optional[Sequence[Mapping]], field: str
-    ) -> Dict[str, Dict[str, float]]:
-        """Per-scenario medians of the flat dicts in the records' *field*."""
-        by_scenario: Dict[str, List[Mapping]] = {}
-        for record in records if records is not None else self.load_records(name):
-            values = record.get(field)
-            # Most records lack the field: skip them before the ABC check.
-            if values is not None and isinstance(values, Mapping):
-                scenario = str(record.get("scenario", ""))
-                by_scenario.setdefault(scenario, []).append(values)
-        return {
-            scenario: median_summary(samples)
-            for scenario, samples in by_scenario.items()
-        }
 
-    def provenance_of(
-        self, name: str, records: Optional[Sequence[Mapping]] = None
-    ) -> Dict[str, Dict]:
-        """Per-scenario workload provenance: ``{scenario: provenance}``.
+def by_routing(record: Mapping) -> Optional[Tuple[str, str]]:
+    """``(point, routing)``; ``None`` for a non-federated row, which has no
+    routing to compare."""
+    routing = str(record.get("routing") or "")
+    return (_point(record), routing) if routing else None
 
-        Replicates of one scenario share their provenance except for
-        derived-seed details, so the first record's provenance represents
-        the scenario; scenarios without any recorded provenance are absent.
-        Pass *records* to analyse an already-loaded run file.
-        """
-        provenance: Dict[str, Dict] = {}
-        for record in records if records is not None else self.load_records(name):
-            scenario = str(record.get("scenario", ""))
-            if scenario in provenance:
-                continue
-            found = record.get("provenance")
-            if found is not None and isinstance(found, Mapping):
-                provenance[scenario] = dict(found)
-        return provenance
 
-    def _matrix(
-        self,
-        name: str,
-        records: Optional[Sequence[Mapping]],
-        field: str,
-        default: Optional[str],
-    ) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """Medians grouped by (point, record *field*).
+def group_rows(
+    records: Iterable[Mapping], key: Callable[[Mapping], Hashable], field: str = "metrics"
+) -> Dict[Hashable, List[Mapping]]:
+    """The one rule: each row's flat *field* dict under ``key(row)``, groups
+    in first-seen order.  A row without the field (``obs`` and ``slo`` ride
+    along only under ``--obs``/``--slo``) or with a ``None`` key is skipped."""
+    groups: Dict[Hashable, List[Mapping]] = {}
+    for record in records:
+        values = record.get(field)
+        # Most rows lack obs/slo: skip them before the ABC check.
+        if values is None or not isinstance(values, Mapping):
+            continue
+        group = key(record)
+        if group is not None:
+            groups.setdefault(group, []).append(values)
+    return groups
 
-        A point is the record's variant without the ``@policy`` and
-        ``+routing`` suffixes a campaign's policies and routings add: the
-        base scenario, or one cell of its own axes.  *default* substitutes
-        a missing/empty field value; ``None`` skips such records instead
-        (no value to compare by).
-        """
-        grouped: Dict[str, Dict[str, List[Mapping]]] = {}
-        for record in records if records is not None else self.load_records(name):
-            value = str(record.get(field) or "") or default
-            if value is None:
-                continue
-            point = str(record.get("scenario", ""))
-            for suffix in (f"+{record.get('routing') or ''}", f"@{record.get('policy') or ''}"):
-                if len(suffix) > 1 and point.endswith(suffix):
-                    point = point[: -len(suffix)]
-            grouped.setdefault(point, {}).setdefault(value, []).append(
-                record.get("metrics", {})
-            )
-        return {
-            point: {
-                value: median_summary(metrics)
-                for value, metrics in by_value.items()
-            }
-            for point, by_value in grouped.items()
-        }
 
-    def policy_matrix(
-        self, name: str, records: Optional[Sequence[Mapping]] = None
-    ) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """Per-policy medians: ``{point: {policy: {metric: median}}}``.
+def medians(records: Iterable[Mapping], field: str = "metrics") -> Dict[str, Dict[str, float]]:
+    """``{scenario: {metric: median}}`` over replicates: :func:`median_summary`
+    of each scenario's rows, taken once.  ``field="obs"`` and ``field="slo"``
+    give the medians of the observability counters and of the SLO verdicts
+    (``slo.passed`` is 1.0/0.0, so its median reads as "the majority of
+    replicates passed")."""
+    groups = group_rows(records, _scenario, field)
+    return {scenario: median_summary(rows) for scenario, rows in groups.items()}
 
-        Groups the records of one campaign by their point (the scenario, or
-        one cell of its own axes, before the policy expansion) and the
-        policy that produced them, so a policy-matrix campaign can be read
-        as a side-by-side comparison.  Records written before the policy
-        field existed count as the default policy.
-        """
-        return self._matrix(name, records, field="policy", default="coorm")
 
-    def routing_matrix(
-        self, name: str, records: Optional[Sequence[Mapping]] = None
-    ) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """Per-routing medians: ``{point: {routing: {metric: median}}}``.
+def provenance(records: Iterable[Mapping]) -> Dict[str, Dict]:
+    """Per-scenario workload provenance: the first row's of each scenario.
 
-        The federation counterpart of :meth:`policy_matrix`: groups the
-        records of one campaign by their point and the routing policy that
-        placed their applications, so a routing x
-        topology campaign reads as a side-by-side comparison.  Records of
-        non-federated runs (no ``routing`` field, or an empty one) are
-        skipped -- there is no routing to compare.
-        """
-        return self._matrix(name, records, field="routing", default=None)
+    Replicates of one scenario share their provenance except for
+    derived-seed details; scenarios without any recorded provenance are
+    absent."""
+    return {
+        scenario: dict(rows[0])
+        for scenario, rows in group_rows(records, _scenario, "provenance").items()
+    }
 
-    def sweeps(
-        self, name: str, records: Optional[Sequence[Mapping]] = None
-    ) -> Dict[str, Tuple[List[str], List[tuple]]]:
-        """``{base_scenario: (headers, rows)}``: one sweep table per scenario
-        with axes, rebuilt from the stored campaign spec.
 
-        One row per variant, in axis order: the axis values, the medians of
-        the scenario's metrics (all of them when it names none), then the
-        Δ and Δ% of each against the row whose last own axis (the last of
-        ``params["axes"]``, before the campaign's policies and routings)
-        takes its first value, every other axis held fixed.  fig10's
-        end-time increase is the Δ% of ``amr_end_time``, fig11's filling
-        gain the Δ of ``used_resources_percent``, under any policy.
-        """
-        spec = self.load_spec(name)
-        swept = [s for s in spec.scenarios if s.axes] if spec is not None else []
-        summary = self.summarize(name, records) if swept else {}
-        tables: Dict[str, Tuple[List[str], List[tuple]]] = {}
-        for scenario in swept:
-            axes, points = scenario.sweep(spec.policies, spec.routings)
-            medians = [summary.get(variant.name, {}) for _values, variant in points]
-            metrics = list(scenario.metrics) or sorted(set().union(*medians))
-            # Rows per step of the last own axis: one per campaign cell.
-            stride = max(len(spec.policies), 1) * max(len(spec.routings), 1)
-            width = len(scenario.axes[-1][1])
-            rows = []
-            for i, (values, _variant) in enumerate(points):
-                row, reference = medians[i], medians[i - (i // stride % width) * stride]
-                deltas, percents = [], []
-                for metric in metrics:
-                    value, base = row.get(metric), reference.get(metric)
-                    known = value is not None and base is not None
-                    deltas.append(value - base if known else "")
-                    percents.append(100.0 * (value / base - 1.0) if known and base else "")
-                rows.append((
-                    *(axis_label(v) for v in values),
-                    *(row.get(metric, "") for metric in metrics),
-                    *deltas,
-                    *percents,
-                ))
-            headers = [path.rpartition(".")[2] for path, _values in axes]
-            headers += metrics + [f"Δ {m}" for m in metrics] + [f"Δ% {m}" for m in metrics]
-            tables[scenario.name] = (headers, rows)
-        return tables
+def comparisons(
+    records: Iterable[Mapping], key: Callable[[Mapping], Optional[Tuple[str, str]]]
+) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """``{point: {value: {metric: median}}}`` for every point whose rows take
+    at least two values of *key* (:func:`by_policy` or :func:`by_routing`):
+    a side-by-side comparison of the policies, or routings, that ran the
+    same workload.  A point with one value compares nothing and is not
+    summarised at all."""
+    by_point: Dict[str, Dict[str, List[Mapping]]] = {}
+    for (point, value), rows in group_rows(records, key).items():
+        by_point.setdefault(point, {})[value] = rows
+    return {
+        point: {value: median_summary(rows) for value, rows in by_value.items()}
+        for point, by_value in by_point.items()
+        if len(by_value) > 1
+    }
 
-    def compare(
-        self, name_a: str, name_b: str
-    ) -> List[Tuple[str, str, float, float, float]]:
-        """Metric-by-metric comparison of two campaigns' medians.
 
-        Returns ``(scenario, metric, a, b, b - a)`` rows for every metric
-        present in both campaigns, in deterministic order.
-        """
-        summary_a = self.summarize(name_a)
-        summary_b = self.summarize(name_b)
-        rows: List[Tuple[str, str, float, float, float]] = []
-        for scenario in sorted(set(summary_a) & set(summary_b)):
-            metrics_a = summary_a[scenario]
-            metrics_b = summary_b[scenario]
-            for metric in sorted(set(metrics_a) & set(metrics_b)):
-                a, b = metrics_a[metric], metrics_b[metric]
-                rows.append((scenario, metric, a, b, b - a))
-        return rows
+def sweep_tables(
+    spec: CampaignSpec, summary: Mapping[str, Mapping[str, float]]
+) -> Dict[str, Tuple[List[str], List[tuple]]]:
+    """``{base_scenario: (headers, rows)}``: one sweep table per scenario of
+    *spec* with axes, read off the per-scenario *summary* (:func:`medians`).
+
+    One row per variant, in axis order: the axis values, the medians of
+    the scenario's metrics (all of them when it names none), then the
+    Δ and Δ% of each against the row whose last own axis (the last of
+    ``params["axes"]``, before the campaign's policies and routings)
+    takes its first value, every other axis held fixed.  fig10's
+    end-time increase is the Δ% of ``amr_end_time``, fig11's filling
+    gain the Δ of ``used_resources_percent``, under any policy.
+    """
+    tables: Dict[str, Tuple[List[str], List[tuple]]] = {}
+    for scenario in spec.scenarios:
+        if not scenario.axes:
+            continue
+        axes, points = scenario.sweep(spec.policies, spec.routings)
+        rows_of = [summary.get(variant.name, {}) for _values, variant in points]
+        metrics = list(scenario.metrics) or sorted(set().union(*rows_of))
+        # Rows per step of the last own axis: one per campaign cell.
+        stride = max(len(spec.policies), 1) * max(len(spec.routings), 1)
+        width = len(scenario.axes[-1][1])
+        rows = []
+        for i, (values, _variant) in enumerate(points):
+            row, reference = rows_of[i], rows_of[i - (i // stride % width) * stride]
+            deltas, percents = [], []
+            for metric in metrics:
+                value, base = row.get(metric), reference.get(metric)
+                known = value is not None and base is not None
+                deltas.append(value - base if known else "")
+                percents.append(100.0 * (value / base - 1.0) if known and base else "")
+            rows.append((
+                *(axis_label(v) for v in values),
+                *(row.get(metric, "") for metric in metrics),
+                *deltas,
+                *percents,
+            ))
+        headers = [path.rpartition(".")[2] for path, _values in axes]
+        headers += metrics + [f"Δ {m}" for m in metrics] + [f"Δ% {m}" for m in metrics]
+        tables[scenario.name] = (headers, rows)
+    return tables
+
+
+def compare(
+    summary_a: Mapping[str, Mapping[str, float]], summary_b: Mapping[str, Mapping[str, float]]
+) -> List[Tuple[str, str, float, float, float]]:
+    """Metric-by-metric comparison of two campaigns' per-scenario medians.
+
+    Returns ``(scenario, metric, a, b, b - a)`` rows for every metric
+    present in both, in deterministic order.
+    """
+    rows: List[Tuple[str, str, float, float, float]] = []
+    for scenario in sorted(set(summary_a) & set(summary_b)):
+        metrics_a, metrics_b = summary_a[scenario], summary_b[scenario]
+        for metric in sorted(set(metrics_a) & set(metrics_b)):
+            a, b = metrics_a[metric], metrics_b[metric]
+            rows.append((scenario, metric, a, b, b - a))
+    return rows

@@ -34,7 +34,6 @@ are mirrored into a :class:`MetricsRegistry`.
 """
 from __future__ import annotations
 
-import signal
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -43,7 +42,7 @@ from ..campaign.units import OUTCOME_KEYS, grant_message, unit_key, unit_record
 from ..core.errors import SpecError
 from ..obs.logsetup import get_logger
 from ..obs.metrics import MetricsRegistry
-from .transport import ChannelClosed, WorkerHandle, make_transport, reply_on
+from .transport import ChannelClosed, WorkerHandle, make_transport, reply_on, signals_held
 from .workqueue import WorkQueue
 
 __all__ = ["DistConfig", "DistOutcome", "Coordinator"]
@@ -344,13 +343,8 @@ class Coordinator:
         lose the results it reports and leave the worker waiting for a reply,
         so the drain that follows would sit out its whole timeout.
         """
-        if not hasattr(signal, "pthread_sigmask"):  # no POSIX signal masks here
+        with signals_held():
             return self._poll_round(transport)
-        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
-        try:
-            return self._poll_round(transport)
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
     def _poll_round(self, transport) -> bool:
         progressed = False

@@ -34,9 +34,11 @@ import multiprocessing
 import multiprocessing.connection
 import queue as queue_module
 import select
+import signal
 import socket
 import struct
 import threading
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import SpecError
@@ -60,6 +62,10 @@ __all__ = [
 
 #: The registered transport backends, in escalation order.
 TRANSPORT_NAMES: Tuple[str, ...] = ("thread", "ipc", "tcp")
+
+#: What a ^C or a deliberate stop sends: held back while the coordinator acts
+#: on a poll round, and while a worker starts until it has its own handlers.
+HELD_SIGNALS = frozenset({signal.SIGINT, signal.SIGTERM})
 
 #: Frame header: payload length as a 4-byte big-endian unsigned integer.
 _LENGTH = struct.Struct(">I")
@@ -269,6 +275,27 @@ def connect_tcp(host: str, port: int, timeout: float = 10.0) -> SocketChannel:
     return SocketChannel(sock)
 
 
+@contextmanager
+def signals_held():
+    """Block :data:`HELD_SIGNALS` for the enclosed block (where POSIX
+    signal masks exist); one that arrives meanwhile is delivered after it.
+
+    Around a worker's ``start()``, the child inherits the mask along with
+    the coordinator's handlers and unblocks the signals only once it has
+    installed its own (``worker._reset_signals``).  A stop that lands in
+    between gets the worker's action, never the coordinator's
+    ``KeyboardInterrupt``, which the child's at-fork hooks would swallow.
+    """
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, HELD_SIGNALS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+
 # --------------------------------------------------------------------- #
 # Worker handles
 # --------------------------------------------------------------------- #
@@ -376,7 +403,8 @@ class IpcTransport:
             name=f"dist-{worker_id}",
             daemon=True,
         )
-        process.start()
+        with signals_held():  # until the worker has its own handlers
+            process.start()
         child_conn.close()  # the parent keeps only its own end
         self._conns.append(parent_conn)
         return WorkerHandle(worker_id, process=process)
@@ -484,7 +512,8 @@ class TcpTransport:
             name=f"dist-{worker_id}",
             daemon=True,
         )
-        process.start()
+        with signals_held():  # until the worker has its own handlers
+            process.start()
         return WorkerHandle(worker_id, process=process)
 
     def poll(self, timeout: float) -> List[Tuple[object, object]]:

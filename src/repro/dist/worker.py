@@ -56,7 +56,7 @@ from typing import Dict, List, Mapping, Optional
 from ..campaign.runner import _run_unit
 from ..campaign.units import grant_tasks
 from ..obs.logsetup import get_logger
-from .transport import Channel, ChannelClosed, connect_tcp, parse_endpoint
+from .transport import HELD_SIGNALS, Channel, ChannelClosed, connect_tcp, parse_endpoint
 
 __all__ = [
     "worker_loop",
@@ -191,9 +191,12 @@ def _reset_signals() -> None:
     A terminal ^C goes to the whole process group; ignoring SIGINT here
     lets the coordinator drain in-flight units instead of every worker
     dying mid-run, and SIGTERM's default keeps deliberate termination quiet.
+    The launch held both back until now (``transport.signals_held``).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, HELD_SIGNALS)
 
 
 def ipc_worker_entry(conn, worker_id: str, options: Dict) -> None:

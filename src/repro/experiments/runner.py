@@ -117,11 +117,7 @@ class ScenarioResult:
     fault_injector: Optional[FaultInjector] = None
 
 
-def build_evolution(
-    scale: EvaluationScale,
-    seed: Optional[int] = None,
-    model: SpeedupModel = PAPER_SPEEDUP_MODEL,
-) -> WorkingSetEvolution:
+def build_evolution(scale: EvaluationScale, seed: Optional[int] = None) -> WorkingSetEvolution:
     """Draw one AMR working-set evolution at the given scale.
 
     For runs shorter than the paper's 1000 steps the model parameters are
@@ -252,7 +248,7 @@ def run_scenario(
         policy = _strict_policy(policy, federation)
 
     if evolution is None:
-        evolution = build_evolution(scale, seed=seed, model=speedup_model)
+        evolution = build_evolution(scale, seed=seed)
     ideal = ideal_preallocation_nodes(evolution, scale, speedup_model)
     preallocation = max(1, int(round(ideal * overcommit)))
     if cluster_nodes is None:

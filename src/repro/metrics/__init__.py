@@ -1,12 +1,10 @@
 """Metrics collection and plain-text reporting for simulation results."""
-from .collector import SimulationMetrics, median_summary, summarize_runs
-from .report import format_percent, format_series, format_table
+from .collector import SimulationMetrics, median_summary
+from .report import format_series, format_table
 
 __all__ = [
     "SimulationMetrics",
-    "summarize_runs",
     "median_summary",
-    "format_percent",
     "format_series",
     "format_table",
 ]

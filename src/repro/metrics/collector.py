@@ -31,7 +31,6 @@ __all__ = [
     "allocations",
     "clip_node_seconds",
     "measurement_window_start",
-    "summarize_runs",
     "median_summary",
 ]
 
@@ -203,51 +202,13 @@ class SimulationMetrics:
         )
 
 
-def summarize_runs(metrics: Iterable[SimulationMetrics]) -> Dict[str, float]:
-    """Median-based summary over repeated runs (the paper plots medians).
-
-    The result is always NaN-free: non-finite samples (an unfinished AMR
-    reports a NaN end time; a zero-length measurement window can make the
-    derived percentages non-finite) are dropped per key, and a key with no
-    finite sample at all is omitted rather than reported as NaN.  Empty
-    input yields an empty dict.
-    """
-    runs: List[SimulationMetrics] = list(metrics)
-    if not runs:
-        return {}
-
-    def median_of_finite(values: List[float]) -> Optional[float]:
-        values = sorted(v for v in values if math.isfinite(v))
-        n = len(values)
-        if not n:
-            return None
-        mid = n // 2
-        if n % 2:
-            return values[mid]
-        return 0.5 * (values[mid - 1] + values[mid])
-
-    candidates = {
-        "amr_used_node_seconds": [m.amr_used_node_seconds for m in runs],
-        "amr_end_time": [m.amr_end_time for m in runs],
-        "psa_waste_node_seconds": [m.psa_waste_node_seconds for m in runs],
-        "psa_waste_percent": [m.psa_waste_percent for m in runs],
-        "used_resources_percent": [m.used_resources_percent for m in runs],
-    }
-    summary: Dict[str, float] = {}
-    for key, values in candidates.items():
-        median = median_of_finite(values)
-        if median is not None:
-            summary[key] = median
-    return summary
-
-
 def median_summary(records: Iterable[Mapping[str, object]]) -> Dict[str, float]:
     """Per-key medians over a list of flat metric mappings.
 
-    This is the dict-level counterpart of :func:`summarize_runs`, used by the
-    campaign result store: records are arbitrary flat ``{metric: value}``
-    mappings (as produced by scenario runners) and only numeric values
-    participate -- missing or ``None`` entries are skipped per key.
+    Used by the campaign result store: records are arbitrary flat
+    ``{metric: value}`` mappings (as produced by scenario runners) and only
+    finite numeric values participate -- missing, ``None`` or non-finite
+    entries are skipped per key.
     """
     values: Dict[str, List[float]] = {}
     for record in records:

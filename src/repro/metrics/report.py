@@ -9,14 +9,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Mapping, Sequence, Union
 
-__all__ = ["format_table", "format_series", "format_percent", "format_comparison"]
+__all__ = ["format_table", "format_series", "format_comparison"]
 
 Number = Union[int, float]
-
-
-def format_percent(value: float, digits: int = 1) -> str:
-    """Render a percentage with a fixed number of decimals."""
-    return f"{value:.{digits}f}%"
 
 
 def _format_cell(value) -> str:

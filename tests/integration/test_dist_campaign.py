@@ -33,7 +33,7 @@ from repro.campaign import (
     resolve_scenarios,
 )
 from repro.campaign.cli import main as cli_main
-from repro.campaign.runner import CampaignFailed, _run_unit
+from repro.campaign.runner import CampaignFailed, _run_unit, _sigterm_as_interrupt
 from repro.campaign.units import grant_tasks, unit_key
 from repro.core.errors import WorkloadError
 from repro.dist import coordinator as coordinator_module
@@ -41,6 +41,7 @@ from repro.dist import ensure_noop_runner, run_standalone_worker
 from repro.dist.coordinator import Coordinator, DistConfig
 from repro.dist.transport import (
     TRANSPORT_NAMES,
+    TcpTransport,
     ThreadTransport,
     WorkerHandle,
     connect_tcp,
@@ -806,3 +807,23 @@ class TestRealSignal:
         assert sorted(store.runs_path("sig").read_text().splitlines()) == sorted(
             reference.runs_path("sig").read_text().splitlines()
         )
+
+    def test_a_worker_terminated_before_its_own_handlers_dies(self, capfd):
+        """A SIGTERM that lands between the fork and the worker's signal reset
+        gets the default action.  The coordinator's handler raises
+        ``KeyboardInterrupt``; run in the child, inside logging's at-fork
+        hook, it was printed as ``Exception ignored`` and the signal was lost,
+        so the worker outlived ``join`` and kept retrying its connect."""
+        for _trial in range(10):
+            with _sigterm_as_interrupt():
+                transport = TcpTransport("127.0.0.1:0")
+                handle = transport.launch_worker("w0", {})
+                transport.close()
+                handle.process.terminate()
+                handle.join(timeout=2.0)
+            survived = handle.alive()
+            if survived:
+                handle.process.kill()
+                handle.join()
+            assert not survived
+        assert "Exception ignored" not in capfd.readouterr().err

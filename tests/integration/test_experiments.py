@@ -14,6 +14,7 @@ import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, ResultStore, ScenarioSpec
 from repro.campaign.registry import builtin_scenarios, get_runner, resolve_scenarios, run_sweep
+from repro.campaign.store import by_policy, comparisons, medians, sweep_tables
 from repro.core.errors import SpecError
 from repro.experiments import (
     EvaluationScale,
@@ -143,7 +144,7 @@ class TestSimulationFigures:
         store = ResultStore(tmp_path)
         spec = CampaignSpec(name="figs", scenarios=tuple(resolve_scenarios(["fig10", "fig11"])))
         CampaignRunner(spec, store=store).run(workers=1)
-        tables = store.sweeps("figs")
+        tables = sweep_tables(spec, medians(store.load_records("figs")))
         headers, rows = tables["fig10"]
         assert [row[headers.index("Δ% amr_end_time")] for row in rows] == (
             FIG10_END_TIME_INCREASE_PCT
@@ -163,12 +164,13 @@ class TestSimulationFigures:
         store = ResultStore(tmp_path)
         campaign = CampaignSpec(name="c", scenarios=(spec,), policies=("coorm", "easy"))
         CampaignRunner(campaign, store=store).run(workers=1)
-        summary = store.summarize("c")
-        matrix = store.policy_matrix("c")
+        records = store.load_records("c")
+        summary = medians(records)
+        matrix = comparisons(records, by_policy)
         assert sorted(matrix) == ["s[static_allocation=false]", "s[static_allocation=true]"]
         for point, policy in product(matrix, ("coorm", "easy")):
             assert matrix[point][policy] == summary[f"{point}@{policy}"]
-        headers, rows = store.sweeps("c")["s"]
+        headers, rows = sweep_tables(campaign, summary)["s"]
         assert [row[:2] for row in rows] == [
             ("true", "coorm"), ("true", "easy"), ("false", "coorm"), ("false", "easy"),
         ]

@@ -22,6 +22,7 @@ from repro.campaign import (
     get_runner,
 )
 from repro.campaign.cli import main as cli_main
+from repro.campaign.store import by_routing, comparisons
 from repro.federation import ClusterSpec, FederationSpec
 
 ROUTINGS = ("round-robin", "least-loaded")
@@ -109,7 +110,7 @@ class TestRoutingMatrixDeterminism:
             metrics = record["metrics"]
             assert metrics["fed_clusters"] == 2.0
             assert metrics["fed_routed[east]"] + metrics["fed_routed[west]"] == 30
-        matrix = store.routing_matrix("routing-matrix")
+        matrix = comparisons(store.load_records("routing-matrix"), by_routing)
         assert set(matrix) == {"mini-fed"}
         assert set(matrix["mini-fed"]) == set(ROUTINGS)
         for medians in matrix["mini-fed"].values():

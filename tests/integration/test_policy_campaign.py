@@ -17,6 +17,7 @@ from repro.campaign import (
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.campaign.store import by_policy, comparisons
 
 POLICIES = ("coorm", "easy", "sjf")
 
@@ -98,7 +99,7 @@ class TestPolicyMatrixDeterminism:
             assert record["policy"] in POLICIES
             assert record["scenario"] == f"mini-trace@{record['policy']}"
         # The policy matrix view groups them back together.
-        matrix = store.policy_matrix("policy-matrix")
+        matrix = comparisons(store.load_records("policy-matrix"), by_policy)
         assert set(matrix) == {"mini-trace"}
         assert set(matrix["mini-trace"]) == set(POLICIES)
         for medians in matrix["mini-trace"].values():
@@ -109,7 +110,7 @@ class TestPoliciesDivergeUnderContention:
     def test_at_least_one_metric_differs_across_policies(self, tmp_path):
         store = ResultStore(tmp_path)
         CampaignRunner(tiny_trace_campaign(1), store=store).run()
-        matrix = store.policy_matrix("policy-matrix")["mini-trace"]
+        matrix = comparisons(store.load_records("policy-matrix"), by_policy)["mini-trace"]
         fingerprints = {
             policy: json.dumps(medians, sort_keys=True)
             for policy, medians in matrix.items()

@@ -22,6 +22,7 @@ from repro.campaign import (
     resolve_scenarios,
 )
 from repro.campaign.cli import main as cli_main
+from repro.campaign.store import provenance
 from repro.traces import load_swf
 
 FIXTURE = Path(__file__).parent.parent / "data" / "tiny.swf"
@@ -109,10 +110,10 @@ class TestProvenance:
         spec = CampaignSpec(name="prov", scenarios=(fixture_scenario(),))
         store = ResultStore(tmp_path)
         CampaignRunner(spec, store=store).run(workers=1)
-        provenance = store.provenance_of("prov")["fixture-replay"]
-        assert provenance["source"]["path"] == str(FIXTURE)
-        assert [s["kind"] for s in provenance["steps"]][:2] == ["load", "fingerprint"]
-        assert provenance["kind_counts"]["rigid"] == provenance["job_count"] == 10
+        origin = provenance(store.load_records("prov"))["fixture-replay"]
+        assert origin["source"]["path"] == str(FIXTURE)
+        assert [s["kind"] for s in origin["steps"]][:2] == ["load", "fingerprint"]
+        assert origin["kind_counts"]["rigid"] == origin["job_count"] == 10
 
     def test_provenance_fingerprint_tracks_content(self, tmp_path):
         copy = tmp_path / "copy.swf"
@@ -131,7 +132,7 @@ class TestProvenance:
         )
         store = ResultStore(tmp_path / "results")
         CampaignRunner(spec, store=store).run(workers=1)
-        steps = store.provenance_of("prov2")["copy-replay"]["steps"]
+        steps = provenance(store.load_records("prov2"))["copy-replay"]["steps"]
         fingerprint = next(s for s in steps if s["kind"] == "fingerprint")
         original = load_swf(FIXTURE)
         assert fingerprint["sha256_16"]  # content hash, not path-derived

@@ -5,8 +5,10 @@ from types import MappingProxyType
 
 import pytest
 
+from repro.__main__ import main
+from repro.campaign import store as store_module
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, compare, medians
 
 
 def make_spec(name="camp", scenario_names=("s1", "s2"), seeds=2) -> CampaignSpec:
@@ -134,7 +136,7 @@ class TestSummaries:
     def test_summarize_medians_per_scenario(self, tmp_path):
         store = ResultStore(tmp_path)
         store.save_campaign(make_spec(seeds=3), make_records(seeds=3))
-        summary = store.summarize("camp")
+        summary = medians(store.load_records("camp"))
         # values are 0, 1, 2 per scenario -> median 1; strings are skipped
         assert summary["s1"] == {"value": 1.0}
         assert summary["s2"] == {"value": 1.0}
@@ -143,11 +145,38 @@ class TestSummaries:
         store = ResultStore(tmp_path)
         store.save_campaign(make_spec("first"), make_records(offset=0.0))
         store.save_campaign(make_spec("second"), make_records(offset=2.0))
-        rows = store.compare("first", "second")
+        rows = compare(
+            medians(store.load_records("first")), medians(store.load_records("second"))
+        )
         assert rows == [
             ("s1", "value", 0.5, 2.5, 2.0),
             ("s2", "value", 0.5, 2.5, 2.0),
         ]
+
+    def test_a_report_reads_its_rows_once_and_summarises_each_scenario_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """One pass: ``campaign report`` decodes ``runs.jsonl`` once, takes
+        one median per scenario, and builds no policy or routing comparison
+        for a campaign that ran one policy and no routing."""
+        store = ResultStore(tmp_path)
+        store.save_campaign(make_spec(seeds=3), make_records(seeds=3))
+        reads, summaries = [], []
+        load_records, median_summary = ResultStore.load_records, store_module.median_summary
+        monkeypatch.setattr(
+            ResultStore,
+            "load_records",
+            lambda self, name: reads.append(name) or load_records(self, name),
+        )
+        monkeypatch.setattr(
+            store_module,
+            "median_summary",
+            lambda rows: summaries.append(len(rows)) or median_summary(rows),
+        )
+        assert main(["campaign", "report", "camp", "--results-dir", str(tmp_path)]) == 0
+        assert reads == ["camp"]
+        assert summaries == [3, 3]  # s1 and s2, three replicates each
+        assert "comparison" not in capsys.readouterr().out
 
 
 class TestTruncatedWrites:

@@ -1,8 +1,6 @@
 """Unit tests of metric collection and text reporting."""
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.apps import AmrApplication, ParameterSweepApplication
@@ -10,11 +8,9 @@ from repro.cluster import Platform
 from repro.core import CooRMv2
 from repro.metrics import (
     SimulationMetrics,
-    format_percent,
     format_series,
     format_table,
     median_summary,
-    summarize_runs,
 )
 from repro.models import WorkingSetEvolution
 from repro.sim import Simulator
@@ -22,10 +18,6 @@ from repro.testing import linspace
 
 
 class TestReportFormatting:
-    def test_format_percent(self):
-        assert format_percent(12.345) == "12.3%"
-        assert format_percent(12.345, digits=2) == "12.35%"
-
     def test_format_table_alignment(self):
         table = format_table(["name", "value"], [("a", 1), ("long-name", 123.5)])
         lines = table.splitlines()
@@ -84,59 +76,6 @@ class TestSimulationMetrics:
         )
         assert metrics.used_resources_percent == 0.0
         assert metrics.psa_waste_percent == 0.0
-
-
-class TestSummarizeRuns:
-    def make(self, waste):
-        return SimulationMetrics(
-            horizon=100.0,
-            capacity_node_seconds=1000.0,
-            amr_used_node_seconds=500.0,
-            amr_end_time=100.0,
-            psa_waste_node_seconds=waste,
-            psa_completed_node_seconds=100.0,
-            total_allocated_node_seconds=800.0,
-        )
-
-    def test_median_of_odd_count(self):
-        summary = summarize_runs([self.make(w) for w in (10.0, 30.0, 20.0)])
-        assert summary["psa_waste_node_seconds"] == pytest.approx(20.0)
-
-    def test_median_of_even_count(self):
-        summary = summarize_runs([self.make(w) for w in (10.0, 30.0)])
-        assert summary["psa_waste_node_seconds"] == pytest.approx(20.0)
-
-    def test_empty_input(self):
-        assert summarize_runs([]) == {}
-
-    def make_unfinished(self, waste):
-        """An unfinished AMR: NaN end time, zero-length (empty) capacity."""
-        return SimulationMetrics(
-            horizon=0.0,
-            capacity_node_seconds=0.0,
-            amr_used_node_seconds=0.0,
-            amr_end_time=float("nan"),
-            psa_waste_node_seconds=waste,
-            psa_completed_node_seconds=0.0,
-            total_allocated_node_seconds=0.0,
-        )
-
-    def test_nan_samples_dropped_per_key(self):
-        runs = [self.make(10.0), self.make_unfinished(30.0), self.make(20.0)]
-        summary = summarize_runs(runs)
-        # The NaN end time is dropped for amr_end_time only; the run's
-        # finite waste sample still participates in the waste median.
-        assert summary["amr_end_time"] == pytest.approx(100.0)
-        assert summary["psa_waste_node_seconds"] == pytest.approx(20.0)
-
-    def test_key_with_no_finite_sample_is_omitted(self):
-        summary = summarize_runs([self.make_unfinished(5.0)])
-        assert "amr_end_time" not in summary
-        assert summary["psa_waste_node_seconds"] == pytest.approx(5.0)
-
-    def test_summary_is_nan_free(self):
-        runs = [self.make(10.0), self.make_unfinished(30.0)]
-        assert all(math.isfinite(v) for v in summarize_runs(runs).values())
 
 
 class TestZeroLengthWindow:
