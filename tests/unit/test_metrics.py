@@ -1,6 +1,8 @@
 """Unit tests of metric collection and text reporting."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.apps import AmrApplication, ParameterSweepApplication
@@ -112,3 +114,59 @@ class TestMedianSummary:
     def test_missing_keys_skipped_per_record(self):
         summary = median_summary([{"x": 1.0}, {"x": 3.0, "y": 7.0}])
         assert summary == {"x": 2.0, "y": 7.0}
+
+
+class TestMedianOfRunMetrics:
+    """``median_summary`` over ``SimulationMetrics.to_dict()`` rows, the form
+    in which a campaign stores and summarises repeated runs."""
+
+    def make(self, waste):
+        return SimulationMetrics(
+            horizon=100.0,
+            capacity_node_seconds=1000.0,
+            amr_used_node_seconds=500.0,
+            amr_end_time=100.0,
+            psa_waste_node_seconds=waste,
+            psa_completed_node_seconds=100.0,
+            total_allocated_node_seconds=800.0,
+        )
+
+    def make_unfinished(self, waste):
+        """An unfinished AMR: NaN end time, zero-length (empty) capacity."""
+        return SimulationMetrics(
+            horizon=0.0,
+            capacity_node_seconds=0.0,
+            amr_used_node_seconds=0.0,
+            amr_end_time=float("nan"),
+            psa_waste_node_seconds=waste,
+            psa_completed_node_seconds=0.0,
+            total_allocated_node_seconds=0.0,
+        )
+
+    def summarize(self, runs):
+        return median_summary(run.to_dict() for run in runs)
+
+    def test_median_of_odd_count(self):
+        summary = self.summarize([self.make(w) for w in (10.0, 30.0, 20.0)])
+        assert summary["psa_waste_node_seconds"] == pytest.approx(20.0)
+
+    def test_median_of_even_count(self):
+        summary = self.summarize([self.make(w) for w in (10.0, 30.0)])
+        assert summary["psa_waste_node_seconds"] == pytest.approx(20.0)
+
+    def test_nan_samples_dropped_per_key(self):
+        runs = [self.make(10.0), self.make_unfinished(30.0), self.make(20.0)]
+        summary = self.summarize(runs)
+        # The NaN end time is dropped for amr_end_time only; the run's
+        # finite waste sample still participates in the waste median.
+        assert summary["amr_end_time"] == pytest.approx(100.0)
+        assert summary["psa_waste_node_seconds"] == pytest.approx(20.0)
+
+    def test_key_with_no_finite_sample_is_omitted(self):
+        summary = self.summarize([self.make_unfinished(5.0)])
+        assert "amr_end_time" not in summary
+        assert summary["psa_waste_node_seconds"] == pytest.approx(5.0)
+
+    def test_summary_is_nan_free(self):
+        runs = [self.make(10.0), self.make_unfinished(30.0)]
+        assert all(math.isfinite(v) for v in self.summarize(runs).values())
