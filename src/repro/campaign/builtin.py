@@ -35,12 +35,7 @@ from ..workloads.generator import WorkloadParameters, generate_rigid_workload
 from .registry import RUNNERS, SCENARIOS, record_provenance
 from .spec import PlatformSpec, RmsSpec, ScenarioSpec, WorkloadSpec, resolve_scale
 
-__all__ = ["clean_metrics", "POLICY_AWARE_RUNNERS"]
-
-#: Runners that honour ``ScenarioSpec.policy``.  The analytic figure
-#: runners reproduce fixed paper computations and reject policy sweeps
-#: (see :func:`_require_default_policy`).
-POLICY_AWARE_RUNNERS = frozenset({"amr_psa"})
+__all__ = ["clean_metrics"]
 
 
 def clean_metrics(metrics: Dict[str, object]) -> Dict[str, object]:
@@ -64,16 +59,15 @@ def _require_default_policy(spec: ScenarioSpec) -> None:
 
     The runners of figures 1--4 compute fixed paper results that no RMS
     takes part in; silently running them while the record claims another
-    policy (or a federation, or a fault plan) would fabricate a comparison
-    out of identical runs.  The generic ``amr_psa`` runner (figures 9--11
-    included) honours all three.
+    policy (or a federation) would fabricate a comparison out of identical
+    runs.  The generic ``amr_psa`` runner (figures 9--11 included) honours
+    both.  (A fault plan on them is refused while the spec loads.)
     """
     ignored = [
         what
         for what, given in (
             (f"scheduling policies (not {spec.policy_name!r})", spec.policy_name != "coorm"),
             ("federation specs", spec.federation is not None),
-            ("fault plans", spec.faults is not None),
         )
         if given
     ]
@@ -184,7 +178,7 @@ def run_amr_psa(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     if result.trace_apps:
         metrics["trace_jobs"] = len(result.trace_apps)
         metrics["trace_finished"] = sum(1 for a in result.trace_apps if a.finished())
-    if result.federation is not None:
+    if spec.federation is not None:  # a named federation; not the implicit single
         metrics.update(
             federation_breakdown(result.federation, result.metrics, amr=result.amr)
         )

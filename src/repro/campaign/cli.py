@@ -39,7 +39,7 @@ from ..obs.logsetup import get_logger
 from . import builtin  # noqa: F401  (registers the built-in scenarios)
 from .registry import builtin_scenarios, resolve_scenarios
 from .runner import CampaignInterrupted, CampaignRunner
-from .spec import SCALE_NAMES, CampaignSpec
+from .spec import POLICY_AWARE_RUNNERS, SCALE_NAMES, CampaignSpec
 from .store import (
     ResultStore, by_policy, by_routing, compare, comparisons, medians, provenance, sweep_tables,
 )
@@ -201,7 +201,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if spec.policies:
         unaware = sorted(
-            {s.runner for s in spec.scenarios} - set(builtin.POLICY_AWARE_RUNNERS)
+            {s.runner for s in spec.scenarios} - POLICY_AWARE_RUNNERS
         )
         if unaware:
             raise SpecError(

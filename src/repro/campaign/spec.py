@@ -26,12 +26,13 @@ from ..core.serde import Spec, located, read_json, require_text
 from ..experiments.runner import EvaluationScale, _strict_policy
 from ..faults.plan import FAULT_PLANS, FaultPlan, resolve_fault_plan
 from ..federation.routing import ROUTINGS
-from ..federation.spec import FederationSpec
+from ..federation.spec import TOPOLOGIES, FederationSpec
 from ..policies.registry import policy_label, resolve_policy
 from ..traces.source import TraceSource
 
 __all__ = [
     "SCALE_NAMES",
+    "POLICY_AWARE_RUNNERS",
     "PlatformSpec",
     "WorkloadSpec",
     "RmsSpec",
@@ -42,6 +43,12 @@ __all__ = [
 
 #: Named evaluation scales (constructors on :class:`EvaluationScale`).
 SCALE_NAMES: Tuple[str, ...] = ("tiny", "reduced", "paper")
+
+#: Runners that build an RMS, so honour ``ScenarioSpec.policy`` and
+#: ``faults``.  The analytic figure runners reproduce fixed paper
+#: computations: a fault plan on one is refused while the spec loads, a
+#: policy sweep or a federation when it runs.
+POLICY_AWARE_RUNNERS = frozenset({"amr_psa"})
 
 
 @dataclass(frozen=True)
@@ -181,12 +188,13 @@ class ScenarioSpec(Spec):
     policy: Optional[Union[str, Mapping]] = None
     #: Multi-cluster federation topology + routing policy (see
     #: :class:`~repro.federation.spec.FederationSpec`).  ``None`` runs the
-    #: classic single-scheduler path.
+    #: one-member ``single`` topology: one cluster, member ``cluster0``.
     federation: Optional[FederationSpec] = None
     #: Fault plan armed against the federation: a registered plan name
     #: (see ``repro.faults.plan``), a plan dictionary (promoted to
-    #: :class:`~repro.faults.plan.FaultPlan`) or a plan instance.
-    #: Requires ``federation``; ``None`` runs fault-free.
+    #: :class:`~repro.faults.plan.FaultPlan`) or a plan instance.  Its
+    #: members must be in ``federation`` (``cluster0`` alone without one);
+    #: ``None`` runs fault-free.
     faults: Optional[Union[str, FaultPlan]] = None
 
     NESTED = {
@@ -217,6 +225,7 @@ class ScenarioSpec(Spec):
                     f"got {self.policy!r}"
                 )
             resolve_policy(self.policy)  # fail fast on unknown names/stages
+        topology = self.federation or TOPOLOGIES.get("single")
         if self.faults is not None:
             if isinstance(self.faults, str):
                 FAULT_PLANS.get(self.faults)  # fail fast on unknown plan names
@@ -225,17 +234,18 @@ class ScenarioSpec(Spec):
                     "faults must be a registered plan name, a plan mapping or "
                     f"a FaultPlan, got {self.faults!r}"
                 )
-            if self.federation is None:
-                raise SpecError(
-                    f"scenario {self.name!r} declares a fault plan but no "
-                    f"federation; fault injection targets federation members"
-                )
             with located("faults"):
-                resolve_fault_plan(self.faults).check_members(self.federation.cluster_names)
+                if self.runner not in POLICY_AWARE_RUNNERS:
+                    raise SpecError(
+                        f"runner {self.runner!r} builds no RMS and ignores fault "
+                        f"plans; arm them on an 'amr_psa' scenario (e.g. fig9, "
+                        f"baseline-dynamic, fed-chaos-dual)"
+                    )
+                resolve_fault_plan(self.faults).check_members(topology.cluster_names)
         if self.rms.strict_equipartition:
             # The run would refuse a policy (default or member pin) that
             # does not share strictly; refuse it while the spec loads.
-            _strict_policy(self.policy, self.federation)
+            _strict_policy(self.policy, topology)
         if "axes" in self.params:
             self._check_axes()
 

@@ -19,13 +19,11 @@ from typing import List, Optional, Sequence
 from ..apps.nea import AmrApplication
 from ..apps.psa import ParameterSweepApplication
 from ..apps.rigid import RigidApplication, RigidJobSpec
-from ..cluster.platform import Platform
 from ..core.errors import SpecError
-from ..core.rms import CooRMv2
 from ..faults.injector import FaultInjector
 from ..faults.plan import resolve_fault_plan
 from ..federation.federation import Federation, locality_group
-from ..federation.spec import FederationSpec
+from ..federation.spec import TOPOLOGIES, FederationSpec
 from ..sim.randomness import derive_seed
 from ..metrics.collector import SimulationMetrics
 from ..models.amr_evolution import AmrEvolutionParameters, WorkingSetEvolution
@@ -99,19 +97,18 @@ class ScenarioResult:
     metrics: SimulationMetrics
     amr: Optional[AmrApplication]
     psas: List[ParameterSweepApplication]
-    #: The RMS the applications talked to; on a federation, the first
-    #: member's (``federation.rms_list()`` has them all).
-    rms: CooRMv2
     #: The user's "ideal" pre-allocation guess (the equivalent static
     #: allocation computed with a-posteriori knowledge), before overcommit.
     ideal_preallocation: int
     cluster_nodes: int
+    #: The federation that ran the scenario: the one-member ``single``
+    #: topology unless the scenario named another (``rms_list()`` has the
+    #: member RMSs the applications talked to).
+    federation: Federation
     #: Background rigid batch jobs (empty unless the scenario mixes them in).
     rigid_apps: List[RigidApplication] = field(default_factory=list)
     #: Applications replayed from a converted workload trace (any kind).
     trace_apps: List = field(default_factory=list)
-    #: The federation that ran the scenario (None on one cluster).
-    federation: Optional[Federation] = None
     #: The fault injector that played the scenario's fault plan (None on
     #: fault-free runs); carries the recovery/SLA ledger.
     fault_injector: Optional[FaultInjector] = None
@@ -151,16 +148,15 @@ def ideal_preallocation_nodes(
     return max(1, peak)
 
 
-def _strict_policy(policy, federation: Optional[FederationSpec] = None):
+def _strict_policy(policy, federation: FederationSpec):
     """*policy* under ``strict_equipartition=True``: ``"coorm-strict"`` when
     unset, else *policy* itself once its sharing is checked to be strict.
 
-    On a *federation* every member is checked, in member order, against the
+    Every member of *federation* is checked, in member order, against the
     policy it would run: its own pin, else *policy*.
     """
-    pins = [None] if federation is None else [c.policy for c in federation.clusters]
-    for pin in pins:
-        checked = policy if pin is None else pin
+    for cluster in federation.clusters:
+        checked = policy if cluster.policy is None else cluster.policy
         if checked is None:
             continue
         resolved = resolve_policy(checked)
@@ -185,7 +181,6 @@ def run_scenario(
     static_allocation: bool = False,
     psa_task_durations: Sequence[float] = None,
     strict_equipartition: bool = False,
-    speedup_model: SpeedupModel = PAPER_SPEEDUP_MODEL,
     evolution: Optional[WorkingSetEvolution] = None,
     include_amr: bool = True,
     rigid_jobs: Optional[Sequence[RigidJobSpec]] = None,
@@ -193,7 +188,6 @@ def run_scenario(
     cluster_nodes: Optional[int] = None,
     kill_protocol_violators: bool = False,
     violation_grace: float = 30.0,
-    horizon: Optional[float] = None,
     policy=None,
     federation: Optional[FederationSpec] = None,
     faults=None,
@@ -221,15 +215,16 @@ def run_scenario(
     federation member's own, must then share strictly or a
     :class:`~repro.core.errors.SpecError` names the conflict.
 
-    *federation* runs the scenario on a multi-cluster federation instead of
-    a single scheduler: one :class:`~repro.core.rms.CooRMv2` per member
-    cluster (derived -- ``nodes == 0`` -- members get the single-cluster
-    size), all driven by the same event engine.  Either way every
-    application -- AMR, PSAs, rigid and converted trace jobs, respawns --
-    takes one seam at its submission time: placed by name and node-count
-    hint (by the routing policy, on a federation), built for the capacity
-    it landed on, connected to its RMS.  A 1-cluster federation under the
-    ``any`` routing is therefore byte-identical to the single-scheduler path.
+    Every scenario runs on a :class:`~repro.federation.Federation`: the
+    named *federation*, else the one-member ``single`` topology (member
+    ``cluster0`` under the ``any`` routing).  Each member is one
+    :class:`~repro.core.rms.CooRMv2` (derived -- ``nodes == 0`` -- members
+    get the size derived from the AMR pre-allocation, or *cluster_nodes*),
+    all driven by the same event engine.  Every application -- AMR, PSAs,
+    rigid and converted trace jobs, respawns -- takes one seam at its
+    submission time: placed by name and node-count hint by the routing
+    policy, built for the capacity it landed on, connected to its member's
+    RMS, which it talks to as if it were the only one.
 
     *faults* (a registered plan name, plan dict or
     :class:`~repro.faults.plan.FaultPlan`) arms a deterministic fault
@@ -237,19 +232,20 @@ def run_scenario(
     outages with rerouting, elastic capacity rules and meta-scheduler
     admission control.  Jobs killed by a fault are resubmitted (up to the
     plan's ``max_respawns``) or counted lost; initial submissions refused
-    by admission control are counted rejected.  Fault plans still require
-    *federation*: a ``ValueError`` says so on one cluster.
+    by admission control are counted rejected.  A plan may name only
+    members the federation has (``cluster0`` alone on ``single``).
     """
     if overcommit <= 0:
         raise ValueError("overcommit must be positive")
     if psa_task_durations is None:
         psa_task_durations = (scale.psa1_task_duration,)
+    federation = federation or TOPOLOGIES.get("single")
     if strict_equipartition:
         policy = _strict_policy(policy, federation)
 
     if evolution is None:
         evolution = build_evolution(scale, seed=seed)
-    ideal = ideal_preallocation_nodes(evolution, scale, speedup_model)
+    ideal = ideal_preallocation_nodes(evolution, scale)
     preallocation = max(1, int(round(ideal * overcommit)))
     if cluster_nodes is None:
         cluster_nodes = max(
@@ -259,67 +255,43 @@ def run_scenario(
         raise ValueError("cluster_nodes must be positive")
 
     simulator = Simulator()
-    fed: Optional[Federation] = None
+    # Derived (nodes == 0) members -- the one member of the implicit
+    # ``single`` topology among them -- get the size derived above.
+    fed = Federation(
+        federation.resolved(cluster_nodes),
+        simulator,
+        rescheduling_interval=scale.rescheduling_interval,
+        default_policy=policy,
+        kill_protocol_violators=kill_protocol_violators,
+        violation_grace=violation_grace,
+        seed=seed,
+    )
+    cluster_nodes = fed.total_nodes()
     injector: Optional[FaultInjector] = None
 
     def submit(job_id: str, spawn) -> None:
         spawn(job_id)
 
-    # The one place that tells a single cluster from a federation.  Past
-    # it, every application goes through ``launch``: placed by name and
+    if faults is not None:
+        # The fault stream gets its own derived seed so a plan's jitter
+        # never correlates with the workload drawn from the scenario seed.
+        injector = FaultInjector(
+            resolve_fault_plan(faults), fed, seed=derive_seed(seed, "faults")
+        )
+        injector.arm()
+        submit = injector.submit
+
+    # Every application goes through ``launch``: placed by name and
     # node-count hint, built by ``build(capacity)`` for the capacity it
-    # landed on, connected to its RMS.
-    if federation is None:
-        if faults is not None:
-            raise ValueError("fault injection requires a federation")
-        rms = CooRMv2(
-            Platform.single_cluster(cluster_nodes),
-            simulator,
-            rescheduling_interval=scale.rescheduling_interval,
-            kill_protocol_violators=kill_protocol_violators,
-            violation_grace=violation_grace,
-            policy=policy,
-        )
-        rmss = [rms]
-
-        def launch(name, node_count, build, job_id=None, reshapes=False):
-            app = build(cluster_nodes)
-            app.connect(rms)
-            return app
-
-    else:
-        # Derived (nodes == 0) members get the single-cluster size, so the
-        # 1-cluster federation of the equivalence guarantee sizes its only
-        # member exactly like the direct path sizes its platform.
-        fed = Federation(
-            federation.resolved(cluster_nodes),
-            simulator,
-            rescheduling_interval=scale.rescheduling_interval,
-            default_policy=policy,
-            kill_protocol_violators=kill_protocol_violators,
-            violation_grace=violation_grace,
-            seed=seed,
-        )
-        rmss = fed.rms_list()
-        rms = rmss[0]
-        cluster_nodes = fed.total_nodes()
-        if faults is not None:
-            # The fault stream gets its own derived seed so a plan's jitter
-            # never correlates with the workload drawn from the scenario seed.
-            injector = FaultInjector(
-                resolve_fault_plan(faults), fed, seed=derive_seed(seed, "faults")
-            )
-            injector.arm()
-            submit = injector.submit
-
-        def launch(name, node_count, build, job_id=None, reshapes=False):
-            # Trace jobs route by the locality group of their original id,
-            # so a respawn lands like its first incarnation would.
-            group = None if job_id is None else locality_group(job_id)
-            member = fed.place(name, node_count, group, reshapes=reshapes)
-            app = build(member.capacity)
-            fed.attach(member, app, node_count=node_count)
-            return app
+    # landed on, connected to its member's RMS.
+    def launch(name, node_count, build, job_id=None, reshapes=False):
+        # Trace jobs route by the locality group of their original id,
+        # so a respawn lands like its first incarnation would.
+        group = None if job_id is None else locality_group(job_id)
+        member = fed.place(name, node_count, group, reshapes=reshapes)
+        app = build(member.capacity)
+        fed.attach(member, app, node_count=node_count)
+        return app
 
     amr: Optional[AmrApplication] = None
     if include_amr:
@@ -330,7 +302,6 @@ def run_scenario(
             target_efficiency=scale.target_efficiency,
             announce_interval=announce_interval,
             static_allocation=static_allocation,
-            speedup_model=speedup_model,
         )
     psas = [
         ParameterSweepApplication(f"psa{i + 1}", task_duration=duration)
@@ -380,16 +351,15 @@ def run_scenario(
 
     simulator.run()
 
-    metrics = SimulationMetrics.collect_multi(rmss, amr=amr, psas=psas, horizon=horizon)
+    metrics = SimulationMetrics.collect_multi(fed.rms_list(), amr=amr, psas=psas)
     return ScenarioResult(
         metrics=metrics,
         amr=amr,
         psas=psas,
-        rms=rms,
         ideal_preallocation=ideal,
         cluster_nodes=cluster_nodes,
+        federation=fed,
         rigid_apps=rigid_apps,
         trace_apps=trace_apps,
-        federation=fed,
         fault_injector=injector,
     )

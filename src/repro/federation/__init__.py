@@ -18,10 +18,9 @@ semantics:
 * :mod:`repro.federation.cli` -- the ``python -m repro federation``
   command group.
 
-The load-bearing correctness contract: a 1-cluster federation under the
-``any`` routing and the ``coorm`` policy is **byte-identical** to the
-direct single-:class:`~repro.core.scheduler.Scheduler` path (pinned by the
-golden regression suite).
+Every scenario runs on a federation: one that names none runs on the
+one-member ``single`` topology (``cluster0`` under the ``any`` routing),
+so ``run_scenario`` has one way to build RMSs.
 
 Quick start::
 

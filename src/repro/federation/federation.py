@@ -10,13 +10,11 @@ that places every incoming application on one member through a pluggable
 :class:`~repro.federation.routing.RoutingPolicy`.
 
 Once placed, an application speaks the ordinary CooRMv2 protocol with its
-home member; the federation never intercepts per-request traffic.  That is
-what makes the load-bearing equivalence guarantee hold by construction:
-``run_scenario`` places every application through one seam, on one cluster
-or a federation, so a 1-cluster federation under the ``any`` routing
-performs exactly the same calls, in the same simulator-event order, as the
-direct single-scheduler path -- and every single-cluster scenario's metrics
-are byte-identical on it (pinned by the golden regression suite).
+home member; the federation never intercepts per-request traffic.  So it is
+the one way ``run_scenario`` builds RMSs: a scenario that names no
+federation runs on the one-member ``single`` topology (``cluster0`` under
+the ``any`` routing), whose applications talk to its one RMS exactly as
+they would to a lone scheduler.
 """
 from __future__ import annotations
 
@@ -118,8 +116,9 @@ class MetaScheduler:
         self._routed: Dict[str, List[Tuple[BaseApplication, int]]] = {
             m.name: [] for m in members
         }
-        #: Running per-member decision totals for the ``federation/load``
-        #: counter events (kept incrementally; ``decisions`` is O(n) to scan).
+        #: Running per-member decision totals: the ``federation/load``
+        #: counter events and :meth:`routed_counts` (``decisions`` is O(n)
+        #: to scan).
         self._routed_totals: Dict[str, int] = {m.name: 0 for m in members}
 
     # ------------------------------------------------------------------ #
@@ -271,10 +270,7 @@ class MetaScheduler:
 
     def routed_counts(self) -> Dict[str, int]:
         """Member name -> number of applications ever routed there."""
-        counts = {m.name: 0 for m in self.members}
-        for decision in self.decisions:
-            counts[decision.cluster] += 1
-        return counts
+        return dict(self._routed_totals)
 
 
 class Federation:

@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 #: The routing every federation uses unless told otherwise: first cluster
-#: that fits.  On a 1-cluster federation this is the identity routing, which
-#: is what the single-cluster equivalence guarantee is stated against.
+#: that fits.  On a 1-cluster federation this is the identity routing, the
+#: one the implicit ``single`` topology of an unfederated scenario runs.
 DEFAULT_ROUTING = "any"
 
 
@@ -120,8 +120,8 @@ class AnyRouting(RoutingPolicy):
     """First cluster that fits the request, in federation order.
 
     The identity routing: on a 1-cluster federation every application lands
-    on the single member, which makes a federated run byte-identical to the
-    direct single-scheduler path (the load-bearing equivalence contract).
+    on the single member, as it does on the implicit ``single`` topology of
+    a scenario that names no federation.
     """
 
     name = "any"

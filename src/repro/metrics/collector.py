@@ -156,8 +156,8 @@ class SimulationMetrics:
         members count towards the totals, and the horizon comes from the
         shared simulation clock (every member reports the same ``now``).
         With a single RMS the arithmetic reduces exactly to :meth:`collect`
-        -- same terms, same order -- which is what the single-cluster
-        federation equivalence guarantee rests on.
+        -- same terms, same order -- so a one-member federation measures
+        its cluster exactly as :meth:`collect` does.
         """
         if not rmss:
             raise ValueError("collect_multi needs at least one RMS")

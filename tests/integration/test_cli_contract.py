@@ -105,6 +105,9 @@ HOSTILE_FRAGMENTS = {
     "elastic_until_infinity.json": "scenarios[0].faults.elastic[0]: elastic rule needs",
     "rms_interval_nan.json": "scenarios[0].rms: rescheduling_interval must be >= 0 and finite",
     "description_not_a_string.json": "scenarios[0].description: must be a string, got int",
+    "fault_plan_on_analytic_runner.json": (
+        "scenarios[0].faults: runner 'fig1' builds no RMS and ignores fault plans"
+    ),
     "fault_member_missing.json": (
         "scenarios[0].faults: fault plan 'blackout' references member '#1' "
         "but the federation has 1 members"

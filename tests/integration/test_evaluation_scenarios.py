@@ -119,11 +119,12 @@ class TestFigure11Behaviour:
 class TestConservation:
     def test_all_nodes_returned_and_accounting_consistent(self, evolution):
         result = run_scenario(SCALE, overcommit=1.0, evolution=evolution)
-        assert not list(violations(result.rms.event_log))
-        cluster = result.rms.platform.cluster("cluster0")
+        (rms,) = result.federation.rms_list()
+        assert not list(violations(rms.event_log))
+        cluster = rms.platform.cluster("cluster0")
         assert cluster.free_count() == result.cluster_nodes
         # Accounting: every allocated node-second was charged to somebody.
-        total = sum(finished.node_seconds for finished in allocations(result.rms))
+        total = sum(finished.node_seconds for finished in allocations(rms))
         psa_busy = sum(p.stats.total_busy_node_seconds for p in result.psas)
         assert total >= result.metrics.amr_used_node_seconds
         assert total == pytest.approx(

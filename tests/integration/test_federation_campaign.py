@@ -23,6 +23,7 @@ from repro.campaign import (
 )
 from repro.campaign.cli import main as cli_main
 from repro.campaign.store import by_routing, comparisons
+from repro.core.errors import SpecError
 from repro.federation import ClusterSpec, FederationSpec
 
 ROUTINGS = ("round-robin", "least-loaded")
@@ -146,6 +147,39 @@ class TestChaosSeedRegression:
         )
         assert accounted == 200
         assert metrics["fault_crashes"] > 0
+
+
+class TestFaultsOnOneCluster:
+    """A plan whose members fit one cluster runs on a scenario without a
+    federation: its one member is the ``single`` topology's ``cluster0``."""
+
+    @staticmethod
+    def campaign(workers: int) -> CampaignSpec:
+        scenario = replace(builtin_scenarios()["baseline-dynamic"], faults="elastic-tide")
+        return CampaignSpec(name="tide", scenarios=(scenario,), seeds=2, workers=workers)
+
+    def test_elastic_tide_on_baseline_dynamic_is_byte_identical_at_1_and_2_workers(
+        self, tmp_path
+    ):
+        blobs = {}
+        for workers in (1, 2):
+            store = ResultStore(tmp_path / f"w{workers}")
+            result = CampaignRunner(self.campaign(workers), store=store).run()
+            blobs[workers] = store.runs_path("tide").read_bytes()
+        assert result.transport == "ipc"
+        for record in result.records:
+            metrics = record["metrics"]
+            assert metrics["fault_elastic_shrinks"] > 0
+            assert metrics["fault_sla_attainment_pct"] == 100.0
+            assert not any(key.startswith("fed_") for key in metrics)
+        assert blobs[1] == blobs[2]
+
+    def test_a_plan_naming_a_second_member_is_refused_at_load(self):
+        base = builtin_scenarios()["baseline-dynamic"]
+        with pytest.raises(
+            SpecError, match=r"^faults: fault plan 'flaky-nodes' references member '#1'"
+        ):
+            replace(base, faults="flaky-nodes")
 
 
 class TestFederationCli:

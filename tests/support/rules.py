@@ -2,9 +2,9 @@
 
 ``repro.obs.invariants`` states the rules.  Run as a script, this module
 runs every built-in scenario -- every point of a sweep -- under every policy
-it accepts (and, on a federation, every fault plan that fits its members)
-at ``derive_seed(0, name, 0)``, prints the kill findings of each run, and
-exits 1 if the checker reports anything else:
+it accepts and every fault plan that fits its members (``cluster0`` alone
+without a federation) at ``derive_seed(0, name, 0)``, prints the kill
+findings of each run, and exits 1 if the checker reports anything else:
 
     PYTHONPATH=src:tests python tests/support/rules.py
 """
@@ -13,8 +13,9 @@ from __future__ import annotations
 import dataclasses
 import sys
 
-from repro.campaign.builtin import POLICY_AWARE_RUNNERS  # (registers the scenarios)
+from repro.campaign import builtin  # noqa: F401  (registers the scenarios)
 from repro.campaign.registry import builtin_scenarios, run_sweep
+from repro.campaign.spec import POLICY_AWARE_RUNNERS
 from repro.core import CooRMv2
 from repro.core.errors import SpecError
 from repro.faults.plan import FAULT_PLANS
@@ -27,17 +28,15 @@ from support.protocol import breaches
 def runs():
     """``(label, spec)`` per built-in x accepted policy x fitting fault plan."""
     for name, spec in builtin_scenarios().items():
-        plans = [spec.faults]
-        if spec.federation is not None:
-            plans += [p for p in FAULT_PLANS.names() if p != spec.faults]
+        plans = [spec.faults] + [p for p in FAULT_PLANS.names() if p != spec.faults]
         for policy in (None, *POLICIES.names()):
             if spec.runner not in POLICY_AWARE_RUNNERS and policy not in (None, "coorm"):
                 continue  # an analytic figure runner computes the paper's results only
             for plan in plans:
                 try:
                     variant = dataclasses.replace(spec, policy=policy, faults=plan)
-                except SpecError:  # strict vs filling policy, or a member the plan lacks
-                    continue
+                except SpecError:  # strict vs filling policy, a member the plan
+                    continue  # lacks, or a plan on an analytic figure runner
                 yield f"{name} {policy or '-'} {plan or '-'}", variant
 
 

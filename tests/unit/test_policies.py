@@ -174,7 +174,7 @@ class TestSchedulerPolicyIntegration:
             result = run_scenario(
                 EvaluationScale.tiny(), strict_equipartition=True, policy=policy
             )
-            assert result.rms.policy.name == "coorm-strict"
+            assert result.federation.rms_list()[0].policy.name == "coorm-strict"
 
     def test_strict_flag_conflicting_with_a_member_policy_is_rejected(self):
         """The member that pins its own policy is checked too."""
