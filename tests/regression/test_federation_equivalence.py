@@ -9,9 +9,10 @@ the same placement seam as a federated scenario's.  Three layers pin it:
 * :func:`test_scenario_without_a_federation_runs_on_single` -- the
   federation built is exactly the resolved ``single`` topology, and every
   application, background jobs included, lands on its one member unchanged;
-* :func:`test_fed_columns_only_when_the_spec_names_a_federation` -- naming
-  the ``single`` topology adds the ``fed_*`` breakdown and changes no other
-  column, so default records keep their bytes;
+* :func:`test_fed_columns_only_when_the_spec_names_a_federation` -- on
+  every built-in single-cluster scenario, naming the ``single`` topology
+  adds the ``fed_*`` breakdown and changes no other column, so default
+  records keep their bytes;
 * the ``fed-single`` golden fixture (see ``generate_golden.py``) pins the
   absolute values, and every single-cluster golden pins its own.
 """
@@ -66,16 +67,34 @@ def test_scenario_without_a_federation_runs_on_single() -> None:
     assert all(a.finished() for a in result.rigid_apps + result.trace_apps)
 
 
-def test_fed_columns_only_when_the_spec_names_a_federation() -> None:
-    spec = replace(builtin_scenarios()["baseline-dynamic"], metrics=())
-    seed = derive_seed(0, spec.name, 0)
-    ((_, plain),) = run_sweep(spec, seed)
-    ((_, named),) = run_sweep(replace(spec, federation=TOPOLOGIES.get("single")), seed)
+SINGLE_CLUSTER = sorted(
+    name
+    for name, spec in builtin_scenarios().items()
+    if spec.runner == "amr_psa" and spec.federation is None
+)
 
-    assert not any(key.startswith("fed_") for key in plain)
-    extra = set(named) - set(plain)
-    assert extra and all(key.startswith("fed_") for key in extra)
-    assert canonical({k: named[k] for k in plain}) == canonical(plain)
+
+@pytest.mark.parametrize("replicate", [0, 1])
+@pytest.mark.parametrize("name", SINGLE_CLUSTER)
+def test_fed_columns_only_when_the_spec_names_a_federation(
+    name: str, replicate: int
+) -> None:
+    """At every point of every built-in single-cluster scenario, the default
+    record has no ``fed_*`` column, and naming the ``single`` topology only
+    adds ``fed_*`` columns: every other metric keeps its bytes.
+    """
+    spec = replace(builtin_scenarios()[name], metrics=())
+    seed = derive_seed(0, name, replicate)
+    plain_points = run_sweep(spec, seed)
+    named_points = run_sweep(replace(spec, federation=TOPOLOGIES.get("single")), seed)
+
+    assert len(named_points) == len(plain_points)
+    for (_, plain), (_, named) in zip(plain_points, named_points):
+        assert not any(key.startswith("fed_") for key in plain)
+        assert set(plain) <= set(named)
+        extra = set(named) - set(plain)
+        assert extra and all(key.startswith("fed_") for key in extra)
+        assert canonical({k: named[k] for k in plain}) == canonical(plain)
 
 
 def test_oversized_rigid_job_fails_on_both_paths() -> None:
@@ -110,8 +129,11 @@ def test_oversized_rigid_job_under_a_fault_plan_counts_rejected(federation) -> N
     assert result.rigid_apps == [] and result.amr.finished()
 
 
-def test_converted_job_larger_than_its_member_is_clamped() -> None:
+@pytest.mark.parametrize("federation", [None, SINGLE])
+def test_converted_job_larger_than_its_member_is_clamped(federation) -> None:
     job = ConvertedJob("rigid", "t1", submit_time=5.0, node_count=10_000, duration=20.0)
-    result = run_scenario(EvaluationScale.tiny(), adaptive_jobs=[job])
+    result = run_scenario(
+        EvaluationScale.tiny(), federation=federation, adaptive_jobs=[job]
+    )
     (app,) = result.trace_apps
     assert app.node_count == result.cluster_nodes and app.finished()
