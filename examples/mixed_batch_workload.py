@@ -70,7 +70,7 @@ def main() -> None:
     # ---------------- classical baseline ---------------------------------
     baseline = BatchSchedulerBaseline(cluster_nodes)
     baseline.run(rigid_jobs)
-    baseline_by_id = baseline.outcome_by_id()
+    baseline_by_id = {job.job_id: job for job in baseline.queue.jobs}
 
     # ---------------- report ---------------------------------------------
     rows = []
@@ -81,7 +81,7 @@ def main() -> None:
                 job.node_count,
                 round(job.duration),
                 round(app.wait_time()),
-                round(baseline_by_id[job.job_id].wait_time),
+                round(baseline_by_id[job.job_id].wait_time()),
             )
         )
     print("Rigid jobs: CooRMv2 vs classical FCFS + Conservative Back-Filling")

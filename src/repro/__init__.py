@@ -18,10 +18,13 @@ The package is organised bottom-up:
   policy);
 * :mod:`repro.metrics`, :mod:`repro.workloads` -- measurement and workload
   generation utilities;
-* :mod:`repro.experiments` -- one driver per figure of the evaluation;
+* :mod:`repro.experiments` -- the evaluation's AMR+PSA scenario at a named
+  scale;
 * :mod:`repro.campaign` -- declarative scenario specs, parallel multi-seed
   campaign execution and a persistent result store (also the
-  ``python -m repro`` command-line interface).
+  ``python -m repro`` command-line interface); every figure is a built-in
+  scenario: figures 1--4 runners of the paper's models, figures 9--11
+  sweeps of the AMR+PSA scenario.
 
 Quick start::
 

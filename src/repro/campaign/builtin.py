@@ -4,13 +4,14 @@ workloads.
 ``amr_psa`` is the generic runner: it executes whatever the scenario's
 platform/workload/RMS sections describe (the paper scenario with every knob
 exposed, including rigid batch-job streams layered on top -- see the
-built-in ``mixed-rigid`` scenario).  The analytic figures 1--4 have runners
-of their own (ports of ``repro.experiments.fig*``); the simulated figures
-9--11 are ``amr_psa`` scenarios swept over ``params["axes"]``, one campaign
-unit per x-point, built for a scale by the ``fig9``/``fig10``/``fig11``
-builders below.  Runners return **flat** ``{metric: number}`` mappings,
-because flat records make medians across seeds and cross-campaign
-comparisons trivial.
+built-in ``mixed-rigid`` scenario).  The analytic figures 1--4 are runners
+of their own, defined here: they evaluate the paper's models and build no
+RMS, so a spec that gives them a policy, a federation or a fault plan is
+refused while it loads.  The simulated figures 9--11 are ``amr_psa``
+scenarios swept over ``params["axes"]``, one campaign unit per x-point,
+built for a scale by the ``fig9``/``fig10``/``fig11`` builders below.
+Runners return **flat** ``{metric: number}`` mappings, because flat records
+make medians across seeds and cross-campaign comparisons trivial.
 """
 from __future__ import annotations
 
@@ -18,17 +19,17 @@ import math
 from dataclasses import replace
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..experiments import (
-    fig1_amr_profiles,
-    fig2_speedup_fit,
-    fig3_static_endtime,
-    fig4_static_choices,
-)
 from ..core.errors import SpecError
 from ..experiments.runner import EvaluationScale, run_scenario
 from ..federation.metrics import federation_breakdown
 from ..federation.spec import TOPOLOGIES
-from ..models.amr_evolution import AmrEvolutionParameters, normalized_profile
+from ..models.amr_evolution import (
+    AmrEvolutionParameters,
+    WorkingSetEvolution,
+    normalized_profile,
+)
+from ..models.speedup import GIB_IN_MIB, PAPER_SPEEDUP_MODEL, TIB_IN_MIB
+from ..models.static_equivalent import equivalent_static_allocation, static_allocation_range
 from ..sim.randomness import derive_seed
 from ..traces.source import resolve_converted_jobs
 from ..workloads.generator import WorkloadParameters, generate_rigid_workload
@@ -52,32 +53,6 @@ def _apply_metrics_filter(spec: ScenarioSpec, metrics: Dict[str, object]) -> Dic
     if not spec.metrics:
         return metrics
     return {k: v for k, v in metrics.items() if k in spec.metrics}
-
-
-def _require_default_policy(spec: ScenarioSpec) -> None:
-    """Fail loudly when a policy-agnostic runner is asked to sweep policies.
-
-    The runners of figures 1--4 compute fixed paper results that no RMS
-    takes part in; silently running them while the record claims another
-    policy (or a federation) would fabricate a comparison out of identical
-    runs.  The generic ``amr_psa`` runner (figures 9--11 included) honours
-    both.  (A fault plan on them is refused while the spec loads.)
-    """
-    ignored = [
-        what
-        for what, given in (
-            (f"scheduling policies (not {spec.policy_name!r})", spec.policy_name != "coorm"),
-            ("federation specs", spec.federation is not None),
-        )
-        if given
-    ]
-    if ignored:
-        raise SpecError(
-            f"scenario {spec.name!r} (runner {spec.runner!r}) reproduces a fixed "
-            f"paper computation and ignores {', '.join(ignored)}; "
-            f"run 'amr_psa'-based scenarios (e.g. fig9, trace-replay, "
-            f"fed-chaos-dual) instead."
-        )
 
 
 def _finish(spec: ScenarioSpec, metrics: Dict[str, object]) -> Dict[str, object]:
@@ -188,68 +163,100 @@ def run_amr_psa(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------- #
-# Figure runners (ports of repro.experiments.fig*)
+# Analytic figure runners: the paper's models, no RMS
 # --------------------------------------------------------------------- #
+#: Figure 2's curves: mesh sizes, GiB.
+PAPER_MESH_SIZES_GIB: Tuple[float, ...] = (12.0, 48.0, 196.0, 784.0, 3136.0)
+
+#: Figure 2's x-axis: powers of two from 1 to 16k nodes.
+PAPER_NODE_COUNTS: Tuple[int, ...] = tuple(2 ** k for k in range(15))
+
+#: Figure 3's x-axis: target efficiencies 0.1 ... 0.9.
+PAPER_TARGET_EFFICIENCIES: Tuple[float, ...] = tuple(round(0.1 + 0.1 * i, 1) for i in range(9))
+
+#: Figure 4's y-axis: peak data size relative to the reference 3.16 TiB.
+PAPER_RELATIVE_SIZES: Tuple[float, ...] = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+_FIG4_REFERENCE_MIB = 3.16 * TIB_IN_MIB
+
+
+def _unscaled_evolution(peak_mib: float, seed: int, num_steps: int) -> WorkingSetEvolution:
+    """An evolution drawn with the paper's 1000-step constants at any step
+    count.  Below 1000 steps its profile is noise-dominated (see
+    :meth:`AmrEvolutionParameters.scaled`), but the fig3 and fig4 goldens
+    pin these draws."""
+    params = AmrEvolutionParameters(num_steps=num_steps)
+    return WorkingSetEvolution.generate(peak_mib, seed=seed, params=params)
+
+
 @RUNNERS.register("fig1")
 def run_fig1(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
-    """Shape statistics of one normalised AMR working-set profile."""
-    _require_default_policy(spec)
-    num_steps = resolve_scale(spec).num_steps
-    params = (
-        AmrEvolutionParameters(num_steps=num_steps)
-        if num_steps == 1000
-        else AmrEvolutionParameters.scaled(num_steps)
-    )
+    """Figure 1 -- shape statistics of one normalised AMR working-set
+    profile: values in [0, 1000], mostly increasing, with sudden jumps,
+    plateaus and noise."""
+    params = AmrEvolutionParameters.scaled(resolve_scale(spec).num_steps)
     profile = normalized_profile(seed=seed, params=params)
-    summary = fig1_amr_profiles.summarize_profile(seed, profile)
+    diffs = [after - before for before, after in zip(profile, profile[1:])]
+    flat = 3.0  # ~ the model's noise sigma; below this a step is "flat"
+
+    def fraction(count: int) -> float:
+        return count / len(diffs) if diffs else float("nan")
+
     return _finish(
         spec,
         {
-            "peak": summary.peak,
-            "final_value": summary.final_value,
-            "increasing_fraction": summary.increasing_fraction,
-            "plateau_fraction": summary.plateau_fraction,
-            "max_step_increase": summary.max_step_increase,
+            "peak": max(profile),
+            "final_value": profile[-1],
+            "increasing_fraction": fraction(sum(d > 0 for d in diffs)),
+            "plateau_fraction": fraction(sum(abs(d) < flat for d in diffs)),
+            "max_step_increase": max(diffs, default=0.0),
         },
     )
 
 
 @RUNNERS.register("fig2")
 def run_fig2(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
-    """Model step durations per (mesh size, node count); seed-independent."""
-    _require_default_policy(spec)
-    curves = fig2_speedup_fit.run()
-    metrics: Dict[str, object] = {}
-    for size_gib, curve in curves.items():
-        for nodes, duration in zip(curve.node_counts, curve.durations):
-            metrics[f"duration_s[{size_gib:g}GiB,n={nodes}]"] = duration
-    return _finish(spec, metrics)
+    """Figure 2 -- the speed-up model's step duration per (mesh size, node
+    count); seed-independent."""
+    return _finish(
+        spec,
+        {
+            f"duration_s[{size_gib:g}GiB,n={nodes}]": PAPER_SPEEDUP_MODEL.step_duration(
+                nodes, size_gib * GIB_IN_MIB
+            )
+            for size_gib in PAPER_MESH_SIZES_GIB
+            for nodes in PAPER_NODE_COUNTS
+        },
+    )
 
 
 @RUNNERS.register("fig3")
 def run_fig3(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
-    """End-time increase of the equivalent static allocation (one seed)."""
-    _require_default_policy(spec)
+    """Figure 3 -- end-time increase of the equivalent static allocation per
+    target efficiency (one seed); ``feasible`` is 0 where none exists."""
     scale = resolve_scale(spec)
-    points = fig3_static_endtime.run(
-        seeds=(seed,), num_steps=scale.num_steps, s_max_mib=scale.s_max_mib
-    )
+    evolution = _unscaled_evolution(scale.s_max_mib, seed, scale.num_steps)
     metrics: Dict[str, object] = {}
-    for target, point in points.items():
-        metrics[f"end_time_increase[eff={target:g}]"] = point.median_increase
-        metrics[f"feasible[eff={target:g}]"] = point.feasible_fraction
+    for target in PAPER_TARGET_EFFICIENCIES:
+        result = equivalent_static_allocation(evolution, target)
+        increase = float("nan") if result is None else result.end_time_increase
+        metrics[f"end_time_increase[eff={target:g}]"] = increase
+        metrics[f"feasible[eff={target:g}]"] = float(result is not None)
     return _finish(spec, metrics)
 
 
 @RUNNERS.register("fig4")
 def run_fig4(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
-    """Static-choice node-count ranges per relative peak size (one seed)."""
-    _require_default_policy(spec)
-    rows = fig4_static_choices.run(seed=seed, num_steps=resolve_scale(spec).num_steps)
+    """Figure 4 -- the static node counts a user can defend at 75 % target
+    efficiency per relative peak size (one seed): enough memory for the
+    peak, at most 10 % more area than the dynamic allocation.  ``None``
+    where the range is empty."""
+    num_steps = resolve_scale(spec).num_steps
     metrics: Dict[str, object] = {}
-    for relative, row in rows.items():
-        metrics[f"min_nodes[rel={relative:g}]"] = row.min_nodes
-        metrics[f"max_nodes[rel={relative:g}]"] = row.max_nodes
+    for relative in PAPER_RELATIVE_SIZES:
+        evolution = _unscaled_evolution(relative * _FIG4_REFERENCE_MIB, seed, num_steps)
+        low, high = static_allocation_range(evolution) or (None, None)
+        metrics[f"min_nodes[rel={relative:g}]"] = low
+        metrics[f"max_nodes[rel={relative:g}]"] = high
     return _finish(spec, metrics)
 
 

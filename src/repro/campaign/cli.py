@@ -39,7 +39,7 @@ from ..obs.logsetup import get_logger
 from . import builtin  # noqa: F401  (registers the built-in scenarios)
 from .registry import builtin_scenarios, resolve_scenarios
 from .runner import CampaignInterrupted, CampaignRunner
-from .spec import POLICY_AWARE_RUNNERS, SCALE_NAMES, CampaignSpec
+from .spec import SCALE_NAMES, CampaignSpec
 from .store import (
     ResultStore, by_policy, by_routing, compare, comparisons, medians, provenance, sweep_tables,
 )
@@ -198,17 +198,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.name and spec.name != args.name:
         spec = CampaignSpec.from_dict({**spec.to_dict(), "name": args.name})
-
-    if spec.policies:
-        unaware = sorted(
-            {s.runner for s in spec.scenarios} - POLICY_AWARE_RUNNERS
-        )
-        if unaware:
-            raise SpecError(
-                f"runner(s) {unaware} reproduce fixed paper experiments "
-                "and cannot sweep scheduling policies; use 'amr_psa'-based "
-                "scenarios (e.g. trace-replay, baseline-dynamic)"
-            )
 
     store = ResultStore(args.results_dir)
     store.campaign_dir(spec.name)  # validate the name before running

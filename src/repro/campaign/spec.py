@@ -44,10 +44,11 @@ __all__ = [
 #: Named evaluation scales (constructors on :class:`EvaluationScale`).
 SCALE_NAMES: Tuple[str, ...] = ("tiny", "reduced", "paper")
 
-#: Runners that build an RMS, so honour ``ScenarioSpec.policy`` and
-#: ``faults``.  The analytic figure runners reproduce fixed paper
-#: computations: a fault plan on one is refused while the spec loads, a
-#: policy sweep or a federation when it runs.
+#: Runners that build an RMS, so honour ``ScenarioSpec.policy``,
+#: ``federation`` and ``faults``.  The analytic figure runners evaluate the
+#: paper's models: a spec that gives one of them any of the three is refused
+#: while it loads, so no record claims a policy, topology or plan that took
+#: no part in the run.
 POLICY_AWARE_RUNNERS = frozenset({"amr_psa"})
 
 
@@ -225,6 +226,8 @@ class ScenarioSpec(Spec):
                     f"got {self.policy!r}"
                 )
             resolve_policy(self.policy)  # fail fast on unknown names/stages
+        if self.runner not in POLICY_AWARE_RUNNERS:
+            self._check_rms_free()
         topology = self.federation or TOPOLOGIES.get("single")
         if self.faults is not None:
             if isinstance(self.faults, str):
@@ -235,12 +238,6 @@ class ScenarioSpec(Spec):
                     f"a FaultPlan, got {self.faults!r}"
                 )
             with located("faults"):
-                if self.runner not in POLICY_AWARE_RUNNERS:
-                    raise SpecError(
-                        f"runner {self.runner!r} builds no RMS and ignores fault "
-                        f"plans; arm them on an 'amr_psa' scenario (e.g. fig9, "
-                        f"baseline-dynamic, fed-chaos-dual)"
-                    )
                 resolve_fault_plan(self.faults).check_members(topology.cluster_names)
         if self.rms.strict_equipartition:
             # The run would refuse a policy (default or member pin) that
@@ -248,6 +245,22 @@ class ScenarioSpec(Spec):
             _strict_policy(self.policy, topology)
         if "axes" in self.params:
             self._check_axes()
+
+    def _check_rms_free(self) -> None:
+        """A runner that builds no RMS takes the default policy only, and no
+        federation or fault plan: it would ignore them."""
+        for where, ignored, given in (
+            ("policy", "scheduling policies", self.policy_name != "coorm"),
+            ("federation", "federations", self.federation is not None),
+            ("faults", "fault plans", self.faults is not None),
+        ):
+            if given:
+                raise SpecError(
+                    f"runner {self.runner!r} builds no RMS and ignores {ignored}; "
+                    f"use an 'amr_psa' scenario (e.g. fig9, baseline-dynamic, "
+                    f"fed-chaos-dual) instead",
+                    where,
+                )
 
     def _check_axes(self) -> None:
         """Each axis names a spec field and values the field accepts, and

@@ -117,15 +117,12 @@ class ScenarioResult:
 def build_evolution(scale: EvaluationScale, seed: Optional[int] = None) -> WorkingSetEvolution:
     """Draw one AMR working-set evolution at the given scale.
 
-    For runs shorter than the paper's 1000 steps the model parameters are
-    rescaled (see :meth:`AmrEvolutionParameters.scaled`) so that the profile
-    keeps the documented mostly-increasing shape instead of degenerating into
-    normalised noise.
+    The model parameters are rescaled to the run's step count (see
+    :meth:`AmrEvolutionParameters.scaled`, the paper's constants at 1000
+    steps) so that a shorter profile keeps the documented mostly-increasing
+    shape instead of degenerating into normalised noise.
     """
-    if scale.num_steps == 1000:
-        params = AmrEvolutionParameters(num_steps=scale.num_steps)
-    else:
-        params = AmrEvolutionParameters.scaled(scale.num_steps)
+    params = AmrEvolutionParameters.scaled(scale.num_steps)
     return WorkingSetEvolution.generate(scale.s_max_mib, seed=seed, params=params)
 
 

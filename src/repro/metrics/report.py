@@ -1,17 +1,14 @@
 """Plain-text tabular reports for experiment results.
 
 The paper presents its results as figures; this module renders the same data
-as aligned text tables so that ``python -m`` experiment runs and benchmark
-harnesses can print the rows/series a figure would plot, without any plotting
-dependency.
+as aligned text tables so that campaign reports and benchmark harnesses can
+print the rows a figure would plot, without any plotting dependency.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence, Union
+from typing import Iterable, List, Sequence
 
-__all__ = ["format_table", "format_series", "format_comparison"]
-
-Number = Union[int, float]
+__all__ = ["format_table", "format_comparison"]
 
 
 def _format_cell(value) -> str:
@@ -59,20 +56,3 @@ def format_comparison(
     return format_table(
         ["scenario", "metric", label_a, label_b, "delta", "rel"], table_rows
     )
-
-
-def format_series(
-    x_label: str,
-    x_values: Sequence[Number],
-    series: Mapping[str, Sequence[Number]],
-) -> str:
-    """Render one or more y-series against a shared x-axis as a table."""
-    headers = [x_label] + list(series.keys())
-    rows = []
-    for i, x in enumerate(x_values):
-        row = [x]
-        for name in series:
-            values = series[name]
-            row.append(values[i] if i < len(values) else "")
-        rows.append(row)
-    return format_table(headers, rows)

@@ -67,8 +67,9 @@ class AmrEvolutionParameters:
         normalisation and the profile loses its "mostly increasing" shape.
         Scaling the acceleration by ``(1000 / num_steps)**2`` keeps the raw
         magnitude comparable, and shrinking the phase lengths proportionally
-        keeps several acceleration/deceleration phases per run.  Used by the
-        reduced/tiny experiment scales and the test suite.
+        keeps several acceleration/deceleration phases per run.  At 1000
+        steps these are the default (paper) parameters, so every experiment
+        scale draws through this one rule.
         """
         if num_steps <= 0:
             raise ValueError("num_steps must be positive")

@@ -108,6 +108,12 @@ HOSTILE_FRAGMENTS = {
     "fault_plan_on_analytic_runner.json": (
         "scenarios[0].faults: runner 'fig1' builds no RMS and ignores fault plans"
     ),
+    "policy_on_analytic_runner.json": (
+        "scenarios[0].policy: runner 'fig2' builds no RMS and ignores scheduling policies"
+    ),
+    "federation_on_analytic_runner.json": (
+        "scenarios[0].federation: runner 'fig3' builds no RMS and ignores federations"
+    ),
     "fault_member_missing.json": (
         "scenarios[0].faults: fault plan 'blackout' references member '#1' "
         "but the federation has 1 members"
@@ -125,6 +131,17 @@ def test_hostile_campaign_file(path, tmp_path, capsys):
     fragment = HOSTILE_FRAGMENTS[path.name]
     assert_one_error_line(code, capsys.readouterr(), path.name, fragment)
     assert not list(tmp_path.iterdir())  # nothing ran, nothing was stored
+
+
+def test_a_policy_sweep_of_an_analytic_figure_is_refused_before_anything_is_written(
+    tmp_path, capsys
+):
+    argv = ["campaign", "run", "--scenarios", "fig1", "--policies", "easy"]
+    code = main([*argv, "--results-dir", str(tmp_path)])
+    assert_one_error_line(
+        code, capsys.readouterr(), "scenarios[0].policy: runner 'fig1' builds no RMS"
+    )
+    assert not list(tmp_path.iterdir())
 
 
 #: argv -> what its one error line must say (the known names included).

@@ -1,5 +1,5 @@
-"""Integration tests of the paper's figures: the analytic drivers and the
-sweeps of figures 9--11.
+"""Integration tests of the paper's figures: the analytic runners of
+figures 1--4 and the sweeps of figures 9--11.
 
 Each figure is run at a very small scale and checked for the qualitative
 shape the corresponding figure shows.  Larger sweeps run from
@@ -13,16 +13,11 @@ from itertools import product
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, ResultStore, ScenarioSpec
+from repro.campaign.builtin import PAPER_MESH_SIZES_GIB, PAPER_NODE_COUNTS
 from repro.campaign.registry import builtin_scenarios, get_runner, resolve_scenarios, run_sweep
 from repro.campaign.store import by_policy, comparisons, medians, sweep_tables
 from repro.core.errors import SpecError
-from repro.experiments import (
-    EvaluationScale,
-    fig1_amr_profiles,
-    fig2_speedup_fit,
-    fig3_static_endtime,
-    fig4_static_choices,
-)
+from repro.experiments import EvaluationScale
 
 TINY = EvaluationScale.tiny()
 
@@ -48,44 +43,50 @@ def sweep(name: str, *axes) -> dict:
     return dict(zip(product(*(values for _path, values in axes)), (m for _v, m in points)))
 
 
+def analytic(name: str, seed: int = 0, scale: str = "tiny", **params) -> dict:
+    """The built-in analytic figure *name* at *scale*, its params replaced by
+    *params*, run once at *seed*."""
+    (spec,) = resolve_scenarios([name], scale=scale)
+    return get_runner(spec.runner)(replace(spec, params=params), seed)
+
+
 class TestAnalyticFigures:
     def test_fig1_profiles_have_the_documented_shape(self):
-        profiles = fig1_amr_profiles.run(seeds=(0, 1, 2))
-        assert len(profiles) == 3
-        for profile in profiles.values():
-            assert len(profile) == 1000
-            assert max(profile) == pytest.approx(1000.0)
-            diffs = [b - a for a, b in zip(profile, profile[1:])]
-            assert sum(d >= 0 for d in diffs) / len(diffs) > 0.5
-        assert "Figure 1" in fig1_amr_profiles.main(seeds=(0, 1))
+        for seed in (0, 1, 2):
+            shape = analytic("fig1", seed, num_steps=1000)
+            assert shape["peak"] == pytest.approx(1000.0)
+            assert shape["increasing_fraction"] > 0.5
 
     def test_fig2_speedup_curves(self):
-        curves = fig2_speedup_fit.run(node_counts=(1, 16, 256, 4096))
-        for size, curve in curves.items():
+        durations = analytic("fig2")
+        assert len(durations) == len(PAPER_MESH_SIZES_GIB) * len(PAPER_NODE_COUNTS)
+
+        def at(size_gib, nodes):
+            return durations[f"duration_s[{size_gib:g}GiB,n={nodes}]"]
+
+        for size in PAPER_MESH_SIZES_GIB:
             # Strong scaling: 256 nodes is faster than 1 node for every size.
-            assert curve.duration_at(256) < curve.duration_at(1)
+            assert at(size, 256) < at(size, 1)
         # Larger meshes take longer at any node count.
-        assert curves[3136.0].duration_at(16) > curves[12.0].duration_at(16)
-        assert "Figure 2" in fig2_speedup_fit.main(node_counts=(1, 16))
+        assert at(3136, 16) > at(12, 16)
 
     def test_fig3_end_time_increase_is_bounded(self):
-        points = fig3_static_endtime.run(
-            target_efficiencies=(0.3, 0.5, 0.7), seeds=(0, 1), num_steps=200
-        )
-        for point in points.values():
-            assert point.feasible_fraction == 1.0
-            assert 0.0 <= point.median_increase < 0.06
-        assert "Figure 3" in fig3_static_endtime.main(
-            target_efficiencies=(0.5,), seeds=(0,), num_steps=100
-        )
+        for seed in (0, 1):
+            points = analytic("fig3", seed, scale="paper", num_steps=200)
+            for target in (0.3, 0.5, 0.7):
+                assert points[f"feasible[eff={target:g}]"] == 1.0
+                assert 0.0 <= points[f"end_time_increase[eff={target:g}]"] < 0.06
 
     def test_fig4_range_narrows_with_data_size(self):
-        rows = fig4_static_choices.run(relative_sizes=(0.5, 1.0, 4.0), num_steps=200)
-        assert rows[0.5].feasible
-        widths = {rel: (row.range_width if row.feasible else -1) for rel, row in rows.items()}
+        nodes = analytic("fig4", num_steps=200)
+
+        def width(relative):
+            low = nodes[f"min_nodes[rel={relative:g}]"]
+            return -1 if low is None else nodes[f"max_nodes[rel={relative:g}]"] - low
+
+        assert width(0.5) >= 0
         # Larger problems leave the user less room to guess a static size.
-        assert widths[4.0] < widths[0.5]
-        assert "Figure 4" in fig4_static_choices.main(relative_sizes=(1.0,), num_steps=100)
+        assert width(4.0) < width(0.5)
 
 
 class TestSimulationFigures:

@@ -87,7 +87,7 @@ class TestMixedWorkload:
 
         # Makespans agree within the re-scheduling latency (one pass per event).
         rms_makespan = max(app.finished_at for app in apps)
-        assert rms_makespan == pytest.approx(baseline.makespan(), rel=0.1)
+        assert rms_makespan == pytest.approx(baseline.queue.makespan(), rel=0.1)
 
     def test_two_evolving_applications_queue_for_preallocations(self):
         """Two NEAs whose pre-allocations cannot fit together are serialised,

@@ -15,7 +15,6 @@ import sys
 
 from repro.campaign import builtin  # noqa: F401  (registers the scenarios)
 from repro.campaign.registry import builtin_scenarios, run_sweep
-from repro.campaign.spec import POLICY_AWARE_RUNNERS
 from repro.core import CooRMv2
 from repro.core.errors import SpecError
 from repro.faults.plan import FAULT_PLANS
@@ -30,13 +29,11 @@ def runs():
     for name, spec in builtin_scenarios().items():
         plans = [spec.faults] + [p for p in FAULT_PLANS.names() if p != spec.faults]
         for policy in (None, *POLICIES.names()):
-            if spec.runner not in POLICY_AWARE_RUNNERS and policy not in (None, "coorm"):
-                continue  # an analytic figure runner computes the paper's results only
             for plan in plans:
                 try:
                     variant = dataclasses.replace(spec, policy=policy, faults=plan)
                 except SpecError:  # strict vs filling policy, a member the plan
-                    continue  # lacks, or a plan on an analytic figure runner
+                    continue  # lacks, or a policy or plan on an analytic figure runner
                 yield f"{name} {policy or '-'} {plan or '-'}", variant
 
 

@@ -10,7 +10,6 @@ from repro.cluster import Platform
 from repro.core import CooRMv2
 from repro.metrics import (
     SimulationMetrics,
-    format_series,
     format_table,
     median_summary,
 )
@@ -28,13 +27,8 @@ class TestReportFormatting:
         # All rows have the same width.
         assert len({len(line) for line in lines}) == 1
 
-    def test_format_series(self):
-        out = format_series("x", [1, 2], {"y1": [10, 20], "y2": [0.5, 0.25]})
-        assert "y1" in out and "y2" in out
-        assert "0.5" in out
-
     def test_format_table_handles_missing_cells(self):
-        out = format_series("x", [1, 2, 3], {"y": [10]})
+        out = format_table(["x", "y"], [(1, 10), (2,), (3,)])
         assert out.count("\n") == 4
 
 

@@ -188,14 +188,15 @@ class TestSchedulerPolicyIntegration:
 
     def test_figure_runners_reject_policy_sweeps(self):
         from repro.campaign.registry import builtin_scenarios, get_runner
+        from repro.core.errors import SpecError
 
         fig = builtin_scenarios()["fig1"]
-        easy, coorm = fig.expand(policies=["easy", "coorm"])
-        with pytest.raises(ValueError, match="ignores scheduling policies"):
-            get_runner(fig.runner)(easy, seed=0)
+        with pytest.raises(SpecError, match="ignores scheduling policies") as refused:
+            fig.expand(policies=["coorm", "easy"])
+        assert refused.value.path == "policy"
         # The default policy is what actually runs, so it stays accepted.
-        metrics = get_runner(fig.runner)(coorm, seed=0)
-        assert metrics
+        (coorm,) = fig.expand(policies=["coorm"])
+        assert get_runner(fig.runner)(coorm, seed=0)
 
     def test_sjf_lets_short_job_reserve_first(self):
         # 10 nodes; two 8-node jobs cannot run together.  Under FCFS the
@@ -444,7 +445,7 @@ class TestBatchBaselinePolicies:
 
         baseline = BatchSchedulerBaseline(10)
         baseline.run(self.JOBS)
-        starts = {o.job_id: o.start_time for o in baseline.outcomes}
+        starts = {job.job_id: job.start_time for job in baseline.queue.jobs}
         assert starts == {"j1": 0.0, "j2": 100.0, "j3": 150.0, "j4": 3.0}
         assert isinstance(baseline.queue, ConservativeBackfillQueue)
 
@@ -453,7 +454,7 @@ class TestBatchBaselinePolicies:
 
         baseline = BatchSchedulerBaseline(10, policy="sjf")
         baseline.run(self.JOBS)
-        starts = {o.job_id: o.start_time for o in baseline.outcomes}
+        starts = {job.job_id: job.start_time for job in baseline.queue.jobs}
         assert starts["j2"] < 100.0  # the 50 s job no longer waits for j1
 
     def test_easy_policy_uses_the_easy_queue(self):
@@ -462,7 +463,7 @@ class TestBatchBaselinePolicies:
         baseline = BatchSchedulerBaseline(10, policy="easy")
         assert isinstance(baseline.queue, EasyBackfillQueue)
         baseline.run(self.JOBS)
-        assert len(baseline.outcomes) == len(self.JOBS)
+        assert len(baseline.queue.jobs) == len(self.JOBS)
 
     def test_policy_object_is_accepted(self):
         from repro.baselines import BatchSchedulerBaseline
@@ -470,6 +471,6 @@ class TestBatchBaselinePolicies:
         policy = get_policy("largest-area")
         baseline = BatchSchedulerBaseline(10, policy=policy)
         assert isinstance(baseline.policy, SchedulingPolicy)
-        baseline.run(self.JOBS)
+        jobs = baseline.run(self.JOBS)
         # largest area first: j3 (600 node-seconds) outranks j4 (60).
-        assert baseline.outcomes[0].job_id in {"j1", "j3"}
+        assert jobs[0].job_id in {"j1", "j3"}

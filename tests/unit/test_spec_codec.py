@@ -13,11 +13,12 @@ from repro.campaign.runner import RunTask
 from repro.campaign.spec import CampaignSpec, PlatformSpec, RmsSpec, ScenarioSpec, WorkloadSpec
 from repro.campaign.units import unit_key
 from repro.core import serde
+from repro.core.errors import SpecError
 from repro.core.serde import Spec
 from repro.faults.plan import FAULT_PLANS, get_fault_plan
 from repro.federation import ROUTINGS, TOPOLOGIES, ClusterSpec, FederationSpec
 from repro.obs.slo import DEFAULT_SLO
-from repro.policies import POLICIES
+from repro.policies import POLICIES, policy_label
 from repro.traces.convert import AdaptiveMix
 from repro.traces.models import MODEL_KINDS, DailyCycleArrivals, LogUniformDuration
 from repro.traces.models import TraceModel, model_from_dict
@@ -53,16 +54,26 @@ KIND_READERS = {
 }
 
 
+#: The built-in runners that build no RMS, and what they refuse: every
+#: policy but the default.
+ANALYTIC = ("fig1", "fig2", "fig3", "fig4")
+STAGE_MAPPING = {"ordering": "sjf", "sharing": "strict-eq"}
+REFUSED_POLICIES = [*(p for p in POLICIES.names() if p != "coorm"), STAGE_MAPPING]
+
+
 def registry_specs():
     """Every registered spec, its variants and one default of every kind."""
     builtins = list(builtin_scenarios().values())
     for scenario in builtins:
         yield scenario
+        if scenario.runner in ANALYTIC:
+            yield from scenario.expand(policies=["coorm"])
+            continue
         strict = scenario.rms.strict_equipartition or "rms.strict_equipartition" in dict(
             scenario.axes
         )
         yield from scenario.expand(policies=["coorm-strict"] if strict else POLICIES.names())
-        yield from scenario.expand(policies=[{"ordering": "sjf", "sharing": "strict-eq"}])
+        yield from scenario.expand(policies=[STAGE_MAPPING])
         if scenario.federation is not None:
             yield from scenario.expand(routings=ROUTINGS.names())
     yield full_scenario()
@@ -98,6 +109,14 @@ def test_every_registry_spec_round_trips_through_strict_json(spec):
     if isinstance(spec, ScenarioSpec):
         assert again.canonical_json == spec.canonical_json
         assert unit_key(RunTask(again, 0, 7)) == unit_key(RunTask(spec, 0, 7))
+
+
+@pytest.mark.parametrize("policy", REFUSED_POLICIES, ids=policy_label)
+@pytest.mark.parametrize("name", ANALYTIC)
+def test_an_analytic_figure_refuses_a_policy_sweep_while_it_expands(name, policy):
+    with pytest.raises(SpecError, match=f"runner '{name}' builds no RMS") as refused:
+        builtin_scenarios()[name].expand(policies=[policy])
+    assert refused.value.path == "policy"
 
 
 def _codec_classes(cls=Spec):

@@ -58,12 +58,12 @@ class TestBatchBaseline:
                 RigidJobSpec("small", 0.0, 4, 50.0),
             ]
         )
-        by_id = baseline.outcome_by_id()
+        by_id = {job.job_id: job for job in outcomes}
         assert by_id["small"].start_time == pytest.approx(0.0)
         assert by_id["blocked"].start_time == pytest.approx(100.0)
-        assert baseline.makespan() >= 150.0
-        assert 0.0 < baseline.utilisation() <= 1.0
-        assert baseline.mean_wait_time() >= 0.0
+        assert baseline.queue.makespan() >= 150.0
+        assert 0.0 < baseline.queue.utilisation() <= 1.0
+        assert baseline.queue.mean_wait_time() >= 0.0
         assert len(outcomes) == 3
 
     def test_peak_static_job_reserves_the_peak(self):
