@@ -2,8 +2,8 @@
 
 Runs one fixed campaign (a single-simulation scenario, many replicates) at
 several worker counts and reports the wall-clock speed-up: one worker is the
-in-process serial loop, more are ``repro.dist`` worker processes on pipes
-(the ``ipc`` transport).  Every run is an
+in-process serial loop, more are ``repro.dist`` worker processes on socket
+pairs (the ``ipc`` transport).  Every run is an
 independent simulation, so the campaign is embarrassingly parallel and the
 speed-up should be near-linear until the machine runs out of cores; the
 scaling assertion therefore only applies when enough physical cores exist.

@@ -7,13 +7,16 @@ dominate wall-clock even at small scenario sizes.  One floor per transport
 pins that down, each over enough units (2000) that dispatch, not worker
 start-up, is what the clock sees:
 
-* **Thread-transport dispatch** -- the in-process loopback is the pure
-  protocol cost (no serialisation across a kernel boundary beyond the
-  JSON frames themselves).
-* **IPC-transport dispatch** -- one subprocess per worker over pipes: what
-  every local ``campaign run --workers N`` goes through.
-* **TCP-transport dispatch** -- the full socket path with length-prefixed
-  frames, ``select``-driven polling and per-client receive buffers.
+Every transport carries the same length-prefixed JSON frames, polled by
+one ``select`` into per-connection receive buffers; they differ in where
+the worker runs and how it reached its socket:
+
+* **Thread-transport dispatch** -- workers are threads of the coordinator's
+  process on socket pairs: the protocol cost without a second process.
+* **IPC-transport dispatch** -- one subprocess per worker on a socket pair:
+  what every local ``campaign run --workers N`` goes through.
+* **TCP-transport dispatch** -- the full network path: a listener, accepted
+  loopback connections and ``TCP_NODELAY``.
 
 Every measurement uses plain ``time.perf_counter`` so the suite runs
 under the bare pytest of the CI benchmarks job (no pytest-benchmark

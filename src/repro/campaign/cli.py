@@ -17,12 +17,10 @@ JSON-lines record per run under the results directory (``results/`` by
 default, or ``--results-dir`` / the ``REPRO_RESULTS_DIR`` variable).  Runs
 are deterministic: the same spec writes byte-identical records regardless of
 the worker count and of how the workers are reached (``--workers N``: local
-pipes; ``--transport tcp --bind HOST:PORT``: ``dist worker`` processes on any
+socket pairs; ``--transport tcp --bind HOST:PORT``: ``dist worker`` processes on any
 host as well).  ``campaign report`` adds one sweep table per swept
 scenario.  The top-level parser that dispatches this group next to
-``trace``, ``policy`` and ``federation`` lives in :mod:`repro.__main__`;
-``build_parser``/``main`` are kept here as aliases for callers that predate
-the centralised dispatch.
+``trace``, ``policy`` and ``federation`` lives in :mod:`repro.__main__`.
 """
 from __future__ import annotations
 
@@ -44,7 +42,7 @@ from .store import (
     ResultStore, by_policy, by_routing, compare, comparisons, medians, provenance, sweep_tables,
 )
 
-__all__ = ["add_commands", "run_command", "build_parser", "main"]
+__all__ = ["add_commands", "run_command"]
 
 _LOG = get_logger("campaign")
 
@@ -113,9 +111,10 @@ def add_commands(campaign: argparse.ArgumentParser) -> None:
     )
     run.add_argument(
         "--transport", choices=TRANSPORT_NAMES, default=None,
-        help="how workers are reached: subprocess pipes (ipc, the default "
-        "whenever more than one worker is asked for), TCP sockets (tcp, which "
-        "also accepts 'dist worker' processes) or in-thread loopback (thread)",
+        help="how workers are reached: subprocesses on socket pairs (ipc, the "
+        "default whenever more than one worker is asked for), TCP connections "
+        "(tcp, which also accepts 'dist worker' processes) or threads on "
+        "socket pairs (thread)",
     )
     run.add_argument(
         "--bind", default=DistConfig.bind, metavar="HOST:PORT",
@@ -453,17 +452,3 @@ def run_command(args: argparse.Namespace) -> int:
         "scenarios": _cmd_scenarios,
     }
     return handlers[args.action](args)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The full ``python -m repro`` parser (alias of the central one)."""
-    from ..__main__ import build_parser as _build_parser
-
-    return _build_parser()
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Back-compat entry point delegating to the central dispatcher."""
-    from ..__main__ import main as _main
-
-    return _main(argv)

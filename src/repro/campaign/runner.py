@@ -3,7 +3,7 @@
 The runner executes the (scenario x replicate) grid of a
 :class:`~repro.campaign.spec.CampaignSpec` in a loop on the calling thread
 when one worker is asked for, and otherwise on :mod:`repro.dist` workers:
-subprocesses over pipes (``ipc``) locally, ``tcp`` across hosts.
+subprocesses on socket pairs (``ipc``) locally, ``tcp`` across hosts.
 Reproducibility is guaranteed by construction:
 
 * the seed of every run is ``derive_seed(root_seed, scenario.name,

@@ -32,7 +32,7 @@ from ..traces.source import TraceSource
 
 __all__ = [
     "SCALE_NAMES",
-    "POLICY_AWARE_RUNNERS",
+    "RMS_FREE_RUNNERS",
     "PlatformSpec",
     "WorkloadSpec",
     "RmsSpec",
@@ -44,12 +44,13 @@ __all__ = [
 #: Named evaluation scales (constructors on :class:`EvaluationScale`).
 SCALE_NAMES: Tuple[str, ...] = ("tiny", "reduced", "paper")
 
-#: Runners that build an RMS, so honour ``ScenarioSpec.policy``,
-#: ``federation`` and ``faults``.  The analytic figure runners evaluate the
-#: paper's models: a spec that gives one of them any of the three is refused
+#: The runners known to build no RMS: the analytic figures evaluate the
+#: paper's models, so ignore ``ScenarioSpec.policy``, ``federation`` and
+#: ``faults``.  A spec that gives one of them any of the three is refused
 #: while it loads, so no record claims a policy, topology or plan that took
-#: no part in the run.
-POLICY_AWARE_RUNNERS = frozenset({"amr_psa"})
+#: no part in the run.  Every other runner, a registered one included, gets
+#: them as it asks.
+RMS_FREE_RUNNERS = frozenset({"fig1", "fig2", "fig3", "fig4"})
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,7 @@ class ScenarioSpec(Spec):
                     f"got {self.policy!r}"
                 )
             resolve_policy(self.policy)  # fail fast on unknown names/stages
-        if self.runner not in POLICY_AWARE_RUNNERS:
+        if self.runner in RMS_FREE_RUNNERS:
             self._check_rms_free()
         topology = self.federation or TOPOLOGIES.get("single")
         if self.faults is not None:

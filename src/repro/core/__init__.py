@@ -1,6 +1,5 @@
 """CooRMv2 core: requests, views, scheduling algorithms and the RMS server."""
 from .types import (
-    ApplicationKind,
     RelatedHow,
     RequestState,
     RequestType,
@@ -20,7 +19,6 @@ from .errors import (
     SimulationError,
     ViewError,
     WorkloadError,
-    ExperimentError,
 )
 from .profile import StepFunction
 from .view import View
@@ -48,7 +46,6 @@ from .rms import CooRMv2
 
 __all__ = [
     # types
-    "ApplicationKind",
     "RelatedHow",
     "RequestState",
     "RequestType",
@@ -67,7 +64,6 @@ __all__ = [
     "SimulationError",
     "ViewError",
     "WorkloadError",
-    "ExperimentError",
     # data structures
     "StepFunction",
     "View",

@@ -88,7 +88,3 @@ class SimulationError(ReproError):
 
 class WorkloadError(ReproError):
     """A workload description or trace file is malformed."""
-
-
-class ExperimentError(ReproError):
-    """An experiment driver was configured inconsistently."""

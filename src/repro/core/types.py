@@ -80,21 +80,3 @@ FREE, COALLOC, NEXT = RelatedHow.FREE, RelatedHow.COALLOC, RelatedHow.NEXT
 PREALLOCATION, NON_PREEMPTIBLE = RequestType.PREALLOCATION, RequestType.NON_PREEMPTIBLE
 PREEMPTIBLE = RequestType.PREEMPTIBLE
 FINISHED, CANCELLED = RequestState.FINISHED, RequestState.CANCELLED
-
-
-class ApplicationKind(enum.Enum):
-    """Application taxonomy used throughout the paper (Sections 1 and 4)."""
-
-    RIGID = "rigid"
-    MOLDABLE = "moldable"
-    MALLEABLE = "malleable"
-    EVOLVING_FULLY_PREDICTABLE = "evolving-fully-predictable"
-    EVOLVING_MARGINALLY_PREDICTABLE = "evolving-marginally-predictable"
-    EVOLVING_NON_PREDICTABLE = "evolving-non-predictable"
-
-
-#: Sentinel meaning "time not yet decided"; the paper uses NaN for this.
-UNSET_TIME: Time = float("nan")
-
-#: Positive infinity, used for "scheduled never" and unbounded durations.
-INFINITY: Time = float("inf")

@@ -3,10 +3,11 @@
 Every campaign that asks for more than one worker runs here, on one host or
 many: a :class:`~repro.dist.coordinator.Coordinator` owns an in-memory
 :class:`~repro.dist.workqueue.WorkQueue` of run units and serves pull-based
-workers over one of three interchangeable transports -- subprocess pipes
-(``ipc``, the local default), TCP with length-prefixed JSON frames (``tcp``,
-which workers on other hosts can join) and an in-thread loopback
-(``thread``, the rung the protocol tests drive).  Determinism is preserved
+workers over one of three interchangeable transports, all carrying the same
+length-prefixed JSON frames over sockets -- subprocesses on socket pairs
+(``ipc``, the local default), TCP connections (``tcp``, which workers on
+other hosts can join) and threads on socket pairs (``thread``, the rung the
+protocol tests drive).  Determinism is preserved
 end to end: leases interleave freely, but results are keyed by idempotency
 key and reassembled in canonical order, so store rows are byte-identical to
 a serial run at any worker count.

@@ -1,44 +1,44 @@
 """Transport-agnostic RPC layer of the distributed execution tier.
 
 Every message between a campaign coordinator and its workers is one flat,
-JSON-serialisable dictionary.  Three interchangeable backends carry those
-messages (the C-Two Component/CRM split: the coordinator owns the stateful
-resource -- the work queue -- and workers talk to it through a protocol-
-agnostic channel):
+JSON-serialisable dictionary, and every backend carries it the same way: as
+a **length-prefixed JSON frame** -- a 4-byte big-endian length followed by
+the UTF-8 JSON payload -- on a stream socket.  The three interchangeable
+backends differ only in how a worker comes by its socket (the C-Two
+Component/CRM split: the coordinator owns the stateful resource -- the work
+queue -- and workers talk to it through a protocol-agnostic channel):
 
-* **thread** -- in-process loopback over ``queue.Queue`` pairs.  The
-  zero-dependency reference backend: same wire discipline (messages must be
-  JSON-serialisable), no sockets, no subprocesses.
-* **ipc** -- one subprocess per worker, connected over a
-  ``multiprocessing.Pipe``.  Messages travel as encoded JSON bytes
-  (``send_bytes``), never pickles, so the wire format is identical to TCP.
-* **tcp** -- workers connect over loopback (or the network) with
-  **length-prefixed JSON frames**: a 4-byte big-endian length followed by
-  the UTF-8 JSON payload.  The only backend that accepts *external*
-  workers (``python -m repro dist worker --connect host:port``).
+* **thread** -- workers are daemon threads of this process, each on one end
+  of a ``socket.socketpair()``: no subprocess, no port.  The rung the
+  protocol tests drive.
+* **ipc** -- one subprocess per worker, on the socket-pair end it inherits;
+  no port either.
+* **tcp** -- workers connect to a listening socket, over loopback or the
+  network.  The only backend that accepts *external* workers
+  (``python -m repro dist worker --connect host:port``).
 
 The coordinator side of every backend exposes the same four operations --
-``launch_worker`` / ``poll`` / ``drop`` / ``close`` -- and the worker side
-a duplex :class:`Channel` (``send`` / ``recv``).  ``poll`` returns
-``(channel, message)`` pairs and reports a disconnected worker as
-``(channel, None)``, which is how the coordinator reclaims the leases of a
-crashed worker immediately instead of waiting for the lease TTL.  What a
-peer sends is not trusted: a payload that is not JSON is handed over as the
-``ValueError`` saying why (never raised out of ``poll``), and ``drop`` is
-how the coordinator hangs up on a peer that broke the protocol.
+``launch_worker`` / ``poll`` / ``drop`` / ``close`` -- over one ``select``
+of its connections, and the worker side a duplex :class:`SocketChannel`
+(``send`` / ``recv``).  ``poll`` returns ``(end, message)`` pairs and
+reports a disconnected worker as ``(end, None)``, which is how the
+coordinator reclaims the leases of a crashed worker immediately instead of
+waiting for the lease TTL.  What a peer sends is not trusted, whatever the
+backend: a payload that is not JSON is handed over as the ``ValueError``
+saying why (never raised out of ``poll``), a frame announced larger than
+:data:`MAX_FRAME_BYTES` hangs up on that peer alone, and ``drop`` is how
+the coordinator hangs up on a peer that broke the protocol.
 """
 from __future__ import annotations
 
 import json
 import multiprocessing
-import multiprocessing.connection
-import queue as queue_module
 import select
 import signal
 import socket
 import struct
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import SpecError
@@ -47,7 +47,7 @@ from ..core.registry import unknown_name
 __all__ = [
     "TRANSPORT_NAMES",
     "ChannelClosed",
-    "Channel",
+    "SocketChannel",
     "WorkerHandle",
     "ThreadTransport",
     "IpcTransport",
@@ -96,7 +96,7 @@ def _decode(payload: bytes) -> object:
 
 
 def encode_frame(message: Dict) -> bytes:
-    """One TCP frame: length prefix + JSON payload."""
+    """One frame: length prefix + JSON payload."""
     payload = _encode(message)
     if len(payload) > MAX_FRAME_BYTES:
         raise ValueError(f"frame of {len(payload)} bytes exceeds the maximum")
@@ -129,8 +129,8 @@ def recv_frame(sock: socket.socket, timeout: Optional[float]) -> Optional[Dict]:
     frames are small, and returning ``None`` there would desynchronise the
     stream.
     """
-    sock.settimeout(timeout)
     try:
+        sock.settimeout(timeout)
         header = _recv_exact(sock, _LENGTH.size)
     except (socket.timeout, TimeoutError):
         return None
@@ -156,100 +156,10 @@ def parse_endpoint(endpoint: str) -> Tuple[str, int]:
 
 
 # --------------------------------------------------------------------- #
-# Worker-side channels
+# The two ends of a connection
 # --------------------------------------------------------------------- #
-class Channel:
-    """Duplex message channel (worker side); backends subclass this."""
-
-    def send(self, message: Dict) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def recv(self, timeout: Optional[float]) -> Optional[Dict]:  # pragma: no cover
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-#: In-process close marker (thread transport); never JSON-serialised.
-_CLOSE = object()
-
-
-class ThreadWorkerChannel(Channel):
-    """Worker end of an in-process loopback connection."""
-
-    def __init__(self, inbox: "queue_module.Queue", server_end: "ThreadServerEnd",
-                 from_server: "queue_module.Queue"):
-        self._inbox = inbox
-        self._server_end = server_end
-        self._from_server = from_server
-        self._closed = False
-
-    def send(self, message: Dict) -> None:
-        if self._closed:
-            raise ChannelClosed("channel closed")
-        # Round-trip through the encoder so the thread backend enforces the
-        # same JSON-only wire discipline as ipc/tcp.
-        self._inbox.put((self._server_end, json.loads(_encode(message))))
-
-    def recv(self, timeout: Optional[float]) -> Optional[Dict]:
-        try:
-            item = self._from_server.get(timeout=timeout)
-        except queue_module.Empty:
-            return None
-        if item is _CLOSE:
-            self._closed = True
-            raise ChannelClosed("coordinator closed the channel")
-        return item
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._inbox.put((self._server_end, None))  # EOF marker
-
-
-class ThreadServerEnd:
-    """Coordinator end of an in-process loopback connection."""
-
-    def __init__(self, to_worker: "queue_module.Queue"):
-        self._to_worker = to_worker
-
-    def send(self, message: Dict) -> None:
-        self._to_worker.put(json.loads(_encode(message)))
-
-    def close(self) -> None:
-        self._to_worker.put(_CLOSE)
-
-
-class PipeChannel(Channel):
-    """Worker end of a ``multiprocessing.Pipe`` connection (JSON bytes)."""
-
-    def __init__(self, conn: multiprocessing.connection.Connection):
-        self._conn = conn
-
-    def send(self, message: Dict) -> None:
-        try:
-            self._conn.send_bytes(_encode(message))
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            raise ChannelClosed(str(exc)) from exc
-
-    def recv(self, timeout: Optional[float]) -> Optional[Dict]:
-        try:
-            if not self._conn.poll(timeout):
-                return None
-            return json.loads(self._conn.recv_bytes().decode("utf-8"))
-        except (EOFError, OSError) as exc:
-            raise ChannelClosed(str(exc)) from exc
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-
-class SocketChannel(Channel):
-    """Worker end of a TCP connection (length-prefixed JSON frames)."""
+class SocketChannel:
+    """Worker end of a connection: blocking reads of one frame at a time."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
@@ -261,10 +171,48 @@ class SocketChannel(Channel):
         return recv_frame(self._sock, timeout)
 
     def close(self) -> None:
-        try:
+        with suppress(OSError):
             self._sock.close()
-        except OSError:
-            pass
+
+
+class _ServerEnd:
+    """Coordinator end of a connection, with an in-place frame buffer."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.buffer = bytearray()
+
+    def send(self, message: Dict) -> None:
+        send_frame(self.sock, message)
+
+    def feed(self, data: bytes) -> List[object]:
+        """Append one read; returns the frames it completed.
+
+        Raises :class:`ChannelClosed` on end of stream (an empty read) and
+        on an announced length over :data:`MAX_FRAME_BYTES`.
+        """
+        if not data:
+            raise ChannelClosed("peer closed the connection")
+        buffer = self.buffer
+        buffer += data
+        frames: List[object] = []
+        while len(buffer) >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(buffer)
+            if length > MAX_FRAME_BYTES:
+                raise ChannelClosed(f"oversized frame announced ({length} bytes)")
+            end = _LENGTH.size + length
+            if len(buffer) < end:
+                break
+            frames.append(_decode(buffer[_LENGTH.size:end]))
+            del buffer[:end]
+        return frames
+
+    def close(self) -> None:
+        """Hang up: ``shutdown`` reaches the worker even while a process
+        forked since still holds a copy of this end."""
+        with suppress(OSError):  # the worker may be gone already
+            self.sock.shutdown(socket.SHUT_RDWR)
+        self.sock.close()
 
 
 def connect_tcp(host: str, port: int, timeout: float = 10.0) -> SocketChannel:
@@ -325,8 +273,63 @@ class WorkerHandle:
 # --------------------------------------------------------------------- #
 # Coordinator-side transports
 # --------------------------------------------------------------------- #
-class ThreadTransport:
-    """In-process loopback: workers are daemon threads of this process.
+class _SocketTransport:
+    """What every backend shares: its connections' ends, one ``select``
+    over them (and the listener, where there is one), ``drop`` and ``close``."""
+
+    _listener: Optional[socket.socket] = None
+
+    def __init__(self) -> None:
+        self._ends: List[_ServerEnd] = []
+
+    def endpoint(self) -> str:
+        return ""
+
+    def pair(self) -> socket.socket:
+        """Open a connection on a socket pair: the coordinator keeps one end
+        and polls it from now on; the other, returned, is the worker's."""
+        ours, theirs = socket.socketpair()
+        self._ends.append(_ServerEnd(ours))
+        return theirs
+
+    def _poll(self, timeout: float) -> List[Tuple[_ServerEnd, object]]:
+        by_sock = {end.sock: end for end in self._ends}
+        listener = self._listener
+        sockets = list(by_sock) if listener is None else [listener, *by_sock]
+        try:
+            readable, _, _ = select.select(sockets, [], [], timeout)
+        except OSError:
+            return []
+        messages: List[Tuple[_ServerEnd, object]] = []
+        for sock in readable:
+            if sock is listener:
+                self._accept()
+                continue
+            end = by_sock[sock]
+            try:
+                messages += [(end, frame) for frame in end.feed(sock.recv(65536))]
+            except (OSError, ChannelClosed):
+                # The peer hung up, or announced a frame it must not send:
+                # surface the EOF once and stop polling the connection.
+                self.drop(end)
+                messages.append((end, None))
+        return messages
+
+    def drop(self, end: _ServerEnd) -> None:
+        if end in self._ends:
+            self._ends.remove(end)
+            end.close()
+
+    def close(self) -> None:
+        for end in self._ends:
+            end.close()
+        self._ends.clear()
+        if self._listener is not None:
+            self._listener.close()
+
+
+class ThreadTransport(_SocketTransport):
+    """In-process workers: daemon threads of this process on socket pairs.
 
     Workers launched here run the worker loop with ``in_process=True``,
     which serialises simulation execution behind a module lock -- the obs
@@ -336,163 +339,59 @@ class ThreadTransport:
 
     name = "thread"
 
-    def __init__(self) -> None:
-        self._inbox: "queue_module.Queue" = queue_module.Queue()
-        self._server_ends: List[ThreadServerEnd] = []
-
-    def endpoint(self) -> str:
-        return ""
-
     def launch_worker(self, worker_id: str, options: Dict) -> WorkerHandle:
         from .worker import worker_loop  # lazy: worker imports campaign
 
-        to_worker: "queue_module.Queue" = queue_module.Queue()
-        server_end = ThreadServerEnd(to_worker)
-        channel = ThreadWorkerChannel(self._inbox, server_end, to_worker)
-        self._server_ends.append(server_end)
         thread = threading.Thread(
             target=worker_loop,
-            args=(channel, worker_id, dict(options, in_process=True)),
+            args=(SocketChannel(self.pair()), worker_id, dict(options, in_process=True)),
             name=f"dist-{worker_id}",
             daemon=True,
         )
         thread.start()
         return WorkerHandle(worker_id, thread=thread)
 
-    def poll(self, timeout: float) -> List[Tuple[object, object]]:
-        messages: List[Tuple[object, object]] = []
-        try:
-            messages.append(self._inbox.get(timeout=timeout))
-        except queue_module.Empty:
-            return messages
-        while True:  # drain whatever else already arrived, without blocking
-            try:
-                messages.append(self._inbox.get_nowait())
-            except queue_module.Empty:
-                return messages
-
-    def drop(self, end: ThreadServerEnd) -> None:
-        if end in self._server_ends:
-            self._server_ends.remove(end)
-            end.close()
-
-    def close(self) -> None:
-        for end in self._server_ends:
-            end.close()
-        self._server_ends.clear()
+    def poll(self, timeout: float) -> List[Tuple[_ServerEnd, object]]:
+        return self._poll(timeout)
 
 
-class IpcTransport:
-    """One subprocess per worker over ``multiprocessing.Pipe`` connections."""
+class IpcTransport(_SocketTransport):
+    """One subprocess per worker, each on the socket pair it inherits."""
 
     name = "ipc"
-
-    def __init__(self) -> None:
-        self._conns: List[multiprocessing.connection.Connection] = []
-
-    def endpoint(self) -> str:
-        return ""
 
     def launch_worker(self, worker_id: str, options: Dict) -> WorkerHandle:
         from .worker import ipc_worker_entry
 
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        theirs = self.pair()
         process = multiprocessing.Process(
             target=ipc_worker_entry,
-            args=(child_conn, worker_id, dict(options)),
+            args=(theirs, worker_id, dict(options)),
             name=f"dist-{worker_id}",
             daemon=True,
         )
         with signals_held():  # until the worker has its own handlers
             process.start()
-        child_conn.close()  # the parent keeps only its own end
-        self._conns.append(parent_conn)
+        theirs.close()  # the coordinator keeps only its own end
         return WorkerHandle(worker_id, process=process)
 
-    def poll(self, timeout: float) -> List[Tuple[object, object]]:
-        if not self._conns:
-            return []
-        ready = multiprocessing.connection.wait(self._conns, timeout)
-        messages: List[Tuple[object, object]] = []
-        for conn in ready:
-            try:
-                payload = conn.recv_bytes()
-            except (EOFError, OSError):
-                # The worker died or closed its end: surface the EOF once
-                # and stop polling the dead connection.
-                self.drop(conn)
-                messages.append((conn, None))
-                continue
-            messages.append((conn, _decode(payload)))
-        return messages
-
-    def drop(self, conn: multiprocessing.connection.Connection) -> None:
-        if conn in self._conns:
-            self._conns.remove(conn)
-            conn.close()
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._conns.clear()
-
-    @staticmethod
-    def reply(conn: multiprocessing.connection.Connection, message: Dict) -> None:
-        try:
-            conn.send_bytes(_encode(message))
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            raise ChannelClosed(str(exc)) from exc
+    def poll(self, timeout: float) -> List[Tuple[_ServerEnd, object]]:
+        return self._poll(timeout)
 
 
-class _TcpServerEnd:
-    """Coordinator end of one accepted TCP connection, with an in-place frame buffer."""
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.buffer = bytearray()
-
-    def send(self, message: Dict) -> None:
-        send_frame(self.sock, message)
-
-    def feed(self, data: bytes) -> List[object]:
-        """Append one read; returns the frames it completed."""
-        buffer = self.buffer
-        buffer += data
-        frames: List[object] = []
-        while len(buffer) >= _LENGTH.size:
-            (length,) = _LENGTH.unpack_from(buffer)
-            if length > MAX_FRAME_BYTES:
-                raise ChannelClosed(f"oversized frame announced ({length} bytes)")
-            end = _LENGTH.size + length
-            if len(buffer) < end:
-                break
-            frames.append(_decode(buffer[_LENGTH.size:end]))
-            del buffer[:end]
-        return frames
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-class TcpTransport:
-    """TCP sockets with length-prefixed JSON frames; accepts external workers."""
+class TcpTransport(_SocketTransport):
+    """A listening TCP socket; accepts external workers as well."""
 
     name = "tcp"
 
     def __init__(self, bind: str = "127.0.0.1:0"):
+        super().__init__()
         host, port = parse_endpoint(bind)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(64)
         self._listener.setblocking(False)
-        self._clients: List[_TcpServerEnd] = []
 
     def endpoint(self) -> str:
         host, port = self._listener.getsockname()[:2]
@@ -516,54 +415,17 @@ class TcpTransport:
             process.start()
         return WorkerHandle(worker_id, process=process)
 
-    def poll(self, timeout: float) -> List[Tuple[object, object]]:
-        sockets = [self._listener] + [c.sock for c in self._clients]
-        try:
-            readable, _, _ = select.select(sockets, [], [], timeout)
-        except OSError:
-            return []
-        messages: List[Tuple[object, object]] = []
-        by_sock = {c.sock: c for c in self._clients}
-        for sock in readable:
-            if sock is self._listener:
-                try:
-                    client, _addr = self._listener.accept()
-                except OSError:
-                    continue
-                client.setblocking(True)
-                client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._clients.append(_TcpServerEnd(client))
-                continue
-            end = by_sock[sock]
-            try:
-                data = sock.recv(65536)
-            except OSError:
-                data = b""
-            if not data:
-                self.drop(end)
-                messages.append((end, None))
-                continue
-            try:
-                for frame in end.feed(data):
-                    messages.append((end, frame))
-            except ChannelClosed:
-                self.drop(end)
-                messages.append((end, None))
-        return messages
+    def poll(self, timeout: float) -> List[Tuple[_ServerEnd, object]]:
+        return self._poll(timeout)
 
-    def drop(self, end: _TcpServerEnd) -> None:
-        if end in self._clients:
-            self._clients.remove(end)
-            end.close()
-
-    def close(self) -> None:
-        for end in self._clients:
-            end.close()
-        self._clients.clear()
+    def _accept(self) -> None:
         try:
-            self._listener.close()
+            client, _addr = self._listener.accept()
         except OSError:
-            pass
+            return
+        client.setblocking(True)
+        client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._ends.append(_ServerEnd(client))
 
 
 def make_transport(name: str, bind: str = "127.0.0.1:0"):
@@ -577,9 +439,6 @@ def make_transport(name: str, bind: str = "127.0.0.1:0"):
     raise unknown_name("transport", name, TRANSPORT_NAMES)
 
 
-def reply_on(channel_end, message: Dict) -> None:
-    """Send a reply on a coordinator-side channel end, whatever its backend."""
-    if isinstance(channel_end, multiprocessing.connection.Connection):
-        IpcTransport.reply(channel_end, message)
-    else:
-        channel_end.send(message)
+def reply_on(end: _ServerEnd, message: Dict) -> None:
+    """Send a reply on a coordinator-side connection end."""
+    end.send(message)

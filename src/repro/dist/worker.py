@@ -56,7 +56,7 @@ from typing import Dict, List, Mapping, Optional
 from ..campaign.runner import _run_unit
 from ..campaign.units import grant_tasks
 from ..obs.logsetup import get_logger
-from .transport import HELD_SIGNALS, Channel, ChannelClosed, connect_tcp, parse_endpoint
+from .transport import HELD_SIGNALS, ChannelClosed, SocketChannel, connect_tcp, parse_endpoint
 
 __all__ = [
     "worker_loop",
@@ -111,7 +111,7 @@ class _Heartbeat:
         self._stop.set()
 
 
-def worker_loop(channel: Channel, worker_id: str, options: Mapping) -> int:
+def worker_loop(channel: SocketChannel, worker_id: str, options: Mapping) -> int:
     """Run the lease/execute/report loop until the coordinator says stop.
 
     Returns a process-style exit code: 0 on a clean stop (including "the
@@ -199,11 +199,9 @@ def _reset_signals() -> None:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, HELD_SIGNALS)
 
 
-def ipc_worker_entry(conn, worker_id: str, options: Dict) -> None:
-    from .transport import PipeChannel
-
+def ipc_worker_entry(sock: socket.socket, worker_id: str, options: Dict) -> None:
     _reset_signals()
-    worker_loop(PipeChannel(conn), worker_id, options)
+    worker_loop(SocketChannel(sock), worker_id, options)
 
 
 def tcp_worker_entry(host: str, port: int, worker_id: str, options: Dict) -> None:

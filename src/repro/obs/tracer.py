@@ -35,9 +35,6 @@ __all__ = [
 
 _LOG = get_logger("obs")
 
-#: Recognised Chrome ``trace_event`` phases: instant and counter events.
-PHASES = ("i", "C")
-
 
 @dataclass(frozen=True)
 class TraceEvent:

@@ -73,9 +73,6 @@ _INT_FIELDS = frozenset(
     }
 )
 
-#: SWF status codes (field 11): 0 failed, 1 completed, 5 cancelled, ...
-STATUS_COMPLETED = 1
-
 
 @dataclass(frozen=True)
 class SwfJob:

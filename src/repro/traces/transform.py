@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from ..core.registry import Registry
 from ..core.serde import Spec, located
@@ -227,9 +227,6 @@ class Pipeline:
         for step in self.steps:
             trace = step.apply(trace)
         return trace
-
-    def to_dicts(self) -> List[Dict]:
-        return [step.to_dict() for step in self.steps]
 
     @classmethod
     def from_dicts(cls, data: Sequence[Mapping]) -> "Pipeline":

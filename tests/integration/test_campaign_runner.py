@@ -24,7 +24,7 @@ from repro.campaign import (
     get_runner,
     resolve_scenarios,
 )
-from repro.campaign.cli import main as cli_main
+from repro.__main__ import main as cli_main
 from repro.sim.randomness import derive_seed
 
 #: Cheap scenarios (single simulation per run at tiny scale).

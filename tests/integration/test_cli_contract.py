@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.__main__ import COMMAND_GROUPS, build_parser, main
-from repro.campaign import CampaignSpec, ScenarioSpec, WorkloadSpec
+from repro.campaign import RUNNERS, CampaignSpec, ResultStore, ScenarioSpec, WorkloadSpec
 from repro.campaign.registry import builtin_scenarios
 from repro.core.errors import ReproError, SpecError
 from repro.faults.plan import FaultPlan, get_fault_plan
@@ -142,6 +142,25 @@ def test_a_policy_sweep_of_an_analytic_figure_is_refused_before_anything_is_writ
         code, capsys.readouterr(), "scenarios[0].policy: runner 'fig1' builds no RMS"
     )
     assert not list(tmp_path.iterdir())
+
+
+@RUNNERS.register("test-reads-policy")
+def _reads_policy(spec, seed):
+    return {"easy": float(spec.policy_name == "easy")}
+
+
+def test_a_registered_runner_runs_under_a_policy_sweep(tmp_path):
+    """Only the runners known to build no RMS refuse a policy: one a user
+    registers gets the policy it is given."""
+    spec = tmp_path / "mine.json"
+    spec.write_text(json.dumps(
+        {"name": "mine", "scenarios": [{"name": "mine", "runner": "test-reads-policy"}]}
+    ))
+    results = tmp_path / "results"
+    argv = ["campaign", "run", "--spec", str(spec), "--policies", "easy", "--quiet"]
+    assert main([*argv, "--results-dir", str(results)]) == 0
+    (record,) = ResultStore(results).load_records("mine")
+    assert record["metrics"] == {"easy": 1.0}
 
 
 #: argv -> what its one error line must say (the known names included).

@@ -32,7 +32,7 @@ from repro.campaign import (
     ScenarioSpec,
     resolve_scenarios,
 )
-from repro.campaign.cli import main as cli_main
+from repro.__main__ import main as cli_main
 from repro.campaign.runner import CampaignFailed, _run_unit, _sigterm_as_interrupt
 from repro.campaign.units import grant_tasks, unit_key
 from repro.core.errors import WorkloadError
@@ -41,6 +41,8 @@ from repro.dist import ensure_noop_runner, run_standalone_worker
 from repro.dist.coordinator import Coordinator, DistConfig
 from repro.dist.transport import (
     TRANSPORT_NAMES,
+    ChannelClosed,
+    SocketChannel,
     TcpTransport,
     ThreadTransport,
     WorkerHandle,
@@ -416,20 +418,28 @@ class TestCoordinatorDirectly:
 
 
 class _Peer:
-    """A scripted worker on the thread transport: what it is sent, it keeps."""
+    """A scripted worker on a socket pair of the transport: what it is sent,
+    it keeps."""
 
-    def __init__(self, transport: ThreadTransport, worker: str):
-        self.inbox, self.worker, self.replies = transport._inbox, worker, []
+    def __init__(self, transport, worker: str):
+        self.channel, self.worker, self._replies = SocketChannel(transport.pair()), worker, []
 
-    def send(self, message):  # the coordinator's reply path
-        self.replies.append(message)
+    @property
+    def replies(self):
+        """Every reply the coordinator has sent so far, in order."""
+        try:
+            while (reply := self.channel.recv(0.001)) is not None:
+                self._replies.append(reply)
+        except ChannelClosed:
+            pass  # hung up: nothing more comes
+        return self._replies
 
     def lease(self, results=(), busy_s=0.0):
-        self.inbox.put((self, {"op": "lease", "worker": self.worker,
-                               "results": list(results), "busy_s": busy_s}))
+        self.channel.send({"op": "lease", "worker": self.worker,
+                           "results": list(results), "busy_s": busy_s})
 
     def hang_up(self):
-        self.inbox.put((self, None))
+        self.channel.close()
 
 
 class TestParkedLease:

@@ -21,7 +21,7 @@ from repro.campaign import (
     builtin_scenarios,
     get_runner,
 )
-from repro.campaign.cli import main as cli_main
+from repro.__main__ import main as cli_main
 from repro.campaign.store import by_routing, comparisons
 from repro.core.errors import SpecError
 from repro.federation import ClusterSpec, FederationSpec

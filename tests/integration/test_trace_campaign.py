@@ -21,7 +21,7 @@ from repro.campaign import (
     WorkloadSpec,
     resolve_scenarios,
 )
-from repro.campaign.cli import main as cli_main
+from repro.__main__ import main as cli_main
 from repro.campaign.store import provenance
 from repro.traces import load_swf
 

@@ -1,14 +1,15 @@
 """Transport layer: framing, endpoints, channel round trips, EOF signalling.
 
-Each backend is exercised at the message level -- send a flat dict one way,
-read it back on the other side -- plus the failure paths the coordinator
-relies on: a closed peer surfaces as ``(channel, None)`` from ``poll`` and
-as :class:`ChannelClosed` from a worker-side ``recv``.
+One contract holds on every backend, since all of them carry the same
+length-prefixed frames over sockets: a flat dict goes through both ways,
+and the failure paths the coordinator relies on behave alike -- a closed
+peer surfaces once as ``(end, None)`` from ``poll``, a hostile frame costs
+only its own sender, and a worker-side ``recv`` on a dropped connection
+raises :class:`ChannelClosed`.
 """
 from __future__ import annotations
 
 import json
-import multiprocessing
 import socket
 import struct
 import time
@@ -18,16 +19,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dist.transport import (
     MAX_FRAME_BYTES,
+    TRANSPORT_NAMES,
     ChannelClosed,
     IpcTransport,
-    PipeChannel,
+    SocketChannel,
     TcpTransport,
     ThreadTransport,
-    connect_tcp,
     encode_frame,
     make_transport,
     parse_endpoint,
-    _TcpServerEnd,
+    reply_on,
+    _ServerEnd,
 )
 
 
@@ -57,11 +59,7 @@ class TestFraming:
 
 class TestMakeTransport:
     def test_known_names(self):
-        for name, cls in (
-            ("thread", ThreadTransport),
-            ("ipc", IpcTransport),
-            ("tcp", TcpTransport),
-        ):
+        for name, cls in (("thread", ThreadTransport), ("ipc", IpcTransport), ("tcp", TcpTransport)):
             transport = make_transport(name)
             assert isinstance(transport, cls)
             assert transport.name == name
@@ -72,82 +70,97 @@ class TestMakeTransport:
             make_transport("carrier-pigeon")
 
 
-class TestPipeChannel:
-    def test_round_trip_is_json_bytes(self):
-        parent, child = multiprocessing.Pipe(duplex=True)
-        a, b = PipeChannel(parent), PipeChannel(child)
-        a.send({"op": "lease", "worker": "w0"})
-        assert b.recv(1.0) == {"op": "lease", "worker": "w0"}
-        # The wire carries encoded JSON, never pickles.
-        b._conn.send_bytes(b'{"op": "ack"}')
-        assert a.recv(1.0) == {"op": "ack"}
-
-    def test_recv_timeout_returns_none(self):
-        parent, _child = multiprocessing.Pipe(duplex=True)
-        assert PipeChannel(parent).recv(0.01) is None
-
-    def test_closed_peer_raises(self):
-        parent, child = multiprocessing.Pipe(duplex=True)
-        PipeChannel(child).close()
-        with pytest.raises(ChannelClosed):
-            PipeChannel(parent).recv(0.5)
+def _poll_until(transport, count):
+    """What *transport* polls until it has *count* messages (or 2 s passed)."""
+    messages = []
+    deadline = time.monotonic() + 2.0
+    while len(messages) < count and time.monotonic() < deadline:
+        messages += transport.poll(0.05)
+    return messages
 
 
-class TestTcpTransport:
-    def test_worker_round_trip_and_eof(self):
-        transport = TcpTransport(bind="127.0.0.1:0")
-        host, port = parse_endpoint(transport.endpoint())
-        channel = connect_tcp(host, port)
-        channel.send({"op": "lease", "worker": "w0"})
-        # First poll accepts the connection, subsequent polls read frames.
-        messages = []
-        for _ in range(20):
-            messages = [m for _end, m in transport.poll(0.1) if m is not None]
-            if messages:
-                break
-        assert messages == [{"op": "lease", "worker": "w0"}]
-        end = transport._clients[0]
-        end.send({"op": "grant", "key": "k0", "task": {}})
-        assert channel.recv(1.0) == {"op": "grant", "key": "k0", "task": {}}
-        channel.close()
-        eof = []
-        for _ in range(20):
-            eof = [m for _end, m in transport.poll(0.1)]
-            if eof:
-                break
-        assert eof == [None]
-        transport.close()
+@pytest.fixture(params=TRANSPORT_NAMES)
+def transport(request):
+    transport = make_transport(request.param)
+    yield transport
+    transport.close()
 
-    def test_two_frames_in_one_segment_are_both_delivered(self):
-        transport = TcpTransport(bind="127.0.0.1:0")
-        host, port = parse_endpoint(transport.endpoint())
-        sock = socket.create_connection((host, port))
+
+def _worker_socket(transport):
+    """A worker's socket on *transport*, the way its own workers get one."""
+    if transport.name == "tcp":
+        return socket.create_connection(parse_endpoint(transport.endpoint()))
+    return transport.pair()
+
+
+def _hello(transport):
+    """A worker that has said hello, and the coordinator's end of it."""
+    worker = SocketChannel(_worker_socket(transport))
+    worker.send({"op": "hello"})
+    ((end, message),) = _poll_until(transport, 1)
+    assert message == {"op": "hello"}
+    return worker, end
+
+
+class TestTransportContract:
+    """Every backend carries the same frames and fails the same way."""
+
+    def test_a_message_goes_through_both_ways(self, transport):
+        worker, end = _hello(transport)
+        assert worker.recv(0.01) is None  # nothing sent: a timeout, not an error
+        reply_on(end, {"op": "grant", "key": "k0", "task": {}})
+        assert worker.recv(1.0) == {"op": "grant", "key": "k0", "task": {}}
+        worker.close()
+
+    def test_two_frames_in_one_write_are_both_delivered(self, transport):
+        sock = _worker_socket(transport)
         sock.sendall(encode_frame({"op": "a"}) + encode_frame({"op": "b"}))
-        received = []
-        for _ in range(20):
-            received += [m for _end, m in transport.poll(0.1) if m is not None]
-            if len(received) == 2:
-                break
-        assert received == [{"op": "a"}, {"op": "b"}]
+        assert [m for _end, m in _poll_until(transport, 2)] == [{"op": "a"}, {"op": "b"}]
         sock.close()
+
+    def test_a_closed_worker_end_polls_as_none_exactly_once(self, transport):
+        worker, end = _hello(transport)
+        worker.close()
+        assert _poll_until(transport, 1) == [(end, None)]
+        assert transport.poll(0.05) == []
+
+    def test_a_non_json_frame_arrives_as_its_value_error(self, transport):
+        worker, end = _hello(transport)
+        worker._sock.sendall(struct.pack(">I", 3) + b"{x}")
+        ((sender, message),) = _poll_until(transport, 1)
+        assert sender is end and isinstance(message, ValueError)
+        worker.send({"op": "after"})  # the connection carries on
+        assert _poll_until(transport, 1) == [(end, {"op": "after"})]
+        worker.close()
+
+    def test_an_oversized_announced_length_hangs_up_only_that_peer(self, transport):
+        hostile, hostile_end = _hello(transport)
+        polite, polite_end = _hello(transport)
+        hostile._sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+        assert _poll_until(transport, 1) == [(hostile_end, None)]
+        with pytest.raises(ChannelClosed):
+            hostile.recv(1.0)
+        polite.send({"op": "still here"})
+        assert _poll_until(transport, 1) == [(polite_end, {"op": "still here"})]
+        reply_on(polite_end, {"op": "stop"})
+        assert polite.recv(1.0) == {"op": "stop"}
+        hostile.close()
+        polite.close()
+
+    def test_a_drop_reaches_a_worker_process_that_holds_a_copy_of_its_end(self):
+        """A forked worker inherits the coordinator's end of its own socket
+        pair, so closing that end alone would never reach it."""
+        transport = IpcTransport()
+        handle = transport.launch_worker("w0", {})
+        ((end, message),) = _poll_until(transport, 1)
+        assert message["op"] == "lease"
+        transport.drop(end)
+        handle.join(timeout=5.0)
+        assert handle.process.exitcode == 0  # "the coordinator went away"
         transport.close()
 
-    def test_oversized_announced_frame_disconnects_the_client(self):
-        transport = TcpTransport(bind="127.0.0.1:0")
-        host, port = parse_endpoint(transport.endpoint())
-        sock = socket.create_connection((host, port))
-        sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
-        outcome = []
-        for _ in range(20):
-            outcome = [m for _end, m in transport.poll(0.1)]
-            if outcome:
-                break
-        assert outcome == [None]
-        sock.close()
-        transport.close()
 
-
-class TestTcpReceiveBuffer:
+class TestReceiveBuffer:
     """The coordinator's per-connection frame buffer, fed as reads arrive."""
 
     @given(
@@ -162,7 +175,7 @@ class TestTcpReceiveBuffer:
     def test_any_chunking_of_a_stream_yields_the_same_frames(self, messages, cuts):
         stream = b"".join(encode_frame(message) for message in messages)
         bounds = sorted({cut % (len(stream) + 1) for cut in cuts} | {0, len(stream)})
-        end = _TcpServerEnd(None)
+        end = _ServerEnd(None)
         frames = []
         for start, stop in zip(bounds, bounds[1:]):
             frames += end.feed(stream[start:stop])
@@ -172,7 +185,7 @@ class TestTcpReceiveBuffer:
     def test_a_large_frame_in_small_reads_costs_linear_time(self):
         size = 32 * 1024 * 1024
         frame = encode_frame({"pad": "x" * size})
-        end = _TcpServerEnd(None)
+        end = _ServerEnd(None)
         frames = []
         started = time.perf_counter()
         for start in range(0, len(frame), 65536):
@@ -180,16 +193,3 @@ class TestTcpReceiveBuffer:
         elapsed = time.perf_counter() - started
         assert [len(f["pad"]) for f in frames] == [size]
         assert elapsed < 1.0, f"{elapsed:.2f} s for one 32 MiB frame in 64 KiB reads"
-
-
-class TestThreadTransport:
-    def test_poll_drains_all_queued_messages(self):
-        # Use the channel machinery directly (without launching a real
-        # worker loop) by reaching into the transport's shared inbox.
-        transport = ThreadTransport()
-        transport._inbox.put(("end-a", {"op": "lease"}))
-        transport._inbox.put(("end-b", {"op": "heartbeat"}))
-        messages = transport.poll(0.1)
-        assert [m for _end, m in messages] == [{"op": "lease"}, {"op": "heartbeat"}]
-        assert transport.poll(0.01) == []
-        transport.close()

@@ -383,7 +383,7 @@ class TestEasyBackfillQueue:
 
 class TestPolicyCli:
     def test_policy_list_prints_every_policy(self, capsys):
-        from repro.campaign.cli import main
+        from repro.__main__ import main
 
         assert main(["policy", "list"]) == 0
         out = capsys.readouterr().out
@@ -391,7 +391,7 @@ class TestPolicyCli:
             assert name in out
 
     def test_policy_describe(self, capsys):
-        from repro.campaign.cli import main
+        from repro.__main__ import main
 
         assert main(["policy", "describe", "easy"]) == 0
         out = capsys.readouterr().out
@@ -400,7 +400,7 @@ class TestPolicyCli:
     def test_policy_describe_json(self, capsys):
         import json
 
-        from repro.campaign.cli import main
+        from repro.__main__ import main
 
         assert main(["policy", "describe", "coorm", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -412,13 +412,13 @@ class TestPolicyCli:
         }
 
     def test_policy_describe_unknown_fails(self, capsys):
-        from repro.campaign.cli import main
+        from repro.__main__ import main
 
         assert main(["policy", "describe", "nope"]) == 2
         assert "unknown" in capsys.readouterr().err
 
     def test_policy_stages_lists_every_stage(self, capsys):
-        from repro.campaign.cli import main
+        from repro.__main__ import main
 
         assert main(["policy", "stages"]) == 0
         out = capsys.readouterr().out
@@ -426,7 +426,7 @@ class TestPolicyCli:
             assert name in out
 
     def test_campaign_run_rejects_unknown_policy(self, capsys):
-        from repro.campaign.cli import main
+        from repro.__main__ import main
 
         assert main(["campaign", "run", "--scenarios", "fig1", "--policies", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
