@@ -41,46 +41,21 @@ Quick start::
     amr.connect(rms); psa.connect(rms)
     sim.run()
 """
-from .core import (
-    CooRMv2,
-    Request,
-    RequestType,
-    RelatedHow,
-    Scheduler,
-    StepFunction,
-    View,
-)
-from .cluster import Platform
-from .sim import RandomSource, Simulator, derive_seed
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "CooRMv2",
-    "Request",
-    "RequestType",
-    "RelatedHow",
-    "Scheduler",
-    "StepFunction",
-    "View",
-    "Platform",
-    "Simulator",
-    "RandomSource",
-    "derive_seed",
-    "campaign",
-    "federation",
-    "__version__",
-]
-
-
-def __getattr__(name: str):
-    # The campaign and federation subsystems pull in the experiment drivers
-    # and application behaviours, so they are imported lazily to keep
-    # ``import repro`` light for library users.
-    # (import_module, not ``from . import``: the latter re-enters this
-    # __getattr__ through importlib's fromlist handling and recurses.)
-    if name in ("campaign", "federation"):
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Nothing below the package is imported until a name is asked for, so a
+# process pays only for the layers it uses.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "CooRMv2", "Request", "RequestType", "RelatedHow", "Scheduler", "StepFunction", "View",
+        ),
+        ".cluster": ("Platform",),
+        ".sim": ("Simulator", "RandomSource", "derive_seed"),
+    },
+    submodules=("campaign", "federation"),
+)
+__all__ += ["__version__"]

@@ -1,28 +1,15 @@
 """Application behaviours: rigid, moldable, malleable, evolving, AMR and PSA."""
-from .base import BaseApplication
-from .rigid import RigidApplication, RigidJobSpec
-from .moldable import MoldableApplication
-from .malleable import (
-    MalleableApplication,
-    identity_selector,
-    power_of_two_selector,
-)
-from .evolving_predictable import EvolutionPhase, FullyPredictableEvolvingApplication
-from .nea import AmrApplication, AmrStepRecord
-from .psa import ParameterSweepApplication, PsaStatistics
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BaseApplication",
-    "RigidApplication",
-    "RigidJobSpec",
-    "MoldableApplication",
-    "MalleableApplication",
-    "identity_selector",
-    "power_of_two_selector",
-    "EvolutionPhase",
-    "FullyPredictableEvolvingApplication",
-    "AmrApplication",
-    "AmrStepRecord",
-    "ParameterSweepApplication",
-    "PsaStatistics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("BaseApplication",),
+        ".rigid": ("RigidApplication", "RigidJobSpec"),
+        ".moldable": ("MoldableApplication",),
+        ".malleable": ("MalleableApplication", "identity_selector", "power_of_two_selector"),
+        ".evolving_predictable": ("EvolutionPhase", "FullyPredictableEvolvingApplication"),
+        ".nea": ("AmrApplication", "AmrStepRecord"),
+        ".psa": ("ParameterSweepApplication", "PsaStatistics"),
+    },
+)

@@ -11,13 +11,15 @@ only encode behaviour.
 from __future__ import annotations
 
 import math
-from typing import FrozenSet, Optional, Callable, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Optional, Callable, Tuple
 
 from ..core.errors import ProtocolError
 from ..core.request import Request
-from ..core.rms import CooRMv2
 from ..core.types import ClusterId, NodeId, RelatedHow, RequestType, Time
 from ..core.view import View
+
+if TYPE_CHECKING:
+    from ..core.rms import CooRMv2
 
 __all__ = ["BaseApplication"]
 

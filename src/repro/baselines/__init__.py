@@ -2,12 +2,12 @@
 rigid-only FCFS+CBF batch scheduler.  The static AMR itself is
 ``AmrApplication(static_allocation=True)``; strict equi-partitioning is the
 ``"coorm-strict"`` policy."""
-from .batch_fcfs import BatchSchedulerBaseline, peak_static_job
-from .static_rms import StaticRunPrediction, predict_static_run
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BatchSchedulerBaseline",
-    "peak_static_job",
-    "StaticRunPrediction",
-    "predict_static_run",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".batch_fcfs": ("BatchSchedulerBaseline", "peak_static_job"),
+        ".static_rms": ("StaticRunPrediction", "predict_static_run"),
+    },
+)

@@ -29,43 +29,20 @@ Quick start::
     )
     result = CampaignRunner(spec, store=ResultStore("results")).run()
 """
-from . import builtin  # noqa: F401  (registers built-in runners and scenarios)
-from .registry import (
-    RUNNERS,
-    SCENARIOS,
-    builtin_scenarios,
-    get_runner,
-    resolve_scenarios,
-)
-from .runner import CampaignResult, CampaignRunner, RunTask
-from ..traces.source import TraceSource
-from .spec import (
-    CampaignSpec,
-    PlatformSpec,
-    RmsSpec,
-    ScenarioSpec,
-    WorkloadSpec,
-    resolve_scale,
-)
-from .store import CampaignInfo, DEFAULT_RESULTS_DIR, ResultStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignInfo",
-    "CampaignResult",
-    "CampaignRunner",
-    "CampaignSpec",
-    "DEFAULT_RESULTS_DIR",
-    "PlatformSpec",
-    "ResultStore",
-    "RmsSpec",
-    "RUNNERS",
-    "RunTask",
-    "SCENARIOS",
-    "ScenarioSpec",
-    "TraceSource",
-    "WorkloadSpec",
-    "builtin_scenarios",
-    "get_runner",
-    "resolve_scale",
-    "resolve_scenarios",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".registry": (
+            "RUNNERS", "SCENARIOS", "builtin_scenarios", "get_runner", "resolve_scenarios",
+        ),
+        ".runner": ("CampaignResult", "CampaignRunner", "RunTask"),
+        "..traces.source": ("TraceSource",),
+        ".spec": (
+            "CampaignSpec", "PlatformSpec", "RmsSpec", "ScenarioSpec", "WorkloadSpec",
+            "resolve_scale",
+        ),
+        ".store": ("CampaignInfo", "DEFAULT_RESULTS_DIR", "ResultStore"),
+    },
+)

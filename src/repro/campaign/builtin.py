@@ -21,7 +21,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.errors import SpecError
 from ..experiments.runner import EvaluationScale, run_scenario
-from ..federation.metrics import federation_breakdown
 from ..federation.spec import TOPOLOGIES
 from ..models.amr_evolution import (
     AmrEvolutionParameters,
@@ -29,14 +28,12 @@ from ..models.amr_evolution import (
     normalized_profile,
 )
 from ..models.speedup import GIB_IN_MIB, PAPER_SPEEDUP_MODEL, TIB_IN_MIB
-from ..models.static_equivalent import equivalent_static_allocation, static_allocation_range
 from ..sim.randomness import derive_seed
 from ..traces.source import resolve_converted_jobs
-from ..workloads.generator import WorkloadParameters, generate_rigid_workload
 from .registry import RUNNERS, SCENARIOS, record_provenance
 from .spec import PlatformSpec, RmsSpec, ScenarioSpec, WorkloadSpec, resolve_scale
 
-__all__ = ["clean_metrics"]
+__all__ = ["clean_metrics", "register_scenarios"]
 
 
 def clean_metrics(metrics: Dict[str, object]) -> Dict[str, object]:
@@ -76,6 +73,8 @@ def _background_workload(spec: ScenarioSpec, seed: int):
         return None, jobs
     if workload.rigid_job_count <= 0:
         return None, None
+    from ..workloads.generator import WorkloadParameters, generate_rigid_workload
+
     median = workload.rigid_runtime_median
     params = WorkloadParameters(
         job_count=workload.rigid_job_count,
@@ -154,6 +153,8 @@ def run_amr_psa(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
         metrics["trace_jobs"] = len(result.trace_apps)
         metrics["trace_finished"] = sum(1 for a in result.trace_apps if a.finished())
     if spec.federation is not None:  # a named federation; not the implicit single
+        from ..federation.metrics import federation_breakdown
+
         metrics.update(
             federation_breakdown(result.federation, result.metrics, amr=result.amr)
         )
@@ -233,6 +234,8 @@ def run_fig2(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
 def run_fig3(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """Figure 3 -- end-time increase of the equivalent static allocation per
     target efficiency (one seed); ``feasible`` is 0 where none exists."""
+    from ..models.static_equivalent import equivalent_static_allocation
+
     scale = resolve_scale(spec)
     evolution = _unscaled_evolution(scale.s_max_mib, seed, scale.num_steps)
     metrics: Dict[str, object] = {}
@@ -250,6 +253,8 @@ def run_fig4(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     efficiency per relative peak size (one seed): enough memory for the
     peak, at most 10 % more area than the dynamic allocation.  ``None``
     where the range is empty."""
+    from ..models.static_equivalent import static_allocation_range
+
     num_steps = resolve_scale(spec).num_steps
     metrics: Dict[str, object] = {}
     for relative in PAPER_RELATIVE_SIZES:
@@ -382,160 +387,163 @@ def fig11(scale: EvaluationScale) -> ScenarioSpec:
     )
 
 
-_BUILTIN_SCENARIOS = (
-    *(
-        ScenarioSpec(name=_name, runner=_name, description=_description)
-        for _name, _description in [
-            ("fig1", "Normalised AMR working-set evolution shape statistics"),
-            ("fig2", "AMR step-duration model curves (speed-up fit)"),
-            ("fig3", "End-time increase of the equivalent static allocation"),
-            ("fig4", "Feasible static node-count choices per relative peak size"),
-        ]
-    ),
-    ScenarioSpec(
-        name="baseline-dynamic",
-        runner="amr_psa",
-        description="One AMR + one PSA, dynamic allocation (paper default)",
-    ),
-    ScenarioSpec(
-        name="baseline-static",
-        runner="amr_psa",
-        description="One AMR + one PSA, AMR pinned to its whole pre-allocation",
-        workload=WorkloadSpec(static_allocation=True),
-    ),
-    ScenarioSpec(
-        name="strict-equipartition",
-        runner="amr_psa",
-        description="Paper scenario under the strict equi-partitioning baseline",
-        rms=RmsSpec(strict_equipartition=True),
-    ),
-    ScenarioSpec(
-        name="mixed-rigid",
-        runner="amr_psa",
-        description="AMR + PSA + a background stream of rigid batch jobs",
-        workload=WorkloadSpec(
-            rigid_job_count=8,
-            rigid_max_nodes=16,
-            rigid_mean_interarrival=30.0,
-            rigid_runtime_median=120.0,
+def register_scenarios() -> None:
+    """Register the built-in scenarios in :data:`SCENARIOS` (its loader: the
+    table is built at the first lookup, not when this module is imported)."""
+    scenarios = (
+        *(
+            ScenarioSpec(name=name, runner=name, description=description)
+            for name, description in [
+                ("fig1", "Normalised AMR working-set evolution shape statistics"),
+                ("fig2", "AMR step-duration model curves (speed-up fit)"),
+                ("fig3", "End-time increase of the equivalent static allocation"),
+                ("fig4", "Feasible static node-count choices per relative peak size"),
+            ]
         ),
-    ),
-    ScenarioSpec(
-        name="trace-replay",
-        runner="amr_psa",
-        description="Pure rigid replay of a 200-job model-synthesized trace",
-        platform=PlatformSpec(cluster_nodes=64),
-        workload=WorkloadSpec(
-            include_amr=False,
-            trace={
-                "model": TRACE_SCENARIO_MODEL,
-                "job_count": 200,
-                "transforms": [{"kind": "clamp_nodes", "max_nodes": 64}],
-            },
+        ScenarioSpec(
+            name="baseline-dynamic",
+            runner="amr_psa",
+            description="One AMR + one PSA, dynamic allocation (paper default)",
         ),
-    ),
-    ScenarioSpec(
-        name="trace-adaptive",
-        runner="amr_psa",
-        description="Model-synthesized trace converted to an adaptive app mix",
-        platform=PlatformSpec(cluster_nodes=64),
-        workload=WorkloadSpec(
-            include_amr=False,
-            trace={
-                "model": TRACE_SCENARIO_MODEL,
-                "job_count": 60,
-                "transforms": [{"kind": "clamp_nodes", "max_nodes": 64}],
-                "mix": {
-                    "rigid": 0.4,
-                    "moldable": 0.2,
-                    "malleable": 0.2,
-                    "evolving": 0.2,
+        ScenarioSpec(
+            name="baseline-static",
+            runner="amr_psa",
+            description="One AMR + one PSA, AMR pinned to its whole pre-allocation",
+            workload=WorkloadSpec(static_allocation=True),
+        ),
+        ScenarioSpec(
+            name="strict-equipartition",
+            runner="amr_psa",
+            description="Paper scenario under the strict equi-partitioning baseline",
+            rms=RmsSpec(strict_equipartition=True),
+        ),
+        ScenarioSpec(
+            name="mixed-rigid",
+            runner="amr_psa",
+            description="AMR + PSA + a background stream of rigid batch jobs",
+            workload=WorkloadSpec(
+                rigid_job_count=8,
+                rigid_max_nodes=16,
+                rigid_mean_interarrival=30.0,
+                rigid_runtime_median=120.0,
+            ),
+        ),
+        ScenarioSpec(
+            name="trace-replay",
+            runner="amr_psa",
+            description="Pure rigid replay of a 200-job model-synthesized trace",
+            platform=PlatformSpec(cluster_nodes=64),
+            workload=WorkloadSpec(
+                include_amr=False,
+                trace={
+                    "model": TRACE_SCENARIO_MODEL,
+                    "job_count": 200,
+                    "transforms": [{"kind": "clamp_nodes", "max_nodes": 64}],
                 },
-            },
+            ),
         ),
-    ),
+        ScenarioSpec(
+            name="trace-adaptive",
+            runner="amr_psa",
+            description="Model-synthesized trace converted to an adaptive app mix",
+            platform=PlatformSpec(cluster_nodes=64),
+            workload=WorkloadSpec(
+                include_amr=False,
+                trace={
+                    "model": TRACE_SCENARIO_MODEL,
+                    "job_count": 60,
+                    "transforms": [{"kind": "clamp_nodes", "max_nodes": 64}],
+                    "mix": {
+                        "rigid": 0.4,
+                        "moldable": 0.2,
+                        "malleable": 0.2,
+                        "evolving": 0.2,
+                    },
+                },
+            ),
+        ),
 
-    # Federated scenarios: the registered built-in topologies (see
-    # repro.federation.spec) applied to the generic runner, so `federation
-    # describe <topology>` always matches what these scenarios execute.
-    ScenarioSpec(
-        name="fed-single",
-        runner="amr_psa",
-        description="Paper scenario inside a 1-cluster federation; must be "
-        "byte-identical to baseline-dynamic (equivalence guard)",
-        federation=TOPOLOGIES.get("single"),
-    ),
-    ScenarioSpec(
-        name="fed-dual-trace",
-        runner="amr_psa",
-        description="200-job synthesized trace fanned into two 32-node "
-        "clusters by the meta-scheduler",
-        workload=WorkloadSpec(
-            include_amr=False,
-            trace={
-                "model": TRACE_SCENARIO_MODEL,
-                "job_count": 200,
-                "transforms": [{"kind": "clamp_nodes", "max_nodes": 32}],
-            },
+        # Federated scenarios: the registered built-in topologies (see
+        # repro.federation.spec) applied to the generic runner, so `federation
+        # describe <topology>` always matches what these scenarios execute.
+        ScenarioSpec(
+            name="fed-single",
+            runner="amr_psa",
+            description="Paper scenario inside a 1-cluster federation; must be "
+            "byte-identical to baseline-dynamic (equivalence guard)",
+            federation=TOPOLOGIES.get("single"),
         ),
-        federation=TOPOLOGIES.get("dual"),
-    ),
-    # Chaos scenarios: the dual topology under the built-in fault plans.
-    # AMR-free on purpose -- the trace workload's rigid jobs are killable and
-    # respawnable, so jobs-lost / rescheduled / SLA-attainment numbers are
-    # well defined.  The 120 jobs of _CHAOS_TRACE at one arrival per ~30 s
-    # span the plans' 600..2400 s fault windows comfortably.
-    ScenarioSpec(
-        name="fed-chaos-dual",
-        runner="amr_psa",
-        description="Synthesized trace on two clusters under the flaky-nodes "
-        "plan: staggered partial crashes with restarts, admission control "
-        "rerouting around the unhealthy member",
-        workload=WorkloadSpec(include_amr=False, trace=_CHAOS_TRACE),
-        federation=TOPOLOGIES.get("dual"),
-        faults="flaky-nodes",
-    ),
-    ScenarioSpec(
-        name="fed-chaos-blackout",
-        runner="amr_psa",
-        description="Synthesized trace on two clusters with one member "
-        "blacked out for 25 sim-minutes; killed jobs respawn on the survivor",
-        workload=WorkloadSpec(include_amr=False, trace=_CHAOS_TRACE),
-        federation=TOPOLOGIES.get("dual"),
-        faults="blackout",
-    ),
-    ScenarioSpec(
-        name="fed-hetero3",
-        runner="amr_psa",
-        description="Adaptive trace mix over three heterogeneous clusters "
-        "(16/32/64 nodes) under least-loaded routing",
-        workload=WorkloadSpec(
-            include_amr=False,
-            trace={
-                "model": TRACE_SCENARIO_MODEL,
-                "job_count": 60,
-                "transforms": [{"kind": "clamp_nodes", "max_nodes": 64}],
-                "mix": {
-                    "rigid": 0.4,
-                    "moldable": 0.2,
-                    "malleable": 0.2,
-                    "evolving": 0.2,
+        ScenarioSpec(
+            name="fed-dual-trace",
+            runner="amr_psa",
+            description="200-job synthesized trace fanned into two 32-node "
+            "clusters by the meta-scheduler",
+            workload=WorkloadSpec(
+                include_amr=False,
+                trace={
+                    "model": TRACE_SCENARIO_MODEL,
+                    "job_count": 200,
+                    "transforms": [{"kind": "clamp_nodes", "max_nodes": 32}],
                 },
-            },
+            ),
+            federation=TOPOLOGIES.get("dual"),
         ),
-        federation=TOPOLOGIES.get("hetero3"),
-    ),
-)
-# The registry holds one builder per scenario, ``EvaluationScale ->
-# ScenarioSpec``; only the figures' sweeps depend on the scale.
-for _spec in _BUILTIN_SCENARIOS:
-    SCENARIOS.register(_spec.name, lambda _scale, spec=_spec: spec, _spec.description)
-for _build in (fig9, fig10, fig11):
-    SCENARIOS.register(_build.__name__, _build)
-# Descriptive alias: the fig9 experiment is the paper's *spontaneous update*
-# evaluation, and tooling examples refer to it by that name.
-SCENARIOS.register("fig9-spontaneous", lambda scale: replace(
-    fig9(scale),
-    name="fig9-spontaneous",
-    description="Alias of fig9 (spontaneous updates overcommit sweep)",
-))
+        # Chaos scenarios: the dual topology under the built-in fault plans.
+        # AMR-free on purpose -- the trace workload's rigid jobs are killable and
+        # respawnable, so jobs-lost / rescheduled / SLA-attainment numbers are
+        # well defined.  The 120 jobs of _CHAOS_TRACE at one arrival per ~30 s
+        # span the plans' 600..2400 s fault windows comfortably.
+        ScenarioSpec(
+            name="fed-chaos-dual",
+            runner="amr_psa",
+            description="Synthesized trace on two clusters under the flaky-nodes "
+            "plan: staggered partial crashes with restarts, admission control "
+            "rerouting around the unhealthy member",
+            workload=WorkloadSpec(include_amr=False, trace=_CHAOS_TRACE),
+            federation=TOPOLOGIES.get("dual"),
+            faults="flaky-nodes",
+        ),
+        ScenarioSpec(
+            name="fed-chaos-blackout",
+            runner="amr_psa",
+            description="Synthesized trace on two clusters with one member "
+            "blacked out for 25 sim-minutes; killed jobs respawn on the survivor",
+            workload=WorkloadSpec(include_amr=False, trace=_CHAOS_TRACE),
+            federation=TOPOLOGIES.get("dual"),
+            faults="blackout",
+        ),
+        ScenarioSpec(
+            name="fed-hetero3",
+            runner="amr_psa",
+            description="Adaptive trace mix over three heterogeneous clusters "
+            "(16/32/64 nodes) under least-loaded routing",
+            workload=WorkloadSpec(
+                include_amr=False,
+                trace={
+                    "model": TRACE_SCENARIO_MODEL,
+                    "job_count": 60,
+                    "transforms": [{"kind": "clamp_nodes", "max_nodes": 64}],
+                    "mix": {
+                        "rigid": 0.4,
+                        "moldable": 0.2,
+                        "malleable": 0.2,
+                        "evolving": 0.2,
+                    },
+                },
+            ),
+            federation=TOPOLOGIES.get("hetero3"),
+        ),
+    )
+    # The registry holds one builder per scenario, ``EvaluationScale ->
+    # ScenarioSpec``; only the figures' sweeps depend on the scale.
+    for spec in scenarios:
+        SCENARIOS.register(spec.name, lambda _scale, spec=spec: spec, spec.description)
+    for build in (fig9, fig10, fig11):
+        SCENARIOS.register(build.__name__, build)
+    # Descriptive alias: the fig9 experiment is the paper's *spontaneous
+    # update* evaluation, and tooling examples refer to it by that name.
+    SCENARIOS.register("fig9-spontaneous", lambda scale: replace(
+        fig9(scale),
+        name="fig9-spontaneous",
+        description="Alias of fig9 (spontaneous updates overcommit sweep)",
+    ))

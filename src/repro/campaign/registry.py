@@ -9,8 +9,8 @@ runners by their names.
 
 Built-in scenarios (the paper's figures plus a few mixed-workload
 configurations) register a builder ``EvaluationScale -> ScenarioSpec`` in
-:data:`SCENARIOS` when :mod:`repro.campaign.builtin` is imported, which
-:mod:`repro.campaign` guarantees; :func:`resolve_scenarios` builds them.
+:data:`SCENARIOS`; :func:`resolve_scenarios` builds them.  Both tables fill
+from :mod:`repro.campaign.builtin` at their first lookup.
 """
 from __future__ import annotations
 
@@ -37,10 +37,21 @@ __all__ = [
 #: JSON-serialisable mapping of metric name to value.
 ScenarioRunner = Callable[[ScenarioSpec, int], Mapping[str, object]]
 
+
+def _load_runners() -> None:
+    from . import builtin  # noqa: F401  (registers the built-in runners)
+
+
+def _load_scenarios() -> None:
+    from . import builtin
+
+    builtin.register_scenarios()
+
+
 #: Scenario runners by name.
-RUNNERS = Registry("scenario runner")
+RUNNERS = Registry("scenario runner", load=_load_runners)
 #: Built-in scenario builders (``EvaluationScale -> ScenarioSpec``) by name.
-SCENARIOS = Registry("scenario")
+SCENARIOS = Registry("scenario", load=_load_scenarios)
 
 #: Workload provenance of the run currently executing in this process.
 #: Runners publish it with :func:`record_provenance`; the campaign runner

@@ -27,11 +27,10 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional
 
 from ..core.errors import ReproError
-from ..obs import EventTracer, MetricsRegistry, PhaseProfiler, observe
+from ..obs.hooks import observe
 from ..obs.logsetup import get_logger
 from ..sim.randomness import derive_seed
-from . import builtin  # noqa: F401  (registers the built-in runners)
-from .registry import consume_provenance, get_runner
+from .registry import RUNNERS, consume_provenance, get_runner
 from .spec import CampaignSpec, ScenarioSpec
 from .store import ResultStore
 from .units import unit_key, unit_record
@@ -186,10 +185,16 @@ def _run_unit(task: RunTask) -> Dict:
     runner = get_runner(task.scenario.runner)
     consume_provenance()  # drop leftovers from any previous run
     observing = task.collect_obs or bool(task.trace_dir) or bool(task.slo_spec)
-    tracer = EventTracer() if (task.trace_dir or task.slo_spec) else None
-    registry = MetricsRegistry() if task.collect_obs else None
-    profiler = PhaseProfiler() if task.collect_obs else None
+    tracer = registry = profiler = None
     if observing:
+        # The instruments are imported by the units that are observed.
+        from ..obs.metrics import MetricsRegistry
+        from ..obs.profiler import PhaseProfiler
+        from ..obs.tracer import EventTracer
+
+        tracer = EventTracer() if (task.trace_dir or task.slo_spec) else None
+        registry = MetricsRegistry() if task.collect_obs else None
+        profiler = PhaseProfiler() if task.collect_obs else None
         with observe(tracer=tracer, metrics=registry, profiler=profiler):
             outcome = {"metrics": dict(runner(task.scenario, task.seed))}
     else:
@@ -326,6 +331,8 @@ class CampaignRunner:
         # Per-run wall-clock phase breakdowns are non-deterministic: pop
         # them off the records (they must never reach runs.jsonl) and
         # aggregate them into the campaign-level profiler for meta.json.
+        from ..obs.profiler import PhaseProfiler
+
         profiler = PhaseProfiler()
         profiler.add("campaign.execute", elapsed, count=len(records) or 1)
         for record in records:
@@ -395,6 +402,9 @@ class CampaignRunner:
         """
         from ..dist.coordinator import Coordinator
 
+        # Filled before the workers fork, so none compiles the built-in
+        # runners itself: the table's first lookup imports them.
+        RUNNERS.names()
         coordinator = Coordinator(tasks, dist, progress=self.progress)
         outcome = coordinator.run(workers)
         return CampaignResult(

@@ -32,7 +32,6 @@ from typing import (
 )
 
 from ..core.errors import SpecError
-from ..metrics.collector import median_summary
 from ..obs import hooks as _obs
 from ..obs.logsetup import get_logger
 from .spec import CampaignSpec, axis_label
@@ -285,6 +284,8 @@ def medians(records: Iterable[Mapping], field: str = "metrics") -> Dict[str, Dic
     give the medians of the observability counters and of the SLO verdicts
     (``slo.passed`` is 1.0/0.0, so its median reads as "the majority of
     replicates passed")."""
+    from ..metrics.collector import median_summary
+
     groups = group_rows(records, _scenario, field)
     return {scenario: median_summary(rows) for scenario, rows in groups.items()}
 
@@ -309,6 +310,8 @@ def comparisons(
     a side-by-side comparison of the policies, or routings, that ran the
     same workload.  A point with one value compares nothing and is not
     summarised at all."""
+    from ..metrics.collector import median_summary
+
     by_point: Dict[str, Dict[str, List[Mapping]]] = {}
     for (point, value), rows in group_rows(records, key).items():
         by_point.setdefault(point, {})[value] = rows

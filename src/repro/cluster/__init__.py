@@ -1,5 +1,10 @@
 """Cluster substrate: clusters of node IDs and the multi-cluster platform."""
-from .cluster import Cluster
-from .platform import Platform
+from .._lazy import lazy_exports
 
-__all__ = ["Cluster", "Platform"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".cluster": ("Cluster",),
+        ".platform": ("Platform",),
+    },
+)

@@ -8,7 +8,7 @@ which names it knows when asked for one it does not.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from .errors import DuplicateNameError, UnknownNameError
 
@@ -21,18 +21,29 @@ def unknown_name(kind: str, name: object, known: Iterable[str]) -> UnknownNameEr
 
 
 class Registry:
-    """A table of named values of one *kind* (the word error messages use)."""
+    """A table of named values of one *kind* (the word error messages use).
 
-    def __init__(self, kind: str):
+    *load*, when given, registers the built-in entries; it runs once, at the
+    first lookup, so a process that never looks a name up never imports them.
+    """
+
+    def __init__(self, kind: str, load: Optional[Callable[[], None]] = None):
         self.kind = kind
         self._values: Dict[str, Any] = {}
         self._descriptions: Dict[str, str] = {}
+        self._load = load
+
+    def _table(self) -> Dict[str, Any]:
+        if self._load is not None:
+            load, self._load = self._load, None
+            load()
+        return self._values
 
     def register(self, name: str, value: Any = None, description: str = ""):
         """Add *value* under *name*; without a value, decorate a function."""
         if value is None:
             return lambda fn: self.register(name, fn, description)
-        if name in self._values:
+        if name in self._table():
             raise DuplicateNameError(f"{self.kind} {name!r} is already registered")
         self._values[name] = value
         self._descriptions[name] = description
@@ -40,15 +51,15 @@ class Registry:
 
     def get(self, name: str) -> Any:
         try:
-            return self._values[name]
+            return self._table()[name]
         except (KeyError, TypeError):  # TypeError: an unhashable "name"
             raise unknown_name(self.kind, name, self._values) from None
 
     def names(self) -> List[str]:
-        return sorted(self._values)
+        return sorted(self._table())
 
     def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and name in self._values
+        return isinstance(name, str) and name in self._table()
 
     def describe(self, name: str) -> str:
         """The registered description, else the value's first doc line."""

@@ -15,23 +15,18 @@ a serial run at any worker count.
 Entry points: ``campaign run --workers N [--transport tcp --bind HOST:PORT]``
 and, to join or query a tcp coordinator, ``python -m repro dist worker|status``.
 """
-from .coordinator import Coordinator, DistConfig, DistOutcome
-from .transport import TRANSPORT_NAMES, ChannelClosed, make_transport
-from .worker import run_standalone_worker, worker_loop
-from .workqueue import WorkQueue
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Coordinator",
-    "DistConfig",
-    "DistOutcome",
-    "TRANSPORT_NAMES",
-    "ChannelClosed",
-    "make_transport",
-    "worker_loop",
-    "run_standalone_worker",
-    "WorkQueue",
-    "ensure_noop_runner",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".coordinator": ("Coordinator", "DistConfig", "DistOutcome"),
+        ".transport": ("TRANSPORT_NAMES", "ChannelClosed", "make_transport"),
+        ".worker": ("worker_loop", "run_standalone_worker"),
+        ".workqueue": ("WorkQueue",),
+    },
+)
+__all__ += ["ensure_noop_runner"]
 
 #: Name of the no-op scenario runner used by dispatch-overhead benchmarks.
 NOOP_RUNNER = "dist-noop"

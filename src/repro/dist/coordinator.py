@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..campaign.units import OUTCOME_KEYS, grant_message, unit_key, unit_record
 from ..core.errors import SpecError
 from ..obs.logsetup import get_logger
-from ..obs.metrics import MetricsRegistry
-from .transport import ChannelClosed, WorkerHandle, make_transport, reply_on, signals_held
-from .workqueue import WorkQueue
+
+if TYPE_CHECKING:
+    from .transport import WorkerHandle
 
 __all__ = ["DistConfig", "DistOutcome", "Coordinator"]
 
@@ -106,6 +106,13 @@ class Coordinator:
         config: Optional[DistConfig] = None,
         progress: Optional[Callable[[int, int, Dict], None]] = None,
     ):
+        # The wire, the queue and the counters are imported by a coordinator
+        # that is built, not by a process that only writes a DistConfig.
+        from ..obs.metrics import MetricsRegistry
+        from . import transport
+        from .workqueue import WorkQueue
+
+        self._wire = transport
         self.config = config or DistConfig()
         self.progress = progress
         self.metrics = MetricsRegistry()
@@ -136,7 +143,7 @@ class Coordinator:
         be pointed at the coordinator before it starts serving.
         """
         if self._transport is None:
-            self._transport = make_transport(self.config.transport, self.config.bind)
+            self._transport = self._wire.make_transport(self.config.transport, self.config.bind)
         return self._transport.endpoint()
 
     # ------------------------------------------------------------------ #
@@ -256,8 +263,8 @@ class Coordinator:
 
     def _safe_reply(self, end, message: Dict) -> None:
         try:
-            reply_on(end, message)
-        except ChannelClosed:
+            self._wire.reply_on(end, message)
+        except self._wire.ChannelClosed:
             pass  # the poll loop will surface the EOF and release leases
 
     # ------------------------------------------------------------------ #
@@ -278,7 +285,7 @@ class Coordinator:
                 f"{workers}: only 'tcp' lets external workers join a coordinator "
                 "that launches none"
             )
-        transport = self._transport or make_transport(config.transport, config.bind)
+        transport = self._transport or self._wire.make_transport(config.transport, config.bind)
         self._transport = None  # consumed; run() owns its lifetime now
         handles: List[WorkerHandle] = []
         self._ends_by_worker.clear()
@@ -343,7 +350,7 @@ class Coordinator:
         lose the results it reports and leave the worker waiting for a reply,
         so the drain that follows would sit out its whole timeout.
         """
-        with signals_held():
+        with self._wire.signals_held():
             return self._poll_round(transport)
 
     def _poll_round(self, transport) -> bool:

@@ -2,11 +2,11 @@
 CooRMv2 platform, at a named scale.  The simulated figures 9--11 are sweeps
 of it and the analytic figures 1--4 are runners of their own, all built in
 :mod:`repro.campaign.builtin`."""
-from .runner import EvaluationScale, ScenarioResult, build_evolution, run_scenario
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EvaluationScale",
-    "ScenarioResult",
-    "build_evolution",
-    "run_scenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".runner": ("EvaluationScale", "ScenarioResult", "build_evolution", "run_scenario"),
+    },
+)

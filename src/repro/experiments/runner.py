@@ -14,24 +14,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from ..apps.nea import AmrApplication
-from ..apps.psa import ParameterSweepApplication
-from ..apps.rigid import RigidApplication, RigidJobSpec
 from ..core.errors import SpecError
-from ..faults.injector import FaultInjector
-from ..faults.plan import resolve_fault_plan
-from ..federation.federation import Federation, locality_group
-from ..federation.spec import TOPOLOGIES, FederationSpec
-from ..sim.randomness import derive_seed
-from ..metrics.collector import SimulationMetrics
 from ..models.amr_evolution import AmrEvolutionParameters, WorkingSetEvolution
 from ..models.speedup import PAPER_SPEEDUP_MODEL, SpeedupModel, TIB_IN_MIB
-from ..models.static_equivalent import equivalent_static_allocation
-from ..policies.registry import STRICT_POLICY, resolve_policy
-from ..sim.engine import Simulator
-from ..traces.convert import ConvertedJob, build_application, replay_horizon
+from ..sim.randomness import derive_seed
+
+if TYPE_CHECKING:
+    from ..apps.nea import AmrApplication
+    from ..apps.psa import ParameterSweepApplication
+    from ..apps.rigid import RigidApplication, RigidJobSpec
+    from ..faults.injector import FaultInjector
+    from ..federation.federation import Federation
+    from ..federation.spec import FederationSpec
+    from ..metrics.collector import SimulationMetrics
+    from ..traces.convert import ConvertedJob
 
 __all__ = ["EvaluationScale", "ScenarioResult", "build_evolution", "run_scenario"]
 
@@ -137,6 +135,8 @@ def ideal_preallocation_nodes(
     overcommit factor multiplies it.  When no equivalent static allocation
     exists the peak dynamic requirement is used instead.
     """
+    from ..models.static_equivalent import equivalent_static_allocation
+
     result = equivalent_static_allocation(evolution, scale.target_efficiency, model)
     if result is not None:
         return max(1, int(round(result.n_eq)))
@@ -152,6 +152,8 @@ def _strict_policy(policy, federation: FederationSpec):
     Every member of *federation* is checked, in member order, against the
     policy it would run: its own pin, else *policy*.
     """
+    from ..policies.registry import STRICT_POLICY, resolve_policy
+
     for cluster in federation.clusters:
         checked = policy if cluster.policy is None else cluster.policy
         if checked is None:
@@ -232,6 +234,19 @@ def run_scenario(
     by admission control are counted rejected.  A plan may name only
     members the federation has (``cluster0`` alone on ``single``).
     """
+    # The composition root: the layers a run composes are imported when
+    # it runs, so a process that only writes specs never compiles them.
+    from ..apps.nea import AmrApplication
+    from ..apps.psa import ParameterSweepApplication
+    from ..apps.rigid import RigidApplication
+    from ..faults.injector import FaultInjector
+    from ..faults.plan import resolve_fault_plan
+    from ..federation.federation import Federation, locality_group
+    from ..federation.spec import TOPOLOGIES
+    from ..metrics.collector import SimulationMetrics
+    from ..sim.engine import Simulator
+    from ..traces.convert import build_application, replay_horizon
+
     if overcommit <= 0:
         raise ValueError("overcommit must be positive")
     if psa_task_durations is None:

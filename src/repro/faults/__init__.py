@@ -16,28 +16,16 @@ Everything is driven by ``derive_seed``: the same plan, topology and
 seed replay byte-identically, so faulted scenarios can be golden-pinned
 just like fault-free ones.
 """
-from .admission import AdmissionController, CircuitBreaker, TokenBucket
-from .injector import FaultInjector
-from .plan import (
-    FAULT_PLANS,
-    AdmissionSpec,
-    ElasticRule,
-    FaultEvent,
-    FaultPlan,
-    get_fault_plan,
-    resolve_fault_plan,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionSpec",
-    "CircuitBreaker",
-    "ElasticRule",
-    "FAULT_PLANS",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "TokenBucket",
-    "get_fault_plan",
-    "resolve_fault_plan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".admission": ("AdmissionController", "CircuitBreaker", "TokenBucket"),
+        ".injector": ("FaultInjector",),
+        ".plan": (
+            "FAULT_PLANS", "AdmissionSpec", "ElasticRule", "FaultEvent", "FaultPlan",
+            "get_fault_plan", "resolve_fault_plan",
+        ),
+    },
+)

@@ -38,38 +38,19 @@ Quick start::
     fed.submit(my_application, node_count=16)  # routed, then connected
     sim.run()
 """
-from .federation import (
-    Federation,
-    FederationMember,
-    MetaScheduler,
-    RoutingDecision,
-    locality_group,
-)
-from .metrics import federation_breakdown
-from .routing import (
-    DEFAULT_ROUTING,
-    ROUTINGS,
-    ClusterState,
-    RoutingPolicy,
-    RoutingRequest,
-    make_routing,
-)
-from .spec import TOPOLOGIES, ClusterSpec, FederationSpec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_ROUTING",
-    "ROUTINGS",
-    "TOPOLOGIES",
-    "ClusterSpec",
-    "ClusterState",
-    "Federation",
-    "FederationMember",
-    "FederationSpec",
-    "MetaScheduler",
-    "RoutingDecision",
-    "RoutingPolicy",
-    "RoutingRequest",
-    "federation_breakdown",
-    "locality_group",
-    "make_routing",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".federation": (
+            "Federation", "FederationMember", "MetaScheduler", "RoutingDecision", "locality_group",
+        ),
+        ".metrics": ("federation_breakdown",),
+        ".routing": (
+            "DEFAULT_ROUTING", "ROUTINGS", "ClusterState", "RoutingPolicy", "RoutingRequest",
+            "make_routing",
+        ),
+        ".spec": ("TOPOLOGIES", "ClusterSpec", "FederationSpec"),
+    },
+)

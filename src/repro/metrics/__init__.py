@@ -1,9 +1,10 @@
 """Metrics collection and plain-text reporting for simulation results."""
-from .collector import SimulationMetrics, median_summary
-from .report import format_table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SimulationMetrics",
-    "median_summary",
-    "format_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".collector": ("SimulationMetrics", "median_summary"),
+        ".report": ("format_table",),
+    },
+)

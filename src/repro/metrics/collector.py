@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..apps.nea import AmrApplication
-from ..apps.psa import ParameterSweepApplication
 from ..core.events import RequestFinished
-from ..core.rms import CooRMv2
 from ..core.types import NON_PREEMPTIBLE, PREALLOCATION
+
+if TYPE_CHECKING:
+    from ..apps.nea import AmrApplication
+    from ..apps.psa import ParameterSweepApplication
+    from ..core.rms import CooRMv2
 
 __all__ = [
     "SimulationMetrics",

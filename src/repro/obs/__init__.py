@@ -32,56 +32,20 @@ event log; tests and CI call it, no run does.
 configuration every command group uses.  Wall-clock performance is measured
 by ``benchmarks/ledger/run.py``, not here.
 """
-from .hooks import METRICS, PROFILER, TRACER, observation_enabled, observe
+from .._lazy import lazy_exports
 
-#: Submodule -> the names re-exported from it, imported on first use.
-_LAZY = {
-    "lifecycle": ("JobAudit", "build_audits", "summarize_audits"),
-    "logsetup": ("get_logger", "logging_setup"),
-    "metrics": ("Histogram", "MetricsRegistry"),
-    "profiler": ("PhaseProfiler",),
-    "slo": ("DEFAULT_SLO", "SLOReport", "SLOSpec", "evaluate_slo"),
-    "timeline": ("Timeline", "TimelineBuilder"),
-    "tracer": ("EventTracer", "TraceEvent", "diff_events", "load_chrome", "load_jsonl"),
-}
-
-
-def __getattr__(name: str):
-    # The engine, the RMS and the scheduler reach ``hooks`` through this
-    # package on every ``import repro``; the instruments and analytics are
-    # imported when something asks for them (PEP 562, as in ``repro``).
-    for module, names in _LAZY.items():
-        if name in names:
-            import importlib
-
-            value = getattr(importlib.import_module(f".{module}", __name__), name)
-            globals()[name] = value
-            return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "TRACER",
-    "METRICS",
-    "PROFILER",
-    "observation_enabled",
-    "observe",
-    "EventTracer",
-    "TraceEvent",
-    "diff_events",
-    "load_jsonl",
-    "load_chrome",
-    "MetricsRegistry",
-    "Histogram",
-    "PhaseProfiler",
-    "Timeline",
-    "TimelineBuilder",
-    "JobAudit",
-    "build_audits",
-    "summarize_audits",
-    "SLOSpec",
-    "SLOReport",
-    "DEFAULT_SLO",
-    "evaluate_slo",
-    "logging_setup",
-    "get_logger",
-]
+# The engine, the RMS and the scheduler reach ``hooks`` on every run; the
+# instruments and analytics are imported when something asks for them.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".hooks": ("TRACER", "METRICS", "PROFILER", "observation_enabled", "observe"),
+        ".tracer": ("EventTracer", "TraceEvent", "diff_events", "load_jsonl", "load_chrome"),
+        ".metrics": ("MetricsRegistry", "Histogram"),
+        ".profiler": ("PhaseProfiler",),
+        ".timeline": ("Timeline", "TimelineBuilder"),
+        ".lifecycle": ("JobAudit", "build_audits", "summarize_audits"),
+        ".slo": ("SLOSpec", "SLOReport", "DEFAULT_SLO", "evaluate_slo"),
+        ".logsetup": ("logging_setup", "get_logger"),
+    },
+)

@@ -12,66 +12,24 @@ Policies are referenced by name (or by an explicit stage mapping) from
 :class:`~repro.campaign.spec.ScenarioSpec`, the ``--policies`` campaign
 matrix and ``python -m repro policy list|describe``.
 """
-from .base import (
-    BackfillStrategy,
-    OrderingStrategy,
-    SchedulingContext,
-    SharingStrategy,
-)
-from .backfill import ConservativeBackfill, EasyBackfill, EasyBackfillQueue
-from .ordering import (
-    FairShareOrdering,
-    FcfsOrdering,
-    LargestAreaFirstOrdering,
-    ShortestJobFirstOrdering,
-)
-from .policy import SchedulingPolicy
-from .registry import (
-    BACKFILLS,
-    DEFAULT_POLICY,
-    ORDERINGS,
-    POLICIES,
-    SHARINGS,
-    STRICT_POLICY,
-    PolicyStages,
-    get_policy,
-    policy_label,
-    resolve_policy,
-)
-from .sharing import (
-    EquipartitionSharing,
-    StrictEquipartitionSharing,
-    WeightedMaxMinSharing,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    # protocols
-    "SchedulingContext",
-    "OrderingStrategy",
-    "BackfillStrategy",
-    "SharingStrategy",
-    # composition
-    "SchedulingPolicy",
-    # stage implementations
-    "FcfsOrdering",
-    "ShortestJobFirstOrdering",
-    "LargestAreaFirstOrdering",
-    "FairShareOrdering",
-    "ConservativeBackfill",
-    "EasyBackfill",
-    "EasyBackfillQueue",
-    "EquipartitionSharing",
-    "StrictEquipartitionSharing",
-    "WeightedMaxMinSharing",
-    # registry
-    "DEFAULT_POLICY",
-    "STRICT_POLICY",
-    "ORDERINGS",
-    "BACKFILLS",
-    "SHARINGS",
-    "POLICIES",
-    "PolicyStages",
-    "get_policy",
-    "resolve_policy",
-    "policy_label",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("SchedulingContext", "OrderingStrategy", "BackfillStrategy", "SharingStrategy"),
+        ".policy": ("SchedulingPolicy",),
+        ".ordering": (
+            "FcfsOrdering", "ShortestJobFirstOrdering", "LargestAreaFirstOrdering",
+            "FairShareOrdering",
+        ),
+        ".backfill": ("ConservativeBackfill", "EasyBackfill", "EasyBackfillQueue"),
+        ".sharing": (
+            "EquipartitionSharing", "StrictEquipartitionSharing", "WeightedMaxMinSharing",
+        ),
+        ".registry": (
+            "DEFAULT_POLICY", "STRICT_POLICY", "ORDERINGS", "BACKFILLS", "SHARINGS", "POLICIES",
+            "PolicyStages", "get_policy", "resolve_policy", "policy_label",
+        ),
+    },
+)

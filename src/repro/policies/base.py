@@ -19,11 +19,12 @@ registered policy swaps one or more stages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence
 
-from ..core.request_set import ApplicationRequests, RequestSet
-from ..core.types import ClusterId, Time
-from ..core.view import View
+if TYPE_CHECKING:
+    from ..core.request_set import ApplicationRequests, RequestSet
+    from ..core.types import ClusterId, Time
+    from ..core.view import View
 
 __all__ = [
     "SchedulingContext",

@@ -9,9 +9,10 @@ without registering them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-from .base import BackfillStrategy, OrderingStrategy, SharingStrategy
+if TYPE_CHECKING:
+    from .base import BackfillStrategy, OrderingStrategy, SharingStrategy
 
 __all__ = ["SchedulingPolicy"]
 

@@ -8,7 +8,9 @@ spec only ever references policies by name (or by a ``{"ordering": ...,
 PolicyStages(name=name, ...), description)``.
 
 Every lookup constructs *fresh* strategy instances, so two schedulers never
-share stage state even when they run the same named policy.
+share stage state even when they run the same named policy.  The built-in
+stages are imported at their table's first lookup: a process that names a
+policy in a spec, without building it, never compiles them.
 """
 from __future__ import annotations
 
@@ -17,19 +19,7 @@ from typing import Mapping, Union
 
 from ..core.registry import Registry
 from ..core.serde import from_strict_dict
-from .backfill import ConservativeBackfill, EasyBackfill
-from .ordering import (
-    FairShareOrdering,
-    FcfsOrdering,
-    LargestAreaFirstOrdering,
-    ShortestJobFirstOrdering,
-)
 from .policy import SchedulingPolicy
-from .sharing import (
-    EquipartitionSharing,
-    StrictEquipartitionSharing,
-    WeightedMaxMinSharing,
-)
 
 __all__ = [
     "DEFAULT_POLICY",
@@ -49,10 +39,36 @@ DEFAULT_POLICY = "coorm"
 #: The Figure 11 baseline (Algorithm 4 with strict equi-partitioning).
 STRICT_POLICY = "coorm-strict"
 
+
+
+def _orderings() -> None:
+    from . import ordering
+
+    ORDERINGS.register("fcfs", ordering.FcfsOrdering)
+    ORDERINGS.register("sjf", ordering.ShortestJobFirstOrdering)
+    ORDERINGS.register("largest-area", ordering.LargestAreaFirstOrdering)
+    ORDERINGS.register("fair-share", ordering.FairShareOrdering)
+
+
+def _backfills() -> None:
+    from . import backfill
+
+    BACKFILLS.register("conservative", backfill.ConservativeBackfill)
+    BACKFILLS.register("easy", backfill.EasyBackfill)
+
+
+def _sharings() -> None:
+    from . import sharing
+
+    SHARINGS.register("eq-filling", sharing.EquipartitionSharing)
+    SHARINGS.register("strict-eq", sharing.StrictEquipartitionSharing)
+    SHARINGS.register("maxmin-weighted", sharing.WeightedMaxMinSharing)
+
+
 #: Stage factories by name (``factory() -> strategy``).
-ORDERINGS = Registry("ordering strategy")
-BACKFILLS = Registry("backfill strategy")
-SHARINGS = Registry("sharing strategy")
+ORDERINGS = Registry("ordering strategy", load=_orderings)
+BACKFILLS = Registry("backfill strategy", load=_backfills)
+SHARINGS = Registry("sharing strategy", load=_sharings)
 #: Policy name -> :class:`PolicyStages` (registered with its description).
 POLICIES = Registry("scheduling policy")
 
@@ -116,20 +132,8 @@ def policy_label(spec: PolicyLike) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Built-in stages and policies
+# Built-in policies
 # --------------------------------------------------------------------- #
-ORDERINGS.register("fcfs", FcfsOrdering)
-ORDERINGS.register("sjf", ShortestJobFirstOrdering)
-ORDERINGS.register("largest-area", LargestAreaFirstOrdering)
-ORDERINGS.register("fair-share", FairShareOrdering)
-
-BACKFILLS.register("conservative", ConservativeBackfill)
-BACKFILLS.register("easy", EasyBackfill)
-
-SHARINGS.register("eq-filling", EquipartitionSharing)
-SHARINGS.register("strict-eq", StrictEquipartitionSharing)
-SHARINGS.register("maxmin-weighted", WeightedMaxMinSharing)
-
 for _stages in (
     PolicyStages(
         name=DEFAULT_POLICY,

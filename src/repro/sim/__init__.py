@@ -1,12 +1,10 @@
 """Discrete-event simulation substrate used by the evaluation."""
-from .engine import EventHandle, Simulator
-from .randomness import RandomSource, derive_seed, spawn_streams, stable_fingerprint
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EventHandle",
-    "Simulator",
-    "RandomSource",
-    "derive_seed",
-    "spawn_streams",
-    "stable_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".engine": ("EventHandle", "Simulator"),
+        ".randomness": ("RandomSource", "derive_seed", "spawn_streams", "stable_fingerprint"),
+    },
+)

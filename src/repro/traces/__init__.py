@@ -24,76 +24,27 @@ Quick start::
     model = TraceModel.fit(trace)
     synthetic = model.synthesize(10_000, seed=42)
 """
-from .convert import (
-    APP_KINDS,
-    AdaptiveMix,
-    ConvertedJob,
-    build_application,
-    convert_trace,
-    mix_counts,
-    replay_horizon,
-)
-from .models import (
-    DailyCycleArrivals,
-    LogNormalDuration,
-    LogUniformDuration,
-    LogUniformNodes,
-    PoissonArrivals,
-    TraceModel,
-    model_from_dict,
-)
-from .source import TraceSource, resolve_converted_jobs, resolve_trace
-from .swf import (
-    SWF_FIELDS,
-    SwfHeader,
-    SwfJob,
-    Trace,
-    dump_swf,
-    dumps_swf,
-    load_swf,
-    loads_swf,
-)
-from .transform import (
-    ClampNodes,
-    FilterJobs,
-    LoadRescale,
-    Pipeline,
-    ShiftToZero,
-    TimeWindow,
-    transform_from_dict,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "APP_KINDS",
-    "AdaptiveMix",
-    "ClampNodes",
-    "ConvertedJob",
-    "DailyCycleArrivals",
-    "FilterJobs",
-    "LoadRescale",
-    "LogNormalDuration",
-    "LogUniformDuration",
-    "LogUniformNodes",
-    "Pipeline",
-    "PoissonArrivals",
-    "SWF_FIELDS",
-    "ShiftToZero",
-    "SwfHeader",
-    "SwfJob",
-    "Trace",
-    "TraceModel",
-    "TraceSource",
-    "TimeWindow",
-    "build_application",
-    "convert_trace",
-    "dump_swf",
-    "dumps_swf",
-    "load_swf",
-    "loads_swf",
-    "mix_counts",
-    "model_from_dict",
-    "replay_horizon",
-    "resolve_converted_jobs",
-    "resolve_trace",
-    "transform_from_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".convert": (
+            "APP_KINDS", "AdaptiveMix", "ConvertedJob", "build_application", "convert_trace",
+            "mix_counts", "replay_horizon",
+        ),
+        ".models": (
+            "DailyCycleArrivals", "LogNormalDuration", "LogUniformDuration", "LogUniformNodes",
+            "PoissonArrivals", "TraceModel", "model_from_dict",
+        ),
+        ".source": ("TraceSource", "resolve_converted_jobs", "resolve_trace"),
+        ".swf": (
+            "SWF_FIELDS", "SwfHeader", "SwfJob", "Trace", "dump_swf", "dumps_swf", "load_swf",
+            "loads_swf",
+        ),
+        ".transform": (
+            "ClampNodes", "FilterJobs", "LoadRescale", "Pipeline", "ShiftToZero", "TimeWindow",
+            "transform_from_dict",
+        ),
+    },
+)

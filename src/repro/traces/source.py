@@ -12,16 +12,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from ..core.errors import SpecError
 from ..core.serde import Spec, located
 from ..core.textio import read_trace_text
 from ..sim.randomness import derive_seed, stable_fingerprint
-from .convert import AdaptiveMix, ConvertedJob, convert_trace, mix_counts
 from .models import TraceModel
 from .swf import Trace, loads_swf
 from .transform import Pipeline
+
+if TYPE_CHECKING:
+    from .convert import ConvertedJob
 
 __all__ = ["TraceSource", "resolve_trace", "resolve_converted_jobs"]
 
@@ -72,6 +74,9 @@ class TraceSource(Spec):
             )
             Pipeline.from_dicts(self.transforms)
         if self.mix is not None:
+            # Conversion builds applications: imported by the sources that mix.
+            from .convert import AdaptiveMix
+
             with located("mix"):
                 object.__setattr__(self, "mix", dict(self.mix))
                 AdaptiveMix.from_dict(self.mix)
@@ -135,6 +140,8 @@ def resolve_converted_jobs(
     record the campaign layer stores next to the run metrics: the source
     description, the applied pipeline steps and the realised kind counts.
     """
+    from .convert import AdaptiveMix, convert_trace, mix_counts
+
     trace = resolve_trace(source, seed=seed)
     mix = AdaptiveMix() if source.mix is None else AdaptiveMix.from_dict(source.mix)
     jobs = convert_trace(

@@ -16,13 +16,15 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..core.errors import WorkloadError
 from ..core.textio import read_trace_text, write_text_file
 from ..obs import hooks as _obs
 from ..obs.logsetup import get_logger
-from ..apps.rigid import RigidJobSpec
+
+if TYPE_CHECKING:
+    from ..apps.rigid import RigidJobSpec
 
 __all__ = [
     "SWF_FIELDS",
@@ -129,15 +131,26 @@ class SwfJob:
 
     def to_rigid(self) -> RigidJobSpec:
         """Project the record onto the simulator's rigid-job fields."""
-        return RigidJobSpec(
-            job_id=f"swf{self.job_number}",
-            submit_time=float(self.submit_time),
-            node_count=self.node_count,
-            duration=self.duration,
-        )
+        return _rigid_jobs((self,))[0]
 
     def to_fields(self) -> Tuple:
         return tuple(getattr(self, name) for name in SWF_FIELDS)
+
+
+def _rigid_jobs(jobs: Iterable[SwfJob]) -> List[RigidJobSpec]:
+    """:meth:`SwfJob.to_rigid` of each of *jobs*: the applications layer is
+    imported once per call, not per record, and only by a replay."""
+    from ..apps.rigid import RigidJobSpec
+
+    return [
+        RigidJobSpec(
+            job_id=f"swf{job.job_number}",
+            submit_time=float(job.submit_time),
+            node_count=job.node_count,
+            duration=job.duration,
+        )
+        for job in jobs
+    ]
 
 
 @dataclass(frozen=True)
@@ -245,7 +258,7 @@ class Trace:
 
     def to_rigid_jobs(self) -> List[RigidJobSpec]:
         """Runnable rigid jobs, sorted by submit time (invalid records drop)."""
-        jobs = [job.to_rigid() for job in self.jobs if job.is_valid_job()]
+        jobs = _rigid_jobs(job for job in self.jobs if job.is_valid_job())
         jobs.sort(key=lambda j: (j.submit_time, j.job_id))
         return jobs
 

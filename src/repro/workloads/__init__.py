@@ -1,4 +1,9 @@
 """Synthetic workload generation."""
-from .generator import RigidJobSpec, WorkloadParameters, generate_rigid_workload
+from .._lazy import lazy_exports
 
-__all__ = ["RigidJobSpec", "WorkloadParameters", "generate_rigid_workload"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".generator": ("RigidJobSpec", "WorkloadParameters", "generate_rigid_workload"),
+    },
+)

@@ -36,7 +36,7 @@ from repro.__main__ import main as cli_main
 from repro.campaign.runner import CampaignFailed, _run_unit, _sigterm_as_interrupt
 from repro.campaign.units import grant_tasks, unit_key
 from repro.core.errors import WorkloadError
-from repro.dist import coordinator as coordinator_module
+from repro.dist import transport as transport_module
 from repro.dist import ensure_noop_runner, run_standalone_worker
 from repro.dist.coordinator import Coordinator, DistConfig
 from repro.dist.transport import (
@@ -537,7 +537,7 @@ class _ScriptedRun:
             return WorkerHandle(worker_id)
 
         monkeypatch.setattr(self.transport, "launch_worker", launch)
-        monkeypatch.setattr(coordinator_module, "make_transport", lambda *args: self.transport)
+        monkeypatch.setattr(transport_module, "make_transport", lambda *args: self.transport)
         self.coordinator = Coordinator(
             CampaignRunner(noop_spec("scripted", units)).tasks(),
             DistConfig(transport=transport, backoff_base=0.0),

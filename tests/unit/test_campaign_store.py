@@ -6,7 +6,7 @@ from types import MappingProxyType
 import pytest
 
 from repro.__main__ import main
-from repro.campaign import store as store_module
+from repro.metrics import collector as collector_module
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
 from repro.campaign.store import ResultStore, compare, medians
 
@@ -162,14 +162,14 @@ class TestSummaries:
         store = ResultStore(tmp_path)
         store.save_campaign(make_spec(seeds=3), make_records(seeds=3))
         reads, summaries = [], []
-        load_records, median_summary = ResultStore.load_records, store_module.median_summary
+        load_records, median_summary = ResultStore.load_records, collector_module.median_summary
         monkeypatch.setattr(
             ResultStore,
             "load_records",
             lambda self, name: reads.append(name) or load_records(self, name),
         )
         monkeypatch.setattr(
-            store_module,
+            collector_module,
             "median_summary",
             lambda rows: summaries.append(len(rows)) or median_summary(rows),
         )

@@ -37,6 +37,20 @@ class TestRegistry:
         assert isinstance(DuplicateNameError("x"), (ReproError, ValueError))
         assert table.get("a") == 1
 
+    def test_a_loader_fills_the_table_once_at_its_first_lookup(self):
+        loads = []
+
+        def load():
+            loads.append(1)
+            table.register("built-in", 1)
+
+        table = Registry("widget", load=load)
+        assert loads == []  # built, not looked up: nothing imported
+        assert "built-in" in table and table.names() == ["built-in"]
+        with pytest.raises(DuplicateNameError):
+            table.register("built-in", 2)  # a later name meets the built-ins
+        assert loads == [1]
+
     def test_unknown_lists_the_known_names_sorted(self):
         with pytest.raises(UnknownNameError) as caught:
             self.make().get("z")
